@@ -18,7 +18,8 @@ vet-cmd:
 
 # Library code must log through the slog.Logger it is handed
 # (internal/obs), never a bare log.Printf/fmt.Println the embedder
-# cannot redirect.
+# cannot redirect; it must also not reach for package-level http helpers
+# or keep an exported global bool as a behaviour switch.
 vet-obs:
 	scripts/lint-obs.sh
 

@@ -31,8 +31,7 @@ import (
 
 func main() {
 	maxSteps := flag.Int("max-steps", 100000, "rewriting step budget")
-	parallel := flag.Int("parallel", 0, "concurrent invocations per run (0 = GOMAXPROCS, 1 = sequential)")
-	incremental := flag.Bool("incremental", false, "incremental evaluation: semi-naive deltas, event-driven scheduling above one worker")
+	parallel := flag.Int("parallel", 0, "workers per run (0 = GOMAXPROCS, 1 = deterministic sequential sweeps)")
 	traceOut := flag.String("trace-out", "", "append the run's JSON trace spans, one per line, to this file")
 	stats := flag.Bool("stats", false, "print run statistics (call counts, latency quantiles, lock waits)")
 	flag.Usage = usage
@@ -42,8 +41,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	opts := cli.Options{MaxSteps: *maxSteps, Parallelism: *parallel,
-		Incremental: *incremental, Stats: *stats}
+	opts := cli.Options{MaxSteps: *maxSteps, Parallelism: *parallel, Stats: *stats}
 	if *traceOut != "" {
 		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -61,7 +59,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: axml [-max-steps N] [-parallel N] [-incremental] <command> ...
+	fmt.Fprintln(os.Stderr, `usage: axml [-max-steps N] [-parallel N] <command> ...
 commands:
   parse <doc>                    parse and pretty-print a document
   reduce <doc>                   print the reduced version

@@ -27,7 +27,8 @@ doc reviews = rv{
 func GetRating = rating{$s,!Reviews{title{$t}}} :- input/input{title{$t}}, ratings/db{entry{title{$t},stars{$s}}}
 func Reviews   = review{$x} :- input/input{title{$t}}, reviews/rv{review{title{$t},text{$x}}}
 `)
-	ratingsPeer := axml.NewPeer("ratings", ratingsSys)
+	ratingsPeer, _, err := axml.OpenPeer("ratings", ratingsSys)
+	must(err)
 	ratingsSrv := httptest.NewServer(ratingsPeer.Handler())
 	defer ratingsSrv.Close()
 	fmt.Println("ratings peer listening on", ratingsSrv.URL)

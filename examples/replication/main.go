@@ -25,14 +25,20 @@ func main() {
 doc catalog = cat{item{"bop"},!NewArrivals}
 func NewArrivals = item{"cool-jazz"} :-
 `)
-	remotePeer := axml.NewPeer("store", remoteSys)
+	remotePeer, _, err := axml.OpenPeer("store", remoteSys)
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv := httptest.NewServer(remotePeer.Handler())
 	defer srv.Close()
 	fmt.Println("remote store on", srv.URL)
 
 	// Local peer: an empty replica plus local-only annotations.
 	localSys := axml.MustParseSystem(`doc replica = cat{item{"local-note"}}`)
-	local := axml.NewPeer("cache", localSys)
+	local, _, err := axml.OpenPeer("cache", localSys)
+	if err != nil {
+		log.Fatal(err)
+	}
 	m := &peer.Mirror{Remote: srv.URL, RemoteDoc: "catalog", LocalDoc: "replica"}
 
 	// Round 1: initial pull (a full tree — the mirror has no anchor yet).

@@ -55,9 +55,7 @@ type (
 
 // Distributed entry points.
 var (
-	// NewPeer wraps a system as an HTTP peer.
-	NewPeer = peer.New
-	// OpenPeer is the canonical peer constructor: options select
+	// OpenPeer wraps a system as an HTTP peer: options select
 	// durability (WithDurability), the outbound HTTP client (WithClient),
 	// wire-size caps (WithLimits) and the sweep error policy
 	// (WithErrorPolicy).
@@ -88,13 +86,6 @@ var (
 	NewSubscriber = peer.NewSubscriber
 	// NewPeerClient wraps a peer base URL as a typed client.
 	NewPeerClient = peer.NewClient
-	// FetchDoc pulls a document from a peer (one-shot wrapper over
-	// PeerClient.Doc).
-	FetchDoc = peer.FetchDoc
-	// FetchDelta pulls a document's growth since an acked digest.
-	FetchDelta = peer.FetchDelta
-	// FetchHashes pulls a peer's per-document digests (anti-entropy).
-	FetchHashes = peer.FetchHashes
 	// MarshalTree and UnmarshalTree move trees through the XML wire
 	// format.
 	MarshalTree = peer.MarshalTree

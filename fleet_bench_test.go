@@ -53,7 +53,10 @@ func BenchmarkFleet(b *testing.B) {
 			srv := httptest.NewServer(remote.Handler())
 			defer srv.Close()
 
-			local := peer.New("replica", core.NewSystem())
+			local, _, err := peer.Open("replica", core.NewSystem())
+			if err != nil {
+				b.Fatal(err)
+			}
 			local.System(func(s *core.System) {
 				if err := s.AddDocument(peer.NewReplicaDoc("log", "log")); err != nil {
 					b.Fatal(err)

@@ -114,7 +114,8 @@ func E2Confluence(w io.Writer, schedules int) error {
 	}
 	for i, sc := range scheds {
 		s := tcSystem(edges)
-		res := s.Run(core.RunOptions{Scheduler: sc.s})
+		// Parallelism 1: the sweep is the schedule a Scheduler orders.
+		res := s.Run(core.RunOptions{Scheduler: sc.s, Parallelism: 1})
 		if !res.Terminated {
 			return fmt.Errorf("E2: scheduler %s did not terminate", sc.name)
 		}

@@ -272,7 +272,10 @@ func distributedChain(n int) (paths, rounds int, terminated bool, err error) {
 doc edges = r{t{a{"n%d"},b{"n%d"}}}
 func Hop%d = t{a{$x},b{$y}} :- input/input{t{a{$x},b{$z}}}, edges/r{t{a{$z},b{$y}}}
 `, i+1, i+2, i)
-		p := peer.New(fmt.Sprintf("hop%d", i), core.MustParseSystem(src))
+		p, _, err := peer.Open(fmt.Sprintf("hop%d", i), core.MustParseSystem(src))
+		if err != nil {
+			return 0, 0, false, err
+		}
 		srv := httptest.NewServer(p.Handler())
 		servers = append(servers, srv)
 		urls = append(urls, srv.URL)
@@ -284,7 +287,10 @@ func Hop%d = t{a{$x},b{$y}} :- input/input{t{a{$x},b{$z}}}, edges/r{t{a{$z},b{$y
 		root := collectorSys.Document("paths").Root
 		root.Children = append(root.Children, tree.NewFunc(svcName))
 	}
-	collector := peer.New("collector", collectorSys)
+	collector, _, err := peer.Open("collector", collectorSys)
+	if err != nil {
+		return 0, 0, false, err
+	}
 	colSrv := httptest.NewServer(collector.Handler())
 	servers = append(servers, colSrv)
 	urls = append(urls, colSrv.URL)
@@ -338,7 +344,7 @@ func AblationReduceEvery(w io.Writer) error {
 
 	s1 := tcSystem(edges)
 	start := time.Now()
-	r1 := s1.Run(core.RunOptions{})
+	r1 := s1.Run(core.RunOptions{Parallelism: 1})
 	t1 := time.Since(start)
 	fmt.Fprintf(w, "reduce-every-step\t%d\t%d\t%.2f\n", r1.Steps, s1.Size(), ms(t1))
 
@@ -348,7 +354,7 @@ func AblationReduceEvery(w io.Writer) error {
 	// timing the pure-reduction share).
 	s2 := tcSystem(edges)
 	start = time.Now()
-	r2 := s2.Run(core.RunOptions{Scheduler: core.Reverse{}})
+	r2 := s2.Run(core.RunOptions{Scheduler: core.Reverse{}, Parallelism: 1})
 	t2 := time.Since(start)
 	fmt.Fprintf(w, "reverse-scheduler\t%d\t%d\t%.2f\n", r2.Steps, s2.Size(), ms(t2))
 	if s1.CanonicalString() != s2.CanonicalString() {
@@ -373,7 +379,7 @@ func AblationSchedulers(w io.Writer) error {
 		{"random-2", core.NewRandom(2)},
 	} {
 		s := tcSystem(edges)
-		res := s.Run(core.RunOptions{Scheduler: sc.s})
+		res := s.Run(core.RunOptions{Scheduler: sc.s, Parallelism: 1})
 		if !res.Terminated {
 			return fmt.Errorf("ablation: %s did not terminate", sc.name)
 		}

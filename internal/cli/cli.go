@@ -25,12 +25,8 @@ type Options struct {
 	// MaxSteps bounds rewriting runs (default core.DefaultMaxSteps).
 	MaxSteps int
 	// Parallelism is the run's worker count (0 = GOMAXPROCS, 1 =
-	// deterministic sequential order).
+	// deterministic sweeps in sequential order).
 	Parallelism int
-	// Incremental enables incremental evaluation for run: semi-naive
-	// delta matching for declarative services, and (above one worker)
-	// the event-driven scheduler instead of repeated sweeps.
-	Incremental bool
 	// Trace, when non-nil, receives the run's JSON trace spans, one per
 	// line (the -trace-out flag; summarize with
 	// scripts/trace-summarize.sh).
@@ -93,8 +89,7 @@ func Run(out io.Writer, opts Options, cmd string, args ...string) error {
 			tracer = obs.NewTracer(opts.Trace)
 		}
 		res := s.Run(core.RunOptions{
-			MaxSteps: opts.MaxSteps, Parallelism: opts.Parallelism,
-			Incremental: opts.Incremental, Tracer: tracer,
+			MaxSteps: opts.MaxSteps, Parallelism: opts.Parallelism, Tracer: tracer,
 		})
 		if res.Err != nil {
 			return res.Err
@@ -254,7 +249,6 @@ func printStats(out io.Writer, st core.RunStats) {
 		st.CallsFired, st.CallsSterile, st.DeltaEvals, st.Enqueues,
 		st.EnqueuesCoalesced, st.ReaderWaits, st.WriterWaits)
 	printHist(out, "eval_ns", st.Eval)
-	printHist(out, "slot_wait_ns", st.SlotWait)
 	printHist(out, "merge_wait_ns", st.MergeWait)
 }
 

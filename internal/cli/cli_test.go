@@ -79,7 +79,7 @@ func TestRunIncremental(t *testing.T) {
 	files := map[string]string{"tc.axml": tcFile}
 	plain := run(t, files, "run", "tc.axml")
 	var buf bytes.Buffer
-	opts := Options{ReadFile: memFS(files), Incremental: true, Stats: true, Parallelism: 4}
+	opts := Options{ReadFile: memFS(files), Stats: true, Parallelism: 4}
 	if err := Run(&buf, opts, "run", "tc.axml"); err != nil {
 		t.Fatal(err)
 	}

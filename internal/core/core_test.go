@@ -580,7 +580,7 @@ func g = b{!g} :-
 	}
 	for _, sched := range []Scheduler{RoundRobin{}, Reverse{}, NewRandom(7)} {
 		s := sys()
-		s.Run(RunOptions{Scheduler: sched, MaxSteps: 20})
+		s.Run(RunOptions{Scheduler: sched, Parallelism: 1, MaxSteps: 20})
 		left := s.Document("d").Root.Children[0]
 		right := s.Document("d").Root.Children[1]
 		if left.Name != "left" {

@@ -10,15 +10,25 @@ import (
 	"axml/internal/tree"
 )
 
-// engine executes one RunContext: the sweep loop, the sterile-call gate
-// and the firing of calls — sequentially or through a bounded worker
-// pool, depending on RunOptions.Parallelism.
+// engine executes one RunContext. There is one firing path — fire: the
+// sterile-call gate, a semi-naive evaluation under the system's read
+// lock, the merge under its write lock — and two schedules that decide
+// which call goes through it next:
+//
+//   - the sweep (runSweeps, below): one goroutine attempts every call
+//     present at the start of a sweep, in scheduler order, until a whole
+//     sweep changes nothing. Deterministic counters and intermediate
+//     states; taken at Parallelism 1 and by any run with a MaxSweeps
+//     budget, which only a sweeping run can honour.
+//   - the worklist (incremental.go): Parallelism workers drain a FIFO
+//     of call nodes fed by merge events through a reverse dependency
+//     index; a call is attempted only when something it reads moved.
 //
 // Concurrency model. The paper defines a run as a set of independent
 // monotone call firings whose results merge by least upper bound, and
 // Theorem 2.1 proves the reachable fixpoint is independent of the firing
-// order. That is the entire license the parallel engine needs: firings
-// race, merges do not. Concretely:
+// order. That is the entire license both schedules need: firings race,
+// merges do not. Concretely:
 //
 //   - evaluations (read the live trees, call the service, possibly wait
 //     on the network) run under the system's read lock, any number at a
@@ -28,15 +38,15 @@ import (
 //     funnel — one at a time;
 //   - a result computed against a state that other firings have since
 //     enlarged is still a sound result of the smaller state, so merging
-//     it is harmless; the version gate re-examines the call on a later
-//     sweep if anything it reads moved.
+//     it is harmless; the version gate re-examines the call at its next
+//     attempt if anything it reads moved.
 //
 // Engine-local bookkeeping (the result counters, the seen map, the stop
-// flag) lives under a separate mutex, always acquired after the system
-// lock, never held across a service invocation. RunResult is only ever
-// copied out through result(), under that mutex, with the Errors map
-// cloned — so a caller can hand the returned value to another goroutine
-// without aliasing engine state.
+// flag, the worklist) lives under a separate mutex, always acquired
+// after the system lock, never held across a service invocation.
+// RunResult is only ever copied out through result(), under that mutex,
+// with the Errors map cloned — so a caller can hand the returned value
+// to another goroutine without aliasing engine state.
 //
 // Observability: the engine always collects its run-local stats (a few
 // atomic adds and clock reads per firing) into RunResult.Stats, emits
@@ -53,41 +63,37 @@ type engine struct {
 	maxErrorSweeps int
 	tracer         *obs.Tracer
 
+	// rlock acquires the version funnel's read side with the discipline
+	// the schedule can afford (see rwLock): plain reader preference for
+	// the sweep, the fair variant for the worklist.
+	rlock func()
+
 	// root is the run's trace identity: the span context the caller put
 	// in the run's context (a peer's server span, a CLI root) or a fresh
 	// trace when tracing locally with none inherited. Set once before any
-	// worker starts, then read-only — sweep spans are its children, call
-	// spans are sweep children, merge spans are call children, and the
-	// evaluation context carries the call's span so a remote invocation
-	// propagates the chain across the wire.
+	// call fires, then read-only — sweep and drain spans are its children,
+	// call spans theirs, merge spans are call children, and the evaluation
+	// context carries the call's span so a remote invocation propagates
+	// the chain across the wire.
 	root obs.SpanContext
-	// drainSC is the event-driven run's single drain span (incremental.go),
-	// fixed before the workers start.
-	drainSC obs.SpanContext
 
 	// Run-local latency histograms, always collected (RunResult.Stats).
 	evalH      *obs.Histogram
-	slotWaitH  *obs.Histogram
 	mergeWaitH *obs.Histogram
 	// Version-funnel contention baseline at run start (delta reporting).
 	lockR0, lockW0 uint64
 	// Index hit/miss baseline at run start (delta reporting).
 	ixHits0, ixMisses0 uint64
 
-	mu              sync.Mutex // guards the fields below
-	res             RunResult
-	sterile         int // calls skipped by the version gate
-	deltaEvals      int // evaluations that ran semi-naively against a delta
-	seen            map[*tree.Node][]uint64
-	stop            bool // budget exhausted or fail-fast: drain, then return
-	cancelSweep     context.CancelFunc
-	changedInSweep  bool
-	failuresInSweep int
-	firedInSweep    int
-	sterileInSweep  int
-	stepsInSweep    int
+	mu         sync.Mutex // guards the fields below
+	res        RunResult
+	sterile    int // calls skipped by the version gate
+	deltaEvals int // evaluations that ran semi-naively against a delta
+	seen       map[*tree.Node][]uint64
+	stop       bool // budget exhausted or fail-fast: drain, then return
 
-	// Event-driven mode (Incremental, Parallelism > 1); see incremental.go.
+	// ev is the worklist schedule's state (incremental.go); nil in a
+	// sweeping run.
 	ev *eventState
 }
 
@@ -121,7 +127,8 @@ func newEngine(s *System, opts RunOptions) *engine {
 	if workers == 0 {
 		workers = DefaultParallelism()
 	}
-	if workers < 1 {
+	if workers < 1 || opts.MaxSweeps > 0 {
+		// A sweep budget is only defined for the sweeping schedule.
 		workers = 1
 	}
 	rw, ww := s.engineMu.contention()
@@ -135,7 +142,6 @@ func newEngine(s *System, opts RunOptions) *engine {
 		maxErrorSweeps: maxErrorSweeps,
 		tracer:         opts.Tracer,
 		evalH:          &obs.Histogram{},
-		slotWaitH:      &obs.Histogram{},
 		mergeWaitH:     &obs.Histogram{},
 		lockR0:         rw,
 		lockW0:         ww,
@@ -163,33 +169,25 @@ func (e *engine) traceRoot(ctx context.Context) obs.SpanContext {
 	return sc
 }
 
-// run is the sweep loop shared by the sequential and parallel paths.
-func (e *engine) run(ctx context.Context) RunResult {
+// runSweeps is the sweeping schedule: one goroutine, strict scheduler
+// order, a fixpoint confirmed by a whole sweep that changes nothing.
+func (e *engine) runSweeps(ctx context.Context) RunResult {
+	e.rlock = e.s.engineMu.RLock
 	e.root = e.traceRoot(ctx)
 	fruitless := 0 // consecutive no-progress sweeps that saw errors
 	for {
 		if ctx.Err() != nil {
-			e.mu.Lock()
-			if e.res.Err == nil {
-				e.res.Err = ctx.Err()
-			}
-			e.mu.Unlock()
-			return e.result()
+			return e.cancelled(ctx)
 		}
 		e.mu.Lock()
 		e.res.Sweeps++
-		sweepNo := e.res.Sweeps
-		e.changedInSweep = false
-		e.failuresInSweep = 0
-		e.firedInSweep = 0
-		e.sterileInSweep = 0
-		e.stepsInSweep = 0
+		before, sterileBefore := e.res, e.sterile
 		e.mu.Unlock()
 		// Snapshot the calls existing at sweep start: calls created by
 		// answers during this sweep wait for the next one. This is what
 		// makes every execution fair — no branch can starve another by
 		// producing fresh calls faster than the sweep drains them.
-		e.s.engineMu.RLock()
+		e.rlock()
 		pending := e.s.Calls()
 		e.s.engineMu.RUnlock()
 		purgeSeen(e.seen, pending)
@@ -201,74 +199,30 @@ func (e *engine) run(ctx context.Context) RunResult {
 		if e.tracer != nil {
 			sweepSC = e.root.NewChild()
 		}
-
-		// Each sweep gets a cancellable sub-context so a budget stop or a
-		// fail-fast error aborts the in-flight evaluations instead of
-		// waiting them out.
-		sweepCtx, cancel := context.WithCancel(ctx)
-		e.mu.Lock()
-		e.cancelSweep = cancel
-		e.mu.Unlock()
-		if e.workers <= 1 {
-			for _, c := range pending {
-				if e.stopped() || sweepCtx.Err() != nil {
-					break
-				}
-				prev, ok := e.admit(c)
-				if !ok {
-					continue
-				}
-				e.fire(sweepCtx, sweepSC, c, prev, nil, 0)
+		for _, c := range pending {
+			if e.stopped() || ctx.Err() != nil {
+				break
 			}
-		} else {
-			// sem caps concurrent EVALUATIONS, not whole firings: a worker
-			// returns its slot the moment its evaluation finishes, before
-			// queuing for the merge lock. Holding the slot across the merge
-			// wait convoys the pool — merge-waiters exhaust the slots while
-			// the one live evaluation blocks them all, and the engine
-			// degenerates to one admission per service latency.
-			sem := make(chan struct{}, e.workers)
-			var wg sync.WaitGroup
-			for _, c := range pending {
-				if e.stopped() || sweepCtx.Err() != nil {
-					break
-				}
-				prev, ok := e.admit(c)
-				if !ok {
-					continue
-				}
-				slotStart := time.Now()
-				sem <- struct{}{}
-				slotWait := time.Since(slotStart)
-				e.slotWaitH.Observe(int64(slotWait))
-				wg.Add(1)
-				go func(c Call, prev []uint64, slotWait time.Duration) {
-					defer wg.Done()
-					var once sync.Once
-					release := func() { once.Do(func() { <-sem }) }
-					defer release()
-					e.fire(sweepCtx, sweepSC, c, prev, release, slotWait)
-				}(c, prev, slotWait)
-			}
-			wg.Wait()
+			e.fire(ctx, sweepSC, c)
 		}
-		cancel()
 
 		e.mu.Lock()
-		changed := e.changedInSweep
-		failures := e.failuresInSweep
+		changed := e.res.Steps > before.Steps
+		// Under FailFast the first failure stops the run, so counting
+		// failures per sweep only ever matters under Degrade.
+		failures := e.res.Failures - before.Failures
 		stopped := e.stop
 		if e.tracer != nil {
 			e.tracer.Emit(obs.Span{
 				Kind:  "sweep",
-				Sweep: sweepNo,
+				Sweep: e.res.Sweeps,
 				TSUs:  sweepTS,
 				DurUs: int64(time.Since(sweepStart) / time.Microsecond),
 				Attrs: map[string]int64{
 					"pending":  int64(len(pending)),
-					"fired":    int64(e.firedInSweep),
-					"sterile":  int64(e.sterileInSweep),
-					"steps":    int64(e.stepsInSweep),
+					"fired":    int64(e.res.Attempts - before.Attempts),
+					"sterile":  int64(e.sterile - sterileBefore),
+					"steps":    int64(e.res.Steps - before.Steps),
 					"failures": int64(failures),
 				},
 			}.WithContext(sweepSC, e.root))
@@ -280,12 +234,7 @@ func (e *engine) run(ctx context.Context) RunResult {
 			return e.result()
 		}
 		if ctx.Err() != nil {
-			e.mu.Lock()
-			if e.res.Err == nil {
-				e.res.Err = ctx.Err()
-			}
-			e.mu.Unlock()
-			return e.result()
+			return e.cancelled(ctx)
 		}
 		if !changed && failures == 0 {
 			e.mu.Lock()
@@ -294,7 +243,7 @@ func (e *engine) run(ctx context.Context) RunResult {
 			return e.result()
 		}
 		if !changed {
-			// Errors but no progress: retry the quarantined calls on
+			// Errors but no progress: the failed calls are retried on
 			// another sweep, but give up after maxErrorSweeps of these —
 			// the failures look permanent.
 			fruitless++
@@ -310,12 +259,21 @@ func (e *engine) run(ctx context.Context) RunResult {
 	}
 }
 
+// cancelled ends a run whose caller's context died: RunResult.Err reports
+// ctx.Err() unless a service error got there first.
+func (e *engine) cancelled(ctx context.Context) RunResult {
+	e.mu.Lock()
+	if e.res.Err == nil {
+		e.res.Err = ctx.Err()
+	}
+	e.mu.Unlock()
+	return e.result()
+}
+
 // result snapshots the run outcome under the engine mutex: the counters
 // are copied, the Errors map is cloned (never aliased to engine state)
 // and the Stats histograms and funnel-contention deltas are attached.
-// Every return path of run funnels through here — the guard that makes
-// handing RunResult across goroutines safe even while late workers from
-// a stopped sweep are still draining through recordFailure.
+// Every return path of both schedules funnels through here.
 func (e *engine) result() RunResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -334,7 +292,6 @@ func (e *engine) result() RunResult {
 		CallsSterile: e.sterile,
 		DeltaEvals:   e.deltaEvals,
 		Eval:         e.evalH.Snapshot(),
-		SlotWait:     e.slotWaitH.Snapshot(),
 		MergeWait:    e.mergeWaitH.Snapshot(),
 		ReaderWaits:  rw - e.lockR0,
 		WriterWaits:  ww - e.lockW0,
@@ -371,7 +328,6 @@ func (e *engine) publishLocked(res RunResult) {
 	reg.Counter("engine.index.hits").Add(int64(res.Stats.IndexHits))
 	reg.Counter("engine.index.misses").Add(int64(res.Stats.IndexMisses))
 	reg.Histogram("engine.eval_ns").Merge(res.Stats.Eval)
-	reg.Histogram("engine.slot_wait_ns").Merge(res.Stats.SlotWait)
 	reg.Histogram("engine.merge_wait_ns").Merge(res.Stats.MergeWait)
 	reg.Gauge("engine.parallelism").Set(int64(e.workers))
 	if res.Terminated {
@@ -379,72 +335,53 @@ func (e *engine) publishLocked(res RunResult) {
 	}
 }
 
-// admit runs the sterile-call gate for one call and, when the call is
-// live, claims it for this sweep, returning the version vector recorded
-// at the call's previous admission (nil for a first attempt) — the
-// baseline a delta evaluation resumes from. The version read and the
-// seen-map update are not atomic with respect to racing merges; the race
-// is benign and one-sided — a merge landing in between leaves a stale
-// vector in the map, which only makes the next sweep re-attempt a call
-// it could have skipped, never skip a call it had to attempt. (And a
-// stale baseline is a LOWER one, so the delta it requests is a superset
-// of the true delta — over-evaluation, never a missed result.)
-func (e *engine) admit(c Call) (prev []uint64, ok bool) {
-	// Version gate first (O(docs read)): a sterile call skips even the
-	// ancestor-chain validation.
-	e.s.engineMu.RLock()
-	rv := e.s.relevantVersionVector(c)
-	e.s.engineMu.RUnlock()
+// fire is the single firing path, run without engine.mu held: the
+// sterile-call gate, the evaluation under the read lock (any number at a
+// time), the merge under the write lock (the version funnel). parent is
+// the enclosing sweep's or drain's span context; the call span is its
+// child and the evaluation context carries the call span, so a remote
+// service invocation continues the trace on the other peer.
+//
+// The gate's version read and its seen-map update are not atomic with
+// respect to racing merges; the race is benign and one-sided — a merge
+// landing in between leaves a stale vector in the map, which only makes
+// the next attempt re-fire a call it could have skipped, never skip a
+// call it had to attempt. (And a stale baseline is a LOWER one, so the
+// delta it requests is a superset of the true delta — over-evaluation,
+// never a missed result.)
+func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
+	s := e.s
+	e.rlock()
+	rv := s.relevantVersionVector(c)
+	att := s.attached(c)
+	s.engineMu.RUnlock()
 	e.mu.Lock()
 	if e.stop {
 		e.mu.Unlock()
-		return nil, false
+		return
 	}
-	if last, seen := e.seen[c.Node]; seen && vectorEqual(last, rv) {
-		e.sterile++
-		e.sterileInSweep++
-		e.mu.Unlock()
-		return nil, false
-	}
-	e.mu.Unlock()
-	// Reduction during this sweep may have pruned the node.
-	e.s.engineMu.RLock()
-	att := e.s.attached(c)
-	e.s.engineMu.RUnlock()
 	if !att {
-		return nil, false
+		// Reduction pruned the node after the schedule picked the call.
+		e.forgetLocked(c.Node)
+		e.mu.Unlock()
+		return
 	}
-	e.mu.Lock()
-	prev = e.seen[c.Node]
+	prev, evaluated := e.seen[c.Node]
+	if evaluated && vectorEqual(prev, rv) {
+		e.sterile++
+		e.mu.Unlock()
+		return
+	}
 	e.seen[c.Node] = rv
 	e.res.Attempts++
-	e.firedInSweep++
-	e.mu.Unlock()
-	return prev, true
-}
-
-// fire evaluates one admitted call and merges its result: evaluation
-// under the read lock (concurrent), merge under the write lock (the
-// version funnel). prev is the version vector admit returned; under
-// Incremental it becomes the delta baseline for a semi-naive
-// evaluation. release, when non-nil, is called as soon as the
-// evaluation is over — the expensive, capacity-limited phase — so the
-// pool can start the next evaluation while this result waits its turn
-// at the funnel. slotWait is how long the call queued for its pool slot
-// (zero on the sequential path), reported on the call span. parent is
-// the enclosing sweep's (or drain's) span context; the call span is its
-// child and the evaluation context carries the call span, so a remote
-// service invocation continues the trace on the other peer.
-func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call, prev []uint64, release func(), slotWait time.Duration) {
-	s := e.s
-	var since map[string]uint64
-	if e.opts.Incremental {
-		if since = s.sinceFor(c, prev); since != nil {
-			e.mu.Lock()
-			e.deltaEvals++
-			e.mu.Unlock()
-		}
+	// The previous attempt's vector is the delta baseline: declarative
+	// services answer only from what was appended since (Prop 3.1).
+	since := s.sinceFor(c, prev)
+	if since != nil {
+		e.deltaEvals++
 	}
+	e.mu.Unlock()
+
 	var callSC obs.SpanContext
 	if e.tracer != nil {
 		callSC = parent.NewChild()
@@ -452,21 +389,17 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call, prev 
 	}
 	callTS := e.tracer.Now()
 	evalStart := time.Now()
-	s.engineMu.RLock()
+	e.rlock()
 	forest, err := s.evaluateSince(ctx, c, since)
 	s.engineMu.RUnlock()
 	evalDur := time.Since(evalStart)
 	e.evalH.Observe(int64(evalDur))
-	if release != nil {
-		release()
-	}
 	if e.tracer != nil {
 		span := obs.Span{
 			Kind:  "call",
 			Name:  c.Node.Name,
 			TSUs:  callTS,
 			DurUs: int64(evalDur / time.Microsecond),
-			Attrs: map[string]int64{"wait_us": int64(slotWait / time.Microsecond)},
 		}.WithContext(callSC, parent)
 		if err != nil {
 			span.Err = err.Error()
@@ -477,6 +410,7 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call, prev 
 		e.recordFailure(ctx, c, err)
 		return
 	}
+
 	mergeTS := e.tracer.Now()
 	mergeStart := time.Now()
 	s.engineMu.Lock()
@@ -488,22 +422,30 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call, prev 
 		e.mu.Unlock()
 		return
 	}
+	if e.ev != nil {
+		delete(e.ev.parked, c.Node) // success resets the failure streak
+	}
 	e.mu.Unlock()
 	// A racing merge may have pruned the call node after our evaluation;
 	// re-validate under the write lock so detached results are dropped.
 	if !s.attached(c) {
+		e.mu.Lock()
+		e.forgetLocked(c.Node)
+		e.mu.Unlock()
 		return
 	}
-	if _, _, changed := s.merge(c, forest); !changed {
+	fresh, detached, path, changed := s.merge(c, forest)
+	if !changed {
 		return
 	}
 	e.mu.Lock()
 	e.res.Steps++
-	e.changedInSweep = true
-	e.stepsInSweep++
 	step := e.res.Steps
 	if step >= e.maxSteps {
 		e.stopLocked()
+	}
+	if e.ev != nil {
+		e.afterMergeLocked(c, fresh, detached, path)
 	}
 	e.mu.Unlock()
 	if e.tracer != nil {
@@ -531,6 +473,15 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call, prev 
 	}
 }
 
+// forgetLocked (e.mu held) drops a call whose node reduction pruned from
+// its document: its gate entry and, in a worklist run, its registration.
+func (e *engine) forgetLocked(n *tree.Node) {
+	delete(e.seen, n)
+	if e.ev != nil {
+		e.ev.unregisterLocked(n)
+	}
+}
+
 // recordFailure applies the error policy to one failed invocation.
 func (e *engine) recordFailure(ctx context.Context, c Call, err error) {
 	e.mu.Lock()
@@ -542,9 +493,9 @@ func (e *engine) recordFailure(ctx context.Context, c Call, err error) {
 		return
 	}
 	if cause := ctx.Err(); cause != nil && errors.Is(err, cause) {
-		// The sweep was cancelled and the "failure" is our own
-		// cancellation surfacing through the service — not an endpoint
-		// failure. The run loop reports ctx.Err() itself.
+		// The run was cancelled and the "failure" is our own cancellation
+		// surfacing through the service — not an endpoint failure. The
+		// schedule reports ctx.Err() itself.
 		return
 	}
 	e.res.Failures++
@@ -559,12 +510,14 @@ func (e *engine) recordFailure(ctx context.Context, c Call, err error) {
 		e.stopLocked()
 		return
 	}
-	// Degrade: quarantine the call for the rest of this sweep (each call
-	// runs at most once per sweep anyway) and make it eligible again
-	// next sweep despite unchanged versions — the failure may have been
-	// transient.
+	// Degrade: drop the gate entry so the call is eligible again despite
+	// unchanged versions — the failure may have been transient, and may
+	// have struck after a partial read, so the retry evaluates in full.
+	// The sweep retries it next sweep; the worklist re-enqueues or parks.
 	delete(e.seen, c.Node)
-	e.failuresInSweep++
+	if e.ev != nil {
+		e.ev.retryLocked(c.Node, e.maxErrorSweeps)
+	}
 }
 
 func (e *engine) stopped() bool {
@@ -573,15 +526,12 @@ func (e *engine) stopped() bool {
 	return e.stop
 }
 
-// stopLocked (e.mu held) halts dispatch and cancels the sweep's
-// in-flight evaluations (the whole run's, in event-driven mode).
+// stopLocked (e.mu held) halts dispatch; in a worklist run it also
+// cancels the in-flight evaluations and wakes the parked workers.
 func (e *engine) stopLocked() {
 	e.stop = true
-	if e.cancelSweep != nil {
-		e.cancelSweep()
-	}
-	if e.ev != nil && e.ev.cond != nil {
-		// Wake workers parked on the worklist so they observe the stop.
+	if e.ev != nil {
+		e.ev.cancel()
 		e.ev.cond.Broadcast()
 	}
 }

@@ -194,3 +194,38 @@ func TestConcurrentRunsOnSharedSystem(t *testing.T) {
 		t.Fatalf("shared-system fixpoint diverged:\n%s\nwant\n%s", got, want)
 	}
 }
+
+// Indexed matching is a pure accelerator: with every index dropped (the
+// naive walk answers every match) each fixture must reach the indexed
+// sweep's fixpoint at every parallelism level, and the run must report no
+// index traffic at all.
+func TestFixpointInvariantWithoutIndexes(t *testing.T) {
+	for name, mk := range engineFixtures() {
+		t.Run(name, func(t *testing.T) {
+			ref := mk()
+			rres := ref.Run(RunOptions{Parallelism: 1})
+			if rres.Err != nil || !rres.Terminated {
+				t.Fatalf("indexed run: %+v", rres)
+			}
+			if rres.Stats.IndexHits+rres.Stats.IndexMisses == 0 {
+				t.Fatal("indexed run reported no index activity; the comparison is vacuous")
+			}
+			want := ref.CanonicalString()
+			for _, par := range []int{1, 2, 4, 8} {
+				s := mk()
+				s.dropIndexes()
+				res := s.Run(RunOptions{Parallelism: par})
+				if res.Err != nil || !res.Terminated {
+					t.Fatalf("parallelism %d: %+v", par, res)
+				}
+				if got := s.CanonicalString(); got != want {
+					t.Fatalf("parallelism %d diverged without indexes:\n%s\nwant\n%s", par, got, want)
+				}
+				if res.Stats.IndexHits != 0 || res.Stats.IndexMisses != 0 {
+					t.Fatalf("parallelism %d: indexes dropped but stats report hits=%d misses=%d",
+						par, res.Stats.IndexHits, res.Stats.IndexMisses)
+				}
+			}
+		})
+	}
+}

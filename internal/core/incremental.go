@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -11,9 +10,9 @@ import (
 	"axml/internal/tree"
 )
 
-// This file implements the event-driven incremental engine
-// (RunOptions.Incremental with Parallelism > 1): instead of sweeping
-// every call after every change, the engine drains a worklist fed by
+// This file implements the worklist schedule (Parallelism > 1, what
+// RunOptions{} means on a multi-core machine): instead of sweeping every
+// call after every change, the workers drain a worklist fed by
 // document-version events through a reverse dependency index derived
 // from the dependency graph of Definition 3.2. A merge into document d
 // wakes exactly
@@ -30,12 +29,12 @@ import (
 //
 // Theorem 2.1 (confluence of fair monotone rewriting) licenses the
 // scheduling freedom: any order of these firings reaches the same
-// fixpoint the sweeping engine reaches. Completeness — no call left
+// fixpoint the sweeping schedule reaches. Completeness — no call left
 // sleeping while its read set moved — holds because every mutation a
 // run performs funnels through merge, and every merge wakes every call
 // whose next answer its delta could enlarge. (Out-of-band mutations —
 // Touch, Restore — are documented as requiring external synchronization
-// with in-flight runs, exactly as for the sweeping engine.)
+// with in-flight runs, exactly as for the sweeping schedule.)
 
 // qstate tracks a call node's position in the worklist lifecycle.
 type qstate uint8
@@ -67,14 +66,17 @@ type eventState struct {
 	state    map[*tree.Node]qstate
 	parked   map[*tree.Node]int // consecutive failures per call (Degrade)
 	inflight int
-	cond     *sync.Cond // on engine.mu; wakes idle workers
+	cond     *sync.Cond         // on engine.mu; wakes idle workers
+	cancel   context.CancelFunc // aborts the run's in-flight evaluations
 
 	enqueues  int // enqueue requests delivered
 	coalesced int // requests absorbed into an already-pending entry
 }
 
-func newEventState(s *System) *eventState {
+func newEventState(s *System, mu *sync.Mutex, cancel context.CancelFunc) *eventState {
 	ev := &eventState{
+		cond:         sync.NewCond(mu),
+		cancel:       cancel,
 		namedReaders: map[string][]string{},
 		readsInput:   map[string]bool{},
 		readsContext: map[string]bool{},
@@ -153,29 +155,38 @@ func (ev *eventState) enqueueLocked(n *tree.Node) {
 	}
 }
 
-// runEventDriven is the event-driven counterpart of engine.run: seed the
-// worklist with every existing call, then let the workers drain it.
-// Fixpoint = drained queue with nothing in flight; fairness holds
-// because an enqueued call is always eventually popped (FIFO) and a
-// sterile pop costs O(1) version-vector comparison.
-func (e *engine) runEventDriven(ctx context.Context) RunResult {
-	ev := newEventState(e.s)
-	ev.cond = sync.NewCond(&e.mu)
-	e.ev = ev
-	// One drain = the whole run; it plays the sweep's role in the trace
-	// tree. Both IDs are fixed before any worker starts, then read-only.
-	e.root = e.traceRoot(ctx)
-	if e.tracer != nil {
-		e.drainSC = e.root.NewChild()
+// retryLocked schedules a failed call's retry under Degrade (engine.mu
+// held): re-enqueue it, or park it after maxErrors consecutive failures
+// until some other call makes progress (afterMergeLocked unparks).
+func (ev *eventState) retryLocked(n *tree.Node, maxErrors int) {
+	ev.parked[n]++
+	if ev.parked[n] < maxErrors {
+		ev.enqueueLocked(n)
 	}
+}
 
+// runWorklist is the worklist schedule: seed the worklist with every
+// existing call, then let the workers drain it. Fixpoint = drained queue
+// with nothing in flight; fairness holds because an enqueued call is
+// always eventually popped (FIFO) and a sterile pop costs O(1)
+// version-vector comparison. RunResult.Sweeps stays 0: there are none.
+func (e *engine) runWorklist(ctx context.Context) RunResult {
+	// A budget stop or a fail-fast error cancels runCtx (stopLocked), so
+	// in-flight evaluations abort instead of being waited out.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	e.mu.Lock()
-	e.cancelSweep = cancel // stopLocked aborts in-flight evaluations
-	e.mu.Unlock()
+	ev := newEventState(e.s, &e.mu, cancel)
+	e.ev = ev
+	e.rlock = e.s.engineMu.RLockFair
+	// One drain = the whole run; it plays the sweep's role in the trace
+	// tree.
+	e.root = e.traceRoot(ctx)
+	var drainSC obs.SpanContext
+	if e.tracer != nil {
+		drainSC = e.root.NewChild()
+	}
 
-	e.s.engineMu.RLock()
+	e.rlock()
 	initial := e.s.Calls()
 	e.s.engineMu.RUnlock()
 	// Seed in dependency order (dependencies first) so upstream answers
@@ -209,7 +220,7 @@ func (e *engine) runEventDriven(ctx context.Context) RunResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.drainWorklist(runCtx)
+			e.drainWorklist(runCtx, drainSC)
 		}()
 	}
 	wg.Wait()
@@ -238,7 +249,7 @@ func (e *engine) runEventDriven(ctx context.Context) RunResult {
 				"sterile":   int64(e.sterile),
 				"parked":    int64(len(ev.parked)),
 			},
-		}.WithContext(e.drainSC, e.root))
+		}.WithContext(drainSC, e.root))
 	}
 	e.mu.Unlock()
 	return e.result()
@@ -261,11 +272,11 @@ func (s *System) incrementalSeedOrder() map[string]int {
 	return order
 }
 
-// drainWorklist is one worker's loop: pop, process, repeat; park on the
+// drainWorklist is one worker's loop: pop, fire, repeat; park on the
 // condition variable while the queue is empty but work is in flight
 // (the in-flight calls may enqueue more). All workers exit when the
 // queue is empty with nothing in flight, on stop, or on cancellation.
-func (e *engine) drainWorklist(ctx context.Context) {
+func (e *engine) drainWorklist(ctx context.Context, drainSC obs.SpanContext) {
 	ev := e.ev
 	for {
 		e.mu.Lock()
@@ -290,7 +301,7 @@ func (e *engine) drainWorklist(ctx context.Context) {
 		ev.inflight++
 		e.mu.Unlock()
 
-		e.processEvent(ctx, c)
+		e.fire(ctx, drainSC, c)
 
 		e.mu.Lock()
 		ev.inflight--
@@ -310,141 +321,16 @@ func (e *engine) drainWorklist(ctx context.Context) {
 	}
 }
 
-// processEvent is the event-driven counterpart of admit+fire for one
-// popped call: version-vector gate, semi-naive evaluation under the
-// read lock, merge under the write lock, then event fan-out through
-// afterMergeLocked. Runs without engine.mu held.
-func (e *engine) processEvent(ctx context.Context, c Call) {
-	s := e.s
-	s.engineMu.RLockFair()
-	rv := s.relevantVersionVector(c)
-	att := s.attached(c)
-	s.engineMu.RUnlock()
-	if !att {
-		e.mu.Lock()
-		e.ev.unregisterLocked(c.Node)
-		delete(e.seen, c.Node)
-		e.mu.Unlock()
-		return
-	}
-	e.mu.Lock()
-	if e.stop {
-		e.mu.Unlock()
-		return
-	}
-	prev, evaluated := e.seen[c.Node]
-	if evaluated && vectorEqual(prev, rv) {
-		e.sterile++
-		e.mu.Unlock()
-		return
-	}
-	e.seen[c.Node] = rv
-	e.res.Attempts++
-	e.mu.Unlock()
-
-	since := s.sinceFor(c, prev)
-	if since != nil {
-		e.mu.Lock()
-		e.deltaEvals++
-		e.mu.Unlock()
-	}
-
-	var callSC obs.SpanContext
-	if e.tracer != nil {
-		callSC = e.drainSC.NewChild()
-		ctx = obs.ContextWithSpan(ctx, callSC)
-	}
-	callTS := e.tracer.Now()
-	evalStart := time.Now()
-	s.engineMu.RLockFair()
-	forest, err := s.evaluateSince(ctx, c, since)
-	s.engineMu.RUnlock()
-	evalDur := time.Since(evalStart)
-	e.evalH.Observe(int64(evalDur))
-	if e.tracer != nil {
-		span := obs.Span{
-			Kind:  "call",
-			Name:  c.Node.Name,
-			TSUs:  callTS,
-			DurUs: int64(evalDur / time.Microsecond),
-		}.WithContext(callSC, e.drainSC)
-		if err != nil {
-			span.Err = err.Error()
-		}
-		e.tracer.Emit(span)
-	}
-	if err != nil {
-		e.recordEventFailure(ctx, c, err)
-		return
-	}
-
-	mergeTS := e.tracer.Now()
-	mergeStart := time.Now()
-	s.engineMu.Lock()
-	mergeWait := time.Since(mergeStart)
-	e.mergeWaitH.Observe(int64(mergeWait))
-	defer s.engineMu.Unlock()
-	e.mu.Lock()
-	if e.stop {
-		e.mu.Unlock()
-		return
-	}
-	delete(e.ev.parked, c.Node) // success resets the failure streak
-	e.mu.Unlock()
-	// A racing merge may have pruned the call node after our evaluation.
-	if !s.attached(c) {
-		e.mu.Lock()
-		e.ev.unregisterLocked(c.Node)
-		delete(e.seen, c.Node)
-		e.mu.Unlock()
-		return
-	}
-	fresh, path, changed := s.merge(c, forest)
-	if !changed {
-		return
-	}
-	e.mu.Lock()
-	e.res.Steps++
-	step := e.res.Steps
-	if step >= e.maxSteps {
-		e.stopLocked()
-	}
-	e.afterMergeLocked(c, fresh, path)
-	e.mu.Unlock()
-	if e.tracer != nil {
-		e.tracer.Emit(obs.Span{
-			Kind:  "merge",
-			Name:  c.Node.Name,
-			TSUs:  mergeTS,
-			DurUs: int64(time.Since(mergeStart) / time.Microsecond),
-			Attrs: map[string]int64{
-				"wait_us": int64(mergeWait / time.Microsecond),
-				"step":    int64(step),
-			},
-		}.WithContext(callSC.NewChild(), callSC))
-	}
-	if e.opts.MaxNodes > 0 && s.Size() > e.opts.MaxNodes {
-		e.mu.Lock()
-		e.stopLocked()
-		e.mu.Unlock()
-	}
-	if e.opts.OnStep != nil {
-		// Same contract as the sweeping engine: under the write lock, in
-		// merge order; the callback must not re-enter the engine.
-		e.opts.OnStep(step, c)
-	}
-}
-
 // afterMergeLocked fans one completed merge out as events (both the
 // system write lock and engine.mu held — the index update is atomic
 // with the merge, so no event can fall between them). sinceV is the
 // pre-merge version: exactly the fresh nodes of this merge are stamped
 // above it.
-func (e *engine) afterMergeLocked(c Call, fresh tree.Forest, path []*tree.Node) {
+func (e *engine) afterMergeLocked(c Call, fresh tree.Forest, detached, path []*tree.Node) {
 	s, ev := e.s, e.ev
 	sinceV := s.docVersion[c.Doc] - 1
 
-	// Progress unparks persistent failures: mirroring the sweep engine's
+	// Progress unparks persistent failures: mirroring the sweep's
 	// fruitless counter, a failing call is worth retrying as long as the
 	// rest of the system still advances.
 	for n, count := range ev.parked {
@@ -456,14 +342,15 @@ func (e *engine) afterMergeLocked(c Call, fresh tree.Forest, path []*tree.Node) 
 		delete(ev.parked, n)
 	}
 
-	// Reduction pruning during this merge can only have detached calls
-	// of the merged document: drop them from the registry and the gate.
-	for n := range ev.byDoc[c.Doc] {
-		lc := ev.calls[n]
-		if !s.attached(lc) {
-			ev.unregisterLocked(n)
-			delete(e.seen, n)
-		}
+	// Reduction during this merge detached exactly the calls inside the
+	// subtrees it pruned: drop them from the registry and the gate.
+	for _, t := range detached {
+		t.Walk(func(n, _ *tree.Node) bool {
+			if n.Kind == tree.Func {
+				e.forgetLocked(n)
+			}
+			return true
+		})
 	}
 
 	// New calls delivered inside the appended forest. Their ancestor
@@ -577,39 +464,4 @@ func (s *System) callLocalAtomsAffected(lc Call, d string, sinceV uint64) bool {
 		}
 	}
 	return false
-}
-
-// recordEventFailure applies the error policy to a failed event-driven
-// invocation: FailFast stops the run; Degrade re-enqueues the call for
-// a retry, parking it after maxErrorSweeps consecutive failures until
-// some other call makes progress.
-func (e *engine) recordEventFailure(ctx context.Context, c Call, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stop {
-		return
-	}
-	if cause := ctx.Err(); cause != nil && errors.Is(err, cause) {
-		return
-	}
-	e.res.Failures++
-	if e.res.Errors == nil {
-		e.res.Errors = make(map[string]int)
-	}
-	e.res.Errors[c.Node.Name]++
-	if e.res.Err == nil {
-		e.res.Err = err
-	}
-	if e.opts.ErrorPolicy == FailFast {
-		e.stopLocked()
-		return
-	}
-	// Degrade: drop the gate entry so the retry re-evaluates in full —
-	// the failure may have struck after a partial read.
-	delete(e.seen, c.Node)
-	count := e.ev.parked[c.Node] + 1
-	e.ev.parked[c.Node] = count
-	if count < e.maxErrorSweeps {
-		e.ev.enqueueLocked(c.Node)
-	}
 }

@@ -12,10 +12,10 @@ import (
 	"axml/internal/tree"
 )
 
-// The incremental engine — semi-naive sweeps at parallelism 1, the
-// event-driven worklist above — must reach exactly the fixpoint of the
-// plain sequential engine on every fixture at every parallelism level
-// (Theorem 2.1 plus the delta-completeness of the baselines).
+// Both schedules — semi-naive sweeps at parallelism 1, the event-driven
+// worklist above — must reach exactly the fixpoint of the sequential
+// sweep on every fixture at every parallelism level (Theorem 2.1 plus
+// the delta-completeness of the baselines).
 func TestIncrementalMatchesSequentialDigests(t *testing.T) {
 	for name, mk := range engineFixtures() {
 		t.Run(name, func(t *testing.T) {
@@ -27,7 +27,7 @@ func TestIncrementalMatchesSequentialDigests(t *testing.T) {
 			want := seq.CanonicalString()
 			for _, par := range []int{1, 2, 4, 8} {
 				s := mk()
-				res := s.Run(RunOptions{Parallelism: par, Incremental: true})
+				res := s.Run(RunOptions{Parallelism: par})
 				if res.Err != nil || !res.Terminated {
 					t.Fatalf("incremental parallelism %d: %+v", par, res)
 				}
@@ -39,10 +39,9 @@ func TestIncrementalMatchesSequentialDigests(t *testing.T) {
 	}
 }
 
-// The point of the exercise: on a fan-out workload the event-driven
-// engine must fire strictly fewer calls than the sweeping engine (whose
-// second sweep re-fires every call just to discover nothing moved), and
-// its re-evaluations must run against deltas.
+// The point of the exercise: on a fan-out workload the worklist must
+// fire strictly fewer calls than the sweep (whose second sweep re-fires
+// every call just to discover nothing moved).
 func TestIncrementalFiresFewerCalls(t *testing.T) {
 	mk := func() *System {
 		src := "doc edges = g{e{a{\"n0\"},b{\"n1\"}},e{a{\"n1\"},b{\"n2\"}},e{a{\"n2\"},b{\"n0\"}}}\ndoc portal = p{"
@@ -56,12 +55,12 @@ func TestIncrementalFiresFewerCalls(t *testing.T) {
 		return MustParseSystem(src)
 	}
 	base := mk()
-	bres := base.Run(RunOptions{Parallelism: 4})
+	bres := base.Run(RunOptions{Parallelism: 1})
 	if bres.Err != nil || !bres.Terminated {
 		t.Fatalf("sweep run: %+v", bres)
 	}
 	inc := mk()
-	ires := inc.Run(RunOptions{Parallelism: 4, Incremental: true})
+	ires := inc.Run(RunOptions{Parallelism: 4})
 	if ires.Err != nil || !ires.Terminated {
 		t.Fatalf("incremental run: %+v", ires)
 	}
@@ -69,7 +68,7 @@ func TestIncrementalFiresFewerCalls(t *testing.T) {
 		t.Fatalf("fixpoints diverged:\n%s\nwant\n%s", got, want)
 	}
 	if ires.Attempts >= bres.Attempts {
-		t.Fatalf("incremental fired %d calls, sweep fired %d; want strictly fewer",
+		t.Fatalf("worklist fired %d calls, sweep fired %d; want strictly fewer",
 			ires.Attempts, bres.Attempts)
 	}
 	if ires.Stats.Enqueues == 0 {
@@ -82,7 +81,7 @@ func TestIncrementalFiresFewerCalls(t *testing.T) {
 // closure is complete, and the re-evaluations must be delta evaluations.
 func TestIncrementalRecursionDeltaEvals(t *testing.T) {
 	s := MustParseSystem(tcSystem)
-	res := s.Run(RunOptions{Parallelism: 4, Incremental: true})
+	res := s.Run(RunOptions{Parallelism: 4})
 	if res.Err != nil || !res.Terminated {
 		t.Fatalf("run: %+v", res)
 	}
@@ -96,29 +95,29 @@ func TestIncrementalRecursionDeltaEvals(t *testing.T) {
 	}
 }
 
-// Semi-naive evaluation at Parallelism 1 keeps the deterministic sweep
-// loop: counters are exact and the digest matches the naive engine.
+// The Parallelism 1 sweep is deterministic — two runs agree on every
+// counter — and semi-naive: its re-evaluations run against deltas.
 func TestIncrementalSequentialSweepDeterministic(t *testing.T) {
-	naive := MustParseSystem(tcSystem)
-	nres := naive.Run(RunOptions{Parallelism: 1})
-	inc := MustParseSystem(tcSystem)
-	ires := inc.Run(RunOptions{Parallelism: 1, Incremental: true})
-	if ires.Err != nil || !ires.Terminated {
-		t.Fatalf("run: %+v", ires)
+	a := MustParseSystem(tcSystem)
+	ares := a.Run(RunOptions{Parallelism: 1})
+	b := MustParseSystem(tcSystem)
+	bres := b.Run(RunOptions{Parallelism: 1})
+	if bres.Err != nil || !bres.Terminated {
+		t.Fatalf("run: %+v", bres)
 	}
-	if inc.CanonicalString() != naive.CanonicalString() {
+	if a.CanonicalString() != b.CanonicalString() {
 		t.Fatalf("digest diverged")
 	}
-	if ires.Sweeps != nres.Sweeps || ires.Steps != nres.Steps {
-		t.Fatalf("incremental sweeps/steps = %d/%d, naive = %d/%d; the sweep policy must be preserved",
-			ires.Sweeps, ires.Steps, nres.Sweeps, nres.Steps)
+	if ares.Sweeps != bres.Sweeps || ares.Steps != bres.Steps || ares.Attempts != bres.Attempts ||
+		ares.Stats.CallsSterile != bres.Stats.CallsSterile || ares.Stats.DeltaEvals != bres.Stats.DeltaEvals {
+		t.Fatalf("sequential sweeps not deterministic:\n%+v\n%+v", ares, bres)
 	}
-	if ires.Stats.DeltaEvals == 0 {
-		t.Fatal("sequential incremental run performed no delta evaluations")
+	if bres.Stats.DeltaEvals == 0 {
+		t.Fatal("sequential sweep performed no delta evaluations")
 	}
 }
 
-// Black boxes have unknown read sets: the event engine must
+// Black boxes have unknown read sets: the worklist must
 // conservatively re-wake them on every merge and still reach the shared
 // fixpoint on a mixed declarative/black-box system.
 func TestIncrementalBlackBoxConservative(t *testing.T) {
@@ -143,7 +142,7 @@ func TestIncrementalBlackBoxConservative(t *testing.T) {
 	seq.Run(RunOptions{Parallelism: 1})
 	want := seq.CanonicalString()
 	s := mk()
-	res := s.Run(RunOptions{Parallelism: 4, Incremental: true})
+	res := s.Run(RunOptions{Parallelism: 4})
 	if res.Err != nil || !res.Terminated {
 		t.Fatalf("run: %+v", res)
 	}
@@ -152,7 +151,7 @@ func TestIncrementalBlackBoxConservative(t *testing.T) {
 	}
 }
 
-// Cancellation must stop the event-driven engine promptly, with workers
+// Cancellation must stop the worklist run promptly, with workers
 // parked on the worklist woken and the context error reported.
 func TestIncrementalCancellation(t *testing.T) {
 	s := NewSystem()
@@ -178,7 +177,7 @@ func TestIncrementalCancellation(t *testing.T) {
 		cancel()
 	}()
 	done := make(chan RunResult, 1)
-	go func() { done <- s.RunContext(ctx, RunOptions{Parallelism: 4, Incremental: true}) }()
+	go func() { done <- s.RunContext(ctx, RunOptions{Parallelism: 4}) }()
 	select {
 	case res := <-done:
 		if !errors.Is(res.Err, context.Canceled) {
@@ -192,10 +191,10 @@ func TestIncrementalCancellation(t *testing.T) {
 	}
 }
 
-// Degrade on the event engine: a transiently failing call is retried
-// and the run still terminates at the full fixpoint; a permanently
-// failing call parks the run into a non-terminated result, like the
-// sweeping engine's fruitless-sweep cap.
+// Degrade on the worklist: a transiently failing call is retried and the
+// run still terminates at the full fixpoint; a permanently failing call
+// parks the run into a non-terminated result, like the sweep's
+// fruitless-sweep cap.
 func TestIncrementalDegrade(t *testing.T) {
 	t.Run("transient", func(t *testing.T) {
 		var calls atomic.Int64
@@ -217,7 +216,7 @@ func TestIncrementalDegrade(t *testing.T) {
 			tree.Forest{tree.NewLabel("fine")})); err != nil {
 			t.Fatal(err)
 		}
-		res := s.Run(RunOptions{Parallelism: 4, Incremental: true, ErrorPolicy: Degrade})
+		res := s.Run(RunOptions{Parallelism: 4, ErrorPolicy: Degrade})
 		if !res.Terminated {
 			t.Fatalf("transient failure prevented termination: %+v", res)
 		}
@@ -241,7 +240,7 @@ func TestIncrementalDegrade(t *testing.T) {
 			}}); err != nil {
 			t.Fatal(err)
 		}
-		res := s.Run(RunOptions{Parallelism: 4, Incremental: true, ErrorPolicy: Degrade})
+		res := s.Run(RunOptions{Parallelism: 4, ErrorPolicy: Degrade})
 		if res.Terminated {
 			t.Fatalf("terminated despite permanent failure: %+v", res)
 		}
@@ -252,8 +251,8 @@ func TestIncrementalDegrade(t *testing.T) {
 }
 
 // Satellite: purgeSeen + attached interplay when a subsuming answer
-// prunes a subtree holding a live call mid-run, under parallelism and
-// both engines. g's answer a{b{"1"},b{"2"},!h} subsumes the pre-existing
+// prunes a subtree holding a live call mid-run, under parallelism. g's
+// answer a{b{"1"},b{"2"},!h} subsumes the pre-existing
 // sibling a{b{"1"},!h}, so reduction detaches that sibling's !h call
 // while it may be queued or in flight; the run must stay race-clean and
 // reach the sequential fixpoint, and the gate map must not leak the
@@ -270,23 +269,20 @@ func h = hit{"x"} :-
 		t.Fatalf("sequential: %+v", sres)
 	}
 	want := seq.CanonicalString()
-	for _, incremental := range []bool{false, true} {
-		for _, par := range []int{2, 8} {
-			name := fmt.Sprintf("incremental=%v/parallelism-%d", incremental, par)
-			t.Run(name, func(t *testing.T) {
-				// Repeat to give the scheduler chances to interleave the
-				// pruning merge with the doomed call's firing.
-				for i := 0; i < 25; i++ {
-					s := MustParseSystem(src)
-					res := s.Run(RunOptions{Parallelism: par, Incremental: incremental})
-					if res.Err != nil || !res.Terminated {
-						t.Fatalf("run %d: %+v", i, res)
-					}
-					if got := s.CanonicalString(); got != want {
-						t.Fatalf("run %d diverged:\n%s\nwant\n%s", i, got, want)
-					}
+	for _, par := range []int{2, 8} {
+		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
+			// Repeat to give the scheduler chances to interleave the
+			// pruning merge with the doomed call's firing.
+			for i := 0; i < 25; i++ {
+				s := MustParseSystem(src)
+				res := s.Run(RunOptions{Parallelism: par})
+				if res.Err != nil || !res.Terminated {
+					t.Fatalf("run %d: %+v", i, res)
 				}
-			})
-		}
+				if got := s.CanonicalString(); got != want {
+					t.Fatalf("run %d diverged:\n%s\nwant\n%s", i, got, want)
+				}
+			}
+		})
 	}
 }

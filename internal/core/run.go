@@ -87,7 +87,7 @@ func (s *System) Invoke(ctx context.Context, c Call) (changed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	_, _, changed = s.merge(c, forest)
+	_, _, _, changed = s.merge(c, forest)
 	return changed, nil
 }
 
@@ -98,8 +98,8 @@ func (s *System) evaluate(ctx context.Context, c Call) (tree.Forest, error) {
 
 // evaluateSince is the read-only half of Invoke: it validates the call,
 // builds the input/context binding over the live trees and evaluates the
-// service. The parallel engine runs it under the system's read lock, so
-// any number of evaluations proceed concurrently. A non-nil since map
+// service. The engine runs it under the system's read lock, so any
+// number of evaluations proceed concurrently. A non-nil since map
 // (per-document baseline versions, keyed by the names the service's
 // query uses, including "input"/"context") requests a semi-naive delta
 // evaluation: declarative services return only results with a witness in
@@ -142,11 +142,8 @@ func (s *System) evaluateSince(ctx context.Context, c Call, since map[string]uin
 // resolved to the call's own document (the context subtree lives there;
 // the index accelerates the match exactly when the context is the whole
 // document). The synthetic input root is never an indexed node, so no
-// index is offered for it. Returns nil when indexing is disabled.
+// index is offered for it.
 func (s *System) bindingIndexes(c Call) query.Indexes {
-	if !s.indexing {
-		return nil
-	}
 	ixs := make(query.Indexes, len(s.indexes)+1)
 	for name, ix := range s.indexes {
 		ixs[name] = ix
@@ -158,23 +155,24 @@ func (s *System) bindingIndexes(c Call) query.Indexes {
 // merge is the mutating half of Invoke: it appends the result forest as
 // siblings of the call node, repairs reduction locally and bumps the
 // document version, reporting whether the system strictly grew. The
-// parallel engine serializes merges under the system's write lock — the
+// engine serializes merges under the system's write lock — the
 // "version funnel" through which every result lands. Merging is a least
 // upper bound, so the order in which racing results arrive does not
 // affect the reachable fixpoint (Theorem 2.1).
 //
 // On growth it returns the appended trees (stamped with the post-bump
-// document version, so later delta evaluations see them as new) and the
-// ancestor path root..attach, which the incremental scheduler uses to
-// discover new calls and scope its re-enqueues.
-func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, path []*tree.Node, changed bool) {
+// document version, so later delta evaluations see them as new), the
+// subtrees reduction detached on their account, and the ancestor path
+// root..attach; the worklist schedule uses them to discover new calls,
+// forget detached ones and scope its re-enqueues.
+func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, detached, path []*tree.Node, changed bool) {
 	attach := c.Parent
 	doc := s.docs[c.Doc]
-	ix := s.indexes[c.Doc] // nil when indexing is disabled; methods no-op
+	ix := s.indexes[c.Doc] // a nil index's methods no-op
 	// Results subsumed by existing siblings cannot change the document.
 	fresh = reduceForestAgainst(attach, subsume.ReduceForest(forest))
 	if len(fresh) == 0 {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	// Localized append-and-reduce. Documents are maintained reduced (no
 	// subtree subsumed by a sibling, recursively), and under that
@@ -204,6 +202,7 @@ func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, path []*t
 			kept = append(kept, existing)
 		} else {
 			ix.RemoveSubtree(existing)
+			detached = append(detached, existing)
 		}
 	}
 	attach.Children = append(kept, fresh...)
@@ -221,6 +220,7 @@ func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, path []*t
 		for _, sib := range ancestor.Children {
 			if sib != grown && subsume.Subsumed(sib, grown) {
 				ix.RemoveSubtree(sib)
+				detached = append(detached, sib)
 				continue
 			}
 			pruned = append(pruned, sib)
@@ -239,7 +239,7 @@ func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, path []*t
 		ix.AddSubtree(attach, f)
 	}
 	ix.Compact()
-	return fresh, path, true
+	return fresh, detached, path, true
 }
 
 // declarative resolves the named service to its innermost QueryService,
@@ -357,7 +357,8 @@ func (s *System) findPath(root, target *tree.Node) []*tree.Node {
 // Scheduler chooses the order in which the calls of a sweep are
 // attempted. Fairness is enforced by the engine's sweep structure, not by
 // the scheduler: every call present at the start of a sweep is attempted
-// during that sweep, in the order the scheduler fixed.
+// during that sweep, in the order the scheduler fixed. A worklist run
+// (Parallelism > 1) uses it once, to break ties when seeding the queue.
 type Scheduler interface {
 	// Order permutes the sweep's call list in place.
 	Order(calls []Call)
@@ -408,27 +409,35 @@ const (
 	// still terminates normally once a sweep is both change-free and
 	// error-free; it gives up (Terminated=false, Err set) after
 	// MaxErrorSweeps consecutive sweeps that made no progress and still
-	// saw errors.
+	// saw errors. A worklist run re-enqueues a failed call instead, parks
+	// it after MaxErrorSweeps consecutive failures, unparks it when any
+	// other call makes progress, and gives up when only parked calls
+	// remain.
 	Degrade
 )
 
-// RunOptions bounds a rewriting run. The zero value means: round-robin
-// scheduling, GOMAXPROCS-parallel firing, at most DefaultMaxSteps
-// rewriting steps, no node bound and fail-fast error handling.
+// RunOptions bounds a rewriting run. The zero value means: the worklist
+// schedule with GOMAXPROCS workers, round-robin seeding, at most
+// DefaultMaxSteps rewriting steps, no node bound and fail-fast error
+// handling. Every evaluation is semi-naive whatever the schedule:
+// declarative services are re-evaluated only against the data appended
+// since their call's last attempt (per-node version stamps, see
+// tree.Node.Stamp), which Proposition 3.1 (monotonicity) makes sound.
 type RunOptions struct {
 	// Scheduler orders call attempts within a sweep; nil means RoundRobin.
 	Scheduler Scheduler
-	// Parallelism is the number of calls fired concurrently within a
-	// sweep: 0 means GOMAXPROCS, 1 forces the deterministic sequential
-	// engine (exact step/attempt accounting, strict scheduler order),
-	// and n > 1 uses a bounded pool of n workers. Theorem 2.1 (the
-	// fixpoint is independent of the firing order) is what licenses
-	// parallel firing: results merge by least upper bound, so races
-	// between firings are semantically harmless and the final state
-	// equals the sequential one. Counters (Steps, Attempts, Sweeps) may
-	// differ run to run when Parallelism > 1; use 1 when a test asserts
-	// exact counts or needs the scheduler's order to be observed
-	// strictly.
+	// Parallelism selects the schedule and its width: 0 means GOMAXPROCS;
+	// 1 is the deterministic sweep (one goroutine, exact step/attempt
+	// accounting, strict scheduler order); n > 1 is the event-driven
+	// worklist drained by n workers, fed by document-version events
+	// through the reverse dependency index (black boxes conservatively
+	// subscribe to every document). Theorem 2.1 (the fixpoint is
+	// independent of the firing order) is what licenses the choice:
+	// results merge by least upper bound, so races between firings are
+	// semantically harmless and the final state equals the sequential
+	// one. Counters (Steps, Attempts) may differ run to run when
+	// Parallelism > 1; use 1 when a test asserts exact counts or needs
+	// the scheduler's order to be observed strictly.
 	Parallelism int
 	// MaxSteps caps the number of strictly-growing invocations; 0 means
 	// DefaultMaxSteps. Use a finite budget for possibly-infinite systems.
@@ -437,30 +446,17 @@ type RunOptions struct {
 	// 0 means unbounded.
 	MaxNodes int
 	// MaxSweeps stops after that many completed sweeps; 0 means
-	// unbounded. One sweep attempts every call present at its start. The
-	// event-driven engine (Incremental with Parallelism > 1) has no
-	// sweeps and ignores it.
+	// unbounded. One sweep attempts every call present at its start. A
+	// sweep budget is only defined for the sweeping schedule, so a run
+	// with MaxSweeps > 0 sweeps whatever Parallelism says.
 	MaxSweeps int
-	// Incremental enables dependency-driven semi-naive evaluation:
-	// declarative services are re-evaluated only against the data
-	// appended since their call's last attempt (per-node version stamps,
-	// see tree.Node.Stamp), instead of against whole documents. At
-	// Parallelism 1 the deterministic sweep loop is kept as the
-	// scheduling policy and only the evaluations become incremental; at
-	// Parallelism > 1 the sweeps are replaced by an event-driven
-	// scheduler that drains a worklist fed by document-version events
-	// through the reverse dependency index (black boxes conservatively
-	// subscribe to every document). Theorem 2.1 — the fixpoint is
-	// independent of the firing order — licenses both: the reachable
-	// state is identical to the sweeping engine's, only the work to get
-	// there shrinks to the size of the deltas.
-	Incremental bool
 	// ErrorPolicy selects fail-fast (zero value) or degraded handling of
 	// service errors.
 	ErrorPolicy ErrorPolicy
 	// MaxErrorSweeps bounds, under Degrade, the consecutive sweeps that
 	// make no progress while still seeing errors before the run gives
-	// up; 0 means DefaultMaxErrorSweeps.
+	// up (for a worklist run: the consecutive failures after which a
+	// call is parked); 0 means DefaultMaxErrorSweeps.
 	MaxErrorSweeps int
 	// OnStep, when non-nil, observes every strictly-growing invocation.
 	OnStep func(step int, c Call)
@@ -471,9 +467,10 @@ type RunOptions struct {
 	// Metrics additionally accumulates across runs — the process-wide
 	// view /debug/vars serves.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives one span per sweep, per fired call
-	// and per merge (see obs.Span for the schema); nil disables tracing
-	// with no hot-path cost beyond a nil check.
+	// Tracer, when non-nil, receives one span per sweep (one drain span
+	// for a worklist run), per fired call and per merge (see obs.Span for
+	// the schema); nil disables tracing with no hot-path cost beyond a nil
+	// check.
 	Tracer *obs.Tracer
 }
 
@@ -489,12 +486,14 @@ type RunResult struct {
 	Steps int
 	// Attempts counts all invocations, including no-ops.
 	Attempts int
-	// Sweeps counts completed fair sweeps over all calls.
+	// Sweeps counts completed fair sweeps over all calls; 0 for a
+	// worklist run (Parallelism > 1 without MaxSweeps), which has none.
 	Sweeps int
 	// Terminated is true when the run reached a fixpoint: a full sweep
 	// in which no invocation changed the system (the system "terminates
-	// at" its current state, Definition 2.4). Under Degrade a sweep must
-	// also be error-free to count as the fixpoint confirmation.
+	// at" its current state, Definition 2.4), or a drained worklist with
+	// nothing in flight. Under Degrade the confirming sweep must also be
+	// error-free, and the drained worklist must have nothing parked.
 	Terminated bool
 	// Failures counts invocations that returned an error. Under FailFast
 	// it is at most 1; under Degrade failed calls are quarantined for
@@ -525,12 +524,12 @@ type RunStats struct {
 	CallsSterile int
 	// DeltaEvals counts evaluations that ran semi-naively against the
 	// delta since the call's previous baseline instead of against whole
-	// documents (only under RunOptions.Incremental, and only from the
-	// second evaluation of a call on).
+	// documents (from the second evaluation of a call on; never for
+	// black boxes).
 	DeltaEvals int
-	// Enqueues and EnqueuesCoalesced count, for the event-driven engine,
-	// the worklist enqueues performed and the enqueues absorbed into an
-	// already-pending entry; both zero for the sweeping engine.
+	// Enqueues and EnqueuesCoalesced count, for a worklist run, the
+	// enqueues performed and the enqueues absorbed into an already-pending
+	// entry; both zero for a sweeping run.
 	Enqueues          int
 	EnqueuesCoalesced int
 	// IndexHits and IndexMisses count, over this run, pattern matches
@@ -538,15 +537,12 @@ type RunStats struct {
 	// enumeration or an empty-candidate early reject) versus matches that
 	// fell back to the naive tree walk despite an index being present
 	// (no selective anchor, or a match rooted below the document root).
-	// Both zero when indexing is disabled. Concurrent runs on one system
-	// share the underlying counters, so the deltas include their traffic.
+	// Concurrent runs on one system share the underlying counters, so the
+	// deltas include their traffic.
 	IndexHits   uint64
 	IndexMisses uint64
 	// Eval is the service-evaluation latency histogram (ns).
 	Eval obs.HistSnapshot
-	// SlotWait is the time each admitted call waited for a worker-pool
-	// slot (ns); all zeros when Parallelism <= 1.
-	SlotWait obs.HistSnapshot
 	// MergeWait is the time each successful evaluation waited at the
 	// version funnel before its merge ran (ns).
 	MergeWait obs.HistSnapshot
@@ -568,12 +564,12 @@ func (s *System) Run(opts RunOptions) RunResult {
 
 // RunContext executes a fair rewriting sequence in place until
 // termination, budget exhaustion or context cancellation, and reports the
-// outcome. Fairness: the engine works in sweeps; a sweep attempts every
-// function node that exists when its turn comes (including nodes created
-// earlier in the same sweep), each at most once per sweep. A system state
-// is final iff a whole sweep changes nothing; by Theorem 2.1 the final
-// state does not depend on the scheduler — nor on the firing parallelism
-// (see RunOptions.Parallelism).
+// outcome. Fairness: a sweeping run attempts, in each sweep, every
+// function node that existed at the sweep's start, each at most once; a
+// state is final iff a whole sweep changes nothing. A worklist run
+// attempts a call whenever something it reads moved; a state is final
+// iff the worklist drained. By Theorem 2.1 the final state depends on
+// neither the schedule nor the scheduler (see RunOptions.Parallelism).
 //
 // The context is passed to every service invocation; cancelling it stops
 // the run at the next call boundary (in-flight calls are cancelled through
@@ -585,13 +581,13 @@ func (s *System) Run(opts RunOptions) RunResult {
 // funnel mutations through the system's version-funnel lock. Mutating the
 // system through any other path (Touch, Restore, direct tree access)
 // while a run is in flight is not synchronized and remains the caller's
-// responsibility, exactly as for the sequential engine.
+// responsibility.
 func (s *System) RunContext(ctx context.Context, opts RunOptions) RunResult {
 	e := newEngine(s, opts)
-	if opts.Incremental && e.workers > 1 {
-		return e.runEventDriven(ctx)
+	if e.workers == 1 {
+		return e.runSweeps(ctx)
 	}
-	return e.run(ctx)
+	return e.runWorklist(ctx)
 }
 
 // purgeSeen drops version-gate entries whose nodes are no longer attached

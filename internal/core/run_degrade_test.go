@@ -96,7 +96,7 @@ func TestDegradeGivesUpOnPermanentFailure(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	res := s.Run(RunOptions{ErrorPolicy: Degrade})
+	res := s.Run(RunOptions{Parallelism: 1, ErrorPolicy: Degrade})
 	if res.Terminated {
 		t.Fatalf("terminated despite permanent failure: %+v", res)
 	}

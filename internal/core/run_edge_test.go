@@ -77,6 +77,9 @@ func inner = i :-
 	}
 }
 
+// A sweep budget is only defined for the sweeping schedule, so it selects
+// it: at default parallelism this non-terminating system must stop after
+// three sweeps instead of draining a worklist to DefaultMaxSteps.
 func TestMaxSweepsOption(t *testing.T) {
 	s := MustParseSystem("doc d = a{!f}\nfunc f = a{!f} :- ")
 	res := s.Run(RunOptions{MaxSweeps: 3})
@@ -96,7 +99,7 @@ func TestVersionGateSkipsSterileCalls(t *testing.T) {
 	if !first.Terminated {
 		t.Fatal("did not terminate")
 	}
-	second := s.Run(RunOptions{})
+	second := s.Run(RunOptions{Parallelism: 1})
 	if !second.Terminated || second.Sweeps != 1 {
 		t.Fatalf("re-run: %+v", second)
 	}

@@ -5,34 +5,30 @@ import (
 	"sync/atomic"
 )
 
-// rwLock is the reader-preference read/write lock behind the version
-// funnel. It differs from sync.RWMutex in exactly one way: RLock waits
-// only while a writer is ACTIVE, never while writers are merely queued.
+// rwLock is the read/write lock behind the version funnel: evaluations
+// hold the read side for a whole service invocation (milliseconds of
+// network wait in the paper's setting), merges take the write side for
+// microseconds. It offers two read disciplines, one per schedule, because
+// each schedule can bound a different failure mode; they share one lock
+// safely — fairness is a property of the acquisition, not the lock state.
 //
-// Why not sync.RWMutex? Its writer-preference semantics serialize the
-// parallel engine. Evaluations hold the read side for a whole service
-// invocation (milliseconds of network wait in the paper's setting);
-// merges take the write side for microseconds. Under sync.RWMutex a
-// queued merge blocks every new RLock, so the steady state degenerates
-// to: one evaluation in flight, every other worker parked behind the
-// writer queue, one merge plus one admission per service latency — the
-// pool runs at parallelism 1 no matter its size. With reader preference
-// the evaluations overlap freely and merges drain in bursts between
-// them.
+// RLock (the sweep) waits only while a writer is ACTIVE, never while
+// writers are merely queued. A sweeping run is one goroutine alternating
+// read and write holds, so it has no merge of its own to starve; what it
+// can meet is another run on the same system (concurrent Run calls, a
+// peer serving while it sweeps). Reader preference lets those runs'
+// evaluations overlap instead of convoying — under writer preference one
+// queued merge would block every new evaluation behind whichever reader
+// is asleep on the network — and the starvation it risks is bounded
+// structurally: a sweep attempts a finite snapshot of calls, one at a
+// time, and its own merge then queues like any other writer.
 //
-// Reader preference risks writer starvation in general, but the engine
-// bounds it structurally: only engines take the read side, each read
-// hold spans a single evaluation, and a sweep admits a finite snapshot
-// of calls. A queued merge may wait while the evaluation stream flows
-// over it, but the stream ends with the sweep (and every sweep ends:
-// its call list is fixed at sweep start), at which point readers drain
-// to zero and all queued merges land before the sweep barrier releases.
-//
-// The event-driven engine has no sweep barrier — its evaluation stream
-// is continuous — so its read side must not starve merges: it acquires
-// through RLockFair, which also waits out QUEUED writers. The two read
-// disciplines share one lock safely; fairness is a property of the
-// acquisition, not the lock state.
+// RLockFair (the worklist) also waits out QUEUED writers. The worklist's
+// evaluation stream is continuous — n workers re-acquire the read side
+// with no barrier between them — so under reader preference it starves
+// every merge until the queue happens to run dry (measured as whole-run-
+// length merge waits on latency-bound workloads). Waiting for queued
+// writers trades some evaluation overlap for bounded merge latency.
 type rwLock struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // lazily bound to mu; access only with mu held
@@ -91,11 +87,7 @@ func (l *rwLock) RUnlock() {
 }
 
 // RLockFair acquires the read side like RLock but also waits out queued
-// writers, trading the sweep engine's throughput preference for the
-// bounded merge latency the event-driven engine needs: without it, the
-// continuous evaluation stream starves every merge until the worklist
-// happens to run dry (measured as multi-sweep-length merge waits on
-// latency-bound workloads).
+// writers (see the type comment).
 func (l *rwLock) RLockFair() {
 	l.mu.Lock()
 	if l.writer || l.queued > 0 {

@@ -34,19 +34,17 @@ type System struct {
 	// indexes holds one inverted index per document (see pattern.Index),
 	// maintained incrementally by merge (documents only grow under the
 	// version funnel) and rebuilt wholesale on the out-of-band mutation
-	// paths (Touch, Restore). Nil entries and a false indexing flag both
-	// degrade every match to the naive walk — SetIndexing(false) is the
-	// knob the digest-equivalence tests flip.
-	indexes  map[string]*pattern.Index
-	indexing bool
+	// paths (Touch, Restore). A document without an entry is matched by
+	// the naive walk, with identical results.
+	indexes map[string]*pattern.Index
 	// engineMu is the version funnel: RunContext evaluates services under
 	// the read side (any number of invocations in flight) and merges
 	// results — the only tree mutations a run performs — under the write
 	// side. It lives on the System so concurrent runs over the same
 	// system serialize their merges against each other, not just within
-	// one run. It is a reader-preference lock, not a sync.RWMutex — a
-	// pending merge must not block new evaluations (see rwLock). Non-
-	// engine mutators (Touch, Restore, AddDocument) do not take it: they
+	// one run. It is not a sync.RWMutex: each schedule acquires the read
+	// side with the discipline it can afford (see rwLock). Non-engine
+	// mutators (Touch, Restore, AddDocument) do not take it: they
 	// are documented as requiring external synchronization with in-flight
 	// runs, and the peer layer provides exactly that with its own lock.
 	engineMu rwLock
@@ -59,7 +57,6 @@ func NewSystem() *System {
 		funcs:      make(map[string]Service),
 		docVersion: make(map[string]uint64),
 		indexes:    make(map[string]*pattern.Index),
-		indexing:   true,
 	}
 }
 
@@ -95,36 +92,13 @@ func (s *System) AddDocument(d *tree.Document) error {
 // restructure trees wholesale; engine merges maintain the index
 // incrementally instead.
 func (s *System) reindex(name string) {
-	if !s.indexing {
-		return
-	}
 	if doc := s.docs[name]; doc != nil {
 		s.indexes[name] = pattern.NewIndex(doc.Root)
 	}
 }
 
-// SetIndexing enables or disables indexed pattern matching (enabled by
-// default). Disabling drops the indexes and every match runs the naive
-// walk; re-enabling rebuilds them. The results of every query are
-// identical either way — the knob exists so tests and benchmarks can pin
-// the indexed engine against the naive one. Must not be flipped while a
-// run is in flight.
-func (s *System) SetIndexing(on bool) {
-	if s.indexing == on {
-		return
-	}
-	s.indexing = on
-	if !on {
-		s.indexes = make(map[string]*pattern.Index)
-		return
-	}
-	for _, name := range s.docNames {
-		s.reindex(name)
-	}
-}
-
-// Index returns the named document's inverted index, or nil when
-// indexing is disabled.
+// Index returns the named document's inverted index, or nil for an
+// unknown name.
 func (s *System) Index(name string) *pattern.Index { return s.indexes[name] }
 
 // IndexStats sums the hit/miss counters across all document indexes:
@@ -347,7 +321,6 @@ func (s *System) CountCalls() int {
 // concrete system, not its forks.
 func (s *System) Copy() *System {
 	c := NewSystem()
-	c.indexing = s.indexing
 	for _, name := range s.docNames {
 		c.docNames = append(c.docNames, name)
 		c.docs[name] = s.docs[name].Copy()

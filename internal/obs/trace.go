@@ -15,10 +15,10 @@ import (
 // Kinds emitted by the instrumented layers:
 //
 //	sweep   one engine sweep          (attrs: pending, fired, sterile, steps, failures)
-//	drain   one event-driven worklist drain, sweep-equivalent for the
-//	        incremental engine  (attrs: enqueues, coalesced, fired,
+//	drain   one worklist drain, the sweep-equivalent of a run at
+//	        Parallelism > 1  (attrs: enqueues, coalesced, fired,
 //	        sterile, steps, parked)
-//	call    one service evaluation    (name = service; attrs: wait_us = pool-slot wait)
+//	call    one service evaluation    (name = service)
 //	merge   one result merge          (attrs: wait_us = funnel wait; step)
 //	sync    one mirror sync           (name = local doc; attrs: changed)
 //	push    one push-mode delivery    (name = subscription id; attrs: trees)

@@ -252,26 +252,3 @@ func (c *Client) Push(ctx context.Context, id string, f tree.Forest) error {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	return nil
 }
-
-// FetchDoc pulls a document from a peer. A nil client means the shared
-// DefaultClient. Bodies over MaxWireBytes fail with ErrResponseTooLarge.
-// Cancel via ctx.
-//
-// Kept as a thin wrapper over Client.Doc for call sites that touch a
-// peer once; persistent callers should hold a Client.
-func FetchDoc(ctx context.Context, client *http.Client, baseURL, name string) (*tree.Node, error) {
-	return (&Client{BaseURL: baseURL, HTTP: client}).Doc(ctx, name)
-}
-
-// FetchDelta asks a peer what changed in a document since the anchor
-// digest from (empty means no anchor — expect a full answer). Thin
-// wrapper over Client.Delta.
-func FetchDelta(ctx context.Context, client *http.Client, baseURL, name, from string) (Delta, error) {
-	return (&Client{BaseURL: baseURL, HTTP: client}).Delta(ctx, name, from)
-}
-
-// FetchHashes pulls a peer's document digests as a map. Thin wrapper
-// over Client.Hashes.
-func FetchHashes(ctx context.Context, client *http.Client, baseURL string) (map[string]string, error) {
-	return (&Client{BaseURL: baseURL, HTTP: client}).Hashes(ctx)
-}

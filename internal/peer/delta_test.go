@@ -187,13 +187,13 @@ func docHash(p *Peer, doc string) string {
 
 // TestDeltaEndpointModes drives PathDelta through its three answers.
 func TestDeltaEndpointModes(t *testing.T) {
-	remote := New("store", core.MustParseSystem(`doc log = log{sec{x}}`))
+	remote := mustOpen("store", core.MustParseSystem(`doc log = log{sec{x}}`))
 	srv := httptest.NewServer(remote.Handler())
 	defer srv.Close()
 	ctx := context.Background()
 
 	// No anchor: full.
-	d, err := FetchDelta(ctx, nil, srv.URL, "log", "")
+	d, err := NewClient(srv.URL, nil).Delta(ctx, "log", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestDeltaEndpointModes(t *testing.T) {
 	anchor := d.To
 
 	// Same anchor, unchanged document: same.
-	d, err = FetchDelta(ctx, nil, srv.URL, "log", anchor)
+	d, err = NewClient(srv.URL, nil).Delta(ctx, "log", anchor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDeltaEndpointModes(t *testing.T) {
 
 	// Document grew: delta, carrying only the growth.
 	growDoc(remote, "log", `sec{y}`)
-	d, err = FetchDelta(ctx, nil, srv.URL, "log", anchor)
+	d, err = NewClient(srv.URL, nil).Delta(ctx, "log", anchor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDeltaEndpointModes(t *testing.T) {
 	}
 
 	// Unknown anchor: full fallback.
-	d, err = FetchDelta(ctx, nil, srv.URL, "log", "feedfeedfeedfeed")
+	d, err = NewClient(srv.URL, nil).Delta(ctx, "log", "feedfeedfeedfeed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestDeltaEndpointModes(t *testing.T) {
 	}
 
 	// Unknown document: 404.
-	if _, err := FetchDelta(ctx, nil, srv.URL, "nope", ""); err == nil {
+	if _, err := NewClient(srv.URL, nil).Delta(ctx, "nope", ""); err == nil {
 		t.Fatal("missing document served")
 	}
 }
@@ -252,7 +252,7 @@ func TestDeltaAnchorEviction(t *testing.T) {
 	defer srv.Close()
 	ctx := context.Background()
 
-	d, err := FetchDelta(ctx, nil, srv.URL, "log", "")
+	d, err := NewClient(srv.URL, nil).Delta(ctx, "log", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +260,11 @@ func TestDeltaAnchorEviction(t *testing.T) {
 	// Two growth steps, each observed at the server, rotate the single
 	// cache slot past oldAnchor.
 	growDoc(remote, "log", `s1`)
-	if _, err := FetchDelta(ctx, nil, srv.URL, "log", ""); err != nil {
+	if _, err := NewClient(srv.URL, nil).Delta(ctx, "log", ""); err != nil {
 		t.Fatal(err)
 	}
 	growDoc(remote, "log", `s2`)
-	d, err = FetchDelta(ctx, nil, srv.URL, "log", oldAnchor)
+	d, err = NewClient(srv.URL, nil).Delta(ctx, "log", oldAnchor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestDeltaAnchorEviction(t *testing.T) {
 // must detect the base mismatch and repair via full pull — converging
 // to Union(local, remote) either way.
 func TestMirrorDeltaFallback(t *testing.T) {
-	remote := New("store", core.MustParseSystem(`doc log = log{sec{x}}`))
+	remote := mustOpen("store", core.MustParseSystem(`doc log = log{sec{x}}`))
 	srv := httptest.NewServer(remote.Handler())
 	defer srv.Close()
 
@@ -373,14 +373,14 @@ func TestDeltaStreamMatchesFullPull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaFull := New("full", core.MustParseSystem(`doc log = log`))
+			viaFull := mustOpen("full", core.MustParseSystem(`doc log = log`))
 			m := &Mirror{Remote: srv.URL, RemoteDoc: "log", LocalDoc: "log"}
 			ctx := context.Background()
 
 			// fullPull re-pulls the whole document and merges by Union —
 			// the pre-delta semantics the delta stream must match.
 			fullPull := func() {
-				n, err := FetchDoc(ctx, nil, srv.URL, "log")
+				n, err := NewClient(srv.URL, nil).Doc(ctx, "log")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -446,21 +446,21 @@ func TestDeltaStreamMatchesFullPull(t *testing.T) {
 // TestRemoteDeltaEndpointToleratesDuplicates: re-requesting the same
 // delta and re-applying its patch is harmless (at-least-once delivery).
 func TestRemoteDeltaEndpointToleratesDuplicates(t *testing.T) {
-	remote := New("store", core.MustParseSystem(`doc log = log{sec{x}}`))
+	remote := mustOpen("store", core.MustParseSystem(`doc log = log{sec{x}}`))
 	srv := httptest.NewServer(remote.Handler())
 	defer srv.Close()
 	ctx := context.Background()
 
-	d0, err := FetchDelta(ctx, nil, srv.URL, "log", "")
+	d0, err := NewClient(srv.URL, nil).Delta(ctx, "log", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	growDoc(remote, "log", `sec{y}`)
-	d1, err := FetchDelta(ctx, nil, srv.URL, "log", d0.To)
+	d1, err := NewClient(srv.URL, nil).Delta(ctx, "log", d0.To)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := FetchDelta(ctx, nil, srv.URL, "log", d0.To) // duplicated request
+	d2, err := NewClient(srv.URL, nil).Delta(ctx, "log", d0.To) // duplicated request
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,18 +286,18 @@ doc replica = db
 
 	// Baseline: a never-crashed run against a remote that already has the
 	// extra entry (the final remote state both runs end against).
-	cleanRemote := New("ratings", core.MustParseSystem(remoteSeed))
+	cleanRemote := mustOpen("ratings", core.MustParseSystem(remoteSeed))
 	extraEntry(cleanRemote)
 	cleanSrv := httptest.NewServer(cleanRemote.Handler())
 	defer cleanSrv.Close()
-	clean := New("portal", buildPortal(cleanSrv.URL))
+	clean := mustOpen("portal", buildPortal(cleanSrv.URL))
 	cleanMirror := &Mirror{Remote: cleanSrv.URL, RemoteDoc: "ratings", LocalDoc: "replica"}
 	runToFixpoint(clean, cleanMirror)
 	wantHash := clean.Hash()
 
 	for crashAt := 1; crashAt <= 4; crashAt++ {
 		// Fleet under test: remote starts without the extra entry.
-		remote := New("ratings", core.MustParseSystem(remoteSeed))
+		remote := mustOpen("ratings", core.MustParseSystem(remoteSeed))
 		srv := httptest.NewServer(remote.Handler())
 
 		dir := t.TempDir()
@@ -371,7 +371,7 @@ func TestAntiEntropySkipsCurrentReplicas(t *testing.T) {
 	if err := sys.AddDocument(NewReplicaDoc("replica", "db")); err != nil {
 		t.Fatal(err)
 	}
-	p := New("local", sys)
+	p := mustOpen("local", sys)
 	m := &Mirror{Remote: srv.URL, RemoteDoc: "ratings", LocalDoc: "replica"}
 	p.AddMirror(m)
 

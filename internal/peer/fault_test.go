@@ -50,7 +50,7 @@ func TestSelfCallSweepNoDeadlock(t *testing.T) {
 		syntax.MustParseDocument(`a{!SelfEcho}`))); err != nil {
 		t.Fatal(err)
 	}
-	p := New("loop", sys)
+	p := mustOpen("loop", sys)
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 	// The remote binding can only be added once the server URL exists;
@@ -89,11 +89,11 @@ func TestPeerCycleSweepNoDeadlock(t *testing.T) {
 		syntax.MustParseDocument(`a{!AskB}`))); err != nil {
 		t.Fatal(err)
 	}
-	pA := New("A", sysA)
+	pA := mustOpen("A", sysA)
 	srvA := httptest.NewServer(pA.Handler())
 	defer srvA.Close()
 
-	pB := New("B", core.NewSystem())
+	pB := mustOpen("B", core.NewSystem())
 	srvB := httptest.NewServer(pB.Handler())
 	defer srvB.Close()
 
@@ -202,7 +202,7 @@ func TestPeerSweepDegradeCountsFailures(t *testing.T) {
 	flakySrv := httptest.NewServer(faults.FlakyHandler(newRatingsPeer(t).Handler(), 1)) // everything fails
 	defer flakySrv.Close()
 	sys := portalSystem(t, &RemoteService{Name: "GetRating", URL: flakySrv.URL})
-	p := New("client", sys)
+	p := mustOpen("client", sys)
 	p.ErrorPolicy = core.Degrade
 	if _, err := p.Sweep(); err == nil {
 		t.Fatal("all-failing sweep reported no error")

@@ -423,7 +423,7 @@ func TestDeltaWireBytesSublinear(t *testing.T) {
 	srv := httptest.NewServer(remote.Handler())
 	defer srv.Close()
 
-	local := New("replica", core.NewSystem())
+	local := mustOpen("replica", core.NewSystem())
 	local.System(func(s *core.System) {
 		if err := s.AddDocument(NewReplicaDoc("log", "log")); err != nil {
 			t.Fatal(err)
@@ -457,7 +457,7 @@ func TestDeltaWireBytesSublinear(t *testing.T) {
 		}
 		deltaBytes = deltaOut.Value() - before
 		before = docOut.Value()
-		if _, err := FetchDoc(ctx, nil, srv.URL, "log"); err != nil {
+		if _, err := NewClient(srv.URL, nil).Doc(ctx, "log"); err != nil {
 			t.Fatal(err)
 		}
 		fullBytes = docOut.Value() - before

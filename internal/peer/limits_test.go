@@ -61,7 +61,7 @@ func TestRemoteInvokeRejectsOversizedResponse(t *testing.T) {
 func TestFetchDocRejectsOversizedResponse(t *testing.T) {
 	setMaxWireBytes(t, 4096)
 	srv := hugeBodyServer(t)
-	_, err := FetchDoc(context.Background(), nil, srv.URL, "anything")
+	_, err := NewClient(srv.URL, nil).Doc(context.Background(), "anything")
 	if !errors.Is(err, ErrResponseTooLarge) {
 		t.Fatalf("want ErrResponseTooLarge, got %v", err)
 	}

@@ -12,12 +12,12 @@ import (
 
 func TestMirrorSyncMergesMonotonically(t *testing.T) {
 	remoteSys := core.MustParseSystem(`doc catalog = cat{item{"a"},item{"b"}}`)
-	remotePeer := New("remote", remoteSys)
+	remotePeer := mustOpen("remote", remoteSys)
 	srv := httptest.NewServer(remotePeer.Handler())
 	defer srv.Close()
 
 	localSys := core.MustParseSystem(`doc replica = cat{item{"local-only"}}`)
-	local := New("local", localSys)
+	local := mustOpen("local", localSys)
 	m := &Mirror{Remote: srv.URL, RemoteDoc: "catalog", LocalDoc: "replica"}
 
 	changed, err := m.Sync(context.Background(), local)
@@ -53,7 +53,7 @@ func TestMirrorSyncUntilStableWithEvolvingRemote(t *testing.T) {
 doc catalog = cat{item{"a"},!grow}
 func grow = item{"b"} :-
 `)
-	remotePeer := New("remote", remoteSys)
+	remotePeer := mustOpen("remote", remoteSys)
 	srv := httptest.NewServer(remotePeer.Handler())
 	defer srv.Close()
 
@@ -61,7 +61,7 @@ func grow = item{"b"} :-
 	if err := localSys.AddDocument(NewReplicaDoc("replica", "cat")); err != nil {
 		t.Fatal(err)
 	}
-	local := New("local", localSys)
+	local := mustOpen("local", localSys)
 	m := &Mirror{Remote: srv.URL, RemoteDoc: "catalog", LocalDoc: "replica"}
 
 	// First round of syncs before the remote evolves.
@@ -94,10 +94,10 @@ func grow = item{"b"} :-
 
 func TestMirrorErrors(t *testing.T) {
 	remoteSys := core.MustParseSystem(`doc catalog = cat{item{"a"}}`)
-	srv := httptest.NewServer(New("remote", remoteSys).Handler())
+	srv := httptest.NewServer(mustOpen("remote", remoteSys).Handler())
 	defer srv.Close()
 
-	local := New("local", core.MustParseSystem(`doc other = zzz{x{"1"}}
+	local := mustOpen("local", core.MustParseSystem(`doc other = zzz{x{"1"}}
 doc seed = guess`))
 	m := &Mirror{Remote: srv.URL, RemoteDoc: "catalog", LocalDoc: "missing"}
 	if _, err := m.Sync(context.Background(), local); err == nil {

@@ -17,9 +17,9 @@ import (
 // method with 405 AND an Allow header naming the method it wants
 // (RFC 9110 §15.5.6 makes Allow mandatory on 405).
 func TestMethodNotAllowedSetsAllow(t *testing.T) {
-	srv := httptest.NewServer(New("p", core.MustParseSystem(`doc d = a`)).Handler())
+	srv := httptest.NewServer(mustOpen("p", core.MustParseSystem(`doc d = a`)).Handler())
 	defer srv.Close()
-	sub := NewSubscriber(New("c", core.MustParseSystem(`doc d = a`)))
+	sub := NewSubscriber(mustOpen("c", core.MustParseSystem(`doc d = a`)))
 	subSrv := httptest.NewServer(sub.Handler())
 	defer subSrv.Close()
 

@@ -131,15 +131,6 @@ type Stats struct {
 	Failures int
 }
 
-// New wraps a system as an in-memory peer and gates its remote services
-// on the peer's lock (see AttachGates). After New, access the system only
-// through the peer's methods. Equivalent to Open with no options; kept
-// for the common case and for compatibility.
-func New(name string, s *core.System) *Peer {
-	p, _, _ := Open(name, s) // cannot fail without durability
-	return p
-}
-
 // Open is the canonical constructor: it wraps a system as a peer, applies
 // the options, gates remote services on the peer's lock (AttachGates)
 // and — when WithDurability names a data directory — recovers any state a

@@ -88,6 +88,16 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
+// mustOpen wraps a system as an in-memory peer; Open cannot fail without
+// durability.
+func mustOpen(name string, s *core.System) *Peer {
+	p, _, err := Open(name, s)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // newRatingsPeer builds the server side of the jazz example: a peer whose
 // GetRating service answers from its own ratings document.
 func newRatingsPeer(t *testing.T) *Peer {
@@ -96,7 +106,7 @@ func newRatingsPeer(t *testing.T) *Peer {
 doc ratings = db{entry{title{"Body and Soul"},stars{"4"}},entry{title{"Naima"},stars{"5"}}}
 func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t},stars{$s}}}
 `)
-	return New("ratings", s)
+	return mustOpen("ratings", s)
 }
 
 func TestRemoteServicePullMode(t *testing.T) {
@@ -132,7 +142,7 @@ doc menu = m{item{"jazz"}}
 func List = found{$x,!Detail{$x}} :- menu/m{item{$x}}
 func Detail = detail{"42"} :-
 `)
-	server := httptest.NewServer(New("src", s).Handler())
+	server := httptest.NewServer(mustOpen("src", s).Handler())
 	defer server.Close()
 
 	clientSys := core.NewSystem()
@@ -159,14 +169,14 @@ func TestFetchDoc(t *testing.T) {
 	p := newRatingsPeer(t)
 	server := httptest.NewServer(p.Handler())
 	defer server.Close()
-	n, err := FetchDoc(context.Background(), nil, server.URL, "ratings")
+	n, err := NewClient(server.URL, nil).Doc(context.Background(), "ratings")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.Name != "db" || len(n.Children) != 2 {
 		t.Fatalf("fetched %s", n)
 	}
-	if _, err := FetchDoc(context.Background(), nil, server.URL, "nope"); err == nil {
+	if _, err := NewClient(server.URL, nil).Doc(context.Background(), "nope"); err == nil {
 		t.Fatal("missing document fetched")
 	}
 }
@@ -211,7 +221,7 @@ func HopA = t{a{$x},b{$y}} :- input/input{t{a{$x},b{$z}}}, edges/r{t{a{$z},b{$y}
 doc edges = r{t{a{2},b{3}}}
 func HopB = t{a{$x},b{$y}} :- input/input{t{a{$x},b{$z}}}, edges/r{t{a{$z},b{$y}}}
 `)
-	peerA, peerB := New("A", sysA), New("B", sysB)
+	peerA, peerB := mustOpen("A", sysA), mustOpen("B", sysB)
 	srvA := httptest.NewServer(peerA.Handler())
 	defer srvA.Close()
 	srvB := httptest.NewServer(peerB.Handler())
@@ -230,7 +240,7 @@ func HopB = t{a{$x},b{$y}} :- input/input{t{a{$x},b{$z}}}, edges/r{t{a{$z},b{$y}
 	if err := sysC.AddService(&contextForwardingService{name: "StepB", inner: &RemoteService{Name: "HopB", URL: srvB.URL}}); err != nil {
 		t.Fatal(err)
 	}
-	peerC := New("C", sysC)
+	peerC := mustOpen("C", sysC)
 	srvC := httptest.NewServer(peerC.Handler())
 	defer srvC.Close()
 
@@ -295,7 +305,7 @@ func TestPushModeMatchesPull(t *testing.T) {
 	if err := subSys.AddDocument(tree.NewDocument("portal", portal)); err != nil {
 		t.Fatal(err)
 	}
-	subPeer := New("client", subSys)
+	subPeer := mustOpen("client", subSys)
 	sub := NewSubscriber(subPeer)
 	subSrv := httptest.NewServer(sub.Handler())
 	defer subSrv.Close()
@@ -339,7 +349,7 @@ func TestPushModeMatchesPull(t *testing.T) {
 
 func TestSubscriberUnknownID(t *testing.T) {
 	subSys := core.MustParseSystem(`doc d = a`)
-	sub := NewSubscriber(New("c", subSys))
+	sub := NewSubscriber(mustOpen("c", subSys))
 	srv := httptest.NewServer(sub.Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+PathPush+"nope", "application/xml", strings.NewReader("<ax:forest></ax:forest>"))

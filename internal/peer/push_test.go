@@ -38,7 +38,7 @@ func List = got{$t,$s} :- db/db{e{t{$t},s{$s}}}
 func newPortalSubscriber(t *testing.T, id string) (*Subscriber, *Peer) {
 	t.Helper()
 	subSys := core.MustParseSystem(`doc portal = portal`)
-	subPeer := New("sub", subSys)
+	subPeer := mustOpen("sub", subSys)
 	sb := NewSubscriber(subPeer)
 	var root *tree.Node
 	subPeer.System(func(s *core.System) { root = s.Document("portal").Root })

@@ -111,7 +111,7 @@ func newShardedFleet(t *testing.T, n, rf int, docs []string) (ring *Ring, urls m
 	resolve := func(name string) string { return urls[name] }
 	for _, name := range names {
 		sys := core.NewSystem()
-		p := New(name, sys)
+		p := mustOpen(name, sys)
 		peers[name] = p
 		rt := NewRouter(p, name, ring, resolve, rf)
 		srv := httptest.NewServer(rt)
@@ -188,7 +188,7 @@ func TestRouterDeltaForwarding(t *testing.T) {
 			break
 		}
 	}
-	d, err := FetchDelta(t.Context(), nil, urls[outsider], doc, "")
+	d, err := NewClient(urls[outsider], nil).Delta(t.Context(), doc, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRouterDeltaForwarding(t *testing.T) {
 	}
 	// Anchored follow-up across the same forwarding path.
 	growDoc(peers[owner], doc, `item{"y"}`)
-	d2, err := FetchDelta(t.Context(), nil, urls[outsider], doc, d.To)
+	d2, err := NewClient(urls[outsider], nil).Delta(t.Context(), doc, d.To)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestConcurrentRunsStress(t *testing.T) {
 		tree.Forest{syntax.MustParseDocument(`remote{score{"9"}}`)})); err != nil {
 		t.Fatal(err)
 	}
-	backend := New("backend", backendSys)
+	backend := mustOpen("backend", backendSys)
 	srv := httptest.NewServer(backend.Handler())
 	defer srv.Close()
 
@@ -129,7 +129,7 @@ func TestIncrementalPeerWorkloadDigests(t *testing.T) {
 		tree.Forest{syntax.MustParseDocument(`remote{score{"9"}}`)})); err != nil {
 		t.Fatal(err)
 	}
-	backend := New("backend", backendSys)
+	backend := mustOpen("backend", backendSys)
 	srv := httptest.NewServer(backend.Handler())
 	defer srv.Close()
 
@@ -177,7 +177,7 @@ func TestIncrementalPeerWorkloadDigests(t *testing.T) {
 	for _, par := range []int{1, 2, 4, 8} {
 		s := build(core.Harden(&RemoteService{Name: "Remote", URL: srv.URL},
 			core.HardenOptions{Attempts: 4, BaseDelay: time.Millisecond}))
-		res := s.Run(core.RunOptions{Parallelism: par, Incremental: true})
+		res := s.Run(core.RunOptions{Parallelism: par})
 		if res.Err != nil || !res.Terminated {
 			t.Fatalf("incremental parallelism %d: %+v", par, res)
 		}

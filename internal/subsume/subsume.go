@@ -17,19 +17,14 @@
 // memoized subtree digests (tree.Digest): equal digests mean isomorphic
 // subtrees, which subsume each other by the identity homomorphism. The
 // digest short-circuit is what lets reduction and LUB merge share
-// structure across million-node documents instead of re-walking it.
+// structure across million-node documents instead of re-walking it. The
+// definitional algorithms these fast paths must agree with live in
+// package subsume/oracle, which only tests and benchmarks import.
 package subsume
 
 import (
 	"axml/internal/tree"
 )
-
-// Naive, when true, disables the interned-symbol and digest fast paths:
-// markings are compared as strings and no digest short-circuit or
-// digest-grouped pruning runs. It exists for the differential tests and
-// benchmarks that pin the fast paths to the definitional algorithm; do
-// not flip it while evaluations are in flight.
-var Naive bool
 
 // maxMemoEntries bounds the per-query node-pair memo: beyond it, results
 // are still computed (correctly) but no longer recorded, keeping the
@@ -66,9 +61,6 @@ func (c *checker) sub(a, b *tree.Node) bool {
 	if a == b {
 		return true
 	}
-	if Naive {
-		return c.subNaive(a, b)
-	}
 	if a.Sym() != b.Sym() {
 		return false
 	}
@@ -89,36 +81,6 @@ func (c *checker) sub(a, b *tree.Node) bool {
 			found := false
 			for _, cb := range b.Children {
 				if c.sub(ca, cb) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				ok = false
-				break
-			}
-		}
-	}
-	if len(c.memo) < maxMemoEntries {
-		c.memo[key] = ok
-	}
-	return ok
-}
-
-// subNaive is the definitional bottom-up check: string marking compare,
-// no digest short-circuit. Kept as the oracle the differential tests and
-// benchmarks pin the fast path against.
-func (c *checker) subNaive(a, b *tree.Node) bool {
-	key := [2]*tree.Node{a, b}
-	if v, ok := c.memo[key]; ok {
-		return v
-	}
-	ok := a.Kind == b.Kind && a.Name == b.Name
-	if ok {
-		for _, ca := range a.Children {
-			found := false
-			for _, cb := range b.Children {
-				if c.subNaive(ca, cb) {
 					found = true
 					break
 				}
@@ -169,7 +131,7 @@ func reduceInPlace(t *tree.Node) *tree.Node {
 // monotone system (most of the document untouched since the last merge)
 // O(changed spine) instead of O(document).
 func reduceChanged(t *tree.Node) bool {
-	if !Naive && t.KnownReduced() {
+	if t.KnownReduced() {
 		return false
 	}
 	changed := false
@@ -186,9 +148,7 @@ func reduceChanged(t *tree.Node) bool {
 	if changed {
 		t.InvalidateDigest()
 	}
-	if !Naive {
-		t.MarkReduced()
-	}
+	t.MarkReduced()
 	return changed
 }
 
@@ -205,9 +165,6 @@ func reduceChanged(t *tree.Node) bool {
 func pruneSiblings(children []*tree.Node) []*tree.Node {
 	if len(children) <= 1 {
 		return children
-	}
-	if Naive {
-		return pruneSiblingsPairwise(children, newChecker())
 	}
 	// Group by digest, keeping first representatives in order. Small
 	// sibling sets — the overwhelmingly common case — dedup by scanning
@@ -242,7 +199,7 @@ func pruneSiblings(children []*tree.Node) []*tree.Node {
 	return pruneSiblingsPairwise(reps, newChecker())
 }
 
-// pruneSiblingsPairwise is the definitional O(k²) sibling pruning over
+// pruneSiblingsPairwise is the all-pairs O(k²) sibling pruning over
 // the given (deduplicated) children, in place.
 func pruneSiblingsPairwise(children []*tree.Node, c *checker) []*tree.Node {
 	if len(children) <= 1 {
@@ -312,39 +269,28 @@ func Union(a, b *tree.Node) *tree.Node {
 	if b == nil {
 		return Reduce(a)
 	}
-	if sameMarking(a, b) {
-		if !Naive {
-			// LUB shortcut: when one side already subsumes the other, the
-			// union is the larger side (up to equivalence) — skip the
-			// concatenate-and-reduce entirely. With memoized digests the
-			// checks are near-free for the common case of a snapshot
-			// unioned with a grown version of itself (mirror syncs,
-			// restores), collapsing the union to one copy.
-			if Subsumed(b, a) {
-				return Reduce(a)
-			}
-			if Subsumed(a, b) {
-				return Reduce(b)
-			}
-		}
-		u := &tree.Node{Kind: a.Kind, Name: a.Name}
-		for _, c := range a.Children {
-			u.Children = append(u.Children, c.Copy())
-		}
-		for _, c := range b.Children {
-			u.Children = append(u.Children, c.Copy())
-		}
-		return reduceInPlace(u)
+	if !a.SameMarking(b) {
+		return nil
 	}
-	return nil
-}
-
-// sameMarking compares root markings, via symbols unless Naive.
-func sameMarking(a, b *tree.Node) bool {
-	if Naive {
-		return a.Kind == b.Kind && a.Name == b.Name
+	// LUB shortcut: when one side already subsumes the other, the union
+	// is the larger side (up to equivalence) — skip the concatenate-and-
+	// reduce entirely. With memoized digests the checks are near-free for
+	// the common case of a snapshot unioned with a grown version of itself
+	// (mirror syncs, restores), collapsing the union to one copy.
+	if Subsumed(b, a) {
+		return Reduce(a)
 	}
-	return a.SameMarking(b)
+	if Subsumed(a, b) {
+		return Reduce(b)
+	}
+	u := &tree.Node{Kind: a.Kind, Name: a.Name}
+	for _, c := range a.Children {
+		u.Children = append(u.Children, c.Copy())
+	}
+	for _, c := range b.Children {
+		u.Children = append(u.Children, c.Copy())
+	}
+	return reduceInPlace(u)
 }
 
 // ForestSubsumed reports whether forest a is subsumed by forest b: every

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"axml/internal/subsume"
+	"axml/internal/subsume/oracle"
 	"axml/internal/syntax"
 	"axml/internal/tree"
 )
@@ -330,7 +331,6 @@ func TestReduceAfterRawAppend(t *testing.T) {
 
 // TestNaiveIgnoresReducedMark: the oracle must not trust (or plant) marks.
 func TestNaiveIgnoresReducedMark(t *testing.T) {
-	defer func(old bool) { subsume.Naive = old }(subsume.Naive)
 	n := tree.NewLabel("r",
 		tree.NewLabel("a", tree.NewValue("1")),
 		tree.NewLabel("a", tree.NewValue("1")),
@@ -338,9 +338,11 @@ func TestNaiveIgnoresReducedMark(t *testing.T) {
 	// Plant a wrong mark the way no maintained path would; the naive
 	// reducer must still prune.
 	n.MarkReduced()
-	subsume.Naive = true
-	subsume.ReduceInPlace(n)
+	oracle.ReduceInPlace(n)
 	if len(n.Children) != 1 {
 		t.Fatalf("naive reduce trusted a planted mark: %s", n)
+	}
+	if n.KnownReduced() {
+		t.Fatal("naive reduce planted a mark")
 	}
 }

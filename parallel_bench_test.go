@@ -1,5 +1,5 @@
-// BenchmarkRunParallel measures the parallel fixpoint engine against the
-// sequential path on latency-bound workloads: every service is wrapped in
+// BenchmarkRunParallel measures the worklist schedule (parallelism > 1)
+// against the sequential sweep on latency-bound workloads: every service is wrapped in
 // a FaultService injecting a fixed per-invocation delay, simulating the
 // remote services of the paper's setting (where invocation cost is
 // network wait, not CPU). Theorem 2.1 licenses firing those waits
@@ -71,19 +71,14 @@ func jazzBenchSystem(cds int) *axml.System {
 }
 
 func BenchmarkRunParallel(b *testing.B) {
-	// The -incr variants run the same systems under the incremental
-	// engine (semi-naive deltas; event-driven worklist above one worker):
-	// `fired` and `mergewait_p99_ns` against the plain rows measure how
-	// much re-firing and funnel traffic the reverse index eliminates.
+	// `fired` against the parallelism-1 row measures how much re-firing
+	// the worklist's reverse index eliminates over the sweep.
 	workloads := []struct {
-		name        string
-		mk          func() *axml.System
-		incremental bool
+		name string
+		mk   func() *axml.System
 	}{
-		{"graph", func() *axml.System { return latencyWrap(graphBenchSystem(64), benchLatency) }, false},
-		{"jazz", func() *axml.System { return latencyWrap(jazzBenchSystem(48), benchLatency) }, false},
-		{"graph-incr", func() *axml.System { return latencyWrap(graphBenchSystem(64), benchLatency) }, true},
-		{"jazz-incr", func() *axml.System { return latencyWrap(jazzBenchSystem(48), benchLatency) }, true},
+		{"graph", func() *axml.System { return latencyWrap(graphBenchSystem(64), benchLatency) }},
+		{"jazz", func() *axml.System { return latencyWrap(jazzBenchSystem(48), benchLatency) }},
 	}
 	for _, wl := range workloads {
 		// The fixpoint every parallelism level must reproduce.
@@ -99,7 +94,7 @@ func BenchmarkRunParallel(b *testing.B) {
 					b.StopTimer()
 					s := wl.mk()
 					b.StartTimer()
-					res := s.Run(axml.RunOptions{Parallelism: par, Incremental: wl.incremental})
+					res := s.Run(axml.RunOptions{Parallelism: par})
 					if res.Err != nil || !res.Terminated {
 						b.Fatalf("run: %+v", res)
 					}
@@ -117,7 +112,6 @@ func BenchmarkRunParallel(b *testing.B) {
 				b.ReportMetric(float64(st.CallsFired), "fired")
 				b.ReportMetric(float64(st.DeltaEvals), "delta_evals")
 				b.ReportMetric(float64(st.Eval.P99), "eval_p99_ns")
-				b.ReportMetric(float64(st.SlotWait.P99), "slotwait_p99_ns")
 				b.ReportMetric(float64(st.MergeWait.P99), "mergewait_p99_ns")
 			})
 		}

@@ -6,7 +6,7 @@
 # with its ns/op, the speedup of every parallelism level relative to
 # parallelism-1 of the same workload, and any extra b.ReportMetric
 # columns the benchmark emitted (the engine's RunResult.Stats view:
-# fired, eval_p99_ns, slotwait_p99_ns, mergewait_p99_ns).
+# fired, delta_evals, eval_p99_ns, mergewait_p99_ns).
 #
 # With -tree the input is BenchmarkTree (run with -benchmem): one record
 # per operation/variant with ns_per_op, bytes_per_op and allocs_per_op,

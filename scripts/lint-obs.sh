@@ -1,5 +1,6 @@
 #!/bin/sh
-# lint-obs.sh — ban bare stdlib printing from library code.
+# lint-obs.sh — ban bare stdlib printing, package-level http helpers
+# and exported global bool switches from library code.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -37,6 +38,30 @@ badhttp=$(grep -rn --include='*.go' -E 'http\.(Get|Post|PostForm|Head)\(' intern
 if [ -n "$badhttp" ]; then
     echo "vet-obs: package-level http helpers in library code (build the request and inject trace context; see peer.Client):" >&2
     echo "$badhttp" >&2
+    exit 1
+fi
+
+# A behaviour switch must not live in hidden global state: an exported
+# package-level bool in library code can be flipped by anyone, from
+# anywhere, while evaluations are in flight (the shape the old
+# subsume.Naive toggle had). Options belong on the value they configure;
+# oracles belong in packages only tests import.
+badswitch=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
+    FNR == 1 { invar = 0 }
+    /^var[[:space:]]*\($/ { invar = 1; next }
+    /^\)/ { invar = 0 }
+    {
+        decl = ""
+        if ($0 ~ /^var[[:space:]]+[A-Z]/) { decl = $0; sub(/^var[[:space:]]+/, "", decl) }
+        else if (invar && $0 ~ /^[[:space:]]+[A-Z]/) { decl = $0; sub(/^[[:space:]]+/, "", decl) }
+        if (decl ~ /^[A-Za-z0-9_]+[[:space:]]+bool([[:space:]]|$)/ ||
+            decl ~ /^[A-Za-z0-9_]+[[:space:]]*=[[:space:]]*(true|false)([[:space:]]|$)/)
+            printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }' {} +)
+
+if [ -n "$badswitch" ]; then
+    echo "vet-obs: exported package-level bool in library code (a behaviour switch as global state; make it a parameter or a test-only oracle):" >&2
+    echo "$badswitch" >&2
     exit 1
 fi
 echo "vet-obs: ok"

@@ -1,7 +1,7 @@
 // BenchmarkTree measures the interning/hash-consing/indexing layer on
 // million-node documents: anchored pattern matching against the naive
 // walk, and digest-accelerated Subsumed/Reduce/Union against the
-// definitional algorithms (subsume.Naive). Each operation runs as
+// definitional algorithms (package subsume/oracle). Each operation runs as
 // op/<variant> so `make bench-tree` can record the speedups and the
 // allocation profile into BENCH_tree.json. Fast variants run after a
 // digest warm-up: steady state for a live system, where every subtree
@@ -15,6 +15,7 @@ import (
 
 	"axml/internal/pattern"
 	"axml/internal/subsume"
+	"axml/internal/subsume/oracle"
 	"axml/internal/tree"
 	"axml/internal/workload"
 )
@@ -46,8 +47,6 @@ func inventoryTree(depts, items int) *tree.Node {
 }
 
 func BenchmarkTree(b *testing.B) {
-	defer func(old bool) { subsume.Naive = old }(subsume.Naive)
-
 	// ---- pattern matching: needle lookup in a 10⁶-node catalog ----
 	doc := inventoryTree(100, 2000) // 100 depts × 2000 items × 5 + needle ≈ 10⁶ nodes
 	needle := pattern.Label("catalog",
@@ -88,16 +87,20 @@ func BenchmarkTree(b *testing.B) {
 	_, _ = big.Digest(), grown.Digest()
 
 	variants := []struct {
-		name  string
-		naive bool
-	}{{"fast", false}, {"naive", true}}
+		name     string
+		subsumed func(a, b *tree.Node) bool
+		reduce   func(t *tree.Node) *tree.Node
+		union    func(a, b *tree.Node) *tree.Node
+	}{
+		{"fast", subsume.Subsumed, subsume.ReduceInPlace, subsume.Union},
+		{"naive", oracle.Subsumed, oracle.ReduceInPlace, oracle.Union},
+	}
 
 	for _, v := range variants {
 		b.Run("subsumed/"+v.name, func(b *testing.B) {
-			subsume.Naive = v.naive
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if !subsume.Subsumed(big, grown) {
+				if !v.subsumed(big, grown) {
 					b.Fatal("expected big ⊆ grown")
 				}
 			}
@@ -109,10 +112,9 @@ func BenchmarkTree(b *testing.B) {
 		// Reduction is idempotent, so the tree can be reused across
 		// iterations.
 		b.Run("reduce/"+v.name, func(b *testing.B) {
-			subsume.Naive = v.naive
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if subsume.ReduceInPlace(big) == nil {
+				if v.reduce(big) == nil {
 					b.Fatal("nil reduction")
 				}
 			}
@@ -120,10 +122,9 @@ func BenchmarkTree(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run("union/"+v.name, func(b *testing.B) {
-			subsume.Naive = v.naive
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if subsume.Union(big, grown) == nil {
+				if v.union(big, grown) == nil {
 					b.Fatal("nil union")
 				}
 			}
