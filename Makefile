@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-cmd vet-obs race fmt fuzz-smoke chaos bench bench-tree bench-fleet bench-load loadgen-smoke bench-compare bench-check verify
+.PHONY: build test vet vet-cmd vet-obs race fmt loc fuzz-smoke chaos bench bench-tree bench-fleet bench-load loadgen-smoke bench-compare bench-check verify
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,16 @@ fmt:
 	if [ -n "$$files" ]; then \
 		echo "gofmt needed on:"; echo "$$files"; exit 1; \
 	fi
+
+# Non-test Go lines per package directory and in total (wc -l): the number
+# a simplicity change reports before and after.
+loc:
+	@total=0; \
+	for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%6d %s\n' $$n $$d; total=$$((total + n)); \
+	done; \
+	printf '%6d total\n' $$total
 
 # The concurrency-sensitive peer tests (lock gates released mid-sweep,
 # self-call and peer-cycle regressions, journal flushes under the peer

@@ -353,7 +353,7 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 	s := e.s
 	e.rlock()
 	rv := s.relevantVersionVector(c)
-	att := s.attached(c)
+	att := s.Attached(c)
 	s.engineMu.RUnlock()
 	e.mu.Lock()
 	if e.stop {
@@ -428,7 +428,7 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 	e.mu.Unlock()
 	// A racing merge may have pruned the call node after our evaluation;
 	// re-validate under the write lock so detached results are dropped.
-	if !s.attached(c) {
+	if !s.Attached(c) {
 		e.mu.Lock()
 		e.forgetLocked(c.Node)
 		e.mu.Unlock()

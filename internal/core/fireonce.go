@@ -48,7 +48,7 @@ func (s *System) RunFireOnce() FireOnceResult {
 		for _, c := range pending {
 			// Re-check the node is still present: reduction during this
 			// round may have pruned it.
-			if fired[c.Node] || !s.attached(c) {
+			if fired[c.Node] || !s.Attached(c) {
 				continue
 			}
 			fired[c.Node] = true

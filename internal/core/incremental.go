@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"axml/internal/obs"
-	"axml/internal/pattern"
 	"axml/internal/tree"
 )
 
@@ -430,7 +429,7 @@ func (s *System) namedAtomsAffected(f, d string, sinceV uint64) bool {
 		if a.Doc != d {
 			continue
 		}
-		for _, m := range pattern.MatchUnderSince(a.Pattern, root, nil, sinceV) {
+		for _, m := range s.indexes[d].MatchUnderSince(a.Pattern, root, nil, sinceV) {
 			if m.New {
 				return true
 			}
@@ -457,7 +456,9 @@ func (s *System) callLocalAtomsAffected(lc Call, d string, sinceV uint64) bool {
 		default:
 			continue
 		}
-		for _, m := range pattern.MatchUnderSince(a.Pattern, target, nil, sinceV) {
+		// Only a root-level context is the indexed root; every other target
+		// degrades to the walk.
+		for _, m := range s.indexes[d].MatchUnderSince(a.Pattern, target, nil, sinceV) {
 			if m.New {
 				return true
 			}

@@ -622,11 +622,12 @@ func (s *System) pendingCalls(fired map[*tree.Node]bool) []Call {
 	return pending
 }
 
-// attached reports whether the call's node is still part of its document,
+// Attached reports whether the call's node is still part of its document,
 // by re-validating the recorded ancestor chain (pruning only ever detaches
 // whole subtrees, so intact links mean the node is present). Calls without
-// a recorded path fall back to a full-document search.
-func (s *System) attached(c Call) bool {
+// a recorded path fall back to a full-document search. Like every read of
+// the live documents it must not race a run in flight.
+func (s *System) Attached(c Call) bool {
 	d := s.docs[c.Doc]
 	if d == nil {
 		return false

@@ -25,12 +25,12 @@ func f = hit :-
 		}
 		t.Fatalf("ancestors = %v", names)
 	}
-	if !s.attached(calls[0]) {
+	if !s.Attached(calls[0]) {
 		t.Fatal("fresh call not attached")
 	}
-	// Detach the subtree holding the call: attached must notice.
+	// Detach the subtree holding the call: Attached must notice.
 	s.Document("d").Root.Children = nil
-	if s.attached(calls[0]) {
+	if s.Attached(calls[0]) {
 		t.Fatal("detached call reported attached")
 	}
 }
@@ -45,7 +45,7 @@ func f = hit :-
 	if hand.Ancestors() != nil {
 		t.Fatal("hand-built call has ancestors")
 	}
-	if !s.attached(hand) {
+	if !s.Attached(hand) {
 		t.Fatal("fallback containsNode failed")
 	}
 	// Invoking a hand-built call works through findPath.

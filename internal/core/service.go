@@ -55,8 +55,8 @@ type Binding struct {
 	Indexes query.Indexes
 }
 
-// docs returns the full θ binding including the reserved names.
-func (b Binding) docs() query.Docs {
+// AllDocs returns the full θ binding including the reserved names.
+func (b Binding) AllDocs() query.Docs {
 	all := make(query.Docs, len(b.Docs)+2)
 	for k, v := range b.Docs {
 		all[k] = v
@@ -123,7 +123,7 @@ func (s *QueryService) Invoke(ctx context.Context, b Binding) (tree.Forest, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return query.SnapshotSinceIndexed(s.Query, b.docs(), b.Since, b.Indexes)
+	return query.SnapshotSince(s.Query, b.AllDocs(), b.Since, b.Indexes)
 }
 
 // IsSimple reports whether the defining query is simple (no tree

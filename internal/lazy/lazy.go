@@ -173,9 +173,10 @@ func (a *Analysis) markPositionRelevant(s *core.System, patsPerDoc map[string][]
 
 // reachPrefix walks pattern and document together: pat placed at node if
 // markings are compatible; descendants recurse pairwise. Nodes hosting a
-// pattern node that still has children are recorded in hosts.
+// pattern node that still has children are recorded in hosts. Variable
+// binding consistency is ignored (a sound over-approximation).
 func reachPrefix(pat *pattern.Node, node *tree.Node, hosts map[*tree.Node]bool) {
-	if !compatible(pat, node) {
+	if !pattern.Compatible(pat, node.Kind, node.Name) {
 		return
 	}
 	if len(pat.Children) > 0 {
@@ -185,30 +186,6 @@ func reachPrefix(pat *pattern.Node, node *tree.Node, hosts map[*tree.Node]bool) 
 		for _, nc := range node.Children {
 			reachPrefix(pc, nc, hosts)
 		}
-	}
-}
-
-// compatible reports whether the pattern node could be placed on the
-// document node, ignoring variable binding consistency (sound
-// over-approximation).
-func compatible(p *pattern.Node, n *tree.Node) bool {
-	switch p.Kind {
-	case pattern.ConstLabel:
-		return n.Kind == tree.Label && n.Name == p.Name
-	case pattern.ConstValue:
-		return n.Kind == tree.Value && n.Name == p.Name
-	case pattern.ConstFunc:
-		return n.Kind == tree.Func && n.Name == p.Name
-	case pattern.VarLabel:
-		return n.Kind == tree.Label
-	case pattern.VarValue:
-		return n.Kind == tree.Value
-	case pattern.VarFunc:
-		return n.Kind == tree.Func
-	case pattern.VarTree:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -278,7 +255,7 @@ func Eval(s *core.System, q *query.Query, opts Options) (Result, error) {
 		}
 		changedInRound := false
 		for _, c := range an.Relevant {
-			if !containsCall(s, c) {
+			if !s.Attached(c) {
 				continue
 			}
 			res.Invocations++
@@ -312,22 +289,6 @@ func Eval(s *core.System, q *query.Query, opts Options) (Result, error) {
 	}
 	res.Answer = ans
 	return res, nil
-}
-
-func containsCall(s *core.System, c core.Call) bool {
-	d := s.Document(c.Doc)
-	if d == nil {
-		return false
-	}
-	found := false
-	d.Root.Walk(func(n, _ *tree.Node) bool {
-		if n == c.Node {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // QUnneededExact decides, for a simple positive system and a simple query

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"axml/internal/core"
+	"axml/internal/pattern"
 	"axml/internal/query"
 	"axml/internal/subsume"
 	"axml/internal/syntax"
@@ -153,6 +154,21 @@ func TestRQueryValidate(t *testing.T) {
 	}
 	if _, err := ParseRQuery(`out{<a>} :- d/a`); err == nil {
 		t.Error("path node in head accepted")
+	}
+	// An inequality over a variable the body never binds: rejected
+	// statically, and an error — as in query.Snapshot, not a silently
+	// empty answer — when evaluation is reached without validating.
+	raw := &RQuery{
+		Name:  "raw",
+		Head:  pattern.Label("out"),
+		Body:  []RAtom{{Doc: "d", Pattern: FromPattern(pattern.Label("a"))}},
+		Ineqs: []query.Ineq{{Left: query.Variable("zz"), Right: query.Constant("1")}},
+	}
+	if err := raw.Validate(); err == nil {
+		t.Error("unbound inequality variable accepted")
+	}
+	if _, err := Snapshot(raw, query.Docs{"d": syntax.MustParseDocument(`a`)}); err == nil {
+		t.Error("unbound inequality variable evaluated")
 	}
 }
 

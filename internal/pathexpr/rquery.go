@@ -8,7 +8,6 @@ import (
 	"axml/internal/core"
 	"axml/internal/pattern"
 	"axml/internal/query"
-	"axml/internal/subsume"
 	"axml/internal/tree"
 )
 
@@ -267,56 +266,26 @@ func (q *RQuery) String() string {
 
 // Snapshot evaluates the positive+reg query directly on the document
 // binding (no call invocation), by walking the NFA of each path node down
-// the trees.
+// the trees: query.Fold with matchR as its step.
 func Snapshot(q *RQuery, docs query.Docs) (tree.Forest, error) {
-	asns := []pattern.Assignment{{}}
-	for _, a := range q.Body {
-		doc := docs[a.Doc]
+	asns := query.Fold(len(q.Body), pattern.Assignment{}, func(i int, asn pattern.Assignment) []pattern.Assignment {
+		doc := docs[q.Body[i].Doc]
 		if doc == nil {
-			return nil, nil
+			return nil
 		}
-		var next []pattern.Assignment
-		for _, asn := range asns {
-			next = append(next, matchR(a.Pattern, doc, asn)...)
-		}
-		if len(next) == 0 {
-			return nil, nil
-		}
-		asns = dedup(next)
-	}
-	var out tree.Forest
+		return matchR(q.Body[i].Pattern, doc, asn)
+	}, pattern.Dedup)
+	kept := asns[:0]
 	for _, asn := range asns {
-		if ok := ineqsSatisfied(q.Ineqs, asn); !ok {
-			continue
-		}
-		t, err := pattern.Instantiate(q.Head, asn)
+		ok, err := query.IneqsHold(q.Ineqs, asn)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pathexpr: query %s: %w", q.Name, err)
 		}
-		out = append(out, t)
-	}
-	return subsume.ReduceForest(out), nil
-}
-
-func ineqsSatisfied(ineqs []query.Ineq, asn pattern.Assignment) bool {
-	val := func(t query.Term) (string, bool) {
-		if t.Var == "" {
-			return t.Const, true
-		}
-		b, ok := asn[t.Var]
-		if !ok || b.Tree != nil {
-			return "", false
-		}
-		return b.Atom, true
-	}
-	for _, e := range ineqs {
-		l, ok1 := val(e.Left)
-		r, ok2 := val(e.Right)
-		if !ok1 || !ok2 || l == r {
-			return false
+		if ok {
+			kept = append(kept, asn)
 		}
 	}
-	return true
+	return query.Answers(q.Name, q.Head, kept)
 }
 
 // matchR matches an RNode at a document node.
@@ -326,12 +295,13 @@ func matchR(p *RNode, d *tree.Node, asn pattern.Assignment) []pattern.Assignment
 		// root itself.
 		return matchPathFrom(p, d, asn)
 	}
-	next, ok := bindRMarking(p, d, asn)
+	if p.Kind == pattern.VarTree {
+		// A tree variable is a whole (leaf) plain pattern.
+		return pattern.MatchUnder(pattern.TVar(p.Name), d, asn)
+	}
+	next, ok := pattern.BindAtom(&pattern.Node{Kind: p.Kind, Name: p.Name}, d.Kind, d.Name, asn)
 	if !ok {
 		return nil
-	}
-	if p.Kind == pattern.VarTree {
-		return []pattern.Assignment{next}
 	}
 	return matchRChildren(p.Children, d, []pattern.Assignment{next})
 }
@@ -353,7 +323,7 @@ func matchRChildren(pcs []*RNode, d *tree.Node, asns []pattern.Assignment) []pat
 		if len(extended) == 0 {
 			return nil
 		}
-		asns = dedup(extended)
+		asns = pattern.Dedup(extended)
 	}
 	return asns
 }
@@ -380,30 +350,7 @@ func matchPathFrom(p *RNode, anchor *tree.Node, asn pattern.Assignment) []patter
 		}
 	}
 	explore(anchor, map[int]bool{p.NFA.Start: true})
-	return dedup(out)
-}
-
-func bindRMarking(p *RNode, d *tree.Node, asn pattern.Assignment) (pattern.Assignment, bool) {
-	pp := &pattern.Node{Kind: p.Kind, Name: p.Name}
-	// Reuse the plain pattern binding logic through a single-node match.
-	res := pattern.MatchUnder(pp, d, asn)
-	if len(res) == 0 {
-		return nil, false
-	}
-	return res[0], true
-}
-
-func dedup(as []pattern.Assignment) []pattern.Assignment {
-	seen := make(map[string]bool, len(as))
-	out := as[:0]
-	for _, a := range as {
-		k := a.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
-		}
-	}
-	return out
+	return pattern.Dedup(out)
 }
 
 // RQueryService exposes a positive+reg query as a monotone service: a
@@ -435,13 +382,7 @@ func (s *RQueryService) Invoke(ctx context.Context, b core.Binding) (tree.Forest
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	docs := query.Docs{}
-	for k, v := range b.Docs {
-		docs[k] = v
-	}
-	docs[tree.Input] = b.Input
-	docs[tree.Context] = b.Context
-	return Snapshot(s.Query, docs)
+	return Snapshot(s.Query, b.AllDocs())
 }
 
 // EvalFull computes the full result [q](I) of a positive+reg query over a

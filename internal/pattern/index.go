@@ -41,7 +41,7 @@ type Index struct {
 
 	// hits counts matches answered through the index (anchored matching or
 	// an empty-candidate early reject); misses counts matches on this
-	// index that fell back to the naive walk (no usable anchor, or an
+	// index that fell back to the tree walk (no usable anchor, or an
 	// anchor too common to beat the walk). Atomic; readable via Stats.
 	hits, misses atomic.Uint64
 }
@@ -86,7 +86,7 @@ func (ix *Index) Len() int {
 }
 
 // Stats returns the cumulative hit/miss counters: matches served through
-// the index versus matches that fell back to the naive walk.
+// the index versus matches that fell back to the tree walk.
 func (ix *Index) Stats() (hits, misses uint64) {
 	if ix == nil {
 		return 0, 0
@@ -186,7 +186,7 @@ func (ix *Index) Selectivity(p *Node) int {
 type planKind uint8
 
 const (
-	planNaive    planKind = iota // no usable anchor: walk the tree
+	planWalk     planKind = iota // no usable anchor: walk the tree
 	planAnchored                 // enumerate the anchor's candidate list
 	planReject                   // an anchor has zero candidates: no match
 )
@@ -205,8 +205,10 @@ type anchorPlan struct {
 // at depth ≥ 1, with the shortest candidate list. Depth-0 nodes cannot
 // anchor (their image is the match root, checked in O(1) by bindMarking
 // anyway). Returns planReject when some required marking has no
-// occurrence at all, planNaive when no anchor exists or the best one is
-// too common to beat the walk.
+// occurrence at all, planWalk when no anchor exists or the best one is
+// too common to beat the walk: the choice follows from candidate counts
+// observed here, so both strategies stay and nothing selects them from
+// outside.
 func (ix *Index) plan(p *Node, base Assignment) (anchorPlan, planKind) {
 	best := anchorPlan{count: -1}
 	var path []*Node
@@ -229,14 +231,14 @@ func (ix *Index) plan(p *Node, base Assignment) (anchorPlan, planKind) {
 	walk(p)
 	switch {
 	case best.count < 0:
-		return best, planNaive
+		return best, planWalk
 	case best.count == 0:
 		return best, planReject
 	case best.count*4 >= ix.live+ix.dead:
 		// The rarest anchor covers a quarter of the document: candidate
-		// enumeration would approximate the naive walk with extra map
+		// enumeration would approximate the tree walk with extra map
 		// traffic. Let the walk run.
-		return best, planNaive
+		return best, planWalk
 	default:
 		return best, planAnchored
 	}
@@ -297,57 +299,34 @@ func (ix *Index) spineTo(c *tree.Node, k int, d *tree.Node) ([]*tree.Node, bool)
 	return nil, false
 }
 
-// MatchUnder is pattern.MatchUnder accelerated by the index: when the
-// match root is the indexed document root and p has a selective anchor,
-// only the anchor's candidate embeddings are verified; otherwise the
-// naive walk runs. The root restriction is deliberate — a match rooted
-// below the document root (a deep context, a synthetic input node) scans
-// a subtree that may be far smaller than the anchor's document-wide
-// candidate list, where the walk already wins. A nil *Index degrades to
-// the naive walk, so callers thread optional indexes without branching.
-// Results are identical to pattern.MatchUnder in all cases.
-func (ix *Index) MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
-	if p == nil || d == nil {
-		return nil
-	}
-	if base == nil {
-		base = Assignment{}
-	}
-	if ix != nil && d == ix.root {
-		plan, kind := ix.plan(p, base)
-		switch kind {
-		case planReject:
-			ix.hits.Add(1)
-			return nil
-		case planAnchored:
-			ix.hits.Add(1)
-			k := len(plan.spine) - 1
-			var results []Assignment
-			for _, c := range ix.bySym[plan.sym] {
-				dspine, ok := ix.spineTo(c, k, d)
-				if !ok {
-					continue
-				}
-				results = append(results, matchSpine(plan.spine, dspine, 0, base)...)
-			}
-			return dedup(results)
-		}
-	}
-	if ix != nil {
-		ix.misses.Add(1)
-	}
-	return dedup(matchNode(p, d, base))
-}
-
 // Match is MatchUnder with an empty base.
 func (ix *Index) Match(p *Node, d *tree.Node) []Assignment {
 	return ix.MatchUnder(p, d, nil)
 }
 
-// MatchUnderSince is pattern.MatchUnderSince accelerated by the index;
-// see MatchUnder for the anchoring strategy and Stamped for the
-// freshness semantics. Results (including New flags) are identical to
-// pattern.MatchUnderSince.
+// MatchUnder is MatchUnderSince with no baseline to track against: the
+// assignment set alone.
+func (ix *Index) MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
+	return Assignments(ix.MatchUnderSince(p, d, base, math.MaxUint64))
+}
+
+// MatchUnderSince is the one matching entry point: every assignment
+// extending base under which p embeds into d with the pattern root on d,
+// deduplicated, each carrying New=true iff some embedding witnessing it
+// maps a pattern node onto a document node with Stamp > since (for tree
+// variables, onto a subtree whose MaxStamp exceeds since). No stamp
+// exceeds since = math.MaxUint64, the "no baseline" convention the plain
+// Match functions use: every flag is false and no freshness work is done.
+// The base assignment is not modified.
+//
+// When the match root is the indexed document root and p has a selective
+// anchor, only the anchor's candidate embeddings are verified; otherwise
+// the tree walk runs. The root restriction is deliberate — a match rooted
+// below the document root (a deep context, a synthetic input node) scans
+// a subtree that may be far smaller than the anchor's document-wide
+// candidate list, where the walk already wins. A nil *Index degrades to
+// the walk, so callers thread optional indexes without branching. The
+// plan only changes the work done, never the result.
 func (ix *Index) MatchUnderSince(p *Node, d *tree.Node, base Assignment, since uint64) []Stamped {
 	if p == nil || d == nil {
 		return nil
@@ -370,65 +349,43 @@ func (ix *Index) MatchUnderSince(p *Node, d *tree.Node, base Assignment, since u
 				if !ok {
 					continue
 				}
-				results = append(results, matchSpineSince(plan.spine, dspine, 0, Stamped{Asn: base}, since)...)
+				results = append(results, matchSpine(plan.spine, dspine, 0, Stamped{Asn: base}, since)...)
 			}
-			return dedupStamped(results)
+			return DedupStamped(results)
 		}
 	}
 	if ix != nil {
 		ix.misses.Add(1)
 	}
-	return dedupStamped(matchNodeSince(p, d, Stamped{Asn: base}, since))
+	return DedupStamped(matchNode(p, d, Stamped{Asn: base}, since))
 }
 
 // matchSpine matches the pattern spine against the forced document spine:
 // pspine[i] must map exactly onto dspine[i] (the anchor's image chain is
 // unique because every pattern edge descends exactly one level), while
 // every off-spine pattern child matches freely — possibly onto the spine
-// child too, exactly as in tree subsumption.
-func matchSpine(pspine []*Node, dspine []*tree.Node, i int, asn Assignment) []Assignment {
-	p, d := pspine[i], dspine[i]
-	next, ok := bindMarking(p, d, asn)
-	if !ok {
-		return nil
-	}
-	if i == len(pspine)-1 {
-		// The anchor itself: its pattern children (if any) match freely
-		// below its image.
-		return matchChildren(p.Children, d, []Assignment{next})
-	}
-	// Forced spine child first — it is the selective one — then the
-	// remaining children against all of d's children.
-	asns := matchSpine(pspine, dspine, i+1, next)
-	if len(asns) == 0 {
-		return nil
-	}
-	if rest := offSpine(p, pspine[i+1]); len(rest) > 0 {
-		asns = matchChildren(rest, d, asns)
-	}
-	return asns
-}
-
-// matchSpineSince is matchSpine with freshness tracking (see Stamped).
-func matchSpineSince(pspine []*Node, dspine []*tree.Node, i int, st Stamped, since uint64) []Stamped {
+// child too, exactly as in tree subsumption. Freshness is tracked as in
+// matchNode.
+func matchSpine(pspine []*Node, dspine []*tree.Node, i int, st Stamped, since uint64) []Stamped {
 	p, d := pspine[i], dspine[i]
 	next, ok := bindMarking(p, d, st.Asn)
 	if !ok {
 		return nil
 	}
-	fresh := st.New
-	if d.Stamp > since {
-		fresh = true
-	}
+	st = Stamped{Asn: next, New: st.New || d.Stamp > since}
 	if i == len(pspine)-1 {
-		return matchChildrenSince(p.Children, d, []Stamped{{Asn: next, New: fresh}}, since)
+		// The anchor itself: its pattern children (if any) match freely
+		// below its image.
+		return matchChildren(p.Children, d, []Stamped{st}, since)
 	}
-	sts := matchSpineSince(pspine, dspine, i+1, Stamped{Asn: next, New: fresh}, since)
+	// Forced spine child first — it is the selective one — then the
+	// remaining children against all of d's children.
+	sts := matchSpine(pspine, dspine, i+1, st, since)
 	if len(sts) == 0 {
 		return nil
 	}
 	if rest := offSpine(p, pspine[i+1]); len(rest) > 0 {
-		sts = matchChildrenSince(rest, d, sts, since)
+		sts = matchChildren(rest, d, sts, since)
 	}
 	return sts
 }

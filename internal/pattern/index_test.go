@@ -241,9 +241,15 @@ func TestIndexSelectivity(t *testing.T) {
 }
 
 // TestIndexedMatchRandomized cross-checks on random documents and random
-// patterns drawn from the document's own markings.
+// patterns drawn from the document's own markings. Nodes carry random
+// stamps (from a second source, so the documents and patterns are the ones
+// seed 7 always drew), which also pins the identities the single matcher
+// rests on: the baseline never changes which assignments match, only
+// their flags, and no flag is set at the math.MaxUint64 baseline Match
+// itself runs at.
 func TestIndexedMatchRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	stampRng := rand.New(rand.NewSource(11))
 	labels := []string{"a", "b", "c", "d"}
 	values := []string{"u", "v", "w"}
 	randTree := func(depth int) *tree.Node {
@@ -299,11 +305,31 @@ func TestIndexedMatchRandomized(t *testing.T) {
 	}
 	for trial := 0; trial < 60; trial++ {
 		doc := randTree(4)
+		doc.Walk(func(n, _ *tree.Node) bool {
+			n.Stamp = uint64(stampRng.Intn(9))
+			return true
+		})
+		maxStamp := doc.MaxStamp()
 		ix := NewIndex(doc)
 		for pi := 0; pi < 10; pi++ {
 			p := randPattern(3)
 			if err := p.Validate(); err != nil {
 				continue
+			}
+			want := Match(p, doc)
+			for _, since := range []uint64{0, maxStamp / 2, maxStamp, math.MaxUint64} {
+				for plan, sts := range map[string][]Stamped{
+					"walk":    MatchUnderSince(p, doc, nil, since),
+					"indexed": ix.MatchUnderSince(p, doc, nil, since),
+				} {
+					what := fmt.Sprintf("trial %d pattern %d since %d %s: %s", trial, pi, since, plan, p)
+					assertSameAssignments(t, want, Assignments(sts), what)
+					for _, st := range sts {
+						if st.New && since >= maxStamp {
+							t.Fatalf("%s: %s flagged new above every stamp", what, st.Asn.Key())
+						}
+					}
+				}
 			}
 			assertSameAssignments(t, Match(p, doc), ix.Match(p, doc),
 				fmt.Sprintf("trial %d pattern %d: %s", trial, pi, p))

@@ -14,10 +14,20 @@
 // variable consistently) and every pattern child must map into some
 // document child. Different pattern children may map to the same document
 // child, exactly as in tree subsumption.
+//
+// There is one matcher: (*Index).MatchUnderSince. Its recursion threads a
+// freshness flag per assignment (Stamped) against a baseline version;
+// matching with no baseline — Match, MatchUnder — is that recursion at
+// since = math.MaxUint64, which no stamp exceeds. Its plan (reject /
+// anchored / walk, see index.go) only chooses how much of the document is
+// visited. Matchers over other structures (pathexpr's NFA paths, regular's
+// vertex graphs) share the marking test (Compatible, BindAtom) and the
+// dedups (Dedup, DedupStamped) instead of carrying copies.
 package pattern
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -352,106 +362,13 @@ func Match(p *Node, d *tree.Node) []Assignment {
 // returned assignment must extend consistently. The base assignment is not
 // modified.
 func MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
-	if p == nil || d == nil {
-		return nil
-	}
-	if base == nil {
-		base = Assignment{}
-	}
-	results := matchNode(p, d, base)
-	return dedup(results)
+	return (*Index)(nil).MatchUnder(p, d, base)
 }
 
-func dedup(as []Assignment) []Assignment {
-	seen := make(map[string]bool, len(as))
-	out := as[:0]
-	for _, a := range as {
-		k := a.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// matchNode returns all extensions of asn under which p maps onto d.
-func matchNode(p *Node, d *tree.Node, asn Assignment) []Assignment {
-	next, ok := bindMarking(p, d, asn)
-	if !ok {
-		return nil
-	}
-	if p.Kind == VarTree {
-		return []Assignment{next}
-	}
-	return matchChildren(p.Children, d, []Assignment{next})
-}
-
-// matchChildren requires every pattern child to map into some child of d,
-// threading assignments through.
-func matchChildren(pcs []*Node, d *tree.Node, asns []Assignment) []Assignment {
-	for _, pc := range pcs {
-		var extended []Assignment
-		for _, asn := range asns {
-			for _, dc := range d.Children {
-				extended = append(extended, matchNode(pc, dc, asn)...)
-			}
-		}
-		if len(extended) == 0 {
-			return nil
-		}
-		asns = dedup(extended)
-	}
-	return asns
-}
-
-// bindMarking checks marking compatibility of p against d under asn,
-// returning the (possibly extended) assignment.
-func bindMarking(p *Node, d *tree.Node, asn Assignment) (Assignment, bool) {
-	switch p.Kind {
-	case ConstLabel:
-		return asn, d.Kind == tree.Label && d.Name == p.Name
-	case ConstValue:
-		return asn, d.Kind == tree.Value && d.Name == p.Name
-	case ConstFunc:
-		return asn, d.Kind == tree.Func && d.Name == p.Name
-	case VarLabel:
-		if d.Kind != tree.Label {
-			return asn, false
-		}
-		return bindAtom(p.Name, d.Name, asn)
-	case VarValue:
-		if d.Kind != tree.Value {
-			return asn, false
-		}
-		return bindAtom(p.Name, d.Name, asn)
-	case VarFunc:
-		if d.Kind != tree.Func {
-			return asn, false
-		}
-		return bindAtom(p.Name, d.Name, asn)
-	case VarTree:
-		if prev, ok := asn[p.Name]; ok {
-			if prev.Tree == nil || !tree.Isomorphic(prev.Tree, d) {
-				return asn, false
-			}
-			return asn, true
-		}
-		next := asn.Copy()
-		next[p.Name] = Binding{Tree: d}
-		return next, true
-	default:
-		return asn, false
-	}
-}
-
-func bindAtom(name, atom string, asn Assignment) (Assignment, bool) {
-	if prev, ok := asn[name]; ok {
-		return asn, prev.Tree == nil && prev.Atom == atom
-	}
-	next := asn.Copy()
-	next[name] = Binding{Atom: atom}
-	return next, true
+// MatchUnderSince is MatchUnder with freshness tracking, by the tree walk
+// alone; see (*Index).MatchUnderSince, whose nil receiver it is.
+func MatchUnderSince(p *Node, d *tree.Node, base Assignment, since uint64) []Stamped {
+	return (*Index)(nil).MatchUnderSince(p, d, base, since)
 }
 
 // Stamped is an assignment annotated with whether any witnessing
@@ -465,24 +382,42 @@ type Stamped struct {
 	New bool
 }
 
-// MatchUnderSince is MatchUnder with freshness tracking: each returned
-// assignment carries New=true iff some embedding witnessing it maps a
-// pattern node onto a document node with Stamp > since (for tree
-// variables, onto a subtree whose MaxStamp exceeds since). With since=0
-// and an unstamped document, every assignment is old.
-func MatchUnderSince(p *Node, d *tree.Node, base Assignment, since uint64) []Stamped {
-	if p == nil || d == nil {
+// Assignments projects the flags away, keeping order; nil for no match.
+func Assignments(sts []Stamped) []Assignment {
+	if len(sts) == 0 {
 		return nil
 	}
-	if base == nil {
-		base = Assignment{}
+	out := make([]Assignment, len(sts))
+	for i, st := range sts {
+		out[i] = st.Asn
 	}
-	return dedupStamped(matchNodeSince(p, d, Stamped{Asn: base}, since))
+	return out
 }
 
-// dedupStamped deduplicates by assignment key, OR-ing the New flags: an
-// assignment is new iff at least one of its witnessing embeddings is.
-func dedupStamped(as []Stamped) []Stamped {
+// Dedup drops assignments whose Key already occurred, in place.
+func Dedup(as []Assignment) []Assignment {
+	if len(as) < 2 {
+		return as
+	}
+	seen := make(map[string]bool, len(as))
+	out := as[:0]
+	for _, a := range as {
+		k := a.Key()
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// DedupStamped deduplicates by assignment key in place, OR-ing the New
+// flags: an assignment is new iff at least one of its witnessing
+// embeddings is.
+func DedupStamped(as []Stamped) []Stamped {
+	if len(as) < 2 {
+		return as
+	}
 	idx := make(map[string]int, len(as))
 	out := as[:0]
 	for _, a := range as {
@@ -499,40 +434,97 @@ func dedupStamped(as []Stamped) []Stamped {
 	return out
 }
 
-func matchNodeSince(p *Node, d *tree.Node, st Stamped, since uint64) []Stamped {
+// matchNode returns all extensions of st under which p maps onto d, each
+// flagged New when st was or the embedding touches a node stamped after
+// since. It is the only recursion over document trees: matching without a
+// baseline passes since = math.MaxUint64, which no stamp exceeds.
+func matchNode(p *Node, d *tree.Node, st Stamped, since uint64) []Stamped {
 	next, ok := bindMarking(p, d, st.Asn)
 	if !ok {
 		return nil
 	}
-	fresh := st.New
 	if p.Kind == VarTree {
-		// The bound value is the whole subtree: it is fresh if any of
-		// its nodes arrived after the baseline.
-		if d.MaxStamp() > since {
-			fresh = true
-		}
+		// The bound value is the whole subtree: it is fresh if any of its
+		// nodes arrived after the baseline — a walk worth skipping when
+		// nothing can be.
+		fresh := st.New || (since != math.MaxUint64 && d.MaxStamp() > since)
 		return []Stamped{{Asn: next, New: fresh}}
 	}
-	if d.Stamp > since {
-		fresh = true
-	}
-	return matchChildrenSince(p.Children, d, []Stamped{{Asn: next, New: fresh}}, since)
+	return matchChildren(p.Children, d, []Stamped{{Asn: next, New: st.New || d.Stamp > since}}, since)
 }
 
-func matchChildrenSince(pcs []*Node, d *tree.Node, sts []Stamped, since uint64) []Stamped {
+// matchChildren requires every pattern child to map into some child of d,
+// threading assignments through.
+func matchChildren(pcs []*Node, d *tree.Node, sts []Stamped, since uint64) []Stamped {
 	for _, pc := range pcs {
 		var extended []Stamped
 		for _, st := range sts {
 			for _, dc := range d.Children {
-				extended = append(extended, matchNodeSince(pc, dc, st, since)...)
+				extended = append(extended, matchNode(pc, dc, st, since)...)
 			}
 		}
 		if len(extended) == 0 {
 			return nil
 		}
-		sts = dedupStamped(extended)
+		sts = DedupStamped(extended)
 	}
 	return sts
+}
+
+// Compatible reports whether pattern node p can be placed on a node marked
+// (kind, name), ignoring variable bindings: a constant needs that exact
+// marking, an atom variable that node kind, a tree variable nothing.
+func Compatible(p *Node, kind tree.Kind, name string) bool {
+	switch p.Kind {
+	case ConstLabel:
+		return kind == tree.Label && name == p.Name
+	case ConstValue:
+		return kind == tree.Value && name == p.Name
+	case ConstFunc:
+		return kind == tree.Func && name == p.Name
+	case VarLabel:
+		return kind == tree.Label
+	case VarValue:
+		return kind == tree.Value
+	case VarFunc:
+		return kind == tree.Func
+	default:
+		return p.Kind == VarTree
+	}
+}
+
+// BindAtom places the constant or atom-variable pattern node p on a node
+// marked (kind, name) under asn, returning the (possibly extended)
+// assignment: the marking must be Compatible and a variable bound in asn
+// must be bound to that name. Tree variables bind subtrees, not markings,
+// and never succeed here. Taking the marking instead of a *tree.Node lets
+// matchers over other node types (graph vertices) share it.
+func BindAtom(p *Node, kind tree.Kind, name string, asn Assignment) (Assignment, bool) {
+	if p.Kind == VarTree || !Compatible(p, kind, name) {
+		return asn, false
+	}
+	if !p.Kind.IsVar() {
+		return asn, true
+	}
+	if prev, ok := asn[p.Name]; ok {
+		return asn, prev.Tree == nil && prev.Atom == name
+	}
+	next := asn.Copy()
+	next[p.Name] = Binding{Atom: name}
+	return next, true
+}
+
+// bindMarking is BindAtom on a document node, plus the tree-variable case.
+func bindMarking(p *Node, d *tree.Node, asn Assignment) (Assignment, bool) {
+	if p.Kind != VarTree {
+		return BindAtom(p, d.Kind, d.Name, asn)
+	}
+	if prev, ok := asn[p.Name]; ok {
+		return asn, prev.Tree != nil && tree.Isomorphic(prev.Tree, d)
+	}
+	next := asn.Copy()
+	next[p.Name] = Binding{Tree: d}
+	return next, true
 }
 
 // Instantiate applies the assignment to a head pattern, producing the tree

@@ -11,10 +11,18 @@
 // (3) no tree variable occurs twice in the body and inequalities never
 // involve tree variables. Validate enforces all of it. These restrictions
 // are what make the snapshot semantics monotone (Proposition 3.1).
+//
+// Evaluation is one function of (query, documents, baseline, indexes):
+// Snapshot, SnapshotSince and BodyAssignments are its three entry points.
+// It is assembled from three helpers every other body evaluator
+// (pathexpr over NFA paths, regular over vertex graphs) also uses, so the
+// definition exists once: Fold joins the atoms left to right, IneqsHold
+// checks the inequalities, Answers instantiates the head and reduces.
 package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"axml/internal/pattern"
@@ -229,7 +237,7 @@ type Docs map[string]*tree.Node
 // the index of the document that owns the bound subtree: the index
 // accelerates the match exactly when the context is the whole document
 // (a root-level call) and degrades to the walk otherwise. A nil map, a
-// missing entry or a nil index all degrade to the naive walk.
+// missing entry or a nil index all degrade to the tree walk.
 type Indexes map[string]*pattern.Index
 
 // Snapshot evaluates the query on the given document binding without
@@ -237,25 +245,7 @@ type Indexes map[string]*pattern.Index
 // returned forest consists of freshly allocated, reduced trees with no
 // tree subsumed by another.
 func Snapshot(q *Query, docs Docs) (tree.Forest, error) {
-	return SnapshotIndexed(q, docs, nil)
-}
-
-// SnapshotIndexed is Snapshot accelerated by per-document inverted
-// indexes. Results are identical to Snapshot.
-func SnapshotIndexed(q *Query, docs Docs, ixs Indexes) (tree.Forest, error) {
-	asns, err := BodyAssignmentsIndexed(q, docs, ixs)
-	if err != nil {
-		return nil, err
-	}
-	var out tree.Forest
-	for _, asn := range asns {
-		t, err := pattern.Instantiate(q.Head, asn)
-		if err != nil {
-			return nil, fmt.Errorf("query %s: %w", q.Name, err)
-		}
-		out = append(out, t)
-	}
-	return subsume.ReduceForest(out), nil
+	return SnapshotSince(q, docs, nil, nil)
 }
 
 // SnapshotSince is Snapshot restricted to the delta: it instantiates only
@@ -263,128 +253,129 @@ func SnapshotIndexed(q *Query, docs Docs, ixs Indexes) (tree.Forest, error) {
 // touches a node stamped after the per-document baseline in since (keyed
 // by atom document name, including the reserved "input"/"context"). A
 // document name missing from since is treated as all-new (full
-// re-evaluation for its atoms). A nil since is exactly Snapshot. By
+// re-evaluation for its atoms), so a nil since is exactly Snapshot. By
 // monotonicity (Proposition 3.1), assignments whose every witness is old
 // were already produced at the baseline, so skipping them loses nothing.
-func SnapshotSince(q *Query, docs Docs, since map[string]uint64) (tree.Forest, error) {
-	return SnapshotSinceIndexed(q, docs, since, nil)
-}
-
-// SnapshotSinceIndexed is SnapshotSince accelerated by per-document
-// inverted indexes. Results are identical to SnapshotSince.
-func SnapshotSinceIndexed(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (tree.Forest, error) {
-	if since == nil {
-		return SnapshotIndexed(q, docs, ixs)
-	}
-	sts, err := bodyAssignmentsSince(q, docs, since, ixs)
+// ixs only accelerates (see Indexes); nil walks every document.
+func SnapshotSince(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (tree.Forest, error) {
+	sts, err := bodyAssignments(q, docs, since, ixs)
 	if err != nil {
 		return nil, err
 	}
-	var out tree.Forest
+	asns := make([]pattern.Assignment, 0, len(sts))
 	for _, st := range sts {
-		if !st.New {
-			continue
+		if st.New {
+			asns = append(asns, st.Asn)
 		}
-		t, err := pattern.Instantiate(q.Head, st.Asn)
+	}
+	return Answers(q.Name, q.Head, asns)
+}
+
+// BodyAssignments computes every assignment satisfying the body and the
+// inequalities, restricted to the variables, deduplicated.
+func BodyAssignments(q *Query, docs Docs) ([]pattern.Assignment, error) {
+	sts, err := bodyAssignments(q, docs, nil, nil)
+	return pattern.Assignments(sts), err
+}
+
+// Fold is the left-to-right join of an n-atom body: starting from seed,
+// atom i extends every partial result of atoms 0..i-1 through step, the
+// extensions are deduplicated, and an atom that extends nothing ends the
+// fold empty. Every evaluator of positive bodies — over trees here, over
+// NFA paths in pathexpr, over cyclic graphs in regular — is this fold with
+// its own step, so the join strategy has one place to change.
+func Fold[A any](n int, seed A, step func(i int, base A) []A, dedup func([]A) []A) []A {
+	cur := []A{seed}
+	for i := 0; i < n; i++ {
+		var next []A
+		for _, base := range cur {
+			next = append(next, step(i, base)...)
+		}
+		if len(next) == 0 {
+			return nil
+		}
+		cur = dedup(next)
+	}
+	return cur
+}
+
+// IneqsHold reports whether asn satisfies every inequality. A variable
+// that is unbound or bound to a tree is an error, not a mismatch:
+// Validate rules both out, so meeting one means an unvalidated query.
+func IneqsHold(ineqs []Ineq, asn pattern.Assignment) (bool, error) {
+	val := func(t Term) (string, error) {
+		if t.Var == "" {
+			return t.Const, nil
+		}
+		b, ok := asn[t.Var]
+		if !ok {
+			return "", fmt.Errorf("inequality variable %s unbound", t.Var)
+		}
+		if b.Tree != nil {
+			return "", fmt.Errorf("inequality variable %s bound to a tree", t.Var)
+		}
+		return b.Atom, nil
+	}
+	for _, e := range ineqs {
+		l, err := val(e.Left)
 		if err != nil {
-			return nil, fmt.Errorf("query %s: %w", q.Name, err)
+			return false, err
+		}
+		r, err := val(e.Right)
+		if err != nil {
+			return false, err
+		}
+		if l == r {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// Answers instantiates head under every assignment and reduces the
+// forest: the last step of every snapshot evaluation. name labels errors.
+func Answers(name string, head *pattern.Node, asns []pattern.Assignment) (tree.Forest, error) {
+	var out tree.Forest
+	for _, asn := range asns {
+		t, err := pattern.Instantiate(head, asn)
+		if err != nil {
+			return nil, fmt.Errorf("query %s: %w", name, err)
 		}
 		out = append(out, t)
 	}
 	return subsume.ReduceForest(out), nil
 }
 
-// bodyAssignmentsSince is BodyAssignments with per-assignment freshness:
-// the New flag of each result reports whether some witnessing embedding
-// maps a pattern node onto a document node appended after the baseline
-// version of that atom's document.
-func bodyAssignmentsSince(q *Query, docs Docs, since map[string]uint64, ixs Indexes) ([]pattern.Stamped, error) {
-	sts := []pattern.Stamped{{Asn: pattern.Assignment{}}}
-	for _, a := range orderAtoms(q, ixs) {
-		doc := docs[a.Doc]
-		if doc == nil {
-			return nil, nil
-		}
+// bodyAssignments computes the assignments satisfying the body and the
+// inequalities, each flagged New when some witnessing embedding maps a
+// pattern node onto a document node appended after that atom's baseline
+// in since. An atom whose document has no baseline makes all its matches
+// new; with a nil since that is every atom (and the empty body), so every
+// assignment comes back New. Atoms are joined in greedy selectivity order
+// (see orderAtoms), each through its document's index when ixs has one.
+func bodyAssignments(q *Query, docs Docs, since map[string]uint64, ixs Indexes) ([]pattern.Stamped, error) {
+	atoms := orderAtoms(q, ixs)
+	seed := pattern.Stamped{Asn: pattern.Assignment{}, New: since == nil}
+	sts := Fold(len(atoms), seed, func(i int, st pattern.Stamped) []pattern.Stamped {
+		a := atoms[i]
 		base, known := since[a.Doc]
-		ix := ixs[a.Doc]
-		var next []pattern.Stamped
-		for _, st := range sts {
-			for _, m := range ix.MatchUnderSince(a.Pattern, doc, st.Asn, base) {
-				// An unknown baseline makes every match of this atom new
-				// (conservative full re-evaluation for this conjunct).
-				next = append(next, pattern.Stamped{Asn: m.Asn, New: st.New || m.New || !known})
-			}
+		if !known {
+			base = math.MaxUint64 // nothing to track: all new below
 		}
-		if len(next) == 0 {
-			return nil, nil
+		ms := ixs[a.Doc].MatchUnderSince(a.Pattern, docs[a.Doc], st.Asn, base)
+		for j := range ms {
+			ms[j].New = ms[j].New || st.New || !known
 		}
-		sts = dedupStamped(next)
-	}
+		return ms
+	}, pattern.DedupStamped)
 	out := sts[:0]
 	for _, st := range sts {
-		ok, err := satisfiesIneqs(q, st.Asn)
+		ok, err := IneqsHold(q.Ineqs, st.Asn)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("query %s: %w", q.Name, err)
 		}
 		if ok {
 			out = append(out, st)
-		}
-	}
-	return out, nil
-}
-
-func dedupStamped(as []pattern.Stamped) []pattern.Stamped {
-	idx := make(map[string]int, len(as))
-	out := as[:0]
-	for _, a := range as {
-		k := a.Asn.Key()
-		if i, ok := idx[k]; ok {
-			if a.New {
-				out[i].New = true
-			}
-			continue
-		}
-		idx[k] = len(out)
-		out = append(out, a)
-	}
-	return out
-}
-
-// BodyAssignments computes every assignment satisfying the body and the
-// inequalities, restricted to the variables, deduplicated.
-func BodyAssignments(q *Query, docs Docs) ([]pattern.Assignment, error) {
-	return BodyAssignmentsIndexed(q, docs, nil)
-}
-
-// BodyAssignmentsIndexed is BodyAssignments accelerated by per-document
-// inverted indexes: atoms are joined in greedy selectivity order (see
-// orderAtoms) and each atom matches through its document's index when one
-// is provided. The assignment set is identical to BodyAssignments.
-func BodyAssignmentsIndexed(q *Query, docs Docs, ixs Indexes) ([]pattern.Assignment, error) {
-	asns := []pattern.Assignment{{}}
-	for _, a := range orderAtoms(q, ixs) {
-		doc := docs[a.Doc]
-		if doc == nil {
-			return nil, nil
-		}
-		ix := ixs[a.Doc]
-		var next []pattern.Assignment
-		for _, asn := range asns {
-			next = append(next, ix.MatchUnder(a.Pattern, doc, asn)...)
-		}
-		if len(next) == 0 {
-			return nil, nil
-		}
-		asns = dedupAssignments(next)
-	}
-	var out []pattern.Assignment
-	for _, asn := range asns {
-		ok, err := satisfiesIneqs(q, asn)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, asn)
 		}
 	}
 	return out, nil
@@ -438,48 +429,4 @@ func orderAtoms(q *Query, ixs Indexes) []Atom {
 		}
 	}
 	return out
-}
-
-func dedupAssignments(as []pattern.Assignment) []pattern.Assignment {
-	seen := make(map[string]bool, len(as))
-	out := as[:0]
-	for _, a := range as {
-		k := a.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func satisfiesIneqs(q *Query, asn pattern.Assignment) (bool, error) {
-	for _, e := range q.Ineqs {
-		l, err := termValue(q, e.Left, asn)
-		if err != nil {
-			return false, err
-		}
-		r, err := termValue(q, e.Right, asn)
-		if err != nil {
-			return false, err
-		}
-		if l == r {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func termValue(q *Query, t Term, asn pattern.Assignment) (string, error) {
-	if t.Var == "" {
-		return t.Const, nil
-	}
-	b, ok := asn[t.Var]
-	if !ok {
-		return "", fmt.Errorf("query %s: inequality variable %s unbound", q.Name, t.Var)
-	}
-	if b.Tree != nil {
-		return "", fmt.Errorf("query %s: inequality variable %s bound to a tree", q.Name, t.Var)
-	}
-	return b.Atom, nil
 }

@@ -177,7 +177,7 @@ func (g *Graph) saturateOnce(s *core.System) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("regular: call to unknown or non-positive service %q", e.fn.Name)
 		}
-		asns, err := g.evalBody(s, svc.Query, e)
+		asns, err := g.evalBody(svc.Query, e)
 		if err != nil {
 			return false, err
 		}
@@ -195,36 +195,36 @@ func (g *Graph) saturateOnce(s *core.System) (bool, error) {
 
 // evalBody computes the satisfying assignments of the service query's body
 // against the graph, with input and context bound per Section 2.2.
-func (g *Graph) evalBody(s *core.System, q *query.Query, e callEdge) ([]pattern.Assignment, error) {
+func (g *Graph) evalBody(q *query.Query, e callEdge) ([]pattern.Assignment, error) {
 	input := g.newVertex(tree.Label, tree.Input, nil)
 	input.Children = e.fn.Children
-	binding := map[string]*Vertex{
-		tree.Input:   input,
-		tree.Context: e.parent,
-	}
-	for name, root := range g.Roots {
-		binding[name] = root
-	}
-	asns := []pattern.Assignment{{}}
-	for _, a := range q.Body {
-		doc := binding[a.Doc]
-		if doc == nil {
-			return nil, nil
+	return g.bodyAssignments(q, func(doc string) *Vertex {
+		switch doc {
+		case tree.Input:
+			return input
+		case tree.Context:
+			return e.parent
 		}
-		var next []pattern.Assignment
-		for _, asn := range asns {
-			next = append(next, g.match(a.Pattern, doc, asn)...)
+		return g.Roots[doc]
+	})
+}
+
+// bodyAssignments computes the assignments satisfying q's body and
+// inequalities over the graph, roots giving the root vertex of each
+// document name: query.Fold with the graph matcher as its step.
+func (g *Graph) bodyAssignments(q *query.Query, roots func(doc string) *Vertex) ([]pattern.Assignment, error) {
+	asns := query.Fold(len(q.Body), pattern.Assignment{}, func(i int, asn pattern.Assignment) []pattern.Assignment {
+		root := roots(q.Body[i].Doc)
+		if root == nil {
+			return nil
 		}
-		if len(next) == 0 {
-			return nil, nil
-		}
-		asns = dedupAssignments(next)
-	}
-	var out []pattern.Assignment
+		return g.match(q.Body[i].Pattern, root, asn)
+	}, pattern.Dedup)
+	out := asns[:0]
 	for _, asn := range asns {
-		ok, err := ineqsHold(q, asn)
+		ok, err := query.IneqsHold(q.Ineqs, asn)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("regular: query %s: %w", q.Name, err)
 		}
 		if ok {
 			out = append(out, asn)
@@ -308,7 +308,7 @@ func (g *Graph) instantiate(head *pattern.Node, asn pattern.Assignment, key, pos
 // pattern root at vertex v. Patterns have finite depth, so the recursion
 // terminates despite graph cycles.
 func (g *Graph) match(p *pattern.Node, v *Vertex, asn pattern.Assignment) []pattern.Assignment {
-	next, ok := bindVertex(p, v, asn)
+	next, ok := pattern.BindAtom(p, v.Kind, v.Name, asn)
 	if !ok {
 		return nil
 	}
@@ -323,82 +323,9 @@ func (g *Graph) match(p *pattern.Node, v *Vertex, asn pattern.Assignment) []patt
 		if len(extended) == 0 {
 			return nil
 		}
-		asns = dedupAssignments(extended)
+		asns = pattern.Dedup(extended)
 	}
 	return asns
-}
-
-func bindVertex(p *pattern.Node, v *Vertex, asn pattern.Assignment) (pattern.Assignment, bool) {
-	switch p.Kind {
-	case pattern.ConstLabel:
-		return asn, v.Kind == tree.Label && v.Name == p.Name
-	case pattern.ConstValue:
-		return asn, v.Kind == tree.Value && v.Name == p.Name
-	case pattern.ConstFunc:
-		return asn, v.Kind == tree.Func && v.Name == p.Name
-	case pattern.VarLabel:
-		if v.Kind != tree.Label {
-			return asn, false
-		}
-	case pattern.VarValue:
-		if v.Kind != tree.Value {
-			return asn, false
-		}
-	case pattern.VarFunc:
-		if v.Kind != tree.Func {
-			return asn, false
-		}
-	default:
-		// Tree variables are rejected earlier (simple systems only).
-		return asn, false
-	}
-	if prev, ok := asn[p.Name]; ok {
-		return asn, prev.Tree == nil && prev.Atom == v.Name
-	}
-	next := asn.Copy()
-	next[p.Name] = pattern.Binding{Atom: v.Name}
-	return next, true
-}
-
-func dedupAssignments(as []pattern.Assignment) []pattern.Assignment {
-	seen := make(map[string]bool, len(as))
-	out := as[:0]
-	for _, a := range as {
-		k := a.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func ineqsHold(q *query.Query, asn pattern.Assignment) (bool, error) {
-	for _, e := range q.Ineqs {
-		l, err := ineqVal(e.Left, asn)
-		if err != nil {
-			return false, err
-		}
-		r, err := ineqVal(e.Right, asn)
-		if err != nil {
-			return false, err
-		}
-		if l == r {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func ineqVal(t query.Term, asn pattern.Assignment) (string, error) {
-	if t.Var == "" {
-		return t.Const, nil
-	}
-	b, ok := asn[t.Var]
-	if !ok || b.Tree != nil {
-		return "", fmt.Errorf("regular: inequality variable %s unbound", t.Var)
-	}
-	return b.Atom, nil
 }
 
 // VertexCount returns the number of vertices reachable from the roots.
@@ -507,37 +434,11 @@ func (g *Graph) SnapshotQuery(q *query.Query) (tree.Forest, error) {
 	if !q.IsSimple() {
 		return nil, fmt.Errorf("regular: SnapshotQuery requires a simple query")
 	}
-	asns := []pattern.Assignment{{}}
-	for _, a := range q.Body {
-		root := g.Roots[a.Doc]
-		if root == nil {
-			return nil, nil
-		}
-		var next []pattern.Assignment
-		for _, asn := range asns {
-			next = append(next, g.match(a.Pattern, root, asn)...)
-		}
-		if len(next) == 0 {
-			return nil, nil
-		}
-		asns = dedupAssignments(next)
+	asns, err := g.bodyAssignments(q, func(doc string) *Vertex { return g.Roots[doc] })
+	if err != nil {
+		return nil, err
 	}
-	var out tree.Forest
-	for _, asn := range asns {
-		ok, err := ineqsHold(q, asn)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		t, err := pattern.Instantiate(q.Head, asn)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return subsume.ReduceForest(out), nil
+	return query.Answers(q.Name, q.Head, asns)
 }
 
 // String renders the graph as one line per reachable vertex, stable across

@@ -41,26 +41,18 @@ func (g *Graph) QFinite(q *query.Query) (finite bool, answer tree.Forest, err er
 	collectTreeVars(q.Head, headTreeVars)
 	cyclic := g.cycleReaching()
 
-	asns := []gAsn{{}}
-	for _, a := range q.Body {
-		root := g.Roots[a.Doc]
+	asns := query.Fold(len(q.Body), gAsn{}, func(i int, asn gAsn) []gAsn {
+		root := g.Roots[q.Body[i].Doc]
 		if root == nil {
-			return true, nil, nil
+			return nil
 		}
-		var next []gAsn
-		for _, asn := range asns {
-			next = append(next, g.matchG(a.Pattern, root, asn)...)
-		}
-		if len(next) == 0 {
-			return true, nil, nil
-		}
-		asns = dedupG(next)
-	}
+		return g.matchG(q.Body[i].Pattern, root, asn)
+	}, dedupG)
 	var out tree.Forest
 	for _, asn := range asns {
-		ok, err := gIneqsHold(q, asn)
+		ok, err := query.IneqsHold(q.Ineqs, asn.atoms())
 		if err != nil {
-			return false, nil, err
+			return false, nil, fmt.Errorf("regular: query %s: %w", q.Name, err)
 		}
 		if !ok {
 			continue
@@ -97,6 +89,18 @@ func (a gAsn) copyWith(name string, b gBinding) gAsn {
 	}
 	c[name] = b
 	return c
+}
+
+// atoms is the assignment's atom bindings as a pattern.Assignment — all an
+// inequality may mention; a vertex-bound tree variable reads as unbound.
+func (a gAsn) atoms() pattern.Assignment {
+	out := make(pattern.Assignment, len(a))
+	for name, b := range a {
+		if b.vtx == nil {
+			out[name] = pattern.Binding{Atom: b.atom}
+		}
+	}
+	return out
 }
 
 func (a gAsn) key() string {
@@ -163,61 +167,18 @@ func (g *Graph) matchG(p *pattern.Node, v *Vertex, asn gAsn) []gAsn {
 	return asns
 }
 
+// bindG is pattern.BindAtom over gAsn (matchG takes tree variables first).
 func bindG(p *pattern.Node, v *Vertex, asn gAsn) (gAsn, bool) {
-	switch p.Kind {
-	case pattern.ConstLabel:
-		return asn, v.Kind == tree.Label && v.Name == p.Name
-	case pattern.ConstValue:
-		return asn, v.Kind == tree.Value && v.Name == p.Name
-	case pattern.ConstFunc:
-		return asn, v.Kind == tree.Func && v.Name == p.Name
-	case pattern.VarLabel:
-		if v.Kind != tree.Label {
-			return asn, false
-		}
-	case pattern.VarValue:
-		if v.Kind != tree.Value {
-			return asn, false
-		}
-	case pattern.VarFunc:
-		if v.Kind != tree.Func {
-			return asn, false
-		}
-	default:
+	if !pattern.Compatible(p, v.Kind, v.Name) {
 		return asn, false
+	}
+	if !p.Kind.IsVar() {
+		return asn, true
 	}
 	if prev, ok := asn[p.Name]; ok {
 		return asn, prev.vtx == nil && prev.atom == v.Name
 	}
 	return asn.copyWith(p.Name, gBinding{atom: v.Name}), true
-}
-
-func gIneqsHold(q *query.Query, asn gAsn) (bool, error) {
-	for _, e := range q.Ineqs {
-		l, err := gTermVal(e.Left, asn)
-		if err != nil {
-			return false, err
-		}
-		r, err := gTermVal(e.Right, asn)
-		if err != nil {
-			return false, err
-		}
-		if l == r {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func gTermVal(t query.Term, asn gAsn) (string, error) {
-	if t.Var == "" {
-		return t.Const, nil
-	}
-	b, ok := asn[t.Var]
-	if !ok || b.vtx != nil {
-		return "", fmt.Errorf("regular: inequality variable %s unbound or tree-bound", t.Var)
-	}
-	return b.atom, nil
 }
 
 // instantiateG builds µ(head) with vertex bindings fully unfolded.

@@ -1,6 +1,7 @@
 #!/bin/sh
-# lint-obs.sh — ban bare stdlib printing, package-level http helpers
-# and exported global bool switches from library code.
+# lint-obs.sh — ban bare stdlib printing, package-level http helpers,
+# exported global bool switches and private copies of the assignment
+# dedup from library code.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -62,6 +63,21 @@ badswitch=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
 if [ -n "$badswitch" ]; then
     echo "vet-obs: exported package-level bool in library code (a behaviour switch as global state; make it a parameter or a test-only oracle):" >&2
     echo "$badswitch" >&2
+    exit 1
+fi
+# Deduplicating assignments is pattern.Dedup / pattern.DedupStamped; every
+# evaluator used to carry its own copy. Only internal/pattern and
+# internal/query may define a dedup* function over those slice types
+# (dedup helpers over other types — ints, strings, graph assignments —
+# are none of this rule's business).
+baddedup=$(grep -rn --include='*.go' -E '^func (\([^)]*\) )?dedup[A-Za-z0-9_]*\([^)]*\[\]pattern\.(Assignment|Stamped)\)' internal/ \
+    | grep -v '_test\.go:' \
+    | grep -vE '^internal/(pattern|query)/' \
+    || true)
+
+if [ -n "$baddedup" ]; then
+    echo "vet-obs: private dedup over assignments (use pattern.Dedup / pattern.DedupStamped):" >&2
+    echo "$baddedup" >&2
     exit 1
 fi
 echo "vet-obs: ok"
