@@ -434,8 +434,8 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 		e.mu.Unlock()
 		return
 	}
-	fresh, detached, path, changed := s.merge(c, forest)
-	if !changed {
+	fresh, detached, path := s.merge(c, forest)
+	if len(fresh) == 0 {
 		return
 	}
 	e.mu.Lock()

@@ -101,19 +101,3 @@ func sortCallsBy(calls []Call, order map[string]int) {
 		}
 	}
 }
-
-func (s *System) containsNode(doc string, node *tree.Node) bool {
-	d := s.docs[doc]
-	if d == nil {
-		return false
-	}
-	found := false
-	d.Root.Walk(func(n, _ *tree.Node) bool {
-		if n == node {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}

@@ -185,14 +185,17 @@ func (e *engine) runWorklist(ctx context.Context) RunResult {
 		drainSC = e.root.NewChild()
 	}
 
+	// Both walk the live documents, so both stay under the read lock: a
+	// concurrent run on the same system may be merging.
 	e.rlock()
 	initial := e.s.Calls()
+	seedOrder := e.s.incrementalSeedOrder()
 	e.s.engineMu.RUnlock()
 	// Seed in dependency order (dependencies first) so upstream answers
 	// tend to be in place before downstream calls first fire; the
 	// configured scheduler breaks the remaining ties.
 	e.sched.Order(initial)
-	sortCallsBy(initial, e.s.incrementalSeedOrder())
+	sortCallsBy(initial, seedOrder)
 	e.mu.Lock()
 	for _, c := range initial {
 		ev.registerLocked(c)

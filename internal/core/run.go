@@ -87,8 +87,8 @@ func (s *System) Invoke(ctx context.Context, c Call) (changed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	_, _, _, changed = s.merge(c, forest)
-	return changed, nil
+	fresh, _, _ := s.merge(c, forest)
+	return len(fresh) > 0, nil
 }
 
 // evaluate is the full (non-delta) evaluation of a call; see evaluateSince.
@@ -153,93 +153,67 @@ func (s *System) bindingIndexes(c Call) query.Indexes {
 }
 
 // merge is the mutating half of Invoke: it appends the result forest as
-// siblings of the call node, repairs reduction locally and bumps the
-// document version, reporting whether the system strictly grew. The
-// engine serializes merges under the system's write lock — the
-// "version funnel" through which every result lands. Merging is a least
-// upper bound, so the order in which racing results arrive does not
-// affect the reachable fixpoint (Theorem 2.1).
-//
-// On growth it returns the appended trees (stamped with the post-bump
-// document version, so later delta evaluations see them as new), the
-// subtrees reduction detached on their account, and the ancestor path
-// root..attach; the worklist schedule uses them to discover new calls,
-// forget detached ones and scope its re-enqueues.
-func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, detached, path []*tree.Node, changed bool) {
-	attach := c.Parent
-	doc := s.docs[c.Doc]
-	ix := s.indexes[c.Doc] // a nil index's methods no-op
-	// Results subsumed by existing siblings cannot change the document.
-	fresh = reduceForestAgainst(attach, subsume.ReduceForest(forest))
-	if len(fresh) == 0 {
-		return nil, nil, nil, false
-	}
-	// Localized append-and-reduce. Documents are maintained reduced (no
-	// subtree subsumed by a sibling, recursively), and under that
-	// invariant appending non-redundant data ALWAYS strictly grows the
-	// document: a homomorphism from the grown document back into the old
-	// one would have to send the attach path onto a diverging sibling
-	// path, forcing a sibling subsumption that reducedness forbids. So
-	// no whole-document equivalence check is needed, and reduction only
-	// has to be repaired locally:
-	//   - at the attach node, existing children newly subsumed by a
-	//     fresh tree are pruned (fresh trees are already reduced and
-	//     mutually irredundant, and none is subsumed by an existing
-	//     child);
-	//   - on the ancestor path, the grown child may newly subsume its
-	//     siblings (it can never become subsumed: it only gained
-	//     information). Everything else is untouched by the append.
-	kept := attach.Children[:0]
-	for _, existing := range attach.Children {
-		dominated := false
-		for _, f := range fresh {
-			if subsume.Subsumed(existing, f) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			kept = append(kept, existing)
-		} else {
-			ix.RemoveSubtree(existing)
-			detached = append(detached, existing)
-		}
-	}
-	attach.Children = append(kept, fresh...)
-
+// siblings of the call node (appendAt). The engine serializes merges
+// under the system's write lock — the "version funnel" through which
+// every result lands. Merging is a least upper bound, so the order in
+// which racing results arrive does not affect the reachable fixpoint
+// (Theorem 2.1). Besides appendAt's results it returns the ancestor path
+// root..attach; the worklist schedule uses all three to discover new
+// calls, forget detached ones and scope its re-enqueues.
+func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, detached, path []*tree.Node) {
 	path = c.Ancestors()
-	if len(path) == 0 || path[len(path)-1] != attach {
-		path = s.findPath(doc.Root, attach)
+	if len(path) == 0 || path[len(path)-1] != c.Parent {
+		path = s.findPath(s.docs[c.Doc].Root, c.Parent)
 	}
-	// The child lists along root..attach changed (or are about to, in the
-	// sibling pruning below): their memoized subtree digests are stale.
-	tree.InvalidateDigestPath(path)
-	for i := len(path) - 2; i >= 0; i-- {
-		ancestor, grown := path[i], path[i+1]
-		pruned := ancestor.Children[:0]
-		for _, sib := range ancestor.Children {
-			if sib != grown && subsume.Subsumed(sib, grown) {
-				ix.RemoveSubtree(sib)
-				detached = append(detached, sib)
-				continue
-			}
-			pruned = append(pruned, sib)
-		}
-		ancestor.Children = pruned
+	fresh, detached = s.appendAt(c.Doc, path, forest)
+	return fresh, detached, path
+}
+
+// appendAt is the one place a document grows: subsume.Graft appends the
+// forest under the last node of path (root..attach) and repairs reduction
+// locally; on growth the version is bumped, the appended trees are
+// stamped with the post-bump version — a later delta evaluation with a
+// baseline at or above the pre-bump version sees exactly these nodes as
+// its delta — and the index follows incrementally. It returns Graft's
+// results: the appended trees (none: nothing changed) and the subtrees
+// reduction detached on their account.
+func (s *System) appendAt(doc string, path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached []*tree.Node) {
+	fresh, detached = subsume.Graft(path, forest)
+	if len(fresh) == 0 {
+		return nil, nil
 	}
-	s.bumpVersion(c.Doc)
-	// Stamp the appended trees with the post-bump version: a later delta
-	// evaluation with a baseline at or above the pre-bump version sees
-	// exactly these nodes as its delta. (StampAll also clears their digest
-	// memos; the copies Union made inside ReduceForest carried memos from
-	// the service's result trees.)
-	v := s.docVersion[c.Doc]
+	ix := s.indexes[doc] // a nil index's methods no-op
+	for _, d := range detached {
+		ix.RemoveSubtree(d)
+	}
+	s.bumpVersion(doc)
+	// StampAll also clears the memos the copies carried over from the
+	// caller's trees.
 	for _, f := range fresh {
-		f.StampAll(v)
-		ix.AddSubtree(attach, f)
+		f.StampAll(s.docVersion[doc])
+		ix.AddSubtree(path[len(path)-1], f)
 	}
 	ix.Compact()
-	return fresh, detached, path, true
+	return fresh, detached
+}
+
+// Append merges a forest into the named document as children of parent —
+// what an invocation at a call under parent does with its result, for
+// data arriving from outside a run (a pushed forest, a replication
+// patch). It reports whether the document grew, and fails for an unknown
+// document or a parent that is not (or no longer) one of its nodes. Like
+// Restore it is not synchronized with a run in flight.
+func (s *System) Append(doc string, parent *tree.Node, forest tree.Forest) (changed bool, err error) {
+	d := s.docs[doc]
+	if d == nil {
+		return false, fmt.Errorf("core: append to unknown document %q", doc)
+	}
+	path := s.findPath(d.Root, parent)
+	if path == nil {
+		return false, fmt.Errorf("core: append to %q: the parent node is not in the document", doc)
+	}
+	fresh, _ := s.appendAt(doc, path, forest)
+	return len(fresh) > 0, nil
 }
 
 // declarative resolves the named service to its innermost QueryService,
@@ -633,7 +607,7 @@ func (s *System) Attached(c Call) bool {
 		return false
 	}
 	if c.path == nil {
-		return s.containsNode(c.Doc, c.Node)
+		return s.findPath(d.Root, c.Node) != nil
 	}
 	child := c.Node
 	link := c.path

@@ -46,7 +46,7 @@ func f = hit :-
 		t.Fatal("hand-built call has ancestors")
 	}
 	if !s.Attached(hand) {
-		t.Fatal("fallback containsNode failed")
+		t.Fatal("fallback findPath search failed")
 	}
 	// Invoking a hand-built call works through findPath.
 	changed, err := s.Invoke(context.Background(), hand)

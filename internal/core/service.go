@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"axml/internal/query"
-	"axml/internal/subsume"
 	"axml/internal/tree"
 )
 
@@ -160,23 +159,4 @@ func ConstService(name string, result tree.Forest) *GoService {
 	return &GoService{Name: name, Fn: func(context.Context, Binding) (tree.Forest, error) {
 		return result.Copy(), nil
 	}}
-}
-
-// reduceForestAgainst drops from f every tree already subsumed by an
-// existing child of parent, returning the surviving trees.
-func reduceForestAgainst(parent *tree.Node, f tree.Forest) tree.Forest {
-	var out tree.Forest
-	for _, t := range f {
-		dominated := false
-		for _, c := range parent.Children {
-			if subsume.Subsumed(t, c) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, t)
-		}
-	}
-	return out
 }

@@ -27,15 +27,16 @@ type System struct {
 	// unchanged since its last attempt cannot bring anything new — the
 	// engine uses this to skip provably-sterile attempts.
 	docVersion map[string]uint64
-	// onMutate observes every version bump (sweep appends, Touch-reported
-	// out-of-band growth, Restore merges). Durability layers register here
-	// to learn which documents changed without reaching into the engine.
+	// onMutate observes every version bump (appendAt — invocations, Append,
+	// Restore — and Touch-reported by-hand edits). Durability layers
+	// register here to learn which documents changed without reaching
+	// into the engine.
 	onMutate func(docName string)
 	// indexes holds one inverted index per document (see pattern.Index),
-	// maintained incrementally by merge (documents only grow under the
-	// version funnel) and rebuilt wholesale on the out-of-band mutation
-	// paths (Touch, Restore). A document without an entry is matched by
-	// the naive walk, with identical results.
+	// maintained incrementally by appendAt (documents only grow) and
+	// rebuilt wholesale by Touch and when Restore adopts a new root. A
+	// document without an entry is matched by the naive walk, with
+	// identical results.
 	indexes map[string]*pattern.Index
 	// engineMu is the version funnel: RunContext evaluates services under
 	// the read side (any number of invocations in flight) and merges
@@ -44,9 +45,11 @@ type System struct {
 	// system serialize their merges against each other, not just within
 	// one run. It is not a sync.RWMutex: each schedule acquires the read
 	// side with the discipline it can afford (see rwLock). Non-engine
-	// mutators (Touch, Restore, AddDocument) do not take it: they
+	// mutators (Append, Restore, Touch, AddDocument) do not take it: they
 	// are documented as requiring external synchronization with in-flight
-	// runs, and the peer layer provides exactly that with its own lock.
+	// runs, and the peer layer provides exactly that with its own lock —
+	// which a gated remote call releases while it waits on the network, so
+	// a push landing then must not queue behind the run's read lock.
 	engineMu rwLock
 }
 
@@ -88,9 +91,8 @@ func (s *System) AddDocument(d *tree.Document) error {
 }
 
 // reindex (re)builds the named document's inverted index from scratch.
-// Used on document addition and on the out-of-band mutation paths that
-// restructure trees wholesale; engine merges maintain the index
-// incrementally instead.
+// Used on document addition, by Touch and when Restore adopts a new
+// root; appendAt maintains the index incrementally instead.
 func (s *System) reindex(name string) {
 	if doc := s.docs[name]; doc != nil {
 		s.indexes[name] = pattern.NewIndex(doc.Root)
@@ -198,12 +200,15 @@ func (s *System) Docs() query.Docs {
 	return d
 }
 
-// Touch records an out-of-band mutation of the named document (a replica
-// sync, a pushed forest, a by-hand edit), bumping its version so the
-// sterile-call gate re-examines services that read it. The whole
-// document is restamped at the new version: an out-of-band edit gives no
-// delta bookkeeping, so the only sound baseline for later incremental
-// evaluations is "everything here is new". Unknown names are ignored.
+// Touch records a by-hand edit of the named document's tree, bumping its
+// version so the sterile-call gate re-examines services that read it.
+// The whole document is restamped at the new version: a by-hand edit
+// gives no delta bookkeeping, so the only sound baseline for later
+// incremental evaluations is "everything here is new". It is the escape
+// hatch for callers that write Children themselves; data arriving from
+// elsewhere goes through Append or Restore, which keep the bookkeeping.
+// The edit must leave the document reduced (the invariant every append
+// relies on). Unknown names are ignored.
 func (s *System) Touch(name string) {
 	doc, ok := s.docs[name]
 	if !ok {
@@ -211,8 +216,8 @@ func (s *System) Touch(name string) {
 	}
 	s.bumpVersion(name)
 	doc.Root.StampAll(s.docVersion[name])
-	// An out-of-band edit may have restructured the tree arbitrarily; the
-	// incremental index maintenance only covers engine merges. Rebuild.
+	// A by-hand edit may have restructured the tree arbitrarily; the
+	// incremental index maintenance only covers appendAt. Rebuild.
 	s.reindex(name)
 }
 
@@ -247,9 +252,11 @@ func (s *System) Snapshot() []*tree.Document {
 // grew. Monotonicity makes this the universally safe recovery primitive:
 // replaying a journal record twice, applying records out of order, or
 // restoring over a document that already advanced past the record can
-// only re-add information, never lose or corrupt it (Theorem 2.1). A
-// changed document has its version bumped so the sterile-call gate
-// re-examines services that read it.
+// only re-add information, never lose or corrupt it (Theorem 2.1). It is
+// appendAt at the root: only the trees the document did not hold are
+// stamped new, and a changed document has its version bumped so the
+// sterile-call gate re-examines services that read it. Not synchronized
+// with a run in flight.
 func (s *System) Restore(name string, root *tree.Node) (changed bool, err error) {
 	doc, ok := s.docs[name]
 	if !ok {
@@ -258,8 +265,7 @@ func (s *System) Restore(name string, root *tree.Node) (changed bool, err error)
 	if root == nil {
 		return false, fmt.Errorf("core: restore of %q with nil tree", name)
 	}
-	before := doc.Root.CanonicalHash()
-	if doc.Root.Kind != root.Kind || doc.Root.Name != root.Name {
+	if !doc.Root.SameMarking(root) {
 		if doc.Root.Kind != tree.Label || root.Kind != tree.Label ||
 			len(doc.Root.Children) != 0 {
 			return false, fmt.Errorf("core: restore of %q: incomparable roots %q vs %q",
@@ -268,25 +274,16 @@ func (s *System) Restore(name string, root *tree.Node) (changed bool, err error)
 		// A childless label root is a replica seed created before the
 		// remote marking was known (peer.NewReplicaDoc with a guessed
 		// label); it carries no information, so adopt the incoming
-		// marking instead of refusing the restore.
+		// marking instead of refusing the restore. The new root is itself
+		// new data: a pattern may match it that did not match the guess.
 		doc.Root = tree.NewLabel(root.Name)
+		s.bumpVersion(name)
+		doc.Root.Stamp = s.docVersion[name]
+		s.reindex(name)
+		changed = true
 	}
-	merged := subsume.Union(doc.Root, root)
-	if merged == nil {
-		return false, fmt.Errorf("core: restore of %q: union failed", name)
-	}
-	doc.Root.Children = merged.Children
-	if doc.Root.CanonicalHash() == before {
-		return false, nil
-	}
-	s.bumpVersion(name)
-	// Union can splice surviving old nodes under restructured parents,
-	// which would break the stamp ordering delta evaluation relies on;
-	// restamp the whole document conservatively (full delta) and rebuild
-	// its index (Union rebuilt the tree).
-	doc.Root.StampAll(s.docVersion[name])
-	s.reindex(name)
-	return true, nil
+	fresh, _ := s.appendAt(name, []*tree.Node{doc.Root}, root.Children)
+	return changed || len(fresh) > 0, nil
 }
 
 // LockContention reports how many version-funnel acquisitions had to

@@ -181,37 +181,69 @@ var errPatchMismatch = fmt.Errorf("peer: patch base not present (tree diverged)"
 // sender's anchor at that position — local-only growth, a missed
 // delivery, a crash that lost the anchor), it returns errPatchMismatch
 // WITHOUT mutating anything, and the caller performs a full pull
-// instead. The local tree must be reduced on entry; it is reduced again
-// (along the changed spine only, via the known-reduced flags) before
-// returning.
+// instead. The local tree must be reduced on entry; every graft leaves
+// it reduced again, having repaired only the spine it grew.
 func ApplyPatch(local *tree.Node, p *Patch) (changed bool, err error) {
-	if local == nil || p == nil {
-		return false, nil
+	grafts, err := resolvePatch(local, p)
+	for _, g := range grafts {
+		fresh, _ := subsume.Graft(g.path, g.adds)
+		changed = changed || len(fresh) > 0
 	}
-	if local.Kind != p.Kind || local.Name != p.Name {
-		return false, fmt.Errorf("peer: patch root %s does not match document root %s",
-			p.Name, local.Name)
-	}
-	// Dry run first: a mismatch deep in the patch must not leave a
-	// half-applied tree behind.
-	if !patchApplies(local, p) {
-		return false, errPatchMismatch
-	}
-	before := local.Digest()
-	applyPatchNode(local, p)
-	subsume.ReduceInPlace(local)
-	return local.Digest() != before, nil
+	return changed, err
 }
 
-// patchApplies checks every spine of the patch finds its base digest.
-func patchApplies(local *tree.Node, p *Patch) bool {
-	for _, sp := range p.Spines {
-		target := childByDigest(local, sp.Base)
-		if target == nil || !patchApplies(target, sp) {
-			return false
-		}
+// patchGraft is one step of applying a patch: adds to merge under the
+// last node of path, the ancestor chain from the local root.
+type patchGraft struct {
+	path []*tree.Node
+	adds tree.Forest
+}
+
+// resolvePatch turns a patch into the grafts that apply it, resolving
+// every spine to the local node carrying its base digest before anything
+// is mutated — a graft rewrites digests along its path, and an added
+// subtree could coincidentally carry a spine's base digest. Any spine
+// without its target makes the whole patch errPatchMismatch: an apply is
+// all-or-nothing. Running the grafts cannot detach a resolved node: only
+// a sibling with the same marking could come to subsume it, and a spine
+// that shares its marking with another spine or add of its patch node
+// (PruneSince never builds one) is a mismatch too.
+func resolvePatch(local *tree.Node, p *Patch) (grafts []patchGraft, err error) {
+	if local == nil || p == nil {
+		return nil, nil
 	}
-	return true
+	if local.Kind != p.Kind || local.Name != p.Name {
+		return nil, fmt.Errorf("peer: patch root %s does not match document root %s",
+			p.Name, local.Name)
+	}
+	var resolve func(path []*tree.Node, p *Patch) bool
+	resolve = func(path []*tree.Node, p *Patch) bool {
+		if len(p.Adds) > 0 {
+			grafts = append(grafts, patchGraft{path, p.Adds})
+		}
+		for i, sp := range p.Spines {
+			for _, o := range p.Spines[:i] {
+				if o.Kind == sp.Kind && o.Name == sp.Name {
+					return false
+				}
+			}
+			for _, a := range p.Adds {
+				if a.Kind == sp.Kind && a.Name == sp.Name {
+					return false
+				}
+			}
+			target := childByDigest(path[len(path)-1], sp.Base)
+			if target == nil || target.Kind != sp.Kind || target.Name != sp.Name ||
+				!resolve(append(path[:len(path):len(path)], target), sp) {
+				return false
+			}
+		}
+		return true
+	}
+	if !resolve([]*tree.Node{local}, p) {
+		return nil, errPatchMismatch
+	}
+	return grafts, nil
 }
 
 // childByDigest finds the child whose subtree digest renders as hex.
@@ -224,63 +256,6 @@ func childByDigest(n *tree.Node, hex string) *tree.Node {
 		}
 	}
 	return nil
-}
-
-// applyPatchNode splices the patch in: adds are appended (copied — the
-// patch may be re-applied or retained by the caller), spines recurse
-// into their digest-matched children. The touched nodes' digests and
-// reduced flags are invalidated so the closing reduction and later
-// digest reads see the mutation.
-func applyPatchNode(local *tree.Node, p *Patch) {
-	// Resolve spine targets before appending adds: an added subtree could
-	// coincidentally carry a spine's base digest.
-	targets := make([]*tree.Node, len(p.Spines))
-	for i, sp := range p.Spines {
-		targets[i] = childByDigest(local, sp.Base)
-	}
-	if len(p.Adds) > 0 {
-		for _, a := range p.Adds {
-			local.Children = append(local.Children, a.Copy())
-		}
-	}
-	for i, sp := range p.Spines {
-		applyPatchNode(targets[i], sp)
-	}
-	local.InvalidateDigest()
-}
-
-// Materialize renders the patch as a plain tree (spine markings plus
-// added subtrees, bases dropped). Union(anchorState, Materialize(p)) is
-// equivalent to the state the patch was computed from — the property the
-// differential tests pin.
-func (p *Patch) Materialize() *tree.Node {
-	if p == nil {
-		return nil
-	}
-	n := &tree.Node{Kind: p.Kind, Name: p.Name}
-	for _, sp := range p.Spines {
-		n.Children = append(n.Children, sp.Materialize())
-	}
-	for _, a := range p.Adds {
-		n.Children = append(n.Children, a.Copy())
-	}
-	return n
-}
-
-// size returns the number of patch nodes plus added-tree nodes — the
-// payload size a delta ships, for metrics.
-func (p *Patch) size() int {
-	if p == nil {
-		return 0
-	}
-	n := 1
-	for _, sp := range p.Spines {
-		n += sp.size()
-	}
-	for _, a := range p.Adds {
-		n += a.Size()
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------

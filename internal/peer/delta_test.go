@@ -166,16 +166,13 @@ func TestDeltaCodecErrors(t *testing.T) {
 }
 
 // growDoc appends a parsed subtree under the named document's root the
-// way out-of-band growth happens everywhere else in the package: raw
-// append, digest invalidation, reduce, version bump.
+// way growth from outside a run reaches a peer's document: System.Append.
 func growDoc(p *Peer, doc, src string) {
 	add := syntax.MustParseDocument(src)
 	p.System(func(s *core.System) {
-		root := s.Document(doc).Root
-		root.Children = append(root.Children, add)
-		tree.InvalidateDigestAll(root)
-		subsume.ReduceInPlace(root)
-		s.Touch(doc)
+		if _, err := s.Append(doc, s.Document(doc).Root, tree.Forest{add}); err != nil {
+			panic(err)
+		}
 	})
 }
 
@@ -323,16 +320,14 @@ func TestMirrorDeltaFallback(t *testing.T) {
 func growIn(p *Peer, doc, child, src string) {
 	add := syntax.MustParseDocument(src)
 	p.System(func(s *core.System) {
-		root := s.Document(doc).Root
-		for _, c := range root.Children {
+		for _, c := range s.Document(doc).Root.Children {
 			if c.Kind == tree.Label && c.Name == child {
-				c.Children = append(c.Children, add)
+				if _, err := s.Append(doc, c, tree.Forest{add}); err != nil {
+					panic(err)
+				}
 				break
 			}
 		}
-		tree.InvalidateDigestAll(root)
-		subsume.ReduceInPlace(root)
-		s.Touch(doc)
 	})
 }
 

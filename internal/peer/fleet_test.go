@@ -394,17 +394,17 @@ func TestFleetChaosConvergence(t *testing.T) {
 	}
 }
 
-// growDocBatch appends many subtrees in one locked pass (one reduce, one
+// growDocBatch appends many subtrees in one locked pass (one append, one
 // journal flush) — test setup for large documents.
 func growDocBatch(p *Peer, doc string, srcs []string) {
+	forest := make(tree.Forest, len(srcs))
+	for i, src := range srcs {
+		forest[i] = syntax.MustParseDocument(src)
+	}
 	p.System(func(s *core.System) {
-		root := s.Document(doc).Root
-		for _, src := range srcs {
-			root.Children = append(root.Children, syntax.MustParseDocument(src))
+		if _, err := s.Append(doc, s.Document(doc).Root, forest); err != nil {
+			panic(err)
 		}
-		tree.InvalidateDigestAll(root)
-		subsume.ReduceInPlace(root)
-		s.Touch(doc)
 	})
 }
 

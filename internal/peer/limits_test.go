@@ -122,6 +122,39 @@ func TestHandleInvokeStatusCodes(t *testing.T) {
 	}
 }
 
+// TestHandlePushHonoursWithLimits: the push endpoint reads under the
+// peer's own wire limit, like invoke, and answers an oversized body 413.
+func TestHandlePushHonoursWithLimits(t *testing.T) {
+	p, _, err := Open("sub", core.MustParseSystem(`doc portal = portal`), WithLimits(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := NewSubscriber(p)
+	p.System(func(s *core.System) { sb.Register("s1", "portal", s.Document("portal").Root) })
+	srv := httptest.NewServer(sb.Handler())
+	defer srv.Close()
+
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+PathPush+"s1", "application/xml", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Far below the package-wide MaxWireBytes, above this peer's limit.
+	if got := post("<ax:forest>" + strings.Repeat("<x></x>", 1024) + "</ax:forest>"); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized push: status %d, want 413", got)
+	}
+	if got := portalTree(p).CanonicalString(); got != "portal" {
+		t.Errorf("an oversized push reached the document: %s", got)
+	}
+	if got := post("<ax:forest><x></x></ax:forest>"); got != http.StatusOK {
+		t.Errorf("a push under the limit: status %d, want 200", got)
+	}
+}
+
 func TestWireDocRecordAndSnapshotRoundTrip(t *testing.T) {
 	root := syntax.MustParseDocument(`log{entry{"a"},!Annotate{"b"}}`)
 	data, err := MarshalDocRecord("notes", root)

@@ -9,7 +9,6 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/obs"
-	"axml/internal/subsume"
 	"axml/internal/tree"
 )
 
@@ -56,8 +55,8 @@ func (m *Mirror) client() *Client {
 
 // Sync synchronizes the replica once and reports whether it grew. It
 // requests a delta since the last acknowledged remote digest; the answer
-// is either nothing (already current), a digest-anchored patch applied
-// in place, or the full tree merged by Union. Syncs record into the
+// is either nothing (already current), a digest-anchored patch grafted
+// in place, or the full tree merged by System.Restore. Syncs record into the
 // peer's registry (peer.mirror.syncs/changed/errors/deltas/fallbacks,
 // sync_ns) and emit a "sync" span when the peer carries a tracer.
 func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
@@ -81,48 +80,25 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	case DeltaSame:
 		// Already current: nothing to merge.
 	case DeltaPatch:
-		applied := true
-		p.System(func(s *core.System) {
-			local := s.Document(m.LocalDoc)
-			if local == nil {
-				err = fmt.Errorf("peer: mirror target document %q missing", m.LocalDoc)
-				return
-			}
-			ch, aerr := ApplyPatch(local.Root, d.Patch)
-			if errors.Is(aerr, errPatchMismatch) {
-				// The replica diverged from the anchor the patch targets
-				// (local-only growth, a missed delivery, a restart): repair
-				// with a full pull below.
-				applied = false
-				return
-			}
-			if aerr != nil {
-				err = aerr
-				return
-			}
-			changed = ch
-			if ch {
-				// Out-of-band growth: bump the version so the sterile-call
-				// gate re-examines services reading the replica.
-				s.Touch(m.LocalDoc)
-			}
-		})
-		if err == nil && !applied {
+		changed, err = m.merge(p, d)
+		if errors.Is(err, errPatchMismatch) {
+			// The replica diverged from the anchor the patch targets
+			// (local-only growth, a missed delivery, a restart): repair
+			// with a full pull.
 			p.metrics.Counter("peer.mirror.delta_fallbacks").Inc()
-			d, err = m.client().Delta(ctx, m.RemoteDoc, "")
-			if err == nil {
-				if d.Full == nil {
+			if d, err = m.client().Delta(ctx, m.RemoteDoc, ""); err == nil {
+				if d.Mode != DeltaFull {
 					err = fmt.Errorf("peer: mirror %s: anchorless delta answered mode %q",
 						m.LocalDoc, d.Mode)
 				} else {
-					changed, err = m.mergeFull(p, d.Full)
+					changed, err = m.merge(p, d)
 				}
 			}
 		} else if err == nil {
 			p.metrics.Counter("peer.mirror.deltas").Inc()
 		}
 	case DeltaFull:
-		changed, err = m.mergeFull(p, d.Full)
+		changed, err = m.merge(p, d)
 	default:
 		err = fmt.Errorf("peer: mirror %s: unknown delta mode %q", m.LocalDoc, d.Mode)
 	}
@@ -160,39 +136,29 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	return changed, nil
 }
 
-// mergeFull merges a fully-shipped remote tree into the local replica by
-// least upper bound — the pre-delta sync semantics, and the fallback
-// every delta failure reduces to.
-func (m *Mirror) mergeFull(p *Peer, remote *tree.Node) (changed bool, err error) {
+// merge brings a delta's payload into the local replica: a full tree by
+// least upper bound (System.Restore — the pre-delta sync semantics, and
+// the fallback every delta failure reduces to), a patch as the grafts it
+// resolves to (System.Append), so only what arrives is stamped new.
+func (m *Mirror) merge(p *Peer, d Delta) (changed bool, err error) {
 	p.System(func(s *core.System) {
+		if d.Mode == DeltaFull {
+			changed, err = s.Restore(m.LocalDoc, d.Full)
+			return
+		}
 		local := s.Document(m.LocalDoc)
 		if local == nil {
 			err = fmt.Errorf("peer: mirror target document %q missing", m.LocalDoc)
 			return
 		}
-		before := local.Root.CanonicalHash()
-		if local.Root.Kind != remote.Kind || local.Root.Name != remote.Name {
-			if local.Root.Kind != tree.Label || remote.Kind != tree.Label ||
-				len(local.Root.Children) != 0 {
-				err = fmt.Errorf("peer: mirror roots incomparable: local %s vs remote %s",
-					local.Root.Name, remote.Name)
+		var grafts []patchGraft
+		grafts, err = resolvePatch(local.Root, d.Patch)
+		for _, g := range grafts {
+			var grew bool
+			if grew, err = s.Append(m.LocalDoc, g.path[len(g.path)-1], g.adds); err != nil {
 				return
 			}
-			// A childless label root is a replica seed built before the
-			// remote root marking was known (NewReplicaDoc with a guessed
-			// label); adopt the remote marking on first contact instead
-			// of refusing to sync forever.
-			local.Root = tree.NewLabel(remote.Name)
-		}
-		merged := subsume.Union(local.Root, remote)
-		if merged == nil {
-			err = fmt.Errorf("peer: union failed")
-			return
-		}
-		local.Root.Children = merged.Children
-		changed = local.Root.CanonicalHash() != before
-		if changed {
-			s.Touch(m.LocalDoc)
+			changed = changed || grew
 		}
 	})
 	return changed, err

@@ -288,15 +288,8 @@ func (p *Peer) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.wireLimit()))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("request body over %d bytes", tooLarge.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := p.readBody(w, r)
+	if !ok {
 		return
 	}
 	// A body that does not parse as an envelope is the caller's bug (or a
@@ -319,6 +312,24 @@ func (p *Peer) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/xml")
 	w.Write(data)
+}
+
+// readBody reads a request body under the peer's wire limit (WithLimits).
+// On failure it has already answered — 413 for an oversized body, 400 for
+// a broken read — and reports false.
+func (p *Peer) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.wireLimit()))
+	if err == nil {
+		return body, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, fmt.Sprintf("request body over %d bytes", tooLarge.Limit),
+			http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return nil, false
 }
 
 // Serve evaluates a local service for an incoming envelope: the service

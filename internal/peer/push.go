@@ -310,9 +310,10 @@ func NewSubscriber(p *Peer) *Subscriber {
 }
 
 // Register binds a subscription id to an attachment parent inside a
-// document: pushed trees become children of that node, then the document
-// is reduced — the same effect as a pull-mode invocation at a call under
-// that parent.
+// document: pushed trees are merged in as children of that node
+// (System.Append) — the same effect as a pull-mode invocation at a call
+// under that parent. A delivery whose document or attachment node is gone
+// is refused, not acknowledged.
 func (sb *Subscriber) Register(id, doc string, parent *tree.Node) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -352,9 +353,8 @@ func (sb *Subscriber) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "push anchor mismatch", http.StatusConflict)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxWireBytes))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := sb.peer.readBody(w, r)
+	if !ok {
 		return
 	}
 	forest, err := UnmarshalForest(body)
@@ -362,31 +362,26 @@ func (sb *Subscriber) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var beforeDigest, afterDigest string
+	var changed bool
+	var localDigest string
 	sb.peer.System(func(s *core.System) {
-		doc := s.Document(target.doc)
-		if doc == nil {
-			return
+		if changed, err = s.Append(target.doc, target.node, forest); err == nil {
+			localDigest = digestHex(s.Document(target.doc).Root)
 		}
-		beforeDigest = docDigest(doc.Root)
-		target.node.Children = append(target.node.Children, forest...)
-		// The raw append above bypasses the digest invalidation contract:
-		// clear the memoized digests and reduced flags before reducing, or
-		// ReduceInPlace would trust stale memos (and could skip, or wrongly
-		// group, the subtree that just grew).
-		tree.InvalidateDigestAll(doc.Root)
-		subsume.ReduceInPlace(doc.Root)
-		// Out-of-band growth: make the version gate see the pushed data.
-		s.Touch(target.doc)
-		afterDigest = docDigest(doc.Root)
 	})
+	if err != nil {
+		// The document is gone, or the registered attachment node no longer
+		// belongs to it: nothing was applied, so nothing may be acknowledged
+		// — the chain stays where it was and the publisher keeps the trees
+		// as unsent. Not a 409: re-pushing everything would not help.
+		sb.peer.metrics.Counter("peer.push.rejected").Inc()
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return
+	}
 	// Convergence watermark: a push reveals no origin digest (the chain
 	// anchors payload history, not document state), but it does advance
 	// the local replica — record the movement.
-	if afterDigest != "" {
-		sb.peer.converge.observe(sb.peer.metrics, target.doc, "", afterDigest,
-			afterDigest != beforeDigest)
-	}
+	sb.peer.converge.observe(sb.peer.metrics, target.doc, "", localDigest, changed)
 	if mode != "" {
 		sb.mu.Lock()
 		sb.chains[id] = r.Header.Get(headerPushAck)

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -46,9 +47,11 @@ func newPortalSubscriber(t *testing.T, id string) (*Subscriber, *Peer) {
 	return sb, subPeer
 }
 
-func portalTree(p *Peer) *tree.Node {
+func portalTree(p *Peer) *tree.Node { return portalDoc(p, "portal") }
+
+func portalDoc(p *Peer, doc string) *tree.Node {
 	var out *tree.Node
-	p.System(func(s *core.System) { out = s.Document("portal").Root.Copy() })
+	p.System(func(s *core.System) { out = s.Document(doc).Root.Copy() })
 	return out
 }
 
@@ -232,5 +235,95 @@ func TestPushDuplicateDelivery(t *testing.T) {
 	want := syntax.MustParseDocument(`portal{got{"a","1"}}`)
 	if got := portalTree(subPeer); !tree.Isomorphic(got, want) {
 		t.Fatalf("portal %s, want %s", got.CanonicalString(), want.CanonicalString())
+	}
+}
+
+// TestPushThatCannotApplyIsNotAcknowledged: a delivery whose attachment
+// node left the document — here a subscription registered on a replica
+// seed root that the first full sync replaced when it adopted the remote
+// marking — or whose document does not exist must be refused: no 200, no
+// chain advance, nothing counted as delivered, and not a 409 (re-pushing
+// everything would not help). Once the subscription is registered on a
+// live node again, the publisher's retained trees arrive.
+func TestPushThatCannotApplyIsNotAcknowledged(t *testing.T) {
+	pub, pubPeer := newListPublisher(t, nil)
+	pub.Sleep = func(time.Duration) {}
+	pubSrv := httptest.NewServer(pubPeer.Handler())
+	defer pubSrv.Close()
+
+	reg := obs.NewRegistry()
+	subSys := core.NewSystem()
+	if err := subSys.AddDocument(NewReplicaDoc("replica", "guess")); err != nil {
+		t.Fatal(err)
+	}
+	subPeer, _, err := Open("sub", subSys, WithObservability(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := NewSubscriber(subPeer)
+	var seed *tree.Node
+	subPeer.System(func(s *core.System) { seed = s.Document("replica").Root })
+	sb.Register("s1", "replica", seed)
+	sb.Register("s2", "nodoc", seed)
+	srv := httptest.NewServer(sb.Handler())
+	defer srv.Close()
+
+	// The full sync adopts the remote root marking: the seed node is no
+	// longer the document's root.
+	m := &Mirror{Remote: pubSrv.URL, RemoteDoc: "db", LocalDoc: "replica"}
+	if changed, err := m.Sync(context.Background(), subPeer); err != nil || !changed {
+		t.Fatalf("full sync: changed=%v err=%v", changed, err)
+	}
+	var root *tree.Node
+	subPeer.System(func(s *core.System) { root = s.Document("replica").Root })
+	if root == seed || root.Name != "db" {
+		t.Fatalf("the sync did not adopt the remote root: %s", root.CanonicalString())
+	}
+	synced := root.CanonicalString()
+
+	pub.Subscribe("s1", Envelope{Service: "List"}, srv.URL)
+	if pushed, err := pub.Flush(context.Background(), nil); err == nil || pushed != 0 {
+		t.Fatalf("a push onto a detached node was acknowledged: pushed=%d err=%v", pushed, err)
+	}
+	if got := reg.Counter("peer.push.delivered").Value(); got != 0 {
+		t.Fatalf("peer.push.delivered = %d for deliveries that were refused", got)
+	}
+	if reg.Counter("peer.push.rejected").Value() == 0 {
+		t.Fatal("the refusal was not counted as peer.push.rejected")
+	}
+	sb.mu.Lock()
+	chain := sb.chains["s1"]
+	sb.mu.Unlock()
+	if chain != "" {
+		t.Fatalf("a refused delivery advanced the chain to %q", chain)
+	}
+	if got := root.CanonicalString(); got != synced {
+		t.Fatalf("a refused delivery changed the document: %s", got)
+	}
+
+	// A registered id whose document does not exist: refused, and not
+	// with the renegotiation status.
+	data, err := MarshalForest(tree.Forest{syntax.MustParseDocument(`got{"a","1"}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+PathPush+"s2", "application/xml", bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 300 || resp.StatusCode == http.StatusConflict {
+		t.Fatalf("a push into a missing document answered %d", resp.StatusCode)
+	}
+
+	// Registered on the live root, the trees the publisher still holds as
+	// unsent are delivered on the next flush.
+	sb.Register("s1", "replica", root)
+	if pushed, err := pub.Flush(context.Background(), nil); err != nil || pushed != 1 {
+		t.Fatalf("flush after re-registering: pushed=%d err=%v", pushed, err)
+	}
+	want := syntax.MustParseDocument(`db{e{t{"a"},s{"1"}},got{"a","1"}}`)
+	if got := portalDoc(subPeer, "replica"); !tree.Isomorphic(got, want) {
+		t.Fatalf("replica %s, want %s", got.CanonicalString(), want.CanonicalString())
 	}
 }

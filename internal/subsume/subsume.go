@@ -12,12 +12,18 @@
 // guarantees a unique reduced version up to isomorphism, which this package
 // computes in polynomial time.
 //
+// Documents are identified with their reduced versions, and a reduced
+// tree grows in exactly one way: Graft appends a forest under one node and
+// repairs reducedness along that node's ancestor path only. Every writer
+// of a system document (package core's invocation merge, Append and
+// Restore) and the least upper bound Union are that one function.
+//
 // Performance: markings are compared through interned symbols (tree.Sym,
 // one word instead of a string) and every check short-circuits on equal
 // memoized subtree digests (tree.Digest): equal digests mean isomorphic
 // subtrees, which subsume each other by the identity homomorphism. The
-// digest short-circuit is what lets reduction and LUB merge share
-// structure across million-node documents instead of re-walking it. The
+// digest short-circuit is what lets reduction and Graft share structure
+// across million-node documents instead of re-walking it. The
 // definitional algorithms these fast paths must agree with live in
 // package subsume/oracle, which only tests and benchmarks import.
 package subsume
@@ -46,9 +52,12 @@ func Equivalent(a, b *tree.Node) bool {
 	return Subsumed(a, b) && Subsumed(b, a)
 }
 
-// checker memoizes subsumption between node pairs within one top-level
-// query. Trees are acyclic so the recursion is well-founded and each pair
-// is decided once (up to the memo bound).
+// checker memoizes subsumption between node pairs across the queries of
+// one reduction. Trees are acyclic so the recursion is well-founded and
+// each pair is decided once (up to the memo bound). The zero checker
+// keeps no memo: within one query a pair is only ever reached through its
+// unique parent pair, so a caller that never asks about the same subtrees
+// twice (Graft) gains nothing from recording answers.
 type checker struct {
 	memo map[[2]*tree.Node]bool
 }
@@ -91,7 +100,7 @@ func (c *checker) sub(a, b *tree.Node) bool {
 			}
 		}
 	}
-	if len(c.memo) < maxMemoEntries {
+	if c.memo != nil && len(c.memo) < maxMemoEntries {
 		c.memo[key] = ok
 	}
 	return ok
@@ -104,18 +113,15 @@ func Reduce(t *tree.Node) *tree.Node {
 	if t == nil {
 		return nil
 	}
-	return reduceInPlace(t.Copy())
+	return ReduceInPlace(t.Copy())
 }
 
 // ReduceInPlace reduces t destructively and returns it. Children slices
 // are rewritten; subtrees that survive are themselves reduced.
-func ReduceInPlace(t *tree.Node) *tree.Node { return reduceInPlace(t) }
-
-func reduceInPlace(t *tree.Node) *tree.Node {
-	if t == nil {
-		return nil
+func ReduceInPlace(t *tree.Node) *tree.Node {
+	if t != nil {
+		reduceChanged(t)
 	}
-	reduceChanged(t)
 	return t
 }
 
@@ -258,6 +264,90 @@ func IsReduced(t *tree.Node) bool {
 	return rec(t)
 }
 
+// Graft is the one way a reduced tree grows (Section 2.2): it appends the
+// forest under the last node of path — the ancestor chain root..attach —
+// and repairs reducedness locally, which yields the least upper bound of
+// the tree and the appended data. It returns the trees actually appended
+// (reduced copies owned by the tree; the inputs are not modified) and the
+// subtrees reduction detached on their account. No fresh tree means the
+// tree was not touched; any fresh tree means it strictly grew — a
+// homomorphism from the grown tree back into the old one would have to
+// send the attach path onto a diverging sibling path, a sibling
+// subsumption reducedness forbids — so callers need no before/after
+// comparison.
+//
+// Precondition: the tree is reduced. Then the repair is local: incoming
+// trees digest-equal to an existing child are dropped before anything is
+// copied (re-merging data the tree holds — a journal replay, a union of
+// overlapping documents — is O(siblings)), as are those an existing child
+// subsumes; the rest are reduced and made mutually irredundant; existing
+// children a fresh tree subsumes are detached; and up the path the grown
+// child may newly subsume siblings (it cannot become subsumed: it only
+// gained information), which are detached. Nothing else is affected.
+//
+// Graft keeps the digest invalidation contract itself — it clears exactly
+// the memos of root..attach — and marks those nodes reduced again, so a
+// later Reduce or Union of the tree skips it.
+func Graft(path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached []*tree.Node) {
+	if len(forest) == 0 {
+		return nil, nil // the common delta evaluation: nothing new, nothing to index
+	}
+	attach := path[len(path)-1]
+	var c checker // memo-less: no pair of subtrees is compared twice below
+	known := make(map[tree.Hash]struct{}, len(attach.Children))
+	for _, e := range attach.Children {
+		known[e.Digest()] = struct{}{}
+	}
+	var rest tree.Forest
+	for _, t := range forest {
+		if _, dup := known[t.Digest()]; !dup && !c.subAny(t, attach.Children) {
+			rest = append(rest, t)
+		}
+	}
+	fresh = ReduceForest(rest)
+	if len(fresh) == 0 {
+		return nil, nil
+	}
+	kept := attach.Children[:0]
+	for _, e := range attach.Children {
+		if c.subAny(e, fresh) {
+			detached = append(detached, e)
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	attach.Children = append(kept, fresh...)
+	// The child lists along root..attach changed (or are about to, in the
+	// sibling pruning below): their memoized subtree digests are stale.
+	tree.InvalidateDigestPath(path)
+	for i := len(path) - 2; i >= 0; i-- {
+		ancestor, grown := path[i], path[i+1]
+		kept := ancestor.Children[:0]
+		for _, sib := range ancestor.Children {
+			if sib != grown && c.sub(sib, grown) {
+				detached = append(detached, sib)
+			} else {
+				kept = append(kept, sib)
+			}
+		}
+		ancestor.Children = kept
+	}
+	for _, n := range path {
+		n.MarkReduced()
+	}
+	return fresh, detached
+}
+
+// subAny reports whether t is subsumed by some tree of the list.
+func (c *checker) subAny(t *tree.Node, list []*tree.Node) bool {
+	for _, o := range list {
+		if c.sub(t, o) {
+			return true
+		}
+	}
+	return false
+}
+
 // Union returns the least upper bound d ∪ d' of two trees with the same
 // root marking: a tree with that root and all children subtrees of both,
 // reduced. It returns nil if the roots are incomparable (different
@@ -272,25 +362,9 @@ func Union(a, b *tree.Node) *tree.Node {
 	if !a.SameMarking(b) {
 		return nil
 	}
-	// LUB shortcut: when one side already subsumes the other, the union
-	// is the larger side (up to equivalence) — skip the concatenate-and-
-	// reduce entirely. With memoized digests the checks are near-free for
-	// the common case of a snapshot unioned with a grown version of itself
-	// (mirror syncs, restores), collapsing the union to one copy.
-	if Subsumed(b, a) {
-		return Reduce(a)
-	}
-	if Subsumed(a, b) {
-		return Reduce(b)
-	}
-	u := &tree.Node{Kind: a.Kind, Name: a.Name}
-	for _, c := range a.Children {
-		u.Children = append(u.Children, c.Copy())
-	}
-	for _, c := range b.Children {
-		u.Children = append(u.Children, c.Copy())
-	}
-	return reduceInPlace(u)
+	u := Reduce(a)
+	Graft([]*tree.Node{u}, b.Children)
+	return u
 }
 
 // ForestSubsumed reports whether forest a is subsumed by forest b: every

@@ -44,10 +44,13 @@ func (n *Node) CanonicalHash() Hash {
 // Kind or Name must clear the memo of that node AND of every ancestor
 // (a subtree digest covers everything below it). The maintained paths:
 //
-//   - the engine's merge (core) invalidates along the recorded ancestor
-//     chain of the call it merged;
-//   - whole-document restamps (Touch, Restore, replica syncs) go through
-//     StampAll, which clears every memo in the subtree;
+//   - subsume.Graft — under every way a system document grows: an
+//     invocation's merge, System.Append (pushed forests, replication
+//     patches) and System.Restore (journal replay, full pulls) —
+//     invalidates along the ancestor chain root..attach it was handed;
+//   - StampAll clears every memo in the subtree it stamps: the fresh
+//     trees of an append, or the whole document after a by-hand edit
+//     reported through System.Touch;
 //   - reduction in place (subsume) clears the memo of every node whose
 //     child list it rewrites;
 //   - Add clears the node it grows.
@@ -94,7 +97,7 @@ func (n *Node) InvalidateDigest() {
 // InvalidateDigestAll clears the memoized digest and reduced flag of
 // every node in the subtree, without touching stamps. Use it after
 // mutating children through raw slice writes that bypass the maintained
-// invalidation paths (Add, merge, StampAll), before any digest-consuming
+// invalidation paths (Add, subsume.Graft, StampAll), before any digest-consuming
 // operation runs.
 func InvalidateDigestAll(n *Node) {
 	if n == nil {
@@ -120,8 +123,8 @@ func (n *Node) KnownReduced() bool {
 }
 
 // InvalidateDigestPath clears the memoized digest of every node on an
-// ancestor chain (root first or last — order is irrelevant). The engine's
-// merge path calls this with root..attach after splicing new children in.
+// ancestor chain (root first or last — order is irrelevant). subsume.Graft
+// calls this with root..attach after splicing new children in.
 func InvalidateDigestPath(path []*Node) {
 	for _, n := range path {
 		n.InvalidateDigest()

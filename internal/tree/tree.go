@@ -98,8 +98,8 @@ func NewFunc(name string, params ...*Node) *Node {
 
 // Add appends children to n and returns n for chaining. Only n's own
 // digest memo is cleared: callers growing a node already attached below
-// other nodes must invalidate the ancestor digests themselves (the
-// engine's merge path does; see InvalidateDigest).
+// other nodes must invalidate the ancestor digests themselves
+// (subsume.Graft does; see InvalidateDigest).
 func (n *Node) Add(children ...*Node) *Node {
 	n.Children = append(n.Children, children...)
 	n.InvalidateDigest()
@@ -150,11 +150,11 @@ func (n *Node) Copy() *Node {
 	return c
 }
 
-// StampAll sets the Stamp of every node in the subtree to v. Every
-// whole-document restamp follows an out-of-band mutation (Touch, Restore,
-// a replica sync), so StampAll doubles as the conservative digest
-// invalidation for those paths: the memoized digest of every node in the
-// subtree is cleared. (Stamps themselves do not enter the digest.)
+// StampAll sets the Stamp of every node in the subtree to v. A
+// whole-document restamp follows a by-hand edit (System.Touch), so
+// StampAll doubles as the conservative digest invalidation for that
+// path: the memoized digest of every node in the subtree is cleared.
+// (Stamps themselves do not enter the digest.)
 func (n *Node) StampAll(v uint64) {
 	if n == nil {
 		return

@@ -1,7 +1,7 @@
 #!/bin/sh
 # lint-obs.sh — ban bare stdlib printing, package-level http helpers,
-# exported global bool switches and private copies of the assignment
-# dedup from library code.
+# exported global bool switches, private copies of the assignment dedup
+# and hand-rolled document growth in the peer layer from library code.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -78,6 +78,22 @@ baddedup=$(grep -rn --include='*.go' -E '^func (\([^)]*\) )?dedup[A-Za-z0-9_]*\(
 if [ -n "$baddedup" ]; then
     echo "vet-obs: private dedup over assignments (use pattern.Dedup / pattern.DedupStamped):" >&2
     echo "$baddedup" >&2
+    exit 1
+fi
+# A document grows in one place: core.System.Append / Restore (over
+# subsume.Graft), which keep digests, reduced flags, stamps, versions and
+# the index right. A hand-rolled copy of that step — a raw child append
+# followed by InvalidateDigestAll, ReduceInPlace or Union, and Touch — is
+# where stale digests come from; none of those calls belongs in non-test
+# internal/peer.
+badgrow=$(grep -rn --include='*.go' -E 'InvalidateDigest|subsume\.ReduceInPlace|subsume\.Union|\.Touch\(' internal/peer/ \
+    | grep -v '_test\.go:' \
+    | grep -vE ':[0-9]+:[[:space:]]*//' \
+    || true)
+
+if [ -n "$badgrow" ]; then
+    echo "vet-obs: hand-rolled document growth in internal/peer (use core.System.Append / Restore):" >&2
+    echo "$badgrow" >&2
     exit 1
 fi
 echo "vet-obs: ok"
