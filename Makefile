@@ -40,9 +40,9 @@ loc:
 	done; \
 	printf '%6d total\n' $$total
 
-# The concurrency-sensitive peer tests (lock gates released mid-sweep,
-# self-call and peer-cycle regressions, journal flushes under the peer
-# lock) must stay clean under the race detector.
+# The concurrency-sensitive peer tests (reads, sweeps and pushes sharing
+# the system's one lock, self-call and peer-cycle regressions, journal
+# flushes under its write side) must stay clean under the race detector.
 race:
 	$(GO) test -race ./...
 

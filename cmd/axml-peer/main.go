@@ -135,11 +135,9 @@ func main() {
 		BreakerCooldown: *breakerCooldown,
 		Metrics:         metrics,
 	}
-	// The per-attempt deadline lives in the HTTP client, not in a
-	// core.Timeout layer: peer.AttachGates will gate these remotes on the
-	// peer lock, and a gated stack must not contain a Timeout (see its
-	// doc). Clients share http.DefaultTransport, so the keep-alive pool
-	// is shared too.
+	// The per-attempt deadline lives in the one HTTP client the remotes,
+	// mirrors and anti-entropy probes share (peer.WithClient). Clients
+	// share http.DefaultTransport, so the keep-alive pool is shared too.
 	var client *http.Client
 	if *timeout > 0 {
 		client = &http.Client{Timeout: *timeout}
@@ -194,7 +192,7 @@ func main() {
 		fatal(err)
 	}
 	for _, m := range mirrors {
-		p.AddMirror(&peer.Mirror{Remote: m.url, RemoteDoc: m.name, LocalDoc: m.name, Client: client})
+		p.AddMirror(&peer.Mirror{Remote: m.url, RemoteDoc: m.name, LocalDoc: m.name})
 		logger.Info("mirroring", "peer", *name, "doc", m.name, "remote", m.url)
 	}
 	if *antiEntropyEvery > 0 {

@@ -131,8 +131,10 @@ func newEngine(s *System, opts RunOptions) *engine {
 		// A sweep budget is only defined for the sweeping schedule.
 		workers = 1
 	}
+	// Touch and Restore rebuild the index table under the write side.
+	var ih, im uint64
+	s.View(func() { ih, im = s.IndexStats() })
 	rw, ww := s.engineMu.contention()
-	ih, im := s.IndexStats()
 	return &engine{
 		s:              s,
 		opts:           opts,
@@ -275,6 +277,8 @@ func (e *engine) cancelled(ctx context.Context) RunResult {
 // and the Stats histograms and funnel-contention deltas are attached.
 // Every return path of both schedules funnels through here.
 func (e *engine) result() RunResult {
+	var ih, im uint64
+	e.s.View(func() { ih, im = e.s.IndexStats() }) // before e.mu: lock order
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	res := e.res
@@ -286,7 +290,6 @@ func (e *engine) result() RunResult {
 		res.Errors = errs
 	}
 	rw, ww := e.s.engineMu.contention()
-	ih, im := e.s.IndexStats()
 	res.Stats = RunStats{
 		CallsFired:   res.Attempts,
 		CallsSterile: e.sterile,

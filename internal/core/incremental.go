@@ -32,8 +32,8 @@ import (
 // sleeping while its read set moved — holds because every mutation a
 // run performs funnels through merge, and every merge wakes every call
 // whose next answer its delta could enlarge. (Out-of-band mutations —
-// Touch, Restore — are documented as requiring external synchronization
-// with in-flight runs, exactly as for the sweeping schedule.)
+// Append, Restore, Touch under System.Update — exclude the run's
+// evaluations and merges but wake nothing: the next run sees them.)
 
 // qstate tracks a call node's position in the worklist lifecycle.
 type qstate uint8

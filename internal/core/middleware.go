@@ -235,12 +235,11 @@ var ErrTimeout = errors.New("core: service invocation timed out")
 // eventual result is discarded. Use it around services whose blocking
 // happens after they finish reading their binding (RemoteService marshals
 // the envelope first, then waits on the network), so the abandoned
-// goroutine never races the engine's subsequent tree mutations. Do not
-// place a Timeout between a peer's lock gate and the engine — an abandoned
-// gated invocation would re-acquire the gate and never release it;
-// peer.AttachGates therefore declines to gate a stack containing a
-// Timeout, and gated remote services should bound attempts with their
-// HTTP client's Timeout instead.
+// goroutine never races the engine's subsequent tree mutations. An
+// invocation holds no lock of its own — the evaluation around it holds
+// the system's read side and releases it when Invoke returns, expired or
+// not — so a Timeout may sit anywhere in a stack, a peer's remote
+// services included.
 type Timeout struct {
 	// Service is the wrapped service.
 	Service Service

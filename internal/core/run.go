@@ -202,7 +202,7 @@ func (s *System) appendAt(doc string, path []*tree.Node, forest tree.Forest) (fr
 // data arriving from outside a run (a pushed forest, a replication
 // patch). It reports whether the document grew, and fails for an unknown
 // document or a parent that is not (or no longer) one of its nodes. Like
-// Restore it is not synchronized with a run in flight.
+// Restore it takes no lock: on a live system call it inside Update.
 func (s *System) Append(doc string, parent *tree.Node, forest tree.Forest) (changed bool, err error) {
 	d := s.docs[doc]
 	if d == nil {
@@ -552,10 +552,11 @@ func (s *System) Run(opts RunOptions) RunResult {
 // earlier) state, from which a later run resumes by monotonicity.
 //
 // Concurrent RunContext calls on the same System are safe: all engines
-// funnel mutations through the system's version-funnel lock. Mutating the
-// system through any other path (Touch, Restore, direct tree access)
-// while a run is in flight is not synchronized and remains the caller's
-// responsibility.
+// funnel mutations through the system's version-funnel lock, which code
+// outside a run joins through View and Update (a bare Touch, Restore or
+// tree access beside a run is not synchronized). An Update wakes no
+// sleeping worklist call: a run in flight may report a fixpoint that
+// predates it, and the next run picks it up.
 func (s *System) RunContext(ctx context.Context, opts RunOptions) RunResult {
 	e := newEngine(s, opts)
 	if e.workers == 1 {

@@ -44,13 +44,34 @@ type System struct {
 	// side. It lives on the System so concurrent runs over the same
 	// system serialize their merges against each other, not just within
 	// one run. It is not a sync.RWMutex: each schedule acquires the read
-	// side with the discipline it can afford (see rwLock). Non-engine
-	// mutators (Append, Restore, Touch, AddDocument) do not take it: they
-	// are documented as requiring external synchronization with in-flight
-	// runs, and the peer layer provides exactly that with its own lock —
-	// which a gated remote call releases while it waits on the network, so
-	// a push landing then must not queue behind the run's read lock.
+	// side with the discipline it can afford (see rwLock). Code outside a
+	// run joins the funnel through View and Update; the primitives —
+	// Append, Restore, Touch, AddDocument, AddService, the accessors — take
+	// no lock and, on a system other goroutines reach, run inside those.
 	engineMu rwLock
+}
+
+// View runs fn under the read side of the version funnel: fn may read the
+// live trees and the document and service tables beside any number of
+// views and evaluations; no merge or Update runs meanwhile. It acquires
+// with reader preference (rwLock.RLock) — it waits out an ACTIVE writer,
+// never a queued one — so a view is admitted while another reader sleeps
+// on the network, even on a call that leads back here. fn must not mutate.
+func (s *System) View(fn func()) {
+	s.engineMu.RLock()
+	defer s.engineMu.RUnlock()
+	fn()
+}
+
+// Update runs fn under the write side, exclusive against every evaluation,
+// view, merge and other Update: the place for Append, Restore, Touch,
+// AddDocument and AddService on a live system. fn must not start a run or
+// nest View or Update (the lock is not reentrant), nor wait on anything
+// slower than local I/O: every reader queues behind it.
+func (s *System) Update(fn func()) {
+	s.engineMu.Lock()
+	defer s.engineMu.Unlock()
+	fn()
 }
 
 // NewSystem returns an empty system.
@@ -208,7 +229,8 @@ func (s *System) Docs() query.Docs {
 // hatch for callers that write Children themselves; data arriving from
 // elsewhere goes through Append or Restore, which keep the bookkeeping.
 // The edit must leave the document reduced (the invariant every append
-// relies on). Unknown names are ignored.
+// relies on). Unknown names are ignored. On a live system both the edit
+// and the Touch belong inside one Update.
 func (s *System) Touch(name string) {
 	doc, ok := s.docs[name]
 	if !ok {
@@ -255,8 +277,8 @@ func (s *System) Snapshot() []*tree.Document {
 // only re-add information, never lose or corrupt it (Theorem 2.1). It is
 // appendAt at the root: only the trees the document did not hold are
 // stamped new, and a changed document has its version bumped so the
-// sterile-call gate re-examines services that read it. Not synchronized
-// with a run in flight.
+// sterile-call gate re-examines services that read it. It takes no lock:
+// on a live system call it inside Update.
 func (s *System) Restore(name string, root *tree.Node) (changed bool, err error) {
 	doc, ok := s.docs[name]
 	if !ok {

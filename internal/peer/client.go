@@ -169,33 +169,25 @@ func (c *Client) Invoke(ctx context.Context, env Envelope) (tree.Forest, error) 
 	if err != nil {
 		return nil, err
 	}
-	return c.invoke(ctx, env.Service, data)
-}
-
-// invoke POSTs an already-marshaled envelope. RemoteService uses this
-// split directly: the envelope aliases live trees, so it must marshal
-// while still holding its gate and release the gate only around this
-// network round trip.
-func (c *Client) invoke(ctx context.Context, service string, data []byte) (tree.Forest, error) {
 	req, err := newRequest(ctx, http.MethodPost, c.BaseURL+PathInvoke,
 		bytes.NewReader(data))
 	if err != nil {
-		return nil, fmt.Errorf("peer: remote %s: %w", service, err)
+		return nil, fmt.Errorf("peer: remote %s: %w", env.Service, err)
 	}
 	req.Header.Set("Content-Type", "application/xml")
 	resp, err := c.do(req)
 	if err != nil {
-		return nil, fmt.Errorf("peer: remote %s: %w", service, err)
+		return nil, fmt.Errorf("peer: remote %s: %w", env.Service, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// Error bodies carry a short message; read a bounded prefix.
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, fmt.Errorf("peer: remote %s: %s: %s", service, resp.Status, string(msg))
+		return nil, fmt.Errorf("peer: remote %s: %s: %s", env.Service, resp.Status, string(msg))
 	}
 	body, err := readAllLimited(resp.Body, c.MaxWire)
 	if err != nil {
-		return nil, fmt.Errorf("peer: remote %s: %w", service, err)
+		return nil, fmt.Errorf("peer: remote %s: %w", env.Service, err)
 	}
 	return UnmarshalForest(body)
 }

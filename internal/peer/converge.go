@@ -43,7 +43,7 @@ type watermark struct {
 
 // convergence tracks watermarks for every replicated document on one
 // peer. Guarded by its own mutex so the registry's gauge functions can
-// read it without touching the peer lock.
+// read it without touching the system's lock.
 type convergence struct {
 	mu   sync.Mutex
 	docs map[string]*watermark

@@ -120,7 +120,7 @@ func TestStatusEndpointAndConvergenceGauges(t *testing.T) {
 	originRep := origin.Status()
 	table := FormatFleetStatus([]StatusReport{rep, originRep},
 		map[string]error{"gone": context.DeadlineExceeded})
-	for _, want := range []string{"PEER", "replica", "origin", "(origin)", "yes", "ready", "gone: unreachable"} {
+	for _, want := range []string{"PEER", "replica", "origin", "(origin)", "yes", "LOCKWAIT", "0/0", "ready", "gone: unreachable"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("fleet table missing %q:\n%s", want, table)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/xml"
 	"fmt"
+	"sync"
 
 	"axml/internal/subsume"
 	"axml/internal/tree"
@@ -265,9 +266,10 @@ func childByDigest(n *tree.Node, hex string) *tree.Node {
 // digest a receiver would hold as its anchor. Bounded per document:
 // serving a state whose digest is not cached falls back to a full tree,
 // so the cache is purely an optimization and its size a memory/wire
-// trade-off. Guarded by the peer mutex.
+// trade-off. It locks itself: the handlers that use it overlap.
 type deltaAnchors struct {
 	max  int
+	mu   sync.Mutex
 	docs map[string][]anchorState // newest last
 }
 
@@ -290,6 +292,8 @@ func (da *deltaAnchors) lookup(doc, digest string) *tree.Node {
 	if da == nil {
 		return nil
 	}
+	da.mu.Lock()
+	defer da.mu.Unlock()
 	for _, st := range da.docs[doc] {
 		if st.digest == digest {
 			return st.root
@@ -306,6 +310,8 @@ func (da *deltaAnchors) remember(doc, digest string, root *tree.Node) {
 	if da == nil {
 		return
 	}
+	da.mu.Lock()
+	defer da.mu.Unlock()
 	states := da.docs[doc]
 	for i := range states {
 		if states[i].digest == digest {

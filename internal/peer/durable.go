@@ -74,7 +74,7 @@ type RecoveryInfo struct {
 	Recovered bool
 }
 
-// store is a peer's attached durability state, guarded by the peer mutex.
+// store is a peer's durability state, guarded by its system's write side.
 type store struct {
 	dir           string
 	j             *journal.Journal
@@ -173,39 +173,34 @@ func (p *Peer) Durable() bool { return p.store != nil }
 // the peer keeps serving from memory but stops journaling — the condition
 // an operator must notice, so Sweep also surfaces it once via logs at the
 // call sites that care.
-func (p *Peer) StoreErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.store == nil {
-		return nil
+func (p *Peer) StoreErr() (err error) {
+	if p.store != nil {
+		p.system.View(func() { err = p.store.err })
 	}
-	return p.store.err
+	return err
 }
 
 // Close flushes and closes the journal (a no-op for in-memory peers).
-func (p *Peer) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.store == nil {
-		return nil
+func (p *Peer) Close() (err error) {
+	if p.store != nil {
+		p.system.Update(func() { err = p.store.j.Close() })
 	}
-	return p.store.j.Close()
+	return err
 }
 
 // Snapshot forces a snapshot-and-compact cycle now (normally triggered
 // automatically every Durability.SnapshotEvery records).
-func (p *Peer) Snapshot() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+func (p *Peer) Snapshot() (err error) {
 	if p.store == nil {
 		return fmt.Errorf("peer %s: not durable", p.Name)
 	}
-	return p.snapshotLocked()
+	p.system.Update(func() { err = p.snapshotLocked() })
+	return err
 }
 
 // flushJournalLocked appends one doc-state record per document mutated
 // since the last flush, then compacts if the snapshot threshold is
-// reached. Called (with p.mu held) at the end of every mutating
+// reached. Called (inside p.system.Update) at the end of every mutating
 // operation: Sweep, and System — which mirror syncs and push deliveries
 // run under. A journaling failure is recorded once and disables further
 // journaling; the in-memory peer keeps working (durability degrades, the
@@ -322,11 +317,7 @@ func (p *Peer) AntiEntropy(ctx context.Context) (resynced int, err error) {
 			}
 			break
 		}
-		client := m.Client
-		if client == nil {
-			client = p.client // the peer's outbound client (WithClient)
-		}
-		hashes, herr := (&Client{BaseURL: m.Remote, HTTP: client, MaxWire: p.maxWire}).Hashes(ctx)
+		hashes, herr := m.client(p).Hashes(ctx)
 		if herr != nil {
 			p.metrics.Counter("peer.antientropy.errors").Inc()
 			if err == nil {
@@ -338,13 +329,7 @@ func (p *Peer) AntiEntropy(ctx context.Context) (resynced int, err error) {
 		if ok {
 			// The probe just observed the origin digest: record it so the
 			// lag clock starts at detection, not at the repair sync below.
-			var localDigest string
-			p.System(func(s *core.System) {
-				if doc := s.Document(m.LocalDoc); doc != nil {
-					localDigest = docDigest(doc.Root)
-				}
-			})
-			p.converge.observe(p.metrics, m.LocalDoc, remote, localDigest, false)
+			p.converge.observe(p.metrics, m.LocalDoc, remote, p.localDigest(m.LocalDoc), false)
 		}
 		if ok && m.lastRemote != "" && remote == m.lastRemote {
 			continue // replica provably current

@@ -53,14 +53,12 @@ func TestSelfCallSweepNoDeadlock(t *testing.T) {
 	p := mustOpen("loop", sys)
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
-	// The remote binding can only be added once the server URL exists;
-	// re-gate afterwards.
+	// The remote binding can only be added once the server URL exists.
 	p.System(func(s *core.System) {
 		if err := s.AddService(&RemoteService{Name: "SelfEcho", Service: "echo", URL: srv.URL}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	p.AttachGates()
 
 	if !sweepWithin(t, p, 15*time.Second) {
 		t.Fatal("self-call sweep changed nothing")
@@ -74,6 +72,45 @@ func TestSelfCallSweepNoDeadlock(t *testing.T) {
 	if p.Stats().Served != 1 {
 		t.Fatalf("served = %d", p.Stats().Served)
 	}
+}
+
+// Regression: the same self-call through a core.Timeout stack. The lock
+// hand-off this peer used to rely on could not gate a stack containing a
+// Timeout, so the sweep held the peer for the whole round trip, the
+// incoming self-invocation blocked and the sweep failed with "service
+// invocation timed out". An evaluation now only holds the system's read
+// side, whatever middleware wraps the remote call.
+func TestSelfCallThroughTimeoutNoDeadlock(t *testing.T) {
+	sys := core.NewSystem()
+	if err := sys.AddService(core.ConstService("echo",
+		tree.Forest{tree.NewLabel("pong")})); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddDocument(tree.NewDocument("d",
+		syntax.MustParseDocument(`a{!SelfEcho}`))); err != nil {
+		t.Fatal(err)
+	}
+	p := mustOpen("loop", sys)
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	p.System(func(s *core.System) {
+		if err := s.AddService(&core.Timeout{
+			Service: &RemoteService{Name: "SelfEcho", Service: "echo", URL: srv.URL},
+			Limit:   2 * time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	if !sweepWithin(t, p, 15*time.Second) {
+		t.Fatal("self-call sweep changed nothing")
+	}
+	want := syntax.MustParseDocument(`a{!SelfEcho,pong}`)
+	p.System(func(s *core.System) {
+		if !tree.Isomorphic(s.Document("d").Root, want) {
+			t.Fatalf("doc = %s", s.Document("d").Root.CanonicalString())
+		}
+	})
 }
 
 // Regression: a cycle of peers (A sweeps a call served by B, whose
@@ -103,13 +140,11 @@ func TestPeerCycleSweepNoDeadlock(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	pB.AttachGates()
 	pA.System(func(s *core.System) {
 		if err := s.AddService(&RemoteService{Name: "AskB", Service: "relay", URL: srvB.URL}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	pA.AttachGates()
 
 	if !sweepWithin(t, pA, 15*time.Second) {
 		t.Fatal("cycle sweep changed nothing")

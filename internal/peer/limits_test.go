@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"axml/internal/core"
@@ -152,6 +153,65 @@ func TestHandlePushHonoursWithLimits(t *testing.T) {
 	}
 	if got := post("<ax:forest><x></x></ax:forest>"); got != http.StatusOK {
 		t.Errorf("a push under the limit: status %d, want 200", got)
+	}
+}
+
+// countingTransport counts the requests sent through it.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestMirrorHonoursPeerClientAndLimits: a Mirror with no client of its
+// own syncs through the peer's WithClient client, under the peer's
+// WithLimits cap — the delta fetch as much as the anti-entropy probe.
+func TestMirrorHonoursPeerClientAndLimits(t *testing.T) {
+	origin := mustOpen("origin", core.MustParseSystem(
+		`doc log = log{`+strings.Repeat(`entry{"0123456789"},`, 30)+`last}`))
+	srv := httptest.NewServer(origin.Handler())
+	defer srv.Close()
+
+	open := func(opts ...Option) (*Peer, *Mirror) {
+		t.Helper()
+		p, _, err := Open("replica", core.MustParseSystem(`doc log = log`), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &Mirror{Remote: srv.URL, RemoteDoc: "log", LocalDoc: "log"}
+		p.AddMirror(m)
+		return p, m
+	}
+
+	// The document is far below the package-wide cap, above this peer's.
+	p, m := open(WithLimits(64))
+	if _, err := m.Sync(context.Background(), p); !errors.Is(err, ErrResponseTooLarge) {
+		t.Errorf("sync under WithLimits(64): want ErrResponseTooLarge, got %v", err)
+	}
+	if _, err := p.AntiEntropy(context.Background()); !errors.Is(err, ErrResponseTooLarge) {
+		t.Errorf("anti-entropy under WithLimits(64): want ErrResponseTooLarge, got %v", err)
+	}
+	if got := p.Hash(); got != "log="+digestHex(tree.NewLabel("log"))+";" {
+		t.Errorf("an oversized sync reached the replica: %s", got)
+	}
+
+	var rt countingTransport
+	p, m = open(WithClient(&http.Client{Transport: &rt}))
+	if changed, err := m.Sync(context.Background(), p); err != nil || !changed {
+		t.Fatalf("sync through WithClient: changed=%v err=%v", changed, err)
+	}
+	if rt.n.Load() != 1 {
+		t.Errorf("the peer's client saw %d mirror requests, want 1", rt.n.Load())
+	}
+	if n, err := p.AntiEntropy(context.Background()); err != nil || n != 0 {
+		t.Fatalf("anti-entropy on a current replica: resynced=%d err=%v", n, err)
+	}
+	if rt.n.Load() != 2 {
+		t.Errorf("the peer's client saw %d requests after the probe, want 2", rt.n.Load())
+	}
+	if p.Hash() != origin.Hash() {
+		t.Errorf("replica %s != origin %s", p.Hash(), origin.Hash())
 	}
 }
 

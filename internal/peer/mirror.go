@@ -31,7 +31,7 @@ type Mirror struct {
 	RemoteDoc string
 	// LocalDoc is the local document name the replica lives under.
 	LocalDoc string
-	// Client is the HTTP client; nil means a 10s-timeout default.
+	// Client is the HTTP client; nil means the syncing peer's (WithClient).
 	Client *http.Client
 
 	// Syncs counts the completed synchronizations.
@@ -48,9 +48,14 @@ type Mirror struct {
 	lastRemote string
 }
 
-// client is the typed view of the mirror's remote endpoint.
-func (m *Mirror) client() *Client {
-	return &Client{BaseURL: m.Remote, HTTP: m.Client}
+// client is the typed view of the mirror's remote endpoint as p reaches
+// it: the mirror's HTTP client, else p's, under p's wire limit.
+func (m *Mirror) client(p *Peer) *Client {
+	c := &Client{BaseURL: m.Remote, HTTP: m.Client, MaxWire: p.maxWire}
+	if c.HTTP == nil {
+		c.HTTP = p.client
+	}
+	return c
 }
 
 // Sync synchronizes the replica once and reports whether it grew. It
@@ -70,7 +75,7 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	}
 	start := time.Now()
 	startTS := p.tracer.Now()
-	d, err := m.client().Delta(ctx, m.RemoteDoc, m.lastRemote)
+	d, err := m.client(p).Delta(ctx, m.RemoteDoc, m.lastRemote)
 	if err != nil {
 		p.metrics.Counter("peer.mirror.errors").Inc()
 		return false, err
@@ -86,7 +91,7 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 			// (local-only growth, a missed delivery, a restart): repair
 			// with a full pull.
 			p.metrics.Counter("peer.mirror.delta_fallbacks").Inc()
-			if d, err = m.client().Delta(ctx, m.RemoteDoc, ""); err == nil {
+			if d, err = m.client(p).Delta(ctx, m.RemoteDoc, ""); err == nil {
 				if d.Mode != DeltaFull {
 					err = fmt.Errorf("peer: mirror %s: anchorless delta answered mode %q",
 						m.LocalDoc, d.Mode)
@@ -117,13 +122,7 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	}
 	// Convergence watermark: the negotiated Delta.To is the origin digest
 	// this sync observed; compare it with the local digest it left behind.
-	var localDigest string
-	p.System(func(s *core.System) {
-		if doc := s.Document(m.LocalDoc); doc != nil {
-			localDigest = docDigest(doc.Root)
-		}
-	})
-	p.converge.observe(p.metrics, m.LocalDoc, d.To, localDigest, changed)
+	p.converge.observe(p.metrics, m.LocalDoc, d.To, p.localDigest(m.LocalDoc), changed)
 	if tr := p.tracer; tr.Enabled() {
 		var grew int64
 		if changed {

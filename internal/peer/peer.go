@@ -59,12 +59,15 @@ func readAllLimited(r io.Reader, limit int64) ([]byte, error) {
 }
 
 // Peer hosts an AXML system and serves its services over HTTP. All
-// exported methods are safe for concurrent use; the system is guarded by
-// one mutex (requests serialize, which matches the formal model's
-// one-invocation-at-a-time rewriting). During a sweep the mutex is
-// released while a RemoteService waits on the network (see AttachGates),
-// so a document that — directly or through a cycle of peers — calls one
-// of this peer's own services makes progress instead of deadlocking.
+// exported methods are safe for concurrent use under the engine's own
+// concurrency model: whatever reads the documents holds the read side of
+// the system's version funnel (core.System.View), beside other reads and
+// a sweep's evaluations; whatever mutates them — a sweep's merges,
+// Peer.System, the journal flush — holds the write side (Update). A
+// reader passes a queued writer, so a document that — directly or through
+// a cycle of peers — calls this peer's own services is served while the
+// calling evaluation waits on the network; a write arriving meanwhile
+// waits for that evaluation (DESIGN.md, Peer locking).
 type Peer struct {
 	// Name identifies the peer in logs and stats.
 	Name string
@@ -73,18 +76,17 @@ type Peer struct {
 	// value is core.FailFast (abort the sweep on the first error).
 	ErrorPolicy core.ErrorPolicy
 
-	// sweepMu serializes sweeps: mu alone cannot, because sweeps release
-	// it around remote invocations.
-	sweepMu sync.Mutex
-
-	mu     sync.Mutex
+	// system is read inside its View, mutated inside its Update or a merge.
 	system *core.System
-	stats  Stats
 
-	// store is the durability layer (nil for an in-memory peer); dirty
-	// accumulates the names of documents mutated since the last journal
-	// flush. Both are guarded by mu: every mutating path holds it, so the
-	// core mutation hook appending to dirty always runs under it.
+	statsMu sync.Mutex // guards stats, nothing else
+	stats   Stats
+
+	// store is the durability layer (nil for an in-memory peer; fixed by
+	// Open); dirty accumulates the names of documents mutated since the
+	// last journal flush. The store's fields and dirty are guarded by the
+	// system's write side: every version bump, hence the mutation hook
+	// filling dirty, runs there, and so does the flush.
 	store *store
 	dirty map[string]bool
 
@@ -106,13 +108,13 @@ type Peer struct {
 	logger  *slog.Logger
 
 	// anchors caches recent document states by digest so PathDelta can
-	// answer with a patch instead of the full tree. Guarded by mu.
+	// answer with a patch instead of the full tree. It locks itself.
 	anchors *deltaAnchors
 
 	// converge tracks per-document replication watermarks (origin digest
 	// seen vs local digest reached) for the /axml/status surface and the
-	// peer.converge.* metrics. It has its own lock — never nested inside
-	// mu — so registry gauge functions can read it from any goroutine.
+	// peer.converge.* metrics. It has its own lock, so registry gauge
+	// functions can read it from any goroutine.
 	converge *convergence
 
 	// started anchors the uptime reported by /axml/status.
@@ -132,11 +134,10 @@ type Stats struct {
 }
 
 // Open is the canonical constructor: it wraps a system as a peer, applies
-// the options, gates remote services on the peer's lock (AttachGates)
-// and — when WithDurability names a data directory — recovers any state a
-// previous incarnation persisted there before attaching the journal. The
-// system should be freshly built from its definition; after Open, access
-// it only through the peer's methods. Durable peers should run
+// the options and — when WithDurability names a data directory — recovers
+// any state a previous incarnation persisted there before attaching the
+// journal. The system should be freshly built from its definition; after
+// Open, access it only through the peer's methods. Durable peers should run
 // AntiEntropy once live peers are reachable, to pull mirrored documents
 // that moved while this peer was down.
 func Open(name string, s *core.System, opts ...Option) (*Peer, RecoveryInfo, error) {
@@ -194,14 +195,13 @@ func Open(name string, s *core.System, opts ...Option) (*Peer, RecoveryInfo, err
 			"peer", name, "snapshot_seq", info.SnapshotSeq,
 			"replayed", info.Replayed, "torn", info.Torn)
 	}
-	p.AttachGates()
 	if st != nil {
 		p.store = st
 		p.dirty = make(map[string]bool)
-		// The hook fires inside every mutating operation, which all hold
-		// p.mu, so dirty needs no lock of its own. It is installed after
-		// recovery on purpose: recovery's own Restore merges must not
-		// journal themselves back.
+		// The hook fires inside every version bump, which all run under
+		// the system's write side, so dirty needs no lock of its own. It
+		// is installed after recovery on purpose: recovery's own Restore
+		// merges must not journal themselves back.
 		s.SetMutationHook(func(docName string) { p.dirty[docName] = true })
 	}
 	return p, info, nil
@@ -215,57 +215,22 @@ func (p *Peer) wireLimit() int64 {
 	return MaxWireBytes
 }
 
-// AttachGates installs the peer's state lock as the network gate of every
-// RemoteService registered in the system (reaching through middleware
-// stacks via core.Wrapper), so sweeps release the peer while waiting on
-// remote answers — required for self-calls and peer cycles to make
-// progress. New calls it; call it again after registering more remote
-// services post-construction.
-//
-// A stack containing a core.Timeout is left ungated: Timeout abandons an
-// expired invocation, whose deferred gate re-acquisition would then hold
-// the peer lock forever. Bound a gated remote service's attempts with the
-// HTTP client's Timeout instead (all clients share the default transport,
-// so connection pooling is unaffected).
-func (p *Peer) AttachGates() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, name := range p.system.FuncNames() {
-		svc := p.system.Service(name)
-		gateable := true
-		for svc != nil {
-			if _, ok := svc.(*core.Timeout); ok {
-				gateable = false
-			}
-			if rs, ok := svc.(*RemoteService); ok {
-				if gateable && rs.Gate == nil {
-					rs.Gate = &p.mu
-				}
-				break
-			}
-			w, ok := svc.(core.Wrapper)
-			if !ok {
-				break
-			}
-			svc = w.Unwrap()
-		}
-	}
-}
-
-// System gives locked access to the underlying system. Mutations made
-// inside fn are journaled before the lock is released (when the peer is
-// durable).
+// System gives exclusive access to the underlying system (core.System.
+// Update: fn waits for the evaluations and views in flight, and none
+// starts meanwhile). Mutations made inside fn are journaled before the
+// lock is released (when the peer is durable). fn must not call back
+// into the peer or start a run.
 func (p *Peer) System(fn func(s *core.System)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fn(p.system)
-	p.flushJournalLocked()
+	p.system.Update(func() {
+		fn(p.system)
+		p.flushJournalLocked()
+	})
 }
 
 // Stats returns a snapshot of the counters.
 func (p *Peer) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.statsMu.Lock()
+	defer p.statsMu.Unlock()
 	return p.stats
 }
 
@@ -337,25 +302,30 @@ func (p *Peer) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // (the AXML Web service semantics — results may themselves contain calls,
 // i.e. intensional answers). The context is the caller's — over HTTP it
 // is the request context, so a disconnected client cancels the
-// evaluation it asked for.
-func (p *Peer) Serve(ctx context.Context, env Envelope) (tree.Forest, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	svc := p.system.Service(env.Service)
-	if svc == nil {
-		return nil, fmt.Errorf("peer %s: unknown service %q", p.Name, env.Service)
-	}
-	input := env.Input
-	if input == nil {
-		input = tree.NewLabel(tree.Input)
-	}
-	p.stats.Served++
-	p.metrics.Counter("peer.served").Inc()
-	return svc.Invoke(ctx, core.Binding{
-		Input:   input,
-		Context: env.Context,
-		Docs:    p.system.Docs(),
+// evaluation it asked for. It holds the system's read side, like an
+// engine evaluation: it overlaps reads and sweeps and excludes merges.
+func (p *Peer) Serve(ctx context.Context, env Envelope) (forest tree.Forest, err error) {
+	p.system.View(func() {
+		svc := p.system.Service(env.Service)
+		if svc == nil {
+			err = fmt.Errorf("peer %s: unknown service %q", p.Name, env.Service)
+			return
+		}
+		input := env.Input
+		if input == nil {
+			input = tree.NewLabel(tree.Input)
+		}
+		p.statsMu.Lock()
+		p.stats.Served++
+		p.statsMu.Unlock()
+		p.metrics.Counter("peer.served").Inc()
+		forest, err = svc.Invoke(ctx, core.Binding{
+			Input:   input,
+			Context: env.Context,
+			Docs:    p.system.Docs(),
+		})
 	})
+	return forest, err
 }
 
 func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
@@ -364,19 +334,20 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.URL.Path[len(PathDoc):]
-	p.mu.Lock()
-	doc := p.system.Document(name)
+	var doc *tree.Document
 	var data []byte
 	var err error
-	if doc != nil {
+	p.system.View(func() {
+		if doc = p.system.Document(name); doc == nil {
+			return
+		}
 		data, err = MarshalTree(doc.Root)
 		if err == nil {
 			// The receiver now holds this exact state: cache it as a delta
 			// anchor so its next PathDelta request gets a patch.
 			p.anchors.remember(name, docDigest(doc.Root), doc.Root)
 		}
-	}
-	p.mu.Unlock()
+	})
 	if doc == nil {
 		http.NotFound(w, r)
 		return
@@ -391,12 +362,13 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 
 // Sweep performs one fair local sweep (each current call attempted once)
 // and reports whether anything changed. Remote calls embedded in local
-// documents go over HTTP during the sweep; while one is in flight the
-// peer's lock is released (via the gates AttachGates installed), so
-// incoming invocations — including the peer's own services called back
-// through the wire — are served instead of deadlocking. Sweeps themselves
-// stay serialized. Under core.Degrade a failing call is quarantined and
-// the sweep continues; the error is still reported.
+// documents go over HTTP during the sweep; the evaluation waiting on one
+// holds only the system's read side, so incoming invocations — including
+// the peer's own services called back through the wire — are served
+// instead of deadlocking. Concurrent sweeps are concurrent runs (their
+// evaluations overlap, their merges serialize); a durable peer's sweep
+// returns after its merges are journaled. Under core.Degrade a failing
+// call is quarantined and the sweep continues; the error is still reported.
 func (p *Peer) Sweep() (bool, error) {
 	return p.SweepContext(context.Background())
 }
@@ -406,25 +378,21 @@ func (p *Peer) Sweep() (bool, error) {
 // root, an incoming request's server span) parents the sweep's trace so
 // cross-peer cascades stitch into one trace.
 func (p *Peer) SweepContext(ctx context.Context) (bool, error) {
-	p.sweepMu.Lock()
-	defer p.sweepMu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Sweeps++
-	// Parallelism stays 1: a gated RemoteService releases p.mu for its
-	// network round trip, a contract built on exactly one invocation being
-	// in flight at a time. Parallel firing within a peer sweep would have
-	// concurrent invocations unlocking/relocking the same gate.
 	res := p.system.RunContext(ctx, core.RunOptions{
-		MaxSweeps: 1, ErrorPolicy: p.ErrorPolicy, Parallelism: 1,
+		MaxSweeps: 1, ErrorPolicy: p.ErrorPolicy,
 		Metrics: p.metrics, Tracer: p.tracer,
 	})
+	p.statsMu.Lock()
+	p.stats.Sweeps++
 	p.stats.Steps += res.Steps
 	p.stats.Failures += res.Failures
+	p.statsMu.Unlock()
 	p.logger.Debug("sweep", append([]any{"peer", p.Name,
 		"steps", res.Steps, "attempts", res.Attempts, "failures", res.Failures},
 		obs.SpanFromContext(ctx).LogArgs()...)...)
-	p.flushJournalLocked()
+	if p.store != nil {
+		p.system.Update(p.flushJournalLocked)
+	}
 	if res.Err != nil && (p.ErrorPolicy == core.FailFast || res.Steps == 0) {
 		return res.Steps > 0, res.Err
 	}
@@ -451,13 +419,23 @@ func (p *Peer) handleSweep(w http.ResponseWriter, r *http.Request) {
 // Hash returns a digest of the peer's current documents (for distributed
 // termination detection).
 func (p *Peer) Hash() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var h string
-	for _, name := range p.system.DocNames() {
-		h += name + "=" + docDigest(p.system.Document(name).Root) + ";"
-	}
+	p.system.View(func() {
+		for _, name := range p.system.DocNames() {
+			h += name + "=" + docDigest(p.system.Document(name).Root) + ";"
+		}
+	})
 	return h
+}
+
+// localDigest is one document's advertised digest, "" for an unknown name.
+func (p *Peer) localDigest(name string) (digest string) {
+	p.system.View(func() {
+		if doc := p.system.Document(name); doc != nil {
+			digest = docDigest(doc.Root)
+		}
+	})
+	return digest
 }
 
 func (p *Peer) handleHash(w http.ResponseWriter, r *http.Request) {
@@ -483,34 +461,39 @@ func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.URL.Path[len(PathDelta):]
 	from := r.URL.Query().Get("from")
-	p.mu.Lock()
-	doc := p.system.Document(name)
-	if doc == nil {
-		p.mu.Unlock()
+	var d Delta
+	var data []byte
+	var err error
+	p.system.View(func() {
+		doc := p.system.Document(name)
+		if doc == nil {
+			return
+		}
+		cur := doc.Root
+		d = Delta{Doc: name, To: docDigest(cur)}
+		switch {
+		case from == d.To:
+			d.Mode = DeltaSame
+		case from != "":
+			if anchor := p.anchors.lookup(name, from); anchor != nil && subsume.Subsumed(anchor, cur) {
+				if patch := PruneSince(cur, anchor); patch != nil {
+					d.Mode = DeltaPatch
+					d.From = from
+					d.Patch = patch
+				}
+			}
+		}
+		if d.Mode == "" {
+			d.Mode = DeltaFull
+			d.Full = cur
+		}
+		p.anchors.remember(name, d.To, cur)
+		data, err = MarshalDelta(d) // the patch and the full tree alias cur
+	})
+	if d.Doc == "" {
 		http.NotFound(w, r)
 		return
 	}
-	cur := doc.Root
-	d := Delta{Doc: name, To: docDigest(cur)}
-	switch {
-	case from == d.To:
-		d.Mode = DeltaSame
-	case from != "":
-		if anchor := p.anchors.lookup(name, from); anchor != nil && subsume.Subsumed(anchor, cur) {
-			if patch := PruneSince(cur, anchor); patch != nil {
-				d.Mode = DeltaPatch
-				d.From = from
-				d.Patch = patch
-			}
-		}
-	}
-	if d.Mode == "" {
-		d.Mode = DeltaFull
-		d.Full = cur
-	}
-	p.anchors.remember(name, d.To, cur)
-	data, err := MarshalDelta(d)
-	p.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -525,6 +508,8 @@ func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
 // decodes the returned forest. The remote peer evaluates against its own
 // documents — only the reserved input/context travel, exactly as in the
 // formal model where each function name denotes a service at some URL.
+// The caller (an engine evaluation, Peer.Serve) holds its system's read
+// side throughout: the binding's live trees are stable while marshaled.
 type RemoteService struct {
 	// Name is the local function name.
 	Name string
@@ -535,14 +520,6 @@ type RemoteService struct {
 	// Client is the HTTP client; nil means the shared DefaultClient
 	// (10s timeout, pooled keep-alive connections).
 	Client *http.Client
-	// Gate, when set, is released for the duration of the network round
-	// trip and re-acquired before returning. The envelope is marshaled
-	// from the live trees before release and the attach-and-reduce in
-	// the engine happens after re-acquisition, so the system is never
-	// read or mutated while unlocked. Peers install their state lock
-	// here (AttachGates); leave nil when invocations don't run under a
-	// lock that incoming requests also need.
-	Gate sync.Locker
 	// MaxBytes caps the response body; 0 means the package-wide
 	// MaxWireBytes. Responses over the cap fail with ErrResponseTooLarge.
 	MaxBytes int64
@@ -561,14 +538,5 @@ func (r *RemoteService) Invoke(ctx context.Context, b core.Binding) (tree.Forest
 	if svc == "" {
 		svc = r.Name
 	}
-	// Marshal while still holding any gate: the binding aliases live trees.
-	data, err := MarshalEnvelope(Envelope{Service: svc, Input: b.Input, Context: b.Context})
-	if err != nil {
-		return nil, err
-	}
-	if r.Gate != nil {
-		r.Gate.Unlock()
-		defer r.Gate.Lock() // re-acquire before the engine resumes
-	}
-	return c.invoke(ctx, svc, data)
+	return c.Invoke(ctx, Envelope{Service: svc, Input: b.Input, Context: b.Context})
 }

@@ -52,6 +52,12 @@ type StatusReport struct {
 	Served   int `json:"served"`
 	Failures int `json:"failures"`
 
+	// Contended acquisitions of the system's lock since the peer opened
+	// (core.System.LockContention): reads and evaluations that met a write
+	// in progress; merges, pushes and flushes that had to queue.
+	LockReaderWaits uint64 `json:"lock_reader_waits"`
+	LockWriterWaits uint64 `json:"lock_writer_waits"`
+
 	Docs []DocStatus `json:"docs"`
 }
 
@@ -92,31 +98,30 @@ func (p *Peer) Status() StatusReport {
 	}
 	marks := p.converge.snapshot()
 	now := p.converge.now()
-	p.mu.Lock()
-	rep.Sweeps = p.stats.Sweeps
-	rep.Steps = p.stats.Steps
-	rep.Served = p.stats.Served
-	rep.Failures = p.stats.Failures
-	for _, name := range p.system.DocNames() {
-		ds := DocStatus{
-			Doc:           name,
-			LocalDigest:   docDigest(p.system.Document(name).Root),
-			LastAdvanceMs: -1,
-		}
-		if w, ok := marks[name]; ok {
-			ds.OriginDigest = w.origin
-			ds.LagNs = int64(w.lastLag)
-			if !w.lastAdvance.IsZero() {
-				ds.LastAdvanceMs = int64(now.Sub(w.lastAdvance) / time.Millisecond)
+	st := p.Stats()
+	rep.Sweeps, rep.Steps, rep.Served, rep.Failures = st.Sweeps, st.Steps, st.Served, st.Failures
+	rep.LockReaderWaits, rep.LockWriterWaits = p.system.LockContention()
+	p.system.View(func() {
+		for _, name := range p.system.DocNames() {
+			ds := DocStatus{
+				Doc:           name,
+				LocalDigest:   docDigest(p.system.Document(name).Root),
+				LastAdvanceMs: -1,
 			}
+			if w, ok := marks[name]; ok {
+				ds.OriginDigest = w.origin
+				ds.LagNs = int64(w.lastLag)
+				if !w.lastAdvance.IsZero() {
+					ds.LastAdvanceMs = int64(now.Sub(w.lastAdvance) / time.Millisecond)
+				}
+			}
+			// Converged compares against the live local digest, not the one
+			// recorded at the last exchange: a local write after convergence
+			// legitimately moves this peer ahead of its recorded origin.
+			ds.Converged = ds.OriginDigest == "" || ds.OriginDigest == ds.LocalDigest
+			rep.Docs = append(rep.Docs, ds)
 		}
-		// Converged compares against the live local digest, not the one
-		// recorded at the last exchange: a local write after convergence
-		// legitimately moves this peer ahead of its recorded origin.
-		ds.Converged = ds.OriginDigest == "" || ds.OriginDigest == ds.LocalDigest
-		rep.Docs = append(rep.Docs, ds)
-	}
-	p.mu.Unlock()
+	})
 	sort.Slice(rep.Docs, func(i, j int) bool { return rep.Docs[i].Doc < rep.Docs[j].Doc })
 	return rep
 }
@@ -162,7 +167,8 @@ func (c *Client) Status(ctx context.Context) (StatusReport, error) {
 }
 
 // FormatFleetStatus renders one convergence/lag/health table row per
-// document per peer, plus a summary line per unreachable peer (errs maps
+// document per peer (LOCKWAIT is the peer's lock_reader_waits/
+// lock_writer_waits), plus a summary line per unreachable peer (errs maps
 // peer label -> fetch error; may be nil). The output is stable: peers
 // sort by name, documents by name within a peer.
 func FormatFleetStatus(reports []StatusReport, errs map[string]error) string {
@@ -172,7 +178,7 @@ func FormatFleetStatus(reports []StatusReport, errs map[string]error) string {
 
 	var b strings.Builder
 	w := func(cols ...string) {
-		widths := []int{10, 14, 16, 16, 9, 12, 10, 8}
+		widths := []int{10, 14, 16, 16, 9, 12, 10, 9, 8}
 		for i, c := range cols {
 			if i > 0 {
 				b.WriteString("  ")
@@ -184,14 +190,15 @@ func FormatFleetStatus(reports []StatusReport, errs map[string]error) string {
 		}
 		b.WriteByte('\n')
 	}
-	w("PEER", "DOC", "LOCAL", "ORIGIN", "CONVERGED", "ADVANCED", "LAG", "HEALTH")
+	w("PEER", "DOC", "LOCAL", "ORIGIN", "CONVERGED", "ADVANCED", "LAG", "LOCKWAIT", "HEALTH")
 	for _, rep := range sorted {
 		health := "ready"
 		if !rep.Ready {
 			health = "NOT READY"
 		}
+		waits := fmt.Sprintf("%d/%d", rep.LockReaderWaits, rep.LockWriterWaits)
 		if len(rep.Docs) == 0 {
-			w(rep.Peer, "-", "-", "-", "-", "-", "-", health)
+			w(rep.Peer, "-", "-", "-", "-", "-", "-", waits, health)
 			continue
 		}
 		for _, d := range rep.Docs {
@@ -211,7 +218,7 @@ func FormatFleetStatus(reports []StatusReport, errs map[string]error) string {
 			if d.LagNs > 0 {
 				lag = time.Duration(d.LagNs).Round(time.Microsecond).String()
 			}
-			w(rep.Peer, d.Doc, d.LocalDigest, origin, conv, adv, lag, health)
+			w(rep.Peer, d.Doc, d.LocalDigest, origin, conv, adv, lag, waits, health)
 		}
 	}
 	names := make([]string, 0, len(errs))

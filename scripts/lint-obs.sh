@@ -1,7 +1,8 @@
 #!/bin/sh
 # lint-obs.sh — ban bare stdlib printing, package-level http helpers,
-# exported global bool switches, private copies of the assignment dedup
-# and hand-rolled document growth in the peer layer from library code.
+# exported global bool switches, private copies of the assignment dedup,
+# hand-rolled document growth in the peer layer and lock hand-offs from
+# library code.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -94,6 +95,22 @@ badgrow=$(grep -rn --include='*.go' -E 'InvalidateDigest|subsume\.ReduceInPlace|
 if [ -n "$badgrow" ]; then
     echo "vet-obs: hand-rolled document growth in internal/peer (use core.System.Append / Restore):" >&2
     echo "$badgrow" >&2
+    exit 1
+fi
+# A lock is released by the code that took it. Handing one to another
+# component to release and re-take around its own blocking work — a
+# sync.Locker field, a deferred re-Lock — only holds while exactly one
+# holder is in flight (the peer's RemoteService gate was that); code that
+# must let others in while it waits holds the read side of the system's
+# lock instead (core.System.View). The cmds are covered too.
+badhandoff=$(grep -rn --include='*.go' -E 'defer [^ ]*\.Lock\(\)|^[[:space:]]+[A-Za-z0-9_]+[[:space:]]+sync\.Locker([[:space:]]|$)' internal/ cmd/ \
+    | grep -v '_test\.go:' \
+    | grep -vE ':[0-9]+:[[:space:]]*//' \
+    || true)
+
+if [ -n "$badhandoff" ]; then
+    echo "vet-obs: lock hand-off (a deferred re-Lock or a sync.Locker field) in library code (hold the system's read side, core.System.View):" >&2
+    echo "$badhandoff" >&2
     exit 1
 fi
 echo "vet-obs: ok"
