@@ -66,7 +66,7 @@ func main() {
 	name := flag.String("name", "peer", "peer name for logs")
 	retries := flag.Int("retries", 3, "attempts per remote invocation (1 disables retry)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubles per retry, jittered)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-attempt deadline for remote invocations (0 disables)")
+	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline for remote invocations, mirror syncs and router forwards (0 disables)")
 	breakerFailures := flag.Int("breaker-failures", 5, "consecutive failures opening the circuit breaker (0 disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second, "open period before the breaker half-opens")
 	degrade := flag.Bool("degrade", false, "quarantine failing calls during sweeps instead of aborting")
@@ -135,8 +135,9 @@ func main() {
 		BreakerCooldown: *breakerCooldown,
 		Metrics:         metrics,
 	}
-	// The per-attempt deadline lives in the one HTTP client the remotes,
-	// mirrors and anti-entropy probes share (peer.WithClient). Clients
+	// The per-attempt deadline lives in the one HTTP client the remotes
+	// and everything the peer itself sends (peer.WithClient: mirror syncs,
+	// anti-entropy probes, router forwards, push deliveries) share. Clients
 	// share http.DefaultTransport, so the keep-alive pool is shared too.
 	var client *http.Client
 	if *timeout > 0 {

@@ -127,7 +127,7 @@ func (r *Retry) Invoke(ctx context.Context, b Binding) (tree.Forest, error) {
 	made := 0
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			if err := r.backoff(ctx, i); err != nil {
+			if err := r.Backoff(ctx, i); err != nil {
 				if lastErr == nil {
 					lastErr = err
 				}
@@ -173,9 +173,12 @@ func (r *Retry) Invoke(ctx context.Context, b Binding) (tree.Forest, error) {
 	return nil, fmt.Errorf("core: %d attempt(s) failed: %w", made, lastErr)
 }
 
-// backoff waits before the i-th retry (i ≥ 1) and counts it. The wait is
-// cut short — and the context error returned — if ctx dies first.
-func (r *Retry) backoff(ctx context.Context, i int) error {
+// Backoff waits before the i-th retry (i ≥ 1) and counts it. The wait is
+// cut short — and the context error returned — if ctx dies first. It is
+// the repo's one retry-delay policy: Invoke's loop calls it, and a caller
+// whose retried request changes between attempts (the peer's push
+// Publisher) keeps its own loop around a Retry with no Service.
+func (r *Retry) Backoff(ctx context.Context, i int) error {
 	base := r.BaseDelay
 	if base == 0 {
 		base = DefaultRetryBase

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"time"
 
 	"axml/internal/obs"
 	"axml/internal/tree"
@@ -16,44 +17,51 @@ import (
 
 // Client is the typed client-side surface of a peer's HTTP API: one value
 // per target peer, carrying the base URL, the transport client and the
-// wire-size cap that every request shares. Mirror syncs, coordinator
-// rounds, anti-entropy probes, remote service invocations and the load
-// generator all route through it — it is the single place outbound peer
-// HTTP is shaped, bounded and decoded. The zero value is not useful;
-// set BaseURL (or use NewClient). A Client is safe for concurrent use:
-// it holds no mutable state beyond the pooled *http.Client.
+// wire-size cap that every request shares. Every method is a codec around
+// call, the one place a request to a peer endpoint is built, sent,
+// bounded and its status judged — so mirror syncs, anti-entropy probes and
+// push deliveries (through Peer.remote), coordinator rounds, remote
+// service invocations and the load generator all leave the same way. The
+// zero value is not useful; set BaseURL (or use NewClient). A Client is
+// safe for concurrent use: it holds no mutable state beyond the pooled
+// *http.Client.
 type Client struct {
 	// BaseURL is the peer's base URL, e.g. "http://host:8080" (no
 	// trailing slash; the endpoint paths under /axml/ are appended).
 	BaseURL string
-	// HTTP is the transport client; nil means the shared DefaultClient
+	// HTTP is the transport client; nil means one shared package default
 	// (10s timeout, pooled keep-alive connections).
 	HTTP *http.Client
-	// MaxWire caps every response body this client reads; 0 means the
-	// package-wide MaxWireBytes. Bodies over the cap fail with
-	// ErrResponseTooLarge.
+	// MaxWire caps every response body this client reads; 0 means
+	// MaxWireBytes. Bodies over the cap fail with ErrResponseTooLarge.
 	MaxWire int64
 }
 
 // NewClient wraps a peer base URL. A nil httpClient means the shared
-// DefaultClient.
+// package default.
 func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return &Client{BaseURL: strings.TrimSuffix(baseURL, "/"), HTTP: httpClient}
 }
+
+// defaultClient is what a Client with no transport of its own sends on:
+// shared so repeated calls to the same peer reuse pooled keep-alive
+// connections instead of re-dialing per request.
+var defaultClient = &http.Client{Timeout: 10 * time.Second}
 
 // httpc resolves the transport client.
 func (c *Client) httpc() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return DefaultClient
+	return defaultClient
 }
 
 // newRequest builds one outbound request, stamping the W3C traceparent
 // header from the span context riding ctx (none attached → no header).
-// Every Client method funnels through here — outbound trace propagation
-// has exactly one choke point, which is why scripts/lint-obs.sh bans
-// bare http.Get/http.Post in internal/ code.
+// Every outbound request funnels through here — trace propagation has
+// exactly one choke point, which is why scripts/lint-obs.sh bans bare
+// http.Get/http.Post in internal/ code and http.NewRequest anywhere else
+// in this package.
 func newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
@@ -65,38 +73,70 @@ func newRequest(ctx context.Context, method, url string, body io.Reader) (*http.
 	return req, nil
 }
 
-// do issues req and returns the response, mapping transport errors that
-// were really a context cancellation back to the context's error so
-// callers can match it.
-func (c *Client) do(req *http.Request) (*http.Response, error) {
+// statusError is a non-200 answer: the status and a bounded prefix of the
+// body (error bodies carry a short message).
+type statusError struct {
+	code   int
+	status string
+	body   string
+}
+
+func (e *statusError) Error() string {
+	if e.body == "" {
+		return e.status
+	}
+	return e.status + ": " + e.body
+}
+
+// call is the one way out to a peer endpoint: it sends method path (under
+// BaseURL) with an optional body and hdr (key, value pairs) and returns
+// the 200 answer's body. Every failure is wrapped as "peer: <what>: …": a
+// transport error that was really a context cancellation is mapped back to
+// the context's error so callers can match it, any other status is a
+// *statusError, and a body over the wire cap is ErrResponseTooLarge.
+func (c *Client) call(ctx context.Context, what, method, path, contentType string, body []byte, hdr ...string) (_ []byte, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("peer: %s: %w", what, err)
+		}
+	}()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := newRequest(ctx, method, c.BaseURL+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if len(hdr)%2 != 0 {
+		panic("peer: call: hdr is key, value pairs")
+	}
+	for i := 0; i < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
 	resp, err := c.httpc().Do(req)
 	if err != nil {
-		if cause := req.Context().Err(); cause != nil && !errors.Is(err, cause) {
+		if cause := ctx.Err(); cause != nil && !errors.Is(err, cause) {
 			err = fmt.Errorf("%w (%v)", cause, err)
 		}
 		return nil, err
 	}
-	return resp, nil
-}
-
-// Doc pulls a document's current state. Bodies over the client's wire
-// cap fail with ErrResponseTooLarge. Cancel via ctx.
-func (c *Client) Doc(ctx context.Context, name string) (*tree.Node, error) {
-	req, err := newRequest(ctx, http.MethodGet, c.BaseURL+PathDoc+name, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("peer: fetch %s: %s", name, resp.Status)
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return nil, &statusError{resp.StatusCode, resp.Status, strings.TrimSpace(string(msg))}
 	}
-	body, err := readAllLimited(resp.Body, c.MaxWire)
+	return readAllLimited(resp.Body, resp.ContentLength, c.MaxWire)
+}
+
+// Doc pulls a document's current state. Cancel via ctx.
+func (c *Client) Doc(ctx context.Context, name string) (*tree.Node, error) {
+	body, err := c.call(ctx, "fetch "+name, http.MethodGet, PathDoc+name, "", nil)
 	if err != nil {
-		return nil, fmt.Errorf("peer: fetch %s: %w", name, err)
+		return nil, err
 	}
 	return UnmarshalTree(body)
 }
@@ -105,25 +145,13 @@ func (c *Client) Doc(ctx context.Context, name string) (*tree.Node, error) {
 // from (empty means no anchor — expect a full answer). The answer is
 // DeltaSame, a digest-anchored patch, or the full tree (see Delta).
 func (c *Client) Delta(ctx context.Context, name, from string) (Delta, error) {
-	u := c.BaseURL + PathDelta + name
+	path := PathDelta + name
 	if from != "" {
-		u += "?from=" + url.QueryEscape(from)
+		path += "?from=" + url.QueryEscape(from)
 	}
-	req, err := newRequest(ctx, http.MethodGet, u, nil)
+	body, err := c.call(ctx, "delta "+name, http.MethodGet, path, "", nil)
 	if err != nil {
 		return Delta{}, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return Delta{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Delta{}, fmt.Errorf("peer: delta %s: %s", name, resp.Status)
-	}
-	body, err := readAllLimited(resp.Body, c.MaxWire)
-	if err != nil {
-		return Delta{}, fmt.Errorf("peer: delta %s: %w", name, err)
 	}
 	return UnmarshalDelta(body)
 }
@@ -131,21 +159,9 @@ func (c *Client) Delta(ctx context.Context, name, from string) (Delta, error) {
 // Hashes pulls the peer's per-document digests ("name=digest;..." from
 // PathHash) as a map — the anti-entropy probe.
 func (c *Client) Hashes(ctx context.Context) (map[string]string, error) {
-	req, err := newRequest(ctx, http.MethodGet, c.BaseURL+PathHash, nil)
+	body, err := c.call(ctx, "hash "+c.BaseURL, http.MethodGet, PathHash, "", nil)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("peer: hash %s: %s", c.BaseURL, resp.Status)
 	}
 	out := make(map[string]string)
 	for _, entry := range strings.Split(string(body), ";") {
@@ -169,25 +185,9 @@ func (c *Client) Invoke(ctx context.Context, env Envelope) (tree.Forest, error) 
 	if err != nil {
 		return nil, err
 	}
-	req, err := newRequest(ctx, http.MethodPost, c.BaseURL+PathInvoke,
-		bytes.NewReader(data))
+	body, err := c.call(ctx, "remote "+env.Service, http.MethodPost, PathInvoke, "application/xml", data)
 	if err != nil {
-		return nil, fmt.Errorf("peer: remote %s: %w", env.Service, err)
-	}
-	req.Header.Set("Content-Type", "application/xml")
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, fmt.Errorf("peer: remote %s: %w", env.Service, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Error bodies carry a short message; read a bounded prefix.
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, fmt.Errorf("peer: remote %s: %s: %s", env.Service, resp.Status, string(msg))
-	}
-	body, err := readAllLimited(resp.Body, c.MaxWire)
-	if err != nil {
-		return nil, fmt.Errorf("peer: remote %s: %w", env.Service, err)
+		return nil, err
 	}
 	return UnmarshalForest(body)
 }
@@ -195,23 +195,9 @@ func (c *Client) Invoke(ctx context.Context, env Envelope) (tree.Forest, error) 
 // Sweep asks the peer for one fair local sweep and reports whether it
 // changed anything — the coordinator's per-round probe.
 func (c *Client) Sweep(ctx context.Context) (changed bool, err error) {
-	req, err := newRequest(ctx, http.MethodPost, c.BaseURL+PathSweep,
-		strings.NewReader(""))
+	body, err := c.call(ctx, "sweep "+c.BaseURL, http.MethodPost, PathSweep, "text/plain", nil)
 	if err != nil {
 		return false, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	resp, err := c.do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err != nil {
-		return false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("peer: sweep %s: %s: %s", c.BaseURL, resp.Status, string(body))
 	}
 	return strings.TrimSpace(string(body)) == "changed", nil
 }
@@ -219,28 +205,13 @@ func (c *Client) Sweep(ctx context.Context) (changed bool, err error) {
 // Push delivers a forest to a subscriber's callback endpoint
 // (PathPush+id) without delta negotiation — the "legacy sender" mode
 // subscribers accept unconditionally. The load generator uses it to
-// model push-ingest traffic; Publisher.Flush keeps its own negotiated
-// delivery path on top of the same endpoint.
+// model push-ingest traffic; Publisher.Flush negotiates its deliveries
+// to the same endpoint with the X-Axml-Push-* headers.
 func (c *Client) Push(ctx context.Context, id string, f tree.Forest) error {
 	data, err := MarshalForest(f)
 	if err != nil {
 		return err
 	}
-	req, err := newRequest(ctx, http.MethodPost, c.BaseURL+PathPush+id,
-		bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/xml")
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return fmt.Errorf("peer: push %s: %s: %s", id, resp.Status, string(msg))
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	return nil
+	_, err = c.call(ctx, "push "+id, http.MethodPost, PathPush+id, "application/xml", data)
+	return err
 }

@@ -192,6 +192,7 @@ func TestConcurrentServeSweepPushMatchesSequential(t *testing.T) {
 	if st := p.Stats(); st.Steps != portalTitles {
 		t.Errorf("steps = %d, want one per call (%d)", st.Steps, portalTitles)
 	}
+	assertDigestsFresh(t, p)
 }
 
 // TestWriteWaitsForRemoteEvaluationReadsDoNot is the stated trade-off as

@@ -91,9 +91,11 @@ type Patch struct {
 	Adds tree.Forest
 }
 
-// digestHex renders the memoized structural digest in the same truncated
-// format PathHash advertises (docDigest): 8 bytes, 16 hex characters.
-// Digest and CanonicalHash agree on the same tree by contract.
+// digestHex is the one wire name of a tree's state: the memoized
+// structural digest, truncated to 8 bytes (16 hex characters) — what
+// PathHash and PathStatus advertise per document, what anchors a delta
+// and what keys a patch spine. tree.CanonicalHash renders the same bytes
+// without the memo; it is the reference tests compare against.
 func digestHex(n *tree.Node) string {
 	h := n.Digest()
 	return fmt.Sprintf("%x", h[:8])

@@ -178,7 +178,7 @@ func growDoc(p *Peer, doc, src string) {
 
 func docHash(p *Peer, doc string) string {
 	var h string
-	p.System(func(s *core.System) { h = docDigest(s.Document(doc).Root) })
+	p.System(func(s *core.System) { h = canonicalHex(s.Document(doc).Root) })
 	return h
 }
 
@@ -469,7 +469,7 @@ func TestRemoteDeltaEndpointToleratesDuplicates(t *testing.T) {
 	if changed, err := ApplyPatch(local, d2.Patch); err != nil || changed {
 		t.Fatalf("duplicate apply: changed=%v err=%v", changed, err)
 	}
-	if docDigest(local) != d1.To {
-		t.Fatalf("digest %s after patches, want %s", docDigest(local), d1.To)
+	if canonicalHex(local) != d1.To {
+		t.Fatalf("digest %s after patches, want %s", canonicalHex(local), d1.To)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"axml/internal/core"
 	"axml/internal/journal"
 	"axml/internal/obs"
-	"axml/internal/tree"
 )
 
 // Durability: a durable peer journals every mutation of its documents —
@@ -317,7 +316,7 @@ func (p *Peer) AntiEntropy(ctx context.Context) (resynced int, err error) {
 			}
 			break
 		}
-		hashes, herr := m.client(p).Hashes(ctx)
+		hashes, herr := p.remote(m.Remote, m.Client).Hashes(ctx)
 		if herr != nil {
 			p.metrics.Counter("peer.antientropy.errors").Inc()
 			if err == nil {
@@ -350,10 +349,4 @@ func (p *Peer) AntiEntropy(ctx context.Context) (resynced int, err error) {
 				obs.SpanFromContext(ctx).LogArgs()...)...)
 	}
 	return resynced, err
-}
-
-// docDigest is the digest format PathHash advertises per document.
-func docDigest(n *tree.Node) string {
-	h := n.CanonicalHash()
-	return fmt.Sprintf("%x", h[:8])
 }

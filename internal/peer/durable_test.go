@@ -355,6 +355,8 @@ doc replica = db
 			t.Fatalf("crashAt=%d: fleet diverged after crash+restart:\n got %s\nwant %s",
 				crashAt, got, wantHash)
 		}
+		assertDigestsFresh(t, p2)
+		assertDigestsFresh(t, remote)
 		p2.Close()
 		srv.Close()
 	}

@@ -284,7 +284,7 @@ func TestFleetChaosConvergence(t *testing.T) {
 	}
 	refDigest := make(map[string]string, len(docs))
 	for _, doc := range docs {
-		refDigest[doc] = docDigest(reference[doc])
+		refDigest[doc] = canonicalHex(reference[doc])
 	}
 	converged := false
 	const repairRounds = 80
@@ -316,10 +316,10 @@ func TestFleetChaosConvergence(t *testing.T) {
 				var local *tree.Node
 				slot.peer.System(func(s *core.System) { local = s.Document(doc).Root.Copy() })
 				t.Logf("%s@%s: %s (want %s) local⊇ref=%v ref⊇local=%v mirrors=%d",
-					doc, owner, docDigest(local), refDigest[doc],
+					doc, owner, canonicalHex(local), refDigest[doc],
 					subsume.Subsumed(reference[doc], local),
 					subsume.Subsumed(local, reference[doc]), len(slot.mirrors))
-				if docDigest(local) != refDigest[doc] {
+				if canonicalHex(local) != refDigest[doc] {
 					t.Logf("  local: %s", local.CanonicalString())
 					t.Logf("  ref:   %s", reference[doc].CanonicalString())
 					for _, m := range slot.mirrors {

@@ -27,7 +27,11 @@ func (cw *countingWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// instrument wraps an endpoint handler with per-endpoint metrics:
+// instrument is the one way in to a peer endpoint. It answers any method
+// other than the endpoint's own with 405 and the Allow header RFC 9110
+// requires — inside the counted wrapper, so a refused request is still a
+// request and an error in the metrics (which is why the mux's own method
+// patterns are not used) — and wraps the handler with per-endpoint metrics:
 //
 //	peer.http.requests.<endpoint>    counter, every request
 //	peer.http.errors.<endpoint>      counter, responses with status >= 400
@@ -35,8 +39,9 @@ func (cw *countingWriter) Write(b []byte) (int, error) {
 //	peer.http.bytes_in.<endpoint>    counter, declared request body bytes
 //	peer.http.bytes_out.<endpoint>   counter, response body bytes written
 //
-// With no registry attached the original handler runs untouched — the
-// wrapper costs one nil check, so Handler can install it unconditionally.
+// With no registry attached the handler runs behind the method check
+// alone — the wrapper costs one nil check, so Handler can install it
+// unconditionally.
 //
 // instrument is also the server half of trace propagation: an incoming
 // W3C traceparent header joins the caller's trace, a missing one starts
@@ -46,7 +51,15 @@ func (cw *countingWriter) Write(b []byte) (int, error) {
 // shares one trace ID. When the peer has a tracer, each request also
 // emits an "http" span (name = endpoint, attrs: status) as the child of
 // the caller's span.
-func (p *Peer) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+func (p *Peer) instrument(endpoint, method string, h http.HandlerFunc) http.HandlerFunc {
+	checked := func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			w.Header().Set("Allow", method)
+			http.Error(w, method+" required", http.StatusMethodNotAllowed)
+			return
+		}
+		h(w, r)
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		m, tr := p.metrics, p.tracer
 		parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
@@ -56,13 +69,13 @@ func (p *Peer) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc 
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), sc))
 		}
 		if m == nil && !tr.Enabled() {
-			h(w, r)
+			checked(w, r)
 			return
 		}
 		ts := tr.Now()
 		start := time.Now()
 		cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
-		h(cw, r)
+		checked(cw, r)
 		if tr.Enabled() {
 			tr.Emit(obs.Span{
 				Kind:  "http",
@@ -87,11 +100,4 @@ func (p *Peer) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc 
 			m.Counter("peer.http.errors." + endpoint).Inc()
 		}
 	}
-}
-
-// methodNotAllowed answers 405 and names the methods the endpoint does
-// accept — RFC 9110 requires the Allow header on 405 responses.
-func methodNotAllowed(w http.ResponseWriter, allow string) {
-	w.Header().Set("Allow", allow)
-	http.Error(w, allow+" required", http.StatusMethodNotAllowed)
 }

@@ -15,22 +15,15 @@ import (
 	"axml/internal/tree"
 )
 
-// setMaxWireBytes overrides the package cap for one test.
-func setMaxWireBytes(t *testing.T, n int64) {
-	t.Helper()
-	old := MaxWireBytes
-	MaxWireBytes = n
-	t.Cleanup(func() { MaxWireBytes = old })
-}
-
-// hugeBodyServer answers every request with an endless XML-looking body.
-func hugeBodyServer(t *testing.T) *httptest.Server {
+// forestServer answers every request with a well-formed forest of about
+// 7·kib KiB.
+func forestServer(t *testing.T, kib int) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/xml")
 		io.WriteString(w, "<ax:forest><a>")
 		filler := strings.Repeat("<b></b>", 1024)
-		for i := 0; i < 1024; i++ {
+		for i := 0; i < kib; i++ {
 			if _, err := io.WriteString(w, filler); err != nil {
 				return
 			}
@@ -41,35 +34,39 @@ func hugeBodyServer(t *testing.T) *httptest.Server {
 	return srv
 }
 
+// hugeBodyServer answers every request with a body over MaxWireBytes.
+func hugeBodyServer(t *testing.T) *httptest.Server { return forestServer(t, 1280) }
+
 func TestRemoteInvokeRejectsOversizedResponse(t *testing.T) {
-	setMaxWireBytes(t, 4096)
-	srv := hugeBodyServer(t)
-	rs := &RemoteService{Name: "f", URL: strings.TrimSuffix(srv.URL+PathInvoke, PathInvoke)}
-	_, err := rs.Invoke(context.Background(), core.Binding{Input: tree.NewLabel(tree.Input)})
-	if !errors.Is(err, ErrResponseTooLarge) {
+	in := core.Binding{Input: tree.NewLabel(tree.Input)}
+	rs := &RemoteService{Name: "f", URL: hugeBodyServer(t).URL}
+	if _, err := rs.Invoke(context.Background(), in); !errors.Is(err, ErrResponseTooLarge) {
 		t.Fatalf("want ErrResponseTooLarge, got %v", err)
 	}
 
-	// A per-service cap overrides the package default.
-	setMaxWireBytes(t, 1<<30)
+	// A per-service cap overrides the package default: the same 63 KiB
+	// answer passes under MaxWireBytes and fails under MaxBytes, naming it.
+	rs = &RemoteService{Name: "f", URL: forestServer(t, 9).URL}
+	if _, err := rs.Invoke(context.Background(), in); err != nil {
+		t.Fatalf("under the package default: %v", err)
+	}
 	rs.MaxBytes = 2048
-	_, err = rs.Invoke(context.Background(), core.Binding{Input: tree.NewLabel(tree.Input)})
-	if !errors.Is(err, ErrResponseTooLarge) {
-		t.Fatalf("per-service cap: want ErrResponseTooLarge, got %v", err)
+	_, err := rs.Invoke(context.Background(), in)
+	if !errors.Is(err, ErrResponseTooLarge) || !strings.Contains(err.Error(), "cap 2048 bytes") {
+		t.Fatalf("per-service cap: want ErrResponseTooLarge (cap 2048 bytes), got %v", err)
 	}
 }
 
 func TestFetchDocRejectsOversizedResponse(t *testing.T) {
-	setMaxWireBytes(t, 4096)
 	srv := hugeBodyServer(t)
-	_, err := NewClient(srv.URL, nil).Doc(context.Background(), "anything")
+	_, err := (&Client{BaseURL: srv.URL, MaxWire: 4096}).Doc(context.Background(), "anything")
 	if !errors.Is(err, ErrResponseTooLarge) {
 		t.Fatalf("want ErrResponseTooLarge, got %v", err)
 	}
 }
 
 func TestHandleInvokeStatusCodes(t *testing.T) {
-	srv := httptest.NewServer(newRatingsPeer(t).Handler())
+	srv := httptest.NewServer(newRatingsPeer(t, WithLimits(1024)).Handler())
 	defer srv.Close()
 
 	post := func(body string) *http.Response {
@@ -114,7 +111,6 @@ func TestHandleInvokeStatusCodes(t *testing.T) {
 	}
 
 	// An oversized request body is 413, cut off at the cap.
-	setMaxWireBytes(t, 1024)
 	resp = post("<ax:envelope>" + strings.Repeat("<x></x>", 1024))
 	msg, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -166,7 +162,8 @@ func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // TestMirrorHonoursPeerClientAndLimits: a Mirror with no client of its
 // own syncs through the peer's WithClient client, under the peer's
-// WithLimits cap — the delta fetch as much as the anti-entropy probe.
+// WithLimits cap — the delta fetch as much as the anti-entropy probe —
+// and so do a router's forward and a publisher's delivery.
 func TestMirrorHonoursPeerClientAndLimits(t *testing.T) {
 	origin := mustOpen("origin", core.MustParseSystem(
 		`doc log = log{`+strings.Repeat(`entry{"0123456789"},`, 30)+`last}`))
@@ -175,7 +172,9 @@ func TestMirrorHonoursPeerClientAndLimits(t *testing.T) {
 
 	open := func(opts ...Option) (*Peer, *Mirror) {
 		t.Helper()
-		p, _, err := Open("replica", core.MustParseSystem(`doc log = log`), opts...)
+		p, _, err := Open("replica", core.MustParseSystem(`
+doc log = log
+func Entries = got{$v} :- log/log{entry{$v}}`), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,6 +211,31 @@ func TestMirrorHonoursPeerClientAndLimits(t *testing.T) {
 	}
 	if p.Hash() != origin.Hash() {
 		t.Errorf("replica %s != origin %s", p.Hash(), origin.Hash())
+	}
+
+	// A document this peer does not own is forwarded to its owner.
+	router := NewRouter(p, "replica", NewRing([]string{"origin"}, 0),
+		func(string) string { return srv.URL }, 1)
+	rec := httptest.NewRecorder()
+	router.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PathDoc+"log", nil))
+	if rec.Code != http.StatusOK || rt.n.Load() != 3 {
+		t.Errorf("forwarded doc fetch: status %d, the peer's client saw %d requests, want 200 and 3",
+			rec.Code, rt.n.Load())
+	}
+
+	sb, subPeer := newPortalSubscriber(t, "s1")
+	subSrv := httptest.NewServer(sb.Handler())
+	defer subSrv.Close()
+	pub := NewPublisher(p)
+	pub.Subscribe("s1", Envelope{Service: "Entries"}, subSrv.URL)
+	if pushed, err := pub.Flush(context.Background()); err != nil || pushed == 0 {
+		t.Fatalf("flush through WithClient: pushed=%d err=%v", pushed, err)
+	}
+	if rt.n.Load() != 4 {
+		t.Errorf("the peer's client saw %d requests after the delivery, want 4", rt.n.Load())
+	}
+	if got := portalTree(subPeer).CanonicalString(); !strings.Contains(got, "0123456789") {
+		t.Errorf("the delivery did not reach the subscriber: %s", got)
 	}
 }
 

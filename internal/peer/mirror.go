@@ -48,16 +48,6 @@ type Mirror struct {
 	lastRemote string
 }
 
-// client is the typed view of the mirror's remote endpoint as p reaches
-// it: the mirror's HTTP client, else p's, under p's wire limit.
-func (m *Mirror) client(p *Peer) *Client {
-	c := &Client{BaseURL: m.Remote, HTTP: m.Client, MaxWire: p.maxWire}
-	if c.HTTP == nil {
-		c.HTTP = p.client
-	}
-	return c
-}
-
 // Sync synchronizes the replica once and reports whether it grew. It
 // requests a delta since the last acknowledged remote digest; the answer
 // is either nothing (already current), a digest-anchored patch grafted
@@ -75,7 +65,8 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	}
 	start := time.Now()
 	startTS := p.tracer.Now()
-	d, err := m.client(p).Delta(ctx, m.RemoteDoc, m.lastRemote)
+	remote := p.remote(m.Remote, m.Client)
+	d, err := remote.Delta(ctx, m.RemoteDoc, m.lastRemote)
 	if err != nil {
 		p.metrics.Counter("peer.mirror.errors").Inc()
 		return false, err
@@ -91,7 +82,7 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 			// (local-only growth, a missed delivery, a restart): repair
 			// with a full pull.
 			p.metrics.Counter("peer.mirror.delta_fallbacks").Inc()
-			if d, err = m.client(p).Delta(ctx, m.RemoteDoc, ""); err == nil {
+			if d, err = remote.Delta(ctx, m.RemoteDoc, ""); err == nil {
 				if d.Mode != DeltaFull {
 					err = fmt.Errorf("peer: mirror %s: anchorless delta answered mode %q",
 						m.LocalDoc, d.Mode)

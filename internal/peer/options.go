@@ -32,16 +32,17 @@ func WithDurability(d Durability) Option {
 	return func(c *config) { c.durability = d }
 }
 
-// WithClient sets the HTTP client for the peer's own outbound requests
-// (anti-entropy hash probes, mirror re-syncs whose Mirror has no client
-// of its own). Nil means the shared DefaultClient.
+// WithClient sets the HTTP client for everything the peer itself sends
+// (Peer.remote): mirror syncs and anti-entropy probes whose Mirror has no
+// client of its own, push deliveries and router forwards. Nil means
+// Client's shared default. A RemoteService carries its own client.
 func WithClient(client *http.Client) Option {
 	return func(c *config) { c.client = client }
 }
 
-// WithLimits caps the request and response bodies this peer reads (its
-// incoming invocation envelopes in particular); 0 keeps the package-wide
-// MaxWireBytes.
+// WithLimits caps the bodies this peer reads: the requests it serves (its
+// incoming invocation envelopes in particular) and the answers to
+// everything it sends through Peer.remote; 0 keeps MaxWireBytes.
 func WithLimits(maxWireBytes int64) Option {
 	return func(c *config) { c.maxWire = maxWireBytes }
 }

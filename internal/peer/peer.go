@@ -26,36 +26,47 @@ const (
 	PathStatus = "/axml/status"
 )
 
-// DefaultClient is the HTTP client used whenever a Client field is nil.
-// It is shared package-wide so repeated calls to the same peer reuse
-// pooled keep-alive TCP connections instead of re-dialing per invocation.
-var DefaultClient = &http.Client{Timeout: 10 * time.Second}
-
 // MaxWireBytes caps every wire-format body read — remote invocation
-// responses, fetched documents, and the server side of incoming requests.
-// A peer that answers with more than this is reported as
+// responses, fetched documents, and the server side of incoming requests
+// — unless the reader names its own cap (Client.MaxWire, WithLimits,
+// RemoteService.MaxBytes). A peer that answers with more is reported as
 // ErrResponseTooLarge instead of being buffered without bound (or
-// silently truncated into a parse error). Adjustable at startup; not
-// synchronized for concurrent modification.
-var MaxWireBytes int64 = 8 << 20
+// silently truncated into a parse error).
+const MaxWireBytes int64 = 8 << 20
 
 // ErrResponseTooLarge is wrapped by reads that exceed their byte cap.
 var ErrResponseTooLarge = errors.New("peer: response too large")
 
 // readAllLimited reads r to EOF, failing with ErrResponseTooLarge once
-// more than limit bytes appear (limit <= 0 means MaxWireBytes).
-func readAllLimited(r io.Reader, limit int64) ([]byte, error) {
+// more than limit bytes appear (limit <= 0 means MaxWireBytes). size is
+// the declared length, negative when unknown. A small one sizes the first
+// buffer (the "ok" a push answers costs 3 bytes, not io.ReadAll's 512); a
+// large one is not believed before the bytes arrive — the buffer starts at
+// 512 and grows with the data, as io.ReadAll's does.
+func readAllLimited(r io.Reader, size, limit int64) ([]byte, error) {
 	if limit <= 0 {
 		limit = MaxWireBytes
 	}
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, err
+	if size < 0 || size > 512 {
+		size = 512
 	}
-	if int64(len(data)) > limit {
-		return nil, fmt.Errorf("%w (cap %d bytes)", ErrResponseTooLarge, limit)
+	buf := make([]byte, 0, size+1) // +1: EOF shows without growing
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return nil, fmt.Errorf("%w (cap %d bytes)", ErrResponseTooLarge, limit)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
 	}
-	return data, nil
 }
 
 // Peer hosts an AXML system and serves its services over HTTP. All
@@ -95,8 +106,8 @@ type Peer struct {
 	mirrors  []*Mirror
 
 	// client is the peer's outbound HTTP client (WithClient); nil means
-	// the shared DefaultClient. maxWire caps bodies this peer reads
-	// (WithLimits); 0 means the package-wide MaxWireBytes.
+	// Client's shared default. maxWire caps bodies this peer reads
+	// (WithLimits); 0 means MaxWireBytes. Outbound, remote applies both.
 	client  *http.Client
 	maxWire int64
 
@@ -215,6 +226,18 @@ func (p *Peer) wireLimit() int64 {
 	return MaxWireBytes
 }
 
+// remote is the typed view of another peer's endpoints as this peer
+// reaches them — the only place a peer picks a transport: own when the
+// caller carries one (Mirror.Client), else the peer's (WithClient), under
+// the peer's wire limit (WithLimits). Mirror syncs, anti-entropy probes,
+// push deliveries and router forwards all leave through it.
+func (p *Peer) remote(baseURL string, own *http.Client) *Client {
+	if own == nil {
+		own = p.client
+	}
+	return &Client{BaseURL: baseURL, HTTP: own, MaxWire: p.maxWire}
+}
+
 // System gives exclusive access to the underlying system (core.System.
 // Update: fn waits for the evaluations and views in flight, and none
 // starts meanwhile). Mutations made inside fn are journaled before the
@@ -239,20 +262,16 @@ func (p *Peer) Stats() Stats {
 // latency and byte metrics under peer.http.*.<endpoint>.
 func (p *Peer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathInvoke, p.instrument("invoke", p.handleInvoke))
-	mux.HandleFunc(PathDoc, p.instrument("doc", p.handleDoc))
-	mux.HandleFunc(PathSweep, p.instrument("sweep", p.handleSweep))
-	mux.HandleFunc(PathHash, p.instrument("hash", p.handleHash))
-	mux.HandleFunc(PathDelta, p.instrument("delta", p.handleDelta))
-	mux.HandleFunc(PathStatus, p.instrument("status", p.handleStatus))
+	mux.HandleFunc(PathInvoke, p.instrument("invoke", http.MethodPost, p.handleInvoke))
+	mux.HandleFunc(PathDoc, p.instrument("doc", http.MethodGet, p.handleDoc))
+	mux.HandleFunc(PathSweep, p.instrument("sweep", http.MethodPost, p.handleSweep))
+	mux.HandleFunc(PathHash, p.instrument("hash", http.MethodGet, p.handleHash))
+	mux.HandleFunc(PathDelta, p.instrument("delta", http.MethodGet, p.handleDelta))
+	mux.HandleFunc(PathStatus, p.instrument("status", http.MethodGet, p.handleStatus))
 	return mux
 }
 
 func (p *Peer) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
 	body, ok := p.readBody(w, r)
 	if !ok {
 		return
@@ -329,10 +348,6 @@ func (p *Peer) Serve(ctx context.Context, env Envelope) (forest tree.Forest, err
 }
 
 func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	name := r.URL.Path[len(PathDoc):]
 	var doc *tree.Document
 	var data []byte
@@ -345,7 +360,7 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			// The receiver now holds this exact state: cache it as a delta
 			// anchor so its next PathDelta request gets a patch.
-			p.anchors.remember(name, docDigest(doc.Root), doc.Root)
+			p.anchors.remember(name, digestHex(doc.Root), doc.Root)
 		}
 	})
 	if doc == nil {
@@ -400,10 +415,6 @@ func (p *Peer) SweepContext(ctx context.Context) (bool, error) {
 }
 
 func (p *Peer) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
 	changed, err := p.SweepContext(r.Context())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -416,13 +427,16 @@ func (p *Peer) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Hash returns a digest of the peer's current documents (for distributed
-// termination detection).
+// Hash returns the peer's current state as "name=digest;" per document —
+// the PathHash body, compared across rounds for distributed termination
+// detection and per document by anti-entropy. Each digest is the
+// document's memoized tree.Digest (digestHex), as fresh as the growth
+// funnel's invalidation (core.System.Append / Restore).
 func (p *Peer) Hash() string {
 	var h string
 	p.system.View(func() {
 		for _, name := range p.system.DocNames() {
-			h += name + "=" + docDigest(p.system.Document(name).Root) + ";"
+			h += name + "=" + digestHex(p.system.Document(name).Root) + ";"
 		}
 	})
 	return h
@@ -432,17 +446,13 @@ func (p *Peer) Hash() string {
 func (p *Peer) localDigest(name string) (digest string) {
 	p.system.View(func() {
 		if doc := p.system.Document(name); doc != nil {
-			digest = docDigest(doc.Root)
+			digest = digestHex(doc.Root)
 		}
 	})
 	return digest
 }
 
 func (p *Peer) handleHash(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	io.WriteString(w, p.Hash())
 }
 
@@ -455,10 +465,6 @@ func (p *Peer) handleHash(w http.ResponseWriter, r *http.Request) {
 // broke the anchor invariant). The served state is cached as the
 // caller's next anchor.
 func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	name := r.URL.Path[len(PathDelta):]
 	from := r.URL.Query().Get("from")
 	var d Delta
@@ -470,7 +476,7 @@ func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		cur := doc.Root
-		d = Delta{Doc: name, To: docDigest(cur)}
+		d = Delta{Doc: name, To: digestHex(cur)}
 		switch {
 		case from == d.To:
 			d.Mode = DeltaSame
@@ -517,11 +523,11 @@ type RemoteService struct {
 	Service string
 	// URL is the remote peer's base URL.
 	URL string
-	// Client is the HTTP client; nil means the shared DefaultClient
+	// Client is the HTTP client; nil means Client's shared default
 	// (10s timeout, pooled keep-alive connections).
 	Client *http.Client
-	// MaxBytes caps the response body; 0 means the package-wide
-	// MaxWireBytes. Responses over the cap fail with ErrResponseTooLarge.
+	// MaxBytes caps the response body; 0 means MaxWireBytes. Responses
+	// over the cap fail with ErrResponseTooLarge.
 	MaxBytes int64
 }
 

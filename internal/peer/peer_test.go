@@ -90,8 +90,8 @@ func TestWireErrors(t *testing.T) {
 
 // mustOpen wraps a system as an in-memory peer; Open cannot fail without
 // durability.
-func mustOpen(name string, s *core.System) *Peer {
-	p, _, err := Open(name, s)
+func mustOpen(name string, s *core.System, opts ...Option) *Peer {
+	p, _, err := Open(name, s, opts...)
 	if err != nil {
 		panic(err)
 	}
@@ -100,13 +100,13 @@ func mustOpen(name string, s *core.System) *Peer {
 
 // newRatingsPeer builds the server side of the jazz example: a peer whose
 // GetRating service answers from its own ratings document.
-func newRatingsPeer(t *testing.T) *Peer {
+func newRatingsPeer(t *testing.T, opts ...Option) *Peer {
 	t.Helper()
 	s := core.MustParseSystem(`
 doc ratings = db{entry{title{"Body and Soul"},stars{"4"}},entry{title{"Naima"},stars{"5"}}}
 func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t},stars{$s}}}
 `)
-	return mustOpen("ratings", s)
+	return mustOpen("ratings", s, opts...)
 }
 
 func TestRemoteServicePullMode(t *testing.T) {
@@ -321,7 +321,7 @@ func TestPushModeMatchesPull(t *testing.T) {
 		Input:   syntax.MustParseDocument(`input{title{"Naima"}}`),
 	}, subSrv.URL)
 
-	pushed, err := pub.Flush(context.Background(), nil)
+	pushed, err := pub.Flush(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestPushModeMatchesPull(t *testing.T) {
 		t.Fatalf("pushed = %d", pushed)
 	}
 	// Flushing again pushes nothing new.
-	pushed, err = pub.Flush(context.Background(), nil)
+	pushed, err = pub.Flush(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package peer
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -49,26 +48,22 @@ const (
 	headerPushAck    = "X-Axml-Push-Ack"
 )
 
-// DefaultPushRetries is how many times a failed delivery is retried
-// (beyond the first attempt) when Publisher.Retries is zero.
-const DefaultPushRetries = 2
-
-// DefaultPushRetryBase is the first retry backoff when
-// Publisher.RetryBase is zero; it doubles per attempt, capped at 32×.
-const DefaultPushRetryBase = 50 * time.Millisecond
-
-// Publisher manages subscriptions on top of a Peer.
+// Publisher manages subscriptions on top of a Peer. Deliveries leave
+// through the peer's Client (Peer.remote: its WithClient transport, its
+// WithLimits cap) and are retried under core's one backoff policy
+// (core.Retry.Backoff, without jitter).
 type Publisher struct {
 	peer *Peer
 
 	// Retries is the number of re-attempts per failed delivery (after
-	// the first try). Zero means DefaultPushRetries; negative disables
-	// retrying.
+	// the first try). Zero means core.DefaultRetryAttempts-1; negative
+	// disables retrying.
 	Retries int
-	// RetryBase is the first backoff delay; it doubles per attempt and is
-	// capped at 32× RetryBase. Zero means DefaultPushRetryBase.
+	// RetryBase is the first backoff delay; it doubles per attempt up to
+	// core.DefaultRetryMax, without jitter. Zero means
+	// core.DefaultRetryBase.
 	RetryBase time.Duration
-	// Sleep is the backoff clock, for tests; nil means time.Sleep (a
+	// Sleep is the backoff clock, for tests; nil means a timer (a
 	// cancelled ctx cuts the wait short either way).
 	Sleep func(time.Duration)
 
@@ -142,10 +137,7 @@ func chainDigest(prev string, payload []byte) string {
 // forest. Deliveries record into the publishing peer's registry
 // (peer.push.flushes/pushed/errors/conflicts) and emit one "push" span
 // per delivering subscription.
-func (pb *Publisher) Flush(ctx context.Context, client *http.Client) (int, error) {
-	if client == nil {
-		client = DefaultClient
-	}
+func (pb *Publisher) Flush(ctx context.Context) (int, error) {
 	pb.mu.Lock()
 	subs := append([]*subscription(nil), pb.subs...)
 	pb.mu.Unlock()
@@ -157,7 +149,7 @@ func (pb *Publisher) Flush(ctx context.Context, client *http.Client) (int, error
 			errs = append(errs, err)
 			break
 		}
-		n, err := pb.flushOne(ctx, client, sub)
+		n, err := pb.flushOne(ctx, sub)
 		pushed += n
 		if err != nil {
 			pb.peer.metrics.Counter("peer.push.errors").Inc()
@@ -168,7 +160,7 @@ func (pb *Publisher) Flush(ctx context.Context, client *http.Client) (int, error
 	return pushed, errors.Join(errs...)
 }
 
-func (pb *Publisher) flushOne(ctx context.Context, client *http.Client, sub *subscription) (int, error) {
+func (pb *Publisher) flushOne(ctx context.Context, sub *subscription) (int, error) {
 	forest, err := pb.peer.Serve(ctx, sub.env)
 	if err != nil {
 		return 0, err
@@ -193,8 +185,8 @@ func (pb *Publisher) flushOne(ctx context.Context, client *http.Client, sub *sub
 	if err != nil {
 		return 0, err
 	}
-	// The push span parents the delivery: its context rides ctx into
-	// deliver, so the subscriber's "http" span joins the same trace.
+	// The push span parents the delivery: its context rides ctx into the
+	// client call, so the subscriber's "http" span joins the same trace.
 	parent := obs.SpanFromContext(ctx)
 	var pushSC obs.SpanContext
 	if parent.Valid() || pb.peer.tracer.Enabled() {
@@ -204,40 +196,24 @@ func (pb *Publisher) flushOne(ctx context.Context, client *http.Client, sub *sub
 	mode, anchor := "delta", sub.chain
 	start := time.Now()
 	startTS := pb.peer.tracer.Now()
-	retries := pb.Retries
-	if retries == 0 {
-		retries = DefaultPushRetries
+	attempts := core.DefaultRetryAttempts
+	if pb.Retries != 0 {
+		attempts = max(pb.Retries, 0) + 1
 	}
-	base := pb.RetryBase
-	if base == 0 {
-		base = DefaultPushRetryBase
-	}
+	client := pb.peer.remote(sub.callback, nil)
+	retry := &core.Retry{BaseDelay: pb.RetryBase, Jitter: -1, Sleep: pb.Sleep}
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			delay := base << (attempt - 1)
-			if max := base << 5; delay > max {
-				delay = max
-			}
-			if pb.Sleep != nil {
-				pb.Sleep(delay)
-			} else {
-				select {
-				case <-time.After(delay):
-				case <-ctx.Done():
-					return 0, ctx.Err()
-				}
+			if err := retry.Backoff(ctx, attempt); err != nil {
+				return 0, err
 			}
 			pb.peer.metrics.Counter("peer.push.retries").Inc()
 		}
 		ack := chainDigest(anchor, data)
-		status, body, err := pb.deliver(ctx, client, sub, mode, anchor, ack, data)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch {
-		case status == http.StatusOK:
+		_, err := client.call(ctx, "push to "+sub.callback, http.MethodPost, PathPush+sub.id, "application/xml", data,
+			headerPushMode, mode, headerPushAnchor, anchor, headerPushAck, ack)
+		if err == nil {
 			sub.sent = append(sub.sent, fresh...)
 			sub.chain = ack
 			pb.peer.metrics.Counter("peer.push.pushed").Add(int64(len(fresh)))
@@ -247,46 +223,25 @@ func (pb *Publisher) flushOne(ctx context.Context, client *http.Client, sub *sub
 					Attrs: map[string]int64{"trees": int64(len(fresh))}}.WithContext(pushSC, parent))
 			}
 			return len(fresh), nil
-		case status == http.StatusConflict && mode == "delta":
+		}
+		lastErr = err
+		var refused *statusError
+		if mode == "delta" && errors.As(err, &refused) && refused.code == http.StatusConflict {
 			// The subscriber's state diverged from our anchor (it restarted,
 			// or a delivery was lost/duplicated): re-push everything we ever
 			// sent plus the fresh trees, anchorless. The subscriber resets
 			// its chain; the monotone merge dedups anything it still had.
+			// The conflict answer consumed an attempt; the full re-push
+			// starts after the next backoff.
 			pb.peer.metrics.Counter("peer.push.conflicts").Inc()
 			full := append(append(tree.Forest(nil), sub.sent...), fresh...)
 			if data, err = MarshalForest(full); err != nil {
 				return 0, err
 			}
 			mode, anchor = "full", ""
-			// The conflict answer consumed an attempt; the full re-push
-			// starts immediately on the next loop iteration.
-			lastErr = fmt.Errorf("peer: push to %s: subscriber state diverged", sub.callback)
-		default:
-			lastErr = fmt.Errorf("peer: push to %s: %d: %s", sub.callback, status, body)
 		}
 	}
 	return 0, lastErr
-}
-
-// deliver POSTs one payload to the subscription callback.
-func (pb *Publisher) deliver(ctx context.Context, client *http.Client, sub *subscription,
-	mode, anchor, ack string, data []byte) (status int, body string, err error) {
-	req, err := newRequest(ctx, http.MethodPost,
-		sub.callback+PathPush+sub.id, bytes.NewReader(data))
-	if err != nil {
-		return 0, "", err
-	}
-	req.Header.Set("Content-Type", "application/xml")
-	req.Header.Set(headerPushMode, mode)
-	req.Header.Set(headerPushAnchor, anchor)
-	req.Header.Set(headerPushAck, ack)
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	return resp.StatusCode, string(msg), nil
 }
 
 // Subscriber receives pushed forests and appends them into a document of
@@ -325,15 +280,11 @@ func (sb *Subscriber) Register(id, doc string, parent *tree.Node) {
 // peer.http.*.push metrics when the peer carries a registry.
 func (sb *Subscriber) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathPush, sb.peer.instrument("push", sb.handlePush))
+	mux.HandleFunc(PathPush, sb.peer.instrument("push", http.MethodPost, sb.handlePush))
 	return mux
 }
 
 func (sb *Subscriber) handlePush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
 	id := r.URL.Path[len(PathPush):]
 	sb.mu.Lock()
 	target, ok := sb.targets[id]

@@ -81,7 +81,7 @@ func TestPushRetriesTransientFailures(t *testing.T) {
 	var slept int
 	pub.Sleep = func(time.Duration) { slept++ }
 
-	pushed, err := pub.Flush(context.Background(), nil)
+	pushed, err := pub.Flush(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPushDeadSubscriberDoesNotStarveOthers(t *testing.T) {
 	pub.RetryBase = time.Millisecond
 	pub.Sleep = func(time.Duration) {}
 
-	pushed, err := pub.Flush(context.Background(), nil)
+	pushed, err := pub.Flush(context.Background())
 	if err == nil {
 		t.Fatal("dead subscriber did not surface an error")
 	}
@@ -156,7 +156,7 @@ func TestPushRenegotiatesAfterSubscriberRestart(t *testing.T) {
 
 	pub.Subscribe("s1", Envelope{Service: "List"}, srv.URL)
 	pub.Sleep = func(time.Duration) {}
-	if _, err := pub.Flush(context.Background(), nil); err != nil {
+	if _, err := pub.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,7 +168,7 @@ func TestPushRenegotiatesAfterSubscriberRestart(t *testing.T) {
 	// New data appears; the anchored delta must be rejected and the full
 	// forest re-pushed.
 	growDoc(pubPeer, "db", `e{t{"b"},s{"2"}}`)
-	pushed, err := pub.Flush(context.Background(), nil)
+	pushed, err := pub.Flush(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestPushRenegotiatesAfterSubscriberRestart(t *testing.T) {
 	// Steady state resumes: the next delta delivers without conflict.
 	growDoc(pubPeer, "db", `e{t{"c"},s{"3"}}`)
 	conflictsBefore := reg.Counter("peer.push.conflicts").Value()
-	if _, err := pub.Flush(context.Background(), nil); err != nil {
+	if _, err := pub.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("peer.push.conflicts").Value() != conflictsBefore {
@@ -207,7 +207,7 @@ func TestPushDuplicateDelivery(t *testing.T) {
 	srv := httptest.NewServer(sb.Handler())
 	defer srv.Close()
 	pub.Subscribe("s1", Envelope{Service: "List"}, srv.URL)
-	if _, err := pub.Flush(context.Background(), nil); err != nil {
+	if _, err := pub.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -282,7 +282,7 @@ func TestPushThatCannotApplyIsNotAcknowledged(t *testing.T) {
 	synced := root.CanonicalString()
 
 	pub.Subscribe("s1", Envelope{Service: "List"}, srv.URL)
-	if pushed, err := pub.Flush(context.Background(), nil); err == nil || pushed != 0 {
+	if pushed, err := pub.Flush(context.Background()); err == nil || pushed != 0 {
 		t.Fatalf("a push onto a detached node was acknowledged: pushed=%d err=%v", pushed, err)
 	}
 	if got := reg.Counter("peer.push.delivered").Value(); got != 0 {
@@ -319,7 +319,7 @@ func TestPushThatCannotApplyIsNotAcknowledged(t *testing.T) {
 	// Registered on the live root, the trees the publisher still holds as
 	// unsent are delivered on the next flush.
 	sb.Register("s1", "replica", root)
-	if pushed, err := pub.Flush(context.Background(), nil); err != nil || pushed != 1 {
+	if pushed, err := pub.Flush(context.Background()); err != nil || pushed != 1 {
 		t.Fatalf("flush after re-registering: pushed=%d err=%v", pushed, err)
 	}
 	want := syntax.MustParseDocument(`db{e{t{"a"},s{"1"}},got{"a","1"}}`)

@@ -126,6 +126,8 @@ const headerForwarded = "X-Axml-Forwarded"
 // everything else is forwarded to the document's owners in ring order —
 // so clients may ask any peer for any document. Non-document endpoints
 // (invoke, sweep, hash, push) pass straight through to the local peer.
+// Forwards leave on the peer's client (WithClient), like everything else
+// the peer sends.
 type Router struct {
 	// Self is this peer's name on the ring.
 	Self string
@@ -139,9 +141,6 @@ type Router struct {
 	Resolve func(name string) string
 	// ReplicationFactor is the owner-set size per document; 0 means 1.
 	ReplicationFactor int
-	// Client is the HTTP client for forwarded requests; nil means the
-	// shared DefaultClient.
-	Client *http.Client
 
 	peer  *Peer
 	local http.Handler
@@ -192,10 +191,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // answering with the first owner that responds at all (any status — a
 // 404 from an owner is an authoritative answer, not a routing failure).
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, doc string) {
-	client := rt.Client
-	if client == nil {
-		client = DefaultClient
-	}
 	var lastErr error
 	for _, owner := range rt.Ring.Owners(doc, rt.rf()) {
 		base := rt.Resolve(owner)
@@ -206,14 +201,18 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, doc string) {
 		if r.URL.RawQuery != "" {
 			u += "?" + r.URL.RawQuery
 		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, u, r.Body)
+		req, err := newRequest(r.Context(), r.Method, u, r.Body)
 		if err != nil {
 			lastErr = err
 			continue
 		}
+		// The caller's headers travel, its traceparent included: the router
+		// sits outside instrument, so no span of our own rides the context.
 		req.Header = r.Header.Clone()
 		req.Header.Set(headerForwarded, rt.Self)
-		resp, err := client.Do(req)
+		// A relay keeps its own Do: method, body and status are the caller's
+		// and the owner's, not Client.call's to judge.
+		resp, err := rt.peer.remote(base, nil).httpc().Do(req)
 		if err != nil {
 			lastErr = err
 			continue

@@ -105,7 +105,7 @@ func (p *Peer) Status() StatusReport {
 		for _, name := range p.system.DocNames() {
 			ds := DocStatus{
 				Doc:           name,
-				LocalDigest:   docDigest(p.system.Document(name).Root),
+				LocalDigest:   digestHex(p.system.Document(name).Root),
 				LastAdvanceMs: -1,
 			}
 			if w, ok := marks[name]; ok {
@@ -127,10 +127,6 @@ func (p *Peer) Status() StatusReport {
 }
 
 func (p *Peer) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
 	data, err := json.MarshalIndent(p.Status(), "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -143,21 +139,9 @@ func (p *Peer) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // Status fetches a peer's /axml/status report.
 func (c *Client) Status(ctx context.Context) (StatusReport, error) {
-	req, err := newRequest(ctx, http.MethodGet, c.BaseURL+PathStatus, nil)
+	body, err := c.call(ctx, "status "+c.BaseURL, http.MethodGet, PathStatus, "", nil)
 	if err != nil {
 		return StatusReport{}, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return StatusReport{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return StatusReport{}, fmt.Errorf("peer: status %s: %s", c.BaseURL, resp.Status)
-	}
-	body, err := readAllLimited(resp.Body, c.MaxWire)
-	if err != nil {
-		return StatusReport{}, fmt.Errorf("peer: status %s: %w", c.BaseURL, err)
 	}
 	var rep StatusReport
 	if err := json.Unmarshal(body, &rep); err != nil {

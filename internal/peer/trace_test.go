@@ -124,7 +124,7 @@ func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t
 		Service: "GetRating",
 		Input:   syntax.MustParseDocument(`input{title{"Naima"}}`),
 	}, subSrv.URL)
-	if n, err := pub.Flush(ctx, nil); err != nil || n == 0 {
+	if n, err := pub.Flush(ctx); err != nil || n == 0 {
 		t.Fatalf("flush pushed %d trees, err %v", n, err)
 	}
 

@@ -17,8 +17,9 @@ type Hash [32]byte
 // CanonicalHash computes the structural digest of the subtree rooted at n:
 // a Merkle-style hash over (kind, name, sorted child hashes). It runs in
 // O(n·b log b) time and O(depth) extra space and never consults or fills
-// the per-node memo; use Digest for the memoized variant (the two always
-// agree on the same tree).
+// the per-node memo. It is the reference: tests and the benchmark's
+// oracles compare Digest against it (the two always agree on a tree whose
+// memos are fresh); product code calls Digest (scripts/lint-obs.sh).
 func (n *Node) CanonicalHash() Hash {
 	if n == nil {
 		return Hash{}

@@ -1,8 +1,10 @@
 #!/bin/sh
 # lint-obs.sh — ban bare stdlib printing, package-level http helpers,
 # exported global bool switches, private copies of the assignment dedup,
-# hand-rolled document growth in the peer layer and lock hand-offs from
-# library code.
+# hand-rolled document growth in the peer layer, lock hand-offs from
+# library code, requests built or sent past the peer's one wire boundary,
+# exported mutable globals in the peer layer and product calls of the
+# reference hash.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -111,6 +113,56 @@ badhandoff=$(grep -rn --include='*.go' -E 'defer [^ ]*\.Lock\(\)|^[[:space:]]+[A
 if [ -n "$badhandoff" ]; then
     echo "vet-obs: lock hand-off (a deferred re-Lock or a sync.Locker field) in library code (hold the system's read side, core.System.View):" >&2
     echo "$badhandoff" >&2
+    exit 1
+fi
+# A peer has one way out: newRequest builds every outbound request (the
+# traceparent choke point) and only Client.call and the router's relay
+# send one — on a client Peer.remote picked. A request built or sent
+# anywhere else in non-test internal/peer skips the peer's WithClient /
+# WithLimits and falls out of the trace (PR 25's mirror bug, PR 26's
+# router and publisher bugs). sync.Once has a Do too; none is in use here.
+badwire=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    /http\.NewRequest(WithContext)?\(/ && fn !~ /^func newRequest\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    /\.Do\(/ && FILENAME !~ /\/(client|ring)\.go$/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badwire" ]; then
+    echo "vet-obs: outbound request built outside newRequest, or sent outside client.go / ring.go, in internal/peer (use Client.call on Peer.remote):" >&2
+    echo "$badwire" >&2
+    exit 1
+fi
+# The peer layer keeps no exported mutable global: a package-level var
+# anyone can assign (the old DefaultClient, the old MaxWireBytes) is
+# configuration no Open option, test or race detector sees. Sentinel
+# errors (Err*) are the exception; limits are constants or options.
+badglobal=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
+    FNR == 1 { invar = 0 }
+    /^var[[:space:]]*\($/ { invar = 1; next }
+    /^\)/ { invar = 0 }
+    /^var[[:space:]]+[A-Z]/ && $2 !~ /^Err/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    invar && /^[[:space:]]+[A-Z]/ && $1 !~ /^Err/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badglobal" ]; then
+    echo "vet-obs: exported package-level var in internal/peer (make it a const, an Open option or a field):" >&2
+    echo "$badglobal" >&2
+    exit 1
+fi
+# A state has one wire name: the memoized tree.Digest (peer digestHex).
+# tree.CanonicalHash is the never-memoized reference tests and the
+# benchmark compare Digest against — a product caller re-hashes a whole
+# document per request and forks the name (the old docDigest).
+badhash=$(grep -rn --include='*.go' -E 'CanonicalHash\(' internal/ cmd/ \
+    | grep -v '_test\.go:' \
+    | grep -v '^internal/tree/hash\.go:' \
+    | grep -vE ':[0-9]+:[[:space:]]*//' \
+    || true)
+
+if [ -n "$badhash" ]; then
+    echo "vet-obs: tree.CanonicalHash called from product code (call Digest; CanonicalHash is the tests' reference):" >&2
+    echo "$badhash" >&2
     exit 1
 fi
 echo "vet-obs: ok"
