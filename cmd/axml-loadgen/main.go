@@ -24,11 +24,7 @@
 // -search runs a step-rate capacity search instead of a single run:
 // the rate multiplies by -search-factor until the fleet stops keeping
 // up (errors, missed rate, or SLO violations), then bisects — the
-// result is the maximum sustainable RPS. -bench runs the canonical
-// benchmark suite (open mix, closed mix, capacity search) against the
-// in-process fleet and prints LOADGEN lines that
-// scripts/bench-json.sh -load turns into BENCH_load.json; `make
-// bench-load` wraps exactly that.
+// result is the maximum sustainable RPS.
 //
 // Exit status: 2 on usage errors, 1 if the run errored or -max-errors
 // (>= 0) was exceeded or an SLO was violated while -slo-strict is set.
@@ -40,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,7 +76,6 @@ func run() int {
 	searchMax := flag.Float64("search-max", 100000, "capacity search: rate ceiling")
 	searchTrial := flag.Duration("search-trial", 2*time.Second, "capacity search: per-trial run length")
 	searchRefine := flag.Int("search-refine", 3, "capacity search: bisection steps after the first failure")
-	bench := flag.Bool("bench", false, "run the canonical benchmark suite against the in-process fleet and print LOADGEN lines")
 	jsonOut := flag.Bool("json", false, "print the full result as JSON on stdout")
 	maxErrors := flag.Int64("max-errors", -1, "exit nonzero if more requests than this fail (-1 = no gate)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -161,14 +155,6 @@ func run() int {
 	}
 	ctx := context.Background()
 
-	if *bench {
-		if fleet == nil {
-			fmt.Fprintln(os.Stderr, "axml-loadgen: -bench needs -fleet N (the suite is a machine-local baseline)")
-			return 2
-		}
-		return benchSuite(ctx, r, fleet, *fleetDocs, logger)
-	}
-
 	if *search {
 		cfg := loadgen.SearchConfig{
 			Start: *searchStart, Factor: *searchFactor, Max: *searchMax,
@@ -210,99 +196,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// benchSuite is the canonical capacity baseline behind `make
-// bench-load`: an open-loop mix at a fixed modest rate, the same mix
-// closed-loop, and a capacity search — each reported as one LOADGEN
-// line for scripts/bench-json.sh -load.
-func benchSuite(ctx context.Context, r *loadgen.Runner, fleet *loadgen.Fleet,
-	fleetDocs int, logger interface {
-		Info(string, ...any)
-		Error(string, ...any)
-	}) int {
-	fmt.Printf("cpu: %d logical cores\n", runtime.NumCPU())
-
-	open := fleet.MixScenario(fleetDocs, 300, 3*time.Second)
-	r.Scenario = open
-	res, err := r.Run(ctx)
-	if err != nil || res.Errors > 0 {
-		logger.Error("bench open", "err", err, "errors", res.Errors, "first", fmt.Sprint(res.FirstErrors))
-		return 1
-	}
-	printLoadgenLine("mix/open", res, map[string]float64{
-		"ns_per_op": 1e9 / res.AchievedRPS,
-	})
-
-	closed := open
-	closed.Mode = "closed"
-	closed.Workers = 8
-	closed.Think = 0
-	closed.Duration = loadgen.Duration(2 * time.Second)
-	r.Scenario = closed
-	res, err = r.Run(ctx)
-	if err != nil || res.Errors > 0 {
-		logger.Error("bench closed", "err", err, "errors", res.Errors, "first", fmt.Sprint(res.FirstErrors))
-		return 1
-	}
-	printLoadgenLine("mix/closed", res, map[string]float64{
-		"ns_per_op": 1e9 / res.AchievedRPS,
-	})
-
-	r.Scenario = open
-	capr, err := r.Search(ctx, loadgen.SearchConfig{
-		Start: 200, Factor: 2, Max: 12800, Trial: 1500 * time.Millisecond, Refine: 3,
-	}, func(format string, args ...any) {
-		logger.Info(fmt.Sprintf(format, args...))
-	})
-	if err != nil {
-		logger.Error("bench search", "err", err)
-		return 1
-	}
-	// Capacity as a latency-shaped leaf: ns per request at the maximum
-	// sustained rate, so the 20% bench-check tolerance reads naturally
-	// as "capacity regressed by more than 20%".
-	printLoadgenLine("capacity/search", capr.Best, map[string]float64{
-		"ns_per_op":    1e9 / capr.AchievedRPS,
-		"max_rps":      capr.MaxRPS,
-		"achieved_rps": capr.AchievedRPS,
-	})
-	return 0
-}
-
-// printLoadgenLine emits one machine-readable result line. The bench
-// suite overrides ns_per_op — the field bench-check gates with 20%
-// tolerance — to 1e9/achieved_rps on every leaf: throughput against a
-// fixed schedule is the stable regression signal on shared hardware,
-// where a single run's mean latency swings with box noise and quantile
-// fields snap to power-of-two histogram bucket bounds. Latency stats
-// (mean_ns, p50/p99/p999) ride along ungated for trajectory reading.
-func printLoadgenLine(name string, res loadgen.Result, overrides map[string]float64) {
-	fields := map[string]float64{
-		"ns_per_op": float64(res.Overall.Mean),
-		"mean_ns":   float64(res.Overall.Mean),
-		"p50_ns":    float64(res.Overall.P50),
-		"p99_ns":    float64(res.Overall.P99),
-		"p999_ns":   float64(res.Overall.P999),
-		"rps":       res.AchievedRPS,
-		"sent":      float64(res.Sent),
-		"errors":    float64(res.Errors),
-	}
-	for k, v := range overrides {
-		fields[k] = v
-	}
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		if k != "ns_per_op" {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	fmt.Printf("LOADGEN %s ns_per_op=%.0f", name, fields["ns_per_op"])
-	for _, k := range keys {
-		fmt.Printf(" %s=%.0f", k, fields[k])
-	}
-	fmt.Println()
 }
 
 func printResult(res loadgen.Result) {

@@ -85,7 +85,7 @@ func main() {
 	flag.Var(&remotes, "remote", "remote service binding NAME=URL (repeatable)")
 	var shardPeers remoteFlags
 	flag.Var(&shardPeers, "shard-peer", "fleet member NAME=URL (repeatable; sharded mode)")
-	var mirrors remoteFlags
+	var mirrors mirrorFlags
 	flag.Var(&mirrors, "mirror", "replicate document DOC=URL from the peer at URL (repeatable)")
 	flag.Parse()
 
@@ -169,7 +169,7 @@ func main() {
 	// Mirrored documents that the system file does not declare get an
 	// empty replica seed; the first sync adopts the remote root marking
 	// and replication then fills them by LUB merge.
-	for _, m := range mirrors {
+	for _, m := range mirrors.remoteFlags {
 		if sys.Document(m.name) == nil {
 			if err := sys.AddDocument(peer.NewReplicaDoc(m.name, m.name)); err != nil {
 				fatal(err)
@@ -192,7 +192,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	for _, m := range mirrors {
+	for _, m := range mirrors.remoteFlags {
 		p.AddMirror(&peer.Mirror{Remote: m.url, RemoteDoc: m.name, LocalDoc: m.name})
 		logger.Info("mirroring", "peer", *name, "doc", m.name, "remote", m.url)
 	}
@@ -277,4 +277,15 @@ func (r *remoteFlags) Set(v string) error {
 	}
 	*r = append(*r, remoteBinding{name: name, url: url})
 	return nil
+}
+
+// mirrorFlags are bindings whose name becomes a local document, so it
+// must be a name the wire can carry (peer.Open would refuse it later).
+type mirrorFlags struct{ remoteFlags }
+
+func (m *mirrorFlags) Set(v string) error {
+	if err := m.remoteFlags.Set(v); err != nil {
+		return err
+	}
+	return peer.CheckDocName(m.remoteFlags[len(m.remoteFlags)-1].name)
 }

@@ -1,11 +1,11 @@
-// Package bench is the experiment harness behind bench_test.go and
-// cmd/axml-experiments. The paper is a theory paper: its "evaluation" is
-// a set of theorems, worked examples and complexity claims, so every
-// experiment here reproduces one formal claim as a measurement (the
-// per-experiment index lives in DESIGN.md; the recorded outcomes in
-// EXPERIMENTS.md). Each function prints one table and returns an error if
-// the claim's qualitative shape fails to hold — benches double as
-// end-to-end checks.
+// Package bench is the experiment harness behind cmd/axml-experiments
+// (full size) and TestExperimentsSmall (small size). The paper is a
+// theory paper: its "evaluation" is a set of theorems, worked examples
+// and complexity claims, so every experiment here reproduces one formal
+// claim as a measurement (the per-experiment index lives in DESIGN.md;
+// the recorded outcomes in EXPERIMENTS.md). Each function prints one
+// table and returns an error if the claim's qualitative shape fails to
+// hold — benches double as end-to-end checks.
 package bench
 
 import (

@@ -136,26 +136,3 @@ func (f *Fleet) Close() {
 		s.Close()
 	}
 }
-
-// MixScenario builds the canonical mixed workload against the fleet:
-// read-heavy doc and delta traffic over a zipf-hot document universe,
-// with invoke, hash-probe and push-ingest minorities — the
-// production-shaped default recorded in BENCH_load.json.
-func (f *Fleet) MixScenario(docs int, rate float64, dur time.Duration) Scenario {
-	return Scenario{
-		Name:    "mix",
-		Targets: f.URLs,
-		Ops: []Op{
-			{Kind: OpDoc, Weight: 4},
-			{Kind: OpDelta, Weight: 3},
-			{Kind: OpInvoke, Weight: 1, Service: "Lookup"},
-			{Kind: OpHashes, Weight: 1},
-			{Kind: OpPush, Weight: 1, PushID: "ingest"},
-		},
-		Docs:     f.DocNames(docs),
-		Mode:     "open",
-		Rate:     rate,
-		Duration: Duration(dur),
-		Seed:     1,
-	}
-}

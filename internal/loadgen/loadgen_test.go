@@ -188,7 +188,7 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	defer fleet.Close()
 
-	sc := fleet.MixScenario(6, 150, 1200*time.Millisecond)
+	sc := mixScenario(fleet, 6, 150, 1200*time.Millisecond)
 	sc.SLO = SLO{P999: Duration(5 * time.Second)} // sanity ceiling, not a perf claim
 	r := &Runner{Scenario: sc, Registries: fleet.Registries}
 	res, err := r.Run(context.Background())
@@ -235,7 +235,7 @@ func TestFleetClosedLoop(t *testing.T) {
 	}
 	defer fleet.Close()
 
-	sc := fleet.MixScenario(4, 0, 400*time.Millisecond)
+	sc := mixScenario(fleet, 4, 0, 400*time.Millisecond)
 	sc.Mode = "closed"
 	sc.Workers = 4
 	sc.Think = Duration(2 * time.Millisecond)
@@ -263,7 +263,7 @@ func TestSearchFindsCapacity(t *testing.T) {
 	}
 	defer fleet.Close()
 
-	r := &Runner{Scenario: fleet.MixScenario(4, 0, 0)}
+	r := &Runner{Scenario: mixScenario(fleet, 4, 0, 0)}
 	capr, err := r.Search(context.Background(),
 		SearchConfig{Start: 20, Factor: 4, Max: 80, Trial: 300 * time.Millisecond, Refine: 1},
 		t.Logf)
@@ -278,5 +278,28 @@ func TestSearchFindsCapacity(t *testing.T) {
 	}
 	if capr.Best.Sent == 0 {
 		t.Fatal("best trial result empty")
+	}
+}
+
+// mixScenario builds a mixed workload against the fleet: read-heavy doc
+// and delta traffic over a zipf-hot document universe, with invoke,
+// hash-probe and push-ingest minorities — the same mix as axml-loadgen's
+// default -mix.
+func mixScenario(f *Fleet, docs int, rate float64, dur time.Duration) Scenario {
+	return Scenario{
+		Name:    "mix",
+		Targets: f.URLs,
+		Ops: []Op{
+			{Kind: OpDoc, Weight: 4},
+			{Kind: OpDelta, Weight: 3},
+			{Kind: OpInvoke, Weight: 1, Service: "Lookup"},
+			{Kind: OpHashes, Weight: 1},
+			{Kind: OpPush, Weight: 1, PushID: "ingest"},
+		},
+		Docs:     f.DocNames(docs),
+		Mode:     "open",
+		Rate:     rate,
+		Duration: Duration(dur),
+		Seed:     1,
 	}
 }

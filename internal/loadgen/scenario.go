@@ -7,8 +7,7 @@
 // workers with think time). Document popularity is zipf-distributed,
 // the skew real request logs show. Per-request latency lands in
 // obs.Histograms, results are checked against SLOs, and a step-rate
-// search finds the maximum sustainable RPS per fleet — the capacity
-// yardstick recorded in BENCH_load.json.
+// search finds the maximum sustainable RPS per fleet.
 package loadgen
 
 import (

@@ -11,8 +11,8 @@ import (
 // the last sustained and first failed rate. "Sustained" means the trial
 // kept its error budget, actually achieved (nearly) the configured rate
 // without stalling on the in-flight cap, and met the scenario's SLO if
-// one is set. The result is the capacity yardstick — max sustainable
-// RPS for this fleet on this machine — that lands in BENCH_load.json.
+// one is set. The result is the maximum sustainable RPS for this fleet
+// on this machine.
 
 // SearchConfig tunes the capacity search; zero fields get defaults.
 type SearchConfig struct {

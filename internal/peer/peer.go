@@ -157,6 +157,11 @@ func Open(name string, s *core.System, opts ...Option) (*Peer, RecoveryInfo, err
 		o(&cfg)
 	}
 	var info RecoveryInfo
+	for _, doc := range s.DocNames() {
+		if err := CheckDocName(doc); err != nil {
+			return nil, info, err
+		}
+	}
 	var st *store
 	if cfg.durability.Dir != "" {
 		var err error

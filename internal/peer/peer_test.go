@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -88,8 +89,33 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
+// A document name travels as a /axml/doc path segment, a /axml/hash
+// entry and a replica's root element; Open refuses one the wire cannot
+// carry instead of serving a hash list that fails every client's parse.
+func TestOpenRejectsUnwireableDocName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"", false}, {"a;b", false}, {"x y", false}, {"q?r", false}, {"a/b", false},
+		{"inbox007", true},
+	} {
+		s := core.NewSystem()
+		if err := s.AddDocument(NewReplicaDoc(c.name, "inbox")); err != nil {
+			t.Fatalf("AddDocument(%q): %v", c.name, err)
+		}
+		_, _, err := Open("p", s)
+		if c.ok && err != nil {
+			t.Errorf("Open with document %q: %v", c.name, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), strconv.Quote(c.name))) {
+			t.Errorf("Open with document %q: got %v, want an error naming it", c.name, err)
+		}
+	}
+}
+
 // mustOpen wraps a system as an in-memory peer; Open cannot fail without
-// durability.
+// durability on a system whose document names the wire can carry.
 func mustOpen(name string, s *core.System, opts ...Option) *Peer {
 	p, _, err := Open(name, s, opts...)
 	if err != nil {

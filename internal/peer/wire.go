@@ -67,6 +67,17 @@ func validWireLabel(s string) bool {
 	return validNCName(prefix)
 }
 
+// CheckDocName rejects a document name the wire cannot carry. A name
+// travels as a path segment (/axml/doc/<name>), as a NAME=DIGEST entry
+// of /axml/hash, and — for a replica seed — as its root element, so it
+// must pass the rule decoded labels pass.
+func CheckDocName(name string) error {
+	if !validWireLabel(name) {
+		return fmt.Errorf("peer: document name %q is not an XML element name, so the wire cannot carry it", name)
+	}
+	return nil
+}
+
 func validNCName(s string) bool {
 	if s == "" {
 		return false

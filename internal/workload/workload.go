@@ -1,6 +1,6 @@
 // Package workload provides seeded, reproducible generators for the
-// experiment suite: random AXML trees with controllable redundancy,
-// jazz-portal documents and systems in the style of the paper's running
+// experiment suite: random AXML trees with controllable redundancy, a
+// needle-in-a-catalog inventory, jazz-portal documents and systems in the style of the paper's running
 // example, and graph workloads for the datalog/transitive-closure
 // experiments.
 package workload
@@ -91,6 +91,29 @@ func RandomTree(rng *rand.Rand, cfg TreeConfig) *tree.Node {
 		}
 	}
 	grow(root, 0)
+	return root
+}
+
+// Inventory builds a deterministic catalog: depts × items of
+// item{sku{v},qty{v}} (5 nodes per item) plus a single needle item, sku
+// "needle", in the middle dept. The tree is ~5·depts·items nodes and a
+// pattern anchored on the needle's sku has exactly one match.
+func Inventory(depts, items int) *tree.Node {
+	root := tree.NewLabel("catalog")
+	for i := 0; i < depts; i++ {
+		dept := tree.NewLabel("dept")
+		for j := 0; j < items; j++ {
+			dept.Add(tree.NewLabel("item",
+				tree.NewLabel("sku", tree.NewValue(fmt.Sprintf("sku-%d-%d", i, j))),
+				tree.NewLabel("qty", tree.NewValue(fmt.Sprintf("%d", j%97))),
+			))
+		}
+		root.Add(dept)
+	}
+	root.Children[depts/2].Add(tree.NewLabel("item",
+		tree.NewLabel("sku", tree.NewValue("needle")),
+		tree.NewLabel("qty", tree.NewValue("1")),
+	))
 	return root
 }
 

@@ -38,6 +38,28 @@ func TestRandomTreeRedundancyIsReducible(t *testing.T) {
 	}
 }
 
+func TestInventoryShape(t *testing.T) {
+	a, b := Inventory(4, 10), Inventory(4, 10)
+	if a.CanonicalString() != b.CanonicalString() {
+		t.Fatal("Inventory is not deterministic")
+	}
+	// root + depts + 5 nodes per item + the 5-node needle item
+	if want := 1 + 4 + 5*4*10 + 5; a.Size() != want {
+		t.Fatalf("size %d, want %d", a.Size(), want)
+	}
+	needles := 0
+	for _, dept := range a.Children {
+		for _, item := range dept.Children {
+			if item.Children[0].Children[0].Name == "needle" {
+				needles++
+			}
+		}
+	}
+	if needles != 1 {
+		t.Fatalf("%d needle items, want 1", needles)
+	}
+}
+
 func TestJazzSystemRunsAndAnswers(t *testing.T) {
 	s := JazzSystem(rand.New(rand.NewSource(1)), JazzConfig{CDs: 10, MaterializedRatio: 0.5, IrrelevantBranches: 2})
 	if err := s.Validate(); err != nil {

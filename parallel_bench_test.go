@@ -3,8 +3,9 @@
 // a FaultService injecting a fixed per-invocation delay, simulating the
 // remote services of the paper's setting (where invocation cost is
 // network wait, not CPU). Theorem 2.1 licenses firing those waits
-// concurrently; the speedup at parallelism n is the measured payoff.
-// `make bench` records the trajectory into BENCH_parallel.json.
+// concurrently; the speedup at parallelism n is the measured payoff:
+//
+//	go test -run '^$' -bench BenchmarkRunParallel -benchtime 5x .
 package axml_test
 
 import (
@@ -106,9 +107,7 @@ func BenchmarkRunParallel(b *testing.B) {
 					b.StartTimer()
 				}
 				// The engine's own view of the run (last iteration), so the
-				// bench trajectory records where the time went, not just
-				// that it went: bench-json.sh folds these extra columns
-				// into BENCH_parallel.json.
+				// output shows where the time went, not just that it went.
 				b.ReportMetric(float64(st.CallsFired), "fired")
 				b.ReportMetric(float64(st.DeltaEvals), "delta_evals")
 				b.ReportMetric(float64(st.Eval.P99), "eval_p99_ns")

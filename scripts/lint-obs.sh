@@ -3,8 +3,8 @@
 # exported global bool switches, private copies of the assignment dedup,
 # hand-rolled document growth in the peer layer, lock hand-offs from
 # library code, requests built or sent past the peer's one wire boundary,
-# exported mutable globals in the peer layer and product calls of the
-# reference hash.
+# exported mutable globals in the peer layer, product calls of the
+# reference hash and a second benchmark pipeline beside benchmark/.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -163,6 +163,22 @@ badhash=$(grep -rn --include='*.go' -E 'CanonicalHash\(' internal/ cmd/ \
 if [ -n "$badhash" ]; then
     echo "vet-obs: tree.CanonicalHash called from product code (call Digest; CanonicalHash is the tests' reference):" >&2
     echo "$badhash" >&2
+    exit 1
+fi
+# One benchmark pipeline: the program BENCHMARK.json names (benchmark/).
+# Committed numbers from one run outside it (BENCH_*.json), converters
+# for them (scripts/bench-*.sh), machine-readable LOADGEN result lines
+# printed for such a converter, and a make recipe writing a JSON file
+# are how the retired go-test trajectory worked; none may grow back.
+badbench=$( { find . \( -path ./benchmark -o -path ./.bench_build -o -path ./.git \) -prune -o -name 'BENCH_*.json' -print
+    find scripts -name 'bench-*.sh'
+    grep -rn --include='*.go' -E '"LOADGEN ' cmd/ internal/ | grep -v '_test\.go:'
+    awk '/^\t/ && /\.json([[:space:]]|$)/ && /(>|tee )/ { printf "Makefile:%d:%s\n", FNR, $0 }' Makefile
+    } || true)
+
+if [ -n "$badbench" ]; then
+    echo "vet-obs: a second benchmark pipeline beside benchmark/ (measure through benchmark/run.sh; go test -bench output is not committed):" >&2
+    echo "$badbench" >&2
     exit 1
 fi
 echo "vet-obs: ok"

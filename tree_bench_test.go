@@ -2,14 +2,15 @@
 // million-node documents: anchored pattern matching against the naive
 // walk, and digest-accelerated Subsumed/Reduce/Union against the
 // definitional algorithms (package subsume/oracle). Each operation runs as
-// op/<variant> so `make bench-tree` can record the speedups and the
-// allocation profile into BENCH_tree.json. Fast variants run after a
-// digest warm-up: steady state for a live system, where every subtree
-// was hashed when it was first merged.
+// op/<variant>, so the fast/naive ratio reads off one run:
+//
+//	go test -run '^$' -bench 'BenchmarkTree$' -benchmem -benchtime 3x .
+//
+// Fast variants run after a digest warm-up: steady state for a live
+// system, where every subtree was hashed when it was first merged.
 package axml_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,35 +21,12 @@ import (
 	"axml/internal/workload"
 )
 
-// benchTreeNodes is the document scale the tentpole targets.
+// benchTreeNodes is the million-node document scale measured here.
 const benchTreeNodes = 1_000_000
-
-// inventoryTree builds a deterministic catalog: depts × items of
-// item{sku{v},qty{v}} (5 nodes per item) plus a single needle item. With
-// depts=100 the tree is ~5·depts·items nodes and the needle's candidate
-// list has length one.
-func inventoryTree(depts, items int) *tree.Node {
-	root := tree.NewLabel("catalog")
-	for i := 0; i < depts; i++ {
-		dept := tree.NewLabel("dept")
-		for j := 0; j < items; j++ {
-			dept.Add(tree.NewLabel("item",
-				tree.NewLabel("sku", tree.NewValue(fmt.Sprintf("sku-%d-%d", i, j))),
-				tree.NewLabel("qty", tree.NewValue(fmt.Sprintf("%d", j%97))),
-			))
-		}
-		root.Add(dept)
-	}
-	root.Children[depts/2].Add(tree.NewLabel("item",
-		tree.NewLabel("sku", tree.NewValue("needle")),
-		tree.NewLabel("qty", tree.NewValue("1")),
-	))
-	return root
-}
 
 func BenchmarkTree(b *testing.B) {
 	// ---- pattern matching: needle lookup in a 10⁶-node catalog ----
-	doc := inventoryTree(100, 2000) // 100 depts × 2000 items × 5 + needle ≈ 10⁶ nodes
+	doc := workload.Inventory(100, 2000) // 100 depts × 2000 items × 5 + needle ≈ 10⁶ nodes
 	needle := pattern.Label("catalog",
 		pattern.LVar("d",
 			pattern.Label("item",
