@@ -2,6 +2,7 @@ package peer
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/xml"
 	"fmt"
 	"sync"
@@ -98,7 +99,7 @@ type Patch struct {
 // without the memo; it is the reference tests compare against.
 func digestHex(n *tree.Node) string {
 	h := n.Digest()
-	return fmt.Sprintf("%x", h[:8])
+	return hex.EncodeToString(h[:8])
 }
 
 // ---------------------------------------------------------------------
@@ -249,12 +250,18 @@ func resolvePatch(local *tree.Node, p *Patch) (grafts []patchGraft, err error) {
 	return grafts, nil
 }
 
-// childByDigest finds the child whose subtree digest renders as hex.
+// childByDigest finds the child whose subtree digest renders as base.
 // Reduced trees never hold two digest-equal siblings (they would subsume
-// each other), so the match is unique when present.
-func childByDigest(n *tree.Node, hex string) *tree.Node {
+// each other), so the match is unique when present. The base is decoded
+// once and compared as bytes; only the exact rendering digestHex
+// produces (16 lowercase hex characters) can match.
+func childByDigest(n *tree.Node, base string) *tree.Node {
+	b, err := hex.DecodeString(base)
+	if err != nil || len(b) != 8 || hex.EncodeToString(b) != base {
+		return nil
+	}
 	for _, c := range n.Children {
-		if digestHex(c) == hex {
+		if h := c.Digest(); bytes.Equal(h[:8], b) {
 			return c
 		}
 	}
@@ -306,30 +313,36 @@ func (da *deltaAnchors) lookup(doc, digest string) *tree.Node {
 
 // remember caches the current state of a document under its digest
 // (copying the tree), evicting the oldest entry beyond the bound. A
-// digest already cached is refreshed in place (no copy). Safe on a nil
-// cache (no-op).
+// digest already cached is refreshed in place (no copy). The copy is
+// taken outside the cache's lock, so a request for another document
+// does not queue behind it. Safe on a nil cache (no-op).
 func (da *deltaAnchors) remember(doc, digest string, root *tree.Node) {
-	if da == nil {
-		return
+	if da != nil && !da.store(doc, digest, nil) {
+		da.store(doc, digest, root.Copy())
 	}
+}
+
+// store moves the state cached under digest to the back of its
+// document's list — most recently served, last to evict — and reports
+// true. When none is cached it appends cp (unless nil), evicting the
+// oldest beyond the bound, and reports false.
+func (da *deltaAnchors) store(doc, digest string, cp *tree.Node) bool {
 	da.mu.Lock()
 	defer da.mu.Unlock()
 	states := da.docs[doc]
 	for i := range states {
 		if states[i].digest == digest {
-			// Move to the back: most recently served, last to evict.
 			st := states[i]
 			copy(states[i:], states[i+1:])
 			states[len(states)-1] = st
-			da.docs[doc] = states
-			return
+			return true
 		}
 	}
-	states = append(states, anchorState{digest: digest, root: root.Copy()})
-	if len(states) > da.max {
-		states = states[len(states)-da.max:]
+	if cp != nil {
+		states = append(states, anchorState{digest: digest, root: cp})
+		da.docs[doc] = states[max(len(states)-da.max, 0):]
 	}
-	da.docs[doc] = states
+	return false
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"axml/internal/core"
@@ -102,6 +103,41 @@ func TestApplyPatchMismatch(t *testing.T) {
 	// Root marking mismatch is an error too, not a silent no-op.
 	if _, err := ApplyPatch(reduced(t, `other`), p); err == nil {
 		t.Fatal("patch applied across root markings")
+	}
+}
+
+// goldenPatch is the delta testdata/delta_patch.xml holds: a spine into
+// a grown sec plus a brand-new sibling.
+const goldenPatch = "testdata/delta_patch.xml"
+
+// TestDeltaWireGolden pins the delta wire bytes — the hex rendering of
+// from, to and every spine base included — against a recorded record,
+// and applies the recorded patch, so a receiver resolves spine bases the
+// way the sender renders them.
+func TestDeltaWireGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenPatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor := reduced(t, `log{sec{x{"1"}},other{q}}`)
+	cur := reduced(t, `log{sec{x{"1"},y{"2 < 3 & z"}},other{q},new{!Get{a}}}`)
+	d := Delta{Doc: "log", Mode: DeltaPatch, From: digestHex(anchor), To: digestHex(cur), Patch: PruneSince(cur, anchor)}
+	got, err := MarshalDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("delta wire bytes changed:\ngot  %s\nwant %s", got, want)
+	}
+	back, err := UnmarshalDelta(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplyPatch(anchor, back.Patch); err != nil {
+		t.Fatalf("recorded patch does not apply: %v", err)
+	}
+	if digestHex(anchor) != back.To {
+		t.Fatalf("applied recorded patch reaches %s, want %s", digestHex(anchor), back.To)
 	}
 }
 

@@ -77,6 +77,9 @@ type subscription struct {
 	env      Envelope
 	callback string
 	sent     tree.Forest
+	// sentDigests holds the digest of every tree in sent: a re-served
+	// tree isomorphic to one already sent is dropped without a check.
+	sentDigests map[tree.Hash]struct{}
 	// chain is the delivery hash chain the publisher believes the
 	// subscriber holds — the anchor of the next delta delivery.
 	chain string
@@ -90,7 +93,8 @@ func NewPublisher(p *Peer) *Publisher { return &Publisher{peer: p} }
 func (pb *Publisher) Subscribe(id string, env Envelope, callbackURL string) {
 	pb.mu.Lock()
 	defer pb.mu.Unlock()
-	pb.subs = append(pb.subs, &subscription{id: id, env: env, callback: callbackURL})
+	pb.subs = append(pb.subs, &subscription{id: id, env: env, callback: callbackURL,
+		sentDigests: make(map[tree.Hash]struct{})})
 }
 
 // Failures returns a snapshot of the per-subscription count of failed
@@ -167,14 +171,7 @@ func (pb *Publisher) flushOne(ctx context.Context, sub *subscription) (int, erro
 	}
 	var fresh tree.Forest
 	for _, t := range forest {
-		seen := false
-		for _, old := range sub.sent {
-			if subsume.Subsumed(t, old) {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if _, dup := sub.sentDigests[t.Digest()]; !dup && !subsume.ForestSubsumed(tree.Forest{t}, sub.sent) {
 			fresh = append(fresh, t)
 		}
 	}
@@ -214,6 +211,9 @@ func (pb *Publisher) flushOne(ctx context.Context, sub *subscription) (int, erro
 		_, err := client.call(ctx, "push to "+sub.callback, http.MethodPost, PathPush+sub.id, "application/xml", data,
 			headerPushMode, mode, headerPushAnchor, anchor, headerPushAck, ack)
 		if err == nil {
+			for _, t := range fresh {
+				sub.sentDigests[t.Digest()] = struct{}{}
+			}
 			sub.sent = append(sub.sent, fresh...)
 			sub.chain = ack
 			pb.peer.metrics.Counter("peer.push.pushed").Add(int64(len(fresh)))

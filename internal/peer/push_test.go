@@ -3,8 +3,10 @@ package peer
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,6 +135,43 @@ func TestPushDeadSubscriberDoesNotStarveOthers(t *testing.T) {
 	}
 	if got := portalTree(subPeer); len(got.Children) != 1 {
 		t.Fatalf("live subscriber missed its delivery: %s", got.CanonicalString())
+	}
+}
+
+// TestPushUnchangedForestPushesNothing: a subscription whose service
+// re-serves the same 200 trees delivers them once; the second flush finds
+// every tree among those sent and pushes nothing.
+func TestPushUnchangedForestPushesNothing(t *testing.T) {
+	var db strings.Builder
+	db.WriteString(`doc db = db{`)
+	for i := 0; i < 200; i++ {
+		if i > 0 {
+			db.WriteString(",")
+		}
+		fmt.Fprintf(&db, `e{t{"%d"},s{"s%d"}}`, i, i%7)
+	}
+	db.WriteString("}\nfunc List = got{$t,$s} :- db/db{e{t{$t},s{$s}}}\n")
+	reg := obs.NewRegistry()
+	p, _, err := Open("pub", core.MustParseSystem(db.String()), WithObservability(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := NewPublisher(p)
+	sb, subPeer := newPortalSubscriber(t, "s1")
+	srv := httptest.NewServer(sb.Handler())
+	defer srv.Close()
+	pub.Subscribe("s1", Envelope{Service: "List"}, srv.URL)
+
+	for flush, want := range []int64{200, 200} {
+		if _, err := pub.Flush(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("peer.push.pushed").Value(); got != want {
+			t.Fatalf("flush %d: peer.push.pushed = %d, want %d", flush, got, want)
+		}
+	}
+	if got := portalTree(subPeer); len(got.Children) != 200 {
+		t.Fatalf("subscriber holds %d trees, want 200", len(got.Children))
 	}
 }
 

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"os"
 	"testing"
 
 	"axml/internal/tree"
@@ -86,6 +87,11 @@ func FuzzUnmarshalDelta(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	golden, err := os.ReadFile(goldenPatch)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzMaxInput {
 			return

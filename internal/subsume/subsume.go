@@ -23,28 +23,25 @@
 // memoized subtree digests (tree.Digest): equal digests mean isomorphic
 // subtrees, which subsume each other by the identity homomorphism. The
 // digest short-circuit is what lets reduction and Graft share structure
-// across million-node documents instead of re-walking it. The
-// definitional algorithms these fast paths must agree with live in
-// package subsume/oracle, which only tests and benchmarks import.
+// across million-node documents instead of re-walking it. No check is
+// all-pairs over wide siblings: a wide node against a wide witness maps
+// digest-equal children through a digest index, and sibling pruning
+// rejects a pair whose marking signatures rule subsumption out before
+// checking it. The definitional algorithms these fast paths must agree
+// with live in package subsume/oracle, which only tests and benchmarks
+// import.
 package subsume
 
 import (
 	"axml/internal/tree"
 )
 
-// maxMemoEntries bounds the per-query node-pair memo: beyond it, results
-// are still computed (correctly) but no longer recorded, keeping the
-// worst-case memory of one subsumption query bounded regardless of
-// document size.
-const maxMemoEntries = 1 << 20
-
 // Subsumed reports whether a ⊆ b.
 func Subsumed(a, b *tree.Node) bool {
 	if a == nil || b == nil {
 		return a == nil
 	}
-	c := newChecker()
-	return c.sub(a, b)
+	return sub(a, b)
 }
 
 // Equivalent reports whether a ⊆ b and b ⊆ a (the paper's d1 ≡ d2).
@@ -52,21 +49,14 @@ func Equivalent(a, b *tree.Node) bool {
 	return Subsumed(a, b) && Subsumed(b, a)
 }
 
-// checker memoizes subsumption between node pairs across the queries of
-// one reduction. Trees are acyclic so the recursion is well-founded and
-// each pair is decided once (up to the memo bound). The zero checker
-// keeps no memo: within one query a pair is only ever reached through its
-// unique parent pair, so a caller that never asks about the same subtrees
-// twice (Graft) gains nothing from recording answers.
-type checker struct {
-	memo map[[2]*tree.Node]bool
-}
+// wideChildren is the fan-out above which sub indexes the witness's
+// children by digest and pruneSiblings groups siblings through a map.
+const wideChildren = 16
 
-func newChecker() *checker {
-	return &checker{memo: make(map[[2]*tree.Node]bool)}
-}
-
-func (c *checker) sub(a, b *tree.Node) bool {
+// sub decides a ⊆ b bottom-up. Trees are acyclic so the recursion is
+// well-founded, and within one query a pair is only ever reached through
+// its unique parent pair, so no answer is worth recording.
+func sub(a, b *tree.Node) bool {
 	if a == b {
 		return true
 	}
@@ -76,34 +66,57 @@ func (c *checker) sub(a, b *tree.Node) bool {
 	if len(a.Children) == 0 {
 		return true
 	}
-	key := [2]*tree.Node{a, b}
-	if v, ok := c.memo[key]; ok {
-		return v
-	}
 	// Equal digests mean isomorphic subtrees: subsumed via the identity.
 	// The digests are memoized per node (tree.Digest), so across one
 	// reduction or merge each subtree is hashed at most once.
-	ok := a.Digest() == b.Digest()
-	if !ok {
-		ok = true
-		for _, ca := range a.Children {
-			found := false
+	if a.Digest() == b.Digest() {
+		return true
+	}
+	// Wide against wide: once a's first child has mapped by scan, b's
+	// children are indexed by digest, and a child of a with a
+	// digest-equal witness maps by the identity in O(1); only the rest
+	// scan. The index is built lazily: a check failing at the first child
+	// (most sibling comparisons of a reduction) allocates nothing.
+	var index map[tree.Hash]struct{}
+	for i, ca := range a.Children {
+		if _, ok := index[ca.Digest()]; ok {
+			continue
+		}
+		if !subAny(ca, b.Children) {
+			return false
+		}
+		if i == 0 && len(a.Children) > wideChildren && len(b.Children) > wideChildren {
+			index = make(map[tree.Hash]struct{}, len(b.Children))
 			for _, cb := range b.Children {
-				if c.sub(ca, cb) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				ok = false
-				break
+				index[cb.Digest()] = struct{}{}
 			}
 		}
 	}
-	if c.memo != nil && len(c.memo) < maxMemoEntries {
-		c.memo[key] = ok
+	return true
+}
+
+// sigDepth caps the levels a signature summarizes, so reducing a deep
+// chain costs O(k) per level and not O(depth) per sibling.
+const sigDepth = 4
+
+// signature is a 64-bit Bloom summary of the (depth, marking) pairs in
+// the top sigDepth levels of n. A homomorphism sends root to root and
+// preserves edges and markings, hence depth, so a ⊆ b implies
+// signature(a) &^ signature(b) == 0: a pair failing that test is rejected
+// without the check, and the answer never changes.
+func signature(n *tree.Node) uint64 {
+	return sigAt(n, 0)
+}
+
+func sigAt(n *tree.Node, depth uint64) uint64 {
+	h := (uint64(n.Sym()) | depth<<32) * 0x9e3779b97f4a7c15
+	s := uint64(1) << (h >> 58)
+	if depth+1 < sigDepth {
+		for _, c := range n.Children {
+			s |= sigAt(c, depth+1)
+		}
 	}
-	return ok
+	return s
 }
 
 // Reduce returns the reduced version of t: the unique (up to isomorphism)
@@ -177,7 +190,7 @@ func pruneSiblings(children []*tree.Node) []*tree.Node {
 	// the representatives already kept: a handful of 32-byte compares
 	// beats allocating a map at every node of a reduction.
 	reps := children[:0]
-	if len(children) <= 16 {
+	if len(children) <= wideChildren {
 	dedup:
 		for _, c := range children {
 			d := c.Digest()
@@ -202,26 +215,29 @@ func pruneSiblings(children []*tree.Node) []*tree.Node {
 	if len(reps) <= 1 {
 		return reps
 	}
-	return pruneSiblingsPairwise(reps, newChecker())
+	return pruneSiblingsPairwise(reps)
 }
 
-// pruneSiblingsPairwise is the all-pairs O(k²) sibling pruning over
-// the given (deduplicated) children, in place.
-func pruneSiblingsPairwise(children []*tree.Node, c *checker) []*tree.Node {
-	if len(children) <= 1 {
-		return children
+// pruneSiblingsPairwise is the all-pairs sibling pruning over the given
+// (deduplicated) children, in place. Each sibling's signature is computed
+// once, and a pair whose signatures rule subsumption out skips the check:
+// k² word compares, with a real check only where one is possible.
+func pruneSiblingsPairwise(children []*tree.Node) []*tree.Node {
+	sigs := make([]uint64, len(children))
+	for i, c := range children {
+		sigs[i] = signature(c)
 	}
 	keep := children[:0]
 	for i, ci := range children {
 		dominated := false
 		for j, cj := range children {
-			if i == j {
+			if i == j || sigs[i]&^sigs[j] != 0 {
 				continue
 			}
-			if c.sub(ci, cj) {
+			if sub(ci, cj) {
 				// ci ⊆ cj. Drop ci unless they are equivalent and
 				// ci comes first (keep the first representative).
-				if c.sub(cj, ci) {
+				if sigs[j]&^sigs[i] == 0 && sub(cj, ci) {
 					if j < i {
 						dominated = true
 						break
@@ -234,6 +250,7 @@ func pruneSiblingsPairwise(children []*tree.Node, c *checker) []*tree.Node {
 		}
 		if !dominated {
 			keep = append(keep, ci)
+			sigs[len(keep)-1] = sigs[i] // keep sigs aligned with children
 		}
 	}
 	return keep
@@ -244,24 +261,19 @@ func IsReduced(t *tree.Node) bool {
 	if t == nil {
 		return true
 	}
-	c := newChecker()
-	var rec func(n *tree.Node) bool
-	rec = func(n *tree.Node) bool {
-		for i, ci := range n.Children {
-			for j, cj := range n.Children {
-				if i != j && c.sub(ci, cj) && !(c.sub(cj, ci) && j > i) {
-					return false
-				}
-			}
-		}
-		for _, ci := range n.Children {
-			if !rec(ci) {
+	for i, ci := range t.Children {
+		for j, cj := range t.Children {
+			if i != j && sub(ci, cj) && !(sub(cj, ci) && j > i) {
 				return false
 			}
 		}
-		return true
 	}
-	return rec(t)
+	for _, ci := range t.Children {
+		if !IsReduced(ci) {
+			return false
+		}
+	}
+	return true
 }
 
 // Graft is the one way a reduced tree grows (Section 2.2): it appends the
@@ -293,14 +305,13 @@ func Graft(path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached [
 		return nil, nil // the common delta evaluation: nothing new, nothing to index
 	}
 	attach := path[len(path)-1]
-	var c checker // memo-less: no pair of subtrees is compared twice below
 	known := make(map[tree.Hash]struct{}, len(attach.Children))
 	for _, e := range attach.Children {
 		known[e.Digest()] = struct{}{}
 	}
 	var rest tree.Forest
 	for _, t := range forest {
-		if _, dup := known[t.Digest()]; !dup && !c.subAny(t, attach.Children) {
+		if _, dup := known[t.Digest()]; !dup && !subAny(t, attach.Children) {
 			rest = append(rest, t)
 		}
 	}
@@ -310,7 +321,7 @@ func Graft(path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached [
 	}
 	kept := attach.Children[:0]
 	for _, e := range attach.Children {
-		if c.subAny(e, fresh) {
+		if subAny(e, fresh) {
 			detached = append(detached, e)
 		} else {
 			kept = append(kept, e)
@@ -324,7 +335,7 @@ func Graft(path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached [
 		ancestor, grown := path[i], path[i+1]
 		kept := ancestor.Children[:0]
 		for _, sib := range ancestor.Children {
-			if sib != grown && c.sub(sib, grown) {
+			if sib != grown && sub(sib, grown) {
 				detached = append(detached, sib)
 			} else {
 				kept = append(kept, sib)
@@ -339,9 +350,9 @@ func Graft(path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached [
 }
 
 // subAny reports whether t is subsumed by some tree of the list.
-func (c *checker) subAny(t *tree.Node, list []*tree.Node) bool {
+func subAny(t *tree.Node, list []*tree.Node) bool {
 	for _, o := range list {
-		if c.sub(t, o) {
+		if sub(t, o) {
 			return true
 		}
 	}

@@ -4,7 +4,8 @@
 # hand-rolled document growth in the peer layer, lock hand-offs from
 # library code, requests built or sent past the peer's one wire boundary,
 # exported mutable globals in the peer layer, product calls of the
-# reference hash and a second benchmark pipeline beside benchmark/.
+# reference hash, a second benchmark pipeline beside benchmark/ and a
+# node-pair subsumption memo.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -179,6 +180,21 @@ badbench=$( { find . \( -path ./benchmark -o -path ./.bench_build -o -path ./.gi
 if [ -n "$badbench" ]; then
     echo "vet-obs: a second benchmark pipeline beside benchmark/ (measure through benchmark/run.sh; go test -bench output is not committed):" >&2
     echo "$badbench" >&2
+    exit 1
+fi
+# Subsumption keeps no per-query node-pair memo: in a tree a pair is
+# reached only through its unique parent pair, so a memo only allocates
+# (one entry per pair: the O(k²) the replication path used to pay). The
+# definitional oracle keeps its own; nothing else may grow one back.
+badmemo=$(grep -rn --include='*.go' -F 'map[[2]*tree.Node]' internal/ cmd/ *.go \
+    | grep -v '_test\.go:' \
+    | grep -v '^internal/subsume/oracle/' \
+    | grep -vE ':[0-9]+:[[:space:]]*//' \
+    || true)
+
+if [ -n "$badmemo" ]; then
+    echo "vet-obs: a node-pair memo (map[[2]*tree.Node]) outside internal/subsume/oracle (subsumption asks each pair once; see internal/subsume):" >&2
+    echo "$badmemo" >&2
     exit 1
 fi
 echo "vet-obs: ok"
