@@ -229,7 +229,7 @@ func TestPropertyAppendKeepsIndexExact(t *testing.T) {
 					got := stampedKeys(ix.MatchUnderSince(p, root, nil, since))
 					for plan, ref := range map[string][]pattern.Stamped{
 						"rebuilt index": rebuilt.MatchUnderSince(p, root, nil, since),
-						"walk":          pattern.MatchUnderSince(p, root, nil, since),
+						"walk":          (*pattern.Index)(nil).MatchUnderSince(p, root, nil, since),
 					} {
 						if want := stampedKeys(ref); fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("seed %d step %d since %d, %s:\nmaintained index %v\n%s %v",

@@ -268,13 +268,15 @@ func (q *RQuery) String() string {
 // binding (no call invocation), by walking the NFA of each path node down
 // the trees: query.Fold with matchR as its step.
 func Snapshot(q *RQuery, docs query.Docs) (tree.Forest, error) {
-	asns := query.Fold(len(q.Body), pattern.Assignment{}, func(i int, asn pattern.Assignment) []pattern.Assignment {
+	asns := query.Fold(len(q.Body), pattern.Assignment{}, func(i int, dst map[string]pattern.Kind) error {
+		return q.Body[i].Pattern.Vars(dst)
+	}, func(i, _ int, asn pattern.Assignment) []pattern.Assignment {
 		doc := docs[q.Body[i].Doc]
 		if doc == nil {
 			return nil
 		}
 		return matchR(q.Body[i].Pattern, doc, asn)
-	}, pattern.Dedup)
+	})
 	kept := asns[:0]
 	for _, asn := range asns {
 		ok, err := query.IneqsHold(q.Ineqs, asn)

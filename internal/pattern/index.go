@@ -145,23 +145,15 @@ func (ix *Index) Compact() {
 	}
 }
 
-// CandidateCount returns the number of indexed occurrences of the given
-// marking (including not-yet-swept dead entries, so it is an upper
-// bound — exactly what a selectivity estimate needs).
-func (ix *Index) CandidateCount(kind tree.Kind, name string) int {
-	if ix == nil {
-		return 0
-	}
-	return len(ix.bySym[tree.Intern(kind, name)])
-}
-
 // Selectivity estimates how selective a pattern is on this index: the
 // length of the shortest candidate list over the pattern's constant
-// nodes (0 is maximally selective — the pattern cannot match). A pattern
-// with no constant node, or a nil index, reports math.MaxInt (no
+// nodes below the root (0 is maximally selective — the pattern cannot
+// match). The root is skipped, as in plan: its image is the match root,
+// and the root's marking occurs in every index it could match. A pattern
+// with no such constant node, or a nil index, reports math.MaxInt (no
 // information). Query planners use this to order conjunctive atoms.
 func (ix *Index) Selectivity(p *Node) int {
-	if ix == nil {
+	if ix == nil || p == nil {
 		return math.MaxInt
 	}
 	best := math.MaxInt
@@ -176,8 +168,8 @@ func (ix *Index) Selectivity(p *Node) int {
 			walk(c)
 		}
 	}
-	if p != nil {
-		walk(p)
+	for _, c := range p.Children {
+		walk(c)
 	}
 	return best
 }
@@ -247,31 +239,17 @@ func (ix *Index) plan(p *Node, base Assignment) (anchorPlan, planKind) {
 // anchorSym returns the document symbol images of n must carry, when n is
 // selective: a constant, or an atom variable bound in base.
 func anchorSym(n *Node, base Assignment) (tree.Sym, bool) {
-	switch n.Kind {
-	case ConstLabel:
-		return tree.Intern(tree.Label, n.Name), true
-	case ConstValue:
-		return tree.Intern(tree.Value, n.Name), true
-	case ConstFunc:
-		return tree.Intern(tree.Func, n.Name), true
-	case VarLabel, VarValue, VarFunc:
-		b, ok := base[n.Name]
-		if !ok || b.Tree != nil {
-			return 0, false
-		}
-		var k tree.Kind
-		switch n.Kind {
-		case VarLabel:
-			k = tree.Label
-		case VarValue:
-			k = tree.Value
-		default:
-			k = tree.Func
-		}
-		return tree.Intern(k, b.Atom), true
-	default:
+	if n.Kind == VarTree {
 		return 0, false
 	}
+	if !n.Kind.IsVar() {
+		return tree.Intern(n.Kind.treeKind(), n.Name), true
+	}
+	b, ok := base[n.Name]
+	if !ok || b.Tree != nil {
+		return 0, false
+	}
+	return tree.Intern(n.Kind.treeKind(), b.Atom), true
 }
 
 // spineTo resolves the document spine a candidate anchor image forces:

@@ -112,7 +112,7 @@ func TestIndexedMatchSinceEqualsNaive(t *testing.T) {
 	ix := NewIndex(doc)
 	for name, p := range indexTestPatterns() {
 		for _, since := range []uint64{0, 1, 4, 10} {
-			naive := MatchUnderSince(p, doc, nil, since)
+			naive := (*Index)(nil).MatchUnderSince(p, doc, nil, since)
 			indexed := ix.MatchUnderSince(p, doc, nil, since)
 			nk, ik := sortedStampedKeys(naive), sortedStampedKeys(indexed)
 			if len(nk) != len(ik) {
@@ -240,6 +240,19 @@ func TestIndexSelectivity(t *testing.T) {
 	}
 }
 
+// TestIndexSelectivitySkipsRoot pins that the pattern root does not count:
+// its marking is the indexed root's, once in every index it can match, so
+// counting it would rate every document-wide atom 1.
+func TestIndexSelectivitySkipsRoot(t *testing.T) {
+	r := tree.NewLabel("r")
+	for i := 0; i < 190; i++ {
+		r.Add(tree.NewLabel("t", tree.NewLabel("a", tree.NewValue(fmt.Sprint(i)))))
+	}
+	if s := NewIndex(r).Selectivity(Label("r", Label("t", Label("a", VVar("x"))))); s != 190 {
+		t.Fatalf("r{t{a{$x}}} selectivity = %d, want 190", s)
+	}
+}
+
 // TestIndexedMatchRandomized cross-checks on random documents and random
 // patterns drawn from the document's own markings. Nodes carry random
 // stamps (from a second source, so the documents and patterns are the ones
@@ -319,7 +332,7 @@ func TestIndexedMatchRandomized(t *testing.T) {
 			want := Match(p, doc)
 			for _, since := range []uint64{0, maxStamp / 2, maxStamp, math.MaxUint64} {
 				for plan, sts := range map[string][]Stamped{
-					"walk":    MatchUnderSince(p, doc, nil, since),
+					"walk":    (*Index)(nil).MatchUnderSince(p, doc, nil, since),
 					"indexed": ix.MatchUnderSince(p, doc, nil, since),
 				} {
 					what := fmt.Sprintf("trial %d pattern %d since %d %s: %s", trial, pi, since, plan, p)
@@ -334,7 +347,7 @@ func TestIndexedMatchRandomized(t *testing.T) {
 			assertSameAssignments(t, Match(p, doc), ix.Match(p, doc),
 				fmt.Sprintf("trial %d pattern %d: %s", trial, pi, p))
 			since := uint64(rng.Intn(3))
-			nk := sortedStampedKeys(MatchUnderSince(p, doc, nil, since))
+			nk := sortedStampedKeys((*Index)(nil).MatchUnderSince(p, doc, nil, since))
 			ik := sortedStampedKeys(ix.MatchUnderSince(p, doc, nil, since))
 			if len(nk) != len(ik) {
 				t.Fatalf("trial %d pattern %d since %d: naive %d, indexed %d (%s)",

@@ -26,6 +26,7 @@
 package pattern
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -78,6 +79,19 @@ func (k Kind) String() string {
 		return "tree-var"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
+	}
+}
+
+// treeKind returns the kind of the document nodes a constant or atom
+// variable of kind k stands for.
+func (k Kind) treeKind() tree.Kind {
+	switch k {
+	case ConstValue, VarValue:
+		return tree.Value
+	case ConstFunc, VarFunc:
+		return tree.Func
+	default:
+		return tree.Label
 	}
 }
 
@@ -282,12 +296,6 @@ type Binding struct {
 	Atom string
 }
 
-func (b Binding) key() string {
-	var sb strings.Builder
-	b.appendKey(&sb)
-	return sb.String()
-}
-
 // appendKey writes the binding's identity into sb. Tree bindings are
 // keyed by their memoized structural digest — 32 opaque bytes instead of
 // a canonical string that re-serializes the subtree on every dedup probe.
@@ -351,6 +359,40 @@ func (a Assignment) Key() string {
 	return sb.String()
 }
 
+// AppendKey appends to buf an injective encoding of a's bindings of vars,
+// in the order given (an unbound variable encodes as unbound): a join key.
+// Tree bindings enter as their digests, as in Key.
+func (a Assignment) AppendKey(buf []byte, vars []string) []byte {
+	for _, v := range vars {
+		switch b, ok := a[v]; {
+		case !ok:
+			buf = append(buf, 0)
+		case b.Tree != nil:
+			h := b.Tree.Digest()
+			buf = append(append(buf, 1), h[:]...)
+		default:
+			buf = append(binary.AppendUvarint(append(buf, 2), uint64(len(b.Atom))), b.Atom...)
+		}
+	}
+	return buf
+}
+
+// Extend joins a with ext, matched under an assignment agreeing with a on
+// ext's shared variables: ext itself when it binds every variable of a
+// alike, else a copy carrying a's bindings. Neither input is modified.
+func (a Assignment) Extend(ext Assignment) Assignment {
+	for k, v := range a {
+		if b, ok := ext[k]; !ok || b != v {
+			out := ext.Copy()
+			for k, v := range a {
+				out[k] = v
+			}
+			return out
+		}
+	}
+	return ext
+}
+
 // Match returns every assignment µ (restricted to the pattern's variables)
 // such that µ(p) ⊆ d with the pattern root mapped to the document root.
 // Results are deduplicated.
@@ -365,12 +407,6 @@ func MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
 	return (*Index)(nil).MatchUnder(p, d, base)
 }
 
-// MatchUnderSince is MatchUnder with freshness tracking, by the tree walk
-// alone; see (*Index).MatchUnderSince, whose nil receiver it is.
-func MatchUnderSince(p *Node, d *tree.Node, base Assignment, since uint64) []Stamped {
-	return (*Index)(nil).MatchUnderSince(p, d, base, since)
-}
-
 // Stamped is an assignment annotated with whether any witnessing
 // embedding touches a node stamped after the caller's baseline version.
 // Semi-naive evaluation keeps only the New assignments: an assignment
@@ -380,6 +416,15 @@ func MatchUnderSince(p *Node, d *tree.Node, base Assignment, since uint64) []Sta
 type Stamped struct {
 	Asn Assignment
 	New bool
+}
+
+// AppendKey is Assignment.AppendKey on the assignment.
+func (s Stamped) AppendKey(buf []byte, vars []string) []byte { return s.Asn.AppendKey(buf, vars) }
+
+// Extend joins the assignments (Assignment.Extend); the join is new iff
+// either side is.
+func (s Stamped) Extend(ext Stamped) Stamped {
+	return Stamped{Asn: s.Asn.Extend(ext.Asn), New: s.New || ext.New}
 }
 
 // Assignments projects the flags away, keeping order; nil for no match.
@@ -475,22 +520,10 @@ func matchChildren(pcs []*Node, d *tree.Node, sts []Stamped, since uint64) []Sta
 // (kind, name), ignoring variable bindings: a constant needs that exact
 // marking, an atom variable that node kind, a tree variable nothing.
 func Compatible(p *Node, kind tree.Kind, name string) bool {
-	switch p.Kind {
-	case ConstLabel:
-		return kind == tree.Label && name == p.Name
-	case ConstValue:
-		return kind == tree.Value && name == p.Name
-	case ConstFunc:
-		return kind == tree.Func && name == p.Name
-	case VarLabel:
-		return kind == tree.Label
-	case VarValue:
-		return kind == tree.Value
-	case VarFunc:
-		return kind == tree.Func
-	default:
+	if p.Kind >= VarTree {
 		return p.Kind == VarTree
 	}
+	return kind == p.Kind.treeKind() && (p.Kind.IsVar() || name == p.Name)
 }
 
 // BindAtom places the constant or atom-variable pattern node p on a node
@@ -534,26 +567,9 @@ func Instantiate(head *Node, asn Assignment) (*tree.Node, error) {
 	if head == nil {
 		return nil, fmt.Errorf("pattern: nil head")
 	}
+	name := head.Name
 	switch head.Kind {
-	case ConstLabel, ConstValue, ConstFunc:
-		var k tree.Kind
-		switch head.Kind {
-		case ConstLabel:
-			k = tree.Label
-		case ConstValue:
-			k = tree.Value
-		case ConstFunc:
-			k = tree.Func
-		}
-		n := &tree.Node{Kind: k, Name: head.Name}
-		for _, c := range head.Children {
-			cn, err := Instantiate(c, asn)
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, cn)
-		}
-		return n, nil
+	case ConstLabel, ConstValue, ConstFunc: // the marking is the head's own
 	case VarTree:
 		b, ok := asn[head.Name]
 		if !ok || b.Tree == nil {
@@ -565,25 +581,17 @@ func Instantiate(head *Node, asn Assignment) (*tree.Node, error) {
 		if !ok || b.Tree != nil {
 			return nil, fmt.Errorf("pattern: variable %c%s unbound in head", head.Kind.Sigil(), head.Name)
 		}
-		var k tree.Kind
-		switch head.Kind {
-		case VarLabel:
-			k = tree.Label
-		case VarValue:
-			k = tree.Value
-		case VarFunc:
-			k = tree.Func
-		}
-		n := &tree.Node{Kind: k, Name: b.Atom}
-		for _, c := range head.Children {
-			cn, err := Instantiate(c, asn)
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, cn)
-		}
-		return n, nil
+		name = b.Atom
 	default:
 		return nil, fmt.Errorf("pattern: cannot instantiate node of kind %s", head.Kind)
 	}
+	n := &tree.Node{Kind: head.Kind.treeKind(), Name: name}
+	for _, c := range head.Children {
+		cn, err := Instantiate(c, asn)
+		if err != nil {
+			return nil, err
+		}
+		n.Children = append(n.Children, cn)
+	}
+	return n, nil
 }

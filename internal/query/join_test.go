@@ -1,0 +1,337 @@
+package query_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"axml/internal/pattern"
+	"axml/internal/query"
+	"axml/internal/subsume"
+	"axml/internal/syntax"
+	"axml/internal/tree"
+)
+
+// nestedLoopFold and nestedLoopBodyAssignments are the body join as it
+// was before join keys: every partial result probes every atom, and the
+// extensions are deduplicated after each atom. They are the oracle the
+// keyed join must agree with, assignment by assignment and flag by flag.
+// The one change is the join order: the body's own, so the oracle does
+// not share the planner it checks.
+func nestedLoopFold[A any](n int, seed A, step func(i int, base A) []A, dedup func([]A) []A) []A {
+	cur := []A{seed}
+	for i := 0; i < n; i++ {
+		var next []A
+		for _, base := range cur {
+			next = append(next, step(i, base)...)
+		}
+		if len(next) == 0 {
+			return nil
+		}
+		cur = dedup(next)
+	}
+	return cur
+}
+
+func nestedLoopBodyAssignments(q *query.Query, docs query.Docs, since map[string]uint64, ixs query.Indexes) ([]pattern.Stamped, error) {
+	atoms := q.Body
+	seed := pattern.Stamped{Asn: pattern.Assignment{}, New: since == nil}
+	sts := nestedLoopFold(len(atoms), seed, func(i int, st pattern.Stamped) []pattern.Stamped {
+		a := atoms[i]
+		base, known := since[a.Doc]
+		if !known {
+			base = math.MaxUint64 // nothing to track: all new below
+		}
+		ms := ixs[a.Doc].MatchUnderSince(a.Pattern, docs[a.Doc], st.Asn, base)
+		for j := range ms {
+			ms[j].New = ms[j].New || st.New || !known
+		}
+		return ms
+	}, pattern.DedupStamped)
+	out := sts[:0]
+	for _, st := range sts {
+		ok, err := query.IneqsHold(q.Ineqs, st.Asn)
+		if err != nil {
+			return nil, fmt.Errorf("query %s: %w", q.Name, err)
+		}
+		if ok {
+			out = append(out, st)
+		}
+	}
+	return out, nil
+}
+
+// relation encodes pairs as r{t{a{x},b{y}},...}, the shape of Example
+// 3.2's documents.
+func relation(root string, pairs [][2]string) *tree.Node {
+	r := tree.NewLabel(root)
+	for _, p := range pairs {
+		r.Add(tree.NewLabel("t", tree.NewLabel("a", tree.NewValue(p[0])), tree.NewLabel("b", tree.NewValue(p[1]))))
+	}
+	return r
+}
+
+// closurePairs is the transitive closure of an n-chain: n-1 distinct
+// second components shared by many pairs (repeated join keys).
+func closurePairs(n int) [][2]string {
+	var out [][2]string
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			out = append(out, [2]string{fmt.Sprint("n", i), fmt.Sprint("n", j)})
+		}
+	}
+	return out
+}
+
+// chainPairs is an n-chain: every join key occurs once.
+func chainPairs(n int) [][2]string {
+	out := make([][2]string, n)
+	for i := range out {
+		out[i] = [2]string{fmt.Sprint("n", i), fmt.Sprint("n", i+1)}
+	}
+	return out
+}
+
+// randomJoinQuery builds a valid random query over documents d, e and
+// context: joins and self-joins through shared value and label
+// variables, tree variables, constants, inequalities and the empty body.
+func randomJoinQuery(rng *rand.Rand) string {
+	kinds := map[string]byte{} // bound variable → sigil
+	term := func() string {
+		if rng.Intn(5) == 0 {
+			return fmt.Sprintf(`"n%d"`, rng.Intn(4))
+		}
+		v := string("xyzw"[rng.Intn(4)])
+		kinds[v] = '$'
+		return "$" + v
+	}
+	doc := func() string { return []string{"d", "d", "e"}[rng.Intn(3)] }
+	var atoms []string
+	for i, n := 0, rng.Intn(4); i < n; i++ {
+		switch rng.Intn(6) {
+		case 0, 1:
+			atoms = append(atoms, fmt.Sprintf("%s/r{t{a{%s},b{%s}}}", doc(), term(), term()))
+		case 2:
+			atoms = append(atoms, fmt.Sprintf("%s/r{t{a{%s}},t{b{%s}}}", doc(), term(), term()))
+		case 3:
+			kinds["l"] = '%'
+			atoms = append(atoms, fmt.Sprintf("%s/r{%%l{%s}}", doc(), term()))
+		case 4:
+			tv := fmt.Sprint("T", i)
+			kinds[tv] = '#'
+			atoms = append(atoms, fmt.Sprintf("%s/r{t{a{%s},#%s}}", doc(), term(), tv))
+		default:
+			atoms = append(atoms, fmt.Sprintf("context/t{a{%s},b{%s}}", term(), term()))
+		}
+	}
+	vars := make([]string, 0, len(kinds))
+	for v := range kinds {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	var head, atomVars []string
+	for _, v := range vars {
+		if kinds[v] != '#' {
+			atomVars = append(atomVars, string(kinds[v])+v)
+		}
+		if rng.Intn(2) == 0 {
+			head = append(head, fmt.Sprintf("v{%c%s}", kinds[v], v))
+		}
+	}
+	for i, n := 0, rng.Intn(3); i < n && len(atomVars) > 0; i++ {
+		l := atomVars[rng.Intn(len(atomVars))]
+		r := fmt.Sprintf(`"n%d"`, rng.Intn(4))
+		if rng.Intn(2) == 0 {
+			r = atomVars[rng.Intn(len(atomVars))]
+		}
+		if l != r {
+			atoms = append(atoms, l+" != "+r)
+		}
+	}
+	h := "h"
+	if len(head) > 0 {
+		h += "{" + strings.Join(head, ",") + "}"
+	}
+	return h + " :- " + strings.Join(atoms, ", ")
+}
+
+func stampedKeys(sts []pattern.Stamped) []string {
+	out := make([]string, len(sts))
+	for i, st := range sts {
+		out[i] = fmt.Sprintf("%s new=%v", st.Asn.Key(), st.New)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestKeyedJoinMatchesNestedLoop pins the keyed join, the index built on
+// demand and the head dedup to the nested-loop join: the same assignments
+// with the same New flags, and the same forest, for random queries on
+// repeated-key (closure), unique-key (chain) and one-node documents,
+// walking and indexed, without and with a baseline.
+func TestKeyedJoinMatchesNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	shapes := map[string]func() *tree.Node{
+		"closure": func() *tree.Node { return relation("r", closurePairs(6)) },
+		"chain":   func() *tree.Node { return relation("r", chainPairs(12)) },
+		"one":     func() *tree.Node { return tree.NewLabel("r") },
+	}
+	names := []string{"closure", "chain", "one"}
+	for trial := 0; trial < 400; trial++ {
+		src := randomJoinQuery(rng)
+		qq, err := syntax.ParseQuery(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if err := qq.Validate(); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		dn, en := names[rng.Intn(2)], names[rng.Intn(3)]
+		d, e := shapes[dn](), shapes[en]()
+		for _, doc := range []*tree.Node{d, e} {
+			doc.Stamp = 1
+			for _, c := range doc.Children {
+				c.StampAll(uint64(1 + rng.Intn(2)))
+			}
+		}
+		docs := query.Docs{"d": d, "e": e, tree.Context: d.Children[rng.Intn(len(d.Children))]}
+		ixs := query.Indexes{"d": pattern.NewIndex(d), "e": pattern.NewIndex(e), tree.Context: pattern.NewIndex(d)}
+		for _, since := range []map[string]uint64{nil, {"d": 1, "e": 1, tree.Context: 1}, {"d": 1}} {
+			for mode, ix := range map[string]query.Indexes{"walk": nil, "indexed": ixs} {
+				what := fmt.Sprintf("trial %d, %s over d=%s e=%s, %s, since %v", trial, src, dn, en, mode, since)
+				want, err := nestedLoopBodyAssignments(qq, docs, since, ix)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", what, err)
+				}
+				got, err := query.BodyAssignmentsSince(qq, docs, since, ix)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if g, w := stampedKeys(got), stampedKeys(want); strings.Join(g, "\n") != strings.Join(w, "\n") {
+					t.Fatalf("%s:\ngot  %v\nwant %v", what, g, w)
+				}
+				var wantForest tree.Forest
+				for _, st := range want {
+					if st.New {
+						h, err := pattern.Instantiate(qq.Head, st.Asn)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						wantForest = append(wantForest, h)
+					}
+				}
+				gotForest, err := query.SnapshotSince(qq, docs, since, ix)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if g, w := gotForest.CanonicalString(), subsume.ReduceForest(wantForest).CanonicalString(); g != w {
+					t.Fatalf("%s: forest\ngot  %s\nwant %s", what, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentSnapshotSharesQueryAndIndexes runs one *Query on shared
+// documents and indexes from several goroutines, as the engine does:
+// join-key memos and indexes built on demand are per evaluation, so the
+// race detector sees no shared write and every result is the sequential
+// one.
+func TestConcurrentSnapshotSharesQueryAndIndexes(t *testing.T) {
+	d1, u := relation("r", closurePairs(12)), relation("r", closurePairs(12))
+	docs := query.Docs{"d1": d1, "u": u, tree.Context: d1.Children[3]}
+	ixs := query.Indexes{"d1": pattern.NewIndex(d1), tree.Context: pattern.NewIndex(d1)}
+	qs := []*query.Query{
+		q(t, `t{a{$x},b{$y}} :- d1/r{t{a{$x},b{$z}}}, d1/r{t{a{$z},b{$y}}}`),
+		q(t, `t{a{$x},b{$y}} :- u/r{t{a{$x},b{$z}}}, u/r{t{a{$z},b{$y}}}`),
+		q(t, `p{$x,$y} :- context/t{a{$x}}, u/r{t{a{$x},b{$z}}}, d1/r{t{a{$z},b{$y}}}`),
+	}
+	want := make([]string, len(qs))
+	for i, qq := range qs {
+		f, err := query.SnapshotSince(qq, docs, nil, ixs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = f.CanonicalString()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 5; k++ {
+				for i, qq := range qs {
+					f, err := query.SnapshotSince(qq, docs, nil, ixs)
+					if err != nil || f.CanonicalString() != want[i] {
+						t.Errorf("%s: concurrent result %v, %v; want %s", qq, f, err, want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestClosureSelfJoinProbesOncePerKey pins the join-key memo: Example
+// 3.2's self-join over the closure of a 20-chain asks the index once for
+// the first atom and once per distinct $z (19) for the second — not once
+// per partial result (190).
+func TestClosureSelfJoinProbesOncePerKey(t *testing.T) {
+	d1 := relation("r", closurePairs(20))
+	d1.Add(tree.NewFunc("g"), tree.NewFunc("f"))
+	ix := pattern.NewIndex(d1)
+	f := q(t, `t{a{$x},b{$y}} :- d1/r{t{a{$x},b{$z}}}, d1/r{t{a{$z},b{$y}}}`)
+	got, err := query.SnapshotSince(f, query.Docs{"d1": d1}, nil, query.Indexes{"d1": ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 19*18/2 {
+		t.Fatalf("%d two-hop pairs, want %d", len(got), 19*18/2)
+	}
+	if h, m := ix.Stats(); h+m != 1+19 {
+		t.Fatalf("index asked %d times (%d hits, %d misses), want 1 + 19", h+m, h, m)
+	}
+}
+
+// TestUnindexedChainJoinAllocatesLinearly pins the index built on demand:
+// E3's self-join over an unindexed chain probes one candidate per key
+// instead of walking the whole chain per key, so quadrupling the chain
+// about quadruples the allocations (the walk made it ×16).
+func TestUnindexedChainJoinAllocatesLinearly(t *testing.T) {
+	qq := q(t, `pair{$x,$y} :- d/r{t{a{$x},b{$z}}}, d/r{t{a{$z},b{$y}}}`)
+	allocs := func(n int) float64 {
+		docs := query.Docs{"d": relation("r", chainPairs(n))}
+		return testing.AllocsPerRun(2, func() {
+			if ans, err := query.Snapshot(qq, docs); err != nil || len(ans) != n-1 {
+				t.Fatalf("chain %d: %d answers, %v", n, len(ans), err)
+			}
+		})
+	}
+	small, large := allocs(128), allocs(512)
+	if large > 6*small {
+		t.Fatalf("allocations grew %.0f → %.0f (×%.1f) for a 4× longer chain; want about ×4", small, large, large/small)
+	}
+}
+
+// TestOrderAtomsContextFirst pins the join order on a succ-shaped service
+// (a one-node context against a document-wide edge list): the context
+// atom's candidates (the names) are fewer than the edge atom's, so it is
+// joined first and the edges are probed under a bound $x.
+func TestOrderAtomsContextFirst(t *testing.T) {
+	portal, edges := tree.NewLabel("p"), tree.NewLabel("g")
+	for i := 0; i < 96; i++ {
+		portal.Add(tree.NewLabel("node", tree.NewLabel("name", tree.NewValue(fmt.Sprint("n", i))), tree.NewFunc("succ")))
+		for _, j := range []int{(i + 1) % 96, (i + 7) % 96} {
+			edges.Add(tree.NewLabel("e", tree.NewLabel("from", tree.NewValue(fmt.Sprint("n", i))), tree.NewLabel("to", tree.NewValue(fmt.Sprint("n", j)))))
+		}
+	}
+	succ := q(t, `next{$y} :- context/node{name{$x}}, edges/g{e{from{$x},to{$y}}}`)
+	ixs := query.Indexes{tree.Context: pattern.NewIndex(portal), "edges": pattern.NewIndex(edges)}
+	if first := query.OrderAtoms(succ, ixs)[0]; first.Doc != tree.Context {
+		t.Fatalf("joined %s first, want the context atom", first)
+	}
+}

@@ -278,23 +278,56 @@ func BodyAssignments(q *Query, docs Docs) ([]pattern.Assignment, error) {
 	return pattern.Assignments(sts), err
 }
 
-// Fold is the left-to-right join of an n-atom body: starting from seed,
-// atom i extends every partial result of atoms 0..i-1 through step, the
-// extensions are deduplicated, and an atom that extends nothing ends the
-// fold empty. Every evaluator of positive bodies — over trees here, over
-// NFA paths in pathexpr, over cyclic graphs in regular — is this fold with
-// its own step, so the join strategy has one place to change.
-func Fold[A any](n int, seed A, step func(i int, base A) []A, dedup func([]A) []A) []A {
+// Partial is a partial result of Fold: AppendKey encodes bindings
+// injectively, Extend joins it with a step result for an agreeing base.
+type Partial[A any] interface {
+	AppendKey(buf []byte, vars []string) []byte
+	Extend(ext A) A
+}
+
+// Fold is the left-to-right join of an n-atom body: from seed, step(i, k,
+// base) extends each partial result by atom i, Fold joins the results with
+// their base (Extend), and an atom extending nothing ends the fold. A step
+// depends on its base only through atom i's variables (vars collects
+// them), so when several partial results reach atom i it runs once per
+// distinct binding of those, its join key (k keys ran before), and shares
+// the results. Steps return distinct results, and so does the fold. Every
+// evaluator of positive bodies (here, pathexpr, regular) is this fold.
+func Fold[A Partial[A]](n int, seed A, vars func(i int, dst map[string]pattern.Kind) error, step func(i, k int, base A) []A) []A {
 	cur := []A{seed}
-	for i := 0; i < n; i++ {
+	var key []byte
+	for i := 0; i < n && len(cur) > 0; i++ {
+		if len(cur) == 1 { // no key, no memo
+			base := cur[0]
+			cur = step(i, 0, base)
+			for j := range cur {
+				cur[j] = base.Extend(cur[j])
+			}
+			continue
+		}
+		own, memo := map[string]pattern.Kind{}, map[string][]A{}
+		if vars(i, own) != nil {
+			memo = nil // an invalid atom: no key to trust, probe every base
+		}
+		names := make([]string, 0, len(own))
+		for v := range own {
+			names = append(names, v)
+		}
 		var next []A
 		for _, base := range cur {
-			next = append(next, step(i, base)...)
+			key = base.AppendKey(key[:0], names)
+			exts, ok := memo[string(key)]
+			if !ok {
+				exts = step(i, len(memo), base)
+				if memo != nil {
+					memo[string(key)] = exts
+				}
+			}
+			for _, ext := range exts {
+				next = append(next, base.Extend(ext))
+			}
 		}
-		if len(next) == 0 {
-			return nil
-		}
-		cur = dedup(next)
+		cur = next
 	}
 	return cur
 }
@@ -333,10 +366,12 @@ func IneqsHold(ineqs []Ineq, asn pattern.Assignment) (bool, error) {
 }
 
 // Answers instantiates head under every assignment and reduces the
-// forest: the last step of every snapshot evaluation. name labels errors.
+// forest: the last step of every snapshot evaluation, instantiating once
+// per distinct projection onto the head's variables (asns is compacted in
+// place). name labels errors.
 func Answers(name string, head *pattern.Node, asns []pattern.Assignment) (tree.Forest, error) {
 	var out tree.Forest
-	for _, asn := range asns {
+	for _, asn := range distinctHeads(head, asns) {
 		t, err := pattern.Instantiate(head, asn)
 		if err != nil {
 			return nil, fmt.Errorf("query %s: %w", name, err)
@@ -344,6 +379,29 @@ func Answers(name string, head *pattern.Node, asns []pattern.Assignment) (tree.F
 		out = append(out, t)
 	}
 	return subsume.ReduceForest(out), nil
+}
+
+// distinctHeads keeps the first assignment of each distinct projection
+// onto head's variables, in place; when the head keeps every variable the
+// assignments are distinct already.
+func distinctHeads(head *pattern.Node, asns []pattern.Assignment) []pattern.Assignment {
+	hv := map[string]pattern.Kind{}
+	if len(asns) < 2 || head.Vars(hv) != nil || len(hv) >= len(asns[0]) {
+		return asns
+	}
+	vars := make([]string, 0, len(hv))
+	for v := range hv {
+		vars = append(vars, v)
+	}
+	seen, out := map[string]bool{}, asns[:0]
+	var key []byte
+	for _, asn := range asns {
+		if key = asn.AppendKey(key[:0], vars); !seen[string(key)] {
+			seen[string(key)] = true
+			out = append(out, asn)
+		}
+	}
+	return out
 }
 
 // bodyAssignments computes the assignments satisfying the body and the
@@ -355,19 +413,34 @@ func Answers(name string, head *pattern.Node, asns []pattern.Assignment) (tree.F
 // (see orderAtoms), each through its document's index when ixs has one.
 func bodyAssignments(q *Query, docs Docs, since map[string]uint64, ixs Indexes) ([]pattern.Stamped, error) {
 	atoms := orderAtoms(q, ixs)
+	var built *pattern.Index // over a tree no index in ixs covers
 	seed := pattern.Stamped{Asn: pattern.Assignment{}, New: since == nil}
-	sts := Fold(len(atoms), seed, func(i int, st pattern.Stamped) []pattern.Stamped {
-		a := atoms[i]
+	sts := Fold(len(atoms), seed, func(i int, dst map[string]pattern.Kind) error {
+		return atoms[i].Pattern.Vars(dst)
+	}, func(i, k int, st pattern.Stamped) []pattern.Stamped {
+		a, d := atoms[i], docs[atoms[i].Doc]
 		base, known := since[a.Doc]
 		if !known {
 			base = math.MaxUint64 // nothing to track: all new below
 		}
-		ms := ixs[a.Doc].MatchUnderSince(a.Pattern, docs[a.Doc], st.Asn, base)
+		ix := ixs[a.Doc]
+		if d != nil && ix.Root() != d {
+			// From its second join key on, an atom walking a tree no index
+			// covers indexes it — unless a walk of so few children is
+			// cheaper (E3's chains break even at 7 tuples).
+			if built.Root() != d && k > 0 && len(d.Children) > 8 {
+				built = pattern.NewIndex(d)
+			}
+			if built.Root() == d {
+				ix = built
+			}
+		}
+		ms := ix.MatchUnderSince(a.Pattern, d, st.Asn, base)
 		for j := range ms {
-			ms[j].New = ms[j].New || st.New || !known
+			ms[j].New = ms[j].New || !known
 		}
 		return ms
-	}, pattern.DedupStamped)
+	})
 	out := sts[:0]
 	for _, st := range sts {
 		ok, err := IneqsHold(q.Ineqs, st.Asn)

@@ -213,13 +213,15 @@ func (g *Graph) evalBody(q *query.Query, e callEdge) ([]pattern.Assignment, erro
 // inequalities over the graph, roots giving the root vertex of each
 // document name: query.Fold with the graph matcher as its step.
 func (g *Graph) bodyAssignments(q *query.Query, roots func(doc string) *Vertex) ([]pattern.Assignment, error) {
-	asns := query.Fold(len(q.Body), pattern.Assignment{}, func(i int, asn pattern.Assignment) []pattern.Assignment {
+	asns := query.Fold(len(q.Body), pattern.Assignment{}, func(i int, dst map[string]pattern.Kind) error {
+		return q.Body[i].Pattern.Vars(dst)
+	}, func(i, _ int, asn pattern.Assignment) []pattern.Assignment {
 		root := roots(q.Body[i].Doc)
 		if root == nil {
 			return nil
 		}
 		return g.match(q.Body[i].Pattern, root, asn)
-	}, pattern.Dedup)
+	})
 	out := asns[:0]
 	for _, asn := range asns {
 		ok, err := query.IneqsHold(q.Ineqs, asn)

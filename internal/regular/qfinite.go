@@ -1,6 +1,7 @@
 package regular
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -41,13 +42,15 @@ func (g *Graph) QFinite(q *query.Query) (finite bool, answer tree.Forest, err er
 	collectTreeVars(q.Head, headTreeVars)
 	cyclic := g.cycleReaching()
 
-	asns := query.Fold(len(q.Body), gAsn{}, func(i int, asn gAsn) []gAsn {
+	asns := query.Fold(len(q.Body), gAsn{}, func(i int, dst map[string]pattern.Kind) error {
+		return q.Body[i].Pattern.Vars(dst)
+	}, func(i, _ int, asn gAsn) []gAsn {
 		root := g.Roots[q.Body[i].Doc]
 		if root == nil {
 			return nil
 		}
 		return g.matchG(q.Body[i].Pattern, root, asn)
-	}, dedupG)
+	})
 	var out tree.Forest
 	for _, asn := range asns {
 		ok, err := query.IneqsHold(q.Ineqs, asn.atoms())
@@ -119,6 +122,38 @@ func (a gAsn) key() string {
 		}
 	}
 	return b.String()
+}
+
+// AppendKey and Extend make gAsn a query.Partial, as on
+// pattern.Assignment; a vertex binding is keyed by its ID.
+func (a gAsn) AppendKey(buf []byte, vars []string) []byte {
+	for _, v := range vars {
+		switch b, ok := a[v]; {
+		case !ok:
+			buf = append(buf, 0)
+		case b.vtx != nil:
+			buf = binary.AppendUvarint(append(buf, 1), uint64(b.vtx.ID))
+		default:
+			buf = append(binary.AppendUvarint(append(buf, 2), uint64(len(b.atom))), b.atom...)
+		}
+	}
+	return buf
+}
+
+func (a gAsn) Extend(ext gAsn) gAsn {
+	for k, v := range a {
+		if b, ok := ext[k]; !ok || b != v {
+			out := make(gAsn, len(ext))
+			for k, v := range ext {
+				out[k] = v
+			}
+			for k, v := range a {
+				out[k] = v
+			}
+			return out
+		}
+	}
+	return ext
 }
 
 func dedupG(as []gAsn) []gAsn {

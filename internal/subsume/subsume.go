@@ -25,11 +25,11 @@
 // digest short-circuit is what lets reduction and Graft share structure
 // across million-node documents instead of re-walking it. No check is
 // all-pairs over wide siblings: a wide node against a wide witness maps
-// digest-equal children through a digest index, and sibling pruning
-// rejects a pair whose marking signatures rule subsumption out before
-// checking it. The definitional algorithms these fast paths must agree
-// with live in package subsume/oracle, which only tests and benchmarks
-// import.
+// digest-equal children through a digest index, and sibling pruning and
+// Graft's scans reject a pair whose marking signatures rule subsumption
+// out before checking it. The definitional algorithms these fast paths
+// must agree with live in package subsume/oracle, which only tests and
+// benchmarks import.
 package subsume
 
 import (
@@ -82,7 +82,7 @@ func sub(a, b *tree.Node) bool {
 		if _, ok := index[ca.Digest()]; ok {
 			continue
 		}
-		if !subAny(ca, b.Children) {
+		if !subAny(ca, b.Children, nil) {
 			return false
 		}
 		if i == 0 && len(a.Children) > wideChildren && len(b.Children) > wideChildren {
@@ -310,8 +310,9 @@ func Graft(path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached [
 		known[e.Digest()] = struct{}{}
 	}
 	var rest tree.Forest
+	sigs := signatures(attach.Children, len(forest))
 	for _, t := range forest {
-		if _, dup := known[t.Digest()]; !dup && !subAny(t, attach.Children) {
+		if _, dup := known[t.Digest()]; !dup && !subAny(t, attach.Children, sigs) {
 			rest = append(rest, t)
 		}
 	}
@@ -320,8 +321,9 @@ func Graft(path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached [
 		return nil, nil
 	}
 	kept := attach.Children[:0]
+	sigs = signatures(fresh, len(attach.Children))
 	for _, e := range attach.Children {
-		if subAny(e, fresh) {
+		if subAny(e, fresh, sigs) {
 			detached = append(detached, e)
 		} else {
 			kept = append(kept, e)
@@ -349,14 +351,32 @@ func Graft(path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached [
 	return fresh, detached
 }
 
-// subAny reports whether t is subsumed by some tree of the list.
-func subAny(t *tree.Node, list []*tree.Node) bool {
-	for _, o := range list {
-		if sub(t, o) {
+// subAny reports whether t is subsumed by some tree of the list. With the
+// list's signatures, a pair they rule out is skipped (see signature).
+func subAny(t *tree.Node, list []*tree.Node, sigs []uint64) bool {
+	var st uint64
+	if sigs != nil {
+		st = signature(t)
+	}
+	for i, o := range list {
+		if (sigs == nil || st&^sigs[i] == 0) && sub(t, o) {
 			return true
 		}
 	}
 	return false
+}
+
+// signatures signs list for n trees to be checked against it, when both
+// are several: otherwise signing costs more than the checks it skips.
+func signatures(list []*tree.Node, n int) []uint64 {
+	if n < 2 || len(list) < 2 {
+		return nil
+	}
+	sigs := make([]uint64, len(list))
+	for i, o := range list {
+		sigs[i] = signature(o)
+	}
+	return sigs
 }
 
 // Union returns the least upper bound d ∪ d' of two trees with the same
