@@ -89,25 +89,71 @@ type engine struct {
 	res        RunResult
 	sterile    int // calls skipped by the version gate
 	deltaEvals int // evaluations that ran semi-naively against a delta
-	seen       map[*tree.Node][]uint64
+	seen       map[*tree.Node]gate
 	stop       bool // budget exhausted or fail-fast: drain, then return
+
+	// tokens holds one entry per Versioned service, fixed at run start
+	// (services are immutable during a run); each reads its token at most
+	// once per run (token).
+	tokens map[string]*runToken
 
 	// ev is the worklist schedule's state (incremental.go); nil in a
 	// sweeping run.
 	ev *eventState
 }
 
-// vectorEqual compares two version vectors element-wise.
-func vectorEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
+// gate is what a call's next answer was shown to depend on at one
+// attempt: the versions of its relevant documents (relevantVersionVector)
+// and, for a Versioned service with a known token, its context's digest
+// and that token. A call whose gate equals the one recorded at an earlier
+// attempt cannot answer anything new.
+type gate struct {
+	versions []uint64
+	context  tree.Hash
+	token    string
+}
+
+func (g gate) equal(h gate) bool {
+	if g.context != h.context || g.token != h.token || len(g.versions) != len(h.versions) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := range g.versions {
+		if g.versions[i] != h.versions[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// lasting is the part of the gate the system commits across runs. A
+// versioned call's answer is determined by its context and token alone,
+// so its local versions are dropped; within a run they stay, so a remote
+// that reads this very system (a self-call) still re-fires while the run
+// grows the documents it reads.
+func (g gate) lasting() gate {
+	if g.token != "" {
+		g.versions = nil
+	}
+	return g
+}
+
+// runToken is one Versioned service's token for the run.
+type runToken struct {
+	once sync.Once
+	svc  Versioned
+	tok  string
+}
+
+// token returns the run's token for the named service: "" unless it is
+// Versioned and its token is known. The token is read at most once per
+// run, on the first call that needs it, outside every lock.
+func (e *engine) token(ctx context.Context, name string) string {
+	t := e.tokens[name]
+	if t == nil {
+		return ""
+	}
+	t.once.Do(func() { t.tok = t.svc.Version(ctx) })
+	return t.tok
 }
 
 func newEngine(s *System, opts RunOptions) *engine {
@@ -133,7 +179,18 @@ func newEngine(s *System, opts RunOptions) *engine {
 	}
 	// Touch and Restore rebuild the index table under the write side.
 	var ih, im uint64
-	s.View(func() { ih, im = s.IndexStats() })
+	var tokens map[string]*runToken
+	s.View(func() {
+		ih, im = s.IndexStats()
+		for _, name := range s.funcNames {
+			if v, ok := Innermost(s.funcs[name]).(Versioned); ok {
+				if tokens == nil {
+					tokens = make(map[string]*runToken)
+				}
+				tokens[name] = &runToken{svc: v}
+			}
+		}
+	})
 	rw, ww := s.engineMu.contention()
 	return &engine{
 		s:              s,
@@ -155,8 +212,11 @@ func newEngine(s *System, opts RunOptions) *engine {
 		// deterministic monotone functions of what they read). Skipping
 		// it satisfies the fairness condition (ii) of Definition 2.4 —
 		// an invocation that would not modify the system. The recorded
-		// vector doubles as the baseline for delta evaluations.
-		seen: make(map[*tree.Node][]uint64),
+		// vector doubles as the baseline for delta evaluations. A call
+		// this run has not looked at yet falls back to the system's
+		// committed gate (System.gate).
+		seen:   make(map[*tree.Node]gate),
+		tokens: tokens,
 	}
 }
 
@@ -191,6 +251,7 @@ func (e *engine) runSweeps(ctx context.Context) RunResult {
 		// producing fresh calls faster than the sweep drains them.
 		e.rlock()
 		pending := e.s.Calls()
+		e.s.purgeGate(pending)
 		e.s.engineMu.RUnlock()
 		purgeSeen(e.seen, pending)
 		e.sched.Order(pending)
@@ -351,11 +412,14 @@ func (e *engine) publishLocked(res RunResult) {
 // the next attempt re-fire a call it could have skipped, never skip a
 // call it had to attempt. (And a stale baseline is a LOWER one, so the
 // delta it requests is a superset of the true delta — over-evaluation,
-// never a missed result.)
+// never a missed result.) The same argument covers the committed gate:
+// the gate committed at a merge was read before the evaluation it gates,
+// so it is never newer than the state that evaluation saw.
 func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 	s := e.s
+	tok := e.token(ctx, c.Node.Name)
 	e.rlock()
-	rv := s.relevantVersionVector(c)
+	g, lasts := s.gateOf(c, tok)
 	att := s.Attached(c)
 	s.engineMu.RUnlock()
 	e.mu.Lock()
@@ -370,16 +434,25 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 		return
 	}
 	prev, evaluated := e.seen[c.Node]
-	if evaluated && vectorEqual(prev, rv) {
+	sterile := evaluated && prev.equal(g)
+	if !evaluated && lasts {
+		// The run's first look: the gate of the last merged answer of any
+		// run on this system.
+		s.gateMu.Lock()
+		prev, evaluated = s.gate[c.Node]
+		s.gateMu.Unlock()
+		sterile = evaluated && prev.equal(g.lasting())
+	}
+	e.seen[c.Node] = g
+	if sterile {
 		e.sterile++
 		e.mu.Unlock()
 		return
 	}
-	e.seen[c.Node] = rv
 	e.res.Attempts++
 	// The previous attempt's vector is the delta baseline: declarative
 	// services answer only from what was appended since (Prop 3.1).
-	since := s.sinceFor(c, prev)
+	since := s.sinceFor(c, prev.versions)
 	if since != nil {
 		e.deltaEvals++
 	}
@@ -438,6 +511,13 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 		return
 	}
 	fresh, detached, path := s.merge(c, forest)
+	if lasts {
+		// The merge ran: commit the gate the answer was computed under,
+		// whether or not the answer grew the document.
+		s.gateMu.Lock()
+		s.gate[c.Node] = g.lasting()
+		s.gateMu.Unlock()
+	}
 	if len(fresh) == 0 {
 		return
 	}
@@ -477,9 +557,12 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 }
 
 // forgetLocked (e.mu held) drops a call whose node reduction pruned from
-// its document: its gate entry and, in a worklist run, its registration.
+// its document: its gate entries and, in a worklist run, its registration.
 func (e *engine) forgetLocked(n *tree.Node) {
 	delete(e.seen, n)
+	e.s.gateMu.Lock()
+	delete(e.s.gate, n)
+	e.s.gateMu.Unlock()
 	if e.ev != nil {
 		e.ev.unregisterLocked(n)
 	}
@@ -513,10 +596,13 @@ func (e *engine) recordFailure(ctx context.Context, c Call, err error) {
 		e.stopLocked()
 		return
 	}
-	// Degrade: drop the gate entry so the call is eligible again despite
-	// unchanged versions — the failure may have been transient, and may
-	// have struck after a partial read, so the retry evaluates in full.
-	// The sweep retries it next sweep; the worklist re-enqueues or parks.
+	// Degrade: drop the run's gate entry so the call is eligible again
+	// despite unchanged versions — the failure may have been transient.
+	// The retry falls back to the committed gate, the last attempt whose
+	// merge ran, so it evaluates against the delta since that answer (in
+	// full when there is none): a partial read of the failed attempt is
+	// never a baseline. The sweep retries it next sweep; the worklist
+	// re-enqueues or parks.
 	delete(e.seen, c.Node)
 	if e.ev != nil {
 		e.ev.retryLocked(c.Node, e.maxErrorSweeps)

@@ -189,6 +189,7 @@ func (e *engine) runWorklist(ctx context.Context) RunResult {
 	// concurrent run on the same system may be merging.
 	e.rlock()
 	initial := e.s.Calls()
+	e.s.purgeGate(initial)
 	seedOrder := e.s.incrementalSeedOrder()
 	e.s.engineMu.RUnlock()
 	// Seed in dependency order (dependencies first) so upstream answers

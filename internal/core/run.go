@@ -266,6 +266,20 @@ func (s *System) relevantVersionVector(c Call) []uint64 {
 	return vec
 }
 
+// gateOf reads the call's gate under the read side: the versions of its
+// relevant documents, plus its context's digest and tok when its service
+// is Versioned and tok is known. lasts reports whether the gate outlives
+// the run — declarative calls and versioned calls with a token; any other
+// black box has no known read set beyond this run's versions.
+func (s *System) gateOf(c Call, tok string) (g gate, lasts bool) {
+	g.versions = s.relevantVersionVector(c)
+	if tok != "" {
+		g.context, g.token = c.Parent.Digest(), tok
+		return g, true
+	}
+	return g, s.declarative(c.Node.Name) != nil
+}
+
 // sinceFor converts the version vector recorded at the call's previous
 // evaluation into the per-atom-name baseline map a delta evaluation
 // needs: every document name the defining query uses (including the
@@ -569,7 +583,7 @@ func (s *System) RunContext(ctx context.Context, opts RunOptions) RunResult {
 // to any document: reduction prunes subtrees (and the call nodes inside
 // them) for good, so without this the gate map grows without bound over a
 // long run. Called at sweep boundaries with the fresh call snapshot.
-func purgeSeen(seen map[*tree.Node][]uint64, live []Call) {
+func purgeSeen[V any](seen map[*tree.Node]V, live []Call) {
 	if len(seen) == 0 {
 		return
 	}
@@ -582,6 +596,15 @@ func purgeSeen(seen map[*tree.Node][]uint64, live []Call) {
 			delete(seen, n)
 		}
 	}
+}
+
+// purgeGate is purgeSeen on the committed gate. The caller holds the
+// read side from the Calls snapshot on, so live is exact: every committed
+// node was attached at its merge, and none is merged meanwhile.
+func (s *System) purgeGate(live []Call) {
+	s.gateMu.Lock()
+	purgeSeen(s.gate, live)
+	s.gateMu.Unlock()
 }
 
 // pendingCalls lists current calls not in the fired set. Nodes removed by

@@ -125,7 +125,7 @@ func late = r2{v{2}} :-
 	}
 	src := s.Document("src").Root
 	src.Children = append(src.Children, syntax.MustParseDocument(`v{3}`))
-	s.docVersion["src"]++ // external mutation: bump the version by hand
+	s.Touch("src") // external mutation: bump the version, restamp the document
 	res := s.Run(RunOptions{})
 	if !res.Terminated {
 		t.Fatal("did not terminate")

@@ -87,6 +87,21 @@ type Service interface {
 	Invoke(ctx context.Context, b Binding) (tree.Forest, error)
 }
 
+// Versioned is optionally implemented by a black-box service whose answer
+// is determined by the call's context subtree (which holds the call node,
+// hence its input) plus external state that Version names: two calls with
+// equal context digests, answered while Version returned the same token,
+// return the same forest. The engine reads each such service's token once
+// per run, before any of its calls fires, and lets a call skip a later run
+// as sterile while both its context digest and the token are unchanged
+// since its last merged answer. "" means unknown: the call fires. A token
+// read before the evaluation it gates can only be older than the state the
+// evaluation saw, so a racing external change makes the call re-fire,
+// never skip. peer.RemoteService implements it for declarative remotes.
+type Versioned interface {
+	Version(ctx context.Context) string
+}
+
 // QueryService is a positive service: a service defined by a positive
 // query, evaluated under its snapshot semantics at each invocation
 // (Section 3.2). Positive services are monotone by Proposition 3.1.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"axml/internal/pattern"
 	"axml/internal/query"
@@ -49,6 +50,16 @@ type System struct {
 	// Append, Restore, Touch, AddDocument, AddService, the accessors — take
 	// no lock and, on a system other goroutines reach, run inside those.
 	engineMu rwLock
+	// gate is the committed sterile-call gate, shared by every run on the
+	// system: call node → the gate of that call's last attempt whose merge
+	// ran (engine.fire writes it there and nowhere else). A run's first
+	// look at a call falls back to it, so a call whose read state has not
+	// moved since its last merged answer is skipped across runs too, and
+	// its first re-evaluation is already a delta. Only declarative calls
+	// and Versioned calls with a known token have one. gateMu is a leaf
+	// lock, never held across an evaluation.
+	gateMu sync.Mutex
+	gate   map[*tree.Node]gate
 }
 
 // View runs fn under the read side of the version funnel: fn may read the
@@ -81,6 +92,7 @@ func NewSystem() *System {
 		funcs:      make(map[string]Service),
 		docVersion: make(map[string]uint64),
 		indexes:    make(map[string]*pattern.Index),
+		gate:       make(map[*tree.Node]gate),
 	}
 }
 
@@ -336,8 +348,8 @@ func (s *System) CountCalls() int {
 }
 
 // Copy deep-copies the documents; services are shared (they are stateless
-// by contract). The mutation hook does not carry over — it observes one
-// concrete system, not its forks.
+// by contract). The mutation hook and the committed gate do not carry
+// over — they belong to one concrete system's nodes, not its forks.
 func (s *System) Copy() *System {
 	c := NewSystem()
 	for _, name := range s.docNames {

@@ -90,11 +90,12 @@ func (e *statusError) Error() string {
 
 // call is the one way out to a peer endpoint: it sends method path (under
 // BaseURL) with an optional body and hdr (key, value pairs) and returns
-// the 200 answer's body. Every failure is wrapped as "peer: <what>: …": a
-// transport error that was really a context cancellation is mapped back to
-// the context's error so callers can match it, any other status is a
-// *statusError, and a body over the wire cap is ErrResponseTooLarge.
-func (c *Client) call(ctx context.Context, what, method, path, contentType string, body []byte, hdr ...string) (_ []byte, err error) {
+// the 200 answer's body and header. Every failure is wrapped as
+// "peer: <what>: …": a transport error that was really a context
+// cancellation is mapped back to the context's error so callers can match
+// it, any other status is a *statusError, and a body over the wire cap is
+// ErrResponseTooLarge.
+func (c *Client) call(ctx context.Context, what, method, path, contentType string, body []byte, hdr ...string) (_ []byte, _ http.Header, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("peer: %s: %w", what, err)
@@ -106,7 +107,7 @@ func (c *Client) call(ctx context.Context, what, method, path, contentType strin
 	}
 	req, err := newRequest(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -122,19 +123,20 @@ func (c *Client) call(ctx context.Context, what, method, path, contentType strin
 		if cause := ctx.Err(); cause != nil && !errors.Is(err, cause) {
 			err = fmt.Errorf("%w (%v)", cause, err)
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, &statusError{resp.StatusCode, resp.Status, strings.TrimSpace(string(msg))}
+		return nil, nil, &statusError{resp.StatusCode, resp.Status, strings.TrimSpace(string(msg))}
 	}
-	return readAllLimited(resp.Body, resp.ContentLength, c.MaxWire)
+	data, err := readAllLimited(resp.Body, resp.ContentLength, c.MaxWire)
+	return data, resp.Header, err
 }
 
 // Doc pulls a document's current state. Cancel via ctx.
 func (c *Client) Doc(ctx context.Context, name string) (*tree.Node, error) {
-	body, err := c.call(ctx, "fetch "+name, http.MethodGet, PathDoc+name, "", nil)
+	body, _, err := c.call(ctx, "fetch "+name, http.MethodGet, PathDoc+name, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +151,7 @@ func (c *Client) Delta(ctx context.Context, name, from string) (Delta, error) {
 	if from != "" {
 		path += "?from=" + url.QueryEscape(from)
 	}
-	body, err := c.call(ctx, "delta "+name, http.MethodGet, path, "", nil)
+	body, _, err := c.call(ctx, "delta "+name, http.MethodGet, path, "", nil)
 	if err != nil {
 		return Delta{}, err
 	}
@@ -159,7 +161,7 @@ func (c *Client) Delta(ctx context.Context, name, from string) (Delta, error) {
 // Hashes pulls the peer's per-document digests ("name=digest;..." from
 // PathHash) as a map — the anti-entropy probe.
 func (c *Client) Hashes(ctx context.Context) (map[string]string, error) {
-	body, err := c.call(ctx, "hash "+c.BaseURL, http.MethodGet, PathHash, "", nil)
+	body, _, err := c.call(ctx, "hash "+c.BaseURL, http.MethodGet, PathHash, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -181,21 +183,29 @@ func (c *Client) Hashes(ctx context.Context) (map[string]string, error) {
 // context travel, the service runs against the peer's own documents, and
 // the returned forest may itself contain calls (an intensional answer).
 func (c *Client) Invoke(ctx context.Context, env Envelope) (tree.Forest, error) {
+	forest, _, err := c.invoke(ctx, env)
+	return forest, err
+}
+
+// invoke is Invoke also returning the answer's header, which carries
+// headerReads when the service is declarative.
+func (c *Client) invoke(ctx context.Context, env Envelope) (tree.Forest, http.Header, error) {
 	data, err := MarshalEnvelope(env)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	body, err := c.call(ctx, "remote "+env.Service, http.MethodPost, PathInvoke, "application/xml", data)
+	body, hdr, err := c.call(ctx, "remote "+env.Service, http.MethodPost, PathInvoke, "application/xml", data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return UnmarshalForest(body)
+	forest, err := UnmarshalForest(body)
+	return forest, hdr, err
 }
 
 // Sweep asks the peer for one fair local sweep and reports whether it
 // changed anything — the coordinator's per-round probe.
 func (c *Client) Sweep(ctx context.Context) (changed bool, err error) {
-	body, err := c.call(ctx, "sweep "+c.BaseURL, http.MethodPost, PathSweep, "text/plain", nil)
+	body, _, err := c.call(ctx, "sweep "+c.BaseURL, http.MethodPost, PathSweep, "text/plain", nil)
 	if err != nil {
 		return false, err
 	}
@@ -212,6 +222,6 @@ func (c *Client) Push(ctx context.Context, id string, f tree.Forest) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.call(ctx, "push "+id, http.MethodPost, PathPush+id, "application/xml", data)
+	_, _, err = c.call(ctx, "push "+id, http.MethodPost, PathPush+id, "application/xml", data)
 	return err
 }

@@ -7,11 +7,16 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"axml/internal/core"
 	"axml/internal/obs"
+	"axml/internal/query"
 	"axml/internal/subsume"
 	"axml/internal/tree"
 )
@@ -25,6 +30,13 @@ const (
 	PathDelta  = "/axml/delta/"
 	PathStatus = "/axml/status"
 )
+
+// headerReads, on an /axml/invoke answer of a declarative service, names
+// the documents its query reads besides input and context (comma-separated,
+// each query-escaped; an empty value when it reads none). The answer is
+// then determined by the envelope plus those documents, which is what lets
+// RemoteService.Version gate the call. A black box's answer carries none.
+const headerReads = "X-Axml-Reads"
 
 // MaxWireBytes caps every wire-format body read — remote invocation
 // responses, fetched documents, and the server side of incoming requests
@@ -142,6 +154,13 @@ type Stats struct {
 	Steps int
 	// Failures counts failed invocations observed by local sweeps.
 	Failures int
+	// CallsFired, CallsSterile and DeltaEvals sum the sweeps'
+	// core.RunStats: evaluations dispatched, calls the sterile-call gate
+	// skipped (across sweeps too: the gate outlives the run) and
+	// evaluations that ran against a delta.
+	CallsFired   int
+	CallsSterile int
+	DeltaEvals   int
 }
 
 // Open is the canonical constructor: it wraps a system as a peer, applies
@@ -289,7 +308,7 @@ func (p *Peer) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad envelope: %v", err), http.StatusBadRequest)
 		return
 	}
-	forest, err := p.Serve(r.Context(), env)
+	forest, reads, declarative, err := p.serve(r.Context(), env)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -298,6 +317,9 @@ func (p *Peer) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
+	}
+	if declarative {
+		w.Header().Set(headerReads, reads)
 	}
 	w.Header().Set("Content-Type", "application/xml")
 	w.Write(data)
@@ -328,7 +350,16 @@ func (p *Peer) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // is the request context, so a disconnected client cancels the
 // evaluation it asked for. It holds the system's read side, like an
 // engine evaluation: it overlaps reads and sweeps and excludes merges.
-func (p *Peer) Serve(ctx context.Context, env Envelope) (forest tree.Forest, err error) {
+// The named documents are matched through the system's indexes; the
+// envelope's input and context are not indexed.
+func (p *Peer) Serve(ctx context.Context, env Envelope) (tree.Forest, error) {
+	forest, _, _, err := p.serve(ctx, env)
+	return forest, err
+}
+
+// serve is Serve also returning, for a declarative service, the
+// headerReads value naming the documents its answer depends on.
+func (p *Peer) serve(ctx context.Context, env Envelope) (forest tree.Forest, reads string, declarative bool, err error) {
 	p.system.View(func() {
 		svc := p.system.Service(env.Service)
 		if svc == nil {
@@ -343,13 +374,38 @@ func (p *Peer) Serve(ctx context.Context, env Envelope) (forest tree.Forest, err
 		p.stats.Served++
 		p.statsMu.Unlock()
 		p.metrics.Counter("peer.served").Inc()
+		docs := p.system.Docs()
+		ixs := make(query.Indexes, len(docs))
+		for name := range docs {
+			ixs[name] = p.system.Index(name)
+		}
 		forest, err = svc.Invoke(ctx, core.Binding{
 			Input:   input,
 			Context: env.Context,
-			Docs:    p.system.Docs(),
+			Docs:    docs,
+			Indexes: ixs,
 		})
+		if qs, ok := core.Innermost(svc).(*core.QueryService); ok {
+			reads, declarative = readsOf(qs.Query), true
+		}
 	})
-	return forest, err
+	return forest, reads, declarative, err
+}
+
+// readsOf is the headerReads value of a declarative service's query.
+func readsOf(q *query.Query) string {
+	var b strings.Builder
+	for i, a := range q.Body {
+		if a.Doc == tree.Input || a.Doc == tree.Context ||
+			slices.ContainsFunc(q.Body[:i], func(p query.Atom) bool { return p.Doc == a.Doc }) {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(url.QueryEscape(a.Doc))
+	}
+	return b.String()
 }
 
 func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
@@ -406,6 +462,9 @@ func (p *Peer) SweepContext(ctx context.Context) (bool, error) {
 	p.stats.Sweeps++
 	p.stats.Steps += res.Steps
 	p.stats.Failures += res.Failures
+	p.stats.CallsFired += res.Stats.CallsFired
+	p.stats.CallsSterile += res.Stats.CallsSterile
+	p.stats.DeltaEvals += res.Stats.DeltaEvals
 	p.statsMu.Unlock()
 	p.logger.Debug("sweep", append([]any{"peer", p.Name,
 		"steps", res.Steps, "attempts", res.Attempts, "failures", res.Failures},
@@ -521,6 +580,8 @@ func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
 // formal model where each function name denotes a service at some URL.
 // The caller (an engine evaluation, Peer.Serve) holds its system's read
 // side throughout: the binding's live trees are stable while marshaled.
+// It is core.Versioned once a declarative remote has answered (see
+// Version).
 type RemoteService struct {
 	// Name is the local function name.
 	Name string
@@ -534,20 +595,66 @@ type RemoteService struct {
 	// MaxBytes caps the response body; 0 means MaxWireBytes. Responses
 	// over the cap fail with ErrResponseTooLarge.
 	MaxBytes int64
+
+	// reads is the headerReads value of the last answer; nil before the
+	// first answer and after one without the header (a black box).
+	reads atomic.Pointer[string]
 }
 
 // ServiceName implements core.Service.
 func (r *RemoteService) ServiceName() string { return r.Name }
+
+func (r *RemoteService) client() *Client {
+	return &Client{BaseURL: r.URL, HTTP: r.Client, MaxWire: r.MaxBytes}
+}
+
+// Version implements core.Versioned: the read set the last answer named
+// in headerReads and, from one Hashes probe, the remote digests of those
+// documents. It is "" — unknown, the call fires — before a declarative
+// remote answered, when a named document is missing or when the probe
+// fails. An empty read set needs no probe: the answer depends on the
+// envelope alone.
+func (r *RemoteService) Version(ctx context.Context) string {
+	reads := r.reads.Load()
+	if reads == nil {
+		return ""
+	}
+	tok := *reads + "@"
+	if *reads == "" {
+		return tok
+	}
+	digests, err := r.client().Hashes(ctx)
+	if err != nil {
+		return ""
+	}
+	for _, esc := range strings.Split(*reads, ",") {
+		name, err := url.QueryUnescape(esc)
+		digest, ok := digests[name]
+		if err != nil || !ok {
+			return ""
+		}
+		tok += digest + ","
+	}
+	return tok
+}
 
 // Invoke implements core.Service over HTTP. The request carries the
 // caller's context, so cancelling it (engine shutdown, a Timeout
 // middleware's deadline, a dropped upstream client) tears down the
 // connection to a hung peer instead of waiting out the client timeout.
 func (r *RemoteService) Invoke(ctx context.Context, b core.Binding) (tree.Forest, error) {
-	c := &Client{BaseURL: r.URL, HTTP: r.Client, MaxWire: r.MaxBytes}
 	svc := r.Service
 	if svc == "" {
 		svc = r.Name
 	}
-	return c.Invoke(ctx, Envelope{Service: svc, Input: b.Input, Context: b.Context})
+	forest, hdr, err := r.client().invoke(ctx, Envelope{Service: svc, Input: b.Input, Context: b.Context})
+	if err != nil {
+		return nil, err
+	}
+	var reads *string // a black box's answer names no read set
+	if vs := hdr.Values(headerReads); vs != nil {
+		reads = &vs[0]
+	}
+	r.reads.Store(reads)
+	return forest, nil
 }

@@ -208,7 +208,7 @@ func (pb *Publisher) flushOne(ctx context.Context, sub *subscription) (int, erro
 			pb.peer.metrics.Counter("peer.push.retries").Inc()
 		}
 		ack := chainDigest(anchor, data)
-		_, err := client.call(ctx, "push to "+sub.callback, http.MethodPost, PathPush+sub.id, "application/xml", data,
+		_, _, err := client.call(ctx, "push to "+sub.callback, http.MethodPost, PathPush+sub.id, "application/xml", data,
 			headerPushMode, mode, headerPushAnchor, anchor, headerPushAck, ack)
 		if err == nil {
 			for _, t := range fresh {

@@ -52,6 +52,12 @@ type StatusReport struct {
 	Served   int `json:"served"`
 	Failures int `json:"failures"`
 
+	// The sterile-call gate over the peer's sweeps (Stats): evaluations
+	// dispatched, calls skipped as sterile, evaluations run on a delta.
+	CallsFired   int `json:"calls_fired"`
+	CallsSterile int `json:"calls_sterile"`
+	DeltaEvals   int `json:"delta_evals"`
+
 	// Contended acquisitions of the system's lock since the peer opened
 	// (core.System.LockContention): reads and evaluations that met a write
 	// in progress; merges, pushes and flushes that had to queue.
@@ -100,6 +106,7 @@ func (p *Peer) Status() StatusReport {
 	now := p.converge.now()
 	st := p.Stats()
 	rep.Sweeps, rep.Steps, rep.Served, rep.Failures = st.Sweeps, st.Steps, st.Served, st.Failures
+	rep.CallsFired, rep.CallsSterile, rep.DeltaEvals = st.CallsFired, st.CallsSterile, st.DeltaEvals
 	rep.LockReaderWaits, rep.LockWriterWaits = p.system.LockContention()
 	p.system.View(func() {
 		for _, name := range p.system.DocNames() {
@@ -139,7 +146,7 @@ func (p *Peer) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // Status fetches a peer's /axml/status report.
 func (c *Client) Status(ctx context.Context) (StatusReport, error) {
-	body, err := c.call(ctx, "status "+c.BaseURL, http.MethodGet, PathStatus, "", nil)
+	body, _, err := c.call(ctx, "status "+c.BaseURL, http.MethodGet, PathStatus, "", nil)
 	if err != nil {
 		return StatusReport{}, err
 	}

@@ -335,3 +335,27 @@ func TestOrderAtomsContextFirst(t *testing.T) {
 		t.Fatalf("joined %s first, want the context atom", first)
 	}
 }
+
+// TestOrderAtomsUncoveredContextFirst is the served shape of the same
+// service: the envelope's one-node context has no index at all, the edges
+// document has one. The context atom ranks by its two children, not last,
+// so the edges are still probed under a bound $x.
+func TestOrderAtomsUncoveredContextFirst(t *testing.T) {
+	edges := tree.NewLabel("g")
+	for i := 0; i < 96; i++ {
+		for _, j := range []int{(i + 1) % 96, (i + 7) % 96} {
+			edges.Add(tree.NewLabel("e", tree.NewLabel("from", tree.NewValue(fmt.Sprint("n", i))), tree.NewLabel("to", tree.NewValue(fmt.Sprint("n", j)))))
+		}
+	}
+	node := tree.NewLabel("node", tree.NewLabel("name", tree.NewValue("n3")), tree.NewFunc("succ"))
+	succ := q(t, `next{$y} :- context/node{name{$x}}, edges/g{e{from{$x},to{$y}}}`)
+	docs := query.Docs{tree.Context: node, "edges": edges}
+	ixs := query.Indexes{"edges": pattern.NewIndex(edges)}
+	if first := query.OrderAtomsOver(succ, docs, ixs)[0]; first.Doc != tree.Context {
+		t.Fatalf("joined %s first, want the context atom", first)
+	}
+	ans, err := query.SnapshotSince(succ, docs, nil, ixs)
+	if err != nil || len(ans) != 2 {
+		t.Fatalf("answers %v, %v; want the two successors of n3", ans, err)
+	}
+}

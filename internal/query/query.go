@@ -412,7 +412,7 @@ func distinctHeads(head *pattern.Node, asns []pattern.Assignment) []pattern.Assi
 // assignment comes back New. Atoms are joined in greedy selectivity order
 // (see orderAtoms), each through its document's index when ixs has one.
 func bodyAssignments(q *Query, docs Docs, since map[string]uint64, ixs Indexes) ([]pattern.Stamped, error) {
-	atoms := orderAtoms(q, ixs)
+	atoms := orderAtoms(q, docs, ixs)
 	var built *pattern.Index // over a tree no index in ixs covers
 	seed := pattern.Stamped{Asn: pattern.Assignment{}, New: since == nil}
 	sts := Fold(len(atoms), seed, func(i int, dst map[string]pattern.Kind) error {
@@ -457,14 +457,17 @@ func bodyAssignments(q *Query, docs Docs, since map[string]uint64, ixs Indexes) 
 // orderAtoms returns the body atoms in greedy join order: repeatedly pick
 // the not-yet-joined atom binding the most variables already bound by the
 // chosen prefix, breaking ties by index selectivity (the length of the
-// rarest constant's candidate list) and then by original position. Bound
+// rarest constant's candidate list) and then by original position. An
+// atom over a tree no index covers (a call's context, a served envelope)
+// ranks by its root's child count instead: an O(1) bound it can observe
+// without a walk, where an uncovered atom used to rank last. Bound
 // variables act as constants inside MatchUnder, so joining them early
 // shrinks the intermediate assignment sets; conjunction is commutative
 // and results are deduplicated, so any order yields the same set. Greedy
 // one-step lookahead is the janus-datalog observation: with exact
 // candidate counts for free, the greedy order is within noise of optimal
 // and costs nothing to compute.
-func orderAtoms(q *Query, ixs Indexes) []Atom {
+func orderAtoms(q *Query, docs Docs, ixs Indexes) []Atom {
 	n := len(q.Body)
 	if n <= 1 {
 		return q.Body
@@ -474,7 +477,11 @@ func orderAtoms(q *Query, ixs Indexes) []Atom {
 	for i, a := range q.Body {
 		vars[i] = map[string]pattern.Kind{}
 		_ = a.Pattern.Vars(vars[i]) // best effort; invalid patterns fail later
-		sel[i] = ixs[a.Doc].Selectivity(a.Pattern)
+		if d, ix := docs[a.Doc], ixs[a.Doc]; d != nil && ix.Root() != d {
+			sel[i] = len(d.Children)
+		} else {
+			sel[i] = ix.Selectivity(a.Pattern)
+		}
 	}
 	bound := map[string]bool{}
 	used := make([]bool, n)

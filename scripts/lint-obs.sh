@@ -4,8 +4,9 @@
 # hand-rolled document growth in the peer layer, lock hand-offs from
 # library code, requests built or sent past the peer's one wire boundary,
 # exported mutable globals in the peer layer, product calls of the
-# reference hash, a second benchmark pipeline beside benchmark/ and a
-# node-pair subsumption memo.
+# reference hash, a second benchmark pipeline beside benchmark/, a
+# node-pair subsumption memo, and a document version or committed
+# sterile-call gate written outside its one writer.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -195,6 +196,23 @@ badmemo=$(grep -rn --include='*.go' -F 'map[[2]*tree.Node]' internal/ cmd/ *.go 
 if [ -n "$badmemo" ]; then
     echo "vet-obs: a node-pair memo (map[[2]*tree.Node]) outside internal/subsume/oracle (subsumption asks each pair once; see internal/subsume):" >&2
     echo "$badmemo" >&2
+    exit 1
+fi
+# The committed sterile-call gate is sound on two invariants: a document
+# version moves only through bumpVersion (every growth, every Touch —
+# which restamps), so equal versions mean equal documents; and a call's
+# committed gate is written only in engine.fire's merge step, after the
+# merge of the answer it gates ran. Copy may seed a fork's versions.
+badgate=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    /docVersion\[[^]]*\][[:space:]]*([-+]?=[^=]|\+\+|--)/ && fn !~ /^func \(s \*System\) (bumpVersion|Copy)\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    /\.gate\[[^]]*\][[:space:]]*=[^=]/ && fn !~ /^func \(e \*engine\) fire\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badgate" ]; then
+    echo "vet-obs: a document version written outside System.bumpVersion / Copy, or a committed gate written outside engine.fire's merge step:" >&2
+    echo "$badgate" >&2
     exit 1
 fi
 echo "vet-obs: ok"
