@@ -47,12 +47,13 @@ race:
 	$(GO) test -race ./...
 
 # Short-budget coverage-guided fuzzing of the wire parsers journal replay
-# depends on, plus the intern/digest cache stability target (go test
-# -fuzz takes one target per run).
+# depends on and of graft-record replay itself, plus the intern/digest
+# cache stability target (go test -fuzz takes one target per run).
 fuzz-smoke:
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalTree$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalEnvelope$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalDelta$$' -fuzztime=5s
+	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzReplayGraftRecord$$' -fuzztime=5s
 	$(GO) test ./internal/tree -run='^$$' -fuzz='^FuzzSymDigestStability$$' -fuzztime=5s
 
 # The sharded-fleet chaos acceptance: ten durable peers, consistent-hash

@@ -176,8 +176,17 @@ func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, detached,
 // baseline at or above the pre-bump version sees exactly these nodes as
 // its delta — and the index follows incrementally. It returns Graft's
 // results: the appended trees (none: nothing changed) and the subtrees
-// reduction detached on their account.
+// reduction detached on their account. A registered mutation hook is
+// handed the growth, with the path digests taken before Graft rewrote
+// them: the pre-state is where a replay of the growth resolves its path.
 func (s *System) appendAt(doc string, path []*tree.Node, forest tree.Forest) (fresh tree.Forest, detached []*tree.Node) {
+	var steps []GraftStep
+	if s.onMutate != nil && len(forest) > 0 {
+		steps = make([]GraftStep, len(path)-1)
+		for i, n := range path[1:] {
+			steps[i] = GraftStep{Kind: n.Kind, Name: n.Name, Digest: n.Digest()}
+		}
+	}
 	fresh, detached = subsume.Graft(path, forest)
 	if len(fresh) == 0 {
 		return nil, nil
@@ -194,6 +203,9 @@ func (s *System) appendAt(doc string, path []*tree.Node, forest tree.Forest) (fr
 		ix.AddSubtree(path[len(path)-1], f)
 	}
 	ix.Compact()
+	if s.onMutate != nil {
+		s.onMutate(doc, steps, fresh)
+	}
 	return fresh, detached
 }
 

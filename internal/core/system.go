@@ -28,11 +28,11 @@ type System struct {
 	// unchanged since its last attempt cannot bring anything new — the
 	// engine uses this to skip provably-sterile attempts.
 	docVersion map[string]uint64
-	// onMutate observes every version bump (appendAt — invocations, Append,
-	// Restore — and Touch-reported by-hand edits). Durability layers
-	// register here to learn which documents changed without reaching
-	// into the engine.
-	onMutate func(docName string)
+	// onMutate observes every growth: appendAt (invocations, Append,
+	// Restore) hands it the path and the fresh trees, Touch and Restore's
+	// seed adoption report a whole-document change. Durability layers
+	// register here to journal what grew without reaching into the engine.
+	onMutate func(doc string, path []GraftStep, fresh tree.Forest)
 	// indexes holds one inverted index per document (see pattern.Index),
 	// maintained incrementally by appendAt (documents only grow) and
 	// rebuilt wholesale by Touch and when Restore adopts a new root. A
@@ -253,32 +253,37 @@ func (s *System) Touch(name string) {
 	// A by-hand edit may have restructured the tree arbitrarily; the
 	// incremental index maintenance only covers appendAt. Rebuild.
 	s.reindex(name)
+	if s.onMutate != nil {
+		s.onMutate(name, nil, nil)
+	}
 }
 
-// SetMutationHook registers fn to be called with the document name on
-// every mutation that bumps a document version. One hook at a time; nil
-// unregisters. The hook runs synchronously inside the mutating operation,
-// so it must be cheap and must not re-enter the system.
-func (s *System) SetMutationHook(fn func(docName string)) { s.onMutate = fn }
+// GraftStep names one node of a graft's path below the document root as
+// it was before the graft: its marking and its subtree digest. In a
+// reduced document no two siblings share a digest, so the steps resolve
+// the path from the root one child at a time.
+type GraftStep struct {
+	Kind   tree.Kind
+	Name   string
+	Digest tree.Hash
+}
 
-// bumpVersion advances a document's version and notifies the mutation
-// hook. Every mutating path funnels through here.
+// SetMutationHook registers fn to observe every growth of a document. A
+// graft reports the steps of its path below the root (empty for a graft
+// at the root) and the fresh trees it appended, which the document owns
+// and later grafts may grow or detach. A nil fresh forest means the whole
+// document changed: a by-hand edit (Touch) or a seed adoption in Restore.
+// One hook at a time; nil unregisters. The hook runs synchronously inside
+// the mutating operation, so it must be cheap, must not keep the live
+// trees and must not mutate the system.
+func (s *System) SetMutationHook(fn func(doc string, path []GraftStep, fresh tree.Forest)) {
+	s.onMutate = fn
+}
+
+// bumpVersion advances a document's version. Every mutating path funnels
+// through here.
 func (s *System) bumpVersion(name string) {
 	s.docVersion[name]++
-	if s.onMutate != nil {
-		s.onMutate(name)
-	}
-}
-
-// Snapshot returns a deep copy of every document in insertion order — the
-// state a durability layer persists. Services are not part of a snapshot:
-// they are code, reconstructed from the system definition on restart.
-func (s *System) Snapshot() []*tree.Document {
-	out := make([]*tree.Document, 0, len(s.docNames))
-	for _, name := range s.docNames {
-		out = append(out, s.docs[name].Copy())
-	}
-	return out
 }
 
 // Restore merges a recovered tree into the named document as the least
@@ -314,6 +319,9 @@ func (s *System) Restore(name string, root *tree.Node) (changed bool, err error)
 		s.bumpVersion(name)
 		doc.Root.Stamp = s.docVersion[name]
 		s.reindex(name)
+		if s.onMutate != nil {
+			s.onMutate(name, nil, nil)
+		}
 		changed = true
 	}
 	fresh, _ := s.appendAt(name, []*tree.Node{doc.Root}, root.Children)

@@ -3,13 +3,15 @@
 // written snapshots that allow log compaction.
 //
 // The package is payload-agnostic — records carry opaque bytes with a
-// one-byte type tag; the peer layer encodes document states in the XML
-// wire format. Durability leans on the paper's semantics rather than on
-// heavyweight log machinery: services are monotone and fair rewritings
-// confluent (Theorem 2.1), so records are full document states merged by
-// least upper bound on replay. Replaying a record twice, replaying records
-// already covered by a snapshot, or losing a torn suffix are all safe —
-// merges are idempotent and a lost suffix is re-derived by re-sweeping.
+// one-byte type tag; the peer layer encodes in them what grew (a document,
+// the digest path of the node it grew under, the fresh trees in the XML
+// wire form) or, after a by-hand edit, a whole document state.
+// Durability leans on the paper's semantics rather than on heavyweight
+// log machinery: documents only grow (Prop 3.1), so replay is a least
+// upper bound merge over a state that already holds everything before
+// the record. Replaying a record twice, replaying records already covered
+// by a snapshot, or losing a torn suffix are all safe — merges are
+// idempotent and a lost suffix is re-derived by re-sweeping.
 //
 // On-disk record frame (little-endian):
 //
@@ -354,14 +356,18 @@ func WriteSnapshot(path string, seq uint64, payload []byte) error {
 		tmp.Close()
 		os.Remove(tmpName)
 	}
-	frame := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], snapshotMagic)
-	frame[4] = 0
-	binary.LittleEndian.PutUint64(frame[5:13], seq)
-	binary.LittleEndian.PutUint32(frame[13:17], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[17:21], frameCRC(0, seq, payload))
-	copy(frame[headerSize:], payload)
-	if _, err := tmp.Write(frame); err != nil {
+	// Header, then the payload as it is: the temp file and the rename keep
+	// the pair atomic, so the payload need not be copied into one frame.
+	var hdr [headerSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
+	binary.LittleEndian.PutUint64(hdr[5:13], seq)
+	binary.LittleEndian.PutUint32(hdr[13:17], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[17:21], frameCRC(0, seq, payload))
+	if _, err := tmp.Write(hdr[:]); err != nil {
+		cleanup()
+		return err
+	}
+	if _, err := tmp.Write(payload); err != nil {
 		cleanup()
 		return err
 	}

@@ -1,30 +1,47 @@
 package peer
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-
 	"time"
+	"unicode/utf8"
 
 	"axml/internal/core"
 	"axml/internal/journal"
 	"axml/internal/obs"
+	"axml/internal/tree"
 )
 
-// Durability: a durable peer journals every mutation of its documents —
-// sweep appends, mirror syncs, push deliveries — as full reduced document
-// states in an append-only write-ahead log (internal/journal), and
-// periodically compacts the log into an atomically-written snapshot.
-// Recovery replays snapshot then log, merging each state by least upper
-// bound; the paper's monotonicity (Theorem 2.1) is what makes this simple
-// scheme correct, because replay can only re-add information. The suffix
-// lost to a torn tail or an unsynced batch is re-derived by re-sweeping:
-// a peer killed at ANY point restarts into a state from which the fleet
-// still converges to the same canonical fixpoint.
+// Durability: a durable peer journals what grew, not what exists. Every
+// growth of a document — a sweep's merge, a mirror sync, a push delivery
+// — leaves core's appendAt as (document, path, fresh trees); the peer's
+// mutation hook encodes it on the spot as one graft record and the next
+// flush appends the records, in order, to a write-ahead log
+// (internal/journal), which is periodically compacted into an
+// atomically-written snapshot of the live documents. A by-hand edit
+// (Touch) has no such growth and journals the whole document state.
+//
+// The paper's monotonicity (Prop 3.1: documents only grow) makes replay
+// an idempotent least-upper-bound merge. Recovery loads the snapshot,
+// then re-applies each record in order: a graft record resolves its path
+// from the document root one child per recorded digest — the replayed
+// state is exactly the record's pre-state — and appends its trees there;
+// a state record merges by Restore. A path that does not resolve (the
+// seed definition changed, or a record was duplicated) falls back to a
+// marking-only chain under the deepest node that did: the chain maps
+// into the state the record logged, so the result stays below the live
+// document and keeps every acknowledged tree, and a duplicate's chain is
+// subsumed and dropped. The suffix lost to a torn tail or an unsynced
+// batch is re-derived by re-sweeping: a peer killed at ANY point restarts
+// into a state from which the fleet still converges to the same canonical
+// fixpoint. A binary that predates graft records cannot replay them and
+// refuses to open such a journal (ErrUnknownRecord).
 
 // Names of the durability files inside the data directory.
 const (
@@ -32,9 +49,17 @@ const (
 	SnapshotFile = "snapshot.axs"
 )
 
-// recDocState is the journal record type for an ax:doc document-state
-// payload (the only record type so far; the tag leaves room for more).
-const recDocState byte = 1
+// Journal record types. recDocState carries an ax:doc document state
+// (MarshalDocRecord); recGraft carries one growth (marshalGraftRecord).
+const (
+	recDocState byte = 1
+	recGraft    byte = 2
+)
+
+// ErrUnknownRecord is returned by Open when the journal holds a record
+// type this binary does not know — a journal written by a newer one.
+// Skipping the record would silently drop acknowledged data.
+var ErrUnknownRecord = errors.New("peer: unknown journal record type")
 
 // Durability configures a durable peer.
 type Durability struct {
@@ -73,22 +98,24 @@ type RecoveryInfo struct {
 	Recovered bool
 }
 
-// store is a peer's durability state, guarded by its system's write side.
+// store is a peer's durability state, guarded by its system's write side:
+// the mutation hook fills pending under it, the flush drains it there.
 type store struct {
 	dir           string
 	j             *journal.Journal
 	snapshotEvery int
 	sinceSnapshot int
-	err           error // first journaling failure; journaling stops after
+	pending       []pendingRecord // encoded growths, in order, not yet appended
+	err           error           // first journaling failure; journaling stops after
 }
 
 // openStore recovers the snapshot and journal found in d.Dir into the
-// freshly-built system (the persisted document states LUB-merge over the
-// seed) and reopens the journal for appending. It runs before the peer
-// exists: recovery's Restore merges must not observe a mutation hook
-// that would journal them back. The registry and tracer (either may be
-// nil) are handed to the journal for its journal.* metrics and fsync
-// spans.
+// freshly-built system (the snapshot's documents LUB-merge over the seed,
+// then each record replays in order) and reopens the journal for
+// appending. It runs before the peer exists: recovery's merges must not
+// observe a mutation hook that would journal them back. The registry and
+// tracer (either may be nil) are handed to the journal for its journal.*
+// metrics and fsync spans; replay counts journal.replay_unresolved there.
 func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *obs.Tracer) (*store, RecoveryInfo, error) {
 	var info RecoveryInfo
 	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
@@ -117,22 +144,22 @@ func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *o
 		return nil, info, fmt.Errorf("peer %s: read snapshot: %w", name, err)
 	}
 
-	// 2. Journal: every mutation after the snapshot. Records the
-	// snapshot already covers are skipped (merging them anyway would be
-	// harmless — the merge is idempotent — but pointless); a snapshot
-	// newer than the log tail therefore recovers from the snapshot
-	// alone.
+	// 2. Journal: every growth after the snapshot, in order. Records the
+	// snapshot already covers are skipped: a graft record resolves its
+	// path against its exact pre-state, which only an in-order replay
+	// from the snapshot reproduces. A snapshot newer than the log tail
+	// therefore recovers from the snapshot alone.
 	logPath := filepath.Join(d.Dir, JournalFile)
 	replayInfo, err := journal.Replay(logPath, func(rec journal.Record) error {
-		if rec.Seq <= snapSeq || rec.Type != recDocState {
+		if rec.Seq <= snapSeq {
 			return nil
 		}
-		docName, root, err := UnmarshalDocRecord(rec.Payload)
+		resolved, err := replayRecord(s, rec)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", rec.Seq, err)
 		}
-		if _, err := s.Restore(docName, root); err != nil {
-			return fmt.Errorf("record %d: %w", rec.Seq, err)
+		if !resolved {
+			m.Counter("journal.replay_unresolved").Inc()
 		}
 		info.Replayed++
 		info.Recovered = true
@@ -163,6 +190,165 @@ func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *o
 		snapshotEvery = DefaultSnapshotEvery
 	}
 	return &store{dir: d.Dir, j: j, snapshotEvery: snapshotEvery}, info, nil
+}
+
+// graftDigestLen is how many bytes of a path node's digest a graft
+// record keeps: digestHex's 8, the peer's one wire name of a state.
+const graftDigestLen = 8
+
+// marshalGraftRecord encodes one growth as a recGraft payload:
+//
+//	uvarint len(doc) doc  uvarint steps
+//	steps × (kind(1) uvarint len(name) name digest(8))
+//	ax:forest of the fresh trees (MarshalForest's wire form)
+func marshalGraftRecord(doc string, path []core.GraftStep, fresh tree.Forest) ([]byte, error) {
+	b := appendString(nil, doc)
+	b = binary.AppendUvarint(b, uint64(len(path)))
+	for _, st := range path {
+		b = appendString(append(b, byte(st.Kind)), st.Name)
+		b = append(b, st.Digest[:graftDigestLen]...)
+	}
+	buf := bytes.NewBuffer(b)
+	if err := encodeForest(buf, fresh); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// unmarshalGraftRecord decodes a recGraft payload; a step's Digest holds
+// the recorded graftDigestLen bytes. Every step must name a node that can
+// have children (a label with a wire-safe name, or a call), and the
+// forest must hold at least one tree: the hook never journals an empty
+// growth.
+func unmarshalGraftRecord(data []byte) (doc string, path []core.GraftStep, fresh tree.Forest, err error) {
+	bad := func(what string) error { return fmt.Errorf("peer: bad graft record: %s", what) }
+	getString := func() (string, bool) {
+		n, k := binary.Uvarint(data)
+		if k <= 0 || n > uint64(len(data)-k) {
+			return "", false
+		}
+		s := string(data[k : k+int(n)])
+		data = data[k+int(n):]
+		return s, true
+	}
+	doc, ok := getString()
+	if !ok || doc == "" {
+		return "", nil, nil, bad("document name")
+	}
+	steps, k := binary.Uvarint(data)
+	// A step takes at least 1+1+graftDigestLen bytes.
+	if k <= 0 || steps > uint64(len(data)-k)/(2+graftDigestLen) {
+		return "", nil, nil, bad("step count")
+	}
+	data = data[k:]
+	path = make([]core.GraftStep, steps)
+	for i := range path {
+		st := &path[i]
+		if len(data) == 0 {
+			return "", nil, nil, bad("truncated step")
+		}
+		st.Kind = tree.Kind(data[0])
+		data = data[1:]
+		if st.Name, ok = getString(); !ok || len(data) < graftDigestLen {
+			return "", nil, nil, bad("truncated step")
+		}
+		switch st.Kind {
+		case tree.Label:
+			ok = validWireLabel(st.Name)
+		case tree.Func:
+			ok = st.Name != "" && utf8.ValidString(st.Name)
+		default:
+			ok = false
+		}
+		if !ok {
+			return "", nil, nil, bad(fmt.Sprintf("step %d: %s %q", i, st.Kind, st.Name))
+		}
+		copy(st.Digest[:graftDigestLen], data)
+		data = data[graftDigestLen:]
+	}
+	if fresh, err = UnmarshalForest(data); err != nil {
+		return "", nil, nil, fmt.Errorf("peer: bad graft record: %w", err)
+	}
+	if len(fresh) == 0 {
+		return "", nil, nil, bad("empty forest")
+	}
+	return doc, path, fresh, nil
+}
+
+// replayRecord merges one journal record into s: a graft record through
+// replayGraft, a document state by Restore. A record type this binary
+// does not know fails with ErrUnknownRecord. resolved is false only for
+// a graft record that fell back to its chain.
+func replayRecord(s *core.System, rec journal.Record) (resolved bool, err error) {
+	switch rec.Type {
+	case recGraft:
+		return replayGraft(s, rec.Payload)
+	case recDocState:
+		name, root, err := UnmarshalDocRecord(rec.Payload)
+		if err != nil {
+			return false, err
+		}
+		_, err = s.Restore(name, root)
+		return err == nil, err
+	default:
+		return false, fmt.Errorf("%w %d", ErrUnknownRecord, rec.Type)
+	}
+}
+
+// replayGraft re-applies one graft record to s. It resolves the recorded
+// path from the document root, one child per step (same marking, same
+// digest; reduced siblings never share one), and appends the forest at
+// the node reached. Where a step does not resolve, the rest of the path
+// becomes a marking-only chain holding the forest, appended under the
+// deepest node that did resolve. It reports whether the path resolved.
+func replayGraft(s *core.System, payload []byte) (resolved bool, err error) {
+	docName, path, forest, err := unmarshalGraftRecord(payload)
+	if err != nil {
+		return false, err
+	}
+	doc := s.Document(docName)
+	if doc == nil {
+		return false, fmt.Errorf("peer: graft record for unknown document %q", docName)
+	}
+	at, depth := doc.Root, 0
+	for ; depth < len(path); depth++ {
+		next := stepChild(at, path[depth])
+		if next == nil {
+			break
+		}
+		at = next
+	}
+	for i := len(path) - 1; i >= depth; i-- {
+		forest = tree.Forest{&tree.Node{Kind: path[i].Kind, Name: path[i].Name, Children: forest}}
+	}
+	if _, err := s.Append(docName, at, forest); err != nil {
+		return false, err
+	}
+	return depth == len(path), nil
+}
+
+// stepChild finds n's child the decoded step names.
+func stepChild(n *tree.Node, st core.GraftStep) *tree.Node {
+	for _, c := range n.Children {
+		if c.Kind != st.Kind || c.Name != st.Name {
+			continue
+		}
+		if h := c.Digest(); bytes.Equal(h[:graftDigestLen], st.Digest[:graftDigestLen]) {
+			return c
+		}
+	}
+	return nil
+}
+
+// pendingRecord is a journal record encoded by the mutation hook and not
+// yet appended.
+type pendingRecord struct {
+	typ     byte
+	payload []byte
 }
 
 // Durable reports whether the peer journals its mutations.
@@ -197,61 +383,92 @@ func (p *Peer) Snapshot() (err error) {
 	return err
 }
 
-// flushJournalLocked appends one doc-state record per document mutated
-// since the last flush, then compacts if the snapshot threshold is
+// journalGrowth is a durable peer's mutation hook. It encodes each growth
+// the moment it happens — a later graft in the same Update may grow or
+// detach the fresh trees, so encoding at flush time would record the
+// wrong state — and queues the record for the next flush: a graft record
+// for a growth, the whole document state for a by-hand edit or a seed
+// adoption (nil fresh). While journaling is disabled nothing is queued.
+func (p *Peer) journalGrowth(doc string, path []core.GraftStep, fresh tree.Forest) {
+	st := p.store
+	if st.err != nil {
+		return
+	}
+	rec := pendingRecord{typ: recGraft}
+	var err error
+	if fresh == nil {
+		rec.typ = recDocState
+		rec.payload, err = MarshalDocRecord(doc, p.system.Document(doc).Root)
+	} else {
+		rec.payload, err = marshalGraftRecord(doc, path, fresh)
+	}
+	if err != nil {
+		p.disableJournal(fmt.Errorf("peer %s: encode journal record for %q: %w", p.Name, doc, err))
+		return
+	}
+	st.pending = append(st.pending, rec)
+}
+
+// disableJournal records the first journaling failure and stops
+// journaling; the in-memory peer keeps working (durability degrades, the
+// fleet's convergence does not).
+func (p *Peer) disableJournal(err error) {
+	st := p.store
+	st.err = err
+	st.pending = nil
+	p.logger.Error("journaling disabled", "peer", p.Name, "err", err)
+}
+
+// flushJournalLocked appends the records the mutation hook queued since
+// the last flush, in order, then compacts if the snapshot threshold is
 // reached. Called (inside p.system.Update) at the end of every mutating
 // operation: Sweep, and System — which mirror syncs and push deliveries
 // run under. A journaling failure is recorded once and disables further
-// journaling; the in-memory peer keeps working (durability degrades, the
-// fleet's convergence does not).
+// journaling.
 func (p *Peer) flushJournalLocked() {
 	st := p.store
-	if st == nil || st.err != nil || len(p.dirty) == 0 {
+	if st == nil || st.err != nil || len(st.pending) == 0 {
 		return
 	}
-	names := make([]string, 0, len(p.dirty))
-	for name := range p.dirty {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		doc := p.system.Document(name)
-		if doc == nil {
-			delete(p.dirty, name)
-			continue
-		}
-		payload, err := MarshalDocRecord(name, doc.Root)
-		if err != nil {
-			st.err = fmt.Errorf("peer %s: encode journal record for %q: %w", p.Name, name, err)
-			p.logger.Error("journaling disabled", "peer", p.Name, "err", st.err)
+	for _, rec := range st.pending {
+		if _, err := st.j.Append(rec.typ, rec.payload); err != nil {
+			p.disableJournal(fmt.Errorf("peer %s: journal append: %w", p.Name, err))
 			return
 		}
-		if _, err := st.j.Append(recDocState, payload); err != nil {
-			st.err = fmt.Errorf("peer %s: journal append for %q: %w", p.Name, name, err)
-			p.logger.Error("journaling disabled", "peer", p.Name, "err", st.err)
-			return
-		}
-		delete(p.dirty, name)
 		st.sinceSnapshot++
+		if rec.typ == recGraft {
+			p.metrics.Counter("journal.graft_records").Inc()
+		} else {
+			p.metrics.Counter("journal.state_records").Inc()
+		}
 	}
+	clear(st.pending)
+	st.pending = st.pending[:0]
 	if st.snapshotEvery > 0 && st.sinceSnapshot >= st.snapshotEvery {
 		if err := p.snapshotLocked(); err != nil {
-			st.err = err
-			p.logger.Error("journaling disabled", "peer", p.Name, "err", st.err)
+			p.disableJournal(err)
 		}
 	}
 }
 
 // snapshotLocked writes the full reduced document set as a snapshot
 // stamped with the journal's current sequence, then truncates the log.
-// The order matters: the snapshot reaches stable storage (temp file +
-// fsync + rename) before any log byte disappears, so a crash between the
-// two steps merely leaves a log whose records the snapshot already covers
-// — which recovery skips by sequence number.
+// It runs under the system's write side, so it marshals the live roots
+// directly. The snapshot holds every growth still pending, which are
+// dropped once it is written. The order matters: the snapshot reaches
+// stable storage (temp file + fsync + rename) before any log byte
+// disappears, so a crash between the two steps merely leaves a log whose
+// records the snapshot already covers — which recovery skips by sequence
+// number.
 func (p *Peer) snapshotLocked() error {
 	st := p.store
 	start := time.Now()
-	payload, err := MarshalSnapshot(p.system.Snapshot())
+	names := p.system.DocNames()
+	docs := make([]*tree.Document, len(names))
+	for i, name := range names {
+		docs[i] = p.system.Document(name)
+	}
+	payload, err := MarshalSnapshot(docs)
 	if err != nil {
 		return fmt.Errorf("peer %s: encode snapshot: %w", p.Name, err)
 	}
@@ -262,6 +479,8 @@ func (p *Peer) snapshotLocked() error {
 	if err := journal.WriteSnapshot(snapPath, st.j.LastSeq(), payload); err != nil {
 		return fmt.Errorf("peer %s: write snapshot: %w", p.Name, err)
 	}
+	clear(st.pending)
+	st.pending = st.pending[:0]
 	if err := st.j.Reset(); err != nil {
 		return fmt.Errorf("peer %s: compact journal: %w", p.Name, err)
 	}

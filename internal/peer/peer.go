@@ -106,12 +106,10 @@ type Peer struct {
 	stats   Stats
 
 	// store is the durability layer (nil for an in-memory peer; fixed by
-	// Open); dirty accumulates the names of documents mutated since the
-	// last journal flush. The store's fields and dirty are guarded by the
-	// system's write side: every version bump, hence the mutation hook
-	// filling dirty, runs there, and so does the flush.
+	// Open). Its fields are guarded by the system's write side: every
+	// growth, hence the mutation hook queueing its record, runs there, and
+	// so does the flush.
 	store *store
-	dirty map[string]bool
 
 	// mirrorMu guards mirrors, the replicas registered for anti-entropy.
 	mirrorMu sync.Mutex
@@ -232,12 +230,11 @@ func Open(name string, s *core.System, opts ...Option) (*Peer, RecoveryInfo, err
 	}
 	if st != nil {
 		p.store = st
-		p.dirty = make(map[string]bool)
-		// The hook fires inside every version bump, which all run under
-		// the system's write side, so dirty needs no lock of its own. It
-		// is installed after recovery on purpose: recovery's own Restore
-		// merges must not journal themselves back.
-		s.SetMutationHook(func(docName string) { p.dirty[docName] = true })
+		// The hook fires inside every growth, which all run under the
+		// system's write side, so the pending records need no lock of
+		// their own. It is installed after recovery on purpose: recovery's
+		// own merges must not journal themselves back.
+		s.SetMutationHook(p.journalGrowth)
 	}
 	return p, info, nil
 }

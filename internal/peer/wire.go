@@ -232,23 +232,28 @@ func decodeChildren(dec *xml.Decoder, n *tree.Node) (*tree.Node, error) {
 // MarshalForest renders a forest inside an ax:forest element.
 func MarshalForest(f tree.Forest) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	start := xml.StartElement{Name: xml.Name{Local: elemForest}}
-	if err := enc.EncodeToken(start); err != nil {
-		return nil, err
-	}
-	for _, t := range f {
-		if err := encodeNode(enc, t); err != nil {
-			return nil, err
-		}
-	}
-	if err := enc.EncodeToken(start.End()); err != nil {
-		return nil, err
-	}
-	if err := enc.Flush(); err != nil {
+	if err := encodeForest(&buf, f); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// encodeForest writes f as an ax:forest element to w.
+func encodeForest(w io.Writer, f tree.Forest) error {
+	enc := xml.NewEncoder(w)
+	start := xml.StartElement{Name: xml.Name{Local: elemForest}}
+	if err := enc.EncodeToken(start); err != nil {
+		return err
+	}
+	for _, t := range f {
+		if err := encodeNode(enc, t); err != nil {
+			return err
+		}
+	}
+	if err := enc.EncodeToken(start.End()); err != nil {
+		return err
+	}
+	return enc.Flush()
 }
 
 // UnmarshalForest parses an ax:forest element.
@@ -287,11 +292,10 @@ func firstStart(dec *xml.Decoder) (xml.StartElement, error) {
 }
 
 // MarshalDocRecord renders a named document state as an ax:doc element —
-// the payload of a journal record: the full reduced tree of one document
-// after a mutation (sweep append, mirror sync, push delivery). Full
-// states rather than deltas keep replay trivially idempotent: recovery
-// merges each record into the document by least upper bound, so records
-// may be replayed twice or arrive already subsumed without harm.
+// the payload of a whole-document journal record, written after a
+// by-hand edit (System.Touch) or a seed adoption, where no graft says
+// what grew. Recovery merges it into the document by least upper bound,
+// so it may be replayed twice or arrive already subsumed without harm.
 func MarshalDocRecord(name string, root *tree.Node) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := xml.NewEncoder(&buf)

@@ -4,11 +4,15 @@ import (
 	"os"
 	"testing"
 
+	"axml/internal/core"
+	"axml/internal/journal"
+	"axml/internal/subsume"
 	"axml/internal/tree"
 )
 
-// The journal replays through UnmarshalTree/UnmarshalDocRecord and peers
-// exchange envelopes through UnmarshalEnvelope, so these parsers must
+// The journal replays through UnmarshalTree/UnmarshalDocRecord and the
+// graft record decoder, and peers exchange envelopes through
+// UnmarshalEnvelope, so these parsers must
 // never panic on arbitrary bytes, and what MarshalTree/MarshalEnvelope
 // emit must parse back to an isomorphic value — otherwise a peer could
 // persist (or send) bytes it cannot read back.
@@ -150,6 +154,95 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 			!isoHash(back.Input, env.Input) ||
 			!isoHash(back.Context, env.Context) {
 			t.Fatalf("envelope round trip not a fixpoint:\nfirst  %+v\nsecond %+v\nwire %q", env, back, out)
+		}
+	})
+}
+
+// FuzzReplayGraftRecord: recovery decodes graft records from disk and
+// replays them into live documents, so arbitrary record bytes must never
+// panic; a replay either fails without touching the document or leaves it
+// reduced, above its old state and holding every tree the record carried
+// under the record's path; and a decoded forest must round-trip.
+func FuzzReplayGraftRecord(f *testing.F) {
+	seed := core.MustParseSystem(feedSeed)
+	root := seed.Document("feed").Root
+	topic := root.Children[0]
+	var posts *tree.Node
+	for _, c := range topic.Children {
+		if c.Name == "posts" {
+			posts = c
+		}
+	}
+	steps := []core.GraftStep{
+		{Kind: topic.Kind, Name: topic.Name, Digest: topic.Digest()},
+		{Kind: posts.Kind, Name: posts.Name, Digest: posts.Digest()},
+	}
+	stale := append([]core.GraftStep(nil), steps...)
+	stale[1].Digest[0] ^= 1
+	for _, rec := range []struct {
+		path  []core.GraftStep
+		fresh tree.Forest
+	}{
+		{nil, tree.Forest{post(1)}},
+		{steps, tree.Forest{post(2), post(3)}},
+		{stale, tree.Forest{post(4)}},
+		{steps[:1], tree.Forest{tree.NewFunc("Annotate", tree.NewLabel("x"))}},
+	} {
+		data, err := marshalGraftRecord("feed", rec.path, rec.fresh)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{"", "\x04feed\x00", "\x04feed\x01\x07x\x00\x00\x00\x00\x00\x00\x00\x00<ax:forest><a/></ax:forest>",
+		"\x05notes\x00<ax:forest><a/></ax:forest>", "\x04feed\x00<ax:forest></ax:forest>"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > fuzzMaxInput {
+			return
+		}
+		doc, path, forest, decErr := unmarshalGraftRecord(data)
+		if decErr == nil {
+			out, err := MarshalForest(forest)
+			if err != nil {
+				t.Fatalf("decoded forest does not re-marshal: %v", err)
+			}
+			back, err := UnmarshalForest(out)
+			if err != nil || len(back) != len(forest) {
+				t.Fatalf("marshaled forest does not re-parse: %v (wire %q)", err, out)
+			}
+			for i := range forest {
+				if !isoHash(forest[i], back[i]) {
+					t.Fatalf("forest round trip not a fixpoint: %s vs %s", forest[i], back[i])
+				}
+			}
+		}
+		sys := core.MustParseSystem(feedSeed)
+		live := sys.Document("feed").Root
+		before := live.Copy()
+		_, err := replayRecord(sys, journal.Record{Type: recGraft, Payload: data})
+		if err != nil {
+			if live.CanonicalHash() != before.CanonicalHash() {
+				t.Fatalf("failed replay (%v) changed the document", err)
+			}
+			return
+		}
+		if decErr != nil || doc != "feed" {
+			t.Fatalf("replay accepted a record that does not decode (%v) or names %q", decErr, doc)
+		}
+		if !subsume.Subsumed(before, live) || !subsume.IsReduced(live) {
+			t.Fatalf("replay shrank or unreduced the document: %s -> %s", before, live)
+		}
+		for _, tr := range forest {
+			held := tr
+			for i := len(path) - 1; i >= 0; i-- {
+				held = &tree.Node{Kind: path[i].Kind, Name: path[i].Name, Children: []*tree.Node{held}}
+			}
+			held = tree.NewLabel(live.Name, held)
+			if !subsume.Subsumed(held, live) {
+				t.Fatalf("replayed tree %s missing under its path: %s", tr, live)
+			}
 		}
 	})
 }

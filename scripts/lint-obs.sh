@@ -5,8 +5,9 @@
 # library code, requests built or sent past the peer's one wire boundary,
 # exported mutable globals in the peer layer, product calls of the
 # reference hash, a second benchmark pipeline beside benchmark/, a
-# node-pair subsumption memo, and a document version or committed
-# sterile-call gate written outside its one writer.
+# node-pair subsumption memo, a document version or committed
+# sterile-call gate written outside its one writer, and a journal that
+# records what exists instead of what grew.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -213,6 +214,30 @@ badgate=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
 if [ -n "$badgate" ]; then
     echo "vet-obs: a document version written outside System.bumpVersion / Copy, or a committed gate written outside engine.fire's merge step:" >&2
     echo "$badgate" >&2
+    exit 1
+fi
+# The journal records what grew, not what exists. core hands the mutation
+# hook each growth from the three places a document changes (appendAt,
+# Touch, Restore's seed adoption); the peer writes a whole document state
+# only in the hook's whole-document branch (a by-hand edit), and its
+# snapshot marshals the live roots instead of a deep copy.
+badjournal=$( {
+    find internal/core -name '*.go' ! -name '*_test.go' -exec awk '
+        /^func / { fn = $0 }
+        /^[[:space:]]*\/\// { next }
+        /onMutate\(/ && fn !~ /^func \(s \*System\) (appendAt|Touch|Restore)\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        ' {} +
+    find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
+        /^func / { fn = $0 }
+        /^[[:space:]]*\/\// { next }
+        /MarshalDocRecord\(/ && $0 !~ /^func MarshalDocRecord\(/ && fn !~ /^func \(p \*Peer\) journalGrowth\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        FILENAME ~ /\/durable\.go$/ && /\.Copy\(\)/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        ' {} +
+    } || true)
+
+if [ -n "$badjournal" ]; then
+    echo "vet-obs: a growth reported outside appendAt / Touch / Restore, a whole-document journal record outside the mutation hook, or a deep copy in durable.go (journal what grew; snapshot the live roots):" >&2
+    echo "$badjournal" >&2
     exit 1
 fi
 echo "vet-obs: ok"
