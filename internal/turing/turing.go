@@ -347,7 +347,7 @@ func Simulate(m *Machine, input []string, maxSteps int) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := s.Run(core.RunOptions{MaxSteps: maxSteps})
+	run := s.Run(core.RunOptions{MaxSteps: maxSteps, Parallelism: 1})
 	if run.Err != nil {
 		return nil, run.Err
 	}

@@ -6,8 +6,9 @@
 # exported mutable globals in the peer layer, product calls of the
 # reference hash, a second benchmark pipeline beside benchmark/, a
 # node-pair subsumption memo, a document version or committed
-# sterile-call gate written outside its one writer, and a journal that
-# records what exists instead of what grew.
+# sterile-call gate written outside its one writer, a journal that
+# records what exists instead of what grew, and an experiment harness
+# beside the claims tests.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -238,6 +239,23 @@ badjournal=$( {
 if [ -n "$badjournal" ]; then
     echo "vet-obs: a growth reported outside appendAt / Touch / Restore, a whole-document journal record outside the mutation hook, or a deep copy in durable.go (journal what grew; snapshot the live roots):" >&2
     echo "$badjournal" >&2
+    exit 1
+fi
+# The paper's claims are tests (claims_test.go): each TestClaim… asserts
+# its shape and checks its table in EXPERIMENTS.md, and -update rewrites
+# the tables. A harness package or binary printing them beside the tests,
+# or product code that knows about EXPERIMENTS.md, is the hand-copied
+# pipeline that drifted; neither may grow back.
+badclaims=$( {
+    for d in internal/bench cmd/axml-experiments; do
+        if [ -e "$d" ]; then echo "$d/"; fi
+    done
+    grep -rln --include='*.go' -F 'EXPERIMENTS.md' . | grep -v '_test\.go$' | grep -v '^\./\.bench_build/'
+    } || true)
+
+if [ -n "$badclaims" ]; then
+    echo "vet-obs: an experiment harness beside claims_test.go, or EXPERIMENTS.md named in non-test Go (claims are TestClaim… tests; regenerate with go test -run TestClaim -update .):" >&2
+    echo "$badclaims" >&2
     exit 1
 fi
 echo "vet-obs: ok"
