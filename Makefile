@@ -47,14 +47,16 @@ race:
 	$(GO) test -race ./...
 
 # Short-budget coverage-guided fuzzing of the wire parsers journal replay
-# depends on and of graft-record replay itself, plus the intern/digest
-# cache stability target (go test -fuzz takes one target per run).
+# depends on and of graft-record replay itself, the intern/digest cache
+# stability target, and the keyed join against the nested-loop join (go
+# test -fuzz takes one target per run).
 fuzz-smoke:
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalTree$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalEnvelope$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalDelta$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzReplayGraftRecord$$' -fuzztime=5s
 	$(GO) test ./internal/tree -run='^$$' -fuzz='^FuzzSymDigestStability$$' -fuzztime=5s
+	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzJoinMatchesNestedLoop$$' -fuzztime=5s
 
 # The sharded-fleet chaos acceptance: ten durable peers, consistent-hash
 # routing, delta replication under injected message loss, crash-restarts,

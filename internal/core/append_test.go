@@ -97,10 +97,14 @@ func overlapping(rng *rand.Rand, n *tree.Node) tree.Forest {
 	return f
 }
 
-func stampedKeys(sts []pattern.Stamped) []string {
-	keys := make([]string, len(sts))
-	for i, st := range sts {
-		keys[i] = fmt.Sprintf("%s new=%v", st.Asn.Key(), st.New)
+// stampedKeys is every assignment of p on root through ix, with its
+// freshness flag at baseline since, sorted.
+func stampedKeys(ix *pattern.Index, p *pattern.Node, root *tree.Node, since uint64) []string {
+	var v pattern.Vars
+	c := v.Compile(p)
+	var keys []string
+	for _, r := range ix.MatchRows(c, root, pattern.NewSlab(&v).Row(), since) {
+		keys = append(keys, fmt.Sprintf("%s new=%v", r.Assignment(nil).Key(), r.New))
 	}
 	sort.Strings(keys)
 	return keys
@@ -226,12 +230,9 @@ func TestPropertyAppendKeepsIndexExact(t *testing.T) {
 					continue
 				}
 				for since := uint64(0); since <= s.docVersion["d"]; since++ {
-					got := stampedKeys(ix.MatchUnderSince(p, root, nil, since))
-					for plan, ref := range map[string][]pattern.Stamped{
-						"rebuilt index": rebuilt.MatchUnderSince(p, root, nil, since),
-						"walk":          (*pattern.Index)(nil).MatchUnderSince(p, root, nil, since),
-					} {
-						if want := stampedKeys(ref); fmt.Sprint(got) != fmt.Sprint(want) {
+					got := stampedKeys(ix, p, root, since)
+					for plan, ref := range map[string]*pattern.Index{"rebuilt index": rebuilt, "walk": nil} {
+						if want := stampedKeys(ref, p, root, since); fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("seed %d step %d since %d, %s:\nmaintained index %v\n%s %v",
 								seed, step, since, p, got, plan, want)
 						}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
 	"axml/internal/obs"
+	"axml/internal/pattern"
 	"axml/internal/tree"
 )
 
@@ -433,10 +435,8 @@ func (s *System) namedAtomsAffected(f, d string, sinceV uint64) bool {
 		if a.Doc != d {
 			continue
 		}
-		for _, m := range s.indexes[d].MatchUnderSince(a.Pattern, root, nil, sinceV) {
-			if m.New {
-				return true
-			}
+		if hasNewMatch(s.indexes[d], a.Pattern, root, sinceV) {
+			return true
 		}
 	}
 	return false
@@ -462,11 +462,17 @@ func (s *System) callLocalAtomsAffected(lc Call, d string, sinceV uint64) bool {
 		}
 		// Only a root-level context is the indexed root; every other target
 		// degrades to the walk.
-		for _, m := range s.indexes[d].MatchUnderSince(a.Pattern, target, nil, sinceV) {
-			if m.New {
-				return true
-			}
+		if hasNewMatch(s.indexes[d], a.Pattern, target, sinceV) {
+			return true
 		}
 	}
 	return false
+}
+
+// hasNewMatch reports whether p embeds into d with some witness stamped
+// after since: the matcher's freshness flags, no assignment built.
+func hasNewMatch(ix *pattern.Index, p *pattern.Node, d *tree.Node, since uint64) bool {
+	var v pattern.Vars
+	c := v.Compile(p)
+	return slices.ContainsFunc(ix.MatchRows(c, d, pattern.NewSlab(&v).Row(), since), func(r pattern.Row) bool { return r.New })
 }

@@ -101,23 +101,26 @@ func (n *RNode) IsSimple() bool {
 	return true
 }
 
-// Vars collects variable kinds, like pattern.Node.Vars.
+// Vars collects variable kinds, like pattern.Node.Vars: every name, and
+// the first kind conflict as the error.
 func (n *RNode) Vars(dst map[string]pattern.Kind) error {
 	if n == nil {
 		return nil
 	}
+	var err error
 	if !n.IsPath && n.Kind.IsVar() {
-		if prev, ok := dst[n.Name]; ok && prev != n.Kind {
-			return fmt.Errorf("pathexpr: variable %q used both as %s and %s", n.Name, prev, n.Kind)
+		if prev, ok := dst[n.Name]; !ok {
+			dst[n.Name] = n.Kind
+		} else if prev != n.Kind {
+			err = fmt.Errorf("pathexpr: variable %q used both as %s and %s", n.Name, prev, n.Kind)
 		}
-		dst[n.Name] = n.Kind
 	}
 	for _, c := range n.Children {
-		if err := c.Vars(dst); err != nil {
-			return err
+		if e := c.Vars(dst); err == nil {
+			err = e
 		}
 	}
-	return nil
+	return err
 }
 
 // String renders the pattern, path nodes as <regex>.
@@ -268,9 +271,9 @@ func (q *RQuery) String() string {
 // binding (no call invocation), by walking the NFA of each path node down
 // the trees: query.Fold with matchR as its step.
 func Snapshot(q *RQuery, docs query.Docs) (tree.Forest, error) {
-	asns := query.Fold(len(q.Body), pattern.Assignment{}, func(i int, dst map[string]pattern.Kind) error {
+	asns := query.Fold(pattern.Assignment{}, query.NameKeys(len(q.Body), func(i int, dst map[string]pattern.Kind) error {
 		return q.Body[i].Pattern.Vars(dst)
-	}, func(i, _ int, asn pattern.Assignment) []pattern.Assignment {
+	}), func(i, _ int, asn pattern.Assignment) []pattern.Assignment {
 		doc := docs[q.Body[i].Doc]
 		if doc == nil {
 			return nil

@@ -145,33 +145,20 @@ func (ix *Index) Compact() {
 	}
 }
 
-// Selectivity estimates how selective a pattern is on this index: the
-// length of the shortest candidate list over the pattern's constant
-// nodes below the root (0 is maximally selective — the pattern cannot
-// match). The root is skipped, as in plan: its image is the match root,
-// and the root's marking occurs in every index it could match. A pattern
-// with no such constant node, or a nil index, reports math.MaxInt (no
-// information). Query planners use this to order conjunctive atoms.
-func (ix *Index) Selectivity(p *Node) int {
-	if ix == nil || p == nil {
+// Selectivity estimates how selective a compiled pattern is on this
+// index: the length of the shortest candidate list over the pattern's
+// constant nodes below the root, as plan counts them (0 is maximally
+// selective — the pattern cannot match). A pattern with no such constant
+// node, or a nil index, reports math.MaxInt (no information). Query
+// planners use this to order conjunctive atoms.
+func (ix *Index) Selectivity(c *Compiled) int {
+	if ix == nil || c.root == nil {
 		return math.MaxInt
 	}
-	best := math.MaxInt
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if s, ok := anchorSym(n, nil); ok {
-			if c := len(ix.bySym[s]); c < best {
-				best = c
-			}
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
+	if best, _ := ix.plan(c.root, ix.root, Row{}); best.count >= 0 {
+		return best.count
 	}
-	for _, c := range p.Children {
-		walk(c)
-	}
-	return best
+	return math.MaxInt
 }
 
 // planKind classifies how a match against this index should run.
@@ -187,35 +174,39 @@ const (
 // anchor node (len ≥ 2; the anchor sits at depth len-1) and the interned
 // symbol its images must carry.
 type anchorPlan struct {
-	spine []*Node
+	spine []*cnode
 	sym   tree.Sym
 	count int
 }
 
-// plan picks the rarest usable anchor of p: a constant node — or a
-// variable already bound to an atom in base, which is just as selective —
-// at depth ≥ 1, with the shortest candidate list. Depth-0 nodes cannot
-// anchor (their image is the match root, checked in O(1) by bindMarking
-// anyway). Returns planReject when some required marking has no
-// occurrence at all, planWalk when no anchor exists or the best one is
+// plan picks the rarest usable anchor of p for a match rooted at d (only
+// the indexed root anchors; a nil index or another root walks): a
+// constant node — or a variable already bound to an atom in r, which is
+// just as selective — at depth ≥ 1, with the shortest candidate list.
+// Depth-0 nodes cannot anchor (their image is the match root, checked in
+// O(1) by bind anyway). Returns planReject when some required marking has
+// no occurrence at all, planWalk when no anchor exists or the best one is
 // too common to beat the walk: the choice follows from candidate counts
 // observed here, so both strategies stay and nothing selects them from
 // outside.
-func (ix *Index) plan(p *Node, base Assignment) (anchorPlan, planKind) {
+func (ix *Index) plan(p *cnode, d *tree.Node, r Row) (anchorPlan, planKind) {
 	best := anchorPlan{count: -1}
-	var path []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
+	if ix == nil || d != ix.root {
+		return best, planWalk
+	}
+	var path []*cnode
+	var walk func(n *cnode)
+	walk = func(n *cnode) {
 		path = append(path, n)
 		if len(path) > 1 {
-			if s, ok := anchorSym(n, base); ok {
+			if s, ok := anchorSym(n, r); ok {
 				c := len(ix.bySym[s])
 				if best.count < 0 || c < best.count {
-					best = anchorPlan{spine: append([]*Node(nil), path...), sym: s, count: c}
+					best = anchorPlan{spine: append([]*cnode(nil), path...), sym: s, count: c}
 				}
 			}
 		}
-		for _, c := range n.Children {
+		for _, c := range n.kids {
 			walk(c)
 		}
 		path = path[:len(path)-1]
@@ -237,146 +228,41 @@ func (ix *Index) plan(p *Node, base Assignment) (anchorPlan, planKind) {
 }
 
 // anchorSym returns the document symbol images of n must carry, when n is
-// selective: a constant, or an atom variable bound in base.
-func anchorSym(n *Node, base Assignment) (tree.Sym, bool) {
-	if n.Kind == VarTree {
+// selective: a constant, or an atom variable bound in r (a row of no
+// slots binds none).
+func anchorSym(n *cnode, r Row) (tree.Sym, bool) {
+	if n.slot < 0 {
+		return n.sym, true
+	}
+	if n.kind == VarTree || n.slot >= len(r.s) || r.s[n.slot] == nil || r.slab.vars.kinds[n.slot] == VarTree {
 		return 0, false
 	}
-	if !n.Kind.IsVar() {
-		return tree.Intern(n.Kind.treeKind(), n.Name), true
+	b := r.s[n.slot]
+	if k := n.kind.treeKind(); b.Kind != k {
+		return tree.Intern(k, b.Name), true
 	}
-	b, ok := base[n.Name]
-	if !ok || b.Tree != nil {
-		return 0, false
-	}
-	return tree.Intern(n.Kind.treeKind(), b.Atom), true
+	return b.Sym(), true
 }
 
-// spineTo resolves the document spine a candidate anchor image forces:
-// the parent chain c, parent(c), ... up to the match root d (the indexed
-// root). k is the anchor depth (≥ 1); the returned slice has length k+1
-// with dspine[0] = d and dspine[k] = c. Resolution fails when the chain
+// spineTo resolves, into buf, the document spine a candidate anchor image
+// forces: the parent chain c, parent(c), ... up to the match root d (the
+// indexed root). k is the anchor depth (≥ 1); the returned slice has length
+// k+1 with dspine[0] = d and dspine[k] = c. Resolution fails when the chain
 // leaves the index (c was pruned by a merge), is too short, or does not
 // end at d.
-func (ix *Index) spineTo(c *tree.Node, k int, d *tree.Node) ([]*tree.Node, bool) {
-	dspine := make([]*tree.Node, k+1)
+func (ix *Index) spineTo(c *tree.Node, k int, d *tree.Node, buf []*tree.Node) ([]*tree.Node, bool) {
+	dspine := append(buf[:0], make([]*tree.Node, k+1)...)
 	dspine[0] = d
 	dspine[k] = c
 	x := c
 	for i := k - 1; i >= 1; i-- {
 		p, ok := ix.parent[x]
 		if !ok {
-			return nil, false
+			return dspine, false
 		}
 		dspine[i] = p
 		x = p
 	}
-	if p, ok := ix.parent[x]; ok && p == d {
-		return dspine, true
-	}
-	return nil, false
-}
-
-// Match is MatchUnder with an empty base.
-func (ix *Index) Match(p *Node, d *tree.Node) []Assignment {
-	return ix.MatchUnder(p, d, nil)
-}
-
-// MatchUnder is MatchUnderSince with no baseline to track against: the
-// assignment set alone.
-func (ix *Index) MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
-	return Assignments(ix.MatchUnderSince(p, d, base, math.MaxUint64))
-}
-
-// MatchUnderSince is the one matching entry point: every assignment
-// extending base under which p embeds into d with the pattern root on d,
-// deduplicated, each carrying New=true iff some embedding witnessing it
-// maps a pattern node onto a document node with Stamp > since (for tree
-// variables, onto a subtree whose MaxStamp exceeds since). No stamp
-// exceeds since = math.MaxUint64, the "no baseline" convention the plain
-// Match functions use: every flag is false and no freshness work is done.
-// The base assignment is not modified.
-//
-// When the match root is the indexed document root and p has a selective
-// anchor, only the anchor's candidate embeddings are verified; otherwise
-// the tree walk runs. The root restriction is deliberate — a match rooted
-// below the document root (a deep context, a synthetic input node) scans
-// a subtree that may be far smaller than the anchor's document-wide
-// candidate list, where the walk already wins. A nil *Index degrades to
-// the walk, so callers thread optional indexes without branching. The
-// plan only changes the work done, never the result.
-func (ix *Index) MatchUnderSince(p *Node, d *tree.Node, base Assignment, since uint64) []Stamped {
-	if p == nil || d == nil {
-		return nil
-	}
-	if base == nil {
-		base = Assignment{}
-	}
-	if ix != nil && d == ix.root {
-		plan, kind := ix.plan(p, base)
-		switch kind {
-		case planReject:
-			ix.hits.Add(1)
-			return nil
-		case planAnchored:
-			ix.hits.Add(1)
-			k := len(plan.spine) - 1
-			var results []Stamped
-			for _, c := range ix.bySym[plan.sym] {
-				dspine, ok := ix.spineTo(c, k, d)
-				if !ok {
-					continue
-				}
-				results = append(results, matchSpine(plan.spine, dspine, 0, Stamped{Asn: base}, since)...)
-			}
-			return DedupStamped(results)
-		}
-	}
-	if ix != nil {
-		ix.misses.Add(1)
-	}
-	return DedupStamped(matchNode(p, d, Stamped{Asn: base}, since))
-}
-
-// matchSpine matches the pattern spine against the forced document spine:
-// pspine[i] must map exactly onto dspine[i] (the anchor's image chain is
-// unique because every pattern edge descends exactly one level), while
-// every off-spine pattern child matches freely — possibly onto the spine
-// child too, exactly as in tree subsumption. Freshness is tracked as in
-// matchNode.
-func matchSpine(pspine []*Node, dspine []*tree.Node, i int, st Stamped, since uint64) []Stamped {
-	p, d := pspine[i], dspine[i]
-	next, ok := bindMarking(p, d, st.Asn)
-	if !ok {
-		return nil
-	}
-	st = Stamped{Asn: next, New: st.New || d.Stamp > since}
-	if i == len(pspine)-1 {
-		// The anchor itself: its pattern children (if any) match freely
-		// below its image.
-		return matchChildren(p.Children, d, []Stamped{st}, since)
-	}
-	// Forced spine child first — it is the selective one — then the
-	// remaining children against all of d's children.
-	sts := matchSpine(pspine, dspine, i+1, st, since)
-	if len(sts) == 0 {
-		return nil
-	}
-	if rest := offSpine(p, pspine[i+1]); len(rest) > 0 {
-		sts = matchChildren(rest, d, sts, since)
-	}
-	return sts
-}
-
-// offSpine returns p's children minus one occurrence (by identity) of the
-// spine child.
-func offSpine(p *Node, spineChild *Node) []*Node {
-	for i, c := range p.Children {
-		if c == spineChild {
-			rest := make([]*Node, 0, len(p.Children)-1)
-			rest = append(rest, p.Children[:i]...)
-			return append(rest, p.Children[i+1:]...)
-		}
-	}
-	return p.Children
+	p, ok := ix.parent[x]
+	return dspine, ok && p == d
 }

@@ -33,6 +33,36 @@ func indexTestDoc(n, m int) *tree.Node {
 	return root
 }
 
+// Stamped is an assignment with the freshness flag MatchRows set on its
+// row.
+type Stamped struct {
+	Asn Assignment
+	New bool
+}
+
+// matchUnderSince is MatchUnder at a baseline, keeping each row's flag.
+func matchUnderSince(ix *Index, p *Node, d *tree.Node, base Assignment, since uint64) []Stamped {
+	var v Vars
+	c := v.Compile(p)
+	r, ok := NewSlab(&v).RowOf(base)
+	if !ok {
+		return nil
+	}
+	var out []Stamped
+	for _, r := range ix.MatchRows(c, d, r, since) {
+		out = append(out, Stamped{Asn: r.Assignment(base), New: r.New})
+	}
+	return out
+}
+
+func assignments(sts []Stamped) []Assignment {
+	var out []Assignment
+	for _, st := range sts {
+		out = append(out, st.Asn)
+	}
+	return out
+}
+
 // sortedKeys canonicalizes a result set for order-insensitive comparison.
 func sortedKeys(as []Assignment) []string {
 	ks := make([]string, len(as))
@@ -112,8 +142,8 @@ func TestIndexedMatchSinceEqualsNaive(t *testing.T) {
 	ix := NewIndex(doc)
 	for name, p := range indexTestPatterns() {
 		for _, since := range []uint64{0, 1, 4, 10} {
-			naive := (*Index)(nil).MatchUnderSince(p, doc, nil, since)
-			indexed := ix.MatchUnderSince(p, doc, nil, since)
+			naive := matchUnderSince(nil, p, doc, nil, since)
+			indexed := matchUnderSince(ix, p, doc, nil, since)
 			nk, ik := sortedStampedKeys(naive), sortedStampedKeys(indexed)
 			if len(nk) != len(ik) {
 				t.Fatalf("%s since=%d: naive %d results, indexed %d", name, since, len(nk), len(ik))
@@ -225,17 +255,17 @@ func TestIndexSelectivity(t *testing.T) {
 	ix := NewIndex(doc)
 	needle := Label("item", Label("sku", Value("needle")))
 	broad := Label("item", Label("sku", VVar("s")))
-	if s := ix.Selectivity(needle); s != 1 {
+	if s := ix.Selectivity(new(Vars).Compile(needle)); s != 1 {
 		t.Fatalf("needle selectivity = %d, want 1", s)
 	}
-	if ns, bs := ix.Selectivity(needle), ix.Selectivity(broad); ns >= bs {
+	if ns, bs := ix.Selectivity(new(Vars).Compile(needle)), ix.Selectivity(new(Vars).Compile(broad)); ns >= bs {
 		t.Fatalf("needle (%d) should be more selective than broad (%d)", ns, bs)
 	}
-	if s := ix.Selectivity(LVar("x")); s != math.MaxInt {
+	if s := ix.Selectivity(new(Vars).Compile(LVar("x"))); s != math.MaxInt {
 		t.Fatalf("variable-only selectivity = %d, want MaxInt", s)
 	}
 	var nilIx *Index
-	if s := nilIx.Selectivity(needle); s != math.MaxInt {
+	if s := nilIx.Selectivity(new(Vars).Compile(needle)); s != math.MaxInt {
 		t.Fatalf("nil index selectivity = %d, want MaxInt", s)
 	}
 }
@@ -248,7 +278,7 @@ func TestIndexSelectivitySkipsRoot(t *testing.T) {
 	for i := 0; i < 190; i++ {
 		r.Add(tree.NewLabel("t", tree.NewLabel("a", tree.NewValue(fmt.Sprint(i)))))
 	}
-	if s := NewIndex(r).Selectivity(Label("r", Label("t", Label("a", VVar("x"))))); s != 190 {
+	if s := NewIndex(r).Selectivity(new(Vars).Compile(Label("r", Label("t", Label("a", VVar("x")))))); s != 190 {
 		t.Fatalf("r{t{a{$x}}} selectivity = %d, want 190", s)
 	}
 }
@@ -332,11 +362,11 @@ func TestIndexedMatchRandomized(t *testing.T) {
 			want := Match(p, doc)
 			for _, since := range []uint64{0, maxStamp / 2, maxStamp, math.MaxUint64} {
 				for plan, sts := range map[string][]Stamped{
-					"walk":    (*Index)(nil).MatchUnderSince(p, doc, nil, since),
-					"indexed": ix.MatchUnderSince(p, doc, nil, since),
+					"walk":    matchUnderSince(nil, p, doc, nil, since),
+					"indexed": matchUnderSince(ix, p, doc, nil, since),
 				} {
 					what := fmt.Sprintf("trial %d pattern %d since %d %s: %s", trial, pi, since, plan, p)
-					assertSameAssignments(t, want, Assignments(sts), what)
+					assertSameAssignments(t, want, assignments(sts), what)
 					for _, st := range sts {
 						if st.New && since >= maxStamp {
 							t.Fatalf("%s: %s flagged new above every stamp", what, st.Asn.Key())
@@ -347,8 +377,8 @@ func TestIndexedMatchRandomized(t *testing.T) {
 			assertSameAssignments(t, Match(p, doc), ix.Match(p, doc),
 				fmt.Sprintf("trial %d pattern %d: %s", trial, pi, p))
 			since := uint64(rng.Intn(3))
-			nk := sortedStampedKeys((*Index)(nil).MatchUnderSince(p, doc, nil, since))
-			ik := sortedStampedKeys(ix.MatchUnderSince(p, doc, nil, since))
+			nk := sortedStampedKeys(matchUnderSince(nil, p, doc, nil, since))
+			ik := sortedStampedKeys(matchUnderSince(ix, p, doc, nil, since))
 			if len(nk) != len(ik) {
 				t.Fatalf("trial %d pattern %d since %d: naive %d, indexed %d (%s)",
 					trial, pi, since, len(nk), len(ik), p)

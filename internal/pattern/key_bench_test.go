@@ -12,7 +12,8 @@ import (
 // legacyKey reimplements the pre-optimization Assignment.Key — sort.Strings
 // over a fresh slice, string concatenation, and tree bindings serialized
 // through CanonicalString — as the baseline BenchmarkAssignmentKey measures
-// the current digest-based implementation against.
+// the row key the matcher and the join use against, and as refMatch's
+// key, which shares no code with either.
 func legacyKey(a Assignment) string {
 	names := make([]string, 0, len(a))
 	for n := range a {
@@ -49,17 +50,30 @@ func benchAssignment(treeNodes int) Assignment {
 	}
 }
 
+// BenchmarkAssignmentKey keys the same bindings as a row — slots encoded
+// into a reused buffer, tree bindings by digest, no names — and through
+// legacyKey.
 func BenchmarkAssignmentKey(b *testing.B) {
 	for _, nodes := range []int{4, 64} {
 		a := benchAssignment(nodes)
-		// Warm the digest memo: steady-state dedup rekeys assignments
-		// whose subtrees were already hashed during matching.
-		_ = a.Key()
+		var v Vars
+		for name, bd := range a {
+			kind := VarValue
+			if bd.Tree != nil {
+				kind = VarTree
+			}
+			v.Number(name, kind)
+		}
+		r, _ := NewSlab(&v).RowOf(a)
+		all := []int{0, 1, 2, 3}
+		// Warm the digest memo: steady-state dedup rekeys rows whose
+		// subtrees were already hashed during matching.
+		key := r.AppendKey(nil, all)
 
-		b.Run(fmt.Sprintf("digest/tree-%d", nodes), func(b *testing.B) {
+		b.Run(fmt.Sprintf("row/tree-%d", nodes), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = a.Key()
+				key = r.AppendKey(key[:0], all)
 			}
 		})
 		b.Run(fmt.Sprintf("legacy/tree-%d", nodes), func(b *testing.B) {

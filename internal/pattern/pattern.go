@@ -15,14 +15,18 @@
 // document child. Different pattern children may map to the same document
 // child, exactly as in tree subsumption.
 //
-// There is one matcher: (*Index).MatchUnderSince. Its recursion threads a
-// freshness flag per assignment (Stamped) against a baseline version;
-// matching with no baseline — Match, MatchUnder — is that recursion at
-// since = math.MaxUint64, which no stamp exceeds. Its plan (reject /
-// anchored / walk, see index.go) only chooses how much of the document is
-// visited. Matchers over other structures (pathexpr's NFA paths, regular's
-// vertex graphs) share the marking test (Compatible, BindAtom) and the
-// dedups (Dedup, DedupStamped) instead of carrying copies.
+// There is one matcher: (*Index).MatchRows. It runs a pattern compiled
+// against a plan's numbered variables (Vars.Compile) over rows — one bound
+// document node per variable slot, drawn from a per-evaluation Slab — and
+// threads a freshness flag per row against a baseline version; matching
+// with no baseline is that recursion at since = math.MaxUint64, which no
+// stamp exceeds. Its plan (reject / anchored / walk, see index.go) only
+// chooses how much of the document is visited. The name-keyed Assignment
+// is the boundary: Match, MatchUnder, MatchUnderSince and Instantiate
+// convert to rows on the way in and back on the way out. Matchers over
+// other structures (pathexpr's NFA paths, regular's vertex graphs) keep
+// assignments and share the marking test (Compatible, BindAtom) and the
+// dedup (Dedup) instead of carrying copies.
 package pattern
 
 import (
@@ -202,24 +206,27 @@ func (p *Node) Validate() error {
 }
 
 // Vars collects the variables of the pattern into dst, recording each
-// variable's kind. It returns an error if the same variable name is used
-// with two different kinds.
+// variable's kind (the first one met). It returns an error if the same
+// variable name is used with two different kinds, after collecting every
+// name.
 func (p *Node) Vars(dst map[string]Kind) error {
 	if p == nil {
 		return nil
 	}
+	var err error
 	if p.Kind.IsVar() {
-		if prev, ok := dst[p.Name]; ok && prev != p.Kind {
-			return fmt.Errorf("pattern: variable %q used both as %s and %s", p.Name, prev, p.Kind)
+		if prev, ok := dst[p.Name]; !ok {
+			dst[p.Name] = p.Kind
+		} else if prev != p.Kind {
+			err = fmt.Errorf("pattern: variable %q used both as %s and %s", p.Name, prev, p.Kind)
 		}
-		dst[p.Name] = p.Kind
 	}
 	for _, c := range p.Children {
-		if err := c.Vars(dst); err != nil {
-			return err
+		if e := c.Vars(dst); err == nil {
+			err = e
 		}
 	}
-	return nil
+	return err
 }
 
 // CountTreeVars returns how many tree-variable occurrences the pattern has.
@@ -296,30 +303,6 @@ type Binding struct {
 	Atom string
 }
 
-// appendKey writes the binding's identity into sb. Tree bindings are
-// keyed by their memoized structural digest — 32 opaque bytes instead of
-// a canonical string that re-serializes the subtree on every dedup probe.
-// Equal digests mean isomorphic subtrees (see tree.Hash), which is
-// exactly the equality Key deduplicates by.
-func (b Binding) appendKey(sb *strings.Builder) {
-	if b.Tree != nil {
-		h := b.Tree.Digest()
-		sb.WriteString("t:")
-		sb.Write(h[:])
-		return
-	}
-	sb.WriteString("a:")
-	sb.WriteString(b.Atom)
-}
-
-// keyLen returns the exact length appendKey will write.
-func (b Binding) keyLen() int {
-	if b.Tree != nil {
-		return 2 + len(tree.Hash{})
-	}
-	return 2 + len(b.Atom)
-}
-
 // Assignment maps variable names to bindings (the paper's µ, restricted to
 // the variables).
 type Assignment map[string]Binding
@@ -334,34 +317,25 @@ func (a Assignment) Copy() Assignment {
 }
 
 // Key returns a canonical string identifying the assignment, used to
-// deduplicate matches and to memoize instantiations. The key is opaque:
-// tree bindings enter it as structural digests, not as canonical strings
-// (see Binding.appendKey), and the buffer is sized exactly once — Key
-// sits on the dedup hot path, where every match probes the seen-map.
+// deduplicate matches and to memoize instantiations: the sorted names,
+// length-prefixed, then AppendKey over them. The key is opaque: tree
+// bindings enter it as structural digests.
 func (a Assignment) Key() string {
 	names := make([]string, 0, len(a))
-	size := 0
-	for n, b := range a {
+	for n := range a {
 		names = append(names, n)
-		size += len(n) + b.keyLen() + 2
 	}
 	slices.Sort(names)
-	var sb strings.Builder
-	sb.Grow(size)
-	for i, n := range names {
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		sb.WriteString(n)
-		sb.WriteByte('=')
-		a[n].appendKey(&sb)
+	var buf []byte
+	for _, n := range names {
+		buf = append(binary.AppendUvarint(buf, uint64(len(n))), n...)
 	}
-	return sb.String()
+	return string(a.AppendKey(buf, names))
 }
 
 // AppendKey appends to buf an injective encoding of a's bindings of vars,
 // in the order given (an unbound variable encodes as unbound): a join key.
-// Tree bindings enter as their digests, as in Key.
+// Tree bindings enter as their digests.
 func (a Assignment) AppendKey(buf []byte, vars []string) []byte {
 	for _, v := range vars {
 		switch b, ok := a[v]; {
@@ -407,36 +381,64 @@ func MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
 	return (*Index)(nil).MatchUnder(p, d, base)
 }
 
-// Stamped is an assignment annotated with whether any witnessing
-// embedding touches a node stamped after the caller's baseline version.
-// Semi-naive evaluation keeps only the New assignments: an assignment
-// whose every witness lies entirely in the old part of the document was
-// already derivable at the baseline (appends only add fresh-stamped
-// nodes and reduction pruning is permanent).
-type Stamped struct {
-	Asn Assignment
-	New bool
+// Match is MatchUnder with an empty base.
+func (ix *Index) Match(p *Node, d *tree.Node) []Assignment {
+	return ix.MatchUnder(p, d, nil)
 }
 
-// AppendKey is Assignment.AppendKey on the assignment.
-func (s Stamped) AppendKey(buf []byte, vars []string) []byte { return s.Asn.AppendKey(buf, vars) }
-
-// Extend joins the assignments (Assignment.Extend); the join is new iff
-// either side is.
-func (s Stamped) Extend(ext Stamped) Stamped {
-	return Stamped{Asn: s.Asn.Extend(ext.Asn), New: s.New || ext.New}
-}
-
-// Assignments projects the flags away, keeping order; nil for no match.
-func Assignments(sts []Stamped) []Assignment {
-	if len(sts) == 0 {
+// MatchUnder is MatchRows over assignments, with no baseline: p compiled
+// on its own, base converted to a row on the way in (a binding of the
+// wrong kind for its variable matches nothing) and every result row back
+// to an assignment extending base on the way out.
+func (ix *Index) MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
+	var v Vars
+	c := v.Compile(p)
+	r, ok := NewSlab(&v).RowOf(base)
+	if !ok {
 		return nil
 	}
-	out := make([]Assignment, len(sts))
-	for i, st := range sts {
-		out[i] = st.Asn
+	var out []Assignment
+	for _, r := range ix.MatchRows(c, d, r, math.MaxUint64) {
+		out = append(out, r.Assignment(base))
 	}
 	return out
+}
+
+// RowOf converts an assignment to a row over the slab's slots: an atom
+// binding becomes a node carrying its marking, a tree binding its tree;
+// names the plan does not number are dropped. ok is false when a binding
+// has the wrong kind for its slot, which is left unbound.
+func (s *Slab) RowOf(a Assignment) (r Row, ok bool) {
+	r, ok = s.Row(), true
+	for i, name := range s.vars.names {
+		b, bound := a[name]
+		switch k := s.vars.kinds[i]; {
+		case !bound:
+		case (k == VarTree) != (b.Tree != nil):
+			ok = false
+		case b.Tree != nil:
+			r.s[i] = b.Tree
+		default:
+			r.s[i] = &tree.Node{Kind: k.treeKind(), Name: b.Atom}
+		}
+	}
+	return r, ok
+}
+
+// Assignment converts the row to an assignment: base's bindings and the
+// row's bound slots.
+func (r Row) Assignment(base Assignment) Assignment {
+	a := base.Copy()
+	for i, n := range r.s {
+		switch {
+		case n == nil:
+		case r.slab.vars.kinds[i] == VarTree:
+			a[r.slab.vars.names[i]] = Binding{Tree: n}
+		default:
+			a[r.slab.vars.names[i]] = Binding{Atom: n.Name}
+		}
+	}
+	return a
 }
 
 // Dedup drops assignments whose Key already occurred, in place.
@@ -454,66 +456,6 @@ func Dedup(as []Assignment) []Assignment {
 		}
 	}
 	return out
-}
-
-// DedupStamped deduplicates by assignment key in place, OR-ing the New
-// flags: an assignment is new iff at least one of its witnessing
-// embeddings is.
-func DedupStamped(as []Stamped) []Stamped {
-	if len(as) < 2 {
-		return as
-	}
-	idx := make(map[string]int, len(as))
-	out := as[:0]
-	for _, a := range as {
-		k := a.Asn.Key()
-		if i, ok := idx[k]; ok {
-			if a.New {
-				out[i].New = true
-			}
-			continue
-		}
-		idx[k] = len(out)
-		out = append(out, a)
-	}
-	return out
-}
-
-// matchNode returns all extensions of st under which p maps onto d, each
-// flagged New when st was or the embedding touches a node stamped after
-// since. It is the only recursion over document trees: matching without a
-// baseline passes since = math.MaxUint64, which no stamp exceeds.
-func matchNode(p *Node, d *tree.Node, st Stamped, since uint64) []Stamped {
-	next, ok := bindMarking(p, d, st.Asn)
-	if !ok {
-		return nil
-	}
-	if p.Kind == VarTree {
-		// The bound value is the whole subtree: it is fresh if any of its
-		// nodes arrived after the baseline — a walk worth skipping when
-		// nothing can be.
-		fresh := st.New || (since != math.MaxUint64 && d.MaxStamp() > since)
-		return []Stamped{{Asn: next, New: fresh}}
-	}
-	return matchChildren(p.Children, d, []Stamped{{Asn: next, New: st.New || d.Stamp > since}}, since)
-}
-
-// matchChildren requires every pattern child to map into some child of d,
-// threading assignments through.
-func matchChildren(pcs []*Node, d *tree.Node, sts []Stamped, since uint64) []Stamped {
-	for _, pc := range pcs {
-		var extended []Stamped
-		for _, st := range sts {
-			for _, dc := range d.Children {
-				extended = append(extended, matchNode(pc, dc, st, since)...)
-			}
-		}
-		if len(extended) == 0 {
-			return nil
-		}
-		sts = DedupStamped(extended)
-	}
-	return sts
 }
 
 // Compatible reports whether pattern node p can be placed on a node marked
@@ -547,47 +489,49 @@ func BindAtom(p *Node, kind tree.Kind, name string, asn Assignment) (Assignment,
 	return next, true
 }
 
-// bindMarking is BindAtom on a document node, plus the tree-variable case.
-func bindMarking(p *Node, d *tree.Node, asn Assignment) (Assignment, bool) {
-	if p.Kind != VarTree {
-		return BindAtom(p, d.Kind, d.Name, asn)
-	}
-	if prev, ok := asn[p.Name]; ok {
-		return asn, prev.Tree != nil && tree.Isomorphic(prev.Tree, d)
-	}
-	next := asn.Copy()
-	next[p.Name] = Binding{Tree: d}
-	return next, true
+// Instantiate applies the assignment to a head pattern, producing the tree
+// µ(r): Compiled.Instantiate on the assignment's row. Every variable of
+// the head must be bound; tree-variable bindings are deep-copied into the
+// result.
+func Instantiate(head *Node, asn Assignment) (*tree.Node, error) {
+	var v Vars
+	c := v.Compile(head)
+	r, _ := NewSlab(&v).RowOf(asn)
+	return c.Instantiate(r)
 }
 
-// Instantiate applies the assignment to a head pattern, producing the tree
-// µ(r). Every variable of the head must be bound; tree-variable bindings
-// are deep-copied into the result.
-func Instantiate(head *Node, asn Assignment) (*tree.Node, error) {
-	if head == nil {
+// Instantiate applies the row to the compiled head, producing the tree
+// µ(r). Every variable of the head must be bound, with its own kind;
+// tree-variable bindings are deep-copied into the result.
+func (c *Compiled) Instantiate(r Row) (*tree.Node, error) {
+	if c.root == nil {
 		return nil, fmt.Errorf("pattern: nil head")
 	}
-	name := head.Name
-	switch head.Kind {
+	return instantiate(c.root, r)
+}
+
+func instantiate(h *cnode, r Row) (*tree.Node, error) {
+	name := h.name
+	switch h.kind {
 	case ConstLabel, ConstValue, ConstFunc: // the marking is the head's own
 	case VarTree:
-		b, ok := asn[head.Name]
-		if !ok || b.Tree == nil {
-			return nil, fmt.Errorf("pattern: tree variable #%s unbound in head", head.Name)
+		b := r.s[h.slot]
+		if b == nil || r.slab.vars.kinds[h.slot] != VarTree {
+			return nil, fmt.Errorf("pattern: tree variable #%s unbound in head", h.name)
 		}
-		return b.Tree.Copy(), nil
+		return b.Copy(), nil
 	case VarLabel, VarValue, VarFunc:
-		b, ok := asn[head.Name]
-		if !ok || b.Tree != nil {
-			return nil, fmt.Errorf("pattern: variable %c%s unbound in head", head.Kind.Sigil(), head.Name)
+		b := r.s[h.slot]
+		if b == nil || r.slab.vars.kinds[h.slot] == VarTree {
+			return nil, fmt.Errorf("pattern: variable %c%s unbound in head", h.kind.Sigil(), h.name)
 		}
-		name = b.Atom
+		name = b.Name
 	default:
-		return nil, fmt.Errorf("pattern: cannot instantiate node of kind %s", head.Kind)
+		return nil, fmt.Errorf("pattern: cannot instantiate node of kind %s", h.kind)
 	}
-	n := &tree.Node{Kind: head.Kind.treeKind(), Name: name}
-	for _, c := range head.Children {
-		cn, err := Instantiate(c, asn)
+	n := &tree.Node{Kind: h.kind.treeKind(), Name: name}
+	for _, c := range h.kids {
+		cn, err := instantiate(c, r)
 		if err != nil {
 			return nil, err
 		}

@@ -258,45 +258,55 @@ func Snapshot(q *Query, docs Docs) (tree.Forest, error) {
 // were already produced at the baseline, so skipping them loses nothing.
 // ixs only accelerates (see Indexes); nil walks every document.
 func SnapshotSince(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (tree.Forest, error) {
-	sts, err := bodyAssignments(q, docs, since, ixs)
-	if err != nil {
+	pl, rows, err := bodyRows(q, docs, since, ixs)
+	if err != nil || len(rows) == 0 {
 		return nil, err
 	}
-	asns := make([]pattern.Assignment, 0, len(sts))
-	for _, st := range sts {
-		if st.New {
-			asns = append(asns, st.Asn)
+	fresh := rows[:0]
+	for _, r := range rows {
+		if r.New {
+			fresh = append(fresh, r)
 		}
 	}
-	return Answers(q.Name, q.Head, asns)
+	return pl.answers(q.Name, fresh)
 }
 
 // BodyAssignments computes every assignment satisfying the body and the
 // inequalities, restricted to the variables, deduplicated.
 func BodyAssignments(q *Query, docs Docs) ([]pattern.Assignment, error) {
-	sts, err := bodyAssignments(q, docs, nil, nil)
-	return pattern.Assignments(sts), err
+	_, rows, err := bodyRows(q, docs, nil, nil)
+	var out []pattern.Assignment
+	for _, r := range rows {
+		out = append(out, r.Assignment(nil))
+	}
+	return out, err
 }
 
-// Partial is a partial result of Fold: AppendKey encodes bindings
-// injectively, Extend joins it with a step result for an agreeing base.
-type Partial[A any] interface {
-	AppendKey(buf []byte, vars []string) []byte
+// Partial is a partial result of Fold keyed by K: AppendKey encodes the
+// bindings a key names injectively, Extend joins it with a step result for
+// an agreeing base. Rows are keyed by slot lists, the name-keyed
+// assignments pathexpr and regular fold by name lists.
+type Partial[A, K any] interface {
+	AppendKey(buf []byte, key K) []byte
 	Extend(ext A) A
 }
 
-// Fold is the left-to-right join of an n-atom body: from seed, step(i, k,
-// base) extends each partial result by atom i, Fold joins the results with
-// their base (Extend), and an atom extending nothing ends the fold. A step
-// depends on its base only through atom i's variables (vars collects
-// them), so when several partial results reach atom i it runs once per
-// distinct binding of those, its join key (k keys ran before), and shares
-// the results. Steps return distinct results, and so does the fold. Every
-// evaluator of positive bodies (here, pathexpr, regular) is this fold.
-func Fold[A Partial[A]](n int, seed A, vars func(i int, dst map[string]pattern.Kind) error, step func(i, k int, base A) []A) []A {
+// Fold is the left-to-right join of a body of len(keys) atoms: from seed,
+// step(i, k, base) extends each partial result by atom i, Fold joins the
+// results with their base (Extend), and an atom extending nothing ends the
+// fold. A step depends on its base only through atom i's variables bound
+// before it, which keys[i] names, so when several partial results reach
+// atom i it runs once per distinct binding of those, its join key (k keys
+// ran before), and shares the results. Steps return distinct results, and
+// so does the fold. Every evaluator of positive bodies (here, pathexpr,
+// regular) is this fold.
+func Fold[A Partial[A, K], K any](seed A, keys []K, step func(i, k int, base A) []A) []A {
 	cur := []A{seed}
 	var key []byte
-	for i := 0; i < n && len(cur) > 0; i++ {
+	var seen pattern.KeySet
+	var memo [][]A
+	var ks []int // per partial result, its key's number
+	for i := 0; i < len(keys) && len(cur) > 0; i++ {
 		if len(cur) == 1 { // no key, no memo
 			base := cur[0]
 			cur = step(i, 0, base)
@@ -305,25 +315,20 @@ func Fold[A Partial[A]](n int, seed A, vars func(i int, dst map[string]pattern.K
 			}
 			continue
 		}
-		own, memo := map[string]pattern.Kind{}, map[string][]A{}
-		if vars(i, own) != nil {
-			memo = nil // an invalid atom: no key to trust, probe every base
-		}
-		names := make([]string, 0, len(own))
-		for v := range own {
-			names = append(names, v)
-		}
-		var next []A
+		seen.Reset()
+		memo, ks = memo[:0], ks[:0]
+		n := 0
 		for _, base := range cur {
-			key = base.AppendKey(key[:0], names)
-			exts, ok := memo[string(key)]
-			if !ok {
-				exts = step(i, len(memo), base)
-				if memo != nil {
-					memo[string(key)] = exts
-				}
+			key = base.AppendKey(key[:0], keys[i])
+			k, added := seen.Add(key)
+			if added {
+				memo = append(memo, step(i, k, base))
 			}
-			for _, ext := range exts {
+			ks, n = append(ks, k), n+len(memo[k])
+		}
+		next := make([]A, 0, n)
+		for j, base := range cur {
+			for _, ext := range memo[ks[j]] {
 				next = append(next, base.Extend(ext))
 			}
 		}
@@ -332,24 +337,98 @@ func Fold[A Partial[A]](n int, seed A, vars func(i int, dst map[string]pattern.K
 	return cur
 }
 
+// NameKeys is Fold's keys for partial results keyed by name: every
+// variable name of each of n atoms, which vars collects.
+func NameKeys(n int, vars func(i int, dst map[string]pattern.Kind) error) [][]string {
+	keys := make([][]string, n)
+	for i := range keys {
+		own := map[string]pattern.Kind{}
+		_ = vars(i, own) // a kind conflict still collects every name
+		for v := range own {
+			keys[i] = append(keys[i], v)
+		}
+	}
+	return keys
+}
+
 // IneqsHold reports whether asn satisfies every inequality. A variable
 // that is unbound or bound to a tree is an error, not a mismatch:
 // Validate rules both out, so meeting one means an unvalidated query.
 func IneqsHold(ineqs []Ineq, asn pattern.Assignment) (bool, error) {
+	pl := &plan{ineqs: ineqs}
+	return pl.ineqsHold(pl.rowsOf(asn)[0])
+}
+
+// Answers instantiates head under every assignment and reduces the
+// forest: the last step of every snapshot evaluation, instantiating once
+// per distinct projection onto the head's variables. name labels errors.
+func Answers(name string, head *pattern.Node, asns []pattern.Assignment) (tree.Forest, error) {
+	pl := &plan{}
+	pl.head = pl.vars.Compile(head)
+	return pl.answers(name, pl.rowsOf(asns...))
+}
+
+// plan is a query compiled for one evaluation: its variables numbered
+// once (slot i of every row is variable i), each atom's pattern compiled
+// against them in join order, and per joined atom its join key — the
+// slots it shares with the atoms joined before it.
+type plan struct {
+	vars  pattern.Vars
+	atoms []Atom
+	pats  []*pattern.Compiled
+	keys  [][]int
+	head  *pattern.Compiled
+	ineqs []Ineq
+}
+
+func newPlan(q *Query, docs Docs, ixs Indexes) *plan {
+	pl := &plan{}
+	pats := make([]*pattern.Compiled, len(q.Body))
+	for i, a := range q.Body {
+		pats[i] = pl.vars.Compile(a.Pattern)
+	}
+	pl.head, pl.ineqs = pl.vars.Compile(q.Head), q.Ineqs
+	pl.order(q, pats, docs, ixs)
+	return pl
+}
+
+// rowsOf is the boundary for name-keyed assignments (IneqsHold and
+// Answers on pathexpr's and regular's folds): it numbers the names the
+// first one binds, with their bindings' kinds, and converts each to a row.
+func (pl *plan) rowsOf(asns ...pattern.Assignment) []pattern.Row {
+	for _, a := range asns[:min(len(asns), 1)] {
+		for name, b := range a {
+			kind := pattern.VarValue
+			if b.Tree != nil {
+				kind = pattern.VarTree
+			}
+			pl.vars.Number(name, kind)
+		}
+	}
+	slab := pattern.NewSlab(&pl.vars)
+	rows := make([]pattern.Row, len(asns))
+	for i, a := range asns {
+		rows[i], _ = slab.RowOf(a)
+	}
+	return rows
+}
+
+// ineqsHold is IneqsHold on a row.
+func (pl *plan) ineqsHold(r pattern.Row) (bool, error) {
 	val := func(t Term) (string, error) {
 		if t.Var == "" {
 			return t.Const, nil
 		}
-		b, ok := asn[t.Var]
-		if !ok {
+		switch i := pl.vars.Slot(t.Var); {
+		case i < 0 || r.Bound(i) == nil:
 			return "", fmt.Errorf("inequality variable %s unbound", t.Var)
-		}
-		if b.Tree != nil {
+		case pl.vars.Kind(i) == pattern.VarTree:
 			return "", fmt.Errorf("inequality variable %s bound to a tree", t.Var)
+		default:
+			return r.Bound(i).Name, nil
 		}
-		return b.Atom, nil
 	}
-	for _, e := range ineqs {
+	for _, e := range pl.ineqs {
 		l, err := val(e.Left)
 		if err != nil {
 			return false, err
@@ -365,66 +444,67 @@ func IneqsHold(ineqs []Ineq, asn pattern.Assignment) (bool, error) {
 	return true, nil
 }
 
-// Answers instantiates head under every assignment and reduces the
-// forest: the last step of every snapshot evaluation, instantiating once
-// per distinct projection onto the head's variables (asns is compacted in
-// place). name labels errors.
-func Answers(name string, head *pattern.Node, asns []pattern.Assignment) (tree.Forest, error) {
+// answers is Answers on rows. The instantiations are fresh trees, so they are reduced in place, as the
+// children of a root that is then dropped.
+func (pl *plan) answers(name string, rows []pattern.Row) (tree.Forest, error) {
 	var out tree.Forest
-	for _, asn := range distinctHeads(head, asns) {
-		t, err := pattern.Instantiate(head, asn)
+	for _, r := range pl.distinctHeads(rows) {
+		t, err := pl.head.Instantiate(r)
 		if err != nil {
 			return nil, fmt.Errorf("query %s: %w", name, err)
 		}
 		out = append(out, t)
 	}
-	return subsume.ReduceForest(out), nil
+	return subsume.ReduceInPlace(&tree.Node{Children: out}).Children, nil
 }
 
-// distinctHeads keeps the first assignment of each distinct projection
-// onto head's variables, in place; when the head keeps every variable the
-// assignments are distinct already.
-func distinctHeads(head *pattern.Node, asns []pattern.Assignment) []pattern.Assignment {
-	hv := map[string]pattern.Kind{}
-	if len(asns) < 2 || head.Vars(hv) != nil || len(hv) >= len(asns[0]) {
-		return asns
+// distinctHeads keeps the first row of each distinct projection onto the
+// head's slots, in place; when the head keeps every slot the rows are
+// distinct already.
+func (pl *plan) distinctHeads(rows []pattern.Row) []pattern.Row {
+	hs := pl.head.Slots()
+	if len(rows) < 2 || len(hs) == pl.vars.Len() {
+		return rows
 	}
-	vars := make([]string, 0, len(hv))
-	for v := range hv {
-		vars = append(vars, v)
-	}
-	seen, out := map[string]bool{}, asns[:0]
+	var seen pattern.KeySet
 	var key []byte
-	for _, asn := range asns {
-		if key = asn.AppendKey(key[:0], vars); !seen[string(key)] {
-			seen[string(key)] = true
-			out = append(out, asn)
+	out := rows[:0]
+	for _, r := range rows {
+		key = r.AppendKey(key[:0], hs)
+		if _, added := seen.Add(key); added {
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// bodyAssignments computes the assignments satisfying the body and the
-// inequalities, each flagged New when some witnessing embedding maps a
-// pattern node onto a document node appended after that atom's baseline
-// in since. An atom whose document has no baseline makes all its matches
-// new; with a nil since that is every atom (and the empty body), so every
-// assignment comes back New. Atoms are joined in greedy selectivity order
-// (see orderAtoms), each through its document's index when ixs has one.
-func bodyAssignments(q *Query, docs Docs, since map[string]uint64, ixs Indexes) ([]pattern.Stamped, error) {
-	atoms := orderAtoms(q, docs, ixs)
+// bodyRows computes the rows satisfying the body and the inequalities,
+// each flagged New when some witnessing embedding maps a pattern node onto
+// a document node appended after that atom's baseline in since. An atom
+// whose document has no baseline makes all its matches new; with a nil
+// since that is every atom (and the empty body), so every row comes back
+// New. An atom over a missing document matches nothing, so the body is
+// empty before any atom is joined (the plan is then nil). Atoms are
+// joined in greedy selectivity order (see plan.order), each through its
+// document's index when ixs has one.
+func bodyRows(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (*plan, []pattern.Row, error) {
+	for _, a := range q.Body {
+		if docs[a.Doc] == nil {
+			return nil, nil, nil
+		}
+	}
+	pl := newPlan(q, docs, ixs)
 	var built *pattern.Index // over a tree no index in ixs covers
-	seed := pattern.Stamped{Asn: pattern.Assignment{}, New: since == nil}
-	sts := Fold(len(atoms), seed, func(i int, dst map[string]pattern.Kind) error {
-		return atoms[i].Pattern.Vars(dst)
-	}, func(i, k int, st pattern.Stamped) []pattern.Stamped {
-		a, d := atoms[i], docs[atoms[i].Doc]
-		base, known := since[a.Doc]
+	seed := pattern.NewSlab(&pl.vars).Row()
+	seed.New = since == nil
+	rows := Fold(seed, pl.keys, func(i, k int, base pattern.Row) []pattern.Row {
+		a, d := pl.atoms[i], docs[pl.atoms[i].Doc]
+		sinceV, known := since[a.Doc]
 		if !known {
-			base = math.MaxUint64 // nothing to track: all new below
+			sinceV = math.MaxUint64 // nothing to track: all new below
 		}
 		ix := ixs[a.Doc]
-		if d != nil && ix.Root() != d {
+		if ix.Root() != d {
 			// From its second join key on, an atom walking a tree no index
 			// covers indexes it — unless a walk of so few children is
 			// cheaper (E3's chains break even at 7 tuples).
@@ -435,66 +515,60 @@ func bodyAssignments(q *Query, docs Docs, since map[string]uint64, ixs Indexes) 
 				ix = built
 			}
 		}
-		ms := ix.MatchUnderSince(a.Pattern, d, st.Asn, base)
+		ms := ix.MatchRows(pl.pats[i], d, base, sinceV)
 		for j := range ms {
 			ms[j].New = ms[j].New || !known
 		}
 		return ms
 	})
-	out := sts[:0]
-	for _, st := range sts {
-		ok, err := IneqsHold(q.Ineqs, st.Asn)
+	out := rows[:0]
+	for _, r := range rows {
+		ok, err := pl.ineqsHold(r)
 		if err != nil {
-			return nil, fmt.Errorf("query %s: %w", q.Name, err)
+			return nil, nil, fmt.Errorf("query %s: %w", q.Name, err)
 		}
 		if ok {
-			out = append(out, st)
+			out = append(out, r)
 		}
 	}
-	return out, nil
+	return pl, out, nil
 }
 
-// orderAtoms returns the body atoms in greedy join order: repeatedly pick
-// the not-yet-joined atom binding the most variables already bound by the
-// chosen prefix, breaking ties by index selectivity (the length of the
-// rarest constant's candidate list) and then by original position. An
-// atom over a tree no index covers (a call's context, a served envelope)
-// ranks by its root's child count instead: an O(1) bound it can observe
-// without a walk, where an uncovered atom used to rank last. Bound
-// variables act as constants inside MatchUnder, so joining them early
-// shrinks the intermediate assignment sets; conjunction is commutative
-// and results are deduplicated, so any order yields the same set. Greedy
-// one-step lookahead is the janus-datalog observation: with exact
-// candidate counts for free, the greedy order is within noise of optimal
-// and costs nothing to compute.
-func orderAtoms(q *Query, docs Docs, ixs Indexes) []Atom {
+// order joins the body atoms in greedy order, recording each one's join
+// key: repeatedly pick the not-yet-joined atom binding the most slots
+// already bound by the chosen prefix, breaking ties by index selectivity
+// (the length of the rarest constant's candidate list) and then by
+// original position. An atom over a tree no index covers (a call's
+// context, a served envelope) ranks by its root's child count instead: an
+// O(1) bound it can observe without a walk, where an uncovered atom used
+// to rank last. Bound variables act as constants inside the match, so
+// joining them early shrinks the intermediate row sets; conjunction is
+// commutative and results are deduplicated, so any order yields the same
+// set. Greedy one-step lookahead is the janus-datalog observation: with
+// exact candidate counts for free, the greedy order is within noise of
+// optimal and costs nothing to compute.
+func (pl *plan) order(q *Query, pats []*pattern.Compiled, docs Docs, ixs Indexes) {
 	n := len(q.Body)
-	if n <= 1 {
-		return q.Body
-	}
-	vars := make([]map[string]pattern.Kind, n)
 	sel := make([]int, n)
 	for i, a := range q.Body {
-		vars[i] = map[string]pattern.Kind{}
-		_ = a.Pattern.Vars(vars[i]) // best effort; invalid patterns fail later
-		if d, ix := docs[a.Doc], ixs[a.Doc]; d != nil && ix.Root() != d {
+		if d, ix := docs[a.Doc], ixs[a.Doc]; n == 1 {
+			break
+		} else if d != nil && ix.Root() != d {
 			sel[i] = len(d.Children)
 		} else {
-			sel[i] = ix.Selectivity(a.Pattern)
+			sel[i] = ix.Selectivity(pats[i])
 		}
 	}
-	bound := map[string]bool{}
-	used := make([]bool, n)
-	out := make([]Atom, 0, n)
-	for len(out) < n {
+	bound, used := make([]bool, pl.vars.Len()), make([]bool, n)
+	for range n {
 		best, bestBound := -1, -1
 		for i := range q.Body {
 			if used[i] {
 				continue
 			}
 			nb := 0
-			for v := range vars[i] {
-				if bound[v] {
+			for _, s := range pats[i].Slots() {
+				if bound[s] {
 					nb++
 				}
 			}
@@ -503,10 +577,13 @@ func orderAtoms(q *Query, docs Docs, ixs Indexes) []Atom {
 			}
 		}
 		used[best] = true
-		out = append(out, q.Body[best])
-		for v := range vars[best] {
-			bound[v] = true
+		var key []int
+		for _, s := range pats[best].Slots() {
+			if bound[s] {
+				key = append(key, s)
+			}
+			bound[s] = true
 		}
+		pl.atoms, pl.pats, pl.keys = append(pl.atoms, q.Body[best]), append(pl.pats, pats[best]), append(pl.keys, key)
 	}
-	return out
 }

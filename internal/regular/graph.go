@@ -213,9 +213,9 @@ func (g *Graph) evalBody(q *query.Query, e callEdge) ([]pattern.Assignment, erro
 // inequalities over the graph, roots giving the root vertex of each
 // document name: query.Fold with the graph matcher as its step.
 func (g *Graph) bodyAssignments(q *query.Query, roots func(doc string) *Vertex) ([]pattern.Assignment, error) {
-	asns := query.Fold(len(q.Body), pattern.Assignment{}, func(i int, dst map[string]pattern.Kind) error {
+	asns := query.Fold(pattern.Assignment{}, query.NameKeys(len(q.Body), func(i int, dst map[string]pattern.Kind) error {
 		return q.Body[i].Pattern.Vars(dst)
-	}, func(i, _ int, asn pattern.Assignment) []pattern.Assignment {
+	}), func(i, _ int, asn pattern.Assignment) []pattern.Assignment {
 		root := roots(q.Body[i].Doc)
 		if root == nil {
 			return nil

@@ -42,9 +42,9 @@ func (g *Graph) QFinite(q *query.Query) (finite bool, answer tree.Forest, err er
 	collectTreeVars(q.Head, headTreeVars)
 	cyclic := g.cycleReaching()
 
-	asns := query.Fold(len(q.Body), gAsn{}, func(i int, dst map[string]pattern.Kind) error {
+	asns := query.Fold(gAsn{}, query.NameKeys(len(q.Body), func(i int, dst map[string]pattern.Kind) error {
 		return q.Body[i].Pattern.Vars(dst)
-	}, func(i, _ int, asn gAsn) []gAsn {
+	}), func(i, _ int, asn gAsn) []gAsn {
 		root := g.Roots[q.Body[i].Doc]
 		if root == nil {
 			return nil

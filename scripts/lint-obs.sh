@@ -7,8 +7,8 @@
 # reference hash, a second benchmark pipeline beside benchmark/, a
 # node-pair subsumption memo, a document version or committed
 # sterile-call gate written outside its one writer, a journal that
-# records what exists instead of what grew, and an experiment harness
-# beside the claims tests.
+# records what exists instead of what grew, an experiment harness beside
+# the claims tests, and map assignments on the join's row path.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -256,6 +256,30 @@ badclaims=$( {
 if [ -n "$badclaims" ]; then
     echo "vet-obs: an experiment harness beside claims_test.go, or EXPERIMENTS.md named in non-test Go (claims are TestClaim… tests; regenerate with go test -run TestClaim -update .):" >&2
     echo "$badclaims" >&2
+    exit 1
+fi
+# The join runs over rows: a query's variables are numbered slots, a
+# partial result holds one bound document node per slot in a row from the
+# evaluation's slab, and dedup and join keys are slot encodings hashed
+# from a reused buffer. The name-keyed Assignment is the boundary type
+# (Match, MatchUnder, Instantiate, IneqsHold, Answers convert at it); a map
+# assignment, a map copy or a string-keyed map inside the row matcher
+# (internal/pattern/row.go and the plan) or the query's fold and step is
+# the per-bind copying that was half of tc-fixpoint's allocations. The
+# per-document baselines (map[string]uint64, read once per atom step, not
+# per row) are the one string-keyed map the fold may read.
+badjoinmap=$(find internal/pattern internal/query -name '*.go' ! -name '*_test.go' -exec awk '
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    { line = $0; gsub(/map\[string\]uint64/, "", line) }
+    line !~ /Assignment|Stamped|\.Copy\(\)|map\[string\]/ { next }
+    FILENAME ~ /\/row\.go$/ { printf "%s:%d:%s\n", FILENAME, FNR, $0; next }
+    fn ~ /^func (\([^)]*\) )?(matchNode|matchChildren|matchSpine|bindMarking|plan|anchorSym|MatchRows|Fold|bodyAssignments|bodyRows|newPlan|orderAtoms|order|ineqsHold|distinctHeads|answers)[[(]/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badjoinmap" ]; then
+    echo "vet-obs: a map assignment, map copy or string-keyed map in the row matcher or the query fold (join over pattern.Row slots; convert at the Assignment boundary):" >&2
+    echo "$badjoinmap" >&2
     exit 1
 fi
 echo "vet-obs: ok"
