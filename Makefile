@@ -48,7 +48,8 @@ race:
 
 # Short-budget coverage-guided fuzzing of the wire parsers journal replay
 # depends on and of graft-record replay itself, the intern/digest cache
-# stability target, and the keyed join against the nested-loop join (go
+# stability target, the keyed join against the nested-loop join, and
+# pathexpr's snapshot against the query evaluator on path-free queries (go
 # test -fuzz takes one target per run).
 fuzz-smoke:
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalTree$$' -fuzztime=5s
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzReplayGraftRecord$$' -fuzztime=5s
 	$(GO) test ./internal/tree -run='^$$' -fuzz='^FuzzSymDigestStability$$' -fuzztime=5s
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzJoinMatchesNestedLoop$$' -fuzztime=5s
+	$(GO) test ./internal/pathexpr -run='^$$' -fuzz='^FuzzRSnapshotMatchesQuery$$' -fuzztime=5s
 
 # The sharded-fleet chaos acceptance: ten durable peers, consistent-hash
 # routing, delta replication under injected message loss, crash-restarts,

@@ -101,8 +101,6 @@ var (
 	Snapshot = query.Snapshot
 	// Match computes all embeddings of a pattern into a tree.
 	Match = pattern.Match
-	// Instantiate applies an assignment to a head pattern.
-	Instantiate = pattern.Instantiate
 )
 
 // Parsing the compact term syntax.

@@ -11,6 +11,7 @@ package axml_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -89,6 +90,18 @@ func TestDifferentialUnion(t *testing.T) {
 	}
 }
 
+// rowKeys is the row key of every match of p at doc through ix, the tree
+// walk when ix is nil.
+func rowKeys(ix *pattern.Index, p *pattern.Node, doc *tree.Node) []string {
+	var v pattern.Vars
+	c := v.Compile(p)
+	var keys []string
+	for _, r := range ix.MatchRows(c, doc, pattern.NewSlab(&v).Row(), math.MaxUint64) {
+		keys = append(keys, string(r.AppendKey(nil, c.Slots())))
+	}
+	return keys
+}
+
 // TestDifferentialIndexedMatchWorkload pins indexed matching to the naive
 // walk on workload-generated documents, with patterns drawn over the
 // generator's marking alphabet.
@@ -108,20 +121,20 @@ func TestDifferentialIndexedMatchWorkload(t *testing.T) {
 		doc := workload.RandomTree(rng, cfg)
 		ix := pattern.NewIndex(doc)
 		for pi, p := range patterns {
-			naive := pattern.Match(p, doc)
-			indexed := ix.Match(p, doc)
+			naive := rowKeys(nil, p, doc)
+			indexed := rowKeys(ix, p, doc)
 			if len(naive) != len(indexed) {
 				t.Fatalf("trial %d pattern %d: naive %d results, indexed %d",
 					trial, pi, len(naive), len(indexed))
 			}
 			seen := make(map[string]bool, len(naive))
-			for _, a := range naive {
-				seen[a.Key()] = true
+			for _, k := range naive {
+				seen[k] = true
 			}
-			for _, a := range indexed {
-				if !seen[a.Key()] {
-					t.Fatalf("trial %d pattern %d: indexed produced extra result %s",
-						trial, pi, a.Key())
+			for _, k := range indexed {
+				if !seen[k] {
+					t.Fatalf("trial %d pattern %d: indexed produced extra result %x",
+						trial, pi, k)
 				}
 			}
 		}

@@ -104,7 +104,7 @@ func stampedKeys(ix *pattern.Index, p *pattern.Node, root *tree.Node, since uint
 	c := v.Compile(p)
 	var keys []string
 	for _, r := range ix.MatchRows(c, root, pattern.NewSlab(&v).Row(), since) {
-		keys = append(keys, fmt.Sprintf("%s new=%v", r.Assignment(nil).Key(), r.New))
+		keys = append(keys, fmt.Sprintf("%x new=%v", r.AppendKey(nil, c.Slots()), r.New))
 	}
 	sort.Strings(keys)
 	return keys

@@ -3,6 +3,7 @@ package pathexpr
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"axml/internal/core"
@@ -269,74 +270,97 @@ func (q *RQuery) String() string {
 
 // Snapshot evaluates the positive+reg query directly on the document
 // binding (no call invocation), by walking the NFA of each path node down
-// the trees: query.Fold with matchR as its step.
+// the trees: a query.Plan over the body's variables, atoms in body order,
+// with the row matcher rmatch as its step.
 func Snapshot(q *RQuery, docs query.Docs) (tree.Forest, error) {
-	asns := query.Fold(pattern.Assignment{}, query.NameKeys(len(q.Body), func(i int, dst map[string]pattern.Kind) error {
-		return q.Body[i].Pattern.Vars(dst)
-	}), func(i, _ int, asn pattern.Assignment) []pattern.Assignment {
-		doc := docs[q.Body[i].Doc]
-		if doc == nil {
+	pl := &query.Plan{Name: q.Name, Ineqs: q.Ineqs}
+	slots := make([][]int, len(q.Body))
+	for i, a := range q.Body {
+		slots[i] = a.Pattern.number(&pl.Vars, nil)
+	}
+	pl.Head = pl.Vars.Compile(q.Head)
+	m := &rmatch{vars: &pl.Vars}
+	rows, err := pl.Rows(true, slots, func(i, _ int, base pattern.Row) []pattern.Row {
+		d := docs[q.Body[i].Doc]
+		if d == nil {
 			return nil
 		}
-		return matchR(q.Body[i].Pattern, doc, asn)
+		m.slots = slots[i]
+		return m.node(q.Body[i].Pattern, d, base)
 	})
-	kept := asns[:0]
-	for _, asn := range asns {
-		ok, err := query.IneqsHold(q.Ineqs, asn)
-		if err != nil {
-			return nil, fmt.Errorf("pathexpr: query %s: %w", q.Name, err)
-		}
-		if ok {
-			kept = append(kept, asn)
-		}
+	if err != nil {
+		return nil, err
 	}
-	return query.Answers(q.Name, q.Head, kept)
+	return pl.Answers(rows)
 }
 
-// matchR matches an RNode at a document node.
-func matchR(p *RNode, d *tree.Node, asn pattern.Assignment) []pattern.Assignment {
+// number numbers the pattern's variables in v, appending each one's slot
+// to slots once.
+func (n *RNode) number(v *pattern.Vars, slots []int) []int {
+	if !n.IsPath && n.Kind.IsVar() {
+		if s := v.Number(n.Name, n.Kind); !slices.Contains(slots, s) {
+			slots = append(slots, s)
+		}
+	}
+	for _, c := range n.Children {
+		slots = c.number(v, slots)
+	}
+	return slots
+}
+
+// rmatch matches one atom's RNodes over rows: vars numbers the
+// variables, slots lists the atom's (all its rows can differ in).
+type rmatch struct {
+	vars  *pattern.Vars
+	slots []int
+}
+
+// node returns the extensions of r under which p matches at d.
+func (m *rmatch) node(p *RNode, d *tree.Node, r pattern.Row) []pattern.Row {
 	if p.IsPath {
 		// A path node at the root of a pattern anchors at the document
 		// root itself.
-		return matchPathFrom(p, d, asn)
+		return m.path(p, d, r)
 	}
-	if p.Kind == pattern.VarTree {
-		// A tree variable is a whole (leaf) plain pattern.
-		return pattern.MatchUnder(pattern.TVar(p.Name), d, asn)
+	ok := pattern.Compatible(&pattern.Node{Kind: p.Kind, Name: p.Name}, d.Kind, d.Name)
+	if ok && p.Kind.IsVar() {
+		r, ok = r.Bind(p.Kind, m.vars.Slot(p.Name), d)
 	}
-	next, ok := pattern.BindAtom(&pattern.Node{Kind: p.Kind, Name: p.Name}, d.Kind, d.Name, asn)
-	if !ok {
+	switch {
+	case !ok:
 		return nil
+	case p.Kind == pattern.VarTree: // a leaf binding the whole subtree
+		return []pattern.Row{r}
 	}
-	return matchRChildren(p.Children, d, []pattern.Assignment{next})
+	return m.children(p.Children, d, []pattern.Row{r})
 }
 
-// matchRChildren places each pattern child: ordinary children map into
-// some child of d; path children anchor at d itself.
-func matchRChildren(pcs []*RNode, d *tree.Node, asns []pattern.Assignment) []pattern.Assignment {
+// children places each pattern child under every row: ordinary children
+// map into some child of d, path children anchor at d itself.
+func (m *rmatch) children(pcs []*RNode, d *tree.Node, rows []pattern.Row) []pattern.Row {
 	for _, pc := range pcs {
-		var extended []pattern.Assignment
-		for _, asn := range asns {
+		var extended []pattern.Row
+		for _, r := range rows {
 			if pc.IsPath {
-				extended = append(extended, matchPathFrom(pc, d, asn)...)
+				extended = append(extended, m.path(pc, d, r)...)
 			} else {
 				for _, dc := range d.Children {
-					extended = append(extended, matchR(pc, dc, asn)...)
+					extended = append(extended, m.node(pc, dc, r)...)
 				}
 			}
 		}
 		if len(extended) == 0 {
 			return nil
 		}
-		asns = pattern.Dedup(extended)
+		rows = pattern.Distinct(extended, m.slots)
 	}
-	return asns
+	return rows
 }
 
-// matchPathFrom finds all end nodes of paths from anchor whose label word
-// is accepted, then matches the path node's children under each end node.
-func matchPathFrom(p *RNode, anchor *tree.Node, asn pattern.Assignment) []pattern.Assignment {
-	var out []pattern.Assignment
+// path finds all end nodes of paths from anchor whose label word is
+// accepted, then matches the path node's children under each end node.
+func (m *rmatch) path(p *RNode, anchor *tree.Node, r pattern.Row) []pattern.Row {
+	var out []pattern.Row
 	ends := map[*tree.Node]bool{}
 	var explore func(node *tree.Node, states map[int]bool)
 	explore = func(node *tree.Node, states map[int]bool) {
@@ -345,7 +369,7 @@ func matchPathFrom(p *RNode, anchor *tree.Node, asn pattern.Assignment) []patter
 		}
 		if p.NFA.AnyFinal(states) && !ends[node] {
 			ends[node] = true
-			out = append(out, matchRChildren(p.Children, node, []pattern.Assignment{asn})...)
+			out = append(out, m.children(p.Children, node, []pattern.Row{r})...)
 		}
 		for _, c := range node.Children {
 			if c.Kind != tree.Label {
@@ -355,7 +379,7 @@ func matchPathFrom(p *RNode, anchor *tree.Node, asn pattern.Assignment) []patter
 		}
 	}
 	explore(anchor, map[int]bool{p.NFA.Start: true})
-	return pattern.Dedup(out)
+	return pattern.Distinct(out, m.slots)
 }
 
 // RQueryService exposes a positive+reg query as a monotone service: a

@@ -40,7 +40,36 @@ type Stamped struct {
 	New bool
 }
 
-// matchUnderSince is MatchUnder at a baseline, keeping each row's flag.
+// RowOf converts an assignment to a row over the slab's slots: an atom
+// binding becomes a node carrying its marking, a tree binding its tree;
+// names the plan does not number are dropped. ok is false when a binding
+// has the wrong kind for its slot, which is left unbound.
+func (s *Slab) RowOf(a Assignment) (r Row, ok bool) {
+	r, ok = s.Row(), true
+	for i, name := range s.vars.names {
+		b, bound := a[name]
+		switch k := s.vars.kinds[i]; {
+		case !bound:
+		case (k == VarTree) != (b.Tree != nil):
+			ok = false
+		case b.Tree != nil:
+			r.s[i] = b.Tree
+		default:
+			r.s[i] = &tree.Node{Kind: k.treeKind(), Name: b.Atom}
+		}
+	}
+	return r, ok
+}
+
+// matchUnder is MatchRows over assignments with no baseline: p compiled
+// on its own, base converted to a row on the way in (a binding of the
+// wrong kind for its variable matches nothing) and every result row back
+// to an assignment extending base on the way out.
+func matchUnder(ix *Index, p *Node, d *tree.Node, base Assignment) []Assignment {
+	return assignments(matchUnderSince(ix, p, d, base, math.MaxUint64))
+}
+
+// matchUnderSince is matchUnder at a baseline, keeping each row's flag.
 func matchUnderSince(ix *Index, p *Node, d *tree.Node, base Assignment, since uint64) []Stamped {
 	var v Vars
 	c := v.Compile(p)
@@ -67,7 +96,7 @@ func assignments(sts []Stamped) []Assignment {
 func sortedKeys(as []Assignment) []string {
 	ks := make([]string, len(as))
 	for i, a := range as {
-		ks[i] = a.Key()
+		ks[i] = legacyKey(a)
 	}
 	sort.Strings(ks)
 	return ks
@@ -76,7 +105,7 @@ func sortedKeys(as []Assignment) []string {
 func sortedStampedKeys(sts []Stamped) []string {
 	ks := make([]string, len(sts))
 	for i, st := range sts {
-		ks[i] = fmt.Sprintf("%s new=%v", st.Asn.Key(), st.New)
+		ks[i] = fmt.Sprintf("%s new=%v", legacyKey(st.Asn), st.New)
 	}
 	sort.Strings(ks)
 	return ks
@@ -114,7 +143,7 @@ func TestIndexedMatchEqualsNaive(t *testing.T) {
 	doc := indexTestDoc(5, 8)
 	ix := NewIndex(doc)
 	for name, p := range indexTestPatterns() {
-		assertSameAssignments(t, Match(p, doc), ix.Match(p, doc), name)
+		assertSameAssignments(t, Match(p, doc), matchUnder(ix, p, doc, nil), name)
 	}
 }
 
@@ -125,7 +154,7 @@ func TestIndexedMatchBoundVarAnchor(t *testing.T) {
 	// constant; the plan may anchor on it.
 	p := Label("catalog", LVar("d", Label("item", Label("sku", VVar("s")))))
 	base := Assignment{"s": {Atom: "needle"}}
-	assertSameAssignments(t, MatchUnder(p, doc, base), ix.MatchUnder(p, doc, base), "bound-var")
+	assertSameAssignments(t, matchUnder(nil, p, doc, base), matchUnder(ix, p, doc, base), "bound-var")
 }
 
 func TestIndexedMatchSinceEqualsNaive(t *testing.T) {
@@ -166,12 +195,12 @@ func TestIndexRootRestriction(t *testing.T) {
 	sub := doc.Children[0] // a dept: not the indexed root
 	p := Label("dept", Label("item", Label("sku", Value("needle"))))
 	h0, m0 := ix.Stats()
-	got := ix.MatchUnder(p, sub, nil)
+	got := matchUnder(ix, p, sub, nil)
 	h1, m1 := ix.Stats()
 	if h1 != h0 || m1 != m0+1 {
 		t.Fatalf("non-root match should count one miss: hits %d→%d misses %d→%d", h0, h1, m0, m1)
 	}
-	assertSameAssignments(t, MatchUnder(p, sub, nil), got, "non-root")
+	assertSameAssignments(t, matchUnder(nil, p, sub, nil), got, "non-root")
 }
 
 func TestIndexHitMissCounters(t *testing.T) {
@@ -179,21 +208,21 @@ func TestIndexHitMissCounters(t *testing.T) {
 	ix := NewIndex(doc)
 
 	h0, m0 := ix.Stats()
-	ix.Match(Label("catalog", Label("dept", Label("item", Label("sku", Value("needle"))))), doc)
+	matchUnder(ix, Label("catalog", Label("dept", Label("item", Label("sku", Value("needle"))))), doc, nil)
 	if h, _ := ix.Stats(); h != h0+1 {
 		t.Fatalf("anchored match should count a hit")
 	}
-	ix.Match(Label("catalog", Label("dept", Label("item", Label("sku", Value("absent-marking"))))), doc)
+	matchUnder(ix, Label("catalog", Label("dept", Label("item", Label("sku", Value("absent-marking"))))), doc, nil)
 	if h, _ := ix.Stats(); h != h0+2 {
 		t.Fatalf("early reject should count a hit")
 	}
-	ix.Match(LVar("r", LVar("c")), doc)
+	matchUnder(ix, LVar("r", LVar("c")), doc, nil)
 	if _, m := ix.Stats(); m != m0+1 {
 		t.Fatalf("anchor-free pattern should count a miss")
 	}
 
 	var nilIx *Index
-	if got := nilIx.Match(Label("catalog"), doc); len(got) != 1 {
+	if got := matchUnder(nilIx, Label("catalog"), doc, nil); len(got) != 1 {
 		t.Fatalf("nil index should still match naively, got %d results", len(got))
 	}
 	if h, m := nilIx.Stats(); h != 0 || m != 0 {
@@ -213,7 +242,7 @@ func TestIndexMaintenance(t *testing.T) {
 	add := tree.NewLabel("item", tree.NewLabel("sku", tree.NewValue("added-1")))
 	doc.Children[0].Add(add)
 	ix.AddSubtree(doc.Children[0], add)
-	assertSameAssignments(t, Match(p, doc), ix.Match(p, doc), "after add")
+	assertSameAssignments(t, Match(p, doc), matchUnder(ix, p, doc, nil), "after add")
 
 	// Prune: detach an item the way merge prunes a dominated sibling.
 	dept := doc.Children[1]
@@ -221,10 +250,10 @@ func TestIndexMaintenance(t *testing.T) {
 	dept.Children = append([]*tree.Node{}, dept.Children[1:]...)
 	ix.RemoveSubtree(victim)
 	ix.Compact()
-	assertSameAssignments(t, Match(p, doc), ix.Match(p, doc), "after remove")
+	assertSameAssignments(t, Match(p, doc), matchUnder(ix, p, doc, nil), "after remove")
 	// The pruned sku must no longer be reachable through the index.
 	gone := Label("catalog", Label("dept", Label("item", Label("sku", Value("sku-1-0")))))
-	if got := ix.Match(gone, doc); len(got) != 0 {
+	if got := matchUnder(ix, gone, doc, nil); len(got) != 0 {
 		t.Fatalf("pruned subtree still matched: %d results", len(got))
 	}
 
@@ -244,7 +273,7 @@ func TestIndexMaintenance(t *testing.T) {
 	}
 	doc.Children[0].Children = kept
 	ix.Compact()
-	assertSameAssignments(t, Match(p, doc), ix.Match(p, doc), "after churn")
+	assertSameAssignments(t, Match(p, doc), matchUnder(ix, p, doc, nil), "after churn")
 	if ix.Len() == 0 {
 		t.Fatalf("index emptied by compact")
 	}
@@ -369,12 +398,12 @@ func TestIndexedMatchRandomized(t *testing.T) {
 					assertSameAssignments(t, want, assignments(sts), what)
 					for _, st := range sts {
 						if st.New && since >= maxStamp {
-							t.Fatalf("%s: %s flagged new above every stamp", what, st.Asn.Key())
+							t.Fatalf("%s: %s flagged new above every stamp", what, legacyKey(st.Asn))
 						}
 					}
 				}
 			}
-			assertSameAssignments(t, Match(p, doc), ix.Match(p, doc),
+			assertSameAssignments(t, Match(p, doc), matchUnder(ix, p, doc, nil),
 				fmt.Sprintf("trial %d pattern %d: %s", trial, pi, p))
 			since := uint64(rng.Intn(3))
 			nk := sortedStampedKeys(matchUnderSince(nil, p, doc, nil, since))

@@ -85,6 +85,30 @@ func BenchmarkAssignmentKey(b *testing.B) {
 	}
 }
 
+// rowKey is the row key of a's bindings over every slot, its names
+// numbered in sorted order.
+func rowKey(a Assignment) string {
+	names := make([]string, 0, len(a))
+	for name := range a {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var v Vars
+	for _, name := range names {
+		kind := VarValue
+		if a[name].Tree != nil {
+			kind = VarTree
+		}
+		v.Number(name, kind)
+	}
+	r, _ := NewSlab(&v).RowOf(a)
+	all := make([]int, v.Len())
+	for i := range all {
+		all[i] = i
+	}
+	return string(r.AppendKey(nil, all))
+}
+
 // TestLegacyKeyAgreement pins the two schemes to the same dedup behavior:
 // keys are opaque, so they need not be equal strings, but they must
 // distinguish exactly the same assignments.
@@ -92,10 +116,30 @@ func TestLegacyKeyAgreement(t *testing.T) {
 	a1 := benchAssignment(4)
 	a2 := benchAssignment(4)
 	a3 := benchAssignment(5)
-	if a1.Key() != a2.Key() || legacyKey(a1) != legacyKey(a2) {
+	if rowKey(a1) != rowKey(a2) || legacyKey(a1) != legacyKey(a2) {
 		t.Fatal("isomorphic assignments should key equal under both schemes")
 	}
-	if a1.Key() == a3.Key() || legacyKey(a1) == legacyKey(a3) {
+	if rowKey(a1) == rowKey(a3) || legacyKey(a1) == legacyKey(a3) {
 		t.Fatal("distinct assignments should key differently under both schemes")
+	}
+}
+
+// TestAssignmentKeyAndCopy: the row key of the same bindings does not
+// depend on the order they were made in (trees enter by digest, so two
+// isomorphic copies key alike), and Copy shares no storage.
+func TestAssignmentKeyAndCopy(t *testing.T) {
+	ab := func() *tree.Node { return tree.NewLabel("a", tree.NewLabel("b")) }
+	a := Assignment{"x": {Atom: "1"}, "y": {Tree: ab()}}
+	b := Assignment{"y": {Tree: ab()}, "x": {Atom: "1"}}
+	if rowKey(a) != rowKey(b) {
+		t.Fatal("row key is order dependent")
+	}
+	c := a.Copy()
+	c["x"] = Binding{Atom: "2"}
+	if a["x"].Atom != "1" {
+		t.Fatal("Copy shares storage")
+	}
+	if rowKey(a) == rowKey(c) {
+		t.Fatal("distinct bindings keyed alike")
 	}
 }

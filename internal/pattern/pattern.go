@@ -21,19 +21,16 @@
 // threads a freshness flag per row against a baseline version; matching
 // with no baseline is that recursion at since = math.MaxUint64, which no
 // stamp exceeds. Its plan (reject / anchored / walk, see index.go) only
-// chooses how much of the document is visited. The name-keyed Assignment
-// is the boundary: Match, MatchUnder, MatchUnderSince and Instantiate
-// convert to rows on the way in and back on the way out. Matchers over
-// other structures (pathexpr's NFA paths, regular's vertex graphs) keep
-// assignments and share the marking test (Compatible, BindAtom) and the
-// dedup (Dedup) instead of carrying copies.
+// chooses how much of the document is visited. Matchers over other
+// structures (pathexpr's NFA paths, regular's vertex graphs) run over the
+// same rows: they bind through Row.Bind, the one bind rule, and
+// deduplicate through Distinct, the one dedup. The name-keyed Assignment
+// is only Match's result type.
 package pattern
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"axml/internal/tree"
@@ -316,113 +313,18 @@ func (a Assignment) Copy() Assignment {
 	return c
 }
 
-// Key returns a canonical string identifying the assignment, used to
-// deduplicate matches and to memoize instantiations: the sorted names,
-// length-prefixed, then AppendKey over them. The key is opaque: tree
-// bindings enter it as structural digests.
-func (a Assignment) Key() string {
-	names := make([]string, 0, len(a))
-	for n := range a {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	var buf []byte
-	for _, n := range names {
-		buf = append(binary.AppendUvarint(buf, uint64(len(n))), n...)
-	}
-	return string(a.AppendKey(buf, names))
-}
-
-// AppendKey appends to buf an injective encoding of a's bindings of vars,
-// in the order given (an unbound variable encodes as unbound): a join key.
-// Tree bindings enter as their digests.
-func (a Assignment) AppendKey(buf []byte, vars []string) []byte {
-	for _, v := range vars {
-		switch b, ok := a[v]; {
-		case !ok:
-			buf = append(buf, 0)
-		case b.Tree != nil:
-			h := b.Tree.Digest()
-			buf = append(append(buf, 1), h[:]...)
-		default:
-			buf = append(binary.AppendUvarint(append(buf, 2), uint64(len(b.Atom))), b.Atom...)
-		}
-	}
-	return buf
-}
-
-// Extend joins a with ext, matched under an assignment agreeing with a on
-// ext's shared variables: ext itself when it binds every variable of a
-// alike, else a copy carrying a's bindings. Neither input is modified.
-func (a Assignment) Extend(ext Assignment) Assignment {
-	for k, v := range a {
-		if b, ok := ext[k]; !ok || b != v {
-			out := ext.Copy()
-			for k, v := range a {
-				out[k] = v
-			}
-			return out
-		}
-	}
-	return ext
-}
-
 // Match returns every assignment µ (restricted to the pattern's variables)
-// such that µ(p) ⊆ d with the pattern root mapped to the document root.
-// Results are deduplicated.
+// such that µ(p) ⊆ d with the pattern root mapped to the document root:
+// MatchRows with p compiled on its own, each row converted. Results are
+// deduplicated.
 func Match(p *Node, d *tree.Node) []Assignment {
-	return MatchUnder(p, d, nil)
-}
-
-// MatchUnder is Match starting from a partial assignment that every
-// returned assignment must extend consistently. The base assignment is not
-// modified.
-func MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
-	return (*Index)(nil).MatchUnder(p, d, base)
-}
-
-// Match is MatchUnder with an empty base.
-func (ix *Index) Match(p *Node, d *tree.Node) []Assignment {
-	return ix.MatchUnder(p, d, nil)
-}
-
-// MatchUnder is MatchRows over assignments, with no baseline: p compiled
-// on its own, base converted to a row on the way in (a binding of the
-// wrong kind for its variable matches nothing) and every result row back
-// to an assignment extending base on the way out.
-func (ix *Index) MatchUnder(p *Node, d *tree.Node, base Assignment) []Assignment {
 	var v Vars
 	c := v.Compile(p)
-	r, ok := NewSlab(&v).RowOf(base)
-	if !ok {
-		return nil
-	}
 	var out []Assignment
-	for _, r := range ix.MatchRows(c, d, r, math.MaxUint64) {
-		out = append(out, r.Assignment(base))
+	for _, r := range (*Index)(nil).MatchRows(c, d, NewSlab(&v).Row(), math.MaxUint64) {
+		out = append(out, r.Assignment(nil))
 	}
 	return out
-}
-
-// RowOf converts an assignment to a row over the slab's slots: an atom
-// binding becomes a node carrying its marking, a tree binding its tree;
-// names the plan does not number are dropped. ok is false when a binding
-// has the wrong kind for its slot, which is left unbound.
-func (s *Slab) RowOf(a Assignment) (r Row, ok bool) {
-	r, ok = s.Row(), true
-	for i, name := range s.vars.names {
-		b, bound := a[name]
-		switch k := s.vars.kinds[i]; {
-		case !bound:
-		case (k == VarTree) != (b.Tree != nil):
-			ok = false
-		case b.Tree != nil:
-			r.s[i] = b.Tree
-		default:
-			r.s[i] = &tree.Node{Kind: k.treeKind(), Name: b.Atom}
-		}
-	}
-	return r, ok
 }
 
 // Assignment converts the row to an assignment: base's bindings and the
@@ -441,23 +343,6 @@ func (r Row) Assignment(base Assignment) Assignment {
 	return a
 }
 
-// Dedup drops assignments whose Key already occurred, in place.
-func Dedup(as []Assignment) []Assignment {
-	if len(as) < 2 {
-		return as
-	}
-	seen := make(map[string]bool, len(as))
-	out := as[:0]
-	for _, a := range as {
-		k := a.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Compatible reports whether pattern node p can be placed on a node marked
 // (kind, name), ignoring variable bindings: a constant needs that exact
 // marking, an atom variable that node kind, a tree variable nothing.
@@ -466,38 +351,6 @@ func Compatible(p *Node, kind tree.Kind, name string) bool {
 		return p.Kind == VarTree
 	}
 	return kind == p.Kind.treeKind() && (p.Kind.IsVar() || name == p.Name)
-}
-
-// BindAtom places the constant or atom-variable pattern node p on a node
-// marked (kind, name) under asn, returning the (possibly extended)
-// assignment: the marking must be Compatible and a variable bound in asn
-// must be bound to that name. Tree variables bind subtrees, not markings,
-// and never succeed here. Taking the marking instead of a *tree.Node lets
-// matchers over other node types (graph vertices) share it.
-func BindAtom(p *Node, kind tree.Kind, name string, asn Assignment) (Assignment, bool) {
-	if p.Kind == VarTree || !Compatible(p, kind, name) {
-		return asn, false
-	}
-	if !p.Kind.IsVar() {
-		return asn, true
-	}
-	if prev, ok := asn[p.Name]; ok {
-		return asn, prev.Tree == nil && prev.Atom == name
-	}
-	next := asn.Copy()
-	next[p.Name] = Binding{Atom: name}
-	return next, true
-}
-
-// Instantiate applies the assignment to a head pattern, producing the tree
-// µ(r): Compiled.Instantiate on the assignment's row. Every variable of
-// the head must be bound; tree-variable bindings are deep-copied into the
-// result.
-func Instantiate(head *Node, asn Assignment) (*tree.Node, error) {
-	var v Vars
-	c := v.Compile(head)
-	r, _ := NewSlab(&v).RowOf(asn)
-	return c.Instantiate(r)
 }
 
 // Instantiate applies the row to the compiled head, producing the tree

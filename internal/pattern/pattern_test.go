@@ -106,7 +106,7 @@ func TestMatchTreeVariablePaperExample31(t *testing.T) {
 	if len(asns) != 1 {
 		t.Fatalf("d' match = %d", len(asns))
 	}
-	labelRes := pattern.MatchUnder(pat(t, `r{t{a{$x},b{%z}}}`), d, asns[0])
+	labelRes := pattern.MatchExtending(pat(t, `r{t{a{$x},b{%z}}}`), d, asns[0])
 	zs := map[string]bool{}
 	for _, a := range labelRes {
 		zs[a["z"].Atom] = true
@@ -115,7 +115,7 @@ func TestMatchTreeVariablePaperExample31(t *testing.T) {
 		t.Fatalf("label-variable result = %v, want {c,d,e}", zs)
 	}
 
-	treeRes := pattern.MatchUnder(pat(t, `r{t{a{$x},b{#Z}}}`), d, asns[0])
+	treeRes := pattern.MatchExtending(pat(t, `r{t{a{$x},b{#Z}}}`), d, asns[0])
 	trees := map[string]bool{}
 	for _, a := range treeRes {
 		trees[a["Z"].Tree.CanonicalString()] = true
@@ -142,12 +142,12 @@ func TestMatchDeduplicates(t *testing.T) {
 func TestMatchUnderConsistency(t *testing.T) {
 	d := doc(t, `r{a{1},a{2}}`)
 	base := pattern.Assignment{"x": pattern.Binding{Atom: "2"}}
-	got := pattern.MatchUnder(pat(t, `r{a{$x}}`), d, base)
+	got := pattern.MatchExtending(pat(t, `r{a{$x}}`), d, base)
 	if len(got) != 1 || got[0]["x"].Atom != "2" {
-		t.Fatalf("MatchUnder ignored base binding: %v", got)
+		t.Fatalf("MatchExtending ignored base binding: %v", got)
 	}
 	if base["x"].Atom != "2" || len(base) != 1 {
-		t.Fatal("MatchUnder modified the base assignment")
+		t.Fatal("MatchExtending modified the base assignment")
 	}
 }
 
@@ -159,7 +159,7 @@ func TestInstantiate(t *testing.T) {
 		"T": {Tree: doc(t, `sub{"v"}`)},
 	}
 	head := pat(t, `out{$x,%l{c},^f,#T}`)
-	got, err := pattern.Instantiate(head, asn)
+	got, err := pattern.InstantiateAssignment(head, asn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +180,13 @@ func TestInstantiate(t *testing.T) {
 }
 
 func TestInstantiateUnbound(t *testing.T) {
-	if _, err := pattern.Instantiate(pat(t, `a{$x}`), pattern.Assignment{}); err == nil {
+	if _, err := pattern.InstantiateAssignment(pat(t, `a{$x}`), pattern.Assignment{}); err == nil {
 		t.Fatal("unbound value variable accepted")
 	}
-	if _, err := pattern.Instantiate(pat(t, `a{#T}`), pattern.Assignment{}); err == nil {
+	if _, err := pattern.InstantiateAssignment(pat(t, `a{#T}`), pattern.Assignment{}); err == nil {
 		t.Fatal("unbound tree variable accepted")
 	}
-	if _, err := pattern.Instantiate(nil, pattern.Assignment{}); err == nil {
+	if _, err := pattern.InstantiateAssignment(nil, pattern.Assignment{}); err == nil {
 		t.Fatal("nil head accepted")
 	}
 }
@@ -209,19 +209,6 @@ func TestVarsKindConflict(t *testing.T) {
 	}}
 	if err := p.Vars(map[string]pattern.Kind{}); err == nil {
 		t.Fatal("kind conflict not detected")
-	}
-}
-
-func TestAssignmentKeyAndCopy(t *testing.T) {
-	a := pattern.Assignment{"x": {Atom: "1"}, "y": {Tree: doc(t, `a{b}`)}}
-	b := pattern.Assignment{"y": {Tree: doc(t, `a{b}`)}, "x": {Atom: "1"}}
-	if a.Key() != b.Key() {
-		t.Fatal("assignment key is order dependent")
-	}
-	c := a.Copy()
-	c["x"] = pattern.Binding{Atom: "2"}
-	if a["x"].Atom != "1" {
-		t.Fatal("Copy shares storage")
 	}
 }
 

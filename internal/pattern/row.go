@@ -213,27 +213,34 @@ func (ix *Index) MatchRows(c *Compiled, d *tree.Node, base Row, since uint64) []
 	return out
 }
 
-// bind places p on d under r: a constant needs d's marking, an atom
-// variable d's node kind and a tree variable nothing; a variable bound in r
-// needs d to bind it alike — the same marking, or for a tree variable an
-// isomorphic subtree (equal digests) — and an unbound one is bound in a
-// copy of r. A name numbered as a tree variable never binds as an atom
-// variable, nor the reverse.
+// bind places p on d under r: a constant needs d's marking, a variable
+// binds by Row.Bind.
 func (s *Slab) bind(p *cnode, d *tree.Node, r Row) (Row, bool) {
 	if p.slot < 0 {
 		return r, d.Sym() == p.sym
 	}
-	switch prev, tv := r.s[p.slot], p.kind == VarTree; {
-	case tv != (s.vars.kinds[p.slot] == VarTree), !tv && d.Kind != p.kind.treeKind():
+	return r.Bind(p.kind, p.slot, d)
+}
+
+// Bind is the bind rule: it places a variable of the given kind, numbered
+// slot, on d under r. An atom variable needs d's node kind and binds d's
+// marking, a tree variable binds d's subtree. A slot bound in r needs d to
+// bind it alike — the same marking, or for a tree variable an isomorphic
+// subtree (equal digests) — and an unbound one is bound in a copy of r cut
+// from its slab. A slot numbered as a tree variable never binds as an atom
+// variable, nor the reverse.
+func (r Row) Bind(kind Kind, slot int, d *tree.Node) (Row, bool) {
+	switch prev, tv := r.s[slot], kind == VarTree; {
+	case tv != (r.slab.vars.kinds[slot] == VarTree), !tv && d.Kind != kind.treeKind():
 		return r, false
 	case prev != nil && tv:
 		return r, prev.Digest() == d.Digest()
 	case prev != nil:
 		return r, prev.Name == d.Name
 	}
-	out := s.alloc()
+	out := r.slab.alloc()
 	copy(out, r.s)
-	out[p.slot] = d
+	out[slot] = d
 	r.s = out
 	return r, true
 }
@@ -306,24 +313,31 @@ func (s *Slab) spine(pspine []*cnode, i int, r Row) {
 	}
 }
 
-// dedup drops the rows on the stack from `from` on that bind every slot
-// like an earlier one, OR-ing their New flags into it.
+// dedup drops the rows on the stack from `from` on that repeat an earlier
+// one on the matched pattern's slots.
 func (s *Slab) dedup(from int) {
-	rows := s.stack[from:]
+	s.stack = s.stack[:from+len(Distinct(s.stack[from:], s.slots))]
+}
+
+// Distinct is the dedup of rows: it drops, in place, the rows binding
+// every slot of slots like an earlier row, OR-ing their New flags into it.
+// The rows share one slab, whose key buffer and key set it reuses.
+func Distinct(rows []Row, slots []int) []Row {
 	if len(rows) < 2 {
-		return
+		return rows
 	}
+	s := rows[0].slab
 	s.seen.Reset()
 	out := rows[:0]
 	for _, r := range rows {
-		s.key = r.AppendKey(s.key[:0], s.slots)
+		s.key = r.AppendKey(s.key[:0], slots)
 		if j, added := s.seen.Add(s.key); !added {
 			out[j].New = out[j].New || r.New
 			continue
 		}
 		out = append(out, r)
 	}
-	s.stack = s.stack[:from+len(out)]
+	return out
 }
 
 // KeySet numbers distinct byte keys without a string per key: keys are

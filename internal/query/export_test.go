@@ -2,8 +2,8 @@ package query
 
 import "axml/internal/pattern"
 
-// Test hooks: the body evaluation behind Snapshot, SnapshotSince and
-// BodyAssignments (its rows as stamped assignments), and the join order it
+// Test hooks: the body evaluation behind Snapshot and SnapshotSince (its
+// rows as stamped assignments), and the join order it
 // uses (OrderAtoms ranks every atom by its index, OrderAtomsOver also sees
 // the trees).
 func BodyAssignmentsSince(q *Query, docs Docs, since map[string]uint64, ixs Indexes) ([]Stamped, error) {

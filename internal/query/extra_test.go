@@ -45,16 +45,16 @@ func TestAtomTermIneqString(t *testing.T) {
 func TestBodyAssignmentsDirect(t *testing.T) {
 	d := docs(t, "d", `r{a{1},a{2}}`)
 	qq := q(t, `out{$x} :- d/r{a{$x}}`)
-	asns, err := query.BodyAssignments(qq, d)
+	sts, err := query.BodyAssignmentsSince(qq, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(asns) != 2 {
-		t.Fatalf("assignments = %d", len(asns))
+	if len(sts) != 2 {
+		t.Fatalf("assignments = %d", len(sts))
 	}
-	for _, a := range asns {
-		if a["x"].Tree != nil || a["x"].Atom == "" {
-			t.Fatalf("binding = %+v", a["x"])
+	for _, st := range sts {
+		if a := st.Asn; a["x"].Tree != nil || a["x"].Atom == "" || !st.New {
+			t.Fatalf("binding = %+v, new = %v", a["x"], st.New)
 		}
 	}
 }

@@ -13,11 +13,13 @@
 // are what make the snapshot semantics monotone (Proposition 3.1).
 //
 // Evaluation is one function of (query, documents, baseline, indexes):
-// Snapshot, SnapshotSince and BodyAssignments are its three entry points.
-// It is assembled from three helpers every other body evaluator
-// (pathexpr over NFA paths, regular over vertex graphs) also uses, so the
-// definition exists once: Fold joins the atoms left to right, IneqsHold
-// checks the inequalities, Answers instantiates the head and reduces.
+// Snapshot and SnapshotSince are its entry points. It runs over rows
+// (pattern.Row, one bound node per numbered variable) through a Plan every
+// other body evaluator (pathexpr over NFA paths, regular over vertex
+// graphs) also uses, so the definition exists once: Plan.Rows folds the
+// atoms left to right, each keyed by the slots it shares with those before
+// it, and checks the inequalities; Plan.Answers instantiates the head
+// once per distinct projection and reduces.
 package query
 
 import (
@@ -249,14 +251,14 @@ func Snapshot(q *Query, docs Docs) (tree.Forest, error) {
 }
 
 // SnapshotSince is Snapshot restricted to the delta: it instantiates only
-// the body assignments with at least one witnessing embedding that
-// touches a node stamped after the per-document baseline in since (keyed
-// by atom document name, including the reserved "input"/"context"). A
-// document name missing from since is treated as all-new (full
-// re-evaluation for its atoms), so a nil since is exactly Snapshot. By
-// monotonicity (Proposition 3.1), assignments whose every witness is old
-// were already produced at the baseline, so skipping them loses nothing.
-// ixs only accelerates (see Indexes); nil walks every document.
+// the body rows with at least one witnessing embedding that touches a
+// node stamped after the per-document baseline in since (keyed by atom
+// document name, including the reserved "input"/"context"). A document
+// name missing from since is treated as all-new (full re-evaluation for
+// its atoms), so a nil since is exactly Snapshot. By monotonicity
+// (Proposition 3.1), rows whose every witness is old were already
+// produced at the baseline, so skipping them loses nothing. ixs only
+// accelerates (see Indexes); nil walks every document.
 func SnapshotSince(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (tree.Forest, error) {
 	pl, rows, err := bodyRows(q, docs, since, ixs)
 	if err != nil || len(rows) == 0 {
@@ -268,44 +270,70 @@ func SnapshotSince(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (t
 			fresh = append(fresh, r)
 		}
 	}
-	return pl.answers(q.Name, fresh)
+	return pl.Answers(fresh)
 }
 
-// BodyAssignments computes every assignment satisfying the body and the
-// inequalities, restricted to the variables, deduplicated.
-func BodyAssignments(q *Query, docs Docs) ([]pattern.Assignment, error) {
-	_, rows, err := bodyRows(q, docs, nil, nil)
-	var out []pattern.Assignment
-	for _, r := range rows {
-		out = append(out, r.Assignment(nil))
+// Plan is a body compiled for one evaluation over rows: Vars numbers its
+// variables into slots (slot i of every row is variable i) and Head is the
+// head compiled against the same numbering; Name labels errors. Every
+// evaluator of positive bodies (here, pathexpr over NFA paths, regular
+// over vertex graphs) numbers its variables, hands Rows its atoms' slot
+// lists in join order and its step, and reads the answers off Answers, so
+// the join, the inequality check and the answers exist once.
+type Plan struct {
+	Name  string
+	Vars  pattern.Vars
+	Head  *pattern.Compiled
+	Ineqs []Ineq
+}
+
+// Rows computes the rows satisfying the body and the inequalities. slots
+// lists each atom's slots in join order; step(i, k, base) returns the
+// distinct extensions of base by atom i, k numbering base's join key for
+// the atom — the slots it shares with the atoms joined before it. The
+// join starts from an unbound row flagged seedNew.
+func (pl *Plan) Rows(seedNew bool, slots [][]int, step func(i, k int, base pattern.Row) []pattern.Row) ([]pattern.Row, error) {
+	keys := make([][]int, len(slots))
+	bound := make([]bool, pl.Vars.Len())
+	for i, ss := range slots {
+		for _, s := range ss {
+			if bound[s] {
+				keys[i] = append(keys[i], s)
+			}
+		}
+		for _, s := range ss {
+			bound[s] = true
+		}
 	}
-	return out, err
+	seed := pattern.NewSlab(&pl.Vars).Row()
+	seed.New = seedNew
+	rows := fold(seed, keys, step)
+	out := rows[:0]
+	for _, r := range rows {
+		ok, err := pl.ineqsHold(r)
+		if err != nil {
+			return nil, fmt.Errorf("query %s: %w", pl.Name, err)
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
-// Partial is a partial result of Fold keyed by K: AppendKey encodes the
-// bindings a key names injectively, Extend joins it with a step result for
-// an agreeing base. Rows are keyed by slot lists, the name-keyed
-// assignments pathexpr and regular fold by name lists.
-type Partial[A, K any] interface {
-	AppendKey(buf []byte, key K) []byte
-	Extend(ext A) A
-}
-
-// Fold is the left-to-right join of a body of len(keys) atoms: from seed,
-// step(i, k, base) extends each partial result by atom i, Fold joins the
-// results with their base (Extend), and an atom extending nothing ends the
-// fold. A step depends on its base only through atom i's variables bound
-// before it, which keys[i] names, so when several partial results reach
-// atom i it runs once per distinct binding of those, its join key (k keys
-// ran before), and shares the results. Steps return distinct results, and
-// so does the fold. Every evaluator of positive bodies (here, pathexpr,
-// regular) is this fold.
-func Fold[A Partial[A, K], K any](seed A, keys []K, step func(i, k int, base A) []A) []A {
-	cur := []A{seed}
+// fold is the left-to-right join of a body of len(keys) atoms: from seed,
+// step(i, k, base) extends each row by atom i, fold joins the results with
+// their base (Extend), and an atom extending nothing ends the fold. A step
+// depends on its base only through atom i's slots bound before it, which
+// keys[i] lists, so when several rows reach atom i it runs once per
+// distinct binding of those, its join key (k keys ran before), and shares
+// the results. Steps return distinct rows, and so does the fold.
+func fold(seed pattern.Row, keys [][]int, step func(i, k int, base pattern.Row) []pattern.Row) []pattern.Row {
+	cur := []pattern.Row{seed}
 	var key []byte
 	var seen pattern.KeySet
-	var memo [][]A
-	var ks []int // per partial result, its key's number
+	var memo [][]pattern.Row
+	var ks []int // per row, its key's number
 	for i := 0; i < len(keys) && len(cur) > 0; i++ {
 		if len(cur) == 1 { // no key, no memo
 			base := cur[0]
@@ -326,7 +354,7 @@ func Fold[A Partial[A, K], K any](seed A, keys []K, step func(i, k int, base A) 
 			}
 			ks, n = append(ks, k), n+len(memo[k])
 		}
-		next := make([]A, 0, n)
+		next := make([]pattern.Row, 0, n)
 		for j, base := range cur {
 			for _, ext := range memo[ks[j]] {
 				next = append(next, base.Extend(ext))
@@ -337,98 +365,24 @@ func Fold[A Partial[A, K], K any](seed A, keys []K, step func(i, k int, base A) 
 	return cur
 }
 
-// NameKeys is Fold's keys for partial results keyed by name: every
-// variable name of each of n atoms, which vars collects.
-func NameKeys(n int, vars func(i int, dst map[string]pattern.Kind) error) [][]string {
-	keys := make([][]string, n)
-	for i := range keys {
-		own := map[string]pattern.Kind{}
-		_ = vars(i, own) // a kind conflict still collects every name
-		for v := range own {
-			keys[i] = append(keys[i], v)
-		}
-	}
-	return keys
-}
-
-// IneqsHold reports whether asn satisfies every inequality. A variable
-// that is unbound or bound to a tree is an error, not a mismatch:
-// Validate rules both out, so meeting one means an unvalidated query.
-func IneqsHold(ineqs []Ineq, asn pattern.Assignment) (bool, error) {
-	pl := &plan{ineqs: ineqs}
-	return pl.ineqsHold(pl.rowsOf(asn)[0])
-}
-
-// Answers instantiates head under every assignment and reduces the
-// forest: the last step of every snapshot evaluation, instantiating once
-// per distinct projection onto the head's variables. name labels errors.
-func Answers(name string, head *pattern.Node, asns []pattern.Assignment) (tree.Forest, error) {
-	pl := &plan{}
-	pl.head = pl.vars.Compile(head)
-	return pl.answers(name, pl.rowsOf(asns...))
-}
-
-// plan is a query compiled for one evaluation: its variables numbered
-// once (slot i of every row is variable i), each atom's pattern compiled
-// against them in join order, and per joined atom its join key — the
-// slots it shares with the atoms joined before it.
-type plan struct {
-	vars  pattern.Vars
-	atoms []Atom
-	pats  []*pattern.Compiled
-	keys  [][]int
-	head  *pattern.Compiled
-	ineqs []Ineq
-}
-
-func newPlan(q *Query, docs Docs, ixs Indexes) *plan {
-	pl := &plan{}
-	pats := make([]*pattern.Compiled, len(q.Body))
-	for i, a := range q.Body {
-		pats[i] = pl.vars.Compile(a.Pattern)
-	}
-	pl.head, pl.ineqs = pl.vars.Compile(q.Head), q.Ineqs
-	pl.order(q, pats, docs, ixs)
-	return pl
-}
-
-// rowsOf is the boundary for name-keyed assignments (IneqsHold and
-// Answers on pathexpr's and regular's folds): it numbers the names the
-// first one binds, with their bindings' kinds, and converts each to a row.
-func (pl *plan) rowsOf(asns ...pattern.Assignment) []pattern.Row {
-	for _, a := range asns[:min(len(asns), 1)] {
-		for name, b := range a {
-			kind := pattern.VarValue
-			if b.Tree != nil {
-				kind = pattern.VarTree
-			}
-			pl.vars.Number(name, kind)
-		}
-	}
-	slab := pattern.NewSlab(&pl.vars)
-	rows := make([]pattern.Row, len(asns))
-	for i, a := range asns {
-		rows[i], _ = slab.RowOf(a)
-	}
-	return rows
-}
-
-// ineqsHold is IneqsHold on a row.
-func (pl *plan) ineqsHold(r pattern.Row) (bool, error) {
+// ineqsHold reports whether the row satisfies every inequality. A variable
+// that is unbound or bound to a tree is an error, not a mismatch: Validate
+// rules both out, so meeting one means an unvalidated query.
+func (pl *Plan) ineqsHold(r pattern.Row) (bool, error) {
 	val := func(t Term) (string, error) {
 		if t.Var == "" {
 			return t.Const, nil
 		}
-		switch i := pl.vars.Slot(t.Var); {
+		switch i := pl.Vars.Slot(t.Var); {
 		case i < 0 || r.Bound(i) == nil:
 			return "", fmt.Errorf("inequality variable %s unbound", t.Var)
-		case pl.vars.Kind(i) == pattern.VarTree:
+		case pl.Vars.Kind(i) == pattern.VarTree:
 			return "", fmt.Errorf("inequality variable %s bound to a tree", t.Var)
 		default:
 			return r.Bound(i).Name, nil
 		}
 	}
-	for _, e := range pl.ineqs {
+	for _, e := range pl.Ineqs {
 		l, err := val(e.Left)
 		if err != nil {
 			return false, err
@@ -444,14 +398,17 @@ func (pl *plan) ineqsHold(r pattern.Row) (bool, error) {
 	return true, nil
 }
 
-// answers is Answers on rows. The instantiations are fresh trees, so they are reduced in place, as the
-// children of a root that is then dropped.
-func (pl *plan) answers(name string, rows []pattern.Row) (tree.Forest, error) {
+// Answers instantiates the head under every row and reduces the forest:
+// the last step of every snapshot evaluation, instantiating once per
+// distinct projection onto the head's slots. The instantiations are fresh
+// trees, so they are reduced in place, as the children of a root that is
+// then dropped.
+func (pl *Plan) Answers(rows []pattern.Row) (tree.Forest, error) {
 	var out tree.Forest
 	for _, r := range pl.distinctHeads(rows) {
-		t, err := pl.head.Instantiate(r)
+		t, err := pl.Head.Instantiate(r)
 		if err != nil {
-			return nil, fmt.Errorf("query %s: %w", name, err)
+			return nil, fmt.Errorf("query %s: %w", pl.Name, err)
 		}
 		out = append(out, t)
 	}
@@ -461,9 +418,9 @@ func (pl *plan) answers(name string, rows []pattern.Row) (tree.Forest, error) {
 // distinctHeads keeps the first row of each distinct projection onto the
 // head's slots, in place; when the head keeps every slot the rows are
 // distinct already.
-func (pl *plan) distinctHeads(rows []pattern.Row) []pattern.Row {
-	hs := pl.head.Slots()
-	if len(rows) < 2 || len(hs) == pl.vars.Len() {
+func (pl *Plan) distinctHeads(rows []pattern.Row) []pattern.Row {
+	hs := pl.Head.Slots()
+	if len(rows) < 2 || len(hs) == pl.Vars.Len() {
 		return rows
 	}
 	var seen pattern.KeySet
@@ -476,6 +433,26 @@ func (pl *plan) distinctHeads(rows []pattern.Row) []pattern.Row {
 		}
 	}
 	return out
+}
+
+// plan is a query's Plan with its atoms and their compiled patterns in
+// join order, and each one's slots.
+type plan struct {
+	Plan
+	atoms []Atom
+	pats  []*pattern.Compiled
+	slots [][]int
+}
+
+func newPlan(q *Query, docs Docs, ixs Indexes) *plan {
+	pl := &plan{Plan: Plan{Name: q.Name, Ineqs: q.Ineqs}}
+	pats := make([]*pattern.Compiled, len(q.Body))
+	for i, a := range q.Body {
+		pats[i] = pl.Vars.Compile(a.Pattern)
+	}
+	pl.Head = pl.Vars.Compile(q.Head)
+	pl.order(q, pats, docs, ixs)
+	return pl
 }
 
 // bodyRows computes the rows satisfying the body and the inequalities,
@@ -495,9 +472,7 @@ func bodyRows(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (*plan,
 	}
 	pl := newPlan(q, docs, ixs)
 	var built *pattern.Index // over a tree no index in ixs covers
-	seed := pattern.NewSlab(&pl.vars).Row()
-	seed.New = since == nil
-	rows := Fold(seed, pl.keys, func(i, k int, base pattern.Row) []pattern.Row {
+	rows, err := pl.Rows(since == nil, pl.slots, func(i, k int, base pattern.Row) []pattern.Row {
 		a, d := pl.atoms[i], docs[pl.atoms[i].Doc]
 		sinceV, known := since[a.Doc]
 		if !known {
@@ -521,32 +496,22 @@ func bodyRows(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (*plan,
 		}
 		return ms
 	})
-	out := rows[:0]
-	for _, r := range rows {
-		ok, err := pl.ineqsHold(r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("query %s: %w", q.Name, err)
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return pl, out, nil
+	return pl, rows, err
 }
 
-// order joins the body atoms in greedy order, recording each one's join
-// key: repeatedly pick the not-yet-joined atom binding the most slots
-// already bound by the chosen prefix, breaking ties by index selectivity
-// (the length of the rarest constant's candidate list) and then by
-// original position. An atom over a tree no index covers (a call's
-// context, a served envelope) ranks by its root's child count instead: an
-// O(1) bound it can observe without a walk, where an uncovered atom used
-// to rank last. Bound variables act as constants inside the match, so
-// joining them early shrinks the intermediate row sets; conjunction is
-// commutative and results are deduplicated, so any order yields the same
-// set. Greedy one-step lookahead is the janus-datalog observation: with
-// exact candidate counts for free, the greedy order is within noise of
-// optimal and costs nothing to compute.
+// order joins the body atoms in greedy order: repeatedly pick the
+// not-yet-joined atom binding the most slots already bound by the chosen
+// prefix, breaking ties by index selectivity (the length of the rarest
+// constant's candidate list) and then by original position. An atom over
+// a tree no index covers (a call's context, a served envelope) ranks by
+// its root's child count instead: an O(1) bound it can observe without a
+// walk, where an uncovered atom used to rank last. Bound variables act as
+// constants inside the match, so joining them early shrinks the
+// intermediate row sets; conjunction is commutative and results are
+// deduplicated, so any order yields the same set. Greedy one-step
+// lookahead is the janus-datalog observation: with exact candidate counts
+// for free, the greedy order is within noise of optimal and costs nothing
+// to compute.
 func (pl *plan) order(q *Query, pats []*pattern.Compiled, docs Docs, ixs Indexes) {
 	n := len(q.Body)
 	sel := make([]int, n)
@@ -559,7 +524,7 @@ func (pl *plan) order(q *Query, pats []*pattern.Compiled, docs Docs, ixs Indexes
 			sel[i] = ix.Selectivity(pats[i])
 		}
 	}
-	bound, used := make([]bool, pl.vars.Len()), make([]bool, n)
+	bound, used := make([]bool, pl.Vars.Len()), make([]bool, n)
 	for range n {
 		best, bestBound := -1, -1
 		for i := range q.Body {
@@ -577,13 +542,10 @@ func (pl *plan) order(q *Query, pats []*pattern.Compiled, docs Docs, ixs Indexes
 			}
 		}
 		used[best] = true
-		var key []int
 		for _, s := range pats[best].Slots() {
-			if bound[s] {
-				key = append(key, s)
-			}
 			bound[s] = true
 		}
-		pl.atoms, pl.pats, pl.keys = append(pl.atoms, q.Body[best]), append(pl.pats, pats[best]), append(pl.keys, key)
+		pl.atoms, pl.pats = append(pl.atoms, q.Body[best]), append(pl.pats, pats[best])
+		pl.slots = append(pl.slots, pats[best].Slots())
 	}
 }

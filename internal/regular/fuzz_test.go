@@ -7,6 +7,7 @@ import (
 	"axml/internal/core"
 	"axml/internal/subsume"
 	"axml/internal/syntax"
+	"axml/internal/tree"
 	"axml/internal/workload"
 )
 
@@ -59,12 +60,16 @@ func TestFuzzGraphVsEngine(t *testing.T) {
 }
 
 // On terminating random systems, queries evaluated over the graph (i.e.
-// over [I]) must match the engine's full results.
+// over [I]) must match the engine's full results: simple queries through
+// SnapshotQuery, queries with a tree variable (in the head, or in the body
+// only) through QFinite, which must find them finite.
 func TestFuzzGraphQueryVsEngine(t *testing.T) {
 	queries := []string{
 		`out{$x} :- d0/r{item{$x}}`,
 		`got{$x} :- d0/r{item{$x,%l}}`,
 		`p{a{$x},b{$y}} :- d0/r{item{$x}}, d1/r{item{$y}}, $x != $y`,
+		`got{#T} :- d0/r{item{#T}}`,
+		`some{$x} :- d0/r{item{$x},#T}`,
 	}
 	validated := 0
 	for seed := int64(0); seed < 80 && validated < 12; seed++ {
@@ -80,7 +85,15 @@ func TestFuzzGraphQueryVsEngine(t *testing.T) {
 		}
 		for _, src := range queries {
 			q := syntax.MustParseQuery(src)
-			graphAns, err := g.SnapshotQuery(q)
+			finite, graphAns, err := true, tree.Forest(nil), error(nil)
+			if q.IsSimple() {
+				graphAns, err = g.SnapshotQuery(q)
+			} else {
+				finite, graphAns, err = g.QFinite(q)
+			}
+			if !finite {
+				t.Fatalf("seed %d query %q: infinite answer on a terminating system", seed, src)
+			}
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

@@ -40,6 +40,9 @@ type Vertex struct {
 	// Origin is the original document node this vertex was converted
 	// from, or nil for instantiation vertices.
 	Origin *tree.Node
+	// mark is a node carrying the vertex's marking: what an atom variable
+	// matched at the vertex binds in a row.
+	mark *tree.Node
 }
 
 // Graph is the finite representation of a simple positive system's
@@ -127,7 +130,7 @@ func Build(s *core.System, opts BuildOptions) (*Graph, error) {
 }
 
 func (g *Graph) newVertex(kind tree.Kind, name string, origin *tree.Node) *Vertex {
-	v := &Vertex{ID: g.nextID, Kind: kind, Name: name, Origin: origin}
+	v := &Vertex{ID: g.nextID, Kind: kind, Name: name, Origin: origin, mark: &tree.Node{Kind: kind, Name: name}}
 	g.nextID++
 	return v
 }
@@ -177,12 +180,12 @@ func (g *Graph) saturateOnce(s *core.System) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("regular: call to unknown or non-positive service %q", e.fn.Name)
 		}
-		asns, err := g.evalBody(svc.Query, e)
+		ev, rows, err := g.evalBody(svc.Query, e)
 		if err != nil {
 			return false, err
 		}
-		for _, asn := range asns {
-			did, err := g.attach(e, svc.Query, asn)
+		for _, r := range rows {
+			did, err := g.attach(e, svc.Query, ev, r)
 			if err != nil {
 				return false, err
 			}
@@ -193,12 +196,12 @@ func (g *Graph) saturateOnce(s *core.System) (bool, error) {
 	return changed, nil
 }
 
-// evalBody computes the satisfying assignments of the service query's body
-// against the graph, with input and context bound per Section 2.2.
-func (g *Graph) evalBody(q *query.Query, e callEdge) ([]pattern.Assignment, error) {
+// evalBody computes the rows satisfying the service query's body against
+// the graph, with input and context bound per Section 2.2.
+func (g *Graph) evalBody(q *query.Query, e callEdge) (*evaluation, []pattern.Row, error) {
 	input := g.newVertex(tree.Label, tree.Input, nil)
 	input.Children = e.fn.Children
-	return g.bodyAssignments(q, func(doc string) *Vertex {
+	return g.bodyRows(q, func(doc string) *Vertex {
 		switch doc {
 		case tree.Input:
 			return input
@@ -209,40 +212,111 @@ func (g *Graph) evalBody(q *query.Query, e callEdge) ([]pattern.Assignment, erro
 	})
 }
 
-// bodyAssignments computes the assignments satisfying q's body and
-// inequalities over the graph, roots giving the root vertex of each
-// document name: query.Fold with the graph matcher as its step.
-func (g *Graph) bodyAssignments(q *query.Query, roots func(doc string) *Vertex) ([]pattern.Assignment, error) {
-	asns := query.Fold(pattern.Assignment{}, query.NameKeys(len(q.Body), func(i int, dst map[string]pattern.Kind) error {
-		return q.Body[i].Pattern.Vars(dst)
-	}), func(i, _ int, asn pattern.Assignment) []pattern.Assignment {
+// evaluation is one body's evaluation over the graph: its query.Plan, the
+// matched atom's slots (all its rows can differ in), and for tree
+// variables the memoised unfoldings, the cycle-reaching vertices and the
+// sentinel standing for an infinite unfolding.
+type evaluation struct {
+	g        *Graph
+	pl       *query.Plan
+	slots    []int
+	unfolded map[*Vertex]*tree.Node
+	cyclic   map[int]bool
+	infinite *tree.Node
+}
+
+// bodyRows computes the rows satisfying q's body and inequalities over the
+// graph, roots giving the root vertex of each document name: the plan's
+// row evaluation with the vertex matcher as its step, atoms in body order.
+func (g *Graph) bodyRows(q *query.Query, roots func(doc string) *Vertex) (*evaluation, []pattern.Row, error) {
+	ev := &evaluation{
+		g:        g,
+		pl:       &query.Plan{Name: q.Name, Ineqs: q.Ineqs},
+		unfolded: map[*Vertex]*tree.Node{},
+		// No unfolding has a value node with a child, so no bound subtree
+		// shares the sentinel's digest.
+		infinite: &tree.Node{Kind: tree.Value, Children: []*tree.Node{{Kind: tree.Value}}},
+	}
+	slots := make([][]int, len(q.Body))
+	for i, a := range q.Body {
+		slots[i] = ev.pl.Vars.Compile(a.Pattern).Slots()
+	}
+	ev.pl.Head = ev.pl.Vars.Compile(q.Head)
+	rows, err := ev.pl.Rows(true, slots, func(i, _ int, base pattern.Row) []pattern.Row {
 		root := roots(q.Body[i].Doc)
 		if root == nil {
 			return nil
 		}
-		return g.match(q.Body[i].Pattern, root, asn)
+		ev.slots = slots[i]
+		return ev.match(q.Body[i].Pattern, root, base)
 	})
-	out := asns[:0]
-	for _, asn := range asns {
-		ok, err := query.IneqsHold(q.Ineqs, asn)
-		if err != nil {
-			return nil, fmt.Errorf("regular: query %s: %w", q.Name, err)
+	return ev, rows, err
+}
+
+// match returns the distinct extensions of r under which the pattern
+// embeds into the graph, pattern root at vertex v: an atom variable binds
+// v's marking, a tree variable v's unfolding. Patterns have finite depth,
+// so the recursion terminates despite graph cycles.
+func (ev *evaluation) match(p *pattern.Node, v *Vertex, r pattern.Row) []pattern.Row {
+	if !pattern.Compatible(p, v.Kind, v.Name) {
+		return nil
+	}
+	if p.Kind.IsVar() {
+		d := v.mark
+		if p.Kind == pattern.VarTree {
+			d = ev.subtree(v)
 		}
-		if ok {
-			out = append(out, asn)
+		var ok bool
+		if r, ok = r.Bind(p.Kind, ev.pl.Vars.Slot(p.Name), d); !ok {
+			return nil
 		}
 	}
-	return out, nil
+	rows := []pattern.Row{r}
+	for _, pc := range p.Children {
+		var extended []pattern.Row
+		for _, r := range rows {
+			for _, vc := range v.Children {
+				extended = append(extended, ev.match(pc, vc, r)...)
+			}
+		}
+		if len(extended) == 0 {
+			return nil
+		}
+		rows = pattern.Distinct(extended, ev.slots)
+	}
+	return rows
+}
+
+// subtree is what a tree variable matched at v binds: v's memoised
+// unfolding, or the sentinel when a cycle is reachable from v.
+func (ev *evaluation) subtree(v *Vertex) *tree.Node {
+	if ev.cyclic == nil {
+		ev.cyclic = ev.g.cycleReaching()
+	}
+	if ev.cyclic[v.ID] {
+		return ev.infinite
+	}
+	t, ok := ev.unfolded[v]
+	if !ok {
+		t, _ = v.UnfoldFull() // no cycle is reachable from v
+		ev.unfolded[v] = t
+	}
+	return t
 }
 
 // attach installs the shared instantiation of the query head under the
-// call's parent, reporting whether it was new there.
-func (g *Graph) attach(e callEdge, q *query.Query, asn pattern.Assignment) (bool, error) {
-	key := q.Name + "(" + asn.Key() + ")"
+// call's parent, reporting whether it was new there. The instantiation is
+// keyed by the row's bindings of every body variable.
+func (g *Graph) attach(e callEdge, q *query.Query, ev *evaluation, r pattern.Row) (bool, error) {
+	all := make([]int, ev.pl.Vars.Len())
+	for i := range all {
+		all[i] = i
+	}
+	key := q.Name + "(" + string(r.AppendKey(nil, all)) + ")"
 	root, ok := g.inst[key]
 	if !ok {
 		var err error
-		root, err = g.instantiate(q.Head, asn, key, "h")
+		root, err = g.instantiate(q.Head, &ev.pl.Vars, r, key, "h")
 		if err != nil {
 			return false, err
 		}
@@ -258,9 +332,10 @@ func (g *Graph) attach(e callEdge, q *query.Query, asn pattern.Assignment) (bool
 }
 
 // instantiate builds (and memoizes, per head position) the vertex tree of
-// µ(head). Memoizing every head position under the same key makes
-// identical instantiations fully shared, including their inner nodes.
-func (g *Graph) instantiate(head *pattern.Node, asn pattern.Assignment, key, pos string) (*Vertex, error) {
+// µ(head) for the row r over vars. Memoizing every head position under the
+// same key makes identical instantiations fully shared, including their
+// inner nodes.
+func (g *Graph) instantiate(head *pattern.Node, vars *pattern.Vars, r pattern.Row, key, pos string) (*Vertex, error) {
 	posKey := key + "@" + pos
 	if v, ok := g.inst[posKey]; ok {
 		return v, nil
@@ -275,8 +350,8 @@ func (g *Graph) instantiate(head *pattern.Node, asn pattern.Assignment, key, pos
 	case pattern.ConstFunc:
 		kind, name = tree.Func, head.Name
 	case pattern.VarLabel, pattern.VarValue, pattern.VarFunc:
-		b, ok := asn[head.Name]
-		if !ok || b.Tree != nil {
+		i := vars.Slot(head.Name)
+		if r.Bound(i) == nil || vars.Kind(i) == pattern.VarTree {
 			return nil, fmt.Errorf("regular: head variable %s unbound", head.Name)
 		}
 		switch head.Kind {
@@ -287,7 +362,7 @@ func (g *Graph) instantiate(head *pattern.Node, asn pattern.Assignment, key, pos
 		default:
 			kind = tree.Func
 		}
-		name = b.Atom
+		name = r.Bound(i).Name
 	default:
 		return nil, fmt.Errorf("regular: tree variable in a simple system head")
 	}
@@ -297,37 +372,13 @@ func (g *Graph) instantiate(head *pattern.Node, asn pattern.Assignment, key, pos
 		g.inst[key] = v
 	}
 	for i, c := range head.Children {
-		cv, err := g.instantiate(c, asn, key, fmt.Sprintf("%s.%d", pos, i))
+		cv, err := g.instantiate(c, vars, r, key, fmt.Sprintf("%s.%d", pos, i))
 		if err != nil {
 			return nil, err
 		}
 		v.Children = append(v.Children, cv)
 	}
 	return v, nil
-}
-
-// match computes assignments embedding a (simple) pattern into the graph,
-// pattern root at vertex v. Patterns have finite depth, so the recursion
-// terminates despite graph cycles.
-func (g *Graph) match(p *pattern.Node, v *Vertex, asn pattern.Assignment) []pattern.Assignment {
-	next, ok := pattern.BindAtom(p, v.Kind, v.Name, asn)
-	if !ok {
-		return nil
-	}
-	asns := []pattern.Assignment{next}
-	for _, pc := range p.Children {
-		var extended []pattern.Assignment
-		for _, a := range asns {
-			for _, vc := range v.Children {
-				extended = append(extended, g.match(pc, vc, a)...)
-			}
-		}
-		if len(extended) == 0 {
-			return nil
-		}
-		asns = pattern.Dedup(extended)
-	}
-	return asns
 }
 
 // VertexCount returns the number of vertices reachable from the roots.
@@ -430,17 +481,14 @@ func (v *Vertex) UnfoldFull() (*tree.Node, error) {
 
 // SnapshotQuery evaluates a simple query against the graph, i.e. against
 // the full semantics [I]: the result is q's full result [q](I), which is
-// always finite for simple queries (Section 3.3). Tree variables are
-// rejected.
+// always finite for simple queries (Section 3.3), and QFinite's answer.
+// Tree variables are rejected.
 func (g *Graph) SnapshotQuery(q *query.Query) (tree.Forest, error) {
 	if !q.IsSimple() {
 		return nil, fmt.Errorf("regular: SnapshotQuery requires a simple query")
 	}
-	asns, err := g.bodyAssignments(q, func(doc string) *Vertex { return g.Roots[doc] })
-	if err != nil {
-		return nil, err
-	}
-	return query.Answers(q.Name, q.Head, asns)
+	_, ans, err := g.QFinite(q)
+	return ans, err
 }
 
 // String renders the graph as one line per reachable vertex, stable across

@@ -111,7 +111,7 @@ func ProjectData(v *Vertex) *Vertex {
 		if c, ok := clones[w]; ok {
 			return c
 		}
-		c := &Vertex{ID: id, Kind: w.Kind, Name: w.Name}
+		c := &Vertex{ID: id, Kind: w.Kind, Name: w.Name, mark: w.mark}
 		id++
 		clones[w] = c
 		for _, ch := range w.Children {

@@ -1,14 +1,13 @@
 #!/bin/sh
 # lint-obs.sh — ban bare stdlib printing, package-level http helpers,
-# exported global bool switches, private copies of the assignment dedup,
-# hand-rolled document growth in the peer layer, lock hand-offs from
+# exported global bool switches, hand-rolled document growth in the peer layer, lock hand-offs from
 # library code, requests built or sent past the peer's one wire boundary,
 # exported mutable globals in the peer layer, product calls of the
 # reference hash, a second benchmark pipeline beside benchmark/, a
 # node-pair subsumption memo, a document version or committed
 # sterile-call gate written outside its one writer, a journal that
 # records what exists instead of what grew, an experiment harness beside
-# the claims tests, and map assignments on the join's row path.
+# the claims tests, and map assignments on any evaluator's row path.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -70,21 +69,6 @@ badswitch=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
 if [ -n "$badswitch" ]; then
     echo "vet-obs: exported package-level bool in library code (a behaviour switch as global state; make it a parameter or a test-only oracle):" >&2
     echo "$badswitch" >&2
-    exit 1
-fi
-# Deduplicating assignments is pattern.Dedup / pattern.DedupStamped; every
-# evaluator used to carry its own copy. Only internal/pattern and
-# internal/query may define a dedup* function over those slice types
-# (dedup helpers over other types — ints, strings, graph assignments —
-# are none of this rule's business).
-baddedup=$(grep -rn --include='*.go' -E '^func (\([^)]*\) )?dedup[A-Za-z0-9_]*\([^)]*\[\]pattern\.(Assignment|Stamped)\)' internal/ \
-    | grep -v '_test\.go:' \
-    | grep -vE '^internal/(pattern|query)/' \
-    || true)
-
-if [ -n "$baddedup" ]; then
-    echo "vet-obs: private dedup over assignments (use pattern.Dedup / pattern.DedupStamped):" >&2
-    echo "$baddedup" >&2
     exit 1
 fi
 # A document grows in one place: core.System.Append / Restore (over
@@ -261,24 +245,38 @@ fi
 # The join runs over rows: a query's variables are numbered slots, a
 # partial result holds one bound document node per slot in a row from the
 # evaluation's slab, and dedup and join keys are slot encodings hashed
-# from a reused buffer. The name-keyed Assignment is the boundary type
-# (Match, MatchUnder, Instantiate, IneqsHold, Answers convert at it); a map
-# assignment, a map copy or a string-keyed map inside the row matcher
-# (internal/pattern/row.go and the plan) or the query's fold and step is
-# the per-bind copying that was half of tc-fixpoint's allocations. The
+# from a reused buffer. Every body evaluator joins those rows through
+# query.Plan: the query matcher, pathexpr's NFA-path matcher and regular's
+# vertex matcher bind through pattern.Row.Bind and deduplicate through
+# pattern.Distinct. The name-keyed Assignment is only pattern.Match's
+# result. A map assignment, a map copy or a string-keyed map inside the row
+# matcher (internal/pattern/row.go and the plan) or the query's fold and
+# step is the per-bind copying that was half of tc-fixpoint's allocations;
+# an Assignment, BindAtom, NameKeys, a private graph assignment (gAsn), a
+# string-keyed map or a generic fold in pathexpr's or regular's matcher or
+# step functions is a second partial-result type beside the row. The
 # per-document baselines (map[string]uint64, read once per atom step, not
-# per row) are the one string-keyed map the fold may read.
-badjoinmap=$(find internal/pattern internal/query -name '*.go' ! -name '*_test.go' -exec awk '
-    /^func / { fn = $0 }
-    /^[[:space:]]*\/\// { next }
-    { line = $0; gsub(/map\[string\]uint64/, "", line) }
-    line !~ /Assignment|Stamped|\.Copy\(\)|map\[string\]/ { next }
-    FILENAME ~ /\/row\.go$/ { printf "%s:%d:%s\n", FILENAME, FNR, $0; next }
-    fn ~ /^func (\([^)]*\) )?(matchNode|matchChildren|matchSpine|bindMarking|plan|anchorSym|MatchRows|Fold|bodyAssignments|bodyRows|newPlan|orderAtoms|order|ineqsHold|distinctHeads|answers)[[(]/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
-    ' {} +)
+# per row) are the one string-keyed map the query fold may read.
+badjoinmap=$( {
+    find internal/pattern internal/query -name '*.go' ! -name '*_test.go' -exec awk '
+        /^func / { fn = $0 }
+        /^[[:space:]]*\/\// { next }
+        { line = $0; gsub(/map\[string\]uint64/, "", line) }
+        line !~ /Assignment|Stamped|\.Copy\(\)|map\[string\]/ { next }
+        FILENAME ~ /\/row\.go$/ { printf "%s:%d:%s\n", FILENAME, FNR, $0; next }
+        fn ~ /^func (\([^)]*\) )?(plan|anchorSym|MatchRows|Rows|fold|Answers|bodyRows|newPlan|order|ineqsHold|distinctHeads)[[(]/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        ' {} +
+    find internal/pathexpr internal/regular -name '*.go' ! -name '*_test.go' -exec awk '
+        FNR == 1 || /^(type|var|const) / { fn = "" }
+        /^func / { fn = $0 }
+        /^[[:space:]]*\/\// { next }
+        !/Assignment|BindAtom|NameKeys|gAsn|map\[string\]|query\.Fold\[/ { next }
+        fn ~ /^func (\([^)]*\) )?(match[A-Za-z0-9_]*|bind[A-Za-z0-9_]*|dedup[A-Za-z0-9_]*|node|children|path|subtree|Snapshot|SnapshotQuery|QFinite|body(Rows|Assignments)|evalBody)[[(]/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        ' {} +
+    } )
 
 if [ -n "$badjoinmap" ]; then
-    echo "vet-obs: a map assignment, map copy or string-keyed map in the row matcher or the query fold (join over pattern.Row slots; convert at the Assignment boundary):" >&2
+    echo "vet-obs: a map assignment, map copy or string-keyed map in the row matcher or the query fold, or a second partial-result type in pathexpr's or regular's matcher or step (join pattern.Row slots through query.Plan):" >&2
     echo "$badjoinmap" >&2
     exit 1
 fi

@@ -37,7 +37,7 @@ func BenchmarkTree(b *testing.B) {
 	b.Run("match/naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := pattern.Match(needle, doc); len(got) != 1 {
+			if got := rowKeys(nil, needle, doc); len(got) != 1 {
 				b.Fatalf("got %d matches", len(got))
 			}
 		}
@@ -45,7 +45,7 @@ func BenchmarkTree(b *testing.B) {
 	b.Run("match/indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := ix.Match(needle, doc); len(got) != 1 {
+			if got := rowKeys(ix, needle, doc); len(got) != 1 {
 				b.Fatalf("got %d matches", len(got))
 			}
 		}
