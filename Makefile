@@ -46,8 +46,9 @@ loc:
 race:
 	$(GO) test -race ./...
 
-# Short-budget coverage-guided fuzzing of the wire parsers journal replay
-# depends on and of graft-record replay itself, the intern/digest cache
+# Short-budget coverage-guided fuzzing of the wire parsers serving and
+# recovery depend on (each checked against the encoding/xml oracle), of
+# graft-record replay itself, the intern/digest cache
 # stability target, the keyed join against the nested-loop join, and
 # pathexpr's snapshot against the query evaluator on path-free queries (go
 # test -fuzz takes one target per run).
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalEnvelope$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalDelta$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzReplayGraftRecord$$' -fuzztime=5s
+	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalSnapshot$$' -fuzztime=5s
 	$(GO) test ./internal/tree -run='^$$' -fuzz='^FuzzSymDigestStability$$' -fuzztime=5s
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzJoinMatchesNestedLoop$$' -fuzztime=5s
 	$(GO) test ./internal/pathexpr -run='^$$' -fuzz='^FuzzRSnapshotMatchesQuery$$' -fuzztime=5s

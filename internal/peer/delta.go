@@ -3,7 +3,7 @@ package peer
 import (
 	"bytes"
 	"encoding/hex"
-	"encoding/xml"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -361,19 +361,11 @@ func (da *deltaAnchors) store(doc, digest string, cp *tree.Node) bool {
 //	  nested ax:patch spines, then added trees
 //	</ax:patch>
 func MarshalDelta(d Delta) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	attrs := []xml.Attr{
-		{Name: xml.Name{Local: attrName}, Value: d.Doc},
-		{Name: xml.Name{Local: attrMode}, Value: d.Mode},
-	}
+	var e encoder
 	if d.From != "" {
-		attrs = append(attrs, xml.Attr{Name: xml.Name{Local: attrFrom}, Value: d.From})
-	}
-	attrs = append(attrs, xml.Attr{Name: xml.Name{Local: attrTo}, Value: d.To})
-	start := xml.StartElement{Name: xml.Name{Local: elemDelta}, Attr: attrs}
-	if err := enc.EncodeToken(start); err != nil {
-		return nil, err
+		e.open(elemDelta, attrName, d.Doc, attrMode, d.Mode, attrFrom, d.From, attrTo, d.To)
+	} else {
+		e.open(elemDelta, attrName, d.Doc, attrMode, d.Mode, attrTo, d.To)
 	}
 	switch d.Mode {
 	case DeltaSame:
@@ -381,184 +373,95 @@ func MarshalDelta(d Delta) ([]byte, error) {
 		if d.Full == nil {
 			return nil, fmt.Errorf("peer: full delta without tree")
 		}
-		if err := encodeNode(enc, d.Full); err != nil {
-			return nil, err
-		}
+		e.node(d.Full)
 	case DeltaPatch:
 		if d.Patch == nil {
 			return nil, fmt.Errorf("peer: patch delta without patch")
 		}
-		if err := encodePatch(enc, d.Patch); err != nil {
-			return nil, err
-		}
+		e.patch(d.Patch)
 	default:
 		return nil, fmt.Errorf("peer: unknown delta mode %q", d.Mode)
 	}
-	if err := enc.EncodeToken(start.End()); err != nil {
-		return nil, err
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	e.close(elemDelta)
+	return e.bytes()
 }
 
-func encodePatch(enc *xml.Encoder, p *Patch) error {
+func (e *encoder) patch(p *Patch) {
 	kind := "label"
 	if p.Kind == tree.Func {
 		kind = "func"
+	} else if !validLabel(p.Name) {
+		e.err = fmt.Errorf("peer: patch label %q is not a wire label", p.Name)
 	}
-	start := xml.StartElement{Name: xml.Name{Local: elemPatch}, Attr: []xml.Attr{
-		{Name: xml.Name{Local: attrKind}, Value: kind},
-		{Name: xml.Name{Local: attrName}, Value: p.Name},
-		{Name: xml.Name{Local: attrBase}, Value: p.Base},
-	}}
-	if err := enc.EncodeToken(start); err != nil {
-		return err
-	}
+	e.open(elemPatch, attrKind, kind, attrName, p.Name, attrBase, p.Base)
 	for _, sp := range p.Spines {
-		if err := encodePatch(enc, sp); err != nil {
-			return err
-		}
+		e.patch(sp)
 	}
 	for _, a := range p.Adds {
-		if err := encodeNode(enc, a); err != nil {
-			return err
-		}
+		e.node(a)
 	}
-	return enc.EncodeToken(start.End())
+	e.close(elemPatch)
 }
 
 // UnmarshalDelta parses a delta record.
 func UnmarshalDelta(data []byte) (Delta, error) {
-	var d Delta
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	start, err := firstStart(dec)
-	if err != nil || wireName(start.Name) != elemDelta {
-		return d, fmt.Errorf("peer: bad delta: %v", err)
-	}
-	for _, a := range start.Attr {
-		switch a.Name.Local {
-		case attrName:
-			d.Doc = a.Value
-		case attrMode:
-			d.Mode = a.Value
-		case attrFrom:
-			d.From = a.Value
-		case attrTo:
-			d.To = a.Value
+	return decodeRoot(data, elemDelta, func(s *scanner) (d Delta, err error) {
+		d = Delta{Doc: s.attr(attrName), Mode: s.attr(attrMode), From: s.attr(attrFrom), To: s.attr(attrTo)}
+		if d.Doc == "" {
+			return d, errors.New("delta without document name")
 		}
-	}
-	if d.Doc == "" {
-		return d, fmt.Errorf("peer: delta without document name")
-	}
-	switch d.Mode {
-	case DeltaSame:
-		return d, nil
-	case DeltaFull:
-		n, err := decodeNext(dec)
-		if err != nil {
-			return d, err
+		switch d.Mode {
+		case DeltaSame:
+			err = s.elements(func() error { return fmt.Errorf("a %s delta carries no <%s>", DeltaSame, s.name) })
+		case DeltaFull:
+			if d.Full, err = s.one(); err == nil && d.Full == nil {
+				err = errors.New("full delta without tree")
+			}
+		case DeltaPatch:
+			err = s.elements(func() (err error) {
+				if d.Patch != nil || string(s.name) != elemPatch {
+					return fmt.Errorf("expected one %s, found %s", elemPatch, s.name)
+				}
+				d.Patch, err = s.patch()
+				return err
+			})
+			if err == nil && d.Patch == nil {
+				err = errors.New("patch delta without patch")
+			}
+		default:
+			err = fmt.Errorf("unknown delta mode %q", d.Mode)
 		}
-		if n == nil {
-			return d, fmt.Errorf("peer: full delta without tree")
-		}
-		d.Full = n
-		return d, nil
-	case DeltaPatch:
-		p, err := decodeNextPatch(dec)
-		if err != nil {
-			return d, err
-		}
-		if p == nil {
-			return d, fmt.Errorf("peer: patch delta without patch")
-		}
-		d.Patch = p
-		return d, nil
-	default:
-		return d, fmt.Errorf("peer: unknown delta mode %q", d.Mode)
-	}
+		return d, err
+	})
 }
 
-// decodeNextPatch reads the next ax:patch element, skipping whitespace;
-// returns nil at end of the enclosing element.
-func decodeNextPatch(dec *xml.Decoder) (*Patch, error) {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if wireName(t.Name) != elemPatch {
-				return nil, fmt.Errorf("peer: expected %s, found %s", elemPatch, wireName(t.Name))
-			}
-			return decodePatchElement(dec, t)
-		case xml.EndElement:
-			return nil, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) != 0 {
-				return nil, fmt.Errorf("peer: unexpected character data %q in patch", string(t))
-			}
-		}
-	}
-}
-
-func decodePatchElement(dec *xml.Decoder, start xml.StartElement) (*Patch, error) {
-	p := &Patch{}
-	kind := ""
-	for _, a := range start.Attr {
-		switch a.Name.Local {
-		case attrKind:
-			kind = a.Value
-		case attrName:
-			p.Name = a.Value
-		case attrBase:
-			p.Base = a.Value
-		}
-	}
-	switch kind {
+// patch reads an ax:patch element: spines are nested ax:patch elements,
+// every other child is an added tree, in any interleaving.
+func (s *scanner) patch() (*Patch, error) {
+	p := &Patch{Name: s.attr(attrName), Base: s.attr(attrBase)}
+	switch kind := s.attr(attrKind); kind {
 	case "label":
 		p.Kind = tree.Label
-		if !validWireLabel(p.Name) {
-			return nil, fmt.Errorf("peer: patch label %q does not round-trip", p.Name)
+		if !validLabel(p.Name) {
+			return nil, fmt.Errorf("patch label %q is not a wire label", p.Name)
 		}
 	case "func":
 		p.Kind = tree.Func
 		if p.Name == "" {
-			return nil, fmt.Errorf("peer: func patch without service name")
+			return nil, errors.New("func patch without service name")
 		}
 	default:
-		return nil, fmt.Errorf("peer: patch kind %q (want label or func)", kind)
+		return nil, fmt.Errorf("patch kind %q (want label or func)", kind)
 	}
-	// Children: spines (ax:patch) come first, then added trees — but
-	// accept any interleaving on decode (the split is by element name).
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, err
+	err := s.elements(func() error {
+		if string(s.name) == elemPatch {
+			sp, err := s.patch()
+			p.Spines = append(p.Spines, sp)
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if wireName(t.Name) == elemPatch {
-				sp, err := decodePatchElement(dec, t)
-				if err != nil {
-					return nil, err
-				}
-				p.Spines = append(p.Spines, sp)
-				continue
-			}
-			n, err := decodeElement(dec, t)
-			if err != nil {
-				return nil, err
-			}
-			p.Adds = append(p.Adds, n)
-		case xml.EndElement:
-			return p, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) != 0 {
-				return nil, fmt.Errorf("peer: unexpected character data %q in patch", string(t))
-			}
-		}
-	}
+		n, err := s.tree()
+		p.Adds = append(p.Adds, n)
+		return err
+	})
+	return p, err
 }

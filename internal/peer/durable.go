@@ -208,11 +208,9 @@ func marshalGraftRecord(doc string, path []core.GraftStep, fresh tree.Forest) ([
 		b = appendString(append(b, byte(st.Kind)), st.Name)
 		b = append(b, st.Digest[:graftDigestLen]...)
 	}
-	buf := bytes.NewBuffer(b)
-	if err := encodeForest(buf, fresh); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	e := encoder{b: b}
+	e.forest(fresh)
+	return e.bytes()
 }
 
 func appendString(b []byte, s string) []byte {
@@ -258,7 +256,7 @@ func unmarshalGraftRecord(data []byte) (doc string, path []core.GraftStep, fresh
 		}
 		switch st.Kind {
 		case tree.Label:
-			ok = validWireLabel(st.Name)
+			ok = validLabel(st.Name)
 		case tree.Func:
 			ok = st.Name != "" && utf8.ValidString(st.Name)
 		default:

@@ -1,7 +1,9 @@
 package peer
 
 import (
+	"encoding/binary"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"axml/internal/core"
@@ -10,12 +12,15 @@ import (
 	"axml/internal/tree"
 )
 
-// The journal replays through UnmarshalTree/UnmarshalDocRecord and the
-// graft record decoder, and peers exchange envelopes through
-// UnmarshalEnvelope, so these parsers must
-// never panic on arbitrary bytes, and what MarshalTree/MarshalEnvelope
-// emit must parse back to an isomorphic value — otherwise a peer could
-// persist (or send) bytes it cannot read back.
+// Recovery reads snapshots through UnmarshalSnapshot, whole-document
+// records through UnmarshalDocRecord and graft records through the graft
+// record decoder, and peers exchange trees, envelopes and deltas, so
+// these parsers must never panic on arbitrary bytes, and what the
+// encoders emit must parse back to an isomorphic value — otherwise a
+// peer could persist (or send) bytes it cannot read back. Each decoder
+// also agrees with the encoding/xml oracle (agreeWithOracle): the same
+// value where both accept, and a rejection the oracle does not make only
+// in a documented class.
 
 // fuzzMaxInput bounds per-exec cost: larger inputs only repeat structure
 // the coverage-guided corpus already has.
@@ -44,6 +49,12 @@ func FuzzUnmarshalTree(f *testing.F) {
 		`<a attr="dropped"/>`,
 		"<a>x\r\ny</a>",
 		`<ax:doc name="notes"><log/></ax:doc>`,
+		"<?xml version=\"1.0\"?>\n<a>\n <!-- c --> <b x='1'/>\n</a>",
+		`<ax:value>&lt;&#65;&#x1F600;<![CDATA[<&]]></ax:value>`,
+		`<a/><b/>`,
+		`<foo:bar/>`,
+		`<!DOCTYPE a><a/>`,
+		`<ax:forest><a/><ax:value>x</ax:value></ax:forest>`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -52,6 +63,8 @@ func FuzzUnmarshalTree(f *testing.F) {
 		if len(data) > fuzzMaxInput {
 			return
 		}
+		agreeWithOracle(t, data, "", UnmarshalTree, xmlUnmarshalTree, isoHash)
+		agreeWithOracle(t, data, elemForest, UnmarshalForest, xmlUnmarshalForest, sameForest)
 		n, err := UnmarshalTree(data)
 		if err != nil {
 			return // malformed input rejected: fine, as long as no panic
@@ -87,6 +100,8 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		`<ax:delta name="d" mode="nonsense" to="x"></ax:delta>`,
 		`<ax:delta mode="full"><unclosed></ax:delta>`,
 		`<ax:patch kind="label" name="orphan" base=""/>`,
+		`<ax:delta name="d" mode="full" to="x"><a/><b/></ax:delta>`,
+		`<ax:delta name="d" mode="delta" to="x"><ax:patch kind="label" name="p:q" base=""/></ax:delta>`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -100,6 +115,7 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		if len(data) > fuzzMaxInput {
 			return
 		}
+		agreeWithOracle(t, data, elemDelta, UnmarshalDelta, xmlUnmarshalDelta, sameDelta)
 		d, err := UnmarshalDelta(data)
 		if err != nil {
 			return // malformed input rejected: fine, as long as no panic
@@ -130,6 +146,8 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 		`<ax:envelope></ax:envelope>`,
 		`<ax:envelope><ax:invoke><ax:input/></ax:invoke></ax:envelope>`,
 		`<ax:invoke service="f"/>`,
+		`<ax:envelope><ax:invoke service="f"><ax:input><a/></ax:input><ax:input><b/></ax:input></ax:invoke></ax:envelope>`,
+		`<ax:envelope><ax:invoke service="f"><ax:context/><x/></ax:invoke></ax:envelope>`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -138,6 +156,7 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 		if len(data) > fuzzMaxInput {
 			return
 		}
+		agreeWithOracle(t, data, elemEnvelope, UnmarshalEnvelope, xmlUnmarshalEnvelope, sameEnvelope)
 		env, err := UnmarshalEnvelope(data)
 		if err != nil {
 			return
@@ -154,6 +173,57 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 			!isoHash(back.Input, env.Input) ||
 			!isoHash(back.Context, env.Context) {
 			t.Fatalf("envelope round trip not a fixpoint:\nfirst  %+v\nsecond %+v\nwire %q", env, back, out)
+		}
+	})
+}
+
+// FuzzUnmarshalSnapshot: Open decodes the snapshot file's payload and
+// every whole-document journal record from disk, so both decoders must
+// reject garbage without panicking, agree with the oracle, and read back
+// what they accept after re-encoding.
+func FuzzUnmarshalSnapshot(f *testing.F) {
+	for _, s := range []string{
+		``,
+		`<ax:snapshot/>`,
+		`<ax:snapshot><ax:doc name="a"><x><ax:value>1</ax:value></x></ax:doc><ax:doc name="b"><ax:call service="f"/></ax:doc></ax:snapshot>`,
+		`<ax:snapshot>junk<ax:doc name="a"><x/></ax:doc></ax:snapshot>`,
+		`<ax:snapshot><ax:doc name="a"><x/><y/></ax:doc></ax:snapshot>`,
+		`<ax:doc name="notes"><log><entry><ax:value>boot</ax:value></entry></log></ax:doc>`,
+		`<ax:doc name="notes"></ax:doc>`,
+		`<ax:doc><x/></ax:doc>`,
+	} {
+		f.Add([]byte(s))
+	}
+	_, golden, err := journal.ReadSnapshot(filepath.Join("testdata", "recovery", SnapshotFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > fuzzMaxInput {
+			return
+		}
+		agreeWithOracle(t, data, elemSnapshot, UnmarshalSnapshot, xmlUnmarshalSnapshot, sameDocs)
+		agreeWithOracle(t, data, elemDoc, docRecord(UnmarshalDocRecord), docRecord(xmlUnmarshalDocRecord), sameDoc)
+		if docs, err := UnmarshalSnapshot(data); err == nil {
+			out, err := MarshalSnapshot(docs)
+			if err != nil {
+				t.Fatalf("parsed snapshot does not re-marshal: %v (input %q)", err, data)
+			}
+			back, err := UnmarshalSnapshot(out)
+			if err != nil || !sameDocs(docs, back) {
+				t.Fatalf("snapshot round trip not a fixpoint: %v (wire %q)", err, out)
+			}
+		}
+		if name, root, err := UnmarshalDocRecord(data); err == nil {
+			out, err := MarshalDocRecord(name, root)
+			if err != nil {
+				t.Fatalf("parsed doc record does not re-marshal: %v (input %q)", err, data)
+			}
+			backName, back, err := UnmarshalDocRecord(out)
+			if err != nil || backName != name || !isoHash(root, back) {
+				t.Fatalf("doc record round trip not a fixpoint: %v (wire %q)", err, out)
+			}
 		}
 	})
 }
@@ -202,6 +272,9 @@ func FuzzReplayGraftRecord(f *testing.F) {
 		if len(data) > fuzzMaxInput {
 			return
 		}
+		if b := graftForest(data); b != nil {
+			agreeWithOracle(t, b, elemForest, UnmarshalForest, xmlUnmarshalForest, sameForest)
+		}
 		doc, path, forest, decErr := unmarshalGraftRecord(data)
 		if decErr == nil {
 			out, err := MarshalForest(forest)
@@ -245,4 +318,34 @@ func FuzzReplayGraftRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// graftForest returns the forest part of a graft record, what follows
+// its document name and path steps, or nil when those do not parse.
+func graftForest(data []byte) []byte {
+	skip := func(fixed int) bool { // a uvarint-prefixed string, then fixed bytes
+		n, k := binary.Uvarint(data)
+		if k <= 0 || n > uint64(len(data)-k) || k+int(n)+fixed > len(data) {
+			return false
+		}
+		data = data[k+int(n)+fixed:]
+		return true
+	}
+	if !skip(0) {
+		return nil
+	}
+	steps, k := binary.Uvarint(data)
+	if k <= 0 {
+		return nil
+	}
+	for data = data[k:]; steps > 0; steps-- {
+		if len(data) == 0 {
+			return nil
+		}
+		data = data[1:] // the step's kind
+		if !skip(graftDigestLen) {
+			return nil
+		}
+	}
+	return data
 }

@@ -7,7 +7,8 @@
 # node-pair subsumption memo, a document version or committed
 # sterile-call gate written outside its one writer, a journal that
 # records what exists instead of what grew, an experiment harness beside
-# the claims tests, and map assignments on any evaluator's row path.
+# the claims tests, map assignments on any evaluator's row path, and
+# encoding/xml in product code.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -278,6 +279,21 @@ badjoinmap=$( {
 if [ -n "$badjoinmap" ]; then
     echo "vet-obs: a map assignment, map copy or string-keyed map in the row matcher or the query fold, or a second partial-result type in pathexpr's or regular's matcher or step (join pattern.Row slots through query.Plan):" >&2
     echo "$badjoinmap" >&2
+    exit 1
+fi
+# The wire has one codec (internal/peer/codec.go): an append-encoder and a
+# scanner for the closed ax: vocabulary. encoding/xml is its oracle in
+# the differential and fuzz tests; imported by product code it is a
+# second codec beside the one recovery and serving run, and the reflective
+# tokenizer recovery stopped paying for.
+badxmlcodec=$(grep -rn --include='*.go' -E '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"encoding/xml"' . \
+    | grep -v '_test\.go:' \
+    | grep -v '^\./\.bench_build/' \
+    || true)
+
+if [ -n "$badxmlcodec" ]; then
+    echo "vet-obs: encoding/xml imported by product code (the wire codec is internal/peer/codec.go; encoding/xml is the tests' oracle):" >&2
+    echo "$badxmlcodec" >&2
     exit 1
 fi
 echo "vet-obs: ok"
