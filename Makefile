@@ -49,9 +49,10 @@ race:
 # Short-budget coverage-guided fuzzing of the wire parsers serving and
 # recovery depend on (each checked against the encoding/xml oracle), of
 # graft-record replay itself, the intern/digest cache
-# stability target, the keyed join against the nested-loop join, and
-# pathexpr's snapshot against the query evaluator on path-free queries (go
-# test -fuzz takes one target per run).
+# stability target, the keyed join against the nested-loop join,
+# pathexpr's snapshot against the query evaluator on path-free queries, and
+# the delta rules' rows against the nested loop's fresh rows on grown
+# documents (go test -fuzz takes one target per run).
 fuzz-smoke:
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalTree$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalEnvelope$$' -fuzztime=5s
@@ -61,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/tree -run='^$$' -fuzz='^FuzzSymDigestStability$$' -fuzztime=5s
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzJoinMatchesNestedLoop$$' -fuzztime=5s
 	$(GO) test ./internal/pathexpr -run='^$$' -fuzz='^FuzzRSnapshotMatchesQuery$$' -fuzztime=5s
+	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzDeltaRowsMatchFiltered$$' -fuzztime=5s
 
 # The sharded-fleet chaos acceptance: ten durable peers, consistent-hash
 # routing, delta replication under injected message loss, crash-restarts,

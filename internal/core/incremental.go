@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"time"
 
 	"axml/internal/obs"
 	"axml/internal/pattern"
+	"axml/internal/query"
 	"axml/internal/tree"
 )
 
@@ -52,10 +52,11 @@ const (
 type eventState struct {
 	// Reverse dependency index, fixed at run start (services are
 	// immutable during a run).
-	namedReaders map[string][]string // doc name -> funcs reading it by name
-	readsInput   map[string]bool     // funcs whose query reads "input"
-	readsContext map[string]bool     // funcs whose query reads "context"
-	blackBox     []string            // funcs with unknown read sets
+	namedReaders map[string][]string  // doc name -> funcs reading it by name
+	readsInput   map[string]bool      // funcs whose query reads "input"
+	readsContext map[string]bool      // funcs whose query reads "context"
+	blackBox     []string             // funcs with unknown read sets
+	bodies       map[string]*gateBody // declarative funcs' bodies, for the gate
 
 	// Live-call registry: every currently known call, indexed for event
 	// delivery (by function) and for post-merge cleanup (by document).
@@ -81,6 +82,7 @@ func newEventState(s *System, mu *sync.Mutex, cancel context.CancelFunc) *eventS
 		namedReaders: map[string][]string{},
 		readsInput:   map[string]bool{},
 		readsContext: map[string]bool{},
+		bodies:       map[string]*gateBody{},
 		calls:        map[*tree.Node]Call{},
 		byFunc:       map[string]map[*tree.Node]bool{},
 		byDoc:        map[string]map[*tree.Node]bool{},
@@ -93,6 +95,7 @@ func newEventState(s *System, mu *sync.Mutex, cancel context.CancelFunc) *eventS
 			ev.blackBox = append(ev.blackBox, f)
 			continue
 		}
+		ev.bodies[f] = compileBody(qs.Query)
 		for _, d := range qs.Query.DocNames() {
 			switch d {
 			case tree.Input:
@@ -393,7 +396,7 @@ func (e *engine) afterMergeLocked(c Call, fresh tree.Forest, detached, path []*t
 		f := lc.Node.Name
 		scoped := (ev.readsContext[f] && onPath[lc.Parent]) ||
 			(ev.readsInput[f] && onPath[lc.Node])
-		if scoped && s.callLocalAtomsAffected(lc, c.Doc, sinceV) {
+		if scoped && s.callLocalAtomsAffected(ev.bodies[f], lc, c.Doc, sinceV) {
 			ev.enqueueLocked(n)
 		}
 	}
@@ -402,7 +405,7 @@ func (e *engine) afterMergeLocked(c Call, fresh tree.Forest, detached, path []*t
 	// relevance of the delta (shared across the function's calls: the
 	// named atoms match the same document root for all of them).
 	for _, f := range ev.namedReaders[c.Doc] {
-		if !s.namedAtomsAffected(f, c.Doc, sinceV) {
+		if !s.namedAtomsAffected(ev.bodies[f], c.Doc, sinceV) {
 			continue
 		}
 		for n := range ev.byFunc[f] {
@@ -418,24 +421,39 @@ func (e *engine) afterMergeLocked(c Call, fresh tree.Forest, detached, path []*t
 	}
 }
 
-// namedAtomsAffected reports whether any body atom of function f reading
-// document d by name has a match with a witness in the delta above
-// sinceV. It is a necessary condition without the cross-atom join: if no
-// single atom gained a witnessing embedding, the conjunction cannot have
-// gained an assignment that uses the delta, so the function's calls need
-// not wake for this merge. (A match completed by a LATER merge is woken
-// by that merge: its completing node is fresh then.)
-func (s *System) namedAtomsAffected(f, d string, sinceV uint64) bool {
-	qs := s.declarative(f)
-	if qs == nil {
-		return true
+// gateBody is a declarative service's body compiled once per run for the
+// atom-local relevance gate: each atom's pattern, over one numbering.
+type gateBody struct {
+	vars  pattern.Vars
+	atoms []query.Atom
+	pats  []*pattern.Compiled
+}
+
+func compileBody(q *query.Query) *gateBody {
+	b := &gateBody{atoms: q.Body}
+	for _, a := range q.Body {
+		b.pats = append(b.pats, b.vars.Compile(a.Pattern))
 	}
+	return b
+}
+
+// hasDelta reports whether atom i embeds into d with some witness stamped
+// after since: the delta matcher's first row, none built past it.
+func (b *gateBody) hasDelta(ix *pattern.Index, i int, d *tree.Node, since uint64) bool {
+	return ix.HasDelta(b.pats[i], d, pattern.NewSlab(&b.vars).Row(), since)
+}
+
+// namedAtomsAffected reports whether any atom of body b reading document
+// d by name has a match with a witness in the delta above sinceV. It is a
+// necessary condition without the cross-atom join: if no single atom
+// gained a witnessing embedding, the conjunction cannot have gained an
+// assignment that uses the delta, so the function's calls need not wake
+// for this merge. (A match completed by a LATER merge is woken by that
+// merge: its completing node is fresh then.)
+func (s *System) namedAtomsAffected(b *gateBody, d string, sinceV uint64) bool {
 	root := s.docs[d].Root
-	for _, a := range qs.Query.Body {
-		if a.Doc != d {
-			continue
-		}
-		if hasNewMatch(s.indexes[d], a.Pattern, root, sinceV) {
+	for i, a := range b.atoms {
+		if a.Doc == d && b.hasDelta(s.indexes[d], i, root, sinceV) {
 			return true
 		}
 	}
@@ -445,12 +463,11 @@ func (s *System) namedAtomsAffected(f, d string, sinceV uint64) bool {
 // callLocalAtomsAffected is namedAtomsAffected for the reserved atoms of
 // one concrete call: its input (the call's parameter subtrees) and its
 // context (the parent's subtree), both of which live in document d.
-func (s *System) callLocalAtomsAffected(lc Call, d string, sinceV uint64) bool {
-	qs := s.declarative(lc.Node.Name)
-	if qs == nil || lc.Doc != d {
+func (s *System) callLocalAtomsAffected(b *gateBody, lc Call, d string, sinceV uint64) bool {
+	if lc.Doc != d {
 		return true
 	}
-	for _, a := range qs.Query.Body {
+	for i, a := range b.atoms {
 		var target *tree.Node
 		switch a.Doc {
 		case tree.Input:
@@ -461,18 +478,10 @@ func (s *System) callLocalAtomsAffected(lc Call, d string, sinceV uint64) bool {
 			continue
 		}
 		// Only a root-level context is the indexed root; every other target
-		// degrades to the walk.
-		if hasNewMatch(s.indexes[d], a.Pattern, target, sinceV) {
+		// is walked for its fresh roots.
+		if b.hasDelta(s.indexes[d], i, target, sinceV) {
 			return true
 		}
 	}
 	return false
-}
-
-// hasNewMatch reports whether p embeds into d with some witness stamped
-// after since: the matcher's freshness flags, no assignment built.
-func hasNewMatch(ix *pattern.Index, p *pattern.Node, d *tree.Node, since uint64) bool {
-	var v pattern.Vars
-	c := v.Compile(p)
-	return slices.ContainsFunc(ix.MatchRows(c, d, pattern.NewSlab(&v).Row(), since), func(r pattern.Row) bool { return r.New })
 }

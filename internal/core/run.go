@@ -196,10 +196,9 @@ func (s *System) appendAt(doc string, path []*tree.Node, forest tree.Forest) (fr
 		ix.RemoveSubtree(d)
 	}
 	s.bumpVersion(doc)
-	// StampAll also clears the memos the copies carried over from the
-	// caller's trees.
+	// Graft's copies keep their memos: their digests are already known.
 	for _, f := range fresh {
-		f.StampAll(s.docVersion[doc])
+		f.Restamp(s.docVersion[doc])
 		ix.AddSubtree(path[len(path)-1], f)
 	}
 	ix.Compact()

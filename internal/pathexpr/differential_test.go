@@ -155,3 +155,21 @@ func randomPlainQuery(rng *rand.Rand, docs query.Docs) *query.Query {
 	}
 	return q
 }
+
+// TestChildrenStepDedups pins the dedup after each pattern child of the
+// children step: r{a,a,a} over 32 a children binds nothing, so it has one
+// row. Without the dedup every pattern child multiplies the rows by 32,
+// and 32³ duplicates reach the head's dedup — the same answer at a cubic
+// cost, which no answer-level test sees.
+func TestChildrenStepDedups(t *testing.T) {
+	d := tree.NewLabel("r")
+	for range 32 {
+		d.Add(tree.NewLabel("a"))
+	}
+	p := FromPattern(pattern.Label("r", pattern.Label("a"), pattern.Label("a"), pattern.Label("a")))
+	var v pattern.Vars
+	m := &rmatch{vars: &v}
+	if rows := m.node(p, d, pattern.NewSlab(&v).Row()); len(rows) != 1 {
+		t.Fatalf("%d rows, want 1", len(rows))
+	}
+}

@@ -280,7 +280,7 @@ func Snapshot(q *RQuery, docs query.Docs) (tree.Forest, error) {
 	}
 	pl.Head = pl.Vars.Compile(q.Head)
 	m := &rmatch{vars: &pl.Vars}
-	rows, err := pl.Rows(true, slots, func(i, _ int, base pattern.Row) []pattern.Row {
+	rows, err := pl.Rows(slots, func(i, _ int, base pattern.Row) []pattern.Row {
 		d := docs[q.Body[i].Doc]
 		if d == nil {
 			return nil

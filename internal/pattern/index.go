@@ -11,6 +11,7 @@ package pattern
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"axml/internal/tree"
@@ -39,6 +40,12 @@ type Index struct {
 	// yet swept from bySym lists; dead > live/2 triggers a rebuild.
 	live, dead int
 
+	// fresh logs the roots AddSubtree indexed, in stamp order, for
+	// MatchDelta; it misses the fresh roots of baselines below from. top
+	// is the largest stamp indexed.
+	fresh     []*tree.Node
+	from, top uint64
+
 	// hits counts matches answered through the index (anchored matching or
 	// an empty-candidate early reject); misses counts matches on this
 	// index that fell back to the tree walk (no usable anchor, or an
@@ -50,9 +57,11 @@ type Index struct {
 func NewIndex(root *tree.Node) *Index {
 	ix := &Index{}
 	ix.rebuild(root)
+	ix.from = ix.top
 	return ix
 }
 
+// rebuild indexes the tree afresh; the log keeps its live entries.
 func (ix *Index) rebuild(root *tree.Node) {
 	ix.root = root
 	ix.bySym = make(map[tree.Sym][]*tree.Node)
@@ -65,8 +74,10 @@ func (ix *Index) rebuild(root *tree.Node) {
 			ix.parent[n] = parent
 		}
 		ix.live++
+		ix.top = max(ix.top, n.Stamp)
 		return true
 	})
+	ix.fresh = slices.DeleteFunc(ix.fresh, func(f *tree.Node) bool { return ix.parent[f] == nil })
 }
 
 // Root returns the indexed document root.
@@ -94,12 +105,17 @@ func (ix *Index) Stats() (hits, misses uint64) {
 	return ix.hits.Load(), ix.misses.Load()
 }
 
-// AddSubtree indexes the subtree rooted at child, just appended under
-// parent (which must already be indexed — the root or a live node).
+// AddSubtree indexes and logs the subtree rooted at child, just appended
+// under parent (which must already be indexed — the root or a live node).
 func (ix *Index) AddSubtree(parent, child *tree.Node) {
 	if ix == nil || child == nil {
 		return
 	}
+	if child.Stamp < ix.top {
+		ix.from = ix.top // out of stamp order: older baselines walk
+	}
+	ix.top = max(ix.top, child.Stamp)
+	ix.fresh = append(ix.fresh, child)
 	child.Walk(func(n, p *tree.Node) bool {
 		s := n.Sym()
 		ix.bySym[s] = append(ix.bySym[s], n)
@@ -143,6 +159,22 @@ func (ix *Index) Compact() {
 	if ix.dead > 1024 && ix.dead > ix.live/2 {
 		ix.rebuild(ix.root)
 	}
+}
+
+// chain resolves into buf the path root..f of an indexed node: ok when f
+// is live and no ancestor is stamped after since (a logged root's fresh
+// ancestor has its own entry).
+func (ix *Index) chain(f *tree.Node, since uint64, buf []*tree.Node) ([]*tree.Node, bool) {
+	buf = append(buf[:0], f)
+	for x := f; x != ix.root; {
+		p, ok := ix.parent[x]
+		if !ok || p.Stamp > since {
+			return buf, false
+		}
+		buf, x = append(buf, p), p
+	}
+	slices.Reverse(buf)
+	return buf, true
 }
 
 // Selectivity estimates how selective a compiled pattern is on this
@@ -242,27 +274,4 @@ func anchorSym(n *cnode, r Row) (tree.Sym, bool) {
 		return tree.Intern(k, b.Name), true
 	}
 	return b.Sym(), true
-}
-
-// spineTo resolves, into buf, the document spine a candidate anchor image
-// forces: the parent chain c, parent(c), ... up to the match root d (the
-// indexed root). k is the anchor depth (≥ 1); the returned slice has length
-// k+1 with dspine[0] = d and dspine[k] = c. Resolution fails when the chain
-// leaves the index (c was pruned by a merge), is too short, or does not
-// end at d.
-func (ix *Index) spineTo(c *tree.Node, k int, d *tree.Node, buf []*tree.Node) ([]*tree.Node, bool) {
-	dspine := append(buf[:0], make([]*tree.Node, k+1)...)
-	dspine[0] = d
-	dspine[k] = c
-	x := c
-	for i := k - 1; i >= 1; i-- {
-		p, ok := ix.parent[x]
-		if !ok {
-			return dspine, false
-		}
-		dspine[i] = p
-		x = p
-	}
-	p, ok := ix.parent[x]
-	return dspine, ok && p == d
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"axml/internal/tree"
@@ -418,6 +419,36 @@ func TestIndexedMatchRandomized(t *testing.T) {
 						trial, pi, since, nk[i], ik[i], p)
 				}
 			}
+		}
+	}
+}
+
+// TestMatchDeltaLogOutOfOrder pins the log's stamp-order guard: a subtree
+// indexed after a newer one makes baselines older than the newer one walk
+// for their fresh roots, because a search of the log by stamp would see
+// the late subtree as fresh for a baseline above its stamp.
+func TestMatchDeltaLogOutOfOrder(t *testing.T) {
+	root := tree.NewLabel("r")
+	ix := NewIndex(root)
+	tuple := func(v string, stamp uint64) *tree.Node {
+		n := tree.NewLabel("t", tree.NewValue(v))
+		n.StampAll(stamp)
+		root.Add(n)
+		ix.AddSubtree(root, n)
+		return n
+	}
+	tuple("new", 5)
+	tuple("late", 3)
+	var v Vars
+	c := v.Compile(Label("r", Label("t", VVar("x"))))
+	for since, want := range map[uint64]string{2: "late new", 4: "new", 5: ""} {
+		var got []string
+		for _, r := range ix.MatchDelta(c, root, NewSlab(&v).Row(), since) {
+			got = append(got, r.Assignment(nil)["x"].Atom)
+		}
+		sort.Strings(got)
+		if g := fmt.Sprint(got); g != fmt.Sprint(strings.Fields(want)) {
+			t.Errorf("since %d: delta rows x=%s, want %v", since, g, strings.Fields(want))
 		}
 	}
 }

@@ -18,10 +18,10 @@
 // There is one matcher: (*Index).MatchRows. It runs a pattern compiled
 // against a plan's numbered variables (Vars.Compile) over rows — one bound
 // document node per variable slot, drawn from a per-evaluation Slab — and
-// threads a freshness flag per row against a baseline version; matching
-// with no baseline is that recursion at since = math.MaxUint64, which no
-// stamp exceeds. Its plan (reject / anchored / walk, see index.go) only
-// chooses how much of the document is visited. Matchers over other
+// flags the rows witnessed after a baseline (none at math.MaxUint64). Its
+// plan (reject / anchored / walk, see index.go) only chooses how much of
+// the document is visited; MatchDelta runs its spine match from the fresh
+// roots alone, for the flagged rows. Matchers over other
 // structures (pathexpr's NFA paths, regular's vertex graphs) run over the
 // same rows: they bind through Row.Bind, the one bind rule, and
 // deduplicate through Distinct, the one dedup. The name-keyed Assignment

@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
+	"sort"
 
 	"axml/internal/tree"
 )
@@ -44,19 +45,22 @@ type cnode struct {
 	kids []*cnode
 }
 
-// Compiled is a pattern in slot-annotated form, for MatchRows to match or
-// Instantiate to instantiate.
+// Compiled is a pattern in slot-annotated form, for the matchers to match
+// or Instantiate to instantiate; reach is the deepest a fresh root can
+// matter at for MatchDelta: the pattern's height, unbounded under a tree
+// variable.
 type Compiled struct {
 	root  *cnode
 	slots []int
+	reach int
 }
 
 // Compile numbers p's variables in v and compiles p. A plan's Slab is made
 // after its last pattern is compiled.
 func (v *Vars) Compile(p *Node) *Compiled {
 	c := &Compiled{}
-	var compile func(p *Node) *cnode
-	compile = func(p *Node) *cnode {
+	var compile func(p *Node, depth int) *cnode
+	compile = func(p *Node, depth int) *cnode {
 		n := &cnode{kind: p.Kind, name: p.Name, slot: -1}
 		if p.Kind.IsVar() {
 			n.slot = v.Number(p.Name, p.Kind)
@@ -66,13 +70,16 @@ func (v *Vars) Compile(p *Node) *Compiled {
 		} else {
 			n.sym = tree.Intern(p.Kind.treeKind(), p.Name)
 		}
+		if c.reach = max(c.reach, depth); p.Kind == VarTree {
+			c.reach = math.MaxInt
+		}
 		for _, ch := range p.Children {
-			n.kids = append(n.kids, compile(ch))
+			n.kids = append(n.kids, compile(ch, depth+1))
 		}
 		return n
 	}
 	if p != nil {
-		c.root = compile(p)
+		c.root = compile(p, 0)
 	}
 	return c
 }
@@ -94,6 +101,7 @@ type Slab struct {
 	slots  []int // the matched pattern's: all a match's rows can differ in
 	stack  []Row
 	dspine []*tree.Node
+	pspine []*cnode
 	key    []byte
 	seen   KeySet
 }
@@ -148,9 +156,8 @@ func (r Row) AppendKey(buf []byte, slots []int) []byte {
 
 // Extend joins r with ext, matched under a row agreeing with r on ext's
 // shared slots: ext itself when it was matched under r, else a fresh row
-// with r's bindings and ext's. The join is new iff either side is.
+// with r's bindings and ext's.
 func (r Row) Extend(ext Row) Row {
-	ext.New = ext.New || r.New
 	for i, n := range r.s {
 		if n != nil && ext.s[i] != n {
 			out := r.slab.alloc()
@@ -197,7 +204,7 @@ func (ix *Index) MatchRows(c *Compiled, d *tree.Node, base Row, since uint64) []
 		s.stack = slices.Grow(s.stack, len(cands)) // about a row per candidate
 		for _, cand := range cands {
 			var ok bool
-			if s.dspine, ok = ix.spineTo(cand, k, d, s.dspine); ok {
+			if s.dspine, ok = ix.chain(cand, math.MaxUint64, s.dspine); ok && len(s.dspine) == k+1 {
 				s.spine(plan.spine, 0, base)
 			}
 		}
@@ -207,10 +214,99 @@ func (ix *Index) MatchRows(c *Compiled, d *tree.Node, base Row, since uint64) []
 		}
 		s.node(c.root, d, base)
 	}
-	s.dedup(from)
-	out := slices.Clone(s.stack[from:])
+	return s.pop(from)
+}
+
+// MatchDelta is the delta matcher: the rows of MatchRows(c, d, base,
+// since) flagged New, found without visiting the old ones. Fresh trees are
+// grafted and stamped whole and every pattern edge descends one level, so
+// a witness is stamped after since iff a pattern node at depth k maps onto
+// a fresh root (a node stamped after since below none) at depth k, or a
+// tree variable onto its ancestor; each such pair anchors a spine match.
+// The index's log lists the fresh roots of its root; other trees are
+// walked for them.
+func (ix *Index) MatchDelta(c *Compiled, d *tree.Node, base Row, since uint64) []Row {
+	from := len(base.slab.stack)
+	ix.delta(c, d, base, since, math.MaxInt)
+	return base.slab.pop(from)
+}
+
+// HasDelta reports whether MatchDelta would yield a row, stopping at the
+// first fresh root that anchors one.
+func (ix *Index) HasDelta(c *Compiled, d *tree.Node, base Row, since uint64) bool {
+	s := base.slab
+	from := len(s.stack)
+	ix.delta(c, d, base, since, from)
+	found := len(s.stack) > from
 	s.stack = s.stack[:from]
-	return out
+	return found
+}
+
+// MatchOld is the complement of MatchDelta: the rows of MatchRows(c, d,
+// base, since) no embedding witnesses after since.
+func (ix *Index) MatchOld(c *Compiled, d *tree.Node, base Row, since uint64) []Row {
+	return slices.DeleteFunc(ix.MatchRows(c, d, base, since), func(r Row) bool { return r.New })
+}
+
+// delta pushes MatchDelta's rows, anchoring until the stack grows past
+// stop; the matcher runs at math.MaxUint64, doing no freshness work.
+func (ix *Index) delta(c *Compiled, d *tree.Node, base Row, since uint64, stop int) {
+	if c.root == nil || d == nil {
+		return
+	}
+	s := base.slab
+	s.since, s.slots, base.New = math.MaxUint64, c.slots, true
+	if ix == nil || d != ix.root || d.Stamp > since || since < ix.from {
+		if ix != nil {
+			ix.misses.Add(1)
+		}
+		s.dspine = s.dspine[:0]
+		s.freshWalk(c, d, since, base, stop)
+		return
+	}
+	ix.hits.Add(1)
+	fresh := ix.fresh[sort.Search(len(ix.fresh), func(i int) bool { return ix.fresh[i].Stamp > since }):]
+	for i := 0; i < len(fresh) && len(s.stack) <= stop; i++ {
+		var ok bool
+		if s.dspine, ok = ix.chain(fresh[i], since, s.dspine); ok {
+			s.anchor(c.root, base)
+		}
+	}
+}
+
+// freshWalk anchors c at the fresh roots c can reach from n, below s.dspine.
+func (s *Slab) freshWalk(c *Compiled, n *tree.Node, since uint64, base Row, stop int) {
+	s.dspine = append(s.dspine, n)
+	if depth := len(s.dspine) - 1; n.Stamp > since {
+		s.anchor(c.root, base)
+	} else if depth < c.reach {
+		for _, ch := range n.Children {
+			if len(s.stack) <= stop {
+				s.freshWalk(c, ch, since, base, stop)
+			}
+		}
+	}
+	s.dspine = s.dspine[:len(s.dspine)-1]
+}
+
+// anchor matches the pattern under r at the fresh root ending the
+// document path s.dspine: a pattern node p at its depth maps onto it, or
+// a tree variable above it onto its ancestor at p's depth. s.pspine holds
+// the pattern path down to p's parent.
+func (s *Slab) anchor(p *cnode, r Row) {
+	s.pspine = append(s.pspine, p)
+	path, k := s.dspine, len(s.pspine)-1
+	switch {
+	case k < len(path)-1 && p.kind != VarTree:
+		for _, c := range p.kids {
+			s.anchor(c, r)
+		}
+	case p.slot >= 0 || p.sym == path[k].Sym():
+		s.dspine = path[:k+1]
+		s.spine(s.pspine, 0, r)
+		s.dspine = path
+	}
+	s.pspine = s.pspine[:k]
 }
 
 // bind places p on d under r: a constant needs d's marking, a variable
@@ -311,6 +407,14 @@ func (s *Slab) spine(pspine []*cnode, i int, r Row) {
 	if len(s.stack) > from {
 		s.children(p.kids, pspine[i+1], d, from)
 	}
+}
+
+// pop takes the rows on the stack from `from` on off it, deduplicated.
+func (s *Slab) pop(from int) []Row {
+	s.dedup(from)
+	out := slices.Clone(s.stack[from:])
+	s.stack = s.stack[:from]
+	return out
 }
 
 // dedup drops the rows on the stack from `from` on that repeat an earlier

@@ -45,17 +45,24 @@ func TestAtomTermIneqString(t *testing.T) {
 func TestBodyAssignmentsDirect(t *testing.T) {
 	d := docs(t, "d", `r{a{1},a{2}}`)
 	qq := q(t, `out{$x} :- d/r{a{$x}}`)
-	sts, err := query.BodyAssignmentsSince(qq, d, nil, nil)
+	as, err := query.BodyAssignmentsSince(qq, d, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sts) != 2 {
-		t.Fatalf("assignments = %d", len(sts))
+	if len(as) != 2 {
+		t.Fatalf("assignments = %d", len(as))
 	}
-	for _, st := range sts {
-		if a := st.Asn; a["x"].Tree != nil || a["x"].Atom == "" || !st.New {
-			t.Fatalf("binding = %+v, new = %v", a["x"], st.New)
+	for _, a := range as {
+		if a["x"].Tree != nil || a["x"].Atom == "" {
+			t.Fatalf("binding = %+v", a["x"])
 		}
+	}
+	// With a baseline the rows are the delta rows: the tuple appended
+	// after it, not the old one.
+	d["d"].Children[1].StampAll(2)
+	as, err = query.BodyAssignmentsSince(qq, d, map[string]uint64{"d": 1}, nil)
+	if err != nil || len(as) != 1 || as[0]["x"].Atom != "2" {
+		t.Fatalf("delta rows %v, %v; want x=2 only", as, err)
 	}
 }
 

@@ -18,8 +18,10 @@
 // other body evaluator (pathexpr over NFA paths, regular over vertex
 // graphs) also uses, so the definition exists once: Plan.Rows folds the
 // atoms left to right, each keyed by the slots it shares with those before
-// it, and checks the inequalities; Plan.Answers instantiates the head
-// once per distinct projection and reduces.
+// it, checking each inequality as soon as both its sides are bound;
+// Plan.Answers instantiates the head once per distinct projection and
+// reduces. With a baseline the fold runs once per semi-naive delta rule
+// (see bodyRows).
 package query
 
 import (
@@ -257,20 +259,14 @@ func Snapshot(q *Query, docs Docs) (tree.Forest, error) {
 // name missing from since is treated as all-new (full re-evaluation for
 // its atoms), so a nil since is exactly Snapshot. By monotonicity
 // (Proposition 3.1), rows whose every witness is old were already
-// produced at the baseline, so skipping them loses nothing. ixs only
+// produced at the baseline, so bodyRows never builds them. ixs only
 // accelerates (see Indexes); nil walks every document.
 func SnapshotSince(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (tree.Forest, error) {
 	pl, rows, err := bodyRows(q, docs, since, ixs)
 	if err != nil || len(rows) == 0 {
 		return nil, err
 	}
-	fresh := rows[:0]
-	for _, r := range rows {
-		if r.New {
-			fresh = append(fresh, r)
-		}
-	}
-	return pl.Answers(fresh)
+	return pl.Answers(rows)
 }
 
 // Plan is a body compiled for one evaluation over rows: Vars numbers its
@@ -290,112 +286,118 @@ type Plan struct {
 // Rows computes the rows satisfying the body and the inequalities. slots
 // lists each atom's slots in join order; step(i, k, base) returns the
 // distinct extensions of base by atom i, k numbering base's join key for
-// the atom — the slots it shares with the atoms joined before it. The
-// join starts from an unbound row flagged seedNew.
-func (pl *Plan) Rows(seedNew bool, slots [][]int, step func(i, k int, base pattern.Row) []pattern.Row) ([]pattern.Row, error) {
-	keys := make([][]int, len(slots))
-	bound := make([]bool, pl.Vars.Len())
+// the atom — the slots it shares with the atoms joined before it.
+func (pl *Plan) Rows(slots [][]int, step func(i, k int, base pattern.Row) []pattern.Row) ([]pattern.Row, error) {
+	j, err := pl.join(slots)
+	if err != nil {
+		return nil, err
+	}
+	return j.fold(pattern.NewSlab(&pl.Vars).Row(), step), nil
+}
+
+// join is a join order made executable: keys[i] lists atom i's join key
+// (its slots bound before it), and checks[i] the inequalities complete
+// once the first i atoms are joined — checks[0] those over constants.
+type join struct {
+	vars   *pattern.Vars
+	keys   [][]int
+	checks [][]Ineq
+}
+
+// join compiles the join order slots. An inequality variable that no atom
+// binds, or that is bound to a tree, is an error: Validate rules both out,
+// so meeting one means an unvalidated query.
+func (pl *Plan) join(slots [][]int) (*join, error) {
+	j := &join{vars: &pl.Vars, keys: make([][]int, len(slots)), checks: make([][]Ineq, len(slots)+1)}
+	at := make([]int, pl.Vars.Len()) // per slot, 1 + the atom binding it first, or 0
 	for i, ss := range slots {
-		for _, s := range ss {
-			if bound[s] {
-				keys[i] = append(keys[i], s)
+		for _, s := range ss { // each once
+			if at[s] > 0 {
+				j.keys[i] = append(j.keys[i], s)
+			} else {
+				at[s] = i + 1
 			}
 		}
-		for _, s := range ss {
-			bound[s] = true
+	}
+	for _, e := range pl.Ineqs {
+		when := 0
+		for _, t := range [2]Term{e.Left, e.Right} {
+			switch i := pl.Vars.Slot(t.Var); {
+			case t.Var == "":
+			case i < 0 || at[i] == 0:
+				return nil, fmt.Errorf("query %s: inequality variable %s unbound", pl.Name, t.Var)
+			case pl.Vars.Kind(i) == pattern.VarTree:
+				return nil, fmt.Errorf("query %s: inequality variable %s bound to a tree", pl.Name, t.Var)
+			default:
+				when = max(when, at[i])
+			}
+		}
+		j.checks[when] = append(j.checks[when], e)
+	}
+	return j, nil
+}
+
+// holds reports whether r satisfies the inequalities checks[i] lists.
+func (j *join) holds(i int, r pattern.Row) bool {
+	val := func(t Term) string {
+		if t.Var == "" {
+			return t.Const
+		}
+		return r.Bound(j.vars.Slot(t.Var)).Name
+	}
+	for _, e := range j.checks[i] {
+		if val(e.Left) == val(e.Right) {
+			return false
 		}
 	}
-	seed := pattern.NewSlab(&pl.Vars).Row()
-	seed.New = seedNew
-	rows := fold(seed, keys, step)
-	out := rows[:0]
-	for _, r := range rows {
-		ok, err := pl.ineqsHold(r)
-		if err != nil {
-			return nil, fmt.Errorf("query %s: %w", pl.Name, err)
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return true
 }
 
 // fold is the left-to-right join of a body of len(keys) atoms: from seed,
 // step(i, k, base) extends each row by atom i, fold joins the results with
-// their base (Extend), and an atom extending nothing ends the fold. A step
+// their base (Extend) and keeps the joins satisfying the inequalities atom
+// i completes, and an atom extending nothing ends the fold. A step
 // depends on its base only through atom i's slots bound before it, which
 // keys[i] lists, so when several rows reach atom i it runs once per
 // distinct binding of those, its join key (k keys ran before), and shares
 // the results. Steps return distinct rows, and so does the fold.
-func fold(seed pattern.Row, keys [][]int, step func(i, k int, base pattern.Row) []pattern.Row) []pattern.Row {
+func (j *join) fold(seed pattern.Row, step func(i, k int, base pattern.Row) []pattern.Row) []pattern.Row {
+	if !j.holds(0, seed) {
+		return nil
+	}
 	cur := []pattern.Row{seed}
 	var key []byte
 	var seen pattern.KeySet
 	var memo [][]pattern.Row
 	var ks []int // per row, its key's number
-	for i := 0; i < len(keys) && len(cur) > 0; i++ {
-		if len(cur) == 1 { // no key, no memo
-			base := cur[0]
-			cur = step(i, 0, base)
-			for j := range cur {
-				cur[j] = base.Extend(cur[j])
-			}
-			continue
-		}
-		seen.Reset()
+	for i := 0; i < len(j.keys) && len(cur) > 0; i++ {
 		memo, ks = memo[:0], ks[:0]
 		n := 0
-		for _, base := range cur {
-			key = base.AppendKey(key[:0], keys[i])
-			k, added := seen.Add(key)
-			if added {
-				memo = append(memo, step(i, k, base))
+		if len(cur) == 1 { // no key, no memo
+			memo, ks = append(memo, step(i, 0, cur[0])), append(ks, 0)
+			n = len(memo[0])
+		} else {
+			seen.Reset()
+			for _, base := range cur {
+				key = base.AppendKey(key[:0], j.keys[i])
+				k, added := seen.Add(key)
+				if added {
+					memo = append(memo, step(i, k, base))
+				}
+				ks, n = append(ks, k), n+len(memo[k])
 			}
-			ks, n = append(ks, k), n+len(memo[k])
 		}
 		next := make([]pattern.Row, 0, n)
-		for j, base := range cur {
-			for _, ext := range memo[ks[j]] {
-				next = append(next, base.Extend(ext))
+		for b, base := range cur {
+			for _, ext := range memo[ks[b]] {
+				if r := base.Extend(ext); j.holds(i+1, r) {
+					next = append(next, r)
+				}
 			}
 		}
 		cur = next
 	}
 	return cur
-}
-
-// ineqsHold reports whether the row satisfies every inequality. A variable
-// that is unbound or bound to a tree is an error, not a mismatch: Validate
-// rules both out, so meeting one means an unvalidated query.
-func (pl *Plan) ineqsHold(r pattern.Row) (bool, error) {
-	val := func(t Term) (string, error) {
-		if t.Var == "" {
-			return t.Const, nil
-		}
-		switch i := pl.Vars.Slot(t.Var); {
-		case i < 0 || r.Bound(i) == nil:
-			return "", fmt.Errorf("inequality variable %s unbound", t.Var)
-		case pl.Vars.Kind(i) == pattern.VarTree:
-			return "", fmt.Errorf("inequality variable %s bound to a tree", t.Var)
-		default:
-			return r.Bound(i).Name, nil
-		}
-	}
-	for _, e := range pl.Ineqs {
-		l, err := val(e.Left)
-		if err != nil {
-			return false, err
-		}
-		r, err := val(e.Right)
-		if err != nil {
-			return false, err
-		}
-		if l == r {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // Answers instantiates the head under every row and reduces the forest:
@@ -436,12 +438,14 @@ func (pl *Plan) distinctHeads(rows []pattern.Row) []pattern.Row {
 }
 
 // plan is a query's Plan with its atoms and their compiled patterns in
-// join order, and each one's slots.
+// join order, and each one's slots; built is an index it made over a tree
+// no index covers.
 type plan struct {
 	Plan
 	atoms []Atom
 	pats  []*pattern.Compiled
 	slots [][]int
+	built *pattern.Index
 }
 
 func newPlan(q *Query, docs Docs, ixs Indexes) *plan {
@@ -455,15 +459,21 @@ func newPlan(q *Query, docs Docs, ixs Indexes) *plan {
 	return pl
 }
 
-// bodyRows computes the rows satisfying the body and the inequalities,
-// each flagged New when some witnessing embedding maps a pattern node onto
-// a document node appended after that atom's baseline in since. An atom
-// whose document has no baseline makes all its matches new; with a nil
-// since that is every atom (and the empty body), so every row comes back
-// New. An atom over a missing document matches nothing, so the body is
-// empty before any atom is joined (the plan is then nil). Atoms are
-// joined in greedy selectivity order (see plan.order), each through its
-// document's index when ixs has one.
+// bodyRows computes the rows satisfying the body and the inequalities
+// with a witnessing embedding mapping a pattern node onto a document node
+// appended after that atom's baseline in since; an atom whose document
+// has no baseline makes all its matches such rows, and a nil since every
+// row (the empty body's too). An atom over a missing document ends the
+// body before any atom is joined (the plan is then nil). Atoms join in
+// greedy selectivity order (see plan.order), each through its document's
+// index when ixs has one.
+//
+// The rows are the semi-naive delta rules' (Prop 3.1): the union over r
+// of the rows whose first atom with a fresh witness is atom r. Rule r
+// joins atom r first, over its fresh rows (MatchDelta), then the others in
+// join order: those before r over their rows with no fresh witness
+// (MatchOld), those after r over all theirs. The rules are disjoint. An
+// atom without a baseline is all fresh, so no later rule has rows.
 func bodyRows(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (*plan, []pattern.Row, error) {
 	for _, a := range q.Body {
 		if docs[a.Doc] == nil {
@@ -471,32 +481,59 @@ func bodyRows(q *Query, docs Docs, since map[string]uint64, ixs Indexes) (*plan,
 		}
 	}
 	pl := newPlan(q, docs, ixs)
-	var built *pattern.Index // over a tree no index in ixs covers
-	rows, err := pl.Rows(since == nil, pl.slots, func(i, k int, base pattern.Row) []pattern.Row {
-		a, d := pl.atoms[i], docs[pl.atoms[i].Doc]
-		sinceV, known := since[a.Doc]
+	j, err := pl.join(pl.slots)
+	if err != nil {
+		return nil, nil, err
+	}
+	seed := pattern.NewSlab(&pl.Vars).Row()
+	if len(pl.atoms) == 0 && since == nil {
+		return pl, j.fold(seed, nil), nil
+	}
+	var rows []pattern.Row
+	for r, a := range pl.atoms {
+		sinceR, known := since[a.Doc]
+		order, slots := []int{r}, [][]int{pl.slots[r]} // atom r, then the others
+		for i := range pl.atoms {
+			if i != r {
+				order, slots = append(order, i), append(slots, pl.slots[i])
+			}
+		}
+		if r > 0 {
+			j, _ = pl.join(slots) // the inequalities compiled above
+		}
+		rows = append(rows, j.fold(seed, func(i, k int, base pattern.Row) []pattern.Row {
+			at := order[i]
+			switch ix, d := pl.source(at, k, docs, ixs); {
+			case at == r && known:
+				return ix.MatchDelta(pl.pats[at], d, base, sinceR)
+			case at < r:
+				return ix.MatchOld(pl.pats[at], d, base, since[pl.atoms[at].Doc])
+			default:
+				return ix.MatchRows(pl.pats[at], d, base, math.MaxUint64)
+			}
+		})...)
 		if !known {
-			sinceV = math.MaxUint64 // nothing to track: all new below
+			break // every later rule needs atom r's old rows: it has none
 		}
-		ix := ixs[a.Doc]
-		if ix.Root() != d {
-			// From its second join key on, an atom walking a tree no index
-			// covers indexes it — unless a walk of so few children is
-			// cheaper (E3's chains break even at 7 tuples).
-			if built.Root() != d && k > 0 && len(d.Children) > 8 {
-				built = pattern.NewIndex(d)
-			}
-			if built.Root() == d {
-				ix = built
-			}
+	}
+	return pl, rows, nil
+}
+
+// source returns the index and the tree atom i matches, k numbering its
+// join key: the document's index, or from the atom's second join key on
+// one built over a tree no index covers — unless a walk of so few
+// children is cheaper (E3's chains break even at 7 tuples).
+func (pl *plan) source(i, k int, docs Docs, ixs Indexes) (*pattern.Index, *tree.Node) {
+	d, ix := docs[pl.atoms[i].Doc], ixs[pl.atoms[i].Doc]
+	if ix.Root() != d {
+		if pl.built.Root() != d && k > 0 && len(d.Children) > 8 {
+			pl.built = pattern.NewIndex(d)
 		}
-		ms := ix.MatchRows(pl.pats[i], d, base, sinceV)
-		for j := range ms {
-			ms[j].New = ms[j].New || !known
+		if pl.built.Root() == d {
+			ix = pl.built
 		}
-		return ms
-	})
-	return pl, rows, err
+	}
+	return ix, d
 }
 
 // order joins the body atoms in greedy order: repeatedly pick the

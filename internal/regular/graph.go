@@ -242,7 +242,7 @@ func (g *Graph) bodyRows(q *query.Query, roots func(doc string) *Vertex) (*evalu
 		slots[i] = ev.pl.Vars.Compile(a.Pattern).Slots()
 	}
 	ev.pl.Head = ev.pl.Vars.Compile(q.Head)
-	rows, err := ev.pl.Rows(true, slots, func(i, _ int, base pattern.Row) []pattern.Row {
+	rows, err := ev.pl.Rows(slots, func(i, _ int, base pattern.Row) []pattern.Row {
 		root := roots(q.Body[i].Doc)
 		if root == nil {
 			return nil

@@ -1,9 +1,10 @@
 package tree
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -24,15 +25,10 @@ func (n *Node) CanonicalHash() Hash {
 	if n == nil {
 		return Hash{}
 	}
-	var kids []Hash
-	if len(n.Children) > 0 {
-		kids = make([]Hash, len(n.Children))
-		for i, c := range n.Children {
-			kids[i] = c.CanonicalHash()
-		}
-		sortHashes(kids)
-	}
-	return hashNode(n, kids)
+	return hashNode(n, func(c *Node) *Hash {
+		h := c.CanonicalHash()
+		return &h
+	})
 }
 
 // Digest returns the subtree's structural digest, memoized per node: the
@@ -49,9 +45,11 @@ func (n *Node) CanonicalHash() Hash {
 //     invocation's merge, System.Append (pushed forests, replication
 //     patches) and System.Restore (journal replay, full pulls) —
 //     invalidates along the ancestor chain root..attach it was handed;
-//   - StampAll clears every memo in the subtree it stamps: the fresh
-//     trees of an append, or the whole document after a by-hand edit
-//     reported through System.Touch;
+//   - StampAll clears every memo in the subtree it stamps: the whole
+//     document after a by-hand edit reported through System.Touch. An
+//     append restamps its fresh trees with Restamp instead, which keeps
+//     their memos: Graft built those trees as reduced copies, whose
+//     memos are valid, and stamps do not enter the digest;
 //   - reduction in place (subsume) clears the memo of every node whose
 //     child list it rewrites;
 //   - Add clears the node it grows.
@@ -68,20 +66,18 @@ func (n *Node) Digest() Hash {
 	if n == nil {
 		return Hash{}
 	}
+	return *n.digest()
+}
+
+// digest returns n's memo, filling it first: one allocation per node
+// hashed.
+func (n *Node) digest() *Hash {
 	if h := n.dig.Load(); h != nil {
-		return *h
+		return h
 	}
-	var kids []Hash
-	if len(n.Children) > 0 {
-		kids = make([]Hash, len(n.Children))
-		for i, c := range n.Children {
-			kids[i] = c.Digest()
-		}
-		sortHashes(kids)
-	}
-	h := hashNode(n, kids)
+	h := hashNode(n, (*Node).digest)
 	n.dig.Store(&h)
-	return h
+	return &h
 }
 
 // InvalidateDigest clears the node's memoized digest and reduced flag
@@ -132,38 +128,53 @@ func InvalidateDigestPath(path []*Node) {
 	}
 }
 
-// hashNode hashes one node header plus its pre-sorted child digests.
-func hashNode(n *Node, kids []Hash) Hash {
+// hashNode hashes one node: a header (kind, name length, child count), the
+// name, then the child digests (child returns one's memo) in sorted order.
+// Up to eight children sort in a stack array, and an input that fits
+// hashBlock is hashed by one Sum256 over a stack buffer; a larger one
+// streams through one hasher. No buffer grows: re-hashing a wide root
+// costs a pointer per child, its header and its memo.
+func hashNode(n *Node, child func(*Node) *Hash) Hash {
+	var small [8]*Hash
+	kids := small[:0]
+	if len(n.Children) > len(small) {
+		kids = make([]*Hash, 0, len(n.Children))
+	}
+	for _, c := range n.Children {
+		kids = append(kids, child(c))
+	}
+	slices.SortFunc(kids, func(a, b *Hash) int { return compareHash(*a, *b) })
+	const hdr = 9
+	if hdr+len(n.Name)+len(kids)*len(Hash{}) <= hashBlock {
+		var buf [hashBlock]byte
+		b := append(header(buf[:0], n, len(kids)), n.Name...)
+		for _, k := range kids {
+			b = append(b, k[:]...)
+		}
+		return sha256.Sum256(b)
+	}
+	// The header and the name share one allocation, which then holds the
+	// sum; the child digests are written from their memos.
+	pre := append(header(make([]byte, 0, max(hdr+len(n.Name), len(Hash{}))), n, len(kids)), n.Name...)
 	h := sha256.New()
-	var hdr [9]byte
-	hdr[0] = byte(n.Kind)
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(n.Name)))
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(kids)))
-	h.Write(hdr[:])
-	h.Write([]byte(n.Name))
+	h.Write(pre)
 	for _, k := range kids {
 		h.Write(k[:])
 	}
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	return Hash(h.Sum(pre[:0]))
 }
 
-// sortHashes sorts digests lexicographically (the canonical child order).
-func sortHashes(kids []Hash) {
-	sort.Slice(kids, func(i, j int) bool {
-		return compareHash(kids[i], kids[j]) < 0
-	})
+// hashBlock bounds hashNode's stack buffer: a header, eight child digests
+// and a 247-byte name fit.
+const hashBlock = 512
+
+// header appends the node header hashNode frames its input with.
+func header(b []byte, n *Node, kids int) []byte {
+	b = append(b, byte(n.Kind))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(n.Name)))
+	return binary.LittleEndian.AppendUint32(b, uint32(kids))
 }
 
-func compareHash(a, b Hash) int {
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
-}
+// compareHash orders digests lexicographically (the canonical child
+// order).
+func compareHash(a, b Hash) int { return bytes.Compare(a[:], b[:]) }

@@ -1,7 +1,11 @@
 package tree
 
 import (
+	"encoding/hex"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -76,5 +80,81 @@ func TestCompareHashTotalOrder(t *testing.T) {
 	}
 	if compareHash(a, b) != -compareHash(b, a) {
 		t.Fatal("compareHash not antisymmetric")
+	}
+}
+
+// goldenTrees are the shapes TestDigestGolden pins: a leaf, two children,
+// eight (the stack array's capacity), nine (one past it), a name longer
+// than the stack buffer, and a 600-wide root.
+func goldenTrees() map[string]*Node {
+	kids := func(n int) []*Node {
+		out := make([]*Node, n)
+		for i := range out {
+			out[i] = NewLabel(fmt.Sprintf("c%d", i), NewValue(fmt.Sprint(i)))
+		}
+		return out
+	}
+	return map[string]*Node{
+		"leaf":     NewValue("x"),
+		"two":      NewLabel("t", NewLabel("a", NewValue("x")), NewLabel("b", NewValue("y"))),
+		"eight":    NewLabel("r", kids(8)...),
+		"nine":     NewLabel("r", kids(9)...),
+		"longname": NewLabel(strings.Repeat("n", 1000), NewFunc("f"), NewValue("v")),
+		"wide600":  NewLabel("log", kids(600)...),
+	}
+}
+
+// TestDigestGolden pins the digest bytes: every Digest, memo, wire hash
+// and journal anchor depends on them, so a kernel change must leave them
+// byte-identical. The values were computed by the sort.Slice kernel.
+func TestDigestGolden(t *testing.T) {
+	want := map[string]string{
+		"leaf":     "58344411ce3d4b84717505f0fcace64a6e8d560e8195f3b3c3ad1f880d979c71",
+		"two":      "b47c118eb6c5abcf9360d7da2b4935e704d6a79c1dfce32f53f937d4c40fee1c",
+		"eight":    "458ab3b238577f4bc4f7b74314f8df1886cdae5f4b5281618045e5075f4fed71",
+		"nine":     "66f762049c841c50321167c50a6e8bb28bf33b8979d055f4531ebe38b11e57c6",
+		"longname": "ad652f1a14e805724bb099587184896ef47d32ce17f9a22eacbe9f7ec7cd8a6b",
+		"wide600":  "26eb995d75d4795e19e6686463fd9a51faa87554c6fdc5e749ae5e348f1ee1fe",
+	}
+	for name, n := range goldenTrees() {
+		c := n.CanonicalHash()
+		d := n.Digest()
+		if got := hex.EncodeToString(c[:]); got != want[name] {
+			t.Errorf("%s: CanonicalHash %s, want %s", name, got, want[name])
+		}
+		if got := hex.EncodeToString(d[:]); got != want[name] {
+			t.Errorf("%s: Digest %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// TestDigestAllocations pins the kernel's allocations: hashing a fresh
+// t{a{"x"},b{"y"}} allocates each node's memo and nothing else, and
+// re-hashing a 600-wide root over its children's memos allocates no more
+// bytes than the sort.Slice kernel did (20 668 bytes on go 1.24: 32 per
+// child digest, a hasher, a header, a memo). A kernel that grows one
+// buffer by doubling to hold the root's input allocates about three
+// times that.
+func TestDigestAllocations(t *testing.T) {
+	two := goldenTrees()["two"]
+	if n := testing.AllocsPerRun(100, func() {
+		InvalidateDigestAll(two)
+		two.Digest()
+	}); n != 5 {
+		t.Errorf("hashing a fresh 5-node tree allocated %.0f times, want 5 (the memos)", n)
+	}
+	wide := goldenTrees()["wide600"]
+	wide.Digest()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		wide.InvalidateDigest()
+		wide.Digest()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 20668 {
+		t.Errorf("re-hashing a 600-wide root allocated %d bytes, want at most 20668", perRun)
 	}
 }

@@ -166,6 +166,16 @@ func (n *Node) StampAll(v uint64) {
 	}
 }
 
+// Restamp sets the Stamp of every node in the subtree to v and keeps the
+// memos: stamps do not enter the digest. It stamps the fresh trees of an
+// append, which Graft built as reduced copies with valid memos.
+func (n *Node) Restamp(v uint64) {
+	n.Stamp = v
+	for _, c := range n.Children {
+		c.Restamp(v)
+	}
+}
+
 // MaxStamp returns the largest Stamp in the subtree rooted at n: the
 // version at which the subtree's value (as an unordered tree) last
 // changed by an append.

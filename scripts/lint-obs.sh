@@ -7,8 +7,8 @@
 # node-pair subsumption memo, a document version or committed
 # sterile-call gate written outside its one writer, a journal that
 # records what exists instead of what grew, an experiment harness beside
-# the claims tests, map assignments on any evaluator's row path, and
-# encoding/xml in product code.
+# the claims tests, map assignments on any evaluator's row path,
+# encoding/xml in product code, and a freshness filter after a join.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -265,7 +265,7 @@ badjoinmap=$( {
         { line = $0; gsub(/map\[string\]uint64/, "", line) }
         line !~ /Assignment|Stamped|\.Copy\(\)|map\[string\]/ { next }
         FILENAME ~ /\/row\.go$/ { printf "%s:%d:%s\n", FILENAME, FNR, $0; next }
-        fn ~ /^func (\([^)]*\) )?(plan|anchorSym|MatchRows|Rows|fold|Answers|bodyRows|newPlan|order|ineqsHold|distinctHeads)[[(]/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        fn ~ /^func (\([^)]*\) )?(plan|anchorSym|MatchRows|MatchDelta|MatchOld|HasDelta|delta|chain|Rows|join|holds|fold|Answers|bodyRows|newPlan|source|order|distinctHeads)[[(]/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
         ' {} +
     find internal/pathexpr internal/regular -name '*.go' ! -name '*_test.go' -exec awk '
         FNR == 1 || /^(type|var|const) / { fn = "" }
@@ -294,6 +294,23 @@ badxmlcodec=$(grep -rn --include='*.go' -E '^[[:space:]]*(import[[:space:]]+)?([
 if [ -n "$badxmlcodec" ]; then
     echo "vet-obs: encoding/xml imported by product code (the wire codec is internal/peer/codec.go; encoding/xml is the tests' oracle):" >&2
     echo "$badxmlcodec" >&2
+    exit 1
+fi
+# Evaluation is semi-naive inside the join: with a baseline, query's
+# delta rules join each atom's fresh rows (pattern's MatchDelta) against
+# the others' old (MatchOld) or all rows, and the merge gate asks
+# HasDelta. A Row's New flag is the matcher's own bookkeeping; read or
+# set in an evaluator, it is the filter after the join that built every
+# old row only to drop it (SnapshotSince's and hasNewMatch's before the
+# delta rules).
+badnewfilter=$(grep -rnE --include='*.go' '\.New([^A-Za-z0-9_(]|$)' internal/query internal/core internal/pathexpr internal/regular \
+    | grep -v '_test\.go:' \
+    | grep -vE ':[0-9]+:[[:space:]]*//' \
+    || true)
+
+if [ -n "$badnewfilter" ]; then
+    echo "vet-obs: a row's New flag read or set in an evaluator (join the delta rules: pattern's MatchDelta / MatchOld / HasDelta):" >&2
+    echo "$badnewfilter" >&2
     exit 1
 fi
 echo "vet-obs: ok"
