@@ -19,7 +19,8 @@ vet-cmd:
 # Library code must log through the slog.Logger it is handed
 # (internal/obs), never a bare log.Printf/fmt.Println the embedder
 # cannot redirect; it must also not reach for package-level http helpers
-# or keep an exported global bool as a behaviour switch.
+# or keep an exported global bool as a behaviour switch or a
+# package-level table or lock.
 vet-obs:
 	scripts/lint-obs.sh
 
@@ -48,7 +49,7 @@ race:
 
 # Short-budget coverage-guided fuzzing of the wire parsers serving and
 # recovery depend on (each checked against the encoding/xml oracle), of
-# graft-record replay itself, the intern/digest cache
+# graft-record replay itself, the digest cache
 # stability target, the keyed join against the nested-loop join,
 # pathexpr's snapshot against the query evaluator on path-free queries, and
 # the delta rules' rows against the nested loop's fresh rows on grown
@@ -59,7 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalDelta$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzReplayGraftRecord$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalSnapshot$$' -fuzztime=5s
-	$(GO) test ./internal/tree -run='^$$' -fuzz='^FuzzSymDigestStability$$' -fuzztime=5s
+	$(GO) test ./internal/tree -run='^$$' -fuzz='^FuzzDigestStability$$' -fuzztime=5s
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzJoinMatchesNestedLoop$$' -fuzztime=5s
 	$(GO) test ./internal/pathexpr -run='^$$' -fuzz='^FuzzRSnapshotMatchesQuery$$' -fuzztime=5s
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzDeltaRowsMatchFiltered$$' -fuzztime=5s

@@ -1,6 +1,6 @@
-// Differential tests for the interning/indexing fast paths: every
-// accelerated operation — symbol-compared, digest-short-circuited
-// subsumption and the index-anchored pattern matching — is pinned to its
+// Differential tests for the indexing fast paths: every accelerated
+// operation — signature-filtered, digest-short-circuited subsumption and
+// the index-anchored pattern matching — is pinned to its
 // definitional counterpart (package subsume/oracle, the naive pattern
 // walk) on seeded random inputs, and whole-system fixpoints are required
 // to be byte-identical at every parallelism level and to pass the

@@ -1,5 +1,5 @@
 // Index-accelerated pattern matching: a per-document inverted index from
-// interned marking symbols to the document nodes carrying them, plus
+// (Kind, Name) markings to the document nodes carrying them, plus
 // parent links, lets Match start from the rarest constant "anchor" of a
 // pattern — the atom with the fewest candidate nodes — and verify the
 // few candidate embeddings upward to the root, instead of walking the
@@ -18,7 +18,7 @@ import (
 )
 
 // Index is a per-document inverted index: every node of one document
-// tree, keyed by its interned (Kind, Name) symbol, plus parent links.
+// tree, keyed by its (Kind, Name) marking, plus parent links.
 // Documents only grow by least-upper-bound merge, so maintenance is
 // append-only (AddSubtree) except for the local pruning a merge performs
 // on newly-dominated siblings (RemoveSubtree); pruned nodes are deleted
@@ -30,14 +30,14 @@ import (
 // require exclusive access, which the engine provides by mutating only
 // under the system's version-funnel write lock.
 type Index struct {
-	root  *tree.Node
-	bySym map[tree.Sym][]*tree.Node
+	root      *tree.Node
+	byMarking map[tree.Marking][]*tree.Node
 	// parent links every live indexed node to its parent (the root has no
 	// entry). Detached nodes are removed, so "present in parent (or being
 	// the root)" doubles as the liveness check candidate verification uses.
 	parent map[*tree.Node]*tree.Node
 	// live and dead count the indexed nodes and the detached entries not
-	// yet swept from bySym lists; dead > live/2 triggers a rebuild.
+	// yet swept from byMarking lists; dead > live/2 triggers a rebuild.
 	live, dead int
 
 	// fresh logs the roots AddSubtree indexed, in stamp order, for
@@ -64,12 +64,12 @@ func NewIndex(root *tree.Node) *Index {
 // rebuild indexes the tree afresh; the log keeps its live entries.
 func (ix *Index) rebuild(root *tree.Node) {
 	ix.root = root
-	ix.bySym = make(map[tree.Sym][]*tree.Node)
+	ix.byMarking = make(map[tree.Marking][]*tree.Node)
 	ix.parent = make(map[*tree.Node]*tree.Node)
 	ix.live, ix.dead = 0, 0
 	root.Walk(func(n, parent *tree.Node) bool {
-		s := n.Sym()
-		ix.bySym[s] = append(ix.bySym[s], n)
+		m := n.Marking()
+		ix.byMarking[m] = append(ix.byMarking[m], n)
 		if parent != nil {
 			ix.parent[n] = parent
 		}
@@ -117,8 +117,8 @@ func (ix *Index) AddSubtree(parent, child *tree.Node) {
 	ix.top = max(ix.top, child.Stamp)
 	ix.fresh = append(ix.fresh, child)
 	child.Walk(func(n, p *tree.Node) bool {
-		s := n.Sym()
-		ix.bySym[s] = append(ix.bySym[s], n)
+		m := n.Marking()
+		ix.byMarking[m] = append(ix.byMarking[m], n)
 		if p == nil {
 			p = parent
 		}
@@ -130,7 +130,7 @@ func (ix *Index) AddSubtree(parent, child *tree.Node) {
 
 // RemoveSubtree unindexes the subtree rooted at child after a merge
 // pruned it (a sibling newly subsumes it). Parent links are deleted
-// eagerly — they are the liveness check — while the bySym lists keep the
+// eagerly — they are the liveness check — while the byMarking lists keep the
 // dead entries until Compact sweeps them. Safe to call while the
 // document's child lists are mid-rewrite: only the detached subtree is
 // walked.
@@ -203,11 +203,11 @@ const (
 )
 
 // anchorPlan is a chosen anchor: the pattern spine from the root to the
-// anchor node (len ≥ 2; the anchor sits at depth len-1) and the interned
-// symbol its images must carry.
+// anchor node (len ≥ 2; the anchor sits at depth len-1) and the marking
+// its images must carry.
 type anchorPlan struct {
 	spine []*cnode
-	sym   tree.Sym
+	mark  tree.Marking
 	count int
 }
 
@@ -231,10 +231,10 @@ func (ix *Index) plan(p *cnode, d *tree.Node, r Row) (anchorPlan, planKind) {
 	walk = func(n *cnode) {
 		path = append(path, n)
 		if len(path) > 1 {
-			if s, ok := anchorSym(n, r); ok {
-				c := len(ix.bySym[s])
+			if m, ok := anchorMarking(n, r); ok {
+				c := len(ix.byMarking[m])
 				if best.count < 0 || c < best.count {
-					best = anchorPlan{spine: append([]*cnode(nil), path...), sym: s, count: c}
+					best = anchorPlan{spine: append([]*cnode(nil), path...), mark: m, count: c}
 				}
 			}
 		}
@@ -259,19 +259,15 @@ func (ix *Index) plan(p *cnode, d *tree.Node, r Row) (anchorPlan, planKind) {
 	}
 }
 
-// anchorSym returns the document symbol images of n must carry, when n is
+// anchorMarking returns the marking images of n must carry, when n is
 // selective: a constant, or an atom variable bound in r (a row of no
 // slots binds none).
-func anchorSym(n *cnode, r Row) (tree.Sym, bool) {
+func anchorMarking(n *cnode, r Row) (tree.Marking, bool) {
 	if n.slot < 0 {
-		return n.sym, true
+		return n.mark, true
 	}
 	if n.kind == VarTree || n.slot >= len(r.s) || r.s[n.slot] == nil || r.slab.vars.kinds[n.slot] == VarTree {
-		return 0, false
+		return tree.Marking{}, false
 	}
-	b := r.s[n.slot]
-	if k := n.kind.treeKind(); b.Kind != k {
-		return tree.Intern(k, b.Name), true
-	}
-	return b.Sym(), true
+	return tree.Marking{Kind: n.kind.treeKind(), Name: r.s[n.slot].Name}, true
 }

@@ -127,7 +127,9 @@ func assertSameAssignments(t *testing.T, naive, indexed []Assignment, what strin
 
 // indexTestPatterns is a spread of shapes: selective anchors, common
 // anchors, variable-only patterns (naive fallback), bound-variable anchors,
-// tree variables, impossible markings (early reject).
+// tree variables, impossible markings (early reject), and a value and a
+// function named like a label the document holds, which are other
+// markings (early reject too).
 func indexTestPatterns() map[string]*Node {
 	return map[string]*Node{
 		"needle":     Label("catalog", LVar("d", Label("item", Label("sku", Value("needle")), Label("qty", VVar("q"))))),
@@ -137,6 +139,8 @@ func indexTestPatterns() map[string]*Node {
 		"absent":     Label("catalog", Label("dept", Label("item", Label("sku", Value("no-such-sku"))))),
 		"deep-pin":   Label("catalog", Label("dept", Label("item", Label("sku", VVar("s")), Label("qty", Value("1"))))),
 		"root-const": Label("catalog", LVar("d")),
+		"value-sku":  Label("catalog", Label("dept", Label("item", Value("sku")))),
+		"func-sku":   Label("catalog", Label("dept", Label("item", Func("sku")))),
 	}
 }
 
@@ -293,6 +297,17 @@ func TestIndexSelectivity(t *testing.T) {
 	}
 	if s := ix.Selectivity(new(Vars).Compile(LVar("x"))); s != math.MaxInt {
 		t.Fatalf("variable-only selectivity = %d, want MaxInt", s)
+	}
+	// The document holds the label sku only: the value and the function
+	// sku have no candidate, and match nothing on either plan.
+	for _, name := range []string{"value-sku", "func-sku"} {
+		p := indexTestPatterns()[name]
+		if s := ix.Selectivity(new(Vars).Compile(p)); s != 0 {
+			t.Fatalf("%s selectivity = %d, want 0", name, s)
+		}
+		if w, i := Match(p, doc), matchUnder(ix, p, doc, nil); len(w) != 0 || len(i) != 0 {
+			t.Fatalf("%s matched: walk %d, indexed %d", name, len(w), len(i))
+		}
 	}
 	var nilIx *Index
 	if s := nilIx.Selectivity(new(Vars).Compile(needle)); s != math.MaxInt {

@@ -36,12 +36,12 @@ func (v *Vars) Len() int { return len(v.names) }
 func (v *Vars) Kind(i int) Kind { return v.kinds[i] }
 
 // cnode is a compiled pattern node: its variable's slot, or -1 and the
-// interned marking of a constant.
+// marking of a constant.
 type cnode struct {
 	kind Kind
 	name string
 	slot int
-	sym  tree.Sym
+	mark tree.Marking
 	kids []*cnode
 }
 
@@ -68,7 +68,7 @@ func (v *Vars) Compile(p *Node) *Compiled {
 				c.slots = append(c.slots, n.slot)
 			}
 		} else {
-			n.sym = tree.Intern(p.Kind.treeKind(), p.Name)
+			n.mark = tree.Marking{Kind: p.Kind.treeKind(), Name: p.Name}
 		}
 		if c.reach = max(c.reach, depth); p.Kind == VarTree {
 			c.reach = math.MaxInt
@@ -200,7 +200,7 @@ func (ix *Index) MatchRows(c *Compiled, d *tree.Node, base Row, since uint64) []
 		return nil
 	case planAnchored:
 		ix.hits.Add(1)
-		k, cands := len(plan.spine)-1, ix.bySym[plan.sym]
+		k, cands := len(plan.spine)-1, ix.byMarking[plan.mark]
 		s.stack = slices.Grow(s.stack, len(cands)) // about a row per candidate
 		for _, cand := range cands {
 			var ok bool
@@ -301,7 +301,7 @@ func (s *Slab) anchor(p *cnode, r Row) {
 		for _, c := range p.kids {
 			s.anchor(c, r)
 		}
-	case p.slot >= 0 || p.sym == path[k].Sym():
+	case p.slot >= 0 || p.mark == path[k].Marking():
 		s.dspine = path[:k+1]
 		s.spine(s.pspine, 0, r)
 		s.dspine = path
@@ -313,7 +313,7 @@ func (s *Slab) anchor(p *cnode, r Row) {
 // binds by Row.Bind.
 func (s *Slab) bind(p *cnode, d *tree.Node, r Row) (Row, bool) {
 	if p.slot < 0 {
-		return r, d.Sym() == p.sym
+		return r, d.Marking() == p.mark
 	}
 	return r.Bind(p.kind, p.slot, d)
 }

@@ -151,18 +151,18 @@ func pruneNode(cur, anchor *tree.Node) *Patch {
 
 	// 2. A remaining pair sharing a marking uniquely on both sides is a
 	// grown subtree: diff it recursively instead of shipping it whole.
-	curBySym := make(map[tree.Sym][]*tree.Node)
+	curByMark := make(map[tree.Marking][]*tree.Node)
 	for _, c := range restCur {
-		curBySym[c.Sym()] = append(curBySym[c.Sym()], c)
+		curByMark[c.Marking()] = append(curByMark[c.Marking()], c)
 	}
-	anchorBySym := make(map[tree.Sym][]*tree.Node)
+	anchorByMark := make(map[tree.Marking][]*tree.Node)
 	for _, a := range restAnchor {
-		anchorBySym[a.Sym()] = append(anchorBySym[a.Sym()], a)
+		anchorByMark[a.Marking()] = append(anchorByMark[a.Marking()], a)
 	}
 	for _, c := range restCur {
-		sym := c.Sym()
-		if c.Kind != tree.Value && len(curBySym[sym]) == 1 && len(anchorBySym[sym]) == 1 {
-			p.Spines = append(p.Spines, pruneNode(c, anchorBySym[sym][0]))
+		m := c.Marking()
+		if c.Kind != tree.Value && len(curByMark[m]) == 1 && len(anchorByMark[m]) == 1 {
+			p.Spines = append(p.Spines, pruneNode(c, anchorByMark[m][0]))
 			continue
 		}
 		// 3. Ambiguous or brand-new: ship the whole subtree.

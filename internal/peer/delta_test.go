@@ -42,6 +42,8 @@ func TestPruneApplyRoundTrip(t *testing.T) {
 		{`log`, `log{a{b{c}},d}`},
 		// Values and repeated labels.
 		{`cat{item{"bop"}}`, `cat{item{"cool-jazz"},item{"bop",note{"re"}}}`},
+		// A label, a value and a function named x beside each other.
+		{`log{x{a}}`, `log{x{b},"x",!x}`},
 	}
 	for _, tc := range cases {
 		anchor := reduced(t, tc.anchor)
@@ -74,6 +76,20 @@ func TestPruneApplyRoundTrip(t *testing.T) {
 		if err == nil && changed {
 			t.Fatalf("%q + %q: re-apply changed state", tc.anchor, tc.growth)
 		}
+	}
+}
+
+// TestPruneSinceKeepsKindsApart: a label, a value and a function named x
+// are three markings. The grown label x is the one child diffed as a
+// spine, the value and the call ship whole, and roots of different kinds
+// give no patch.
+func TestPruneSinceKeepsKindsApart(t *testing.T) {
+	p := PruneSince(reduced(t, `log{x{a,b},"x",!x}`), reduced(t, `log{x{a}}`))
+	if p == nil || len(p.Spines) != 1 || p.Spines[0].Kind != tree.Label || len(p.Adds) != 2 {
+		t.Fatalf("patch = %+v, want one label spine and two adds", p)
+	}
+	if p := PruneSince(reduced(t, `x{a}`), reduced(t, `"x"`)); p != nil {
+		t.Fatalf("label root paired with value root: %+v", p)
 	}
 }
 

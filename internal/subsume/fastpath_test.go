@@ -88,6 +88,26 @@ func TestPropertySignatureNecessary(t *testing.T) {
 	}
 }
 
+// TestSignatureSeparatesDepthAndKind: the signature is a filter, so
+// soundness alone passes one that forgets depth or kind. It must also
+// reject the pairs those tell apart: a{b} and b{a} hold the same
+// markings at different depths, and a label, a value and a function
+// named x are three markings.
+func TestSignatureSeparatesDepthAndKind(t *testing.T) {
+	for _, p := range [][2]*tree.Node{
+		{tree.NewLabel("a", tree.NewLabel("b")), tree.NewLabel("b", tree.NewLabel("a"))},
+		{tree.NewLabel("x"), tree.NewValue("x")},
+		{tree.NewLabel("x"), tree.NewFunc("x")},
+		{tree.NewValue("x"), tree.NewFunc("x")},
+	} {
+		for _, q := range [][2]*tree.Node{p, {p[1], p[0]}} {
+			if subsume.Signature(q[0])&^subsume.Signature(q[1]) == 0 {
+				t.Errorf("signature of %s does not rule out %s", q[0], q[1])
+			}
+		}
+	}
+}
+
 // wideForest draws k trees mixing every relation a reduction meets:
 // distinct entries, entries subsumed by a richer one, digest-equal
 // copies, wide entries over overlapping child sets (subsumption between

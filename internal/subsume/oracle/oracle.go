@@ -2,7 +2,7 @@
 // Proposition 2.1 — subsumption by bottom-up homomorphism search over
 // string markings, reduction by all-pairs sibling pruning, least upper
 // bound by concatenate-and-reduce — with none of package subsume's
-// accelerations: no interned symbols, no digest short-circuit or digest
+// accelerations: no marking signatures, no digest short-circuit or digest
 // grouping, no reduced-flag skip, no LUB shortcut. It is the reference
 // the differential tests and the BenchmarkTree naive arms pin the fast
 // paths against, and is imported by nothing else.

@@ -18,18 +18,17 @@
 // of a system document (package core's invocation merge, Append and
 // Restore) and the least upper bound Union are that one function.
 //
-// Performance: markings are compared through interned symbols (tree.Sym,
-// one word instead of a string) and every check short-circuits on equal
-// memoized subtree digests (tree.Digest): equal digests mean isomorphic
-// subtrees, which subsume each other by the identity homomorphism. The
-// digest short-circuit is what lets reduction and Graft share structure
-// across million-node documents instead of re-walking it. No check is
-// all-pairs over wide siblings: a wide node against a wide witness maps
-// digest-equal children through a digest index, and sibling pruning and
-// Graft's scans reject a pair whose marking signatures rule subsumption
-// out before checking it. The definitional algorithms these fast paths
-// must agree with live in package subsume/oracle, which only tests and
-// benchmarks import.
+// Performance: markings compare as (Kind, Name) pairs and every check
+// short-circuits on equal memoized subtree digests (tree.Digest): equal
+// digests mean isomorphic subtrees, which subsume each other by the
+// identity homomorphism. The digest short-circuit is what lets reduction
+// and Graft share structure across million-node documents instead of
+// re-walking it. No check is all-pairs over wide siblings: a wide node
+// against a wide witness maps digest-equal children through a digest
+// index, and sibling pruning and Graft's scans reject a pair whose
+// marking signatures rule subsumption out before checking it. The
+// definitional algorithms these fast paths must agree with live in
+// package subsume/oracle, which only tests and benchmarks import.
 package subsume
 
 import (
@@ -60,7 +59,7 @@ func sub(a, b *tree.Node) bool {
 	if a == b {
 		return true
 	}
-	if a.Sym() != b.Sym() {
+	if !a.SameMarking(b) {
 		return false
 	}
 	if len(a.Children) == 0 {
@@ -108,9 +107,14 @@ func signature(n *tree.Node) uint64 {
 	return sigAt(n, 0)
 }
 
+// sigAt hashes (depth, kind, name) inline with FNV-1a and spreads the
+// hash so its top six bits pick the Bloom bit: no seed, no table.
 func sigAt(n *tree.Node, depth uint64) uint64 {
-	h := (uint64(n.Sym()) | depth<<32) * 0x9e3779b97f4a7c15
-	s := uint64(1) << (h >> 58)
+	h := (14695981039346656037 ^ (depth<<2 | uint64(n.Kind))) * 1099511628211
+	for i := 0; i < len(n.Name); i++ {
+		h = (h ^ uint64(n.Name[i])) * 1099511628211
+	}
+	s := uint64(1) << (h * 0x9e3779b97f4a7c15 >> 58)
 	if depth+1 < sigDepth {
 		for _, c := range n.Children {
 			s |= sigAt(c, depth+1)

@@ -39,6 +39,13 @@ func TestSubsumedBasics(t *testing.T) {
 		{`!f{"5"}`, `!g{"5"}`, false}, // function subsumption ignored (Sec 2.1 remark)
 		{`a{!f{"5"}}`, `a{!g{"5"}}`, false},
 		{`a{"x"}`, `a{x}`, false}, // value vs label
+		// A label, a value and a function named x are three markings.
+		{`x`, `"x"`, false},
+		{`"x"`, `x`, false},
+		{`x`, `!x`, false},
+		{`!x`, `x`, false},
+		{`"x"`, `!x`, false},
+		{`!x`, `"x"`, false},
 	}
 	for _, c := range cases {
 		got := subsume.Subsumed(parse(t, c.a), parse(t, c.b))
@@ -83,11 +90,20 @@ func TestReducePaperExample(t *testing.T) {
 	}
 }
 
+// TestReduceKeepsIncomparableSiblings: neither Reduce nor a Graft of the
+// same children drops a sibling no other subsumes; a label, a value and a
+// function of one name are such siblings.
 func TestReduceKeepsIncomparableSiblings(t *testing.T) {
-	in := parse(t, `a{b{c},b{d},e}`)
-	got := subsume.Reduce(in)
-	if got.Size() != in.Size() {
-		t.Fatalf("Reduce dropped incomparable siblings: %s", got.CanonicalString())
+	for _, src := range []string{`a{b{c},b{d},e}`, `a{x,"x",!x}`} {
+		in := parse(t, src)
+		if got := subsume.Reduce(in); got.Size() != in.Size() {
+			t.Fatalf("Reduce dropped incomparable siblings: %s", got.CanonicalString())
+		}
+		g := parse(t, `a`)
+		subsume.Graft([]*tree.Node{g}, in.Children)
+		if g.Size() != in.Size() {
+			t.Fatalf("Graft dropped incomparable siblings of %s: %s", src, g.CanonicalString())
+		}
 	}
 }
 

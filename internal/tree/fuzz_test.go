@@ -4,11 +4,10 @@ import (
 	"testing"
 )
 
-// The intern table and the per-subtree digest memo are both caches over the
-// same ground truth — (Kind, Name) markings and CanonicalHash — so any
+// The per-subtree digest memo is a cache over CanonicalHash, so any
 // divergence between cached and recomputed values silently corrupts
-// subsumption fast paths and index lookups. FuzzSymDigestStability builds
-// arbitrary trees from fuzz bytes and checks the caches survive the
+// subsumption fast paths and delta replication. FuzzDigestStability builds
+// arbitrary trees from fuzz bytes and checks the memo survives the
 // lifecycle operations the engine applies: Digest, Copy (used by Copy and
 // Restore snapshots), StampAll (Touch/Restore/replica sync), and Add.
 
@@ -45,13 +44,13 @@ func buildFuzzTree(data []byte) *Node {
 }
 
 // fuzzName maps a fuzz byte to a small name alphabet so inputs collide on
-// markings (exercising the intern table's sharing) rather than each byte
-// minting a fresh symbol.
+// markings (equal sibling subtrees, equal digests) rather than each byte
+// minting a fresh name.
 func fuzzName(prefix string, b byte) string {
 	return prefix + string(rune('a'+b%17))
 }
 
-func FuzzSymDigestStability(f *testing.F) {
+func FuzzDigestStability(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 1, 2, 3, 0, 2, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 1, 9})
@@ -68,24 +67,11 @@ func FuzzSymDigestStability(f *testing.F) {
 			t.Fatalf("Digest != CanonicalHash on fresh tree")
 		}
 
-		// Symbols resolve back to the marking they were interned from.
-		n.Walk(func(m *Node, _ *Node) bool {
-			k, name, ok := SymMarking(m.Sym())
-			if !ok || k != m.Kind || name != m.Name {
-				t.Fatalf("Sym roundtrip: node (%v, %q) resolved to (%v, %q, %v)",
-					m.Kind, m.Name, k, name, ok)
-			}
-			return true
-		})
-
-		// Copy preserves digests and symbols (the Restore path snapshots
-		// via Copy, so this is also Restore's stability guarantee).
+		// Copy preserves digests (the Restore path snapshots via Copy, so
+		// this is also Restore's stability guarantee).
 		c := n.Copy()
 		if c.Digest() != want {
 			t.Fatalf("Copy changed digest")
-		}
-		if c.Sym() != n.Sym() {
-			t.Fatalf("Copy changed root symbol")
 		}
 
 		// StampAll (Touch/Restore) clears memos; recomputation must land

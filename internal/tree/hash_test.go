@@ -158,3 +158,58 @@ func TestDigestAllocations(t *testing.T) {
 		t.Errorf("re-hashing a 600-wide root allocated %d bytes, want at most 20668", perRun)
 	}
 }
+
+func TestDigestMatchesCanonicalHash(t *testing.T) {
+	n := NewLabel("r",
+		NewLabel("a", NewValue("1"), NewValue("2")),
+		NewLabel("a", NewValue("2"), NewValue("1")), // sibling order irrelevant
+		NewFunc("f", NewValue("p")),
+	)
+	if n.Digest() != n.CanonicalHash() {
+		t.Fatal("Digest and CanonicalHash disagree")
+	}
+	// Memoized second call must return the same value.
+	if n.Digest() != n.CanonicalHash() {
+		t.Fatal("memoized Digest disagrees with CanonicalHash")
+	}
+}
+
+func TestDigestInvalidation(t *testing.T) {
+	n := NewLabel("r", NewLabel("a"))
+	before := n.Digest()
+	n.Add(NewLabel("b")) // Add clears n's own memo
+	after := n.Digest()
+	if before == after {
+		t.Fatal("digest unchanged after Add")
+	}
+	if after != n.CanonicalHash() {
+		t.Fatal("digest stale after Add")
+	}
+
+	// Deep mutation + StampAll (the Touch/Restore path) must refresh
+	// every memo in the subtree.
+	deep := NewLabel("r", NewLabel("mid", NewLabel("leaf")))
+	_ = deep.Digest()
+	deep.Children[0].Children[0].Children = []*Node{NewValue("x")}
+	deep.StampAll(1)
+	if deep.Digest() != deep.CanonicalHash() {
+		t.Fatal("digest stale after deep mutation + StampAll")
+	}
+}
+
+func TestCopyCarriesCaches(t *testing.T) {
+	n := NewLabel("r", NewLabel("a", NewValue("1")))
+	d := n.Digest()
+	c := n.Copy()
+	if c.Digest() != d {
+		t.Fatal("copy digest differs from original")
+	}
+	if c.Digest() != c.CanonicalHash() {
+		t.Fatal("copied digest memo is stale")
+	}
+	// Mutating the copy must not corrupt the original's memo.
+	c.Add(NewValue("2"))
+	if n.Digest() != d {
+		t.Fatal("original digest changed after mutating the copy")
+	}
+}

@@ -51,6 +51,14 @@ type Node struct {
 	// Kind says whether Name is a label, an atomic value or a function
 	// name.
 	Kind Kind
+	// red, when 1, records that the subtree was verified reduced (no
+	// subtree subsumed by a sibling) by package subsume. It rides the
+	// digest invalidation contract: every path that clears dig clears red
+	// too, so a set flag is trustworthy exactly when a memoized digest
+	// would be. Makes re-reducing an untouched subtree O(1) — the steady
+	// state of monotone merging, where most of a document never changes.
+	// It sits beside Kind so the two share one word.
+	red uint32
 	// Name is the node's marking: λ(n) in the paper.
 	Name string
 	// Children are the children subtrees, an unordered multiset.
@@ -61,24 +69,27 @@ type Node struct {
 	// baseline version; they carry no tree semantics and are ignored by
 	// comparison operations. Zero means "present since the initial state".
 	Stamp uint64
-
-	// sym caches the interned symbol for (Kind, Name); 0 means not yet
-	// interned. Filled lazily by Sym with atomic access — concurrent
-	// readers race benignly (both store the same value). See intern.go.
-	sym uint32
 	// dig caches the subtree's structural digest (hash-cons digest); nil
 	// means not computed since the last mutation. Filled lazily by Digest
 	// with atomic access; mutators clear it via InvalidateDigest (see
 	// hash.go for the invalidation contract).
 	dig atomic.Pointer[Hash]
-	// red, when 1, records that the subtree was verified reduced (no
-	// subtree subsumed by a sibling) by package subsume. It rides the
-	// digest invalidation contract: every path that clears dig clears red
-	// too, so a set flag is trustworthy exactly when a memoized digest
-	// would be. Makes re-reducing an untouched subtree O(1) — the steady
-	// state of monotone merging, where most of a document never changes.
-	red uint32
 }
+
+// Marking is a node's (Kind, Name) pair: a label, a value and a function
+// of the same name are three markings. It is comparable, and is the map
+// key wherever nodes are grouped by marking.
+type Marking struct {
+	Kind Kind
+	Name string
+}
+
+// Marking returns n's marking.
+func (n *Node) Marking() Marking { return Marking{n.Kind, n.Name} }
+
+// SameMarking reports whether two nodes carry identical markings (equal
+// Kind and Name).
+func (n *Node) SameMarking(m *Node) bool { return n.Kind == m.Kind && n.Name == m.Name }
 
 // NewLabel returns a data node labeled name with the given children.
 func NewLabel(name string, children ...*Node) *Node {
@@ -129,16 +140,14 @@ func (n *Node) Validate() error {
 	return nil
 }
 
-// Copy returns a deep copy of the subtree rooted at n. The interned
-// symbol, the memoized structural digest and the reduced flag carry
-// over: the copy is structurally identical to the original, so all three
-// caches stay valid.
+// Copy returns a deep copy of the subtree rooted at n. The memoized
+// structural digest and the reduced flag carry over: the copy is
+// structurally identical to the original, so both stay valid.
 func (n *Node) Copy() *Node {
 	if n == nil {
 		return nil
 	}
 	c := &Node{Kind: n.Kind, Name: n.Name, Stamp: n.Stamp}
-	c.sym = atomic.LoadUint32(&n.sym)
 	c.dig.Store(n.dig.Load())
 	c.red = atomic.LoadUint32(&n.red)
 	if len(n.Children) > 0 {

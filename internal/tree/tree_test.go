@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleTree() *Node {
@@ -278,5 +279,14 @@ func TestStatsOf(t *testing.T) {
 	}
 	if st.Labels+st.Values+st.Calls != st.Nodes {
 		t.Fatalf("counts do not add up: %+v", st)
+	}
+}
+
+// TestNodeSize pins the node at 64 bytes. 64 B is a Go size class, so a
+// node costs exactly its size; one more word makes it 72 B, which the
+// allocator rounds up to the 80 B class, a quarter more per node.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 64", got)
 	}
 }

@@ -2,7 +2,8 @@
 # lint-obs.sh — ban bare stdlib printing, package-level http helpers,
 # exported global bool switches, hand-rolled document growth in the peer layer, lock hand-offs from
 # library code, requests built or sent past the peer's one wire boundary,
-# exported mutable globals in the peer layer, product calls of the
+# exported mutable globals in the peer layer, package-level tables or
+# locks in library code, product calls of the
 # reference hash, a second benchmark pipeline beside benchmark/, a
 # node-pair subsumption memo, a document version or committed
 # sterile-call gate written outside its one writer, a journal that
@@ -126,7 +127,7 @@ fi
 # anyone can assign (the old DefaultClient, the old MaxWireBytes) is
 # configuration no Open option, test or race detector sees. Sentinel
 # errors (Err*) are the exception; limits are constants or options.
-badglobal=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
+badexportvar=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
     FNR == 1 { invar = 0 }
     /^var[[:space:]]*\($/ { invar = 1; next }
     /^\)/ { invar = 0 }
@@ -134,8 +135,27 @@ badglobal=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
     invar && /^[[:space:]]+[A-Z]/ && $1 !~ /^Err/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
     ' {} +)
 
-if [ -n "$badglobal" ]; then
+if [ -n "$badexportvar" ]; then
     echo "vet-obs: exported package-level var in internal/peer (make it a const, an Open option or a field):" >&2
+    echo "$badexportvar" >&2
+    exit 1
+fi
+# No package-level table or lock in library code: a var whose
+# declaration makes a map or holds a sync value is state every system in
+# the process shares and no one frees (the old tree.Intern symbol table
+# kept every data value a peer ever handled). Per-system state lives on
+# the value that owns it. The one shared value left, peer.defaultClient,
+# is an *http.Client bounded by its transport's pool (DESIGN.md).
+badglobal=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
+    FNR == 1 { invar = 0 }
+    /^var[[:space:]]*\($/ { invar = 1; next }
+    /^\)/ { invar = 0 }
+    /^[[:space:]]*\/\// { next }
+    (/^var[[:space:]]/ || (invar && /^[[:space:]]/)) && /make\(|map\[|sync\./ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badglobal" ]; then
+    echo "vet-obs: a package-level table or lock in library code (a var that makes a map or holds a sync value is process-wide state; keep it on the value that owns it):" >&2
     echo "$badglobal" >&2
     exit 1
 fi
@@ -265,7 +285,7 @@ badjoinmap=$( {
         { line = $0; gsub(/map\[string\]uint64/, "", line) }
         line !~ /Assignment|Stamped|\.Copy\(\)|map\[string\]/ { next }
         FILENAME ~ /\/row\.go$/ { printf "%s:%d:%s\n", FILENAME, FNR, $0; next }
-        fn ~ /^func (\([^)]*\) )?(plan|anchorSym|MatchRows|MatchDelta|MatchOld|HasDelta|delta|chain|Rows|join|holds|fold|Answers|bodyRows|newPlan|source|order|distinctHeads)[[(]/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        fn ~ /^func (\([^)]*\) )?(plan|anchorMarking|MatchRows|MatchDelta|MatchOld|HasDelta|delta|chain|Rows|join|holds|fold|Answers|bodyRows|newPlan|source|order|distinctHeads)[[(]/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
         ' {} +
     find internal/pathexpr internal/regular -name '*.go' ! -name '*_test.go' -exec awk '
         FNR == 1 || /^(type|var|const) / { fn = "" }

@@ -1,4 +1,4 @@
-// BenchmarkTree measures the interning/hash-consing/indexing layer on
+// BenchmarkTree measures the hash-consing/indexing layer on
 // million-node documents: anchored pattern matching against the naive
 // walk, and digest-accelerated Subsumed/Reduce/Union against the
 // definitional algorithms (package subsume/oracle). Each operation runs as
