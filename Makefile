@@ -78,8 +78,10 @@ chaos:
 
 # The benchmark BENCHMARK.json declares (benchmark/run.sh builds it from
 # this checkout and runs every workload once). Ordinary go test -bench
-# functions (BenchmarkRunParallel, BenchmarkTree, the per-package ones)
-# run with go test -bench and keep no committed numbers.
+# functions (BenchmarkRunParallel, BenchmarkTree, internal/peer's
+# BenchmarkRecover — peer.Open on a durable-ingest crash image, for
+# -cpuprofile — and the other per-package ones) run with go test -bench
+# and keep no committed numbers.
 bench:
 	bash benchmark/run.sh
 

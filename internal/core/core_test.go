@@ -661,7 +661,8 @@ doc busy = zzz{x{"1"}}
 		t.Fatalf("seed did not adopt incoming root: %s", root.CanonicalString())
 	}
 	// Idempotent: restoring the same state again reports no growth.
-	if changed, err = s.Restore("seed", incoming); err != nil || changed {
+	// Restore owns what it is given, so the second call gets a copy.
+	if changed, err = s.Restore("seed", incoming.Copy()); err != nil || changed {
 		t.Fatalf("re-restore: changed=%v err=%v", changed, err)
 	}
 	// A root that already carries information still refuses adoption.

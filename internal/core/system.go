@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,7 +36,7 @@ type System struct {
 	onMutate func(doc string, path []GraftStep, fresh tree.Forest)
 	// indexes holds one inverted index per document (see pattern.Index),
 	// maintained incrementally by appendAt (documents only grow) and
-	// rebuilt wholesale by Touch and when Restore adopts a new root. A
+	// rebuilt wholesale by Touch and when Restore adopts a tree. A
 	// document without an entry is matched by the naive walk, with
 	// identical results.
 	indexes map[string]*pattern.Index
@@ -124,8 +125,8 @@ func (s *System) AddDocument(d *tree.Document) error {
 }
 
 // reindex (re)builds the named document's inverted index from scratch.
-// Used on document addition, by Touch and when Restore adopts a new
-// root; appendAt maintains the index incrementally instead.
+// Used on document addition, by Touch and when Restore adopts a root or
+// a tree; appendAt maintains the index incrementally instead.
 func (s *System) reindex(name string) {
 	if doc := s.docs[name]; doc != nil {
 		s.indexes[name] = pattern.NewIndex(doc.Root)
@@ -296,6 +297,13 @@ func (s *System) bumpVersion(name string) {
 // stamped new, and a changed document has its version bumped so the
 // sterile-call gate re-examines services that read it. It takes no lock:
 // on a live system call it inside Update.
+//
+// Restore takes ownership of root. Into a document that holds nothing
+// yet — a childless root, as every recovery and replica seed is — the
+// least upper bound is the reduced incoming tree (Proposition 2.1), so
+// Restore adopts it: root is reduced in place, its children stamped with
+// one new version and installed under the existing root node, the index
+// built in one pass, and the hook told the growth appendAt would report.
 func (s *System) Restore(name string, root *tree.Node) (changed bool, err error) {
 	doc, ok := s.docs[name]
 	if !ok {
@@ -323,6 +331,23 @@ func (s *System) Restore(name string, root *tree.Node) (changed bool, err error)
 			s.onMutate(name, nil, nil)
 		}
 		changed = true
+	}
+	if at := doc.Root; len(at.Children) == 0 {
+		if subsume.ReduceInPlace(root); len(root.Children) == 0 {
+			return changed, nil
+		}
+		s.bumpVersion(name)
+		for _, c := range root.Children {
+			c.Restamp(s.docVersion[name])
+		}
+		at.Children = root.Children
+		at.InvalidateDigest()
+		at.MarkReduced()
+		s.reindex(name)
+		if s.onMutate != nil {
+			s.onMutate(name, nil, slices.Clone(at.Children))
+		}
+		return true, nil
 	}
 	fresh, _ := s.appendAt(name, []*tree.Node{doc.Root}, root.Children)
 	return changed || len(fresh) > 0, nil

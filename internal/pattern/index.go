@@ -61,11 +61,12 @@ func NewIndex(root *tree.Node) *Index {
 	return ix
 }
 
-// rebuild indexes the tree afresh; the log keeps its live entries.
+// rebuild indexes the tree afresh (the parent map sized by the node count,
+// byMarking left to grow); the log keeps its live entries.
 func (ix *Index) rebuild(root *tree.Node) {
 	ix.root = root
 	ix.byMarking = make(map[tree.Marking][]*tree.Node)
-	ix.parent = make(map[*tree.Node]*tree.Node)
+	ix.parent = make(map[*tree.Node]*tree.Node, root.Size()-1)
 	ix.live, ix.dead = 0, 0
 	root.Walk(func(n, parent *tree.Node) bool {
 		m := n.Marking()

@@ -170,6 +170,11 @@ type scanner struct {
 	// nodes holds the children of the open elements, flattened: an
 	// element's children are copied out once, into a slice of their size.
 	nodes []*tree.Node
+
+	// labels holds the last label names read, validated: a label seen
+	// before in the same input shares its string. Values are not shared.
+	labels [8]string
+	nlabel int
 }
 
 type wireAttr struct {
@@ -260,11 +265,26 @@ func (s *scanner) tree() (*tree.Node, error) {
 			return nil, fmt.Errorf("%s without service attribute", elemCall)
 		}
 	default:
-		if n = tree.NewLabel(string(s.name)); !validLabel(n.Name) {
-			return nil, fmt.Errorf("element <%s> is not a wire label (a colon-free XML name; ax: names are the wire's own)", n.Name)
+		if n = tree.NewLabel(s.label()); n.Name == "" {
+			return nil, fmt.Errorf("element <%s> is not a wire label (a colon-free XML name; ax: names are the wire's own)", s.name)
 		}
 	}
 	return n, s.children(n)
+}
+
+// label is the current start tag's name as a label ("" when it is not a
+// wire label), the string of an earlier equal label when there is one.
+func (s *scanner) label() string {
+	for _, l := range s.labels[:min(s.nlabel, len(s.labels))] {
+		if l == string(s.name) {
+			return l
+		}
+	}
+	if name := string(s.name); validLabel(name) {
+		s.labels[s.nlabel%len(s.labels)], s.nlabel = name, s.nlabel+1
+		return name
+	}
+	return ""
 }
 
 // children reads the child trees of n's element into n.Children.

@@ -107,34 +107,44 @@ type store struct {
 	sinceSnapshot int
 	pending       []pendingRecord // encoded growths, in order, not yet appended
 	err           error           // first journaling failure; journaling stops after
+	// snap is the last snapshot payload encoded, spans each document's
+	// root digest and ax:doc bytes in it: the next snapshot copies the
+	// bytes of a document whose digest has not moved.
+	snap  []byte
+	spans map[string]docSpan
+}
+
+// docSpan is one document's ax:doc entry in store.snap.
+type docSpan struct {
+	digest tree.Hash
+	lo, hi int
 }
 
 // openStore recovers the snapshot and journal found in d.Dir into the
-// freshly-built system (the snapshot's documents LUB-merge over the seed,
-// then each record replays in order) and reopens the journal for
-// appending. It runs before the peer exists: recovery's merges must not
-// observe a mutation hook that would journal them back. The registry and
-// tracer (either may be nil) are handed to the journal for its journal.*
-// metrics and fsync spans; replay counts journal.replay_unresolved there.
+// freshly-built system (each snapshot document is restored over its
+// seed — adopted whole by an empty one — then each record replays in
+// order) and reopens the journal for appending. It runs before the peer
+// exists: recovery's merges must not observe a mutation hook that would
+// journal them back. The registry and tracer (either may be nil) are
+// handed to the journal for its journal.* metrics and fsync spans;
+// replay counts journal.replay_unresolved there, recovery's time goes
+// to journal.recover_ns and a "recover" span splits it into decode,
+// restore and replay.
 func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *obs.Tracer) (*store, RecoveryInfo, error) {
 	var info RecoveryInfo
 	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
 		return nil, info, err
 	}
+	start, ts := time.Now(), tr.Now()
 
 	// 1. Snapshot: the compacted history up to SnapshotSeq.
+	var docs []*tree.Document
 	snapPath := filepath.Join(d.Dir, SnapshotFile)
 	snapSeq, payload, err := journal.ReadSnapshot(snapPath)
 	switch {
 	case err == nil:
-		docs, err := UnmarshalSnapshot(payload)
-		if err != nil {
+		if docs, err = UnmarshalSnapshot(payload); err != nil {
 			return nil, info, fmt.Errorf("peer %s: decode snapshot: %w", name, err)
-		}
-		for _, doc := range docs {
-			if _, err := s.Restore(doc.Name, doc.Root); err != nil {
-				return nil, info, fmt.Errorf("peer %s: restore snapshot: %w", name, err)
-			}
 		}
 		info.SnapshotSeq = snapSeq
 		info.Recovered = true
@@ -143,6 +153,13 @@ func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *o
 	default:
 		return nil, info, fmt.Errorf("peer %s: read snapshot: %w", name, err)
 	}
+	decoded := time.Now()
+	for _, doc := range docs {
+		if _, err := s.Restore(doc.Name, doc.Root); err != nil {
+			return nil, info, fmt.Errorf("peer %s: restore snapshot: %w", name, err)
+		}
+	}
+	restored := time.Now()
 
 	// 2. Journal: every growth after the snapshot, in order. Records the
 	// snapshot already covers are skipped: a graft record resolves its
@@ -183,6 +200,14 @@ func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *o
 	})
 	if err != nil {
 		return nil, info, fmt.Errorf("peer %s: open journal: %w", name, err)
+	}
+	end := time.Now()
+	m.Histogram("journal.recover_ns").Observe(int64(end.Sub(start)))
+	if tr.Enabled() {
+		tr.Emit(obs.Span{Kind: "recover", Name: name, TSUs: ts, DurUs: end.Sub(start).Microseconds(),
+			Attrs: map[string]int64{"docs": int64(len(docs)), "replayed": int64(info.Replayed),
+				"decode_us": decoded.Sub(start).Microseconds(), "restore_us": restored.Sub(decoded).Microseconds(),
+				"replay_us": end.Sub(restored).Microseconds()}})
 	}
 
 	snapshotEvery := d.SnapshotEvery
@@ -389,6 +414,9 @@ func (p *Peer) Snapshot() (err error) {
 // adoption (nil fresh). While journaling is disabled nothing is queued.
 func (p *Peer) journalGrowth(doc string, path []core.GraftStep, fresh tree.Forest) {
 	st := p.store
+	if fresh == nil { // a by-hand edit may reorder children, which no digest sees
+		delete(st.spans, doc)
+	}
 	if st.err != nil {
 		return
 	}
@@ -452,24 +480,40 @@ func (p *Peer) flushJournalLocked() {
 // snapshotLocked writes the full reduced document set as a snapshot
 // stamped with the journal's current sequence, then truncates the log.
 // It runs under the system's write side, so it marshals the live roots
-// directly. The snapshot holds every growth still pending, which are
-// dropped once it is written. The order matters: the snapshot reaches
-// stable storage (temp file + fsync + rename) before any log byte
-// disappears, so a crash between the two steps merely leaves a log whose
-// records the snapshot already covers — which recovery skips by sequence
-// number.
+// directly — and only the documents that moved: a document whose root
+// digest equals the one it had at the last snapshot is copied from that
+// payload's bytes, so the payload is what MarshalSnapshot would write.
+// The snapshot holds every growth still pending, which are dropped once
+// it is written. The order matters: the snapshot reaches stable storage
+// (temp file + fsync + rename) before any log byte disappears, so a
+// crash between the two steps merely leaves a log whose records the
+// snapshot already covers — which recovery skips by sequence number.
 func (p *Peer) snapshotLocked() error {
 	st := p.store
 	start := time.Now()
 	names := p.system.DocNames()
-	docs := make([]*tree.Document, len(names))
-	for i, name := range names {
-		docs[i] = p.system.Document(name)
+	spans := make(map[string]docSpan, len(names))
+	e := encoder{b: make([]byte, 0, len(st.snap)+len(st.snap)/4)}
+	e.open(elemSnapshot)
+	reused := 0
+	for _, name := range names {
+		root := p.system.Document(name).Root
+		sp := docSpan{digest: root.Digest(), lo: len(e.b)}
+		if old, ok := st.spans[name]; ok && old.digest == sp.digest {
+			e.b = append(e.b, st.snap[old.lo:old.hi]...)
+			reused++
+		} else {
+			e.doc(name, root)
+		}
+		sp.hi = len(e.b)
+		spans[name] = sp
 	}
-	payload, err := MarshalSnapshot(docs)
+	e.close(elemSnapshot)
+	payload, err := e.bytes()
 	if err != nil {
 		return fmt.Errorf("peer %s: encode snapshot: %w", p.Name, err)
 	}
+	st.snap, st.spans = payload, spans
 	if err := st.j.Sync(); err != nil {
 		return fmt.Errorf("peer %s: sync before snapshot: %w", p.Name, err)
 	}
@@ -486,6 +530,8 @@ func (p *Peer) snapshotLocked() error {
 	if m := p.metrics; m != nil {
 		m.Counter("journal.snapshots").Inc()
 		m.Counter("journal.snapshot_bytes").Add(int64(len(payload)))
+		m.Counter("journal.snapshot_docs_encoded").Add(int64(len(names) - reused))
+		m.Counter("journal.snapshot_docs_reused").Add(int64(reused))
 		m.Histogram("journal.snapshot_ns").ObserveSince(start)
 	}
 	if tr := p.tracer; tr.Enabled() {

@@ -64,6 +64,10 @@ type StatusReport struct {
 	LockReaderWaits uint64 `json:"lock_reader_waits"`
 	LockWriterWaits uint64 `json:"lock_writer_waits"`
 
+	// Documents a durable peer's snapshots encoded, and copied unchanged.
+	SnapshotDocsEncoded int64 `json:"snapshot_docs_encoded"`
+	SnapshotDocsReused  int64 `json:"snapshot_docs_reused"`
+
 	Docs []DocStatus `json:"docs"`
 }
 
@@ -108,6 +112,10 @@ func (p *Peer) Status() StatusReport {
 	rep.Sweeps, rep.Steps, rep.Served, rep.Failures = st.Sweeps, st.Steps, st.Served, st.Failures
 	rep.CallsFired, rep.CallsSterile, rep.DeltaEvals = st.CallsFired, st.CallsSterile, st.DeltaEvals
 	rep.LockReaderWaits, rep.LockWriterWaits = p.system.LockContention()
+	if p.store != nil {
+		rep.SnapshotDocsEncoded = p.metrics.Counter("journal.snapshot_docs_encoded").Value()
+		rep.SnapshotDocsReused = p.metrics.Counter("journal.snapshot_docs_reused").Value()
+	}
 	p.system.View(func() {
 		for _, name := range p.system.DocNames() {
 			ds := DocStatus{

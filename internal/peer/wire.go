@@ -136,19 +136,9 @@ func (s *scanner) doc() (*tree.Document, error) {
 	return tree.NewDocument(name, root), nil
 }
 
-// MarshalSnapshot renders a document set as an ax:snapshot element of
-// ax:doc entries — the payload of a snapshot file.
-func MarshalSnapshot(docs []*tree.Document) ([]byte, error) {
-	var e encoder
-	e.open(elemSnapshot)
-	for _, d := range docs {
-		e.doc(d.Name, d.Root)
-	}
-	e.close(elemSnapshot)
-	return e.bytes()
-}
-
-// UnmarshalSnapshot parses an ax:snapshot element back into documents.
+// UnmarshalSnapshot parses an ax:snapshot element (ax:doc entries, the
+// payload of a snapshot file, written by Peer.snapshotLocked) back into
+// documents.
 func UnmarshalSnapshot(data []byte) ([]*tree.Document, error) {
 	return decodeRoot(data, elemSnapshot, func(s *scanner) (docs []*tree.Document, err error) {
 		err = s.elements(func() error {

@@ -304,6 +304,20 @@ func decodeDocElement(dec *xml.Decoder, start xml.StartElement) (string, *tree.N
 	return name, root, nil
 }
 
+// MarshalSnapshot renders a document set as an ax:snapshot element of
+// ax:doc entries by encoding every document: the oracle a snapshot
+// written by Peer.snapshotLocked, which copies unchanged documents'
+// bytes, must equal byte for byte.
+func MarshalSnapshot(docs []*tree.Document) ([]byte, error) {
+	var e encoder
+	e.open(elemSnapshot)
+	for _, d := range docs {
+		e.doc(d.Name, d.Root)
+	}
+	e.close(elemSnapshot)
+	return e.bytes()
+}
+
 // xmlMarshalSnapshot renders a document set as an ax:snapshot element of
 // ax:doc entries — the payload of a snapshot file.
 func xmlMarshalSnapshot(docs []*tree.Document) ([]byte, error) {

@@ -224,7 +224,7 @@ if [ -n "$badgate" ]; then
 fi
 # The journal records what grew, not what exists. core hands the mutation
 # hook each growth from the three places a document changes (appendAt,
-# Touch, Restore's seed adoption); the peer writes a whole document state
+# Touch, Restore's adoptions); the peer writes a whole document state
 # only in the hook's whole-document branch (a by-hand edit), and its
 # snapshot marshals the live roots instead of a deep copy.
 badjournal=$( {
