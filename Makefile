@@ -43,7 +43,9 @@ loc:
 
 # The concurrency-sensitive peer tests (reads, sweeps and pushes sharing
 # the system's one lock, self-call and peer-cycle regressions, journal
-# flushes under its write side) must stay clean under the race detector.
+# flushes under its write side, one mirror's syncs against anti-entropy
+# and delta answers racing growth at the origin) must stay clean under
+# the race detector.
 race:
 	$(GO) test -race ./...
 
@@ -80,8 +82,9 @@ chaos:
 # this checkout and runs every workload once). Ordinary go test -bench
 # functions (BenchmarkRunParallel, BenchmarkTree, internal/peer's
 # BenchmarkRecover — peer.Open on a durable-ingest crash image, for
-# -cpuprofile — and the other per-package ones) run with go test -bench
-# and keep no committed numbers.
+# -cpuprofile — and BenchmarkDeltaSync — one append at a 600-entry
+# origin plus one log-mode mirror sync, digest checked — and the other
+# per-package ones) run with go test -bench and keep no committed numbers.
 bench:
 	bash benchmark/run.sh
 

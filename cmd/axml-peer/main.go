@@ -21,11 +21,12 @@
 // re-deriving anything lost in the torn tail by re-sweeping.
 //
 // Replication: -mirror DOC=URL keeps a local replica of a remote peer's
-// document current through digest-anchored deltas (only divergent
-// subtrees travel; see /axml/delta), and -anti-entropy-every runs a
-// periodic repair pass that re-syncs any replica whose digest drifted.
-// -delta-anchors bounds the per-document anchor states this peer caches
-// for its own delta answers.
+// document current through digest-anchored deltas (only the origin's
+// graft records since the replica's state travel; see /axml/delta), and
+// -anti-entropy-every runs a periodic repair pass that re-syncs any
+// replica whose digest drifted. -delta-anchors bounds the per-document
+// anchor states (and so the graft-record window) this peer keeps for its
+// own delta answers.
 //
 // Sharding: -shard-self NAME plus repeated -shard-peer NAME=URL front
 // the peer with a consistent-hash router — each document belongs to

@@ -145,7 +145,9 @@ func (c *Client) Doc(ctx context.Context, name string) (*tree.Node, error) {
 
 // Delta asks the peer what changed in a document since the anchor digest
 // from (empty means no anchor — expect a full answer). The answer is
-// DeltaSame, a digest-anchored patch, or the full tree (see Delta).
+// DeltaSame, the graft records since from (or a digest-anchored patch),
+// or the full tree (see Delta). An answer about another document is an
+// error: a receiver never grafts it.
 func (c *Client) Delta(ctx context.Context, name, from string) (Delta, error) {
 	path := PathDelta + name
 	if from != "" {
@@ -155,7 +157,11 @@ func (c *Client) Delta(ctx context.Context, name, from string) (Delta, error) {
 	if err != nil {
 		return Delta{}, err
 	}
-	return UnmarshalDelta(body)
+	d, err := UnmarshalDelta(body)
+	if err == nil && d.Doc != name {
+		err = fmt.Errorf("peer: delta %s: answer is about document %q", name, d.Doc)
+	}
+	return d, err
 }
 
 // Hashes pulls the peer's per-document digests ("name=digest;..." from

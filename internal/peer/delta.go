@@ -2,9 +2,11 @@ package peer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"axml/internal/subsume"
@@ -13,20 +15,23 @@ import (
 
 // Delta replication. Prop 3.1 monotonicity means a peer's documents only
 // grow by least-upper-bound merge, so replication never needs to ship a
-// whole tree: a subtree delta since the last acknowledged digest is a
-// sound CRDT-style update. The server keeps a bounded cache of recent
-// document states keyed by their digest (the anchors). A receiver asks
-// "give me what changed since digest D"; when the anchor is cached the
-// server answers with a patch — a recursive digest-diff of the current
-// tree against the anchor, carrying only the spine down to divergent
-// subtrees plus the new subtrees themselves — and when it is not (cache
-// rotated out, receiver never synced, digests disagree) it falls back to
-// the full tree. Applying a patch is a digest-targeted in-place merge
-// that reproduces Union(local, fullRemote) exactly, or reports that it
-// cannot (the receiver's tree diverged at a spine position), in which
-// case the receiver falls back to a full pull. Every fallback is safe:
-// the delta path is an optimization over the same LUB merge, never a
-// different semantics.
+// whole tree: the growth since the last acknowledged digest is a sound
+// CRDT-style update. Every growth already leaves core as one graft record
+// (the path by marking and pre-graft digest, and the fresh trees), and
+// replayed in order from a digest-equal pre-state the records reproduce
+// the post-state exactly (Prop 2.1, Thm 2.1). So the server keeps, per
+// document, the states it served (the anchors: digest → growth count)
+// and the records written since the oldest of them (the log). A receiver
+// asks "give me what changed since digest D"; when D is an anchor the log
+// still covers, the answer is the records since it, which the receiver
+// replays through System.Append, and otherwise (no anchor, evicted, a
+// by-hand edit reset the log) the full tree. A record whose path does not
+// resolve at the receiver (local-only growth on its path) stops the
+// replay, and the receiver falls back to a full pull: the records already
+// applied were exact origin growths. Every fallback is safe: the delta
+// path is an optimization over the same LUB merge, never a different
+// semantics. The patch form (PruneSince, ApplyPatch: a digest-diff of two
+// trees) is still decoded and applied but no longer served.
 
 // Delta wire element names and attributes (reserved: AXML labels cannot
 // contain ':').
@@ -46,6 +51,8 @@ const (
 	DeltaSame = "same"
 	// DeltaPatch: the payload is a patch against the anchor state.
 	DeltaPatch = "delta"
+	// DeltaLog: the payload is the graft records since the anchor state.
+	DeltaLog = "log"
 	// DeltaFull: the payload is the full tree (anchor unknown or unusable).
 	DeltaFull = "full"
 )
@@ -55,10 +62,10 @@ const (
 type Delta struct {
 	// Doc is the document name.
 	Doc string
-	// Mode is DeltaSame, DeltaPatch or DeltaFull.
+	// Mode is DeltaSame, DeltaLog, DeltaPatch or DeltaFull.
 	Mode string
-	// From is the anchor digest the patch is computed against (DeltaPatch
-	// only; empty otherwise).
+	// From is the anchor digest the records or the patch start from
+	// (DeltaLog and DeltaPatch only; empty otherwise).
 	From string
 	// To is the digest of the document state this record brings the
 	// receiver up to — the receiver's next anchor.
@@ -67,6 +74,9 @@ type Delta struct {
 	Full *tree.Node
 	// Patch carries the digest-diff in DeltaPatch mode.
 	Patch *Patch
+	// Log carries the graft records since From in DeltaLog mode, oldest
+	// first, each of document Doc.
+	Log []GraftRecord
 }
 
 // Patch is one node of a recursive digest-diff: the spine from the
@@ -174,9 +184,10 @@ func pruneNode(cur, anchor *tree.Node) *Patch {
 // ---------------------------------------------------------------------
 // Apply (receiver side): digest-targeted in-place merge.
 
-// errPatchMismatch reports a spine whose base digest has no counterpart
-// in the receiver's tree — the signal to fall back to a full pull.
-var errPatchMismatch = fmt.Errorf("peer: patch base not present (tree diverged)")
+// errPatchMismatch reports a spine whose base digest, or a record whose
+// path, has no counterpart in the receiver's tree — the signal to fall
+// back to a full pull.
+var errPatchMismatch = fmt.Errorf("peer: delta does not resolve (tree diverged)")
 
 // ApplyPatch merges a patch into the local tree in place, reproducing
 // exactly what Union(local, fullRemote) would have produced, and reports
@@ -269,80 +280,149 @@ func childByDigest(n *tree.Node, base string) *tree.Node {
 }
 
 // ---------------------------------------------------------------------
-// Anchor cache (server side).
+// Anchor cache and graft log (server side).
 
-// deltaAnchors remembers recent states of each document, keyed by the
-// digest a receiver would hold as its anchor. Bounded per document:
-// serving a state whose digest is not cached falls back to a full tree,
-// so the cache is purely an optimization and its size a memory/wire
-// trade-off. It locks itself: the handlers that use it overlap.
+// deltaAnchors remembers, per document, the states receivers were last
+// served (the anchors: digest → growth count at serve time, max of them,
+// LRU) and the graft records since the oldest (the log, at most logCap
+// bytes). A receiver whose anchor the log does not cover gets the full
+// tree, so the cache is purely an optimization. Only the mutation hook
+// (grew) writes the log; the handlers, which overlap, remember anchors.
 type deltaAnchors struct {
-	max  int
-	mu   sync.Mutex
-	docs map[string][]anchorState // newest last
+	max, logCap int
+	mu          sync.Mutex
+	docs        map[string]*docLog // the documents with a live anchor
 }
 
-type anchorState struct {
+// docLog is one document's anchors and log: seq counts its growths, recs
+// holds records base+1..seq, and no anchor's seq is below base.
+type docLog struct {
+	anchors   []anchor // newest last
+	seq, base uint64
+	recs      [][]byte
+	bytes     int
+}
+
+type anchor struct {
 	digest string
-	root   *tree.Node // deep copy, never mutated after insertion
+	seq    uint64
 }
 
 // defaultDeltaAnchors is the per-document anchor bound when
 // WithDeltaAnchors is not given.
 const defaultDeltaAnchors = 4
 
+// deltaLogBytes caps one document's log: past it, a log answer would
+// outweigh most full trees.
+const deltaLogBytes = 256 << 10
+
 func newDeltaAnchors(max int) *deltaAnchors {
-	return &deltaAnchors{max: max, docs: make(map[string][]anchorState)}
+	return &deltaAnchors{max: max, logCap: deltaLogBytes, docs: make(map[string]*docLog)}
 }
 
-// lookup returns the cached state with the given digest, or nil. Safe on
-// a nil cache (delta serving disabled).
-func (da *deltaAnchors) lookup(doc, digest string) *tree.Node {
+// remember records that a receiver now holds the document's current
+// state, at the growth count it is at: the caller holds the system's
+// read side, so no growth lands in between. A digest already remembered
+// moves to the back. Safe on a nil cache (no-op), like every method.
+func (da *deltaAnchors) remember(doc, digest string) {
+	if da == nil {
+		return
+	}
+	da.mu.Lock()
+	defer da.mu.Unlock()
+	l := da.docs[doc]
+	if l == nil {
+		l = &docLog{}
+		da.docs[doc] = l
+	}
+	if i := slices.IndexFunc(l.anchors, func(a anchor) bool { return a.digest == digest }); i >= 0 {
+		a := l.anchors[i]
+		l.anchors = append(slices.Delete(l.anchors, i, i+1), a)
+		return
+	}
+	l.anchors = append(l.anchors, anchor{digest, l.seq})
+	l.anchors = l.anchors[max(len(l.anchors)-da.max, 0):]
+}
+
+// logging reports whether the document's growths are logged.
+func (da *deltaAnchors) logging(doc string) bool {
+	if da == nil {
+		return false
+	}
+	da.mu.Lock()
+	defer da.mu.Unlock()
+	return da.docs[doc] != nil
+}
+
+// grew logs one growth's record. A nil rec (a whole-document change, or a
+// growth that did not encode) drops the document's log and anchors: no
+// record leads from their states to the new one. Then the records before
+// the oldest anchor go, and the oldest ones past logCap with the anchors
+// they strand; a document left without anchors stops logging.
+func (da *deltaAnchors) grew(doc string, rec []byte) {
+	if da == nil {
+		return
+	}
+	da.mu.Lock()
+	defer da.mu.Unlock()
+	l := da.docs[doc]
+	if l == nil || rec == nil {
+		delete(da.docs, doc)
+		return
+	}
+	l.seq++
+	l.recs, l.bytes = append(l.recs, rec), l.bytes+len(rec)
+	oldest := l.seq
+	for _, a := range l.anchors {
+		oldest = min(oldest, a.seq)
+	}
+	drop := int(oldest - l.base)
+	for _, r := range l.recs[:drop] {
+		l.bytes -= len(r)
+	}
+	for ; drop < len(l.recs) && l.bytes > da.logCap; drop++ {
+		l.bytes -= len(l.recs[drop])
+	}
+	clear(l.recs[:drop])
+	l.recs, l.base = l.recs[drop:], l.base+uint64(drop)
+	if l.anchors = slices.DeleteFunc(l.anchors, func(a anchor) bool { return a.seq < l.base }); len(l.anchors) == 0 {
+		delete(da.docs, doc)
+	}
+}
+
+// since returns the framed records after the anchor from — a log
+// answer's body — or nil when the log does not cover from or holds
+// nothing since.
+func (da *deltaAnchors) since(doc, from string) (frames []byte) {
 	if da == nil {
 		return nil
 	}
 	da.mu.Lock()
 	defer da.mu.Unlock()
-	for _, st := range da.docs[doc] {
-		if st.digest == digest {
-			return st.root
+	if l := da.docs[doc]; l != nil {
+		if i := slices.IndexFunc(l.anchors, func(a anchor) bool { return a.digest == from }); i >= 0 {
+			for _, rec := range l.recs[l.anchors[i].seq-l.base:] {
+				frames = appendFrame(frames, rec)
+			}
 		}
 	}
-	return nil
+	return frames
 }
 
-// remember caches the current state of a document under its digest
-// (copying the tree), evicting the oldest entry beyond the bound. A
-// digest already cached is refreshed in place (no copy). The copy is
-// taken outside the cache's lock, so a request for another document
-// does not queue behind it. Safe on a nil cache (no-op).
-func (da *deltaAnchors) remember(doc, digest string, root *tree.Node) {
-	if da != nil && !da.store(doc, digest, nil) {
-		da.store(doc, digest, root.Copy())
+// size reports the records and bytes logged for doc, or for every
+// document when doc is empty.
+func (da *deltaAnchors) size(doc string) (records, bytes int64) {
+	if da == nil {
+		return 0, 0
 	}
-}
-
-// store moves the state cached under digest to the back of its
-// document's list — most recently served, last to evict — and reports
-// true. When none is cached it appends cp (unless nil), evicting the
-// oldest beyond the bound, and reports false.
-func (da *deltaAnchors) store(doc, digest string, cp *tree.Node) bool {
 	da.mu.Lock()
 	defer da.mu.Unlock()
-	states := da.docs[doc]
-	for i := range states {
-		if states[i].digest == digest {
-			st := states[i]
-			copy(states[i:], states[i+1:])
-			states[len(states)-1] = st
-			return true
+	for name, l := range da.docs {
+		if doc == "" || name == doc {
+			records, bytes = records+int64(len(l.recs)), bytes+int64(l.bytes)
 		}
 	}
-	if cp != nil {
-		states = append(states, anchorState{digest: digest, root: cp})
-		da.docs[doc] = states[max(len(states)-da.max, 0):]
-	}
-	return false
+	return records, bytes
 }
 
 // ---------------------------------------------------------------------
@@ -350,10 +430,12 @@ func (da *deltaAnchors) store(doc, digest string, cp *tree.Node) bool {
 
 // MarshalDelta renders a delta record:
 //
-//	<ax:delta name="doc" mode="same|full|delta" [from="hex"] to="hex">
+//	<ax:delta name="doc" mode="same|full|delta|log" [from="hex"] to="hex">
 //	  full mode:  one tree
 //	  delta mode: one ax:patch element
 //	</ax:delta>
+//	log mode: the empty element, then per record its uvarint length and
+//	          its bytes as marshalGraftRecord writes them
 //
 // and a patch node as
 //
@@ -361,6 +443,20 @@ func (da *deltaAnchors) store(doc, digest string, cp *tree.Node) bool {
 //	  nested ax:patch spines, then added trees
 //	</ax:patch>
 func MarshalDelta(d Delta) ([]byte, error) {
+	var frames []byte
+	for _, r := range d.Log {
+		rec, err := marshalGraftRecord(r.Doc, r.Path, r.Fresh)
+		if err != nil {
+			return nil, err
+		}
+		frames = appendFrame(frames, rec)
+	}
+	return marshalDelta(d, frames)
+}
+
+// marshalDelta is MarshalDelta with a log answer's records already
+// framed: the server's log keeps them encoded.
+func marshalDelta(d Delta, frames []byte) ([]byte, error) {
 	var e encoder
 	if d.From != "" {
 		e.open(elemDelta, attrName, d.Doc, attrMode, d.Mode, attrFrom, d.From, attrTo, d.To)
@@ -379,11 +475,23 @@ func MarshalDelta(d Delta) ([]byte, error) {
 			return nil, fmt.Errorf("peer: patch delta without patch")
 		}
 		e.patch(d.Patch)
+	case DeltaLog:
+		if d.From == "" || len(frames) == 0 {
+			return nil, fmt.Errorf("peer: log delta without anchor or records")
+		}
+		e.close(elemDelta)
+		e.b = append(e.b, frames...)
+		return e.bytes()
 	default:
 		return nil, fmt.Errorf("peer: unknown delta mode %q", d.Mode)
 	}
 	e.close(elemDelta)
 	return e.bytes()
+}
+
+// appendFrame appends one record of a log answer: its length, then it.
+func appendFrame(b, rec []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(rec))), rec...)
 }
 
 func (e *encoder) patch(p *Patch) {
@@ -417,6 +525,14 @@ func UnmarshalDelta(data []byte) (Delta, error) {
 			if d.Full, err = s.one(); err == nil && d.Full == nil {
 				err = errors.New("full delta without tree")
 			}
+		case DeltaLog:
+			if err = s.elements(func() error { return fmt.Errorf("a %s delta carries no <%s>", DeltaLog, s.name) }); err == nil {
+				d.Log, err = unmarshalFrames(s.data[s.pos:], d.Doc)
+				s.pos = len(s.data) // the frames are the rest of the input
+			}
+			if err == nil && d.From == "" {
+				err = errors.New("log delta without anchor")
+			}
 		case DeltaPatch:
 			err = s.elements(func() (err error) {
 				if d.Patch != nil || string(s.name) != elemPatch {
@@ -433,6 +549,30 @@ func UnmarshalDelta(data []byte) (Delta, error) {
 		}
 		return d, err
 	})
+}
+
+// unmarshalFrames decodes a log answer's records: at least one (an
+// empty log answers same), each of document doc.
+func unmarshalFrames(data []byte, doc string) (recs []GraftRecord, err error) {
+	for len(data) > 0 {
+		n, k := binary.Uvarint(data)
+		if k <= 0 || n > uint64(len(data)-k) {
+			return nil, fmt.Errorf("record %d: frame length past the body", len(recs))
+		}
+		var r GraftRecord
+		r.Doc, r.Path, r.Fresh, err = unmarshalGraftRecord(data[k : k+int(n)])
+		if err == nil && r.Doc != doc {
+			err = fmt.Errorf("names document %q, not %q", r.Doc, doc)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("record %d: %w", len(recs), err)
+		}
+		recs, data = append(recs, r), data[k+int(n):]
+	}
+	if len(recs) == 0 {
+		return nil, errors.New("log delta without records")
+	}
+	return recs, nil
 }
 
 // patch reads an ax:patch element: spines are nested ax:patch elements,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"testing"
@@ -126,10 +127,20 @@ func TestApplyPatchMismatch(t *testing.T) {
 // a grown sec plus a brand-new sibling.
 const goldenPatch = "testdata/delta_patch.xml"
 
+// goldenLog is the log answer testdata/delta_log.bin holds: two records
+// after the anchor, one at the root and one below sec.
+const goldenLog = "testdata/delta_log.bin"
+
 // TestDeltaWireGolden pins the delta wire bytes — the hex rendering of
 // from, to and every spine base included — against a recorded record,
 // and applies the recorded patch, so a receiver resolves spine bases the
-// way the sender renders them.
+// way the sender renders them. It pins a served log answer's bytes too —
+// the header, the frames and the records exactly as the journal would
+// write them — checks the codec reproduces them, and replays the
+// recorded records onto the anchor state. It pins a served log answer's bytes too —
+// the header, the frames and the records exactly as the journal would
+// write them — checks the codec reproduces them, and replays the
+// recorded records onto the anchor state.
 func TestDeltaWireGolden(t *testing.T) {
 	want, err := os.ReadFile(goldenPatch)
 	if err != nil {
@@ -154,6 +165,44 @@ func TestDeltaWireGolden(t *testing.T) {
 	}
 	if digestHex(anchor) != back.To {
 		t.Fatalf("applied recorded patch reaches %s, want %s", digestHex(anchor), back.To)
+	}
+
+	want, err = os.ReadFile(goldenLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := mustOpen("origin", core.MustParseSystem(`doc log = log{sec{x{"1"}},other{q}}`))
+	get := func(from string) []byte {
+		w := httptest.NewRecorder()
+		origin.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, PathDelta+"log?from="+from, nil))
+		return w.Body.Bytes()
+	}
+	full, err := UnmarshalDelta(get(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	growDoc(origin, "log", `new{!Get{a}}`)
+	growIn(origin, "log", "sec", `y{"2 < 3 & z"}`)
+	if got := get(full.To); string(got) != string(want) {
+		t.Fatalf("log wire bytes changed:\ngot  %q\nwant %q", got, want)
+	}
+	d, err = UnmarshalDelta(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := MarshalDelta(d); err != nil || string(again) != string(want) {
+		t.Fatalf("codec does not reproduce the served bytes: %v\n%q", err, again)
+	}
+	replica := mustOpen("replica", core.MustParseSystem(`doc log = log`))
+	m := &Mirror{LocalDoc: "log"}
+	if _, err := m.merge(replica, full); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.merge(replica, d); err != nil {
+		t.Fatalf("recorded records do not replay: %v", err)
+	}
+	if got := docHash(replica, "log"); got != d.To {
+		t.Fatalf("replayed records reach %s, want %s", got, d.To)
 	}
 }
 
@@ -260,17 +309,17 @@ func TestDeltaEndpointModes(t *testing.T) {
 		t.Fatalf("current fetch answered %q", d.Mode)
 	}
 
-	// Document grew: delta, carrying only the growth.
+	// Document grew: log, carrying only the growth.
 	growDoc(remote, "log", `sec{y}`)
 	d, err = NewClient(srv.URL, nil).Delta(ctx, "log", anchor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Mode != DeltaPatch || d.Patch == nil {
+	if d.Mode != DeltaLog || len(d.Log) != 1 {
 		t.Fatalf("anchored fetch after growth: %+v", d)
 	}
 	if d.From != anchor {
-		t.Fatalf("patch anchored at %q, asked %q", d.From, anchor)
+		t.Fatalf("log anchored at %q, asked %q", d.From, anchor)
 	}
 
 	// Unknown anchor: full fallback.
@@ -443,18 +492,18 @@ func TestDeltaStreamMatchesFullPull(t *testing.T) {
 				for i := rng.Intn(3); i >= 0; i-- {
 					remote.System(func(s *core.System) {
 						root := s.Document("log").Root
-						// Half the growth lands at the root (patch adds), half
-						// in place under an existing child (patch spines).
+						// Half the growth lands at the root (records with an
+						// empty path), half in place under an existing child
+						// (records one step down).
 						target := root
 						if len(root.Children) > 0 && rng.Intn(2) == 0 {
 							if c := root.Children[rng.Intn(len(root.Children))]; c.Kind != tree.Value {
 								target = c
 							}
 						}
-						target.Children = append(target.Children, randomTree(rng, 3))
-						tree.InvalidateDigestAll(root)
-						subsume.ReduceInPlace(root)
-						s.Touch("log")
+						if _, err := s.Append("log", target, tree.Forest{randomTree(rng, 3)}); err != nil {
+							panic(err)
+						}
 					})
 				}
 				switch rng.Intn(4) {
@@ -491,7 +540,8 @@ func TestDeltaStreamMatchesFullPull(t *testing.T) {
 }
 
 // TestRemoteDeltaEndpointToleratesDuplicates: re-requesting the same
-// delta and re-applying its patch is harmless (at-least-once delivery).
+// delta and replaying its records again is harmless (at-least-once
+// delivery).
 func TestRemoteDeltaEndpointToleratesDuplicates(t *testing.T) {
 	remote := mustOpen("store", core.MustParseSystem(`doc log = log{sec{x}}`))
 	srv := httptest.NewServer(remote.Handler())
@@ -511,17 +561,21 @@ func TestRemoteDeltaEndpointToleratesDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.Mode != DeltaPatch || d2.Mode != DeltaPatch {
+	if d1.Mode != DeltaLog || d2.Mode != DeltaLog {
 		t.Fatalf("modes %q/%q", d1.Mode, d2.Mode)
 	}
-	local := d0.Full.Copy()
-	if _, err := ApplyPatch(local, d1.Patch); err != nil {
+	local := mustOpen("replica", core.MustParseSystem(`doc log = log`))
+	m := &Mirror{LocalDoc: "log"}
+	if _, err := m.merge(local, d0); err != nil {
 		t.Fatal(err)
 	}
-	if changed, err := ApplyPatch(local, d2.Patch); err != nil || changed {
+	if _, err := m.merge(local, d1); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := m.merge(local, d2); err != nil || changed {
 		t.Fatalf("duplicate apply: changed=%v err=%v", changed, err)
 	}
-	if canonicalHex(local) != d1.To {
-		t.Fatalf("digest %s after patches, want %s", canonicalHex(local), d1.To)
+	if got := docHash(local, "log"); got != d1.To {
+		t.Fatalf("digest %s after replays, want %s", got, d1.To)
 	}
 }

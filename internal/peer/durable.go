@@ -221,6 +221,15 @@ func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *o
 // record keeps: digestHex's 8, the peer's one wire name of a state.
 const graftDigestLen = 8
 
+// GraftRecord is one growth of a document, decoded: the path below the
+// root by marking and pre-graft digest (graftDigestLen bytes of each
+// step's Digest) and the fresh trees.
+type GraftRecord struct {
+	Doc   string
+	Path  []core.GraftStep
+	Fresh tree.Forest
+}
+
 // marshalGraftRecord encodes one growth as a recGraft payload:
 //
 //	uvarint len(doc) doc  uvarint steps
@@ -337,14 +346,7 @@ func replayGraft(s *core.System, payload []byte) (resolved bool, err error) {
 	if doc == nil {
 		return false, fmt.Errorf("peer: graft record for unknown document %q", docName)
 	}
-	at, depth := doc.Root, 0
-	for ; depth < len(path); depth++ {
-		next := stepChild(at, path[depth])
-		if next == nil {
-			break
-		}
-		at = next
-	}
+	at, depth := resolveGraft(doc.Root, path)
 	for i := len(path) - 1; i >= depth; i-- {
 		forest = tree.Forest{&tree.Node{Kind: path[i].Kind, Name: path[i].Name, Children: forest}}
 	}
@@ -352,6 +354,19 @@ func replayGraft(s *core.System, payload []byte) (resolved bool, err error) {
 		return false, err
 	}
 	return depth == len(path), nil
+}
+
+// resolveGraft walks a record's path down from root, one child per step,
+// and returns the deepest node reached and how many steps resolved.
+func resolveGraft(root *tree.Node, path []core.GraftStep) (at *tree.Node, depth int) {
+	for at = root; depth < len(path); depth++ {
+		next := stepChild(at, path[depth])
+		if next == nil {
+			break
+		}
+		at = next
+	}
+	return at, depth
 }
 
 // stepChild finds n's child the decoded step names.
@@ -406,33 +421,45 @@ func (p *Peer) Snapshot() (err error) {
 	return err
 }
 
-// journalGrowth is a durable peer's mutation hook. It encodes each growth
-// the moment it happens — a later graft in the same Update may grow or
-// detach the fresh trees, so encoding at flush time would record the
-// wrong state — and queues the record for the next flush: a graft record
-// for a growth, the whole document state for a by-hand edit or a seed
-// adoption (nil fresh). While journaling is disabled nothing is queued.
-func (p *Peer) journalGrowth(doc string, path []core.GraftStep, fresh tree.Forest) {
+// mutated is the mutation hook Open installs on every peer. It encodes
+// a growth at most once, the moment it happens — a later graft in the
+// same Update may grow or detach the fresh trees, so encoding later would
+// record the wrong state — and only when the journal or the document's
+// delta log needs it; both then keep the same bytes. A whole-document
+// change (nil fresh: a by-hand edit, a seed adoption) resets the log.
+func (p *Peer) mutated(doc string, path []core.GraftStep, fresh tree.Forest) {
+	var rec []byte
+	var err error
+	if fresh != nil && (p.store != nil && p.store.err == nil || p.anchors.logging(doc)) {
+		rec, err = marshalGraftRecord(doc, path, fresh)
+	}
+	p.anchors.grew(doc, rec)
+	if p.store != nil {
+		p.journalGrowth(doc, fresh == nil, rec, err)
+	}
+}
+
+// journalGrowth queues a growth for the next flush: its graft record
+// (rec, or the error encoding it), or for a whole-document change the
+// document state. While journaling is disabled nothing is queued.
+func (p *Peer) journalGrowth(doc string, whole bool, rec []byte, err error) {
 	st := p.store
-	if fresh == nil { // a by-hand edit may reorder children, which no digest sees
+	if whole { // a by-hand edit may reorder children, which no digest sees
 		delete(st.spans, doc)
 	}
 	if st.err != nil {
 		return
 	}
-	rec := pendingRecord{typ: recGraft}
-	var err error
-	if fresh == nil {
-		rec.typ = recDocState
-		rec.payload, err = MarshalDocRecord(doc, p.system.Document(doc).Root)
-	} else {
-		rec.payload, err = marshalGraftRecord(doc, path, fresh)
+	r := pendingRecord{typ: recGraft, payload: rec}
+	if whole {
+		r.typ = recDocState
+		r.payload, err = MarshalDocRecord(doc, p.system.Document(doc).Root)
 	}
 	if err != nil {
 		p.disableJournal(fmt.Errorf("peer %s: encode journal record for %q: %w", p.Name, doc, err))
 		return
 	}
-	st.pending = append(st.pending, rec)
+	st.pending = append(st.pending, r)
 }
 
 // disableJournal records the first journaling failure and stops
@@ -556,10 +583,10 @@ func (p *Peer) AddMirror(m *Mirror) {
 // replicas that moved — the catch-up pass a recovered peer runs after
 // restart, when remote documents may have grown while it was down (and
 // its in-memory digests were lost). The repair is a delta sync: the
-// remote prunes everything below digest-matched subtrees, so only
-// divergent fringes travel; a replica that diverged beyond what the
-// remote can anchor (e.g. right after a restart) degrades to a full
-// pull. Returns the number of mirrors re-synced. The first error is
+// remote answers the graft records since the replica's anchor, so only
+// the growth travels; a replica that diverged beyond what the remote can
+// anchor (e.g. right after a restart) degrades to a full pull. Returns
+// the number of mirrors re-synced. The first error is
 // returned after all mirrors were tried; unreachable remotes do not stop
 // the others from catching up.
 func (p *Peer) AntiEntropy(ctx context.Context) (resynced int, err error) {
@@ -593,7 +620,7 @@ func (p *Peer) AntiEntropy(ctx context.Context) (resynced int, err error) {
 			// lag clock starts at detection, not at the repair sync below.
 			p.converge.observe(p.metrics, m.LocalDoc, remote, p.localDigest(m.LocalDoc), false)
 		}
-		if ok && m.lastRemote != "" && remote == m.lastRemote {
+		if last := m.acked(); ok && last != "" && remote == last {
 			continue // replica provably current
 		}
 		if _, serr := m.Sync(ctx, p); serr != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"axml/internal/core"
@@ -21,9 +22,10 @@ import (
 // 2.1, so syncs are monotone and idempotent: replaying, duplicating or
 // interleaving them can only add information, never lose it. When the
 // remote cannot serve a delta (anchor evicted, first sync) or the local
-// replica diverged from the anchor (a patch base misses), Sync falls
-// back to merging the full tree — the delta path is an optimization over
-// the same merge, never a different semantics.
+// replica diverged from the anchor (a record's path or a patch base
+// misses), Sync falls back to merging the full tree — the delta path is
+// an optimization over the same merge, never a different semantics. One
+// Mirror's syncs run one at a time.
 type Mirror struct {
 	// Remote is the remote peer's base URL.
 	Remote string
@@ -39,6 +41,10 @@ type Mirror struct {
 	// LastChanged records whether the last sync brought new data.
 	LastChanged bool
 
+	// mu serializes Sync, which writes Syncs, LastChanged and lastRemote:
+	// a sync starting from a stale lastRemote would replay records the
+	// replica already holds.
+	mu sync.Mutex
 	// lastRemote is the digest of the remote tree as of the last sync —
 	// the delta anchor sent with the next PathDelta request, and what the
 	// anti-entropy pass compares against the remote's advertised hash to
@@ -48,13 +54,23 @@ type Mirror struct {
 	lastRemote string
 }
 
+// acked is lastRemote, read between syncs.
+func (m *Mirror) acked() string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lastRemote
+}
+
 // Sync synchronizes the replica once and reports whether it grew. It
 // requests a delta since the last acknowledged remote digest; the answer
-// is either nothing (already current), a digest-anchored patch grafted
-// in place, or the full tree merged by System.Restore. Syncs record into the
+// is either nothing (already current), the origin's graft records (or a
+// digest-anchored patch) grafted in place, or the full tree merged by
+// System.Restore. Syncs record into the
 // peer's registry (peer.mirror.syncs/changed/errors/deltas/fallbacks,
 // sync_ns) and emit a "sync" span when the peer carries a tracer.
 func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	// The sync span parents the delta exchange: its context rides ctx so
 	// the remote's "http" span joins the same trace.
 	parent := obs.SpanFromContext(ctx)
@@ -75,19 +91,22 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	switch d.Mode {
 	case DeltaSame:
 		// Already current: nothing to merge.
-	case DeltaPatch:
+	case DeltaLog, DeltaPatch:
 		changed, err = m.merge(p, d)
 		if errors.Is(err, errPatchMismatch) {
-			// The replica diverged from the anchor the patch targets
-			// (local-only growth, a missed delivery, a restart): repair
-			// with a full pull.
+			// The replica diverged from the anchor the records or the
+			// patch start from (local-only growth, a missed delivery, a
+			// restart): repair with a full pull. Records applied before
+			// the miss were exact origin growths.
 			p.metrics.Counter("peer.mirror.delta_fallbacks").Inc()
 			if d, err = remote.Delta(ctx, m.RemoteDoc, ""); err == nil {
 				if d.Mode != DeltaFull {
 					err = fmt.Errorf("peer: mirror %s: anchorless delta answered mode %q",
 						m.LocalDoc, d.Mode)
 				} else {
-					changed, err = m.merge(p, d)
+					var grew bool
+					grew, err = m.merge(p, d)
+					changed = changed || grew
 				}
 			}
 		} else if err == nil {
@@ -128,8 +147,11 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 
 // merge brings a delta's payload into the local replica: a full tree by
 // least upper bound (System.Restore — the pre-delta sync semantics, and
-// the fallback every delta failure reduces to), a patch as the grafts it
-// resolves to (System.Append), so only what arrives is stamped new.
+// the fallback every delta failure reduces to), records and a patch as
+// the grafts they resolve to (System.Append), so only what arrives is
+// stamped new. Records replay in order, each resolved against the state
+// its predecessors left; the first whose path does not resolve stops the
+// replay with errPatchMismatch, before anything of it is appended.
 func (m *Mirror) merge(p *Peer, d Delta) (changed bool, err error) {
 	p.System(func(s *core.System) {
 		if d.Mode == DeltaFull {
@@ -140,6 +162,18 @@ func (m *Mirror) merge(p *Peer, d Delta) (changed bool, err error) {
 		if local == nil {
 			err = fmt.Errorf("peer: mirror target document %q missing", m.LocalDoc)
 			return
+		}
+		for _, r := range d.Log {
+			at, depth := resolveGraft(local.Root, r.Path)
+			if depth < len(r.Path) {
+				err = errPatchMismatch
+				return
+			}
+			var grew bool
+			if grew, err = s.Append(m.LocalDoc, at, r.Fresh); err != nil {
+				return
+			}
+			changed = changed || grew
 		}
 		var grafts []patchGraft
 		grafts, err = resolvePatch(local.Root, d.Patch)

@@ -77,9 +77,11 @@ func WithLogger(l *slog.Logger) Option {
 	return func(c *config) { c.logger = l }
 }
 
-// WithDeltaAnchors sets how many recent states of each document the peer
-// remembers for delta replication (PathDelta). A receiver whose anchor
-// rotated out of the cache simply gets the full tree, so the bound
+// WithDeltaAnchors sets how many recently served states of each document
+// the peer remembers for delta replication (PathDelta). It bounds the
+// log window too: the peer keeps the graft records after the oldest
+// remembered state (under a fixed byte cap per document), so a receiver
+// whose anchor rotated out simply gets the full tree, and the bound
 // trades memory for wire bytes. 0 keeps the default (4); negative
 // disables delta serving entirely (every request answers full).
 func WithDeltaAnchors(n int) Option {

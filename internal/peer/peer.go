@@ -17,7 +17,6 @@ import (
 	"axml/internal/core"
 	"axml/internal/obs"
 	"axml/internal/query"
-	"axml/internal/subsume"
 	"axml/internal/tree"
 )
 
@@ -128,8 +127,9 @@ type Peer struct {
 	tracer  *obs.Tracer
 	logger  *slog.Logger
 
-	// anchors caches recent document states by digest so PathDelta can
-	// answer with a patch instead of the full tree. It locks itself.
+	// anchors remembers the states PathDelta served and the graft records
+	// since, so it can answer with the records instead of the full tree.
+	// It locks itself.
 	anchors *deltaAnchors
 
 	// converge tracks per-document replication watermarks (origin digest
@@ -228,14 +228,16 @@ func Open(name string, s *core.System, opts ...Option) (*Peer, RecoveryInfo, err
 			"peer", name, "snapshot_seq", info.SnapshotSeq,
 			"replayed", info.Replayed, "torn", info.Torn)
 	}
-	if st != nil {
-		p.store = st
-		// The hook fires inside every growth, which all run under the
-		// system's write side, so the pending records need no lock of
-		// their own. It is installed after recovery on purpose: recovery's
-		// own merges must not journal themselves back.
-		s.SetMutationHook(p.journalGrowth)
+	if cfg.metrics != nil && p.anchors != nil {
+		cfg.metrics.GaugeFunc("peer.delta.log_records", func() int64 { n, _ := p.anchors.size(""); return n })
+		cfg.metrics.GaugeFunc("peer.delta.log_bytes", func() int64 { _, n := p.anchors.size(""); return n })
 	}
+	p.store = st
+	// The hook fires inside every growth, which all run under the
+	// system's write side, so the pending records need no lock of their
+	// own. It is installed after recovery on purpose: recovery's own
+	// merges must not journal themselves back.
+	s.SetMutationHook(p.mutated)
 	return p, info, nil
 }
 
@@ -416,9 +418,9 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 		}
 		data, err = MarshalTree(doc.Root)
 		if err == nil {
-			// The receiver now holds this exact state: cache it as a delta
-			// anchor so its next PathDelta request gets a patch.
-			p.anchors.remember(name, digestHex(doc.Root), doc.Root)
+			// The receiver now holds this exact state: remember it as a
+			// delta anchor so its next PathDelta request gets the log.
+			p.anchors.remember(name, digestHex(doc.Root))
 		}
 	})
 	if doc == nil {
@@ -519,12 +521,11 @@ func (p *Peer) handleHash(w http.ResponseWriter, r *http.Request) {
 
 // handleDelta answers GET /axml/delta/<name>?from=<digest> with the
 // document's growth since the state the caller last acknowledged. Three
-// modes: "same" (the caller is current — no payload), "delta" (a patch
-// against the anchor — requires the anchor state cached AND provably
-// subsumed by the current state, the prune precondition) and "full"
-// (anything else: no anchor given, cache miss, or a non-monotone edit
-// broke the anchor invariant). The served state is cached as the
-// caller's next anchor.
+// modes: "same" (the caller is current — no payload), "log" (the graft
+// records since the anchor — requires from to be an anchor the log still
+// covers) and "full" (anything else: no anchor given, evicted or
+// stranded, or a by-hand edit reset the log). The served state becomes
+// the caller's next anchor, at the growth count it is served at.
 func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Path[len(PathDelta):]
 	from := r.URL.Query().Get("from")
@@ -536,26 +537,22 @@ func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
 		if doc == nil {
 			return
 		}
-		cur := doc.Root
-		d = Delta{Doc: name, To: digestHex(cur)}
+		d = Delta{Doc: name, To: digestHex(doc.Root)}
+		var frames []byte
 		switch {
 		case from == d.To:
 			d.Mode = DeltaSame
 		case from != "":
-			if anchor := p.anchors.lookup(name, from); anchor != nil && subsume.Subsumed(anchor, cur) {
-				if patch := PruneSince(cur, anchor); patch != nil {
-					d.Mode = DeltaPatch
-					d.From = from
-					d.Patch = patch
-				}
+			if frames = p.anchors.since(name, from); frames != nil {
+				d.Mode, d.From = DeltaLog, from
 			}
 		}
 		if d.Mode == "" {
 			d.Mode = DeltaFull
-			d.Full = cur
+			d.Full = doc.Root
 		}
-		p.anchors.remember(name, d.To, cur)
-		data, err = MarshalDelta(d) // the patch and the full tree alias cur
+		p.anchors.remember(name, d.To)
+		data, err = marshalDelta(d, frames) // the full tree aliases the live root
 	})
 	if d.Doc == "" {
 		http.NotFound(w, r)

@@ -201,7 +201,7 @@ func TestRouterDeltaForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Mode != DeltaPatch {
+	if d2.Mode != DeltaLog {
 		t.Fatalf("anchored forwarded delta answered %q", d2.Mode)
 	}
 }

@@ -34,6 +34,11 @@ type DocStatus struct {
 	// LagNs is the last measured divergence→convergence interval
 	// (0 = never measured).
 	LagNs int64 `json:"lag_ns,omitempty"`
+	// LogRecords and LogBytes size the graft records the peer keeps for
+	// delta answers about this document (0 until one of its states is
+	// served).
+	LogRecords int64 `json:"log_records,omitempty"`
+	LogBytes   int64 `json:"log_bytes,omitempty"`
 }
 
 // StatusReport is the /axml/status body.
@@ -123,6 +128,7 @@ func (p *Peer) Status() StatusReport {
 				LocalDigest:   digestHex(p.system.Document(name).Root),
 				LastAdvanceMs: -1,
 			}
+			ds.LogRecords, ds.LogBytes = p.anchors.size(name)
 			if w, ok := marks[name]; ok {
 				ds.OriginDigest = w.origin
 				ds.LagNs = int64(w.lastLag)

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -88,7 +89,9 @@ func FuzzUnmarshalTree(f *testing.F) {
 // the parser must reject garbage without panicking, and every accepted
 // record must re-marshal to a stable wire form (the encoder orders
 // spines before adds, so one decode/encode round canonicalizes and the
-// second must be a fixpoint).
+// second must be a fixpoint). A log answer's decoded records must
+// re-encode through marshalGraftRecord to exactly the bytes of their
+// frames in that stable form.
 func FuzzUnmarshalDelta(f *testing.F) {
 	seeds := []string{
 		``,
@@ -106,11 +109,27 @@ func FuzzUnmarshalDelta(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	golden, err := os.ReadFile(goldenPatch)
+	for _, path := range []string{goldenPatch, goldenLog} {
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+	}
+	rec, err := marshalGraftRecord("d", []core.GraftStep{{Kind: tree.Label, Name: "sec"}}, tree.Forest{tree.NewLabel("x")})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(golden)
+	head := `<ax:delta name="d" mode="log" from="deadbeefdeadbeef" to="00112233aabbccdd"></ax:delta>`
+	for _, s := range []string{
+		head + string(appendFrame(nil, rec)),
+		`<ax:delta name="d" mode="log" to="00112233aabbccdd"></ax:delta>` + string(appendFrame(nil, rec)), // no from
+		head, // no records
+		head + string(appendFrame(nil, rec)[:10]),                                                        // frame past the body
+		`<ax:delta name="e" mode="log" from="deadbeefdeadbeef" to="x"/>` + string(appendFrame(nil, rec)), // another document
+	} {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzMaxInput {
 			return
@@ -134,6 +153,15 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		}
 		if string(out) != string(again) {
 			t.Fatalf("delta wire form not a fixpoint:\nfirst  %q\nsecond %q", out, again)
+		}
+		frames := out[bytes.Index(out, []byte("</"+elemDelta+">"))+len(elemDelta)+3:]
+		for _, r := range back.Log {
+			n, k := binary.Uvarint(frames)
+			rec, err := marshalGraftRecord(r.Doc, r.Path, r.Fresh)
+			if err != nil || string(rec) != string(frames[k:k+int(n)]) {
+				t.Fatalf("decoded record does not re-encode to its frame: %v\n%q\n%q", err, rec, frames[k:k+int(n)])
+			}
+			frames = frames[k+int(n):]
 		}
 	})
 }

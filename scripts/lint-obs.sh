@@ -9,7 +9,8 @@
 # sterile-call gate written outside its one writer, a journal that
 # records what exists instead of what grew, an experiment harness beside
 # the claims tests, map assignments on any evaluator's row path,
-# encoding/xml in product code, and a freshness filter after a join.
+# encoding/xml in product code, a freshness filter after a join, a
+# graft record encoded twice, and a tree in the delta anchor cache.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -331,6 +332,49 @@ badnewfilter=$(grep -rnE --include='*.go' '\.New([^A-Za-z0-9_(]|$)' internal/que
 if [ -n "$badnewfilter" ]; then
     echo "vet-obs: a row's New flag read or set in an evaluator (join the delta rules: pattern's MatchDelta / MatchOld / HasDelta):" >&2
     echo "$badnewfilter" >&2
+    exit 1
+fi
+# One encoding per growth: the mutation hook (Peer.mutated) encodes each
+# growth once, through marshalGraftRecord, and the journal and the delta
+# log keep the same bytes; MarshalDelta re-encodes only a log answer's
+# decoded records. A second call site, or a graft step appended outside
+# the encoder, is a second encoding of the same growth.
+badgraftenc=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^A-Za-z])marshalGraftRecord\(/ && fn !~ /^func (marshalGraftRecord|MarshalDelta)\(|^func \(p \*Peer\) mutated\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    /Digest\[:graftDigestLen\]\.\.\./ && fn !~ /^func marshalGraftRecord\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badgraftenc" ]; then
+    echo "vet-obs: a graft record encoded outside the mutation hook (marshalGraftRecord in Peer.mutated; MarshalDelta for decoded records only):" >&2
+    echo "$badgraftenc" >&2
+    exit 1
+fi
+# Delta answers replay the origin's graft log: the anchor cache maps a
+# digest to a growth count and holds no tree, and handleDelta neither
+# checks an anchor tree against the live one nor diffs them. A tree in
+# the cache's types, a Copy in its methods, or Subsumed / PruneSince in
+# handleDelta is the deep-copied anchor growing back.
+badanchor=$( {
+    awk '
+        /^type (deltaAnchors|docLog|anchor) struct/ { intype = 1 }
+        intype && /^}/ { intype = 0 }
+        /^func / { fn = $0 }
+        /^[[:space:]]*\/\// { next }
+        intype && /tree\./ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        fn ~ /^func \(da \*deltaAnchors\)/ && /\.Copy\(\)|tree\./ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        ' internal/peer/delta.go
+    awk '
+        /^func / { fn = $0 }
+        /^[[:space:]]*\/\// { next }
+        fn ~ /^func \(p \*Peer\) handleDelta\(/ && /Subsumed\(|PruneSince\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        ' internal/peer/peer.go
+    } )
+
+if [ -n "$badanchor" ]; then
+    echo "vet-obs: a tree in the delta anchor cache, or an anchor check / diff in handleDelta (anchors are digest -> growth count; answers replay the graft log):" >&2
+    echo "$badanchor" >&2
     exit 1
 fi
 echo "vet-obs: ok"
