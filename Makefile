@@ -45,9 +45,13 @@ loc:
 # the system's one lock, self-call and peer-cycle regressions, journal
 # flushes under its write side, one mirror's syncs against anti-entropy
 # and delta answers racing growth at the origin) must stay clean under
-# the race detector.
+# the race detector. The recovery, index and adoption tests run again at
+# GOMAXPROCS 1 and 4: recovery's per-document fan-out at width one and
+# at a width above the core count, and first matches racing to build a
+# document's index.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 ./internal/core ./internal/pattern ./internal/peer -run 'Restore|Adopt|Lazy|Index|Recover|Snapshot|Subscriber' -count=1
 
 # Short-budget coverage-guided fuzzing of the wire parsers serving and
 # recovery depend on (each checked against the encoding/xml oracle), of
@@ -82,7 +86,9 @@ chaos:
 # this checkout and runs every workload once). Ordinary go test -bench
 # functions (BenchmarkRunParallel, BenchmarkTree, internal/peer's
 # BenchmarkRecover — peer.Open on a durable-ingest crash image, for
-# -cpuprofile — and BenchmarkDeltaSync — one append at a 600-entry
+# -cpuprofile: open alone, and open+match, the open plus one match on
+# every document, where the index builds the open defers land — and
+# BenchmarkDeltaSync — one append at a 600-entry
 # origin plus one log-mode mirror sync, digest checked — and the other
 # per-package ones) run with go test -bench and keep no committed numbers.
 bench:

@@ -41,7 +41,7 @@ func redundantForest(rng *rand.Rand) tree.Forest {
 // another empty document reproduces the digest), and the root node a
 // subscriber registered before still the document root. A seed whose
 // root marking differs (a replica seed's guessed label) adopts the
-// marking first, one version earlier.
+// marking first, on the same root node, one version earlier.
 func TestPropertyRestoreAdoptsIntoEmptyDocument(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -86,7 +86,8 @@ func TestPropertyRestoreAdoptsIntoEmptyDocument(t *testing.T) {
 		}
 		if guess {
 			moves++
-		} else if root != registered {
+		}
+		if root != registered {
 			t.Fatalf("seed %d: the document root node was replaced", seed)
 		}
 		v := s.docVersion["d"]

@@ -83,7 +83,7 @@ type engine struct {
 	// Version-funnel contention baseline at run start (delta reporting).
 	lockR0, lockW0 uint64
 	// Index hit/miss baseline at run start (delta reporting).
-	ixHits0, ixMisses0 uint64
+	ixHits0, ixMisses0, ixBuilds0 uint64
 
 	mu         sync.Mutex // guards the fields below
 	res        RunResult
@@ -178,10 +178,11 @@ func newEngine(s *System, opts RunOptions) *engine {
 		workers = 1
 	}
 	// Touch and Restore rebuild the index table under the write side.
-	var ih, im uint64
+	var ih, im, ib uint64
 	var tokens map[string]*runToken
 	s.View(func() {
 		ih, im = s.IndexStats()
+		ib = s.IndexBuilds()
 		for _, name := range s.funcNames {
 			if v, ok := Innermost(s.funcs[name]).(Versioned); ok {
 				if tokens == nil {
@@ -206,6 +207,7 @@ func newEngine(s *System, opts RunOptions) *engine {
 		lockW0:         ww,
 		ixHits0:        ih,
 		ixMisses0:      im,
+		ixBuilds0:      ib,
 		// seen gates provably-sterile re-attempts: a call attempted when
 		// the documents its service reads had versions v̄ returns the
 		// same answer as long as those versions stay v̄ (services are
@@ -338,8 +340,8 @@ func (e *engine) cancelled(ctx context.Context) RunResult {
 // and the Stats histograms and funnel-contention deltas are attached.
 // Every return path of both schedules funnels through here.
 func (e *engine) result() RunResult {
-	var ih, im uint64
-	e.s.View(func() { ih, im = e.s.IndexStats() }) // before e.mu: lock order
+	var ih, im, ib uint64
+	e.s.View(func() { ih, im = e.s.IndexStats(); ib = e.s.IndexBuilds() }) // before e.mu: lock order
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	res := e.res
@@ -361,6 +363,7 @@ func (e *engine) result() RunResult {
 		WriterWaits:  ww - e.lockW0,
 		IndexHits:    ih - e.ixHits0,
 		IndexMisses:  im - e.ixMisses0,
+		IndexBuilds:  ib - e.ixBuilds0,
 	}
 	if e.ev != nil {
 		res.Stats.Enqueues = e.ev.enqueues
@@ -391,6 +394,7 @@ func (e *engine) publishLocked(res RunResult) {
 	reg.Counter("engine.lock.writer_waits").Add(int64(res.Stats.WriterWaits))
 	reg.Counter("engine.index.hits").Add(int64(res.Stats.IndexHits))
 	reg.Counter("engine.index.misses").Add(int64(res.Stats.IndexMisses))
+	reg.Counter("engine.index.builds").Add(int64(res.Stats.IndexBuilds))
 	reg.Histogram("engine.eval_ns").Merge(res.Stats.Eval)
 	reg.Histogram("engine.merge_wait_ns").Merge(res.Stats.MergeWait)
 	reg.Gauge("engine.parallelism").Set(int64(e.workers))

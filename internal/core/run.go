@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"axml/internal/obs"
 	"axml/internal/query"
@@ -537,9 +539,11 @@ type RunStats struct {
 	// fell back to the naive tree walk despite an index being present
 	// (no selective anchor, or a match rooted below the document root).
 	// Concurrent runs on one system share the underlying counters, so the
-	// deltas include their traffic.
+	// deltas include their traffic. IndexBuilds counts the document
+	// indexes first matches built.
 	IndexHits   uint64
 	IndexMisses uint64
+	IndexBuilds uint64
 	// Eval is the service-evaluation latency histogram (ns).
 	Eval obs.HistSnapshot
 	// MergeWait is the time each successful evaluation waited at the
@@ -677,3 +681,22 @@ func (s *System) Terminates(maxSteps int) (bool, int) {
 // DefaultParallelism is the worker count used when RunOptions.Parallelism
 // is zero: one worker per schedulable CPU.
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
+
+// FanOut calls fn(i) for every i in [0, n) on at most DefaultParallelism
+// goroutines, each taking the next i until none is left, and returns when
+// every call has: recovery's per-document decode and reduction.
+func FanOut(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(DefaultParallelism(), n)
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}

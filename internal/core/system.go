@@ -35,11 +35,13 @@ type System struct {
 	// register here to journal what grew without reaching into the engine.
 	onMutate func(doc string, path []GraftStep, fresh tree.Forest)
 	// indexes holds one inverted index per document (see pattern.Index),
-	// maintained incrementally by appendAt (documents only grow) and
-	// rebuilt wholesale by Touch and when Restore adopts a tree. A
-	// document without an entry is matched by the naive walk, with
-	// identical results.
+	// built by the first match that reads it, maintained incrementally by
+	// appendAt (documents only grow) and replaced by an unbuilt one by
+	// Touch and when Restore adopts a tree. A document without an entry
+	// is matched by the naive walk, with identical results. retired holds
+	// the counters of the replaced indexes, so IndexStats never goes back.
 	indexes map[string]*pattern.Index
+	retired struct{ hits, misses, builds uint64 }
 	// engineMu is the version funnel: RunContext evaluates services under
 	// the read side (any number of invocations in flight) and merges
 	// results — the only tree mutations a run performs — under the write
@@ -124,11 +126,17 @@ func (s *System) AddDocument(d *tree.Document) error {
 	return nil
 }
 
-// reindex (re)builds the named document's inverted index from scratch.
-// Used on document addition, by Touch and when Restore adopts a root or
-// a tree; appendAt maintains the index incrementally instead.
+// reindex installs a fresh, unbuilt index of the named document, folding
+// the replaced one's counters into retired. Used on document addition,
+// by Touch and when Restore adopts a root or a tree; appendAt maintains
+// the index incrementally instead.
 func (s *System) reindex(name string) {
 	if doc := s.docs[name]; doc != nil {
+		old := s.indexes[name] // nil for a new document: its counters are 0
+		h, m := old.Stats()
+		s.retired.hits += h
+		s.retired.misses += m
+		s.retired.builds += old.Builds()
 		s.indexes[name] = pattern.NewIndex(doc.Root)
 	}
 }
@@ -137,16 +145,27 @@ func (s *System) reindex(name string) {
 // unknown name.
 func (s *System) Index(name string) *pattern.Index { return s.indexes[name] }
 
-// IndexStats sums the hit/miss counters across all document indexes:
-// matches answered through an index versus matches that fell back to the
-// naive walk on a present index.
+// IndexStats sums the hit/miss counters across all document indexes,
+// the replaced ones included: matches answered through an index versus
+// matches that fell back to the naive walk on a present index. Monotone.
 func (s *System) IndexStats() (hits, misses uint64) {
+	hits, misses = s.retired.hits, s.retired.misses
 	for _, ix := range s.indexes {
 		h, m := ix.Stats()
 		hits += h
 		misses += m
 	}
 	return hits, misses
+}
+
+// IndexBuilds counts the document indexes a match has built, the
+// replaced ones included. Monotone.
+func (s *System) IndexBuilds() uint64 {
+	n := s.retired.builds
+	for _, ix := range s.indexes {
+		n += ix.Builds()
+	}
+	return n
 }
 
 // AddService registers a service under its function name.
@@ -252,7 +271,7 @@ func (s *System) Touch(name string) {
 	s.bumpVersion(name)
 	doc.Root.StampAll(s.docVersion[name])
 	// A by-hand edit may have restructured the tree arbitrarily; the
-	// incremental index maintenance only covers appendAt. Rebuild.
+	// incremental index maintenance only covers appendAt. Start afresh.
 	s.reindex(name)
 	if s.onMutate != nil {
 		s.onMutate(name, nil, nil)
@@ -302,8 +321,8 @@ func (s *System) bumpVersion(name string) {
 // yet — a childless root, as every recovery and replica seed is — the
 // least upper bound is the reduced incoming tree (Proposition 2.1), so
 // Restore adopts it: root is reduced in place, its children stamped with
-// one new version and installed under the existing root node, the index
-// built in one pass, and the hook told the growth appendAt would report.
+// one new version and installed under the existing root node, an unbuilt
+// index installed, and the hook told the growth appendAt would report.
 func (s *System) Restore(name string, root *tree.Node) (changed bool, err error) {
 	doc, ok := s.docs[name]
 	if !ok {
@@ -321,9 +340,12 @@ func (s *System) Restore(name string, root *tree.Node) (changed bool, err error)
 		// A childless label root is a replica seed created before the
 		// remote marking was known (peer.NewReplicaDoc with a guessed
 		// label); it carries no information, so adopt the incoming
-		// marking instead of refusing the restore. The new root is itself
-		// new data: a pattern may match it that did not match the guess.
-		doc.Root = tree.NewLabel(root.Name)
+		// marking instead of refusing the restore — on the same node, so
+		// whatever holds the root (a Subscriber's registration) keeps
+		// it. The renamed root is itself new data: a pattern may match it
+		// that did not match the guess.
+		doc.Root.Name = root.Name
+		doc.Root.InvalidateDigest()
 		s.bumpVersion(name)
 		doc.Root.Stamp = s.docVersion[name]
 		s.reindex(name)
@@ -351,6 +373,28 @@ func (s *System) Restore(name string, root *tree.Node) (changed bool, err error)
 	}
 	fresh, _ := s.appendAt(name, []*tree.Node{doc.Root}, root.Children)
 	return changed || len(fresh) > 0, nil
+}
+
+// RestoreAll is Restore of each document in order, after reducing every
+// tree bound for a document that holds nothing yet (the bulk of a
+// recovery's work) in parallel, by FanOut: Restore then finds them
+// reduced. Like Restore it takes ownership of the trees and no lock.
+func (s *System) RestoreAll(docs []*tree.Document) error {
+	var adopt []*tree.Node
+	seen := make(map[string]bool, len(docs))
+	for _, d := range docs {
+		if doc := s.docs[d.Name]; doc != nil && !seen[d.Name] && len(doc.Root.Children) == 0 {
+			adopt = append(adopt, d.Root)
+		}
+		seen[d.Name] = true
+	}
+	FanOut(len(adopt), func(i int) { subsume.ReduceInPlace(adopt[i]) })
+	for _, d := range docs {
+		if _, err := s.Restore(d.Name, d.Root); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LockContention reports how many version-funnel acquisitions had to

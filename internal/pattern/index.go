@@ -12,25 +12,37 @@ package pattern
 import (
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"axml/internal/tree"
 )
 
 // Index is a per-document inverted index: every node of one document
-// tree, keyed by its (Kind, Name) marking, plus parent links.
-// Documents only grow by least-upper-bound merge, so maintenance is
-// append-only (AddSubtree) except for the local pruning a merge performs
-// on newly-dominated siblings (RemoveSubtree); pruned nodes are deleted
-// from the parent map immediately and swept from the candidate lists by
-// an amortized rebuild.
+// tree, keyed by its (Kind, Name) marking, plus parent links. It is
+// lazy: NewIndex records the root, and the first reader that needs the
+// tables (a match anchored at the root, Selectivity, Len) builds them.
+// Documents only grow by least-upper-bound merge, so maintenance of a
+// built index is append-only (AddSubtree) except for the local pruning a
+// merge performs on newly-dominated siblings (RemoveSubtree); pruned
+// nodes are deleted from the parent map immediately and swept from the
+// candidate lists by an amortized rebuild.
 //
 // Concurrency: lookups and matches may run concurrently with each other
-// (they only read, plus two atomic counters); AddSubtree/RemoveSubtree
-// require exclusive access, which the engine provides by mutating only
-// under the system's version-funnel write lock.
+// (they only read, plus the once-only build and atomic counters);
+// AddSubtree/RemoveSubtree/Compact require exclusive access, which the
+// engine provides by mutating only under the system's version-funnel
+// write lock.
 type Index struct {
-	root      *tree.Node
+	root *tree.Node
+	// once runs the build on the first read of the tables; built records
+	// it. Maintenance reads built unsynchronized: it runs under the
+	// system's write side, which excludes every reader, so a build (a
+	// reader's) has finished before it or not started. Until the build
+	// there is nothing to maintain: it indexes the tree as it then stands.
+	once  sync.Once
+	built bool
+
 	byMarking map[tree.Marking][]*tree.Node
 	// parent links every live indexed node to its parent (the root has no
 	// entry). Detached nodes are removed, so "present in parent (or being
@@ -49,22 +61,29 @@ type Index struct {
 	// hits counts matches answered through the index (anchored matching or
 	// an empty-candidate early reject); misses counts matches on this
 	// index that fell back to the tree walk (no usable anchor, or an
-	// anchor too common to beat the walk). Atomic; readable via Stats.
-	hits, misses atomic.Uint64
+	// anchor too common to beat the walk); builds counts the first-use
+	// builds (0 or 1). Atomic; readable via Stats and Builds.
+	hits, misses, builds atomic.Uint64
 }
 
-// NewIndex builds the index of the tree rooted at root.
-func NewIndex(root *tree.Node) *Index {
-	ix := &Index{}
-	ix.rebuild(root)
-	ix.from = ix.top
-	return ix
+// NewIndex returns the index of the tree rooted at root, unbuilt: it
+// costs nothing until a match reads its tables.
+func NewIndex(root *tree.Node) *Index { return &Index{root: root} }
+
+// tables builds the index on first use. Baselines older than the tree
+// as built walk, as after any rebuild of a document that grew unlogged.
+func (ix *Index) tables() {
+	ix.once.Do(func() {
+		ix.rebuild()
+		ix.from, ix.built = ix.top, true
+		ix.builds.Add(1)
+	})
 }
 
 // rebuild indexes the tree afresh (the parent map sized by the node count,
 // byMarking left to grow); the log keeps its live entries.
-func (ix *Index) rebuild(root *tree.Node) {
-	ix.root = root
+func (ix *Index) rebuild() {
+	root := ix.root
 	ix.byMarking = make(map[tree.Marking][]*tree.Node)
 	ix.parent = make(map[*tree.Node]*tree.Node, root.Size()-1)
 	ix.live, ix.dead = 0, 0
@@ -89,11 +108,12 @@ func (ix *Index) Root() *tree.Node {
 	return ix.root
 }
 
-// Len returns the number of live indexed nodes.
+// Len returns the number of live indexed nodes, building the index.
 func (ix *Index) Len() int {
 	if ix == nil {
 		return 0
 	}
+	ix.tables()
 	return ix.live
 }
 
@@ -106,10 +126,19 @@ func (ix *Index) Stats() (hits, misses uint64) {
 	return ix.hits.Load(), ix.misses.Load()
 }
 
+// Builds reports whether a reader built the index: 1 once it has, else 0.
+func (ix *Index) Builds() uint64 {
+	if ix == nil {
+		return 0
+	}
+	return ix.builds.Load()
+}
+
 // AddSubtree indexes and logs the subtree rooted at child, just appended
 // under parent (which must already be indexed — the root or a live node).
+// An unbuilt index has nothing to add to.
 func (ix *Index) AddSubtree(parent, child *tree.Node) {
-	if ix == nil || child == nil {
+	if ix == nil || !ix.built || child == nil {
 		return
 	}
 	if child.Stamp < ix.top {
@@ -136,7 +165,7 @@ func (ix *Index) AddSubtree(parent, child *tree.Node) {
 // document's child lists are mid-rewrite: only the detached subtree is
 // walked.
 func (ix *Index) RemoveSubtree(child *tree.Node) {
-	if ix == nil || child == nil {
+	if ix == nil || !ix.built || child == nil {
 		return
 	}
 	child.Walk(func(n, _ *tree.Node) bool {
@@ -154,11 +183,8 @@ func (ix *Index) RemoveSubtree(child *tree.Node) {
 // match time). Callers invoke it after a batch of removals, with the
 // document in a consistent state — never mid-rewrite.
 func (ix *Index) Compact() {
-	if ix == nil {
-		return
-	}
-	if ix.dead > 1024 && ix.dead > ix.live/2 {
-		ix.rebuild(ix.root)
+	if ix != nil && ix.built && ix.dead > 1024 && ix.dead > ix.live/2 {
+		ix.rebuild()
 	}
 }
 
@@ -227,6 +253,7 @@ func (ix *Index) plan(p *cnode, d *tree.Node, r Row) (anchorPlan, planKind) {
 	if ix == nil || d != ix.root {
 		return best, planWalk
 	}
+	ix.tables()
 	var path []*cnode
 	var walk func(n *cnode)
 	walk = func(n *cnode) {

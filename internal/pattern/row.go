@@ -256,6 +256,9 @@ func (ix *Index) delta(c *Compiled, d *tree.Node, base Row, since uint64, stop i
 	}
 	s := base.slab
 	s.since, s.slots, base.New = math.MaxUint64, c.slots, true
+	if ix != nil && d == ix.root {
+		ix.tables()
+	}
 	if ix == nil || d != ix.root || d.Stamp > since || since < ix.from {
 		if ix != nil {
 			ix.misses.Add(1)

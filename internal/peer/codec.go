@@ -157,8 +157,10 @@ type scanner struct {
 	pos  int
 
 	// The current tag, set by next: its name (a slice of data), and for
-	// a start tag its attributes, whose decoded values live in vals.
+	// a start tag where it begins and its attributes, whose decoded
+	// values live in vals.
 	name  []byte
+	tag   int
 	attrs []wireAttr
 	vals  []byte
 	// selfClosed: the current start tag was <name/>; next returns its
@@ -252,6 +254,28 @@ func (s *scanner) elements(each func() error) error {
 			return err
 		}
 	}
+}
+
+// skip reads past the end tag of the element whose start tag was just
+// read, counting nesting and building nothing. It reads next's tokens, so
+// the element ends where a decoder, which checks names and shape, ends it.
+func (s *scanner) skip() error {
+	elem := s.name
+	for depth := 1; depth > 0; {
+		tok, err := s.next()
+		switch {
+		case err != nil:
+			return err
+		case tok == tokEOF:
+			return fmt.Errorf("unexpected EOF inside <%s>", elem)
+		case tok == tokStart:
+			depth++
+		case tok == tokEnd:
+			depth--
+		}
+		s.text = s.text[:0]
+	}
+	return nil
 }
 
 // tree reads the tree element whose start tag was just read.
@@ -396,6 +420,7 @@ func (s *scanner) next() (tok token, err error) {
 		case hasPrefix(rest, "</"):
 			return tokEnd, s.endTag()
 		default:
+			s.tag = s.pos
 			return tokStart, s.startTag()
 		}
 	}

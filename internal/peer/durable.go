@@ -121,15 +121,15 @@ type docSpan struct {
 }
 
 // openStore recovers the snapshot and journal found in d.Dir into the
-// freshly-built system (each snapshot document is restored over its
-// seed — adopted whole by an empty one — then each record replays in
-// order) and reopens the journal for appending. It runs before the peer
-// exists: recovery's merges must not observe a mutation hook that would
-// journal them back. The registry and tracer (either may be nil) are
-// handed to the journal for its journal.* metrics and fsync spans;
-// replay counts journal.replay_unresolved there, recovery's time goes
-// to journal.recover_ns and a "recover" span splits it into decode,
-// restore and replay.
+// freshly-built system (the snapshot documents, decoded and reduced in
+// parallel, restored over their seeds in file order, then each record
+// replayed in order) and reopens the journal for appending. It runs
+// before the peer exists: recovery's merges must not observe a mutation
+// hook that would journal them back. The registry and tracer (either may
+// be nil) are handed to the journal for its journal.* metrics and fsync
+// spans; replay counts journal.replay_unresolved there, recovery's time
+// goes to journal.recover_ns and a "recover" span records the wall time
+// of each stage (decode, restore, replay) and the fan-out's workers.
 func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *obs.Tracer) (*store, RecoveryInfo, error) {
 	var info RecoveryInfo
 	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
@@ -154,10 +154,8 @@ func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *o
 		return nil, info, fmt.Errorf("peer %s: read snapshot: %w", name, err)
 	}
 	decoded := time.Now()
-	for _, doc := range docs {
-		if _, err := s.Restore(doc.Name, doc.Root); err != nil {
-			return nil, info, fmt.Errorf("peer %s: restore snapshot: %w", name, err)
-		}
+	if err := s.RestoreAll(docs); err != nil {
+		return nil, info, fmt.Errorf("peer %s: restore snapshot: %w", name, err)
 	}
 	restored := time.Now()
 
@@ -206,6 +204,7 @@ func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *o
 	if tr.Enabled() {
 		tr.Emit(obs.Span{Kind: "recover", Name: name, TSUs: ts, DurUs: end.Sub(start).Microseconds(),
 			Attrs: map[string]int64{"docs": int64(len(docs)), "replayed": int64(info.Replayed),
+				"workers":   int64(min(core.DefaultParallelism(), len(docs))),
 				"decode_us": decoded.Sub(start).Microseconds(), "restore_us": restored.Sub(decoded).Microseconds(),
 				"replay_us": end.Sub(restored).Microseconds()}})
 	}

@@ -278,12 +278,12 @@ func TestPushDuplicateDelivery(t *testing.T) {
 }
 
 // TestPushThatCannotApplyIsNotAcknowledged: a delivery whose attachment
-// node left the document — here a subscription registered on a replica
-// seed root that the first full sync replaced when it adopted the remote
-// marking — or whose document does not exist must be refused: no 200, no
-// chain advance, nothing counted as delivered, and not a 409 (re-pushing
+// node is not in the document — here a node the document never held —
+// or whose document does not exist must be refused: no 200, no chain
+// advance, nothing counted as delivered, and not a 409 (re-pushing
 // everything would not help). Once the subscription is registered on a
-// live node again, the publisher's retained trees arrive.
+// live node, the publisher's retained trees arrive. The first full sync
+// adopts the remote root marking on the replica seed's root node itself.
 func TestPushThatCannotApplyIsNotAcknowledged(t *testing.T) {
 	pub, pubPeer := newListPublisher(t, nil)
 	pub.Sleep = func(time.Duration) {}
@@ -302,21 +302,19 @@ func TestPushThatCannotApplyIsNotAcknowledged(t *testing.T) {
 	sb := NewSubscriber(subPeer)
 	var seed *tree.Node
 	subPeer.System(func(s *core.System) { seed = s.Document("replica").Root })
-	sb.Register("s1", "replica", seed)
+	sb.Register("s1", "replica", tree.NewLabel("guess"))
 	sb.Register("s2", "nodoc", seed)
 	srv := httptest.NewServer(sb.Handler())
 	defer srv.Close()
 
-	// The full sync adopts the remote root marking: the seed node is no
-	// longer the document's root.
 	m := &Mirror{Remote: pubSrv.URL, RemoteDoc: "db", LocalDoc: "replica"}
 	if changed, err := m.Sync(context.Background(), subPeer); err != nil || !changed {
 		t.Fatalf("full sync: changed=%v err=%v", changed, err)
 	}
 	var root *tree.Node
 	subPeer.System(func(s *core.System) { root = s.Document("replica").Root })
-	if root == seed || root.Name != "db" {
-		t.Fatalf("the sync did not adopt the remote root: %s", root.CanonicalString())
+	if root != seed || root.Name != "db" {
+		t.Fatalf("the sync did not adopt the remote root on the seed node: %s", root.CanonicalString())
 	}
 	synced := root.CanonicalString()
 

@@ -7,12 +7,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
 	"axml/internal/core"
 	"axml/internal/journal"
 	"axml/internal/obs"
+	"axml/internal/pattern"
 	"axml/internal/tree"
 )
 
@@ -184,7 +186,8 @@ func TestSnapshotAfterFailedEncode(t *testing.T) {
 }
 
 // Recovery records journal.recover_ns and, traced, one "recover" span
-// whose decode, restore and replay parts sum to its duration.
+// whose decode, restore and replay parts sum to its duration and whose
+// workers attribute is the fan-out's width.
 func TestRecoverSpanSplitsRecovery(t *testing.T) {
 	dir := t.TempDir()
 	want := buildRecoverImage(t, dir, 32, 20, 8)
@@ -213,7 +216,7 @@ func TestRecoverSpanSplitsRecovery(t *testing.T) {
 		t.Fatalf("%d recover spans, want 1", len(rec))
 	}
 	s := rec[0]
-	if s.Name != "recovered" || s.Attrs["docs"] != 32 || s.Attrs["replayed"] != 8 {
+	if s.Name != "recovered" || s.Attrs["docs"] != 32 || s.Attrs["replayed"] != 8 || s.Attrs["workers"] != int64(min(runtime.GOMAXPROCS(0), 32)) {
 		t.Fatalf("recover span %+v", s)
 	}
 	parts := s.Attrs["decode_us"] + s.Attrs["restore_us"] + s.Attrs["replay_us"]
@@ -273,8 +276,10 @@ func buildRecoverImage(t testing.TB, dir string, docs, entries, tail int) string
 
 // BenchmarkRecover times peer.Open on a copy of a durable-ingest crash
 // image: 128 inboxes of 50 entry{id,body} pushes in a snapshot, and a
-// 32-record journal tail. Profile recovery with
-// go test ./internal/peer -run '^$' -bench Recover -cpuprofile cpu.out.
+// 32-record journal tail. open is the open alone; open+match adds one
+// anchored match on every document, which builds its index — the cost
+// the open no longer pays moves there. Profile recovery with
+// go test ./internal/peer -run '^$' -bench Recover/open$ -cpuprofile cpu.out.
 func BenchmarkRecover(b *testing.B) {
 	image := b.TempDir()
 	want := buildRecoverImage(b, image, 128, 50, 32)
@@ -282,30 +287,46 @@ func BenchmarkRecover(b *testing.B) {
 	for _, name := range []string{SnapshotFile, JournalFile} {
 		files[name] = mustRead(b, filepath.Join(image, name))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := filepath.Join(b.TempDir(), "crash")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			b.Fatal(err)
+	var v pattern.Vars
+	c := v.Compile(pattern.Label("inbox", pattern.Label("entry", pattern.Label("id", pattern.Value("e000001")))))
+	for _, match := range []bool{false, true} {
+		name := "open"
+		if match {
+			name = "open+match"
 		}
-		for name, data := range files {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := filepath.Join(b.TempDir(), "crash")
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					b.Fatal(err)
+				}
+				for name, data := range files {
+					if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+						b.Fatal(err)
+					}
+				}
+				sys := recoverSeed(128)
+				b.StartTimer()
+				p, _, err := Open("recovered", sys, WithDurability(Durability{Dir: dir}))
+				if err == nil && match {
+					p.System(func(s *core.System) {
+						for _, doc := range s.DocNames() {
+							s.Index(doc).MatchRows(c, s.Document(doc).Root, pattern.NewSlab(&v).Row(), 0)
+						}
+					})
+				}
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := p.Hash(); got != want {
+					b.Fatalf("recovered digest %s, want %s", got, want)
+				}
+				p.Close()
+				b.StartTimer()
 			}
-		}
-		sys := recoverSeed(128)
-		b.StartTimer()
-		p, _, err := Open("recovered", sys, WithDurability(Durability{Dir: dir}))
-		b.StopTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := p.Hash(); got != want {
-			b.Fatalf("recovered digest %s, want %s", got, want)
-		}
-		p.Close()
-		b.StartTimer()
+		})
 	}
 }

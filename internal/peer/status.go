@@ -39,6 +39,9 @@ type DocStatus struct {
 	// served).
 	LogRecords int64 `json:"log_records,omitempty"`
 	LogBytes   int64 `json:"log_bytes,omitempty"`
+	// Indexed reports that a match has built the document's inverted
+	// index (a document nobody matches, such as an inbox, never does).
+	Indexed bool `json:"indexed"`
 }
 
 // StatusReport is the /axml/status body.
@@ -127,6 +130,7 @@ func (p *Peer) Status() StatusReport {
 				Doc:           name,
 				LocalDigest:   digestHex(p.system.Document(name).Root),
 				LastAdvanceMs: -1,
+				Indexed:       p.system.Index(name).Builds() > 0,
 			}
 			ds.LogRecords, ds.LogBytes = p.anchors.size(name)
 			if w, ok := marks[name]; ok {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"unicode"
 
+	"axml/internal/core"
 	"axml/internal/tree"
 )
 
@@ -138,19 +139,39 @@ func (s *scanner) doc() (*tree.Document, error) {
 
 // UnmarshalSnapshot parses an ax:snapshot element (ax:doc entries, the
 // payload of a snapshot file, written by Peer.snapshotLocked) back into
-// documents.
+// documents, in file order: it splits the payload into ax:doc spans
+// (scanner.skip) and decodes them on core.FanOut's goroutines, each with
+// its own scanner (byte offsets stay absolute, label sharing is per
+// span); the faults of failing spans are joined in file order.
 func UnmarshalSnapshot(data []byte) ([]*tree.Document, error) {
-	return decodeRoot(data, elemSnapshot, func(s *scanner) (docs []*tree.Document, err error) {
+	type span struct{ lo, hi int }
+	spans, err := decodeRoot(data, elemSnapshot, func(s *scanner) (spans []span, err error) {
 		err = s.elements(func() error {
 			if string(s.name) != elemDoc {
 				return fmt.Errorf("expected %s, found %s", elemDoc, s.name)
 			}
-			d, err := s.doc()
-			docs = append(docs, d)
+			lo := s.tag
+			err := s.skip()
+			spans = append(spans, span{lo, s.pos})
 			return err
 		})
-		return docs, err
+		return spans, err
 	})
+	if err != nil {
+		return nil, err
+	}
+	docs, errs := make([]*tree.Document, len(spans)), make([]error, len(spans))
+	core.FanOut(len(spans), func(i int) {
+		s := &scanner{data: data[:spans[i].hi], pos: spans[i].lo}
+		_, _ = s.next() // the ax:doc start tag, which the split read without fault
+		if docs[i], errs[i] = s.doc(); errs[i] != nil {
+			errs[i] = fmt.Errorf("peer: wire byte %d: %w", s.pos, errs[i])
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return docs, nil
 }
 
 // Envelope is an invocation request: service name, input and context.

@@ -3,8 +3,10 @@ package peer
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"axml/internal/core"
@@ -219,9 +221,20 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 		`<ax:doc name="notes"><log><entry><ax:value>boot</ax:value></entry></log></ax:doc>`,
 		`<ax:doc name="notes"></ax:doc>`,
 		`<ax:doc><x/></ax:doc>`,
+		// Junk between documents, and a document cut mid-span.
+		`<ax:snapshot><ax:doc name="a"><x/></ax:doc>junk<ax:doc name="b"><y/></ax:doc></ax:snapshot>`,
+		`<ax:snapshot><ax:doc name="a"><x/></ax:doc><ax:doc name="b"><y><z/></y></ax:snapshot>`,
+		`<ax:snapshot><ax:doc name="a"><x/></ax:doc><ax:doc name="b"><y><ax:val`,
 	} {
 		f.Add([]byte(s))
 	}
+	// Many documents: the decoder fans their spans out.
+	var many strings.Builder
+	many.WriteString(`<ax:snapshot>`)
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&many, "<ax:doc name=\"d%d\"><r><e><ax:value>%d</ax:value></e><!-- c --></r></ax:doc>\n", i, i)
+	}
+	f.Add([]byte(many.String() + `</ax:snapshot>`))
 	_, golden, err := journal.ReadSnapshot(filepath.Join("testdata", "recovery", SnapshotFile))
 	if err != nil {
 		f.Fatal(err)

@@ -10,7 +10,8 @@
 # records what exists instead of what grew, an experiment harness beside
 # the claims tests, map assignments on any evaluator's row path,
 # encoding/xml in product code, a freshness filter after a join, a
-# graft record encoded twice, and a tree in the delta anchor cache.
+# graft record encoded twice, a tree in the delta anchor cache, and an
+# index built outside its one constructor site.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -375,6 +376,23 @@ badanchor=$( {
 if [ -n "$badanchor" ]; then
     echo "vet-obs: a tree in the delta anchor cache, or an anchor check / diff in handleDelta (anchors are digest -> growth count; answers replay the graft log):" >&2
     echo "$badanchor" >&2
+    exit 1
+fi
+# A document's index is installed in one place, core.System.reindex, and
+# built by the first match that reads it (pattern.Index is lazy): a
+# document nobody matches never pays for one. A pattern.NewIndex call
+# elsewhere — in Restore, in recovery, in the peer — is an index per load
+# creeping back. A query plan's own index over a tree no document index
+# covers (query's plan.source) is the one other site.
+badindexbuild=$(find . \( -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go' ! -name '*_test.go' -exec awk '
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    /pattern\.NewIndex\(/ && fn !~ /^func \(s \*System\) reindex\(|^func \(pl \*plan\) source\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badindexbuild" ]; then
+    echo "vet-obs: pattern.NewIndex called outside core's System.reindex (install an index through reindex; the first match builds it):" >&2
+    echo "$badindexbuild" >&2
     exit 1
 fi
 echo "vet-obs: ok"
