@@ -47,11 +47,12 @@ loc:
 # and delta answers racing growth at the origin) must stay clean under
 # the race detector. The recovery, index and adoption tests run again at
 # GOMAXPROCS 1 and 4: recovery's per-document fan-out at width one and
-# at a width above the core count, and first matches racing to build a
-# document's index.
+# at a width above the core count, first matches racing to build a
+# document's index, the served-bytes memo's fills racing its drops, and a
+# document added at runtime recovering.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,4 ./internal/core ./internal/pattern ./internal/peer -run 'Restore|Adopt|Lazy|Index|Recover|Snapshot|Subscriber' -count=1
+	$(GO) test -race -cpu 1,4 ./internal/core ./internal/pattern ./internal/peer -run 'Restore|Adopt|Lazy|Index|Recover|Snapshot|Subscriber|Memo|AddDocument' -count=1
 
 # Short-budget coverage-guided fuzzing of the wire parsers serving and
 # recovery depend on (each checked against the encoding/xml oracle), of
@@ -91,8 +92,12 @@ chaos:
 # BenchmarkDeltaSync — one append at a 600-entry
 # origin plus one log-mode mirror sync, digest checked — and the other
 # per-package ones) run with go test -bench and keep no committed numbers.
+# BenchmarkServe/{doc,invoke} (one served read of a document and of a
+# declarative answer through the client, allocations reported) runs
+# after the benchmark.
 bench:
 	bash benchmark/run.sh
+	$(GO) test ./internal/peer -run '^$$' -bench '^BenchmarkServe$$' -benchtime 2000x
 
 # The benchmark run twice; fails when the two runs disagree beyond
 # BENCHMARK.json's bounds.

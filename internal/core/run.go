@@ -51,29 +51,45 @@ func (c Call) Ancestors() []*tree.Node {
 // Calls enumerates every function node occurrence across all documents in
 // document order, preorder within each document.
 func (s *System) Calls() []Call {
-	var out []Call
+	var w callWalk
 	for _, name := range s.docNames {
-		root := s.docs[name].Root
-		if root.Kind == tree.Func {
-			continue // excluded by AddDocument; defensive
-		}
-		var rec func(n *tree.Node, up *pathLink)
-		rec = func(n *tree.Node, up *pathLink) {
-			if n.Kind == tree.Func {
-				out = append(out, Call{Doc: name, Node: n, Parent: up.node, path: up})
-			}
-			// Parameters of calls host calls too: keep walking below.
-			link := &pathLink{node: n, up: up}
-			for _, c := range n.Children {
-				rec(c, link)
-			}
-		}
-		rootLink := &pathLink{node: root}
-		for _, c := range root.Children {
-			rec(c, rootLink)
+		if root := s.docs[name].Root; root.Kind != tree.Func { // excluded by AddDocument; defensive
+			w.doc, w.stack, w.links = name, append(w.stack[:0], root), append(w.links[:0], nil)
+			w.children(root)
 		}
 	}
-	return out
+	return w.out
+}
+
+// callWalk is Calls' state: the ancestors root-first, and stack[i]'s link
+// once a call below it needs one. No other node is linked or allocated.
+type callWalk struct {
+	doc   string
+	stack []*tree.Node
+	links []*pathLink
+	out   []Call
+}
+
+func (w *callWalk) children(n *tree.Node) {
+	for _, c := range n.Children {
+		if c.Kind == tree.Func {
+			up := w.link(len(w.stack) - 1)
+			w.out = append(w.out, Call{Doc: w.doc, Node: c, Parent: up.node, path: up})
+		}
+		// Parameters of calls host calls too: keep walking below.
+		w.stack, w.links = append(w.stack, c), append(w.links, nil)
+		w.children(c)
+		w.stack, w.links = w.stack[:len(w.stack)-1], w.links[:len(w.links)-1]
+	}
+}
+
+func (w *callWalk) link(i int) *pathLink {
+	if w.links[i] == nil && i == 0 {
+		w.links[i] = &pathLink{node: w.stack[i]}
+	} else if w.links[i] == nil {
+		w.links[i] = &pathLink{node: w.stack[i], up: w.link(i - 1)}
+	}
+	return w.links[i]
 }
 
 // Invoke performs the invocation of Section 2.2 on the given call: it

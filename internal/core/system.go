@@ -30,9 +30,10 @@ type System struct {
 	// engine uses this to skip provably-sterile attempts.
 	docVersion map[string]uint64
 	// onMutate observes every growth: appendAt (invocations, Append,
-	// Restore) hands it the path and the fresh trees, Touch and Restore's
-	// seed adoption report a whole-document change. Durability layers
-	// register here to journal what grew without reaching into the engine.
+	// Restore) hands it the path and the fresh trees, Touch, Restore's
+	// seed adoption and AddDocument report a whole-document change.
+	// Durability layers register here to journal what grew without
+	// reaching into the engine.
 	onMutate func(doc string, path []GraftStep, fresh tree.Forest)
 	// indexes holds one inverted index per document (see pattern.Index),
 	// built by the first match that reads it, maintained incrementally by
@@ -123,6 +124,9 @@ func (s *System) AddDocument(d *tree.Document) error {
 	s.docNames = append(s.docNames, d.Name)
 	s.docs[d.Name] = d
 	s.reindex(d.Name)
+	if s.onMutate != nil { // a document added to a live system is news
+		s.onMutate(d.Name, nil, nil)
+	}
 	return nil
 }
 
@@ -292,10 +296,10 @@ type GraftStep struct {
 // graft reports the steps of its path below the root (empty for a graft
 // at the root) and the fresh trees it appended, which the document owns
 // and later grafts may grow or detach. A nil fresh forest means the whole
-// document changed: a by-hand edit (Touch) or a seed adoption in Restore.
-// One hook at a time; nil unregisters. The hook runs synchronously inside
-// the mutating operation, so it must be cheap, must not keep the live
-// trees and must not mutate the system.
+// document changed: a by-hand edit (Touch), a seed adoption in Restore or
+// a document added (AddDocument). One hook at a time; nil unregisters.
+// The hook runs synchronously inside the mutating operation, so it must
+// be cheap, must not keep the live trees and must not mutate the system.
 func (s *System) SetMutationHook(fn func(doc string, path []GraftStep, fresh tree.Forest)) {
 	s.onMutate = fn
 }

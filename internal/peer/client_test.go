@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -120,5 +121,60 @@ func TestClientHashesOverOneMiB(t *testing.T) {
 	_, err = (&Client{BaseURL: srv.URL, MaxWire: 1 << 20}).Hashes(context.Background())
 	if !errors.Is(err, ErrResponseTooLarge) {
 		t.Errorf("under MaxWire 1 MiB: want ErrResponseTooLarge, got %v", err)
+	}
+}
+
+// A declared length sizes the one buffer a body is read into, up to
+// sizedReadMax; past it the buffer grows with the data. What a body reads
+// as does not depend on the declaration: one shorter than declared reads
+// as what arrived, one longer grows past it, and one declaring more than
+// sizedReadMax is read to its end or fails at the cap.
+func TestReadAllLimitedDeclaredLengths(t *testing.T) {
+	body := func(n int) []byte { return []byte(strings.Repeat("x", n)) }
+	for _, c := range []struct {
+		name            string
+		n               int
+		declared, limit int64
+		err             error
+	}{
+		{"shorter than declared", 10, 100, 0, nil},
+		{"longer than declared", 5000, 10, 0, nil},
+		{"declared past sizedReadMax", 100 << 10, 1 << 30, 0, nil},
+		{"declared past sizedReadMax, over the cap", 100 << 10, 1 << 30, 80 << 10, ErrResponseTooLarge},
+		{"declared within the cap, longer than it", 2000, 100, 1000, ErrResponseTooLarge},
+	} {
+		got, err := readAllLimited(bytes.NewReader(body(c.n)), c.declared, c.limit)
+		if !errors.Is(err, c.err) || (err == nil && !bytes.Equal(got, body(c.n))) {
+			t.Errorf("%s: %d bytes, %v", c.name, len(got), err)
+		}
+	}
+	data := body(10 << 10)
+	r := bytes.NewReader(data)
+	if allocs := testing.AllocsPerRun(50, func() {
+		r.Reset(data)
+		readAllLimited(r, int64(len(data)), 0)
+	}); allocs > 1 {
+		t.Errorf("a body of its declared length took %v allocations, want 1", allocs)
+	}
+
+	// Over HTTP the transport judges the declaration: a short body fails,
+	// a long one is cut at the declared length.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, _ := w.(http.Hijacker).Hijack()
+		defer conn.Close()
+		declared, sent := "100", "<a></a>"
+		if r.URL.Path == PathDoc+"long" {
+			declared, sent = "7", "<a></a><b></b>"
+		}
+		fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s", declared, sent)
+		buf.Flush()
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, nil)
+	if _, err := c.Doc(context.Background(), "short"); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("short body: %v", err)
+	}
+	if root, err := c.Doc(context.Background(), "long"); err != nil || root.Name != "a" {
+		t.Errorf("long body: %v %v", root, err)
 	}
 }

@@ -454,10 +454,11 @@ func MarshalDelta(d Delta) ([]byte, error) {
 	return marshalDelta(d, frames)
 }
 
-// marshalDelta is MarshalDelta with a log answer's records already
-// framed: the server's log keeps them encoded.
-func marshalDelta(d Delta, frames []byte) ([]byte, error) {
-	var e encoder
+// marshalDelta is MarshalDelta with the payload already encoded: a log
+// answer's framed records (the server's log keeps them encoded), or a
+// full answer's tree when d.Full is nil (the peer's memo keeps it).
+func marshalDelta(d Delta, payload []byte) ([]byte, error) {
+	e := encoder{b: make([]byte, 0, len(payload)+256)}
 	if d.From != "" {
 		e.open(elemDelta, attrName, d.Doc, attrMode, d.Mode, attrFrom, d.From, attrTo, d.To)
 	} else {
@@ -466,21 +467,25 @@ func marshalDelta(d Delta, frames []byte) ([]byte, error) {
 	switch d.Mode {
 	case DeltaSame:
 	case DeltaFull:
-		if d.Full == nil {
+		if d.Full == nil && len(payload) == 0 {
 			return nil, fmt.Errorf("peer: full delta without tree")
 		}
-		e.node(d.Full)
+		if d.Full != nil {
+			e.node(d.Full)
+		} else {
+			e.b = append(e.b, payload...)
+		}
 	case DeltaPatch:
 		if d.Patch == nil {
 			return nil, fmt.Errorf("peer: patch delta without patch")
 		}
 		e.patch(d.Patch)
 	case DeltaLog:
-		if d.From == "" || len(frames) == 0 {
+		if d.From == "" || len(payload) == 0 {
 			return nil, fmt.Errorf("peer: log delta without anchor or records")
 		}
 		e.close(elemDelta)
-		e.b = append(e.b, frames...)
+		e.b = append(e.b, payload...)
 		return e.bytes()
 	default:
 		return nil, fmt.Errorf("peer: unknown delta mode %q", d.Mode)

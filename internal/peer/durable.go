@@ -107,17 +107,7 @@ type store struct {
 	sinceSnapshot int
 	pending       []pendingRecord // encoded growths, in order, not yet appended
 	err           error           // first journaling failure; journaling stops after
-	// snap is the last snapshot payload encoded, spans each document's
-	// root digest and ax:doc bytes in it: the next snapshot copies the
-	// bytes of a document whose digest has not moved.
-	snap  []byte
-	spans map[string]docSpan
-}
-
-// docSpan is one document's ax:doc entry in store.snap.
-type docSpan struct {
-	digest tree.Hash
-	lo, hi int
+	snapBytes     int             // the last snapshot payload's size
 }
 
 // openStore recovers the snapshot and journal found in d.Dir into the
@@ -154,6 +144,11 @@ func openStore(name string, s *core.System, d Durability, m *obs.Registry, tr *o
 		return nil, info, fmt.Errorf("peer %s: read snapshot: %w", name, err)
 	}
 	decoded := time.Now()
+	for _, d := range docs {
+		if err := addUnknown(s, d.Name, d.Root); err != nil {
+			return nil, info, fmt.Errorf("peer %s: restore snapshot: %w", name, err)
+		}
+	}
 	if err := s.RestoreAll(docs); err != nil {
 		return nil, info, fmt.Errorf("peer %s: restore snapshot: %w", name, err)
 	}
@@ -320,6 +315,9 @@ func replayRecord(s *core.System, rec journal.Record) (resolved bool, err error)
 		return replayGraft(s, rec.Payload)
 	case recDocState:
 		name, root, err := UnmarshalDocRecord(rec.Payload)
+		if err == nil {
+			err = addUnknown(s, name, root)
+		}
 		if err != nil {
 			return false, err
 		}
@@ -328,6 +326,20 @@ func replayRecord(s *core.System, rec journal.Record) (resolved bool, err error)
 	default:
 		return false, fmt.Errorf("%w %d", ErrUnknownRecord, rec.Type)
 	}
+}
+
+// addUnknown adds an empty document of root's marking to s when s lacks
+// the name: a document added to a live peer (AddDocument) is in its
+// snapshot and state records but not in the seed it recovers into. The
+// Restore that follows adopts the recovered tree.
+func addUnknown(s *core.System, name string, root *tree.Node) error {
+	if s.Document(name) != nil {
+		return nil
+	}
+	if err := CheckDocName(name); err != nil {
+		return err
+	}
+	return s.AddDocument(tree.NewDocument(name, &tree.Node{Kind: root.Kind, Name: root.Name}))
 }
 
 // replayGraft re-applies one graft record to s. It resolves the recorded
@@ -425,13 +437,15 @@ func (p *Peer) Snapshot() (err error) {
 // same Update may grow or detach the fresh trees, so encoding later would
 // record the wrong state — and only when the journal or the document's
 // delta log needs it; both then keep the same bytes. A whole-document
-// change (nil fresh: a by-hand edit, a seed adoption) resets the log.
+// change (nil fresh: a by-hand edit, a seed adoption, an added document)
+// resets the log. Every change drops what the memo kept of the document.
 func (p *Peer) mutated(doc string, path []core.GraftStep, fresh tree.Forest) {
 	var rec []byte
 	var err error
 	if fresh != nil && (p.store != nil && p.store.err == nil || p.anchors.logging(doc)) {
 		rec, err = marshalGraftRecord(doc, path, fresh)
 	}
+	p.memo.drop(doc)
 	p.anchors.grew(doc, rec)
 	if p.store != nil {
 		p.journalGrowth(doc, fresh == nil, rec, err)
@@ -443,9 +457,6 @@ func (p *Peer) mutated(doc string, path []core.GraftStep, fresh tree.Forest) {
 // document state. While journaling is disabled nothing is queued.
 func (p *Peer) journalGrowth(doc string, whole bool, rec []byte, err error) {
 	st := p.store
-	if whole { // a by-hand edit may reorder children, which no digest sees
-		delete(st.spans, doc)
-	}
 	if st.err != nil {
 		return
 	}
@@ -506,9 +517,9 @@ func (p *Peer) flushJournalLocked() {
 // snapshotLocked writes the full reduced document set as a snapshot
 // stamped with the journal's current sequence, then truncates the log.
 // It runs under the system's write side, so it marshals the live roots
-// directly — and only the documents that moved: a document whose root
-// digest equals the one it had at the last snapshot is copied from that
-// payload's bytes, so the payload is what MarshalSnapshot would write.
+// directly — and only the documents that moved: the memo's kept bytes of
+// a document no change reached since they were encoded are copied, so
+// the payload is what MarshalSnapshot would write (memo.snapshot).
 // The snapshot holds every growth still pending, which are dropped once
 // it is written. The order matters: the snapshot reaches stable storage
 // (temp file + fsync + rename) before any log byte disappears, so a
@@ -517,29 +528,11 @@ func (p *Peer) flushJournalLocked() {
 func (p *Peer) snapshotLocked() error {
 	st := p.store
 	start := time.Now()
-	names := p.system.DocNames()
-	spans := make(map[string]docSpan, len(names))
-	e := encoder{b: make([]byte, 0, len(st.snap)+len(st.snap)/4)}
-	e.open(elemSnapshot)
-	reused := 0
-	for _, name := range names {
-		root := p.system.Document(name).Root
-		sp := docSpan{digest: root.Digest(), lo: len(e.b)}
-		if old, ok := st.spans[name]; ok && old.digest == sp.digest {
-			e.b = append(e.b, st.snap[old.lo:old.hi]...)
-			reused++
-		} else {
-			e.doc(name, root)
-		}
-		sp.hi = len(e.b)
-		spans[name] = sp
-	}
-	e.close(elemSnapshot)
-	payload, err := e.bytes()
+	payload, encoded, reused, err := p.memo.snapshot(p.system, st.snapBytes)
 	if err != nil {
 		return fmt.Errorf("peer %s: encode snapshot: %w", p.Name, err)
 	}
-	st.snap, st.spans = payload, spans
+	st.snapBytes = len(payload)
 	if err := st.j.Sync(); err != nil {
 		return fmt.Errorf("peer %s: sync before snapshot: %w", p.Name, err)
 	}
@@ -556,7 +549,7 @@ func (p *Peer) snapshotLocked() error {
 	if m := p.metrics; m != nil {
 		m.Counter("journal.snapshots").Inc()
 		m.Counter("journal.snapshot_bytes").Add(int64(len(payload)))
-		m.Counter("journal.snapshot_docs_encoded").Add(int64(len(names) - reused))
+		m.Counter("journal.snapshot_docs_encoded").Add(int64(encoded))
 		m.Counter("journal.snapshot_docs_reused").Add(int64(reused))
 		m.Histogram("journal.snapshot_ns").ObserveSince(start)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,19 +49,24 @@ const MaxWireBytes int64 = 8 << 20
 // ErrResponseTooLarge is wrapped by reads that exceed their byte cap.
 var ErrResponseTooLarge = errors.New("peer: response too large")
 
+// sizedReadMax is the largest declared length readAllLimited believes.
+const sizedReadMax = 64 << 10
+
 // readAllLimited reads r to EOF, failing with ErrResponseTooLarge once
 // more than limit bytes appear (limit <= 0 means MaxWireBytes). size is
-// the declared length, negative when unknown. A small one sizes the first
-// buffer (the "ok" a push answers costs 3 bytes, not io.ReadAll's 512); a
-// large one is not believed before the bytes arrive — the buffer starts at
-// 512 and grows with the data, as io.ReadAll's does.
+// the declared length, negative when unknown. Up to sizedReadMax it sizes
+// the one buffer the body takes (a push's "ok" costs 3 bytes, not 512).
+// A larger one is not believed before the bytes arrive — a peer may
+// declare what it never sends — so the buffer starts at sizedReadMax and
+// grows with the data, as io.ReadAll's does.
 func readAllLimited(r io.Reader, size, limit int64) ([]byte, error) {
 	if limit <= 0 {
 		limit = MaxWireBytes
 	}
-	if size < 0 || size > 512 {
+	if size < 0 {
 		size = 512
 	}
+	size = min(size, sizedReadMax, limit)
 	buf := make([]byte, 0, size+1) // +1: EOF shows without growing
 	for {
 		n, err := r.Read(buf[len(buf):cap(buf)])
@@ -132,6 +138,10 @@ type Peer struct {
 	// It locks itself.
 	anchors *deltaAnchors
 
+	// memo keeps the encoded document states and declarative answers the
+	// peer serves until the mutation hook drops them. It locks itself.
+	memo *memo
+
 	// converge tracks per-document replication watermarks (origin digest
 	// seen vs local digest reached) for the /axml/status surface and the
 	// peer.converge.* metrics. It has its own lock, so registry gauge
@@ -197,6 +207,7 @@ func Open(name string, s *core.System, opts ...Option) (*Peer, RecoveryInfo, err
 		tracer:      cfg.tracer,
 		logger:      obs.LoggerOr(cfg.logger),
 		converge:    newConvergence(),
+		memo:        newMemo(cfg.metrics),
 		started:     time.Now(),
 	}
 	if cfg.metrics != nil {
@@ -299,6 +310,15 @@ func (p *Peer) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// A declarative answer is a function of the body (service, input and
+	// context) and of the documents it read: a kept one is served as is.
+	kept, key, gen, hit := p.memo.answer(body)
+	if hit {
+		p.countServed()
+		w.Header().Set(headerReads, kept.reads)
+		writeXML(w, kept.data)
+		return
+	}
 	// A body that does not parse as an envelope is the caller's bug (or a
 	// journal-replay bug surfacing as a malformed record) — answer 400
 	// with the parse error so it is distinguishable from server faults.
@@ -319,16 +339,27 @@ func (p *Peer) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	if declarative {
 		w.Header().Set(headerReads, reads)
+		p.memo.keep(key, gen, answer{body, data, reads})
 	}
+	writeXML(w, data)
+}
+
+// writeXML answers with a wire body of known length. Content-Length lets
+// the reader size one buffer (readAllLimited); without it net/http
+// chunks a body over its 2 KiB buffer.
+func writeXML(w http.ResponseWriter, data []byte) {
 	w.Header().Set("Content-Type", "application/xml")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 
-// readBody reads a request body under the peer's wire limit (WithLimits).
-// On failure it has already answered — 413 for an oversized body, 400 for
-// a broken read — and reports false.
+// readBody reads a request body under the peer's wire limit (WithLimits),
+// into one buffer of its declared length. On failure it has already
+// answered — 413 for an oversized body, 400 for a broken read — and
+// reports false.
 func (p *Peer) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.wireLimit()))
+	limit := p.wireLimit()
+	body, err := readAllLimited(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	if err == nil {
 		return body, true
 	}
@@ -369,10 +400,7 @@ func (p *Peer) serve(ctx context.Context, env Envelope) (forest tree.Forest, rea
 		if input == nil {
 			input = tree.NewLabel(tree.Input)
 		}
-		p.statsMu.Lock()
-		p.stats.Served++
-		p.statsMu.Unlock()
-		p.metrics.Counter("peer.served").Inc()
+		p.countServed()
 		docs := p.system.Docs()
 		ixs := make(query.Indexes, len(docs))
 		for name := range docs {
@@ -389,6 +417,14 @@ func (p *Peer) serve(ctx context.Context, env Envelope) (forest tree.Forest, rea
 		}
 	})
 	return forest, reads, declarative, err
+}
+
+// countServed counts one incoming service invocation.
+func (p *Peer) countServed() {
+	p.statsMu.Lock()
+	p.stats.Served++
+	p.statsMu.Unlock()
+	p.metrics.Counter("peer.served").Inc()
 }
 
 // readsOf is the headerReads value of a declarative service's query.
@@ -416,8 +452,7 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 		if doc = p.system.Document(name); doc == nil {
 			return
 		}
-		data, err = MarshalTree(doc.Root)
-		if err == nil {
+		if data, err = p.memo.doc(name, doc.Root); err == nil {
 			// The receiver now holds this exact state: remember it as a
 			// delta anchor so its next PathDelta request gets the log.
 			p.anchors.remember(name, digestHex(doc.Root))
@@ -431,8 +466,7 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/xml")
-	w.Write(data)
+	writeXML(w, data)
 }
 
 // Sweep performs one fair local sweep (each current call attempted once)
@@ -538,21 +572,23 @@ func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		d = Delta{Doc: name, To: digestHex(doc.Root)}
-		var frames []byte
+		var payload []byte // the log's framed records, or the full tree
 		switch {
 		case from == d.To:
 			d.Mode = DeltaSame
 		case from != "":
-			if frames = p.anchors.since(name, from); frames != nil {
+			if payload = p.anchors.since(name, from); payload != nil {
 				d.Mode, d.From = DeltaLog, from
 			}
 		}
-		if d.Mode == "" {
+		if d.Mode == "" { // the full tree goes out as the memo's bytes
 			d.Mode = DeltaFull
-			d.Full = doc.Root
+			payload, err = p.memo.doc(name, doc.Root)
 		}
 		p.anchors.remember(name, d.To)
-		data, err = marshalDelta(d, frames) // the full tree aliases the live root
+		if err == nil {
+			data, err = marshalDelta(d, payload)
+		}
 	})
 	if d.Doc == "" {
 		http.NotFound(w, r)
@@ -563,8 +599,7 @@ func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.metrics.Counter("peer.delta.served." + d.Mode).Inc()
-	w.Header().Set("Content-Type", "application/xml")
-	w.Write(data)
+	writeXML(w, data)
 }
 
 // RemoteService is a core.Service whose implementation lives on another

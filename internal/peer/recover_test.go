@@ -169,3 +169,52 @@ func mustSnapshotDoc(t *testing.T, name string, root *tree.Node) string {
 	}
 	return string(data)
 }
+
+// A document added to a live durable peer survives a restart: AddDocument
+// reaches the mutation hook, which journals the new document's state, and
+// recovery adds a document its seed lacks, from a snapshot entry or from
+// that state record.
+func TestRecoverAddDocumentAtRuntime(t *testing.T) {
+	for _, every := range []int{2, -1} {
+		t.Run(fmt.Sprintf("SnapshotEvery=%d", every), func(t *testing.T) { recoverAddDocument(t, every) })
+	}
+}
+
+func recoverAddDocument(t *testing.T, every int) {
+	dir := t.TempDir()
+	d := Durability{Dir: dir, SnapshotEvery: every}
+	const seed = `doc a = inbox`
+	p, _, err := Open("late", core.MustParseSystem(seed), WithDurability(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.System(func(s *core.System) {
+		if err = s.AddDocument(tree.NewDocument("late", tree.NewLabel("late"))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i := 0; i < 3; i++ {
+		p.System(func(s *core.System) {
+			_, err = s.Append("late", s.Document("late").Root, tree.Forest{tree.NewLabel("entry", tree.NewValue(fmt.Sprint(i)))})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := p.Hash()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for reopen := 0; reopen < 2; reopen++ {
+		q, info, err := Open("late", core.MustParseSystem(seed), WithDurability(d))
+		if err != nil {
+			t.Fatalf("SnapshotEvery %d, reopen %d: %v", every, reopen, err)
+		}
+		if got := q.Hash(); got != want || !info.Recovered {
+			t.Fatalf("SnapshotEvery %d, reopen %d: recovered %s (%+v), want %s", every, reopen, got, info, want)
+		}
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

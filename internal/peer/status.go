@@ -76,6 +76,15 @@ type StatusReport struct {
 	SnapshotDocsEncoded int64 `json:"snapshot_docs_encoded"`
 	SnapshotDocsReused  int64 `json:"snapshot_docs_reused"`
 
+	// The served-bytes memo: document states and declarative answers
+	// served from kept bytes (hits) and encoded (misses), and the bytes
+	// it holds.
+	MemoDocHits      int64 `json:"memo_doc_hits"`
+	MemoDocMisses    int64 `json:"memo_doc_misses"`
+	MemoAnswerHits   int64 `json:"memo_answer_hits"`
+	MemoAnswerMisses int64 `json:"memo_answer_misses"`
+	MemoBytes        int64 `json:"memo_bytes"`
+
 	Docs []DocStatus `json:"docs"`
 }
 
@@ -124,6 +133,10 @@ func (p *Peer) Status() StatusReport {
 		rep.SnapshotDocsEncoded = p.metrics.Counter("journal.snapshot_docs_encoded").Value()
 		rep.SnapshotDocsReused = p.metrics.Counter("journal.snapshot_docs_reused").Value()
 	}
+	m := p.memo
+	rep.MemoDocHits, rep.MemoDocMisses = m.docHit.Value(), m.docMiss.Value()
+	rep.MemoAnswerHits, rep.MemoAnswerMisses = m.answerHit.Value(), m.answerMiss.Value()
+	rep.MemoBytes = m.size()
 	p.system.View(func() {
 		for _, name := range p.system.DocNames() {
 			ds := DocStatus{

@@ -10,8 +10,9 @@
 # records what exists instead of what grew, an experiment harness beside
 # the claims tests, map assignments on any evaluator's row path,
 # encoding/xml in product code, a freshness filter after a join, a
-# graft record encoded twice, a tree in the delta anchor cache, and an
-# index built outside its one constructor site.
+# graft record encoded twice, a tree in the delta anchor cache, an
+# index built outside its one constructor site, and a document encoded
+# outside the served-bytes memo.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -225,15 +226,16 @@ if [ -n "$badgate" ]; then
     exit 1
 fi
 # The journal records what grew, not what exists. core hands the mutation
-# hook each growth from the three places a document changes (appendAt,
-# Touch, Restore's adoptions); the peer writes a whole document state
-# only in the hook's whole-document branch (a by-hand edit), and its
-# snapshot marshals the live roots instead of a deep copy.
+# hook each growth from the four places a document changes (appendAt,
+# Touch, Restore's adoptions, AddDocument); the peer writes a whole
+# document state only in the hook's whole-document branch (a by-hand
+# edit, an added document), and its snapshot marshals the live roots
+# instead of a deep copy.
 badjournal=$( {
     find internal/core -name '*.go' ! -name '*_test.go' -exec awk '
         /^func / { fn = $0 }
         /^[[:space:]]*\/\// { next }
-        /onMutate\(/ && fn !~ /^func \(s \*System\) (appendAt|Touch|Restore)\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        /onMutate\(/ && fn !~ /^func \(s \*System\) (appendAt|Touch|Restore|AddDocument)\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
         ' {} +
     find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
         /^func / { fn = $0 }
@@ -244,7 +246,7 @@ badjournal=$( {
     } || true)
 
 if [ -n "$badjournal" ]; then
-    echo "vet-obs: a growth reported outside appendAt / Touch / Restore, a whole-document journal record outside the mutation hook, or a deep copy in durable.go (journal what grew; snapshot the live roots):" >&2
+    echo "vet-obs: a growth reported outside appendAt / Touch / Restore / AddDocument, a whole-document journal record outside the mutation hook, or a deep copy in durable.go (journal what grew; snapshot the live roots):" >&2
     echo "$badjournal" >&2
     exit 1
 fi
@@ -393,6 +395,23 @@ badindexbuild=$(find . \( -path ./.git -o -path ./.bench_build \) -prune -o -nam
 if [ -n "$badindexbuild" ]; then
     echo "vet-obs: pattern.NewIndex called outside core's System.reindex (install an index through reindex; the first match builds it):" >&2
     echo "$badindexbuild" >&2
+    exit 1
+fi
+# A document state is encoded once per state: the peer's memo fills it
+# (memo.doc for /axml/doc and full /axml/delta answers, memo.snapshot for
+# the snapshot writer) and the mutation hook drops it. A MarshalTree or
+# encoder.doc call elsewhere in non-test internal/peer re-encodes an
+# unchanged document per read; MarshalDocRecord, the journal's
+# whole-document record, is the one other writer.
+badreencode=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^A-Za-z])MarshalTree\(|[^A-Za-z]e\.doc\(/ && fn !~ /^func (MarshalTree|MarshalDocRecord)\(|^func \(m \*memo\) (doc|snapshot)\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badreencode" ]; then
+    echo "vet-obs: a document encoded outside the served-bytes memo (serve memo.doc's bytes; MarshalDocRecord is the journal's one other writer):" >&2
+    echo "$badreencode" >&2
     exit 1
 fi
 echo "vet-obs: ok"
