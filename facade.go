@@ -48,7 +48,7 @@ type (
 	Delta = peer.Delta
 	// PeerClient is the typed client-side surface of a peer's HTTP API
 	// (Doc, Delta, Hashes, Invoke, Sweep, Push) — what mirrors,
-	// coordinators, anti-entropy and the load generator all route
+	// coordinators, anti-entropy and the benchmark's callers all route
 	// through.
 	PeerClient = peer.Client
 )

@@ -1,3 +1,4 @@
+// Package loadgen holds the seeded arrival schedule fleet-serve's open loop replays.
 package loadgen
 
 import (
@@ -27,100 +28,4 @@ func PoissonSchedule(seed int64, rate float64, horizon time.Duration) []time.Dur
 		}
 		out = append(out, time.Duration(t*float64(time.Second)))
 	}
-}
-
-// Popularity samples document indexes with zipf-distributed popularity:
-// index 0 is the hottest, and the skew exponent s (> 1) controls how
-// hard the head dominates — the shape real content stores serve, and
-// what makes delta-anchor caches and any future hot-set caching earn
-// (or fail to earn) their keep under load.
-type Popularity struct {
-	z *rand.Zipf
-}
-
-// NewPopularity builds a sampler over n documents (n >= 1) drawing from
-// rng. s <= 1 or v < 1 fall back to the scenario defaults (1.2, 1).
-func NewPopularity(rng *rand.Rand, s, v float64, n int) *Popularity {
-	if s <= 1 {
-		s = 1.2
-	}
-	if v < 1 {
-		v = 1
-	}
-	if n < 1 {
-		n = 1
-	}
-	return &Popularity{z: rand.NewZipf(rng, s, v, uint64(n-1))}
-}
-
-// Pick samples one document index in [0, n).
-func (p *Popularity) Pick() int { return int(p.z.Uint64()) }
-
-// request is one planned operation: what to do, against which document,
-// on which target.
-type request struct {
-	op     Op
-	doc    string
-	target int
-}
-
-// planner deterministically expands a scenario into a request stream:
-// weighted op choice, zipf doc choice, uniform target choice, all from
-// one seeded rng. The open loop drains a single planner (the whole run
-// is a function of the scenario seed); each closed-loop worker owns a
-// planner seeded with its index.
-type planner struct {
-	rng     *rand.Rand
-	pop     *Popularity
-	ops     []Op
-	cum     []float64
-	total   float64
-	docs    []string
-	targets int
-}
-
-func newPlanner(s *Scenario, seed int64) *planner {
-	p := &planner{
-		rng:     rand.New(rand.NewSource(seed)),
-		ops:     s.Ops,
-		docs:    s.Docs,
-		targets: len(s.Targets),
-	}
-	if len(s.Docs) > 0 {
-		p.pop = NewPopularity(p.rng, s.ZipfS, s.ZipfV, len(s.Docs))
-	}
-	p.cum = make([]float64, len(s.Ops))
-	for i, op := range s.Ops {
-		w := op.Weight
-		if w <= 0 {
-			w = 1
-		}
-		p.total += w
-		p.cum[i] = p.total
-	}
-	return p
-}
-
-func (p *planner) next() request {
-	x := p.rng.Float64() * p.total
-	oi := 0
-	for oi < len(p.cum)-1 && x >= p.cum[oi] {
-		oi++
-	}
-	req := request{op: p.ops[oi], target: p.rng.Intn(p.targets)}
-	req.doc = req.op.Doc
-	if req.doc == "" && p.pop != nil {
-		req.doc = p.docs[p.pop.Pick()]
-	}
-	return req
-}
-
-// plan expands the first n requests — the deterministic open-loop
-// pairing with PoissonSchedule's n arrivals.
-func (p *planner) plan(n int) []request {
-	out := make([]request, n)
-	for i := range out {
-		out[i] = p.next()
-	}
-	return out
 }

@@ -181,14 +181,6 @@ type HistSnapshot struct {
 	buckets [histBuckets]int64
 }
 
-// Mean returns Sum/Count, or 0 for an empty snapshot.
-func (s HistSnapshot) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / s.Count
-}
-
 // Snapshot captures the histogram. Under concurrent writers the counts
 // are each atomically read but not mutually consistent; the drift is at
 // most the handful of observations in flight during the scan.
@@ -212,12 +204,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.P99 = s.quantile(0.99)
 	return s
 }
-
-// Quantile returns the upper bound of the power-of-two bucket containing
-// the q-th observation (0 < q <= 1) — coarse (within 2x) but monotone,
-// like the P50/P90/P99 fields. The load generator uses it for the tail
-// quantiles the fixed fields do not carry (p99.9 against SLOs).
-func (s HistSnapshot) Quantile(q float64) int64 { return s.quantile(q) }
 
 // quantile returns the upper bound of the bucket containing the q-th
 // observation (0 < q <= 1).

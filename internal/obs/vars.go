@@ -1,25 +1,17 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-)
+import "strings"
 
-// Snapshot diffing: the load generator (and any capacity harness)
-// scrapes a peer's metrics before and after a run and wants the
-// server-side activity attributable to that window — requests served,
-// bytes moved, calls fired. Counters diff by subtraction; point-in-time
-// members (gauges are not distinguishable on the wire, histogram
-// min/max/quantiles are not additive) keep their "after" value. The
-// helpers work on a flattened name -> number view shared by both
-// sources: a scraped /debug/vars body (ParseVars) and an in-process
-// *Registry (FlattenSnapshot), so correlation code does not care which
-// side of the HTTP boundary the registry lived on.
+// Snapshot diffing: the benchmark's workloads flatten their peers'
+// registries before and after a phase and want what moved in that
+// window — requests served, bytes moved, calls fired. Counters diff by
+// subtraction; point-in-time members (histogram min/max/quantiles are not
+// additive) keep their "after" value. A gauge flattens like a counter and
+// diffs like one.
 
 // pointInTimeSuffixes marks flattened members that are not monotone
 // accumulations; DiffVars reports their after-value unchanged.
-var pointInTimeSuffixes = []string{".min", ".max", ".p50", ".p90", ".p99", ".mean"}
+var pointInTimeSuffixes = []string{".min", ".max", ".p50", ".p90", ".p99"}
 
 func isPointInTime(name string) bool {
 	for _, s := range pointInTimeSuffixes {
@@ -30,47 +22,10 @@ func isPointInTime(name string) bool {
 	return false
 }
 
-// ParseVars extracts a flattened metric map from a JSON metrics dump:
-// either a full /debug/vars response (the registry is then taken from
-// its "axml" member; ambient expvars like cmdline and memstats are
-// ignored) or a bare Registry JSON rendering. Counters and gauges map
-// name -> value; each histogram contributes name.count, name.sum,
-// name.min, name.max, name.p50, name.p90 and name.p99.
-func ParseVars(data []byte) (map[string]float64, error) {
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(data, &top); err != nil {
-		return nil, fmt.Errorf("obs: parse vars: %w", err)
-	}
-	if raw, ok := top["axml"]; ok {
-		// A /debug/vars body: the registry lives under "axml".
-		top = nil
-		if err := json.Unmarshal(raw, &top); err != nil {
-			return nil, fmt.Errorf("obs: parse vars: axml member: %w", err)
-		}
-	}
-	out := make(map[string]float64, len(top))
-	for name, raw := range top {
-		var num float64
-		if err := json.Unmarshal(raw, &num); err == nil {
-			out[name] = num
-			continue
-		}
-		var hist map[string]float64
-		if err := json.Unmarshal(raw, &hist); err == nil {
-			for k, v := range hist {
-				out[name+"."+k] = v
-			}
-		}
-		// Anything else (strings, arrays, deeper nesting) is not one of
-		// this registry's metric shapes — skip it.
-	}
-	return out, nil
-}
-
-// FlattenSnapshot renders a registry's current state in the same
-// flattened shape ParseVars produces, for diffing in-process registries
-// without a round trip through JSON. Nil-safe like the rest of the
-// package.
+// FlattenSnapshot renders a registry's current state as name -> number:
+// counters and gauges under their own name, each histogram as name.count,
+// name.sum, name.min, name.max, name.p50, name.p90 and name.p99. Nil-safe
+// like the rest of the package.
 func FlattenSnapshot(r *Registry) map[string]float64 {
 	out := make(map[string]float64)
 	for name, v := range r.Snapshot() {

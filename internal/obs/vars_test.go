@@ -1,72 +1,38 @@
 package obs
 
-import (
-	"net/http/httptest"
-	"testing"
-)
+import "testing"
 
-// The flattened view of a scraped /debug/vars body and of the live
-// registry must agree: correlation code diffs across the HTTP boundary.
-func TestParseVarsMatchesFlattenSnapshot(t *testing.T) {
+// The benchmark's phase windows read this shape: a counter and a gauge
+// under their own name, a histogram as .count/.sum/.min/.max/.p50/.p90/.p99.
+func TestFlattenSnapshotShape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("peer.http.requests.doc").Add(7)
 	r.Gauge("engine.pool").Set(3)
 	for _, v := range []int64{100, 200, 400, 800} {
 		r.Histogram("peer.http.latency_ns.doc").Observe(v)
 	}
-
-	srv := httptest.NewServer(DebugMux(r))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	got := FlattenSnapshot(r)
+	want := map[string]float64{
+		"peer.http.requests.doc":         7,
+		"engine.pool":                    3,
+		"peer.http.latency_ns.doc.count": 4,
+		"peer.http.latency_ns.doc.sum":   1500,
+		"peer.http.latency_ns.doc.min":   100,
+		"peer.http.latency_ns.doc.max":   800,
+		"peer.http.latency_ns.doc.p50":   256,
+		"peer.http.latency_ns.doc.p90":   1024,
+		"peer.http.latency_ns.doc.p99":   1024,
 	}
-	defer resp.Body.Close()
-	body := make([]byte, 1<<20)
-	n, _ := resp.Body.Read(body)
-	for {
-		m, err := resp.Body.Read(body[n:])
-		n += m
-		if err != nil {
-			break
+	if len(got) != len(want) {
+		t.Errorf("flattened %d members, want %d: %v", len(got), len(want), got)
+	}
+	for name, w := range want {
+		if v, ok := got[name]; !ok || v != w {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, w)
 		}
 	}
-
-	scraped, err := ParseVars(body[:n])
-	if err != nil {
-		t.Fatalf("ParseVars: %v", err)
-	}
-	local := FlattenSnapshot(r)
-	for name, want := range local {
-		if got, ok := scraped[name]; !ok || got != want {
-			t.Errorf("scraped[%s] = %v (present %v), want %v", name, got, ok, want)
-		}
-	}
-	if scraped["peer.http.requests.doc"] != 7 {
-		t.Errorf("counter = %v, want 7", scraped["peer.http.requests.doc"])
-	}
-	if scraped["peer.http.latency_ns.doc.count"] != 4 {
-		t.Errorf("hist count = %v, want 4", scraped["peer.http.latency_ns.doc.count"])
-	}
-	// Ambient expvars (cmdline, memstats) must not leak into the map.
-	for name := range scraped {
-		if name == "cmdline" || name == "memstats" {
-			t.Errorf("ambient expvar %q leaked into parsed vars", name)
-		}
-	}
-}
-
-// ParseVars also accepts a bare Registry JSON rendering (no "axml"
-// wrapper) — what an embedder publishing the registry directly serves.
-func TestParseVarsBareRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("peer.served").Add(42)
-	m, err := ParseVars([]byte(r.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["peer.served"] != 42 {
-		t.Fatalf("peer.served = %v, want 42", m["peer.served"])
+	if FlattenSnapshot(nil) == nil || len(FlattenSnapshot(nil)) != 0 {
+		t.Error("a nil registry must flatten to an empty map")
 	}
 }
 
@@ -107,7 +73,7 @@ func TestDiffVars(t *testing.T) {
 
 // A server restart mid-window resets its counters to zero; the diff must
 // report the post-restart activity, never a negative delta (which would
-// corrupt loadgen correlation reports).
+// corrupt a benchmark phase's window).
 func TestDiffVarsCounterReset(t *testing.T) {
 	before := map[string]float64{
 		"peer.served":         1000,
@@ -149,16 +115,12 @@ func TestHistSnapshotQuantile(t *testing.T) {
 	}
 	h.Observe(100000) // the single tail outlier, bucket upper bound 131072
 	s := h.Snapshot()
-	if got := s.Quantile(0.50); got != 128 {
-		t.Errorf("Quantile(0.50) = %d, want 128", got)
-	}
-	if got := s.Quantile(0.999); got != 128 {
-		t.Errorf("Quantile(0.999) = %d, want 128", got)
-	}
-	if got := s.Quantile(1.0); got != 131072 {
-		t.Errorf("Quantile(1.0) = %d, want 131072", got)
-	}
-	if s.Quantile(0.999) != s.quantile(0.999) {
-		t.Error("exported Quantile disagrees with internal quantile")
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0.50, 128}, {0.999, 128}, {1.0, 131072}} {
+		if got := s.quantile(c.q); got != c.want {
+			t.Errorf("quantile(%v) = %d, want %d", c.q, got, c.want)
+		}
 	}
 }

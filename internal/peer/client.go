@@ -21,7 +21,7 @@ import (
 // call, the one place a request to a peer endpoint is built, sent,
 // bounded and its status judged — so mirror syncs, anti-entropy probes and
 // push deliveries (through Peer.remote), coordinator rounds, remote
-// service invocations and the load generator all leave the same way. The
+// service invocations and the benchmark's callers all leave the same way. The
 // zero value is not useful; set BaseURL (or use NewClient). A Client is
 // safe for concurrent use: it holds no mutable state beyond the pooled
 // *http.Client.
@@ -220,8 +220,8 @@ func (c *Client) Sweep(ctx context.Context) (changed bool, err error) {
 
 // Push delivers a forest to a subscriber's callback endpoint
 // (PathPush+id) without delta negotiation — the "legacy sender" mode
-// subscribers accept unconditionally. The load generator uses it to
-// model push-ingest traffic; Publisher.Flush negotiates its deliveries
+// subscribers accept unconditionally. The benchmark's fleet-serve uses it
+// for its push writes; Publisher.Flush negotiates its deliveries
 // to the same endpoint with the X-Axml-Push-* headers.
 func (c *Client) Push(ctx context.Context, id string, f tree.Forest) error {
 	data, err := MarshalForest(f)

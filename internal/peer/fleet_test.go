@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"axml/internal/core"
 	"axml/internal/faults"
@@ -397,17 +396,6 @@ func TestFleetChaosConvergence(t *testing.T) {
 
 // growDocBatch appends many subtrees in one locked pass (one append, one
 // journal flush) — test setup for large documents.
-// counted waits for a server's byte counter to move past before and
-// returns by how much. A body of declared length can reach the client in
-// full before the server's instrument wrapper counts it, so the counter
-// may move just after the client returned.
-func counted(c *obs.Counter, before int64) int64 {
-	for deadline := time.Now().Add(5 * time.Second); c.Value() == before && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	return c.Value() - before
-}
-
 func growDocBatch(p *Peer, doc string, srcs []string) {
 	forest := make(tree.Forest, len(srcs))
 	for i, src := range srcs {
@@ -457,24 +445,22 @@ func TestDeltaWireBytesSublinear(t *testing.T) {
 			batch = append(batch, entry(grown))
 		}
 		growDocBatch(remote, "log", batch)
-		before := deltaOut.Value()
 		if _, err := m.Sync(ctx, local); err != nil { // catch up (full or big patch)
 			t.Fatal(err)
 		}
-		counted(deltaOut, before)
 		// The measured step: one small growth against an anchored replica.
 		growDoc(remote, "log", entry(grown))
 		grown++
-		before = deltaOut.Value()
+		before := deltaOut.Value()
 		if _, err := m.Sync(ctx, local); err != nil {
 			t.Fatal(err)
 		}
-		deltaBytes = counted(deltaOut, before)
+		deltaBytes = deltaOut.Value() - before
 		before = docOut.Value()
 		if _, err := NewClient(srv.URL, nil).Doc(ctx, "log"); err != nil {
 			t.Fatal(err)
 		}
-		fullBytes = counted(docOut, before)
+		fullBytes = docOut.Value() - before
 		if docHash(local, "log") != docHash(remote, "log") {
 			t.Fatal("replica diverged from remote")
 		}

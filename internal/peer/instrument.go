@@ -7,23 +7,36 @@ import (
 	"axml/internal/obs"
 )
 
-// countingWriter records the status code and body bytes a handler writes,
-// for the per-endpoint metrics below. WriteHeader is tracked explicitly
-// because handlers that never call it implicitly answer 200.
+// countingWriter counts a response as it is handed on: an error status
+// when its header is written, body bytes before each Write passes them on
+// (less what a short write kept back), so a client holding the last byte
+// finds them counted. It keeps the status for the http span; handlers
+// that never call WriteHeader implicitly answer 200.
 type countingWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
+	m                *obs.Registry
+	errors, bytesOut string
+	out              *obs.Counter
+	status           int
 }
 
 func (cw *countingWriter) WriteHeader(code int) {
+	if code >= 400 && cw.status < 400 {
+		cw.m.Counter(cw.errors).Inc()
+	}
 	cw.status = code
 	cw.ResponseWriter.WriteHeader(code)
 }
 
 func (cw *countingWriter) Write(b []byte) (int, error) {
+	if cw.out == nil && len(b) > 0 {
+		cw.out = cw.m.Counter(cw.bytesOut)
+	}
+	cw.out.Add(int64(len(b)))
 	n, err := cw.ResponseWriter.Write(b)
-	cw.bytes += int64(n)
+	if n < len(b) {
+		cw.out.Add(int64(n - len(b)))
+	}
 	return n, err
 }
 
@@ -33,11 +46,14 @@ func (cw *countingWriter) Write(b []byte) (int, error) {
 // request and an error in the metrics (which is why the mux's own method
 // patterns are not used) — and wraps the handler with per-endpoint metrics:
 //
-//	peer.http.requests.<endpoint>    counter, every request
+//	peer.http.requests.<endpoint>    counter, every request, on arrival
 //	peer.http.errors.<endpoint>      counter, responses with status >= 400
 //	peer.http.latency_ns.<endpoint>  histogram, handler wall time
 //	peer.http.bytes_in.<endpoint>    counter, declared request body bytes
 //	peer.http.bytes_out.<endpoint>   counter, response body bytes written
+//
+// All but latency (and the http span) are counted before the response
+// reaches the client.
 //
 // With no registry attached the handler runs behind the method check
 // alone — the wrapper costs one nil check, so Handler can install it
@@ -60,6 +76,8 @@ func (p *Peer) instrument(endpoint, method string, h http.HandlerFunc) http.Hand
 		}
 		h(w, r)
 	}
+	requests, latency := "peer.http.requests."+endpoint, "peer.http.latency_ns."+endpoint
+	bytesIn, errs, bytesOut := "peer.http.bytes_in."+endpoint, "peer.http.errors."+endpoint, "peer.http.bytes_out."+endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
 		m, tr := p.metrics, p.tracer
 		parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
@@ -74,7 +92,11 @@ func (p *Peer) instrument(endpoint, method string, h http.HandlerFunc) http.Hand
 		}
 		ts := tr.Now()
 		start := time.Now()
-		cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
+		m.Counter(requests).Inc()
+		if r.ContentLength > 0 {
+			m.Counter(bytesIn).Add(r.ContentLength)
+		}
+		cw := &countingWriter{ResponseWriter: w, m: m, errors: errs, bytesOut: bytesOut, status: http.StatusOK}
 		checked(cw, r)
 		if tr.Enabled() {
 			tr.Emit(obs.Span{
@@ -85,19 +107,6 @@ func (p *Peer) instrument(endpoint, method string, h http.HandlerFunc) http.Hand
 				Attrs: map[string]int64{"status": int64(cw.status)},
 			}.WithContext(sc, parent))
 		}
-		if m == nil {
-			return
-		}
-		m.Counter("peer.http.requests." + endpoint).Inc()
-		m.Histogram("peer.http.latency_ns." + endpoint).ObserveSince(start)
-		if r.ContentLength > 0 {
-			m.Counter("peer.http.bytes_in." + endpoint).Add(r.ContentLength)
-		}
-		if cw.bytes > 0 {
-			m.Counter("peer.http.bytes_out." + endpoint).Add(cw.bytes)
-		}
-		if cw.status >= 400 {
-			m.Counter("peer.http.errors." + endpoint).Inc()
-		}
+		m.Histogram(latency).ObserveSince(start)
 	}
 }

@@ -1,9 +1,11 @@
 package peer
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -141,5 +143,92 @@ func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t
 	}
 	if got := reg.Counter("peer.http.errors.invoke").Value(); got != 0 {
 		t.Fatalf("invoke errors = %d, want 0", got)
+	}
+}
+
+// lastByteWriter is a ResponseWriter that reads the peer's registry at
+// the moment a client could return and look: when it holds the last byte
+// of a declared-length body, or when it is handed an error status.
+type lastByteWriter struct {
+	header http.Header
+	reg    *obs.Registry
+	got    int
+	seen   map[string]float64
+}
+
+func (w *lastByteWriter) Header() http.Header { return w.header }
+
+func (w *lastByteWriter) WriteHeader(code int) {
+	if code >= 400 {
+		w.seen = obs.FlattenSnapshot(w.reg)
+	}
+}
+
+func (w *lastByteWriter) Write(b []byte) (int, error) {
+	w.got += len(b)
+	if n, _ := strconv.Atoi(w.header.Get("Content-Length")); n > 0 && w.got == n {
+		w.seen = obs.FlattenSnapshot(w.reg)
+	}
+	return len(b), nil
+}
+
+// A request is counted before its response's last byte is handed on: a
+// body of declared length can reach the client inside the handler's
+// Write, and a registry read right after the client returns must find
+// the request, its bytes and its error already counted. Every request
+// sent is in the server's request counters at that moment.
+func TestInstrumentCountsBeforeLastByte(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, _, err := Open("ratings", core.MustParseSystem(`
+doc ratings = db{entry{title{"Naima"},stars{"5"}}}
+func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t},stars{$s}}}
+`), WithObservability(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := MarshalEnvelope(Envelope{Service: "GetRating",
+		Input: syntax.MustParseDocument(`input{title{"Naima"}}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := p.Handler()
+	cases := []struct {
+		method, target string
+		body           []byte
+		endpoint       string
+		errs           float64 // the endpoint's errors counter after the request
+	}{
+		{http.MethodGet, PathDoc + "ratings", nil, "doc", 0},
+		{http.MethodPost, PathInvoke, env, "invoke", 0},
+		{http.MethodGet, PathDoc + "ratings", nil, "doc", 0},
+		{http.MethodGet, PathDoc + "nope", nil, "doc", 1},
+		{http.MethodGet, PathSweep, nil, "sweep", 1},
+	}
+	out := map[string]float64{}
+	for i, c := range cases {
+		w := &lastByteWriter{header: http.Header{}, reg: reg}
+		h.ServeHTTP(w, httptest.NewRequest(c.method, c.target, bytes.NewReader(c.body)))
+		if w.seen == nil {
+			t.Fatalf("%s %s: no declared last byte and no error status", c.method, c.target)
+		}
+		var requests float64
+		for name, v := range w.seen {
+			if strings.HasPrefix(name, "peer.http.requests.") {
+				requests += v
+			}
+		}
+		if requests != float64(i+1) {
+			t.Errorf("%s %s: %v requests counted at the last byte, %d sent", c.method, c.target, requests, i+1)
+		}
+		if got := w.seen["peer.http.errors."+c.endpoint]; got != c.errs {
+			t.Errorf("%s %s: errors.%s = %v at the last byte, want %v", c.method, c.target, c.endpoint, got, c.errs)
+		}
+		out[c.endpoint] += float64(w.got)
+		if got := w.seen["peer.http.bytes_out."+c.endpoint]; c.errs == 0 && got != out[c.endpoint] {
+			t.Errorf("%s %s: bytes_out.%s = %v at the last byte, %v written", c.method, c.target, c.endpoint, got, out[c.endpoint])
+		}
+	}
+	if got := reg.Counter("peer.http.bytes_in.invoke").Value(); got != int64(len(env)) {
+		t.Errorf("bytes_in.invoke = %d, want %d", got, len(env))
 	}
 }

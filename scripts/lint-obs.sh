@@ -11,8 +11,9 @@
 # the claims tests, map assignments on any evaluator's row path,
 # encoding/xml in product code, a freshness filter after a join, a
 # graft record encoded twice, a tree in the delta anchor cache, an
-# index built outside its one constructor site, and a document encoded
-# outside the served-bytes memo.
+# index built outside its one constructor site, a document encoded
+# outside the served-bytes memo, and a second load driver beside the
+# benchmark's fleet-serve workload.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -412,6 +413,21 @@ badreencode=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
 if [ -n "$badreencode" ]; then
     echo "vet-obs: a document encoded outside the served-bytes memo (serve memo.doc's bytes; MarshalDocRecord is the journal's one other writer):" >&2
     echo "$badreencode" >&2
+    exit 1
+fi
+# One load harness: benchmark/'s fleet-serve workload drives the served
+# fleet, and internal/loadgen keeps only the arrival schedule it replays
+# (schedule.go). Another file there, or a package or command outside
+# benchmark/ importing it, is the retired second driver (scenario runner,
+# in-process fleet, capacity search, load CLI) growing back.
+badloadgen=$( {
+    find internal/loadgen -name '*.go' ! -name '*_test.go' ! -name 'schedule.go'
+    grep -rl --include='*.go' -F '"axml/internal/loadgen"' . | grep -v '_test\.go$' | grep -v '^\./benchmark/' | grep -v '^\./\.bench_build/'
+    } || true)
+
+if [ -n "$badloadgen" ]; then
+    echo "vet-obs: a second load driver (internal/loadgen holds only schedule.go, imported only by benchmark/; drive a fleet through go run ./benchmark -workload fleet-serve):" >&2
+    echo "$badloadgen" >&2
     exit 1
 fi
 echo "vet-obs: ok"
