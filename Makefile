@@ -48,11 +48,12 @@ loc:
 # the race detector. The recovery, index and adoption tests run again at
 # GOMAXPROCS 1 and 4: recovery's per-document fan-out at width one and
 # at a width above the core count, first matches racing to build a
-# document's index, the served-bytes memo's fills racing its drops, and a
-# document added at runtime recovering.
+# document's index, the served-bytes memo's fills racing its drops, a
+# document added at runtime recovering, and overlapping Flushes of one
+# publisher.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,4 ./internal/core ./internal/pattern ./internal/peer -run 'Restore|Adopt|Lazy|Index|Recover|Snapshot|Subscriber|Memo|AddDocument' -count=1
+	$(GO) test -race -cpu 1,4 ./internal/core ./internal/pattern ./internal/peer -run 'Restore|Adopt|Lazy|Index|Recover|Snapshot|Subscriber|Publisher|Memo|AddDocument' -count=1
 
 # Short-budget coverage-guided fuzzing of the wire parsers serving and
 # recovery depend on (each checked against the encoding/xml oracle), of

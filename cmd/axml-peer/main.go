@@ -24,9 +24,7 @@
 // document current through digest-anchored deltas (only the origin's
 // graft records since the replica's state travel; see /axml/delta), and
 // -anti-entropy-every runs a periodic repair pass that re-syncs any
-// replica whose digest drifted. -delta-anchors bounds the per-document
-// anchor states (and so the graft-record window) this peer keeps for its
-// own delta answers.
+// replica whose digest drifted.
 //
 // Sharding: -shard-self NAME plus repeated -shard-peer NAME=URL front
 // the peer with a consistent-hash router — each document belongs to
@@ -78,7 +76,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "append JSON trace spans, one per line, to this file (empty = off)")
 	traceSample := flag.Int("trace-sample", 1, "keep one call span in every n (sweep/merge spans are never sampled)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
-	deltaAnchors := flag.Int("delta-anchors", 0, "per-document delta anchor states cached for /axml/delta (0 = default, negative disables delta serving)")
 	antiEntropyEvery := flag.Duration("anti-entropy-every", 0, "run an anti-entropy repair pass over the registered mirrors at this interval (0 disables)")
 	shardSelf := flag.String("shard-self", "", "this peer's name on the consistent-hash ring (empty = unsharded)")
 	replicas := flag.Int("replicas", 2, "owners per document on the ring (sharded mode)")
@@ -188,7 +185,6 @@ func main() {
 		peer.WithObservability(metrics),
 		peer.WithTracer(tracer),
 		peer.WithLogger(logger),
-		peer.WithDeltaAnchors(*deltaAnchors),
 	)
 	if err != nil {
 		fatal(err)

@@ -74,8 +74,6 @@ var (
 	WithTracer = peer.WithTracer
 	// WithLogger routes a peer's structured logs.
 	WithLogger = peer.WithLogger
-	// WithDeltaAnchors bounds the per-document delta anchor cache.
-	WithDeltaAnchors = peer.WithDeltaAnchors
 	// NewRing builds a consistent-hash ring over peer names.
 	NewRing = peer.NewRing
 	// NewRouter wraps a peer's handler for fleet routing.

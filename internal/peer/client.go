@@ -145,9 +145,9 @@ func (c *Client) Doc(ctx context.Context, name string) (*tree.Node, error) {
 
 // Delta asks the peer what changed in a document since the anchor digest
 // from (empty means no anchor — expect a full answer). The answer is
-// DeltaSame, the graft records since from (or a digest-anchored patch),
-// or the full tree (see Delta). An answer about another document is an
-// error: a receiver never grafts it.
+// DeltaSame, DeltaLog (the graft records since from) or DeltaFull (the
+// whole tree); any other mode fails to decode. An answer about another
+// document is an error: a receiver never grafts it.
 func (c *Client) Delta(ctx context.Context, name, from string) (Delta, error) {
 	path := PathDelta + name
 	if from != "" {
@@ -219,10 +219,11 @@ func (c *Client) Sweep(ctx context.Context) (changed bool, err error) {
 }
 
 // Push delivers a forest to a subscriber's callback endpoint
-// (PathPush+id) without delta negotiation — the "legacy sender" mode
-// subscribers accept unconditionally. The benchmark's fleet-serve uses it
-// for its push writes; Publisher.Flush negotiates its deliveries
-// to the same endpoint with the X-Axml-Push-* headers.
+// (PathPush+id) with no anchor and no acknowledgement: the subscriber
+// appends it unconditionally and its record of the publisher's view is
+// left as it was. The benchmark's writes use it; Publisher.Flush sends to
+// the same endpoint with the view digests in X-Axml-Push-Anchor and
+// X-Axml-Push-Ack.
 func (c *Client) Push(ctx context.Context, id string, f tree.Forest) error {
 	data, err := MarshalForest(f)
 	if err != nil {

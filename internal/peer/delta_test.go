@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"axml/internal/core"
@@ -123,51 +124,35 @@ func TestApplyPatchMismatch(t *testing.T) {
 	}
 }
 
-// goldenPatch is the delta testdata/delta_patch.xml holds: a spine into
-// a grown sec plus a brand-new sibling.
+// goldenPatch is a delta in the retired patch mode, which
+// testdata/delta_patch.xml holds: a spine into a grown sec plus a
+// brand-new sibling. No peer decodes it.
 const goldenPatch = "testdata/delta_patch.xml"
 
 // goldenLog is the log answer testdata/delta_log.bin holds: two records
 // after the anchor, one at the root and one below sec.
 const goldenLog = "testdata/delta_log.bin"
 
-// TestDeltaWireGolden pins the delta wire bytes — the hex rendering of
-// from, to and every spine base included — against a recorded record,
-// and applies the recorded patch, so a receiver resolves spine bases the
-// way the sender renders them. It pins a served log answer's bytes too —
-// the header, the frames and the records exactly as the journal would
-// write them — checks the codec reproduces them, and replays the
-// recorded records onto the anchor state. It pins a served log answer's bytes too —
-// the header, the frames and the records exactly as the journal would
-// write them — checks the codec reproduces them, and replays the
-// recorded records onto the anchor state.
-func TestDeltaWireGolden(t *testing.T) {
-	want, err := os.ReadFile(goldenPatch)
-	if err != nil {
-		t.Fatal(err)
+// encodeDelta renders a decoded delta the way a server answers it: a log
+// answer's records re-encoded and framed, a full answer's tree.
+func encodeDelta(d Delta) ([]byte, error) {
+	var frames []byte
+	for _, r := range d.Log {
+		rec, err := marshalGraftRecord(r.Doc, r.Path, r.Fresh)
+		if err != nil {
+			return nil, err
+		}
+		frames = appendFrame(frames, rec)
 	}
-	anchor := reduced(t, `log{sec{x{"1"}},other{q}}`)
-	cur := reduced(t, `log{sec{x{"1"},y{"2 < 3 & z"}},other{q},new{!Get{a}}}`)
-	d := Delta{Doc: "log", Mode: DeltaPatch, From: digestHex(anchor), To: digestHex(cur), Patch: PruneSince(cur, anchor)}
-	got, err := MarshalDelta(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("delta wire bytes changed:\ngot  %s\nwant %s", got, want)
-	}
-	back, err := UnmarshalDelta(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ApplyPatch(anchor, back.Patch); err != nil {
-		t.Fatalf("recorded patch does not apply: %v", err)
-	}
-	if digestHex(anchor) != back.To {
-		t.Fatalf("applied recorded patch reaches %s, want %s", digestHex(anchor), back.To)
-	}
+	return marshalDelta(d, frames)
+}
 
-	want, err = os.ReadFile(goldenLog)
+// TestDeltaWireGolden pins a served log answer's bytes — the header, the
+// frames and the records exactly as the journal would write them —
+// checks the codec reproduces them, and replays the recorded records onto
+// the anchor state.
+func TestDeltaWireGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +171,11 @@ func TestDeltaWireGolden(t *testing.T) {
 	if got := get(full.To); string(got) != string(want) {
 		t.Fatalf("log wire bytes changed:\ngot  %q\nwant %q", got, want)
 	}
-	d, err = UnmarshalDelta(want)
+	d, err := UnmarshalDelta(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := MarshalDelta(d); err != nil || string(again) != string(want) {
+	if again, err := encodeDelta(d); err != nil || string(again) != string(want) {
 		t.Fatalf("codec does not reproduce the served bytes: %v\n%q", err, again)
 	}
 	replica := mustOpen("replica", core.MustParseSystem(`doc log = log`))
@@ -209,14 +194,12 @@ func TestDeltaWireGolden(t *testing.T) {
 func TestDeltaCodecRoundTrip(t *testing.T) {
 	anchor := reduced(t, `log{sec{x{"1"}},other{q}}`)
 	cur := subsume.Union(anchor, reduced(t, `log{sec{y{"2 < 3 & z"}},new{!Get{a}}}`))
-	patch := PruneSince(cur, anchor)
 	cases := []Delta{
 		{Doc: "log", Mode: DeltaSame, To: digestHex(cur)},
 		{Doc: "log", Mode: DeltaFull, To: digestHex(cur), Full: cur},
-		{Doc: "log", Mode: DeltaPatch, From: digestHex(anchor), To: digestHex(cur), Patch: patch},
 	}
 	for _, d := range cases {
-		data, err := MarshalDelta(d)
+		data, err := encodeDelta(d)
 		if err != nil {
 			t.Fatalf("marshal %s: %v", d.Mode, err)
 		}
@@ -227,37 +210,31 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 		if back.Doc != d.Doc || back.Mode != d.Mode || back.From != d.From || back.To != d.To {
 			t.Fatalf("header round trip: %+v vs %+v", back, d)
 		}
-		switch d.Mode {
-		case DeltaFull:
-			if !tree.Isomorphic(back.Full, d.Full) {
-				t.Fatalf("full round trip: %s", data)
-			}
-		case DeltaPatch:
-			// The patch round-trips if applying both to the anchor agrees.
-			a1, a2 := anchor.Copy(), anchor.Copy()
-			if _, err := ApplyPatch(a1, d.Patch); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ApplyPatch(a2, back.Patch); err != nil {
-				t.Fatalf("decoded patch: %v", err)
-			}
-			if a1.CanonicalHash() != a2.CanonicalHash() {
-				t.Fatalf("patch round trip diverged: %s", data)
-			}
+		if d.Mode == DeltaFull && !tree.Isomorphic(back.Full, d.Full) {
+			t.Fatalf("full round trip: %s", data)
 		}
 	}
 }
 
+// TestDeltaCodecErrors: malformed records are refused, and so is every
+// delta in the retired patch mode (mode="delta", ax:patch), the recorded
+// one included.
 func TestDeltaCodecErrors(t *testing.T) {
+	patch, err := os.ReadFile(goldenPatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalDelta(patch); err == nil || !strings.Contains(err.Error(), `unknown delta mode "delta"`) {
+		t.Fatalf("the recorded patch delta: %v, want an unknown mode", err)
+	}
 	bad := [][]byte{
 		[]byte(``),
 		[]byte(`<wrong/>`),
 		[]byte(`<ax:delta mode="full" to="x"></ax:delta>`),           // no name
 		[]byte(`<ax:delta name="d" mode="weird" to="x"></ax:delta>`), // bad mode
 		[]byte(`<ax:delta name="d" mode="full" to="x"></ax:delta>`),  // full without tree
-		[]byte(`<ax:delta name="d" mode="delta" to="x"></ax:delta>`), // patch missing
-		// label patch without a name
-		[]byte(`<ax:delta name="d" mode="delta" to="x"><ax:patch kind="label" base="b"></ax:patch></ax:delta>`),
+		[]byte(`<ax:delta name="d" mode="delta" to="x"></ax:delta>`), // patch mode
+		[]byte(`<ax:delta name="d" mode="delta" from="y" to="x"><ax:patch kind="label" name="d" base="y"></ax:patch></ax:delta>`),
 	}
 	for _, data := range bad {
 		if _, err := UnmarshalDelta(data); err == nil {
@@ -342,10 +319,8 @@ func TestDeltaEndpointModes(t *testing.T) {
 // never an error.
 func TestDeltaAnchorEviction(t *testing.T) {
 	sys := core.MustParseSystem(`doc log = log{s0}`)
-	remote, _, err := Open("store", sys, WithDeltaAnchors(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := mustOpen("store", sys)
+	remote.anchors.max = 1
 	srv := httptest.NewServer(remote.Handler())
 	defer srv.Close()
 	ctx := context.Background()
@@ -371,9 +346,9 @@ func TestDeltaAnchorEviction(t *testing.T) {
 	}
 }
 
-// TestMirrorDeltaFallback: a replica that diverged below a patched spine
+// TestMirrorDeltaFallback: a replica that diverged on a record's path
 // (here: local-only growth inside the same subtree the remote grew)
-// must detect the base mismatch and repair via full pull — converging
+// must detect the mismatch and repair via full pull — converging
 // to Union(local, remote) either way.
 func TestMirrorDeltaFallback(t *testing.T) {
 	remote := mustOpen("store", core.MustParseSystem(`doc log = log{sec{x}}`))
@@ -393,8 +368,8 @@ func TestMirrorDeltaFallback(t *testing.T) {
 	}
 
 	// Both sides grow in place inside their sec subtree: the remote's
-	// next patch is a spine targeting the old sec{x} digest, which the
-	// local replica (now holding sec{x,mine}) no longer has.
+	// next record's path names the old sec{x} digest, which the local
+	// replica (now holding sec{x,mine}) no longer has.
 	growIn(local, "replica", "sec", `mine`)
 	growIn(remote, "log", "sec", `theirs`)
 	changed, err := m.Sync(ctx, local)
@@ -416,8 +391,8 @@ func TestMirrorDeltaFallback(t *testing.T) {
 }
 
 // growIn appends a parsed subtree in place under the named root child —
-// the growth shape that produces spine patches (unlike growDoc's
-// root-level append, which produces adds).
+// the growth shape whose records carry a one-step path (unlike growDoc's
+// root-level append).
 func growIn(p *Peer, doc, child, src string) {
 	add := syntax.MustParseDocument(src)
 	p.System(func(s *core.System) {
@@ -455,11 +430,8 @@ func TestDeltaStreamMatchesFullPull(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			remote, _, err := Open("store", core.MustParseSystem(`doc log = log`),
-				WithDeltaAnchors(2)) // tight cache: force occasional full fallbacks
-			if err != nil {
-				t.Fatal(err)
-			}
+			remote := mustOpen("store", core.MustParseSystem(`doc log = log`))
+			remote.anchors.max = 2 // tight cache: force occasional full fallbacks
 			srv := httptest.NewServer(remote.Handler())
 			defer srv.Close()
 
@@ -518,7 +490,7 @@ func TestDeltaStreamMatchesFullPull(t *testing.T) {
 				}
 				if rng.Intn(3) == 0 {
 					// A shared out-of-band edit on both replicas: local data
-					// the delta path must preserve through patches and
+					// the delta path must preserve through replays and
 					// fallbacks alike.
 					edit := randomTree(rng, 2).CanonicalString()
 					growDoc(viaDelta, "log", edit)

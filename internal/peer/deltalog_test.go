@@ -20,7 +20,7 @@ import (
 
 // logSyncScenario is one seed's configuration of the log-sync property.
 type logSyncScenario struct {
-	anchors int  // WithDeltaAnchors
+	anchors int  // the origin's anchors per document
 	logCap  int  // the origin's log byte cap (0: deltaLogBytes)
 	adopt   bool // the origin starts as a replica seed and adopts a marking
 	strict  bool // no eviction and no cap: every anchored sync after growth answers log
@@ -73,7 +73,8 @@ func runLogSync(t *testing.T, seed int64, sc logSyncScenario) (served map[string
 		src = `doc log = seed`
 	}
 	reg := obs.NewRegistry()
-	origin := mustOpen("origin", core.MustParseSystem(src), WithDeltaAnchors(sc.anchors), WithObservability(reg))
+	origin := mustOpen("origin", core.MustParseSystem(src), WithObservability(reg))
+	origin.anchors.max = sc.anchors
 	if sc.logCap > 0 {
 		origin.anchors.logCap = sc.logCap
 	}
@@ -241,7 +242,8 @@ func runLogSync(t *testing.T, seed int64, sc logSyncScenario) (served map[string
 // with exactly the records since it, strands anchors whose records the
 // cap dropped, and a whole-document change drops the log and anchors.
 func TestDeltaLogWindow(t *testing.T) {
-	da := newDeltaAnchors(2)
+	da := newDeltaAnchors()
+	da.max = 2
 	records := func(from string) int {
 		frames := da.since("d", from)
 		if frames == nil {

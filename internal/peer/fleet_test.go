@@ -217,7 +217,7 @@ func TestFleetChaosConvergence(t *testing.T) {
 	for round := 0; round < chaosRounds; round++ {
 		// Growth: a random owner of a random document learns something
 		// new — sometimes deep inside the shared sec subtree, so that
-		// concurrently diverged owners exchange spine patches whose bases
+		// concurrently diverged owners exchange graft records whose paths
 		// miss and force the full-pull fallback.
 		doc := docs[rng.Intn(len(docs))]
 		owners := f.ring.Owners(doc, f.rf)
@@ -340,7 +340,7 @@ func TestFleetChaosConvergence(t *testing.T) {
 		t.Fatal("no delta sync ever succeeded")
 	}
 	if f.reg.Counter("peer.mirror.delta_fallbacks").Value() == 0 {
-		t.Fatal("no diverged patch ever forced a full-pull fallback")
+		t.Fatal("no diverged record ever forced a full-pull fallback")
 	}
 	if f.reg.Counter("peer.antientropy.errors").Value() == 0 {
 		t.Fatal("fault injection never bit an anti-entropy pass")
@@ -445,7 +445,7 @@ func TestDeltaWireBytesSublinear(t *testing.T) {
 			batch = append(batch, entry(grown))
 		}
 		growDocBatch(remote, "log", batch)
-		if _, err := m.Sync(ctx, local); err != nil { // catch up (full or big patch)
+		if _, err := m.Sync(ctx, local); err != nil { // catch up (full or a long log)
 			t.Fatal(err)
 		}
 		// The measured step: one small growth against an anchored replica.

@@ -110,7 +110,7 @@ func servedEqualsFresh(t *testing.T, p *Peer, url string, envs []Envelope, step 
 			root := p.system.Document(name).Root
 			var err error
 			if docs[name], err = MarshalTree(root); err == nil {
-				fulls[name], err = MarshalDelta(Delta{Doc: name, Mode: DeltaFull, To: digestHex(root), Full: root})
+				fulls[name], err = marshalDelta(Delta{Doc: name, Mode: DeltaFull, To: digestHex(root), Full: root}, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -147,7 +147,8 @@ func TestMemoServedBytesMatchFreshEncoding(t *testing.T) {
 		reg := obs.NewRegistry()
 		p := mustOpen("memo", memoSystem(t), WithObservability(reg))
 		srv := httptest.NewServer(p.Handler())
-		origin := mustOpen("origin", core.MustParseSystem(`doc src = list{e{"0"}}`), WithDeltaAnchors(-1))
+		origin := mustOpen("origin", core.MustParseSystem(`doc src = list{e{"0"}}`))
+		origin.anchors.max = 0 // no anchor kept: every sync is a full pull
 		osrv := httptest.NewServer(origin.Handler())
 		push := subscribe(t, p, "in", "inbox")
 		mirror := &Mirror{Remote: osrv.URL, RemoteDoc: "src", LocalDoc: "replica"}

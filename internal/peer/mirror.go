@@ -22,10 +22,10 @@ import (
 // 2.1, so syncs are monotone and idempotent: replaying, duplicating or
 // interleaving them can only add information, never lose it. When the
 // remote cannot serve a delta (anchor evicted, first sync) or the local
-// replica diverged from the anchor (a record's path or a patch base
-// misses), Sync falls back to merging the full tree — the delta path is
-// an optimization over the same merge, never a different semantics. One
-// Mirror's syncs run one at a time.
+// replica diverged from the anchor (a record's path misses), Sync falls
+// back to merging the full tree — the delta path is an optimization over
+// the same merge, never a different semantics. One Mirror's syncs run one
+// at a time.
 type Mirror struct {
 	// Remote is the remote peer's base URL.
 	Remote string
@@ -63,11 +63,11 @@ func (m *Mirror) acked() string {
 
 // Sync synchronizes the replica once and reports whether it grew. It
 // requests a delta since the last acknowledged remote digest; the answer
-// is either nothing (already current), the origin's graft records (or a
-// digest-anchored patch) grafted in place, or the full tree merged by
-// System.Restore. Syncs record into the
-// peer's registry (peer.mirror.syncs/changed/errors/deltas/fallbacks,
-// sync_ns) and emit a "sync" span when the peer carries a tracer.
+// is either nothing (already current), the origin's graft records
+// replayed in place, or the full tree merged by System.Restore. Syncs
+// record into the peer's registry (peer.mirror.syncs/changed/errors/
+// deltas/fallbacks, sync_ns) and emit a "sync" span when the peer
+// carries a tracer.
 func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -91,13 +91,13 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	switch d.Mode {
 	case DeltaSame:
 		// Already current: nothing to merge.
-	case DeltaLog, DeltaPatch:
+	case DeltaLog:
 		changed, err = m.merge(p, d)
-		if errors.Is(err, errPatchMismatch) {
-			// The replica diverged from the anchor the records or the
-			// patch start from (local-only growth, a missed delivery, a
-			// restart): repair with a full pull. Records applied before
-			// the miss were exact origin growths.
+		if errors.Is(err, errDiverged) {
+			// The replica diverged from the anchor the records start from
+			// (local-only growth, a missed delivery, a restart): repair
+			// with a full pull. Records applied before the miss were exact
+			// origin growths.
 			p.metrics.Counter("peer.mirror.delta_fallbacks").Inc()
 			if d, err = remote.Delta(ctx, m.RemoteDoc, ""); err == nil {
 				if d.Mode != DeltaFull {
@@ -145,13 +145,17 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	return changed, nil
 }
 
+// errDiverged reports a record whose path has no counterpart in the
+// receiver's tree — the signal to fall back to a full pull.
+var errDiverged = errors.New("peer: delta does not resolve (tree diverged)")
+
 // merge brings a delta's payload into the local replica: a full tree by
 // least upper bound (System.Restore — the pre-delta sync semantics, and
-// the fallback every delta failure reduces to), records and a patch as
-// the grafts they resolve to (System.Append), so only what arrives is
-// stamped new. Records replay in order, each resolved against the state
-// its predecessors left; the first whose path does not resolve stops the
-// replay with errPatchMismatch, before anything of it is appended.
+// the fallback every delta failure reduces to), records as the grafts
+// they resolve to (System.Append), so only what arrives is stamped new.
+// Records replay in order, each resolved against the state its
+// predecessors left; the first whose path does not resolve stops the
+// replay with errDiverged, before anything of it is appended.
 func (m *Mirror) merge(p *Peer, d Delta) (changed bool, err error) {
 	p.System(func(s *core.System) {
 		if d.Mode == DeltaFull {
@@ -166,20 +170,11 @@ func (m *Mirror) merge(p *Peer, d Delta) (changed bool, err error) {
 		for _, r := range d.Log {
 			at, depth := resolveGraft(local.Root, r.Path)
 			if depth < len(r.Path) {
-				err = errPatchMismatch
+				err = errDiverged
 				return
 			}
 			var grew bool
 			if grew, err = s.Append(m.LocalDoc, at, r.Fresh); err != nil {
-				return
-			}
-			changed = changed || grew
-		}
-		var grafts []patchGraft
-		grafts, err = resolvePatch(local.Root, d.Patch)
-		for _, g := range grafts {
-			var grew bool
-			if grew, err = s.Append(m.LocalDoc, g.path[len(g.path)-1], g.adds); err != nil {
 				return
 			}
 			changed = changed || grew

@@ -15,14 +15,13 @@ type Option func(*config)
 
 // config collects the option-set state applied by Open.
 type config struct {
-	durability   Durability
-	client       *http.Client
-	maxWire      int64
-	errorPolicy  core.ErrorPolicy
-	metrics      *obs.Registry
-	tracer       *obs.Tracer
-	logger       *slog.Logger
-	deltaAnchors int
+	durability  Durability
+	client      *http.Client
+	maxWire     int64
+	errorPolicy core.ErrorPolicy
+	metrics     *obs.Registry
+	tracer      *obs.Tracer
+	logger      *slog.Logger
 }
 
 // WithDurability backs the peer with a write-ahead journal and snapshots
@@ -75,15 +74,4 @@ func WithTracer(tr *obs.Tracer) Option {
 // its own.
 func WithLogger(l *slog.Logger) Option {
 	return func(c *config) { c.logger = l }
-}
-
-// WithDeltaAnchors sets how many recently served states of each document
-// the peer remembers for delta replication (PathDelta). It bounds the
-// log window too: the peer keeps the graft records after the oldest
-// remembered state (under a fixed byte cap per document), so a receiver
-// whose anchor rotated out simply gets the full tree, and the bound
-// trades memory for wire bytes. 0 keeps the default (4); negative
-// disables delta serving entirely (every request answers full).
-func WithDeltaAnchors(n int) Option {
-	return func(c *config) { c.deltaAnchors = n }
 }

@@ -207,13 +207,17 @@ func Open(name string, s *core.System, opts ...Option) (*Peer, RecoveryInfo, err
 		tracer:      cfg.tracer,
 		logger:      obs.LoggerOr(cfg.logger),
 		converge:    newConvergence(),
+		anchors:     newDeltaAnchors(),
 		memo:        newMemo(cfg.metrics),
 		started:     time.Now(),
 	}
 	if cfg.metrics != nil {
-		// Live watermark gauges, evaluated at snapshot time.
+		// Live gauges, evaluated at snapshot time: the replication
+		// watermarks and the delta logs' size.
 		cfg.metrics.GaugeFunc("peer.converge.docs", p.converge.docsTracked)
 		cfg.metrics.GaugeFunc("peer.converge.behind", p.converge.docsBehind)
+		cfg.metrics.GaugeFunc("peer.delta.log_records", func() int64 { n, _ := p.anchors.size(""); return n })
+		cfg.metrics.GaugeFunc("peer.delta.log_bytes", func() int64 { _, n := p.anchors.size(""); return n })
 		if cfg.tracer != nil {
 			// A silently failing or sampling tracer is itself an
 			// observability incident; surface both in the registry.
@@ -227,21 +231,10 @@ func Open(name string, s *core.System, opts ...Option) (*Peer, RecoveryInfo, err
 			})
 		}
 	}
-	switch {
-	case cfg.deltaAnchors < 0: // delta serving disabled
-	case cfg.deltaAnchors == 0:
-		p.anchors = newDeltaAnchors(defaultDeltaAnchors)
-	default:
-		p.anchors = newDeltaAnchors(cfg.deltaAnchors)
-	}
 	if info.Recovered {
 		p.logger.Info("peer recovered",
 			"peer", name, "snapshot_seq", info.SnapshotSeq,
 			"replayed", info.Replayed, "torn", info.Torn)
-	}
-	if cfg.metrics != nil && p.anchors != nil {
-		cfg.metrics.GaugeFunc("peer.delta.log_records", func() int64 { n, _ := p.anchors.size(""); return n })
-		cfg.metrics.GaugeFunc("peer.delta.log_bytes", func() int64 { _, n := p.anchors.size(""); return n })
 	}
 	p.store = st
 	// The hook fires inside every growth, which all run under the

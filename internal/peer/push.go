@@ -2,7 +2,6 @@ package peer
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -26,24 +25,25 @@ import (
 // subscribed call's parent — exactly where a pull-mode invocation would
 // have appended them, so both modes converge to the same documents.
 //
-// Deliveries are digest-anchored: each POST names the hash chain of
-// everything the publisher believes the subscriber accepted so far. A
-// subscriber whose state disagrees (it crashed and lost deliveries, or a
-// delivery was duplicated out of band) answers 409 Conflict, and the
-// publisher falls back to re-pushing the full accumulated forest —
-// monotone merge makes over-delivery safe, so the fallback can only
-// repair, never corrupt.
+// Deliveries are anchored by digest, like a mirror's syncs: each
+// subscription keeps a private view, the reduced union of every answer
+// served to it (grown by subsume.Graft), and the digest of the view its
+// subscriber acknowledged. A delivery of Graft's fresh trees names that
+// digest as its anchor; a subscriber holding another view (it restarted,
+// or a delivery was lost or duplicated) answers 409 Conflict. The first
+// delivery, one after an unacknowledged delivery and one after a 409
+// send the whole view with no anchor — monotone merge makes over-delivery
+// safe, so the fallback can only repair, never corrupt.
 
 // PathPush is the subscriber's callback endpoint.
 const PathPush = "/axml/push/"
 
-// Push negotiation headers. Anchor is the hash chain the subscriber must
-// currently hold for a delta delivery to apply ("" for the first or a
-// full delivery); Ack is the chain value after accepting this delivery;
-// Mode is "delta" or "full". Requests without a Mode header (legacy
-// senders) are accepted without negotiation.
+// Push headers, both view digests. Anchor is the view the subscriber must
+// hold for the delivery to apply (empty for a whole view); Ack is the
+// view after accepting it. A request without an Ack (Client.Push) is
+// appended without negotiation and leaves the subscriber's view as it
+// was.
 const (
-	headerPushMode   = "X-Axml-Push-Mode"
 	headerPushAnchor = "X-Axml-Push-Anchor"
 	headerPushAck    = "X-Axml-Push-Ack"
 )
@@ -51,7 +51,8 @@ const (
 // Publisher manages subscriptions on top of a Peer. Deliveries leave
 // through the peer's Client (Peer.remote: its WithClient transport, its
 // WithLimits cap) and are retried under core's one backoff policy
-// (core.Retry.Backoff, without jitter).
+// (core.Retry.Backoff, without jitter). Flushes may overlap: one
+// subscription's deliveries run one at a time.
 type Publisher struct {
 	peer *Peer
 
@@ -76,13 +77,17 @@ type subscription struct {
 	id       string
 	env      Envelope
 	callback string
-	sent     tree.Forest
-	// sentDigests holds the digest of every tree in sent: a re-served
-	// tree isomorphic to one already sent is dropped without a check.
-	sentDigests map[tree.Hash]struct{}
-	// chain is the delivery hash chain the publisher believes the
-	// subscriber holds — the anchor of the next delta delivery.
-	chain string
+
+	// mu serializes the subscription's deliveries, which read and write
+	// view and acked.
+	mu sync.Mutex
+	// view is the reduced union of every answer served so far. It is the
+	// subscription's own tree, not a document of the peer's System: no
+	// sweep fires its calls, and no digest, journal or snapshot sees it.
+	view *tree.Node
+	// acked is the view digest the subscriber acknowledged last; a
+	// delivery is anchored only while it is the pre-graft view's.
+	acked string
 }
 
 // NewPublisher wraps a peer.
@@ -94,7 +99,7 @@ func (pb *Publisher) Subscribe(id string, env Envelope, callbackURL string) {
 	pb.mu.Lock()
 	defer pb.mu.Unlock()
 	pb.subs = append(pb.subs, &subscription{id: id, env: env, callback: callbackURL,
-		sentDigests: make(map[tree.Hash]struct{})})
+		view: tree.NewLabel("view")})
 }
 
 // Failures returns a snapshot of the per-subscription count of failed
@@ -121,26 +126,17 @@ func (pb *Publisher) recordFailure(id string) {
 	pb.peer.metrics.Counter("peer.push.fail." + id).Inc()
 }
 
-// chainDigest advances the delivery hash chain over one payload.
-func chainDigest(prev string, payload []byte) string {
-	h := sha256.New()
-	io.WriteString(h, prev)
-	h.Write([]byte{0})
-	h.Write(payload)
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
-}
-
-// Flush re-evaluates every subscription and pushes the trees not yet
-// sent. It returns the number of trees pushed. A failed delivery is
-// retried with capped exponential backoff (Retries/RetryBase); a
+// Flush re-evaluates every subscription and pushes the trees its view
+// did not hold. It returns the number of trees pushed. A failed delivery
+// is retried with capped exponential backoff (Retries/RetryBase); a
 // subscription whose retries are exhausted is skipped — its error is
 // joined into the returned error and its failure count recorded
 // (Failures, peer.push.fail.<id>) — so one dead subscriber does not
-// starve the rest. A 409 from the subscriber (its state diverged from
-// the publisher's anchor) triggers a full re-push of the accumulated
-// forest. Deliveries record into the publishing peer's registry
-// (peer.push.flushes/pushed/errors/conflicts) and emit one "push" span
-// per delivering subscription.
+// starve the rest, and its next delivery is its whole view. A 409 from
+// the subscriber (it holds another view than the anchor) triggers a push
+// of the whole view. Deliveries record into the publishing peer's
+// registry (peer.push.flushes/pushed/errors/conflicts) and emit one
+// "push" span per delivering subscription.
 func (pb *Publisher) Flush(ctx context.Context) (int, error) {
 	pb.mu.Lock()
 	subs := append([]*subscription(nil), pb.subs...)
@@ -165,15 +161,19 @@ func (pb *Publisher) Flush(ctx context.Context) (int, error) {
 }
 
 func (pb *Publisher) flushOne(ctx context.Context, sub *subscription) (int, error) {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
 	forest, err := pb.peer.Serve(ctx, sub.env)
 	if err != nil {
 		return 0, err
 	}
-	var fresh tree.Forest
-	for _, t := range forest {
-		if _, dup := sub.sentDigests[t.Digest()]; !dup && !subsume.ForestSubsumed(tree.Forest{t}, sub.sent) {
-			fresh = append(fresh, t)
-		}
+	anchor := digestHex(sub.view)
+	fresh, _ := subsume.Graft([]*tree.Node{sub.view}, forest)
+	ack := digestHex(sub.view)
+	if sub.acked != anchor {
+		// The subscriber's view is unknown: the first delivery, or the
+		// last one failed or was refused.
+		fresh, anchor = sub.view.Children, ""
 	}
 	if len(fresh) == 0 {
 		return 0, nil
@@ -190,7 +190,6 @@ func (pb *Publisher) flushOne(ctx context.Context, sub *subscription) (int, erro
 		pushSC = parent.NewChild()
 		ctx = obs.ContextWithSpan(ctx, pushSC)
 	}
-	mode, anchor := "delta", sub.chain
 	start := time.Now()
 	startTS := pb.peer.tracer.Now()
 	attempts := core.DefaultRetryAttempts
@@ -207,15 +206,10 @@ func (pb *Publisher) flushOne(ctx context.Context, sub *subscription) (int, erro
 			}
 			pb.peer.metrics.Counter("peer.push.retries").Inc()
 		}
-		ack := chainDigest(anchor, data)
 		_, _, err := client.call(ctx, "push to "+sub.callback, http.MethodPost, PathPush+sub.id, "application/xml", data,
-			headerPushMode, mode, headerPushAnchor, anchor, headerPushAck, ack)
+			headerPushAnchor, anchor, headerPushAck, ack)
 		if err == nil {
-			for _, t := range fresh {
-				sub.sentDigests[t.Digest()] = struct{}{}
-			}
-			sub.sent = append(sub.sent, fresh...)
-			sub.chain = ack
+			sub.acked = ack
 			pb.peer.metrics.Counter("peer.push.pushed").Add(int64(len(fresh)))
 			if tr := pb.peer.tracer; tr.Enabled() {
 				tr.Emit(obs.Span{Kind: "push", Name: sub.id, TSUs: startTS,
@@ -226,19 +220,17 @@ func (pb *Publisher) flushOne(ctx context.Context, sub *subscription) (int, erro
 		}
 		lastErr = err
 		var refused *statusError
-		if mode == "delta" && errors.As(err, &refused) && refused.code == http.StatusConflict {
-			// The subscriber's state diverged from our anchor (it restarted,
-			// or a delivery was lost/duplicated): re-push everything we ever
-			// sent plus the fresh trees, anchorless. The subscriber resets
-			// its chain; the monotone merge dedups anything it still had.
-			// The conflict answer consumed an attempt; the full re-push
-			// starts after the next backoff.
+		if anchor != "" && errors.As(err, &refused) && refused.code == http.StatusConflict {
+			// The subscriber holds another view (it restarted, or a
+			// delivery was lost or duplicated): push the whole view,
+			// unanchored; the monotone merge dedups anything it still
+			// had. The conflict answer consumed an attempt; the whole view
+			// goes after the next backoff.
 			pb.peer.metrics.Counter("peer.push.conflicts").Inc()
-			full := append(append(tree.Forest(nil), sub.sent...), fresh...)
-			if data, err = MarshalForest(full); err != nil {
+			fresh, anchor = sub.view.Children, ""
+			if data, err = MarshalForest(fresh); err != nil {
 				return 0, err
 			}
-			mode, anchor = "full", ""
 		}
 	}
 	return 0, lastErr
@@ -251,24 +243,27 @@ type Subscriber struct {
 
 	mu      sync.Mutex
 	targets map[string]pushTarget
-	chains  map[string]string
 }
 
 type pushTarget struct {
 	doc  string
 	node *tree.Node // attachment parent inside the document
+	// view is the publisher's view digest the last negotiated delivery
+	// acknowledged: what an anchored delivery must name.
+	view string
 }
 
 // NewSubscriber wraps a peer.
 func NewSubscriber(p *Peer) *Subscriber {
-	return &Subscriber{peer: p, targets: map[string]pushTarget{}, chains: map[string]string{}}
+	return &Subscriber{peer: p, targets: map[string]pushTarget{}}
 }
 
 // Register binds a subscription id to an attachment parent inside a
 // document: pushed trees are merged in as children of that node
 // (System.Append) — the same effect as a pull-mode invocation at a call
 // under that parent. A delivery whose document or attachment node is gone
-// is refused, not acknowledged.
+// is refused, not acknowledged. The node holds no view yet, so the next
+// anchored delivery is refused and the publisher sends its whole view.
 func (sb *Subscriber) Register(id, doc string, parent *tree.Node) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
@@ -288,18 +283,16 @@ func (sb *Subscriber) handlePush(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Path[len(PathPush):]
 	sb.mu.Lock()
 	target, ok := sb.targets[id]
-	chain := sb.chains[id]
 	sb.mu.Unlock()
 	if !ok {
 		http.Error(w, "unknown subscription", http.StatusNotFound)
 		return
 	}
-	// Digest-anchored negotiation: a delta delivery applies only on top of
-	// the exact chain of deliveries the publisher believes we accepted. A
-	// mismatch — we restarted, or deliveries were dropped/duplicated — is
-	// answered 409 so the publisher re-pushes the full forest instead.
-	mode := r.Header.Get(headerPushMode)
-	if mode == "delta" && r.Header.Get(headerPushAnchor) != chain {
+	// An anchored delivery carries only the growth of the view we
+	// acknowledged. Holding another view — we restarted, or deliveries
+	// were lost or duplicated — is answered 409 so the publisher sends
+	// its whole view instead.
+	if anchor := r.Header.Get(headerPushAnchor); anchor != "" && anchor != target.view {
 		sb.peer.metrics.Counter("peer.push.rejected").Inc()
 		http.Error(w, "push anchor mismatch", http.StatusConflict)
 		return
@@ -323,19 +316,22 @@ func (sb *Subscriber) handlePush(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The document is gone, or the registered attachment node no longer
 		// belongs to it: nothing was applied, so nothing may be acknowledged
-		// — the chain stays where it was and the publisher keeps the trees
-		// as unsent. Not a 409: re-pushing everything would not help.
+		// — the view stays where it was and the publisher sends its whole
+		// view next. Not a 409: sending it now would not help.
 		sb.peer.metrics.Counter("peer.push.rejected").Inc()
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	// Convergence watermark: a push reveals no origin digest (the chain
-	// anchors payload history, not document state), but it does advance
-	// the local replica — record the movement.
+	// Convergence watermark: a push reveals no origin digest (the view is
+	// the publisher's, not a document's), but it does advance the local
+	// replica — record the movement.
 	sb.peer.converge.observe(sb.peer.metrics, target.doc, "", localDigest, changed)
-	if mode != "" {
+	if ack := r.Header.Get(headerPushAck); ack != "" {
 		sb.mu.Lock()
-		sb.chains[id] = r.Header.Get(headerPushAck)
+		if t, ok := sb.targets[id]; ok && t.node == target.node {
+			t.view = ack
+			sb.targets[id] = t
+		}
 		sb.mu.Unlock()
 	}
 	sb.peer.metrics.Counter("peer.push.delivered").Add(int64(len(forest)))

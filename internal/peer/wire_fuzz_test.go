@@ -89,11 +89,12 @@ func FuzzUnmarshalTree(f *testing.F) {
 // FuzzUnmarshalDelta: replicas feed whatever a remote peer sends
 // straight into UnmarshalDelta and then mutate local state from it, so
 // the parser must reject garbage without panicking, and every accepted
-// record must re-marshal to a stable wire form (the encoder orders
-// spines before adds, so one decode/encode round canonicalizes and the
-// second must be a fixpoint). A log answer's decoded records must
-// re-encode through marshalGraftRecord to exactly the bytes of their
-// frames in that stable form.
+// record must re-marshal to a stable wire form (one decode/encode round
+// canonicalizes and the second must be a fixpoint). A log answer's
+// decoded records must re-encode through marshalGraftRecord to exactly
+// the bytes of their frames in that stable form. The patch-mode seeds
+// (mode="delta", ax:patch, the recorded patch delta) are inputs the
+// parser must refuse.
 func FuzzUnmarshalDelta(f *testing.F) {
 	seeds := []string{
 		``,
@@ -141,7 +142,10 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		if err != nil {
 			return // malformed input rejected: fine, as long as no panic
 		}
-		out, err := MarshalDelta(d)
+		if d.Mode != DeltaSame && d.Mode != DeltaFull && d.Mode != DeltaLog {
+			t.Fatalf("accepted a delta in mode %q (input %q)", d.Mode, data)
+		}
+		out, err := encodeDelta(d)
 		if err != nil {
 			t.Fatalf("parsed delta does not re-marshal: %v (input %q)", err, data)
 		}
@@ -149,7 +153,7 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshaled delta does not re-parse: %v (wire %q)", err, out)
 		}
-		again, err := MarshalDelta(back)
+		again, err := encodeDelta(back)
 		if err != nil {
 			t.Fatalf("re-parsed delta does not re-marshal: %v (wire %q)", err, out)
 		}

@@ -476,18 +476,11 @@ func xmlUnmarshalEnvelope(data []byte) (Envelope, error) {
 	}
 }
 
-// xmlMarshalDelta renders a delta record:
+// xmlMarshalDelta renders a delta record in same or full mode:
 //
-//	<ax:delta name="doc" mode="same|full|delta" [from="hex"] to="hex">
+//	<ax:delta name="doc" mode="same|full" [from="hex"] to="hex">
 //	  full mode:  one tree
-//	  delta mode: one ax:patch element
 //	</ax:delta>
-//
-// and a patch node as
-//
-//	<ax:patch kind="label|func" name="n" base="hex">
-//	  nested ax:patch spines, then added trees
-//	</ax:patch>
 func xmlMarshalDelta(d Delta) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := xml.NewEncoder(&buf)
@@ -512,13 +505,6 @@ func xmlMarshalDelta(d Delta) ([]byte, error) {
 		if err := encodeNode(enc, d.Full); err != nil {
 			return nil, err
 		}
-	case DeltaPatch:
-		if d.Patch == nil {
-			return nil, fmt.Errorf("peer: patch delta without patch")
-		}
-		if err := encodePatch(enc, d.Patch); err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("peer: unknown delta mode %q", d.Mode)
 	}
@@ -529,32 +515,6 @@ func xmlMarshalDelta(d Delta) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-func encodePatch(enc *xml.Encoder, p *Patch) error {
-	kind := "label"
-	if p.Kind == tree.Func {
-		kind = "func"
-	}
-	start := xml.StartElement{Name: xml.Name{Local: elemPatch}, Attr: []xml.Attr{
-		{Name: xml.Name{Local: attrKind}, Value: kind},
-		{Name: xml.Name{Local: attrName}, Value: p.Name},
-		{Name: xml.Name{Local: attrBase}, Value: p.Base},
-	}}
-	if err := enc.EncodeToken(start); err != nil {
-		return err
-	}
-	for _, sp := range p.Spines {
-		if err := encodePatch(enc, sp); err != nil {
-			return err
-		}
-	}
-	for _, a := range p.Adds {
-		if err := encodeNode(enc, a); err != nil {
-			return err
-		}
-	}
-	return enc.EncodeToken(start.End())
 }
 
 // xmlUnmarshalDelta parses a delta record.
@@ -593,101 +553,8 @@ func xmlUnmarshalDelta(data []byte) (Delta, error) {
 		}
 		d.Full = n
 		return d, nil
-	case DeltaPatch:
-		p, err := decodeNextPatch(dec)
-		if err != nil {
-			return d, err
-		}
-		if p == nil {
-			return d, fmt.Errorf("peer: patch delta without patch")
-		}
-		d.Patch = p
-		return d, nil
 	default:
 		return d, fmt.Errorf("peer: unknown delta mode %q", d.Mode)
-	}
-}
-
-// decodeNextPatch reads the next ax:patch element, skipping whitespace;
-// returns nil at end of the enclosing element.
-func decodeNextPatch(dec *xml.Decoder) (*Patch, error) {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if wireName(t.Name) != elemPatch {
-				return nil, fmt.Errorf("peer: expected %s, found %s", elemPatch, wireName(t.Name))
-			}
-			return decodePatchElement(dec, t)
-		case xml.EndElement:
-			return nil, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) != 0 {
-				return nil, fmt.Errorf("peer: unexpected character data %q in patch", string(t))
-			}
-		}
-	}
-}
-
-func decodePatchElement(dec *xml.Decoder, start xml.StartElement) (*Patch, error) {
-	p := &Patch{}
-	kind := ""
-	for _, a := range start.Attr {
-		switch a.Name.Local {
-		case attrKind:
-			kind = a.Value
-		case attrName:
-			p.Name = a.Value
-		case attrBase:
-			p.Base = a.Value
-		}
-	}
-	switch kind {
-	case "label":
-		p.Kind = tree.Label
-		if !xmlWireLabel(p.Name) {
-			return nil, fmt.Errorf("peer: patch label %q does not round-trip", p.Name)
-		}
-	case "func":
-		p.Kind = tree.Func
-		if p.Name == "" {
-			return nil, fmt.Errorf("peer: func patch without service name")
-		}
-	default:
-		return nil, fmt.Errorf("peer: patch kind %q (want label or func)", kind)
-	}
-	// Children: spines (ax:patch) come first, then added trees — but
-	// accept any interleaving on decode (the split is by element name).
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if wireName(t.Name) == elemPatch {
-				sp, err := decodePatchElement(dec, t)
-				if err != nil {
-					return nil, err
-				}
-				p.Spines = append(p.Spines, sp)
-				continue
-			}
-			n, err := decodeElement(dec, t)
-			if err != nil {
-				return nil, err
-			}
-			p.Adds = append(p.Adds, n)
-		case xml.EndElement:
-			return p, nil
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) != 0 {
-				return nil, fmt.Errorf("peer: unexpected character data %q in patch", string(t))
-			}
-		}
 	}
 }
 
@@ -770,10 +637,8 @@ func rejectionClass(data []byte, root string) string {
 			case parent.elem == elemValue:
 				ok = false
 			case parent.elem == elemDelta:
-				ok = parent.n == 1 && (parent.mode == DeltaFull && isTree || parent.mode == DeltaPatch && name == elemPatch)
-			case parent.elem == elemPatch && name == elemPatch:
-				ok = true
-			case !isTree: // a tree position: ax:forest, ax:doc, a part, a patch, a label or a call
+				ok = parent.n == 1 && parent.mode == DeltaFull && isTree
+			case !isTree: // a tree position: ax:forest, ax:doc, a part, a label or a call
 				return classPrefix
 			default:
 				single := parent.elem == elemDoc || parent.elem == elemInput || parent.elem == elemContext
@@ -782,8 +647,7 @@ func rejectionClass(data []byte, root string) string {
 			switch {
 			case !ok:
 				return classStructure
-			case t.Name.Space == "" && !validLabel(name),
-				name == elemPatch && attr(attrKind) == "label" && !validLabel(attr(attrName)):
+			case t.Name.Space == "" && !validLabel(name):
 				return classLabel
 			}
 			stack = append(stack, &frame{elem: name, mode: attr(attrMode), parts: map[string]bool{}})

@@ -12,8 +12,8 @@
 # encoding/xml in product code, a freshness filter after a join, a
 # graft record encoded twice, a tree in the delta anchor cache, an
 # index built outside its one constructor site, a document encoded
-# outside the served-bytes memo, and a second load driver beside the
-# benchmark's fleet-serve workload.
+# outside the served-bytes memo, a second load driver beside the
+# benchmark's fleet-serve workload, and a second replication dialect.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -340,18 +340,17 @@ if [ -n "$badnewfilter" ]; then
 fi
 # One encoding per growth: the mutation hook (Peer.mutated) encodes each
 # growth once, through marshalGraftRecord, and the journal and the delta
-# log keep the same bytes; MarshalDelta re-encodes only a log answer's
-# decoded records. A second call site, or a graft step appended outside
-# the encoder, is a second encoding of the same growth.
+# log keep the same bytes. A second call site, or a graft step appended
+# outside the encoder, is a second encoding of the same growth.
 badgraftenc=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
     /^func / { fn = $0 }
     /^[[:space:]]*\/\// { next }
-    /(^|[^A-Za-z])marshalGraftRecord\(/ && fn !~ /^func (marshalGraftRecord|MarshalDelta)\(|^func \(p \*Peer\) mutated\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    /(^|[^A-Za-z])marshalGraftRecord\(/ && fn !~ /^func marshalGraftRecord\(|^func \(p \*Peer\) mutated\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
     /Digest\[:graftDigestLen\]\.\.\./ && fn !~ /^func marshalGraftRecord\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
     ' {} +)
 
 if [ -n "$badgraftenc" ]; then
-    echo "vet-obs: a graft record encoded outside the mutation hook (marshalGraftRecord in Peer.mutated; MarshalDelta for decoded records only):" >&2
+    echo "vet-obs: a graft record encoded outside the mutation hook (marshalGraftRecord in Peer.mutated):" >&2
     echo "$badgraftenc" >&2
     exit 1
 fi
@@ -428,6 +427,21 @@ badloadgen=$( {
 if [ -n "$badloadgen" ]; then
     echo "vet-obs: a second load driver (internal/loadgen holds only schedule.go, imported only by benchmark/; drive a fleet through go run ./benchmark -workload fleet-serve):" >&2
     echo "$badloadgen" >&2
+    exit 1
+fi
+# One replication dialect: /axml/delta answers same, log or full, and a
+# push is anchored at the digest of its subscription's view. The patch
+# mode on the wire (mode "delta", ax:patch), the push hash chain and its
+# mode header, and the anchor-cache knob that could switch delta serving
+# off are gone; none may grow back in non-test Go.
+badreplication=$(grep -rn --include='*.go' -E 'chainDigest|X-Axml-Push-Mode|ax:patch|DeltaPatch|WithDeltaAnchors' internal/ cmd/ \
+    | grep -v '_test\.go:' \
+    | grep -vE ':[0-9]+:[[:space:]]*//' \
+    || true)
+
+if [ -n "$badreplication" ]; then
+    echo "vet-obs: a second replication dialect (the patch wire mode, the push hash chain or the delta-anchor knob; deltas answer same | log | full, pushes anchor by view digest):" >&2
+    echo "$badreplication" >&2
     exit 1
 fi
 echo "vet-obs: ok"
