@@ -50,13 +50,16 @@ loc:
 # at a width above the core count, first matches racing to build a
 # document's index, the served-bytes memo's fills racing its drops, a
 # document added at runtime recovering, and overlapping Flushes of one
-# publisher.
+# publisher. The batch tests run there too: a sweep's batch holds the read
+# side across its round trip while self-calls, peer cycles and memo fills
+# are served beside it.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,4 ./internal/core ./internal/pattern ./internal/peer -run 'Restore|Adopt|Lazy|Index|Recover|Snapshot|Subscriber|Publisher|Memo|AddDocument' -count=1
+	$(GO) test -race -cpu 1,4 ./internal/core ./internal/pattern ./internal/peer -run 'Restore|Adopt|Lazy|Index|Recover|Snapshot|Subscriber|Publisher|Memo|AddDocument|Batch' -count=1
 
 # Short-budget coverage-guided fuzzing of the wire parsers serving and
-# recovery depend on (each checked against the encoding/xml oracle), of
+# recovery depend on (each checked against the encoding/xml oracle; the
+# batch target reads both a batch request and its answers), of
 # graft-record replay itself, the digest cache
 # stability target, the keyed join against the nested-loop join,
 # pathexpr's snapshot against the query evaluator on path-free queries, and
@@ -65,6 +68,7 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalTree$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalEnvelope$$' -fuzztime=5s
+	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalBatch$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalDelta$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzReplayGraftRecord$$' -fuzztime=5s
 	$(GO) test ./internal/peer -run='^$$' -fuzz='^FuzzUnmarshalSnapshot$$' -fuzztime=5s

@@ -11,15 +11,17 @@ import (
 )
 
 // engine executes one RunContext. There is one firing path — fire: the
-// sterile-call gate, a semi-naive evaluation under the system's read
-// lock, the merge under its write lock — and two schedules that decide
-// which call goes through it next:
+// sterile-call gate (admit), a semi-naive evaluation under the system's
+// read lock, the merge under its write lock (commit) — and two schedules
+// that decide which call goes through it next:
 //
 //   - the sweep (runSweeps, below): one goroutine attempts every call
 //     present at the start of a sweep, in scheduler order, until a whole
 //     sweep changes nothing. Deterministic counters and intermediate
 //     states; taken at Parallelism 1 and by any run with a MaxSweeps
-//     budget, which only a sweeping run can honour.
+//     budget, which only a sweeping run can honour. Its calls to one
+//     batchable service go through the gate and the commit together,
+//     around one evaluation (fireBatch).
 //   - the worklist (incremental.go): Parallelism workers drain a FIFO
 //     of call nodes fed by merge events through a reverse dependency
 //     index; a call is attempted only when something it reads moved.
@@ -85,17 +87,21 @@ type engine struct {
 	// Index hit/miss baseline at run start (delta reporting).
 	ixHits0, ixMisses0, ixBuilds0 uint64
 
-	mu         sync.Mutex // guards the fields below
-	res        RunResult
-	sterile    int // calls skipped by the version gate
-	deltaEvals int // evaluations that ran semi-naively against a delta
-	seen       map[*tree.Node]gate
-	stop       bool // budget exhausted or fail-fast: drain, then return
+	mu                    sync.Mutex // guards the fields below
+	res                   RunResult
+	sterile               int // calls skipped by the version gate
+	deltaEvals            int // evaluations that ran semi-naively against a delta
+	batches, callsBatched int // fireBatch's batches and their calls
+	seen                  map[*tree.Node]gate
+	stop                  bool // budget exhausted or fail-fast: drain, then return
 
 	// tokens holds one entry per Versioned service, fixed at run start
 	// (services are immutable during a run); each reads its token at most
 	// once per run (token).
 	tokens map[string]*runToken
+
+	// batch names the batchable services, fixed at run start like tokens.
+	batch map[string]bool
 
 	// ev is the worklist schedule's state (incremental.go); nil in a
 	// sweeping run.
@@ -180,10 +186,14 @@ func newEngine(s *System, opts RunOptions) *engine {
 	// Touch and Restore rebuild the index table under the write side.
 	var ih, im, ib uint64
 	var tokens map[string]*runToken
+	batch := make(map[string]bool)
 	s.View(func() {
 		ih, im = s.IndexStats()
 		ib = s.IndexBuilds()
 		for _, name := range s.funcNames {
+			if batchable(s.funcs[name]) {
+				batch[name] = true
+			}
 			if v, ok := Innermost(s.funcs[name]).(Versioned); ok {
 				if tokens == nil {
 					tokens = make(map[string]*runToken)
@@ -219,6 +229,7 @@ func newEngine(s *System, opts RunOptions) *engine {
 		// committed gate (System.gate).
 		seen:   make(map[*tree.Node]gate),
 		tokens: tokens,
+		batch:  batch,
 	}
 }
 
@@ -264,11 +275,18 @@ func (e *engine) runSweeps(ctx context.Context) RunResult {
 		if e.tracer != nil {
 			sweepSC = e.root.NewChild()
 		}
-		for _, c := range pending {
+		batched := make(map[string]bool) // batchable services fired this sweep
+		for i, c := range pending {
 			if e.stopped() || ctx.Err() != nil {
 				break
 			}
-			e.fire(ctx, sweepSC, c)
+			switch name := c.Node.Name; {
+			case !e.batch[name]:
+				e.fire(ctx, sweepSC, c)
+			case !batched[name]:
+				batched[name] = true
+				e.fireBatch(ctx, sweepSC, name, pending[i:])
+			}
 		}
 
 		e.mu.Lock()
@@ -357,6 +375,8 @@ func (e *engine) result() RunResult {
 		CallsFired:   res.Attempts,
 		CallsSterile: e.sterile,
 		DeltaEvals:   e.deltaEvals,
+		Batches:      e.batches,
+		CallsBatched: e.callsBatched,
 		Eval:         e.evalH.Snapshot(),
 		MergeWait:    e.mergeWaitH.Snapshot(),
 		ReaderWaits:  rw - e.lockR0,
@@ -388,6 +408,8 @@ func (e *engine) publishLocked(res RunResult) {
 	reg.Counter("engine.calls.sterile").Add(int64(res.Stats.CallsSterile))
 	reg.Counter("engine.calls.failed").Add(int64(res.Failures))
 	reg.Counter("engine.delta_evals").Add(int64(res.Stats.DeltaEvals))
+	reg.Counter("engine.batches").Add(int64(res.Stats.Batches))
+	reg.Counter("engine.calls.batched").Add(int64(res.Stats.CallsBatched))
 	reg.Counter("engine.enqueues").Add(int64(res.Stats.Enqueues))
 	reg.Counter("engine.enqueues.coalesced").Add(int64(res.Stats.EnqueuesCoalesced))
 	reg.Counter("engine.lock.reader_waits").Add(int64(res.Stats.ReaderWaits))
@@ -403,12 +425,31 @@ func (e *engine) publishLocked(res RunResult) {
 	}
 }
 
+// admitted is a call the gate let through, with its gate, whether that
+// outlives the run, and its delta baseline.
+type admitted struct {
+	c     Call
+	g     gate
+	lasts bool
+	since map[string]uint64
+}
+
 // fire is the single firing path, run without engine.mu held: the
-// sterile-call gate, the evaluation under the read lock (any number at a
-// time), the merge under the write lock (the version funnel). parent is
-// the enclosing sweep's or drain's span context; the call span is its
-// child and the evaluation context carries the call span, so a remote
-// service invocation continues the trace on the other peer.
+// sterile-call gate (admit), the evaluation under the read lock (any
+// number at a time), the merge under the write lock (commit, the version
+// funnel). parent is the enclosing sweep's or drain's span context; the
+// call span is its child and the evaluation context carries the call
+// span, so a remote service invocation continues the trace on the other
+// peer.
+func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
+	if a, ok := e.admit(ctx, c); ok {
+		e.fireAdmitted(ctx, parent, a)
+	}
+}
+
+// admit is the firing path's gate: it reports false, having counted or
+// forgotten the call, when the run stopped, reduction pruned the call
+// node or the call is sterile; otherwise it counts the attempt.
 //
 // The gate's version read and its seen-map update are not atomic with
 // respect to racing merges; the race is benign and one-sided — a merge
@@ -419,7 +460,7 @@ func (e *engine) publishLocked(res RunResult) {
 // never a missed result.) The same argument covers the committed gate:
 // the gate committed at a merge was read before the evaluation it gates,
 // so it is never newer than the state that evaluation saw.
-func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
+func (e *engine) admit(ctx context.Context, c Call) (admitted, bool) {
 	s := e.s
 	tok := e.token(ctx, c.Node.Name)
 	e.rlock()
@@ -427,15 +468,14 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 	att := s.Attached(c)
 	s.engineMu.RUnlock()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.stop {
-		e.mu.Unlock()
-		return
+		return admitted{}, false
 	}
 	if !att {
 		// Reduction pruned the node after the schedule picked the call.
 		e.forgetLocked(c.Node)
-		e.mu.Unlock()
-		return
+		return admitted{}, false
 	}
 	prev, evaluated := e.seen[c.Node]
 	sterile := evaluated && prev.equal(g)
@@ -450,8 +490,7 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 	e.seen[c.Node] = g
 	if sterile {
 		e.sterile++
-		e.mu.Unlock()
-		return
+		return admitted{}, false
 	}
 	e.res.Attempts++
 	// The previous attempt's vector is the delta baseline: declarative
@@ -460,8 +499,11 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 	if since != nil {
 		e.deltaEvals++
 	}
-	e.mu.Unlock()
+	return admitted{c, g, lasts, since}, true
+}
 
+// fireAdmitted evaluates an admitted call and commits the answer.
+func (e *engine) fireAdmitted(ctx context.Context, parent obs.SpanContext, a admitted) {
 	var callSC obs.SpanContext
 	if e.tracer != nil {
 		callSC = parent.NewChild()
@@ -470,14 +512,14 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 	callTS := e.tracer.Now()
 	evalStart := time.Now()
 	e.rlock()
-	forest, err := s.evaluateSince(ctx, c, since)
-	s.engineMu.RUnlock()
+	forest, err := e.s.evaluateSince(ctx, a.c, a.since)
+	e.s.engineMu.RUnlock()
 	evalDur := time.Since(evalStart)
 	e.evalH.Observe(int64(evalDur))
 	if e.tracer != nil {
 		span := obs.Span{
 			Kind:  "call",
-			Name:  c.Node.Name,
+			Name:  a.c.Node.Name,
 			TSUs:  callTS,
 			DurUs: int64(evalDur / time.Microsecond),
 		}.WithContext(callSC, parent)
@@ -486,11 +528,75 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 		}
 		e.tracer.Emit(span)
 	}
+	e.commit(ctx, callSC, a, forest, err)
+}
+
+// fireBatch fires the calls named name in pending (the sweep from the
+// first of them on) as one batch: each goes through admit, one
+// InvokeBatch answers the admitted ones under one read lock, and each
+// answer is committed in scheduler order. A group of one fires singly.
+// Theorem 2.1 licenses the grouping (DESIGN.md, "Batches").
+func (e *engine) fireBatch(ctx context.Context, parent obs.SpanContext, name string, pending []Call) {
+	var as []admitted
+	for _, c := range pending {
+		if c.Node.Name != name {
+			continue
+		}
+		if a, ok := e.admit(ctx, c); ok {
+			as = append(as, a)
+		}
+	}
+	if len(as) < 2 {
+		for _, a := range as {
+			e.fireAdmitted(ctx, parent, a)
+		}
+		return
+	}
+	var batchSC obs.SpanContext
+	if e.tracer != nil {
+		batchSC = parent.NewChild()
+		ctx = obs.ContextWithSpan(ctx, batchSC)
+	}
+	batchTS, start := e.tracer.Now(), time.Now()
+	bs := make([]Binding, len(as))
+	e.rlock()
+	for i, a := range as {
+		bs[i] = e.s.bindingOf(a.c, a.since)
+	}
+	forests, errs := e.s.funcs[name].(BatchService).InvokeBatch(ctx, bs)
+	e.s.engineMu.RUnlock()
+	dur := time.Since(start)
+	e.evalH.Observe(int64(dur))
+	failed := 0
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = serviceErr(as[i].c, err)
+			failed++
+		}
+	}
+	e.mu.Lock()
+	e.batches++
+	e.callsBatched += len(as)
+	e.mu.Unlock()
+	if e.tracer != nil {
+		e.tracer.Emit(obs.Span{Kind: "batch", Name: name, TSUs: batchTS, DurUs: int64(dur / time.Microsecond),
+			Attrs: map[string]int64{"calls": int64(len(as)), "failed": int64(failed)}}.WithContext(batchSC, parent))
+	}
+	for i, a := range as {
+		e.commit(ctx, batchSC, a, forests[i], errs[i])
+	}
+}
+
+// commit is the firing path's merge step, the one engine call site of
+// System.merge: an error goes to the error policy, an answer is merged
+// and its gate committed. parent (the call's or batch's span) parents
+// the merge span.
+func (e *engine) commit(ctx context.Context, parent obs.SpanContext, a admitted, forest tree.Forest, err error) {
+	s, c := e.s, a.c
 	if err != nil {
 		e.recordFailure(ctx, c, err)
 		return
 	}
-
 	mergeTS := e.tracer.Now()
 	mergeStart := time.Now()
 	s.engineMu.Lock()
@@ -515,11 +621,11 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 		return
 	}
 	fresh, detached, path := s.merge(c, forest)
-	if lasts {
+	if a.lasts {
 		// The merge ran: commit the gate the answer was computed under,
 		// whether or not the answer grew the document.
 		s.gateMu.Lock()
-		s.gate[c.Node] = g.lasting()
+		s.gate[c.Node] = a.g.lasting()
 		s.gateMu.Unlock()
 	}
 	if len(fresh) == 0 {
@@ -545,7 +651,7 @@ func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
 				"wait_us": int64(mergeWait / time.Microsecond),
 				"step":    int64(step),
 			},
-		}.WithContext(callSC.NewChild(), callSC))
+		}.WithContext(parent.NewChild(), parent))
 	}
 	if e.opts.MaxNodes > 0 && s.Size() > e.opts.MaxNodes {
 		e.mu.Lock()

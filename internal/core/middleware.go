@@ -115,62 +115,80 @@ func (r *Retry) Recovered() int {
 	return r.recovered
 }
 
-// Invoke implements Service with retries. A dead context stops the loop:
-// backoff waits abort on cancellation, and no further attempts are made
-// once the caller has given up.
+// Invoke implements Service with retries: a batch of one (InvokeBatch).
 func (r *Retry) Invoke(ctx context.Context, b Binding) (tree.Forest, error) {
+	fs, errs := r.InvokeBatch(ctx, []Binding{b})
+	return fs[0], errs[0]
+}
+
+// InvokeBatch implements BatchService with retries: each attempt sends,
+// as one batch, the bindings not answered yet. A dead context stops the
+// loop: backoff waits abort on cancellation, and no further attempts are
+// made once the caller has given up.
+func (r *Retry) InvokeBatch(ctx context.Context, bs []Binding) ([]tree.Forest, []error) {
 	attempts := r.Attempts
 	if attempts < 1 {
 		attempts = DefaultRetryAttempts
 	}
-	var lastErr error
+	fs, errs := make([]tree.Forest, len(bs)), make([]error, len(bs))
+	todo := make([]int, len(bs))
+	for i := range todo {
+		todo[i] = i
+	}
+	var stopErr error
 	made := 0
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < attempts && len(todo) > 0; i++ {
 		if i > 0 {
-			if err := r.Backoff(ctx, i); err != nil {
-				if lastErr == nil {
-					lastErr = err
-				}
+			if stopErr = r.Backoff(ctx, i); stopErr != nil {
 				break
 			}
 		}
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
+		if stopErr = ctx.Err(); stopErr != nil {
 			break
 		}
 		if r.Metrics != nil {
-			r.Metrics.Counter("mw.retry.attempts." + r.ServiceName()).Inc()
+			r.Metrics.Counter("mw.retry.attempts." + r.ServiceName()).Add(int64(len(todo)))
 		}
-		forest, err := r.Service.Invoke(ctx, b)
+		sub := make([]Binding, len(todo))
+		for k, j := range todo {
+			sub[k] = bs[j]
+		}
+		got, failed := invokeBatch(ctx, r.Service, sub)
 		made = i + 1
-		if err == nil {
-			if i > 0 {
-				r.mu.Lock()
-				r.recovered++
-				r.mu.Unlock()
-				if r.Metrics != nil {
-					r.Metrics.Counter("mw.retry.recovered." + r.ServiceName()).Inc()
+		next, stop := todo[:0], false
+		for k, j := range todo {
+			if fs[j], errs[j] = got[k], failed[k]; errs[j] == nil {
+				if i > 0 {
+					r.mu.Lock()
+					r.recovered++
+					r.mu.Unlock()
+					if r.Metrics != nil {
+						r.Metrics.Counter("mw.retry.recovered." + r.ServiceName()).Inc()
+					}
 				}
+				continue
 			}
-			return forest, nil
+			next = append(next, j)
+			// An open breaker downstream will not heal within our budget,
+			// and a failure that is our own cancellation cannot either.
+			cause := ctx.Err()
+			stop = stop || errors.Is(errs[j], ErrBreakerOpen) || cause != nil && errors.Is(errs[j], cause)
 		}
-		lastErr = err
-		if errors.Is(err, ErrBreakerOpen) {
-			break // an open breaker downstream will not heal within our budget
-		}
-		if cause := ctx.Err(); cause != nil && errors.Is(err, cause) {
-			break // the failure is our own cancellation; retrying cannot help
+		if todo = next; stop {
+			break
 		}
 	}
-	if made == 0 {
-		// The context was dead before the service was ever reached.
-		return nil, lastErr
+	for _, j := range todo {
+		fs[j] = nil
+		if made == 0 {
+			errs[j] = stopErr // the context was dead before the service was ever reached
+		} else {
+			// The service is not named here: the run loop and the
+			// transport error both already carry it.
+			errs[j] = fmt.Errorf("core: %d attempt(s) failed: %w", made, errs[j])
+		}
 	}
-	// The service is not named here: the run loop and the transport error
-	// both already carry it.
-	return nil, fmt.Errorf("core: %d attempt(s) failed: %w", made, lastErr)
+	return fs, errs
 }
 
 // Backoff waits before the i-th retry (i ≥ 1) and counts it. The wait is
@@ -252,59 +270,66 @@ type Timeout struct {
 	Metrics *obs.Registry
 }
 
-// hit counts one expiry against the registry.
-func (t *Timeout) hit() {
-	if t.Metrics != nil {
-		t.Metrics.Counter("mw.timeout.hits." + t.Service.ServiceName()).Inc()
-	}
-}
-
 // ServiceName implements Service.
 func (t *Timeout) ServiceName() string { return t.Service.ServiceName() }
 
 // Unwrap implements Wrapper.
 func (t *Timeout) Unwrap() Service { return t.Service }
 
-// Invoke implements Service with a deadline. The wrapped service sees a
-// context bounded by both the caller's context and the limit, so
-// ctx-aware services (RemoteService, backoff waits) cancel their work the
-// moment the deadline passes; a service that ignores its context is
-// abandoned as before.
+// Invoke implements Service with a deadline: a batch of one (InvokeBatch).
 func (t *Timeout) Invoke(ctx context.Context, b Binding) (tree.Forest, error) {
+	fs, errs := t.InvokeBatch(ctx, []Binding{b})
+	return fs[0], errs[0]
+}
+
+// InvokeBatch implements BatchService with a deadline: the batch is one
+// attempt. The wrapped service sees a context bounded by both the
+// caller's context and the limit, so ctx-aware services (RemoteService,
+// backoff waits) cancel their work the moment the deadline passes; a
+// service that ignores its context is abandoned as before.
+func (t *Timeout) InvokeBatch(ctx context.Context, bs []Binding) ([]tree.Forest, []error) {
 	limit := t.Limit
 	if limit == 0 {
 		limit = DefaultTimeout
 	}
+	expired := func() error {
+		if t.Metrics != nil {
+			t.Metrics.Counter("mw.timeout.hits." + t.Service.ServiceName()).Inc()
+		}
+		return fmt.Errorf("core: service %q: %w after %v", t.Service.ServiceName(), ErrTimeout, limit)
+	}
 	attemptCtx, cancel := context.WithTimeout(ctx, limit)
 	type outcome struct {
-		forest tree.Forest
-		err    error
+		fs   []tree.Forest
+		errs []error
 	}
 	done := make(chan outcome, 1)
 	go func() {
 		defer cancel()
-		forest, err := t.Service.Invoke(attemptCtx, b)
-		done <- outcome{forest, err}
+		fs, errs := invokeBatch(attemptCtx, t.Service, bs)
+		done <- outcome{fs, errs}
 	}()
+	var err error
 	select {
 	case o := <-done:
-		if o.err != nil && ctx.Err() == nil && errors.Is(o.err, context.DeadlineExceeded) &&
-			attemptCtx.Err() != nil {
-			// A ctx-aware wrapped service surfacing our own deadline:
-			// normalize to the timeout error callers match on.
-			t.hit()
-			return nil, fmt.Errorf("core: service %q: %w after %v",
-				t.Service.ServiceName(), ErrTimeout, limit)
+		for i, err := range o.errs {
+			if err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) && attemptCtx.Err() != nil {
+				// A ctx-aware wrapped service surfacing our own deadline:
+				// normalize to the timeout error callers match on.
+				o.errs[i] = expired()
+			}
 		}
-		return o.forest, o.err
+		return o.fs, o.errs
 	case <-attemptCtx.Done():
-		if err := ctx.Err(); err != nil {
-			return nil, err // the caller gave up first; not a timeout
+		if err = ctx.Err(); err == nil { // else the caller gave up first; not a timeout
+			err = expired()
 		}
-		t.hit()
-		return nil, fmt.Errorf("core: service %q: %w after %v",
-			t.Service.ServiceName(), ErrTimeout, limit)
 	}
+	errs := make([]error, len(bs))
+	for i := range errs {
+		errs[i] = err
+	}
+	return make([]tree.Forest, len(bs)), errs
 }
 
 // ErrBreakerOpen is wrapped by Breaker when it short-circuits a call.
@@ -405,24 +430,43 @@ func (br *Breaker) setState(code int64) {
 	}
 }
 
-// Invoke implements Service with circuit breaking.
+// Invoke implements Service with circuit breaking: a batch of one
+// (InvokeBatch).
 func (br *Breaker) Invoke(ctx context.Context, b Binding) (tree.Forest, error) {
+	fs, errs := br.InvokeBatch(ctx, []Binding{b})
+	return fs[0], errs[0]
+}
+
+// InvokeBatch implements BatchService with circuit breaking. The batch is
+// one exchange with the endpoint: an open circuit refuses all of it, and
+// it counts as a failure only when no binding was answered.
+func (br *Breaker) InvokeBatch(ctx context.Context, bs []Binding) ([]tree.Forest, []error) {
 	br.mu.Lock()
 	if br.open {
 		if br.probing || br.now().Sub(br.openedAt) < br.cooldown() {
-			br.shortCircuits++
+			br.shortCircuits += len(bs)
 			br.mu.Unlock()
 			if br.Metrics != nil {
-				br.Metrics.Counter("mw.breaker.short_circuits." + br.Service.ServiceName()).Inc()
+				br.Metrics.Counter("mw.breaker.short_circuits." + br.Service.ServiceName()).Add(int64(len(bs)))
 			}
-			return nil, ErrBreakerOpen
+			errs := make([]error, len(bs))
+			for i := range errs {
+				errs[i] = ErrBreakerOpen
+			}
+			return make([]tree.Forest, len(bs)), errs
 		}
 		br.probing = true // half-open: admit this call as the single probe
 		br.setState(BreakerHalfOpen)
 	}
 	br.mu.Unlock()
 
-	forest, err := br.Service.Invoke(ctx, b)
+	fs, errs := invokeBatch(ctx, br.Service, bs)
+	var err error // the exchange's: nil once any binding was answered
+	for _, e := range errs {
+		if err = e; e == nil {
+			break
+		}
+	}
 
 	br.mu.Lock()
 	defer br.mu.Unlock()
@@ -432,7 +476,7 @@ func (br *Breaker) Invoke(ctx context.Context, b Binding) (tree.Forest, error) {
 			// health, so it neither counts toward opening nor resolves a
 			// probe (the probe slot reopens for the next call).
 			br.probing = false
-			return nil, err
+			return fs, errs
 		}
 		br.consecutive++
 		opensAt := br.OpensAt
@@ -449,7 +493,7 @@ func (br *Breaker) Invoke(ctx context.Context, b Binding) (tree.Forest, error) {
 				br.Metrics.Counter("mw.breaker.opens." + br.Service.ServiceName()).Inc()
 			}
 		}
-		return nil, err
+		return fs, errs
 	}
 	if br.open || br.consecutive > 0 {
 		br.setState(BreakerClosed)
@@ -457,7 +501,7 @@ func (br *Breaker) Invoke(ctx context.Context, b Binding) (tree.Forest, error) {
 	br.open = false
 	br.probing = false
 	br.consecutive = 0
-	return forest, nil
+	return fs, errs
 }
 
 // HardenOptions configures Harden. Zero-valued fields disable the

@@ -101,7 +101,7 @@ func (w *callWalk) link(i int) *pathLink {
 // services that honor it) but never leaves the document half-mutated: the
 // merge is all-or-nothing after the evaluation returned.
 func (s *System) Invoke(ctx context.Context, c Call) (changed bool, err error) {
-	forest, err := s.evaluate(ctx, c)
+	forest, err := s.evaluateSince(ctx, c, nil)
 	if err != nil {
 		return false, err
 	}
@@ -109,19 +109,14 @@ func (s *System) Invoke(ctx context.Context, c Call) (changed bool, err error) {
 	return len(fresh) > 0, nil
 }
 
-// evaluate is the full (non-delta) evaluation of a call; see evaluateSince.
-func (s *System) evaluate(ctx context.Context, c Call) (tree.Forest, error) {
-	return s.evaluateSince(ctx, c, nil)
-}
-
 // evaluateSince is the read-only half of Invoke: it validates the call,
-// builds the input/context binding over the live trees and evaluates the
-// service. The engine runs it under the system's read lock, so any
-// number of evaluations proceed concurrently. A non-nil since map
-// (per-document baseline versions, keyed by the names the service's
-// query uses, including "input"/"context") requests a semi-naive delta
-// evaluation: declarative services return only results with a witness in
-// the data appended after the baseline.
+// builds its binding (bindingOf) and evaluates the service on it. The
+// engine runs it under the system's read lock, so any number of
+// evaluations proceed concurrently. A non-nil since map (per-document
+// baseline versions, keyed by the names the service's query uses,
+// including "input"/"context") requests a semi-naive delta evaluation:
+// declarative services return only results with a witness in the data
+// appended after the baseline.
 func (s *System) evaluateSince(ctx context.Context, c Call, since map[string]uint64) (tree.Forest, error) {
 	svc := s.funcs[c.Node.Name]
 	if svc == nil {
@@ -130,29 +125,36 @@ func (s *System) evaluateSince(ctx context.Context, c Call, since map[string]uin
 	if s.docs[c.Doc] == nil {
 		return nil, fmt.Errorf("core: call in unknown document %q", c.Doc)
 	}
-	attach := c.Parent
-	if attach == nil {
+	if c.Parent == nil {
 		// Function roots are excluded by Definition 2.1(ii); documents
 		// added through AddDocument never reach this. Guard anyway.
 		return nil, fmt.Errorf("core: call %q is a document root", c.Node.Name)
 	}
-	// Bindings alias the live trees: services read them (pattern
-	// matching never mutates, and head instantiation copies every bound
-	// subtree), and copying the context here would cost O(document) per
-	// invocation — it is the whole document for root-level calls.
-	input := &tree.Node{Kind: tree.Label, Name: tree.Input, Children: c.Node.Children}
-	b := Binding{
-		Input:   input,
-		Context: attach,
+	forest, err := svc.Invoke(ctx, s.bindingOf(c, since))
+	if err != nil {
+		return nil, serviceErr(c, err)
+	}
+	return forest, nil
+}
+
+// serviceErr names the call's service on an error its evaluation returned.
+func serviceErr(c Call, err error) error {
+	return fmt.Errorf("core: service %q: %w", c.Node.Name, err)
+}
+
+// bindingOf builds a valid call's binding, with since as its delta
+// baseline (fireBatch's calls come from Calls, so are valid). Bindings
+// alias the live trees: services read them (pattern matching never
+// mutates, and head instantiation copies every bound subtree), and
+// copying the context would cost O(document) per invocation.
+func (s *System) bindingOf(c Call, since map[string]uint64) Binding {
+	return Binding{
+		Input:   &tree.Node{Kind: tree.Label, Name: tree.Input, Children: c.Node.Children},
+		Context: c.Parent,
 		Docs:    s.Docs(),
 		Since:   since,
 		Indexes: s.bindingIndexes(c),
 	}
-	forest, err := svc.Invoke(ctx, b)
-	if err != nil {
-		return nil, fmt.Errorf("core: service %q: %w", c.Node.Name, err)
-	}
-	return forest, nil
 }
 
 // bindingIndexes assembles the per-document inverted indexes a call's
@@ -544,6 +546,10 @@ type RunStats struct {
 	// documents (from the second evaluation of a call on; never for
 	// black boxes).
 	DeltaEvals int
+	// Batches counts a sweeping run's batches (its calls to one
+	// BatchService, answered by one InvokeBatch); CallsBatched, their calls.
+	Batches      int
+	CallsBatched int
 	// Enqueues and EnqueuesCoalesced count, for a worklist run, the
 	// enqueues performed and the enqueues absorbed into an already-pending
 	// entry; both zero for a sweeping run.
@@ -560,7 +566,8 @@ type RunStats struct {
 	IndexHits   uint64
 	IndexMisses uint64
 	IndexBuilds uint64
-	// Eval is the service-evaluation latency histogram (ns).
+	// Eval is the service-evaluation latency histogram (ns): one sample
+	// per single call's evaluation and one per batch.
 	Eval obs.HistSnapshot
 	// MergeWait is the time each successful evaluation waited at the
 	// version funnel before its merge ran (ns).

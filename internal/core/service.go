@@ -87,6 +87,43 @@ type Service interface {
 	Invoke(ctx context.Context, b Binding) (tree.Forest, error)
 }
 
+// BatchService is optionally implemented by a service that answers
+// several bindings in one exchange: one forest or error per binding, in
+// order, each under Invoke's contract. A sweep fires its calls to a
+// service whose every layer implements it as one batch (fireBatch).
+type BatchService interface {
+	Service
+	InvokeBatch(ctx context.Context, bs []Binding) ([]tree.Forest, []error)
+}
+
+// batchable reports whether every layer of svc's middleware stack
+// implements BatchService.
+func batchable(svc Service) bool {
+	for {
+		if _, ok := svc.(BatchService); !ok {
+			return false
+		}
+		w, ok := svc.(Wrapper)
+		if !ok || w.Unwrap() == nil {
+			return true
+		}
+		svc = w.Unwrap()
+	}
+}
+
+// invokeBatch answers bs through svc's InvokeBatch, or by one Invoke per
+// binding when svc cannot batch.
+func invokeBatch(ctx context.Context, svc Service, bs []Binding) ([]tree.Forest, []error) {
+	if b, ok := svc.(BatchService); ok {
+		return b.InvokeBatch(ctx, bs)
+	}
+	fs, errs := make([]tree.Forest, len(bs)), make([]error, len(bs))
+	for i, b := range bs {
+		fs[i], errs[i] = svc.Invoke(ctx, b)
+	}
+	return fs, errs
+}
+
 // Versioned is optionally implemented by a black-box service whose answer
 // is determined by the call's context subtree (which holds the call node,
 // hence its input) plus external state that Version names: two calls with

@@ -56,7 +56,7 @@ type System struct {
 	engineMu rwLock
 	// gate is the committed sterile-call gate, shared by every run on the
 	// system: call node → the gate of that call's last attempt whose merge
-	// ran (engine.fire writes it there and nowhere else). A run's first
+	// ran (engine.commit writes it there and nowhere else). A run's first
 	// look at a call falls back to it, so a call whose read state has not
 	// moved since its last merged answer is skipped across runs too, and
 	// its first re-evaluation is already a delta. Only declarative calls

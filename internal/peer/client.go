@@ -189,23 +189,88 @@ func (c *Client) Hashes(ctx context.Context) (map[string]string, error) {
 // context travel, the service runs against the peer's own documents, and
 // the returned forest may itself contain calls (an intensional answer).
 func (c *Client) Invoke(ctx context.Context, env Envelope) (tree.Forest, error) {
-	forest, _, err := c.invoke(ctx, env)
+	data, err := MarshalEnvelope(env)
+	if err != nil {
+		return nil, err
+	}
+	forest, _, err := c.invokeEnvelope(ctx, "remote "+env.Service, data)
 	return forest, err
 }
 
-// invoke is Invoke also returning the answer's header, which carries
-// headerReads when the service is declarative.
-func (c *Client) invoke(ctx context.Context, env Envelope) (tree.Forest, http.Header, error) {
-	data, err := MarshalEnvelope(env)
-	if err != nil {
-		return nil, nil, err
-	}
-	body, hdr, err := c.call(ctx, "remote "+env.Service, http.MethodPost, PathInvoke, "application/xml", data)
+// invokeEnvelope sends one encoded envelope and decodes its answer; the
+// answer's header carries headerReads when the service is declarative.
+func (c *Client) invokeEnvelope(ctx context.Context, what string, data []byte) (tree.Forest, http.Header, error) {
+	body, hdr, err := c.call(ctx, what, http.MethodPost, PathInvoke, "application/xml", data)
 	if err != nil {
 		return nil, nil, err
 	}
 	forest, err := UnmarshalForest(body)
 	return forest, hdr, err
+}
+
+// maxBatchBytes bounds one ax:batch request.
+const maxBatchBytes = 1 << 20
+
+// invokeBatch evaluates envelopes on the peer, one forest or error per
+// envelope, in order: consecutive envelopes travel as ax:batch requests
+// of at most maxBatchBytes. A request refused with 413, or whose answer
+// is over the cap, is re-sent as halves, down to lone envelopes, which
+// fail as Invoke fails. hdr is the last answering response's header.
+func (c *Client) invokeBatch(ctx context.Context, envs []Envelope) (fs []tree.Forest, errs []error, hdr http.Header) {
+	fs, errs = make([]tree.Forest, len(envs)), make([]error, len(envs))
+	var idx []int
+	var bodies [][]byte
+	for i, env := range envs {
+		body, err := MarshalEnvelope(env)
+		if errs[i] = err; err == nil {
+			idx, bodies = append(idx, i), append(bodies, body)
+		}
+	}
+	var send func(idx []int, bodies [][]byte)
+	send = func(idx []int, bodies [][]byte) {
+		what := "remote " + envs[idx[0]].Service
+		if len(idx) == 1 {
+			forest, h, err := c.invokeEnvelope(ctx, what, bodies[0])
+			if fs[idx[0]], errs[idx[0]] = forest, err; err == nil {
+				hdr = h
+			}
+			return
+		}
+		data, h, err := c.call(ctx, what, http.MethodPost, PathInvoke, "application/xml", batchBody(bodies))
+		var se *statusError
+		if errors.Is(err, ErrResponseTooLarge) || errors.As(err, &se) && se.code == http.StatusRequestEntityTooLarge {
+			half := len(idx) / 2
+			send(idx[:half], bodies[:half])
+			send(idx[half:], bodies[half:])
+			return
+		}
+		var answers []Answer
+		if err == nil {
+			if answers, err = UnmarshalAnswers(data); err == nil && len(answers) != len(idx) {
+				err = fmt.Errorf("peer: %s: %d answers to %d envelopes", what, len(answers), len(idx))
+			}
+		}
+		for k, i := range idx {
+			switch {
+			case err != nil:
+				errs[i] = err
+			case answers[k].Err != nil:
+				errs[i] = fmt.Errorf("peer: %s: %w", what, answers[k].Err)
+			default:
+				fs[i], hdr = answers[k].Forest, h
+			}
+		}
+	}
+	const wrap = len("<" + elemBatch + "></" + elemBatch + ">")
+	for lo := 0; lo < len(idx); {
+		hi, size := lo+1, wrap+len(bodies[lo])
+		for ; hi < len(idx) && size+len(bodies[hi]) <= maxBatchBytes; hi++ {
+			size += len(bodies[hi])
+		}
+		send(idx[lo:hi], bodies[lo:hi])
+		lo = hi
+	}
+	return fs, errs, hdr
 }
 
 // Sweep asks the peer for one fair local sweep and reports whether it

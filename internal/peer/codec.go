@@ -107,6 +107,18 @@ func (e *encoder) forest(f tree.Forest) {
 	e.close(elemForest)
 }
 
+// fail writes an ax:error of err's text, U+FFFD for what XML cannot carry.
+func (e *encoder) fail(err error) {
+	e.open(elemError)
+	e.escape("error", strings.Map(func(r rune) rune {
+		if inXMLRange(r) {
+			return r
+		}
+		return utf8.RuneError
+	}, err.Error()), false)
+	e.close(elemError)
+}
+
 func (e *encoder) doc(name string, root *tree.Node) {
 	e.open(elemDoc, attrName, name)
 	e.node(root)
@@ -340,7 +352,8 @@ func (s *scanner) one() (*tree.Node, error) {
 	return holder.Children[0], nil
 }
 
-// value reads an ax:value element's text.
+// value reads the text of an element holding no element (an ax:value, an
+// ax:error) as a value node.
 func (s *scanner) value() (*tree.Node, error) {
 	parent := s.name
 	for {
@@ -351,7 +364,7 @@ func (s *scanner) value() (*tree.Node, error) {
 		case tok == tokText:
 			continue
 		case tok != tokEnd:
-			return nil, fmt.Errorf("unexpected token inside %s", elemValue)
+			return nil, fmt.Errorf("unexpected token inside %s", parent)
 		case !bytes.Equal(s.name, parent):
 			return nil, fmt.Errorf("element <%s> closed by </%s>", parent, s.name)
 		}
@@ -359,6 +372,36 @@ func (s *scanner) value() (*tree.Node, error) {
 		s.text = s.text[:0]
 		return v, nil
 	}
+}
+
+// span is where one child element lies in its input: data[lo:hi].
+type span struct{ lo, hi int }
+
+// childSpans splits data, one root element, into the spans of its child
+// elements, each named child (read only as far as skip reads).
+func childSpans(data []byte, root, child string) ([]span, error) {
+	return decodeRoot(data, root, func(s *scanner) (spans []span, err error) {
+		err = s.elements(func() error {
+			if string(s.name) != child {
+				return fmt.Errorf("expected %s, found %s", child, s.name)
+			}
+			lo := s.tag
+			err := s.skip()
+			spans = append(spans, span{lo, s.pos})
+			return err
+		})
+		return spans, err
+	})
+}
+
+// hasRoot reports whether data's first element is named name.
+func hasRoot(data []byte, name string) bool {
+	s := scanner{data: data}
+	tok, err := s.next()
+	for err == nil && tok == tokText {
+		tok, err = s.next()
+	}
+	return err == nil && tok == tokStart && string(s.name) == name
 }
 
 // attr is the decoded value of the current start tag's attribute name

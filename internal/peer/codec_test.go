@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -65,6 +66,76 @@ func sameEnvelope(a, b Envelope) bool {
 }
 
 // sameDelta compares two decoded deltas by the oracle's rendering.
+func sameEnvelopes(a, b []Envelope) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameEnvelope(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameAnswers(a, b []Answer) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if (a[i].Err == nil) != (b[i].Err == nil) || a[i].Err != nil && a[i].Err.Error() != b[i].Err.Error() ||
+			!sameForest(a[i].Forest, b[i].Forest) {
+			return false
+		}
+	}
+	return true
+}
+
+// marshalBatch renders envelopes as an ax:batch request, as the client
+// writes one (batchBody over MarshalEnvelope's bytes).
+func marshalBatch(envs []Envelope) ([]byte, error) {
+	bodies := make([][]byte, len(envs))
+	for i, env := range envs {
+		var err error
+		if bodies[i], err = MarshalEnvelope(env); err != nil {
+			return nil, err
+		}
+	}
+	return batchBody(bodies), nil
+}
+
+// unmarshalBatch reads an ax:batch request as /axml/invoke reads one: its
+// envelope spans (childSpans), each decoded as a lone envelope.
+func unmarshalBatch(data []byte) ([]Envelope, error) {
+	spans, err := childSpans(data, elemBatch, elemEnvelope)
+	if err != nil {
+		return nil, err
+	}
+	envs := make([]Envelope, len(spans))
+	for i, sp := range spans {
+		if envs[i], err = UnmarshalEnvelope(data[sp.lo:sp.hi]); err != nil {
+			return nil, err
+		}
+	}
+	return envs, nil
+}
+
+// marshalAnswers renders answers as the server writes them: an ax:forest
+// per answer, an ax:error per failure.
+func marshalAnswers(answers []Answer) ([]byte, error) {
+	var e encoder
+	e.open(elemAnswers)
+	for _, a := range answers {
+		if a.Err != nil {
+			e.fail(a.Err)
+		} else {
+			e.forest(a.Forest)
+		}
+	}
+	e.close(elemAnswers)
+	return e.bytes()
+}
+
 func sameDelta(a, b Delta) bool {
 	wa, errA := xmlMarshalDelta(a)
 	wb, errB := xmlMarshalDelta(b)
@@ -134,6 +205,8 @@ func TestCodecBytesMatchOracle(t *testing.T) {
 		}
 	}
 	var docs []*tree.Document
+	var envs []Envelope
+	var answers []Answer
 	for i, n := range trees {
 		got, err := MarshalTree(n)
 		want, oerr := xmlMarshalTree(n)
@@ -150,11 +223,17 @@ func TestCodecBytesMatchOracle(t *testing.T) {
 		got, err = MarshalEnvelope(env)
 		want, oerr = xmlMarshalEnvelope(env)
 		same("envelope", got, err, want, oerr)
+		envs = append(envs, env)
 
 		f := tree.Forest(trees[i : i+min(3, len(trees)-i)])
 		got, err = MarshalForest(f)
 		want, oerr = xmlMarshalForest(f)
 		same("forest", got, err, want, oerr)
+		answers = append(answers, Answer{Forest: f})
+		if i%4 == 0 {
+			// An error text may hold what XML cannot carry: both write U+FFFD.
+			answers = append(answers, Answer{Err: errors.New(wireTexts[i%len(wireTexts)] + "\x01\xff")})
+		}
 
 		if n.Kind == tree.Label {
 			anchor := subsume.ReduceInPlace(n.Copy())
@@ -173,6 +252,12 @@ func TestCodecBytesMatchOracle(t *testing.T) {
 	got, err := MarshalSnapshot(docs)
 	want, oerr := xmlMarshalSnapshot(docs)
 	same("snapshot", got, err, want, oerr)
+	got, err = marshalBatch(envs)
+	want, oerr = xmlMarshalBatch(envs)
+	same("batch", got, err, want, oerr)
+	got, err = marshalAnswers(answers)
+	want, oerr = xmlMarshalAnswers(answers)
+	same("answers", got, err, want, oerr)
 }
 
 // A value or a service name holding a character XML 1.0 cannot carry
@@ -342,6 +427,12 @@ func TestWireRejectsTrailingContentAndRepeatedParts(t *testing.T) {
 	deltaDec := decode{elemDelta,
 		func(b []byte) error { _, err := UnmarshalDelta(b); return err },
 		func(b []byte) error { _, err := xmlUnmarshalDelta(b); return err }}
+	batchDec := decode{elemBatch,
+		func(b []byte) error { _, err := unmarshalBatch(b); return err },
+		func(b []byte) error { _, err := xmlUnmarshalBatch(b); return err }}
+	answersDec := decode{elemAnswers,
+		func(b []byte) error { _, err := UnmarshalAnswers(b); return err },
+		func(b []byte) error { _, err := xmlUnmarshalAnswers(b); return err }}
 	const inv = `<ax:envelope><ax:invoke service="f">`
 	for _, c := range []struct {
 		name string
@@ -365,6 +456,11 @@ func TestWireRejectsTrailingContentAndRepeatedParts(t *testing.T) {
 		{"same delta with a tree", deltaDec, `<ax:delta name="d" mode="same" to="x"><a/></ax:delta>`},
 		{"unclosed delta", deltaDec, `<ax:delta name="d" mode="full" to="x"><a/>`},
 		{"delta then text", deltaDec, `<ax:delta name="d" mode="same" to="x"></ax:delta>junk`},
+		{"batch then text", batchDec, `<ax:batch></ax:batch>junk`},
+		{"text in batch", batchDec, `<ax:batch>junk</ax:batch>`},
+		{"envelope then text in batch", batchDec, `<ax:batch>` + inv + `</ax:invoke></ax:envelope>junk</ax:batch>`},
+		{"answers then tree", answersDec, `<ax:answers><ax:error>e</ax:error></ax:answers><a/>`},
+		{"text in answers", answersDec, `<ax:answers>junk<ax:forest/></ax:answers>`},
 	} {
 		if err := c.dec.ours([]byte(c.data)); err == nil {
 			t.Errorf("%s: %s accepted", c.name, c.data)

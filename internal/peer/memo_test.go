@@ -100,8 +100,10 @@ func invokeRaw(t testing.TB, url string, env Envelope) ([]byte, http.Header) {
 }
 
 // servedEqualsFresh checks every document p serves at /axml/doc and as a
-// full /axml/delta, and every envelope's /axml/invoke answer, against a
-// fresh encoding of the live state.
+// full /axml/delta, and every envelope's /axml/invoke answer, lone and in
+// batches, against a fresh encoding of the live state. The batches are
+// the first half of envs, then all of envs: a batch whose first half was
+// kept by the first one, and whose second half is evaluated.
 func servedEqualsFresh(t *testing.T, p *Peer, url string, envs []Envelope, step string) {
 	t.Helper()
 	docs, fulls := map[string][]byte{}, map[string][]byte{}
@@ -125,13 +127,33 @@ func servedEqualsFresh(t *testing.T, p *Peer, url string, envs []Envelope, step 
 			t.Fatalf("%s: full delta of %s served\n%s\nfresh\n%s", step, name, got, fulls[name])
 		}
 	}
-	for _, env := range envs {
-		got, _ := invokeRaw(t, url, env)
+	fresh := func(env Envelope) []byte {
 		forest, err := p.Serve(context.Background(), env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := MarshalForest(forest); !bytes.Equal(got, want) {
+		return mustForest(t, forest)
+	}
+	for _, batch := range [][]Envelope{envs[:len(envs)/2], envs} {
+		if len(batch) < 2 {
+			continue
+		}
+		body, err := marshalBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := rawCall(t, http.MethodPost, url+PathInvoke, body)
+		want := []byte("<" + elemAnswers + ">")
+		for _, env := range batch {
+			want = append(want, fresh(env)...)
+		}
+		if want = append(want, "</"+elemAnswers+">"...); !bytes.Equal(got, want) {
+			t.Fatalf("%s: a batch of %d answered\n%s\nfresh\n%s", step, len(batch), got, want)
+		}
+	}
+	for _, env := range envs {
+		got, _ := invokeRaw(t, url, env)
+		if want := fresh(env); !bytes.Equal(got, want) {
 			t.Fatalf("%s: %s answered\n%s\nfresh\n%s", step, env.Service, got, want)
 		}
 	}
@@ -430,6 +452,11 @@ func TestMemoConcurrentReadersInvokesPushes(t *testing.T) {
 	for _, env := range memoEnvelopes {
 		bodies = append(bodies, invokeBody(t, env))
 	}
+	batch, err := marshalBatch(memoEnvelopes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies = append(bodies, batch)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

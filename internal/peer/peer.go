@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -169,6 +170,7 @@ type Stats struct {
 	CallsFired   int
 	CallsSterile int
 	DeltaEvals   int
+	CallsBatched int // RunStats.CallsBatched: calls sent in batches
 }
 
 // Open is the canonical constructor: it wraps a system as a peer, applies
@@ -298,43 +300,92 @@ func (p *Peer) Handler() http.Handler {
 	return mux
 }
 
+// handleInvoke answers an ax:envelope with its forest, and an ax:batch
+// of envelopes with their ax:answers (serveBatch).
 func (p *Peer) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	body, ok := p.readBody(w, r)
 	if !ok {
 		return
 	}
-	// A declarative answer is a function of the body (service, input and
-	// context) and of the documents it read: a kept one is served as is.
-	kept, key, gen, hit := p.memo.answer(body)
-	if hit {
-		p.countServed()
-		w.Header().Set(headerReads, kept.reads)
-		writeXML(w, kept.data)
+	if hasRoot(body, elemBatch) {
+		p.serveBatch(r.Context(), w, body)
 		return
 	}
-	// A body that does not parse as an envelope is the caller's bug (or a
-	// journal-replay bug surfacing as a malformed record) — answer 400
-	// with the parse error so it is distinguishable from server faults.
-	env, err := UnmarshalEnvelope(body)
+	a, declarative, code, err := p.invokeOne(r.Context(), body)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad envelope: %v", err), http.StatusBadRequest)
-		return
-	}
-	forest, reads, declarative, err := p.serve(r.Context(), env)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	data, err := MarshalForest(forest)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), code)
 		return
 	}
 	if declarative {
-		w.Header().Set(headerReads, reads)
-		p.memo.keep(key, gen, answer{body, data, reads})
+		w.Header().Set(headerReads, a.reads)
 	}
-	writeXML(w, data)
+	writeXML(w, a.data)
+}
+
+// invokeOne answers one encoded envelope. A declarative answer is a
+// function of the body and of the documents it read: a kept one is served
+// as is, a fresh one kept. code is a lone invoke's failure status: 400
+// for a body that is no envelope (distinguishable from server faults),
+// 502 for a failed evaluation.
+func (p *Peer) invokeOne(ctx context.Context, body []byte) (a answer, declarative bool, code int, err error) {
+	kept, key, gen, hit := p.memo.answer(body)
+	if hit {
+		p.countServed()
+		return kept, true, 0, nil
+	}
+	env, err := UnmarshalEnvelope(body)
+	if err != nil {
+		return a, false, http.StatusBadRequest, fmt.Errorf("bad envelope: %v", err)
+	}
+	forest, reads, declarative, err := p.serve(ctx, env)
+	if err != nil {
+		return a, false, http.StatusBadGateway, err
+	}
+	data, err := MarshalForest(forest)
+	if err != nil {
+		return a, false, http.StatusInternalServerError, err
+	}
+	a = answer{body, data, reads}
+	if declarative {
+		p.memo.keep(key, gen, a)
+	}
+	return a, declarative, 0, nil
+}
+
+// serveBatch answers an ax:batch with ax:answers, each envelope as a lone
+// invoke (invokeOne: the memo keys it by its own bytes), a failure as an
+// ax:error. The answer names the union of the read sets only when every
+// envelope answered was answered by a declarative service.
+func (p *Peer) serveBatch(ctx context.Context, w http.ResponseWriter, body []byte) {
+	spans, err := childSpans(body, elemBatch, elemEnvelope)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
+		return
+	}
+	var e encoder
+	e.open(elemAnswers)
+	var reads []string
+	answered, declarative := false, true
+	for _, sp := range spans {
+		// A kept answer keeps its body: a copy, not the whole batch.
+		a, decl, _, err := p.invokeOne(ctx, bytes.Clone(body[sp.lo:sp.hi]))
+		if err != nil {
+			e.fail(err)
+			continue
+		}
+		e.b = append(e.b, a.data...)
+		answered, declarative = true, declarative && decl
+		for _, name := range strings.Split(a.reads, ",") {
+			if name != "" && !slices.Contains(reads, name) {
+				reads = append(reads, name)
+			}
+		}
+	}
+	e.close(elemAnswers)
+	if answered && declarative {
+		w.Header().Set(headerReads, strings.Join(reads, ","))
+	}
+	writeXML(w, e.b)
 }
 
 // writeXML answers with a wire body of known length. Content-Length lets
@@ -491,6 +542,7 @@ func (p *Peer) SweepContext(ctx context.Context) (bool, error) {
 	p.stats.CallsFired += res.Stats.CallsFired
 	p.stats.CallsSterile += res.Stats.CallsSterile
 	p.stats.DeltaEvals += res.Stats.DeltaEvals
+	p.stats.CallsBatched += res.Stats.CallsBatched
 	p.statsMu.Unlock()
 	p.logger.Debug("sweep", append([]any{"peer", p.Name,
 		"steps", res.Steps, "attempts", res.Attempts, "failures", res.Failures},
@@ -664,19 +716,32 @@ func (r *RemoteService) Version(ctx context.Context) string {
 // caller's context, so cancelling it (engine shutdown, a Timeout
 // middleware's deadline, a dropped upstream client) tears down the
 // connection to a hung peer instead of waiting out the client timeout.
+// It is a batch of one: a lone envelope, sent as it always was.
 func (r *RemoteService) Invoke(ctx context.Context, b core.Binding) (tree.Forest, error) {
+	fs, errs := r.InvokeBatch(ctx, []core.Binding{b})
+	return fs[0], errs[0]
+}
+
+// InvokeBatch implements core.BatchService: the bindings' envelopes go
+// out as ax:batch requests (Client.invokeBatch), one forest or error per
+// binding, in order. It keeps the read set of the last answer that
+// answered any.
+func (r *RemoteService) InvokeBatch(ctx context.Context, bs []core.Binding) ([]tree.Forest, []error) {
 	svc := r.Service
 	if svc == "" {
 		svc = r.Name
 	}
-	forest, hdr, err := r.client().invoke(ctx, Envelope{Service: svc, Input: b.Input, Context: b.Context})
-	if err != nil {
-		return nil, err
+	envs := make([]Envelope, len(bs))
+	for i, b := range bs {
+		envs[i] = Envelope{Service: svc, Input: b.Input, Context: b.Context}
 	}
-	var reads *string // a black box's answer names no read set
-	if vs := hdr.Values(headerReads); vs != nil {
-		reads = &vs[0]
+	fs, errs, hdr := r.client().invokeBatch(ctx, envs)
+	if hdr != nil {
+		var reads *string // a black box's answer names no read set
+		if vs := hdr.Values(headerReads); vs != nil {
+			reads = &vs[0]
+		}
+		r.reads.Store(reads)
 	}
-	r.reads.Store(reads)
-	return forest, nil
+	return fs, errs
 }

@@ -65,6 +65,7 @@ type StatusReport struct {
 	CallsFired   int `json:"calls_fired"`
 	CallsSterile int `json:"calls_sterile"`
 	DeltaEvals   int `json:"delta_evals"`
+	CallsBatched int `json:"calls_batched"` // fired calls sent in batches
 
 	// Contended acquisitions of the system's lock since the peer opened
 	// (core.System.LockContention): reads and evaluations that met a write
@@ -128,6 +129,7 @@ func (p *Peer) Status() StatusReport {
 	st := p.Stats()
 	rep.Sweeps, rep.Steps, rep.Served, rep.Failures = st.Sweeps, st.Steps, st.Served, st.Failures
 	rep.CallsFired, rep.CallsSterile, rep.DeltaEvals = st.CallsFired, st.CallsSterile, st.DeltaEvals
+	rep.CallsBatched = st.CallsBatched
 	rep.LockReaderWaits, rep.LockWriterWaits = p.system.LockContention()
 	if p.store != nil {
 		rep.SnapshotDocsEncoded = p.metrics.Counter("journal.snapshot_docs_encoded").Value()

@@ -55,7 +55,9 @@ func climb(t *testing.T, byID map[string]obs.Span, s obs.Span) (terminal string,
 // publisher then pushes the same service's results to a subscriber peer
 // — must produce ONE connected trace. Every span shares the caller's
 // trace ID, and every span's parent chain climbs to the caller's root
-// span, across both HTTP hops.
+// span, across both HTTP hops. The portal's two GetStars calls go out as
+// one batch: the batch span is a child of the sweep, and the ratings
+// peer's http span of that request a child of the batch.
 func TestFleetCrossPeerTraceConnected(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
@@ -88,7 +90,11 @@ func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t
 	if err := sysA.AddService(&RemoteService{Name: "GetRating", URL: ratingsSrv.URL}); err != nil {
 		t.Fatal(err)
 	}
-	portal := syntax.MustParseDocument(`directory{cd{title{"Naima"},!GetRating{title{"Naima"}}}}`)
+	if err := sysA.AddService(&RemoteService{Name: "GetStars", Service: "GetRating", URL: ratingsSrv.URL}); err != nil {
+		t.Fatal(err)
+	}
+	portal := syntax.MustParseDocument(`directory{cd{title{"Naima"},!GetRating{title{"Naima"}}},` +
+		`stars{!GetStars{title{"Naima"}},!GetStars{title{"Body and Soul"}}}}`)
 	if err := sysA.AddDocument(tree.NewDocument("portal", portal)); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t
 				s.Span, s.Name, s.Kind, terminal, root.Span)
 		}
 	}
-	for _, kind := range []string{"sweep", "call", "http", "push"} {
+	for _, kind := range []string{"sweep", "call", "batch", "http", "push"} {
 		if kinds[kind] == 0 {
 			t.Fatalf("no %q span in the trace (got %v)", kind, kinds)
 		}
@@ -155,8 +161,14 @@ func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t
 	// The invoke crossed peers: the ratings peer's server-side span must
 	// chain through spans the portal peer emitted (the call and sweep),
 	// i.e. climb at least two recorded hops before reaching the root.
-	var sawInvoke, sawPushDelivery bool
+	var sawInvoke, sawBatchInvoke, sawPushDelivery bool
 	for _, s := range spans {
+		if s.Kind == "batch" && (byID[s.Parent].Kind != "sweep" || s.Attrs["calls"] != 2) {
+			t.Fatalf("batch span %+v: want two calls, under a sweep span", s)
+		}
+		if s.Kind == "http" && s.Name == "invoke" && byID[s.Parent].Kind == "batch" {
+			sawBatchInvoke = true
+		}
 		if s.Kind == "http" && s.Name == "invoke" {
 			sawInvoke = true
 			if _, hops := climb(t, byID, s); hops < 2 {
@@ -173,6 +185,9 @@ func GetRating = rating{$s} :- input/input{title{$t}}, ratings/db{entry{title{$t
 	}
 	if !sawInvoke {
 		t.Fatal("no server-side invoke span")
+	}
+	if !sawBatchInvoke {
+		t.Fatal("no server-side invoke span under the batch span")
 	}
 	if !sawPushDelivery {
 		t.Fatal("no server-side push delivery span")

@@ -37,6 +37,9 @@ const (
 	elemForest   = "ax:forest"
 	elemDoc      = "ax:doc"
 	elemSnapshot = "ax:snapshot"
+	elemBatch    = "ax:batch"
+	elemAnswers  = "ax:answers"
+	elemError    = "ax:error"
 	attrService  = "service"
 	attrName     = "name"
 )
@@ -144,19 +147,7 @@ func (s *scanner) doc() (*tree.Document, error) {
 // its own scanner (byte offsets stay absolute, label sharing is per
 // span); the faults of failing spans are joined in file order.
 func UnmarshalSnapshot(data []byte) ([]*tree.Document, error) {
-	type span struct{ lo, hi int }
-	spans, err := decodeRoot(data, elemSnapshot, func(s *scanner) (spans []span, err error) {
-		err = s.elements(func() error {
-			if string(s.name) != elemDoc {
-				return fmt.Errorf("expected %s, found %s", elemDoc, s.name)
-			}
-			lo := s.tag
-			err := s.skip()
-			spans = append(spans, span{lo, s.pos})
-			return err
-		})
-		return spans, err
-	})
+	spans, err := childSpans(data, elemSnapshot, elemDoc)
 	if err != nil {
 		return nil, err
 	}
@@ -235,5 +226,49 @@ func UnmarshalEnvelope(data []byte) (Envelope, error) {
 			err = fmt.Errorf("envelope without %s", elemInvoke)
 		}
 		return env, err
+	})
+}
+
+// batchBody writes an ax:batch around encoded envelopes.
+func batchBody(bodies [][]byte) []byte {
+	var e encoder
+	e.open(elemBatch)
+	for _, body := range bodies {
+		e.b = append(e.b, body...)
+	}
+	e.close(elemBatch)
+	return e.b
+}
+
+// Answer is one envelope's answer in an ax:answers element: the forest
+// it evaluated to, or the error it failed with.
+type Answer struct {
+	Forest tree.Forest
+	Err    error
+}
+
+// UnmarshalAnswers parses an ax:answers element. An ax:error reads as a
+// non-nil Err, even when it holds no text.
+func UnmarshalAnswers(data []byte) ([]Answer, error) {
+	return decodeRoot(data, elemAnswers, func(s *scanner) (answers []Answer, err error) {
+		err = s.elements(func() (err error) {
+			var a Answer
+			switch string(s.name) {
+			case elemForest:
+				var holder tree.Node
+				err = s.children(&holder)
+				a.Forest = holder.Children
+			case elemError:
+				var msg *tree.Node
+				if msg, err = s.value(); err == nil {
+					a.Err = errors.New(msg.Name)
+				}
+			default:
+				return fmt.Errorf("expected %s or %s, found %s", elemForest, elemError, s.name)
+			}
+			answers = append(answers, a)
+			return err
+		})
+		return answers, err
 	})
 }

@@ -211,6 +211,57 @@ func FuzzUnmarshalEnvelope(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalBatch: /axml/invoke reads a batch request from any caller,
+// and RemoteService reads the answer from any peer, so both decoders
+// reject garbage without panicking, agree with the oracle, and read back
+// what they accept after re-encoding.
+func FuzzUnmarshalBatch(f *testing.F) {
+	for _, name := range []string{"batch.xml", "answers.xml"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+	}
+	for _, s := range []string{
+		``,
+		`<ax:batch></ax:batch>`,
+		`<ax:batch><ax:envelope><ax:invoke service="f"><ax:input/></ax:invoke></ax:envelope></ax:batch>`,
+		`<ax:batch><ax:forest/></ax:batch>`,
+		`<ax:batch><ax:envelope></ax:envelope></ax:batch>`,
+		`<ax:answers><ax:forest><a/></ax:forest><ax:error>down</ax:error><ax:error/></ax:answers>`,
+		`<ax:answers><ax:error><a/></ax:error></ax:answers>`,
+		`<ax:answers><a/></ax:answers>`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > fuzzMaxInput {
+			return
+		}
+		agreeWithOracle(t, data, elemBatch, unmarshalBatch, xmlUnmarshalBatch, sameEnvelopes)
+		agreeWithOracle(t, data, elemAnswers, UnmarshalAnswers, xmlUnmarshalAnswers, sameAnswers)
+		if envs, err := unmarshalBatch(data); err == nil {
+			out, err := marshalBatch(envs)
+			if err != nil {
+				t.Fatalf("parsed batch does not re-marshal: %v (input %q)", err, data)
+			}
+			if back, err := unmarshalBatch(out); err != nil || !sameEnvelopes(back, envs) {
+				t.Fatalf("batch round trip not a fixpoint (%v): wire %q", err, out)
+			}
+		}
+		if answers, err := UnmarshalAnswers(data); err == nil {
+			out, err := marshalAnswers(answers)
+			if err != nil {
+				t.Fatalf("parsed answers do not re-marshal: %v (input %q)", err, data)
+			}
+			if back, err := UnmarshalAnswers(out); err != nil || !sameAnswers(back, answers) {
+				t.Fatalf("answers round trip not a fixpoint (%v): wire %q", err, out)
+			}
+		}
+	})
+}
+
 // FuzzUnmarshalSnapshot: Open decodes the snapshot file's payload and
 // every whole-document journal record from disk, so both decoders must
 // reject garbage without panicking, agree with the oracle, and read back

@@ -3,6 +3,7 @@ package peer
 import (
 	"bytes"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -387,16 +388,27 @@ func xmlUnmarshalSnapshot(data []byte) ([]*tree.Document, error) {
 func xmlMarshalEnvelope(e Envelope) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := xml.NewEncoder(&buf)
+	if err := encodeEnvelope(enc, e); err != nil {
+		return nil, err
+	}
+	if err := enc.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// encodeEnvelope writes e as an ax:envelope element to enc.
+func encodeEnvelope(enc *xml.Encoder, e Envelope) error {
 	env := xml.StartElement{Name: xml.Name{Local: elemEnvelope}}
 	inv := xml.StartElement{
 		Name: xml.Name{Local: elemInvoke},
 		Attr: []xml.Attr{{Name: xml.Name{Local: attrService}, Value: e.Service}},
 	}
 	if err := enc.EncodeToken(env); err != nil {
-		return nil, err
+		return err
 	}
 	if err := enc.EncodeToken(inv); err != nil {
-		return nil, err
+		return err
 	}
 	for _, part := range []struct {
 		name string
@@ -404,27 +416,21 @@ func xmlMarshalEnvelope(e Envelope) ([]byte, error) {
 	}{{elemInput, e.Input}, {elemContext, e.Context}} {
 		start := xml.StartElement{Name: xml.Name{Local: part.name}}
 		if err := enc.EncodeToken(start); err != nil {
-			return nil, err
+			return err
 		}
 		if part.node != nil {
 			if err := encodeNode(enc, part.node); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if err := enc.EncodeToken(start.End()); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := enc.EncodeToken(inv.End()); err != nil {
-		return nil, err
+		return err
 	}
-	if err := enc.EncodeToken(env.End()); err != nil {
-		return nil, err
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return enc.EncodeToken(env.End())
 }
 
 // xmlUnmarshalEnvelope parses an invocation envelope.
@@ -472,6 +478,142 @@ func xmlUnmarshalEnvelope(data []byte) (Envelope, error) {
 				return e, err
 			}
 			e.Context = n
+		}
+	}
+}
+
+// xmlMarshalBatch renders envelopes as an ax:batch request.
+func xmlMarshalBatch(envs []Envelope) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := xml.NewEncoder(&buf)
+	start := xml.StartElement{Name: xml.Name{Local: elemBatch}}
+	if err := enc.EncodeToken(start); err != nil {
+		return nil, err
+	}
+	for _, e := range envs {
+		if err := encodeEnvelope(enc, e); err != nil {
+			return nil, err
+		}
+	}
+	if err := enc.EncodeToken(start.End()); err != nil {
+		return nil, err
+	}
+	if err := enc.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// xmlUnmarshalBatch parses an ax:batch request, each child element read
+// as xmlUnmarshalEnvelope reads an envelope.
+func xmlUnmarshalBatch(data []byte) ([]Envelope, error) {
+	dec := xml.NewDecoder(bytes.NewReader(data))
+	root, err := firstStart(dec)
+	if err != nil || wireName(root.Name) != elemBatch {
+		return nil, fmt.Errorf("peer: bad batch: %v", err)
+	}
+	var envs []Envelope
+	for {
+		start := dec.InputOffset()
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		switch tok.(type) {
+		case xml.EndElement:
+			return envs, nil
+		case xml.StartElement:
+			if err := dec.Skip(); err != nil {
+				return nil, err
+			}
+			env, err := xmlUnmarshalEnvelope(data[start:dec.InputOffset()])
+			if err != nil {
+				return nil, err
+			}
+			envs = append(envs, env)
+		}
+	}
+}
+
+// xmlMarshalAnswers renders a batch's answers as an ax:answers element.
+func xmlMarshalAnswers(answers []Answer) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := xml.NewEncoder(&buf)
+	start := xml.StartElement{Name: xml.Name{Local: elemAnswers}}
+	if err := enc.EncodeToken(start); err != nil {
+		return nil, err
+	}
+	for _, a := range answers {
+		if a.Err == nil {
+			if err := enc.Flush(); err != nil {
+				return nil, err
+			}
+			if err := encodeForest(&buf, a.Forest); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		fail := xml.StartElement{Name: xml.Name{Local: elemError}}
+		for _, tok := range []xml.Token{fail, xml.CharData(a.Err.Error()), fail.End()} {
+			if err := enc.EncodeToken(tok); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := enc.EncodeToken(start.End()); err != nil {
+		return nil, err
+	}
+	if err := enc.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// xmlUnmarshalAnswers parses an ax:answers element: ax:forest and
+// ax:error children.
+func xmlUnmarshalAnswers(data []byte) ([]Answer, error) {
+	dec := xml.NewDecoder(bytes.NewReader(data))
+	root, err := firstStart(dec)
+	if err != nil || wireName(root.Name) != elemAnswers {
+		return nil, fmt.Errorf("peer: bad answers: %v", err)
+	}
+	var out []Answer
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		t, ok := tok.(xml.StartElement)
+		switch {
+		case !ok:
+			if _, end := tok.(xml.EndElement); end {
+				return out, nil
+			}
+		case wireName(t.Name) == elemForest:
+			holder, err := decodeChildren(dec, &tree.Node{})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, Answer{Forest: holder.Children})
+		case wireName(t.Name) == elemError:
+			var text bytes.Buffer
+			for done := false; !done; {
+				tok, err := dec.Token()
+				if err != nil {
+					return nil, err
+				}
+				switch tt := tok.(type) {
+				case xml.CharData:
+					text.Write(tt)
+				case xml.EndElement:
+					done = true
+				default:
+					return nil, fmt.Errorf("peer: unexpected token inside %s", elemError)
+				}
+			}
+			out = append(out, Answer{Err: errors.New(text.String())})
+		default:
+			return nil, fmt.Errorf("peer: unexpected <%s> in %s", wireName(t.Name), elemAnswers)
 		}
 	}
 }
@@ -595,7 +737,7 @@ func rejectionClass(data []byte, root string) string {
 		case xml.Directive:
 			return classDirective
 		case xml.CharData:
-			if len(bytes.TrimSpace(t)) != 0 && parent.elem != elemValue {
+			if len(bytes.TrimSpace(t)) != 0 && parent.elem != elemValue && parent.elem != elemError {
 				return classStructure
 			}
 		case xml.EndElement:
@@ -634,8 +776,12 @@ func rejectionClass(data []byte, root string) string {
 			case parent.elem == elemInvoke:
 				ok = (name == elemInput || name == elemContext) && !parent.parts[name]
 				parent.parts[name] = true
-			case parent.elem == elemValue:
+			case parent.elem == elemValue || parent.elem == elemError:
 				ok = false
+			case parent.elem == elemBatch:
+				ok = name == elemEnvelope
+			case parent.elem == elemAnswers:
+				ok = name == elemForest || name == elemError
 			case parent.elem == elemDelta:
 				ok = parent.n == 1 && parent.mode == DeltaFull && isTree
 			case !isTree: // a tree position: ax:forest, ax:doc, a part, a label or a call

@@ -13,7 +13,8 @@
 # graft record encoded twice, a tree in the delta anchor cache, an
 # index built outside its one constructor site, a document encoded
 # outside the served-bytes memo, a second load driver beside the
-# benchmark's fleet-serve workload, and a second replication dialect.
+# benchmark's fleet-serve workload, a second replication dialect, and a
+# merge outside the engine's one merge step.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -212,17 +213,18 @@ fi
 # The committed sterile-call gate is sound on two invariants: a document
 # version moves only through bumpVersion (every growth, every Touch —
 # which restamps), so equal versions mean equal documents; and a call's
-# committed gate is written only in engine.fire's merge step, after the
-# merge of the answer it gates ran. Copy may seed a fork's versions.
+# committed gate is written only in engine.commit, the firing path's
+# merge step, after the merge of the answer it gates ran. Copy may seed
+# a fork's versions.
 badgate=$(find internal -name '*.go' ! -name '*_test.go' -exec awk '
     /^func / { fn = $0 }
     /^[[:space:]]*\/\// { next }
     /docVersion\[[^]]*\][[:space:]]*([-+]?=[^=]|\+\+|--)/ && fn !~ /^func \(s \*System\) (bumpVersion|Copy)\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
-    /\.gate\[[^]]*\][[:space:]]*=[^=]/ && fn !~ /^func \(e \*engine\) fire\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    /\.gate\[[^]]*\][[:space:]]*=[^=]/ && fn !~ /^func \(e \*engine\) commit\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
     ' {} +)
 
 if [ -n "$badgate" ]; then
-    echo "vet-obs: a document version written outside System.bumpVersion / Copy, or a committed gate written outside engine.fire's merge step:" >&2
+    echo "vet-obs: a document version written outside System.bumpVersion / Copy, or a committed gate written outside engine.commit, the firing path's merge step:" >&2
     echo "$badgate" >&2
     exit 1
 fi
@@ -442,6 +444,23 @@ badreplication=$(grep -rn --include='*.go' -E 'chainDigest|X-Axml-Push-Mode|ax:p
 if [ -n "$badreplication" ]; then
     echo "vet-obs: a second replication dialect (the patch wire mode, the push hash chain or the delta-anchor knob; deltas answer same | log | full, pushes anchor by view digest):" >&2
     echo "$badreplication" >&2
+    exit 1
+fi
+# A batch only supplies answers: every answer the engine merges goes
+# through its one merge step (engine.commit: the stop and detachment
+# checks, the committed gate, the step accounting), whether it came from
+# a single evaluation or from a batch, and System.Invoke is the one
+# merge outside a run. A second .merge( call site in non-test
+# internal/core is a firing path that skips those.
+badfire=$(find internal/core -name '*.go' ! -name '*_test.go' -exec awk '
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    /\.merge\(/ && fn !~ /^func \(e \*engine\) commit\(|^func \(s \*System\) Invoke\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ' {} +)
+
+if [ -n "$badfire" ]; then
+    echo "vet-obs: a merge outside engine.commit and System.Invoke in internal/core (a batch supplies answers; commit merges them):" >&2
+    echo "$badfire" >&2
     exit 1
 fi
 echo "vet-obs: ok"
