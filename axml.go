@@ -177,8 +177,6 @@ type (
 var (
 	// Harden wraps a service in Breaker{Retry{Timeout{svc}}}.
 	Harden = core.Harden
-	// Innermost unwraps a middleware stack to its base service.
-	Innermost = core.Innermost
 	// ErrTimeout is wrapped by Timeout on expiry.
 	ErrTimeout = core.ErrTimeout
 	// ErrBreakerOpen is wrapped by Breaker when it short-circuits.

@@ -77,8 +77,8 @@ func TestBatchableNeedsEveryLayer(t *testing.T) {
 		{&Retry{Service: ConstService("f", nil)}, false},
 		{&GoService{Name: "f"}, false},
 	} {
-		if got := batchable(c.svc); got != c.want {
-			t.Errorf("batchable(%T) = %v, want %v", c.svc, got, c.want)
+		if got := resolve(c.svc).batch; got != c.want {
+			t.Errorf("resolve(%T).batch = %v, want %v", c.svc, got, c.want)
 		}
 	}
 }

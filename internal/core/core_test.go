@@ -278,6 +278,25 @@ func TestSystemValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("undefined call accepted by Validate")
 	}
+	// A query reading an undefined document or mentioning an undefined
+	// service is refused, behind a middleware layer as plainly.
+	for _, src := range []string{`out{$x} :- nowhere/r{$x}`, `out{!nope} :- `} {
+		for _, wrap := range []bool{false, true} {
+			q := syntax.MustParseQuery(src)
+			q.Name = "q"
+			var svc Service = &QueryService{Query: q}
+			if wrap {
+				svc = &Retry{Service: svc}
+			}
+			s := NewSystem()
+			if err := s.AddService(svc); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Validate(); err == nil {
+				t.Fatalf("%s (wrapped %v) accepted by Validate", src, wrap)
+			}
+		}
+	}
 }
 
 func TestAddDocumentReduces(t *testing.T) {

@@ -66,8 +66,8 @@ func (s *System) dependencyGraph(conservative bool) (*DepGraph, error) {
 		}
 	}
 	for _, fname := range s.funcNames {
-		qs, ok := Innermost(s.funcs[fname]).(*QueryService)
-		if !ok {
+		qs := s.funcs[fname].query
+		if qs == nil {
 			if !conservative {
 				return nil, fmt.Errorf("core: dependency graph needs declarative services; %q is a black box", fname)
 			}

@@ -10,21 +10,24 @@ import (
 	"axml/internal/tree"
 )
 
-// engine executes one RunContext. There is one firing path — fire: the
-// sterile-call gate (admit), a semi-naive evaluation under the system's
-// read lock, the merge under its write lock (commit) — and two schedules
-// that decide which call goes through it next:
+// engine executes one RunContext. There is one firing path — fireGroup,
+// for a group of calls to one service: the sterile-call gate for each
+// (admit), one semi-naive evaluation of the admitted ones under the
+// system's read lock, each answer's merge under its write lock (commit),
+// in scheduler order — and two schedules that decide which group goes
+// through it next:
 //
 //   - the sweep (runSweeps, below): one goroutine attempts every call
 //     present at the start of a sweep, in scheduler order, until a whole
 //     sweep changes nothing. Deterministic counters and intermediate
 //     states; taken at Parallelism 1 and by any run with a MaxSweeps
 //     budget, which only a sweeping run can honour. Its calls to one
-//     batchable service go through the gate and the commit together,
-//     around one evaluation (fireBatch).
+//     batching stack form one group, at the position of the first; any
+//     other call is a group of one.
 //   - the worklist (incremental.go): Parallelism workers drain a FIFO
 //     of call nodes fed by merge events through a reverse dependency
-//     index; a call is attempted only when something it reads moved.
+//     index; a call is attempted, as a group of one, only when something
+//     it reads moved.
 //
 // Concurrency model. The paper defines a run as a set of independent
 // monotone call firings whose results merge by least upper bound, and
@@ -91,17 +94,14 @@ type engine struct {
 	res                   RunResult
 	sterile               int // calls skipped by the version gate
 	deltaEvals            int // evaluations that ran semi-naively against a delta
-	batches, callsBatched int // fireBatch's batches and their calls
+	batches, callsBatched int // groups of two or more, and their calls
 	seen                  map[*tree.Node]gate
 	stop                  bool // budget exhausted or fail-fast: drain, then return
 
-	// tokens holds one entry per Versioned service, fixed at run start
-	// (services are immutable during a run); each reads its token at most
-	// once per run (token).
-	tokens map[string]*runToken
-
-	// batch names the batchable services, fixed at run start like tokens.
-	batch map[string]bool
+	// services holds every registered stack, fixed at run start
+	// (services are immutable during a run); a Versioned one reads its
+	// token at most once per run (token).
+	services map[string]*runService
 
 	// ev is the worklist schedule's state (incremental.go); nil in a
 	// sweeping run.
@@ -143,10 +143,10 @@ func (g gate) lasting() gate {
 	return g
 }
 
-// runToken is one Versioned service's token for the run.
-type runToken struct {
+// runService is one registered stack as a run sees it, with its token.
+type runService struct {
+	stack
 	once sync.Once
-	svc  Versioned
 	tok  string
 }
 
@@ -154,12 +154,12 @@ type runToken struct {
 // Versioned and its token is known. The token is read at most once per
 // run, on the first call that needs it, outside every lock.
 func (e *engine) token(ctx context.Context, name string) string {
-	t := e.tokens[name]
-	if t == nil {
+	rs := e.services[name]
+	if rs == nil || rs.token == nil {
 		return ""
 	}
-	t.once.Do(func() { t.tok = t.svc.Version(ctx) })
-	return t.tok
+	rs.once.Do(func() { rs.tok = rs.token.Version(ctx) })
+	return rs.tok
 }
 
 func newEngine(s *System, opts RunOptions) *engine {
@@ -185,21 +185,12 @@ func newEngine(s *System, opts RunOptions) *engine {
 	}
 	// Touch and Restore rebuild the index table under the write side.
 	var ih, im, ib uint64
-	var tokens map[string]*runToken
-	batch := make(map[string]bool)
+	services := make(map[string]*runService)
 	s.View(func() {
 		ih, im = s.IndexStats()
 		ib = s.IndexBuilds()
-		for _, name := range s.funcNames {
-			if batchable(s.funcs[name]) {
-				batch[name] = true
-			}
-			if v, ok := Innermost(s.funcs[name]).(Versioned); ok {
-				if tokens == nil {
-					tokens = make(map[string]*runToken)
-				}
-				tokens[name] = &runToken{svc: v}
-			}
+		for name, st := range s.funcs {
+			services[name] = &runService{stack: st}
 		}
 	})
 	rw, ww := s.engineMu.contention()
@@ -227,9 +218,8 @@ func newEngine(s *System, opts RunOptions) *engine {
 		// vector doubles as the baseline for delta evaluations. A call
 		// this run has not looked at yet falls back to the system's
 		// committed gate (System.gate).
-		seen:   make(map[*tree.Node]gate),
-		tokens: tokens,
-		batch:  batch,
+		seen:     make(map[*tree.Node]gate),
+		services: services,
 	}
 }
 
@@ -275,18 +265,19 @@ func (e *engine) runSweeps(ctx context.Context) RunResult {
 		if e.tracer != nil {
 			sweepSC = e.root.NewChild()
 		}
-		batched := make(map[string]bool) // batchable services fired this sweep
+		batched := make(map[string]bool) // batching stacks fired this sweep
 		for i, c := range pending {
 			if e.stopped() || ctx.Err() != nil {
 				break
 			}
-			switch name := c.Node.Name; {
-			case !e.batch[name]:
-				e.fire(ctx, sweepSC, c)
-			case !batched[name]:
-				batched[name] = true
-				e.fireBatch(ctx, sweepSC, name, pending[i:])
+			name, group := c.Node.Name, pending[i:i+1]
+			if rs := e.services[name]; rs != nil && rs.batch {
+				if batched[name] {
+					continue
+				}
+				batched[name], group = true, pending[i:]
 			}
+			e.fireGroup(ctx, sweepSC, name, group)
 		}
 
 		e.mu.Lock()
@@ -434,19 +425,6 @@ type admitted struct {
 	since map[string]uint64
 }
 
-// fire is the single firing path, run without engine.mu held: the
-// sterile-call gate (admit), the evaluation under the read lock (any
-// number at a time), the merge under the write lock (commit, the version
-// funnel). parent is the enclosing sweep's or drain's span context; the
-// call span is its child and the evaluation context carries the call
-// span, so a remote service invocation continues the trace on the other
-// peer.
-func (e *engine) fire(ctx context.Context, parent obs.SpanContext, c Call) {
-	if a, ok := e.admit(ctx, c); ok {
-		e.fireAdmitted(ctx, parent, a)
-	}
-}
-
 // admit is the firing path's gate: it reports false, having counted or
 // forgotten the call, when the run stopped, reduction pruned the call
 // node or the call is sterile; otherwise it counts the attempt.
@@ -502,43 +480,19 @@ func (e *engine) admit(ctx context.Context, c Call) (admitted, bool) {
 	return admitted{c, g, lasts, since}, true
 }
 
-// fireAdmitted evaluates an admitted call and commits the answer.
-func (e *engine) fireAdmitted(ctx context.Context, parent obs.SpanContext, a admitted) {
-	var callSC obs.SpanContext
-	if e.tracer != nil {
-		callSC = parent.NewChild()
-		ctx = obs.ContextWithSpan(ctx, callSC)
-	}
-	callTS := e.tracer.Now()
-	evalStart := time.Now()
-	e.rlock()
-	forest, err := e.s.evaluateSince(ctx, a.c, a.since)
-	e.s.engineMu.RUnlock()
-	evalDur := time.Since(evalStart)
-	e.evalH.Observe(int64(evalDur))
-	if e.tracer != nil {
-		span := obs.Span{
-			Kind:  "call",
-			Name:  a.c.Node.Name,
-			TSUs:  callTS,
-			DurUs: int64(evalDur / time.Microsecond),
-		}.WithContext(callSC, parent)
-		if err != nil {
-			span.Err = err.Error()
-		}
-		e.tracer.Emit(span)
-	}
-	e.commit(ctx, callSC, a, forest, err)
-}
-
-// fireBatch fires the calls named name in pending (the sweep from the
-// first of them on) as one batch: each goes through admit, one
-// InvokeBatch answers the admitted ones under one read lock, and each
-// answer is committed in scheduler order. A group of one fires singly.
-// Theorem 2.1 licenses the grouping (DESIGN.md, "Batches").
-func (e *engine) fireBatch(ctx context.Context, parent obs.SpanContext, name string, pending []Call) {
+// fireGroup is the one firing path, run without engine.mu held, for a
+// group: the calls named name among calls, in scheduler order. Each goes
+// through the sterile-call gate (admit), the admitted ones are evaluated
+// together under one read lock (System.evaluate: one exchange with the
+// stack, any number of evaluations at a time), and each answer is merged
+// under the write lock in scheduler order (commit, the version funnel).
+// Theorem 2.1 licenses the grouping (DESIGN.md, "Batches"). A group of
+// one is a call span, two or more a batch span, the parent's child (the
+// enclosing sweep's or drain's); the evaluation context carries it, so a
+// remote service invocation continues the trace on the other peer.
+func (e *engine) fireGroup(ctx context.Context, parent obs.SpanContext, name string, calls []Call) {
 	var as []admitted
-	for _, c := range pending {
+	for _, c := range calls {
 		if c.Node.Name != name {
 			continue
 		}
@@ -546,50 +500,49 @@ func (e *engine) fireBatch(ctx context.Context, parent obs.SpanContext, name str
 			as = append(as, a)
 		}
 	}
-	if len(as) < 2 {
-		for _, a := range as {
-			e.fireAdmitted(ctx, parent, a)
-		}
+	if len(as) == 0 {
 		return
 	}
-	var batchSC obs.SpanContext
+	var sc obs.SpanContext
 	if e.tracer != nil {
-		batchSC = parent.NewChild()
-		ctx = obs.ContextWithSpan(ctx, batchSC)
+		sc = parent.NewChild()
+		ctx = obs.ContextWithSpan(ctx, sc)
 	}
-	batchTS, start := e.tracer.Now(), time.Now()
-	bs := make([]Binding, len(as))
+	ts, start := e.tracer.Now(), time.Now()
 	e.rlock()
-	for i, a := range as {
-		bs[i] = e.s.bindingOf(a.c, a.since)
-	}
-	forests, errs := e.s.funcs[name].(BatchService).InvokeBatch(ctx, bs)
+	forests, errs := e.s.evaluate(ctx, as)
 	e.s.engineMu.RUnlock()
 	dur := time.Since(start)
 	e.evalH.Observe(int64(dur))
-	failed := 0
-	for i, err := range errs {
-		if err != nil {
-			errs[i] = serviceErr(as[i].c, err)
-			failed++
-		}
+	if len(as) > 1 {
+		e.mu.Lock()
+		e.batches++
+		e.callsBatched += len(as)
+		e.mu.Unlock()
 	}
-	e.mu.Lock()
-	e.batches++
-	e.callsBatched += len(as)
-	e.mu.Unlock()
 	if e.tracer != nil {
-		e.tracer.Emit(obs.Span{Kind: "batch", Name: name, TSUs: batchTS, DurUs: int64(dur / time.Microsecond),
-			Attrs: map[string]int64{"calls": int64(len(as)), "failed": int64(failed)}}.WithContext(batchSC, parent))
+		span := obs.Span{Kind: "call", Name: name, TSUs: ts, DurUs: int64(dur / time.Microsecond)}
+		if len(as) > 1 {
+			failed := 0
+			for _, err := range errs {
+				if err != nil {
+					failed++
+				}
+			}
+			span.Kind, span.Attrs = "batch", map[string]int64{"calls": int64(len(as)), "failed": int64(failed)}
+		} else if errs[0] != nil {
+			span.Err = errs[0].Error()
+		}
+		e.tracer.Emit(span.WithContext(sc, parent))
 	}
 	for i, a := range as {
-		e.commit(ctx, batchSC, a, forests[i], errs[i])
+		e.commit(ctx, sc, a, forests[i], errs[i])
 	}
 }
 
 // commit is the firing path's merge step, the one engine call site of
 // System.merge: an error goes to the error policy, an answer is merged
-// and its gate committed. parent (the call's or batch's span) parents
+// and its gate committed. parent (the group's call or batch span) parents
 // the merge span.
 func (e *engine) commit(ctx context.Context, parent obs.SpanContext, a admitted, forest tree.Forest, err error) {
 	s, c := e.s, a.c

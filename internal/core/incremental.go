@@ -90,7 +90,7 @@ func newEventState(s *System, mu *sync.Mutex, cancel context.CancelFunc) *eventS
 		parked:       map[*tree.Node]int{},
 	}
 	for _, f := range s.funcNames {
-		qs := s.declarative(f)
+		qs := s.Declarative(f)
 		if qs == nil {
 			ev.blackBox = append(ev.blackBox, f)
 			continue
@@ -309,7 +309,7 @@ func (e *engine) drainWorklist(ctx context.Context, drainSC obs.SpanContext) {
 		ev.inflight++
 		e.mu.Unlock()
 
-		e.fire(ctx, drainSC, c)
+		e.fireGroup(ctx, drainSC, c.Node.Name, []Call{c})
 
 		e.mu.Lock()
 		ev.inflight--

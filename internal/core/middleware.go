@@ -25,26 +25,13 @@ import (
 // breaker; each attempt gets its own deadline).
 
 // Wrapper is implemented by services that decorate another service.
-// Unwrap returns the decorated service, letting callers reach through a
-// middleware stack (see Innermost).
+// Unwrap returns the decorated service. AddService follows the Unwrap
+// links once, to the innermost layer, and records what it finds there (a
+// query, a token source) and whether every layer batches (see stack): a
+// stack is fixed once registered, so Unwrap must keep returning the same
+// service, and a wrapper never hides a query's definition.
 type Wrapper interface {
 	Unwrap() Service
-}
-
-// Innermost follows Unwrap links to the base service of a middleware
-// stack; a plain service is returned unchanged.
-func Innermost(svc Service) Service {
-	for {
-		w, ok := svc.(Wrapper)
-		if !ok {
-			return svc
-		}
-		inner := w.Unwrap()
-		if inner == nil {
-			return svc
-		}
-		svc = inner
-	}
 }
 
 // Defaults for the middlewares' zero-valued knobs.

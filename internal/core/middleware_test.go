@@ -221,11 +221,12 @@ func TestHardenCompositionAndInnermost(t *testing.T) {
 	if !ok {
 		t.Fatalf("middle = %T, want *Retry", br.Unwrap())
 	}
-	if _, ok := r.Unwrap().(*Timeout); !ok {
+	to, ok := r.Unwrap().(*Timeout)
+	if !ok {
 		t.Fatalf("inner = %T, want *Timeout", r.Unwrap())
 	}
-	if Innermost(out) != Service(svc) {
-		t.Fatal("Innermost did not reach the base service")
+	if to.Unwrap() != Service(svc) {
+		t.Fatal("the innermost layer is not the base service")
 	}
 	if got := Harden(svc, HardenOptions{}); got != Service(svc) {
 		t.Fatalf("zero options wrapped: %T", got)

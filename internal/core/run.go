@@ -101,40 +101,64 @@ func (w *callWalk) link(i int) *pathLink {
 // services that honor it) but never leaves the document half-mutated: the
 // merge is all-or-nothing after the evaluation returned.
 func (s *System) Invoke(ctx context.Context, c Call) (changed bool, err error) {
-	forest, err := s.evaluateSince(ctx, c, nil)
-	if err != nil {
+	if err := s.callErr(c); err != nil {
 		return false, err
 	}
-	fresh, _, _ := s.merge(c, forest)
+	forests, errs := s.evaluate(ctx, []admitted{{c: c}})
+	if errs[0] != nil {
+		return false, errs[0]
+	}
+	fresh, _, _ := s.merge(c, forests[0])
 	return len(fresh) > 0, nil
 }
 
-// evaluateSince is the read-only half of Invoke: it validates the call,
-// builds its binding (bindingOf) and evaluates the service on it. The
-// engine runs it under the system's read lock, so any number of
-// evaluations proceed concurrently. A non-nil since map (per-document
-// baseline versions, keyed by the names the service's query uses,
-// including "input"/"context") requests a semi-naive delta evaluation:
-// declarative services return only results with a witness in the data
-// appended after the baseline.
-func (s *System) evaluateSince(ctx context.Context, c Call, since map[string]uint64) (tree.Forest, error) {
-	svc := s.funcs[c.Node.Name]
+// evaluate is the read-only half of a firing, for a group of calls to one
+// service: Invoke's group of one, or an engine group (engine.fireGroup).
+// It builds each call's binding (bindingOf, with the call's delta
+// baseline) and answers them all in one exchange with the stack
+// (invokeBatch), one forest or error per call, in order. The calls lie in
+// known documents below a parent: the engine's come from the live
+// documents, and Invoke checks its own (callErr). The engine runs it
+// under the system's read lock, so any number of evaluations proceed
+// concurrently. A non-nil baseline (per-document versions, keyed by the
+// names the service's query uses, including "input"/"context") requests
+// a semi-naive delta evaluation: declarative services return only
+// results with a witness in the data appended after it.
+func (s *System) evaluate(ctx context.Context, as []admitted) ([]tree.Forest, []error) {
+	svc := s.funcs[as[0].c.Node.Name].svc
 	if svc == nil {
-		return nil, fmt.Errorf("core: call to undefined service %q", c.Node.Name)
+		errs := make([]error, len(as))
+		for i, a := range as {
+			errs[i] = s.callErr(a.c)
+		}
+		return make([]tree.Forest, len(as)), errs
 	}
-	if s.docs[c.Doc] == nil {
-		return nil, fmt.Errorf("core: call in unknown document %q", c.Doc)
+	bs := make([]Binding, len(as))
+	for i, a := range as {
+		bs[i] = s.bindingOf(a.c, a.since)
 	}
-	if c.Parent == nil {
+	fs, errs := invokeBatch(ctx, svc, bs)
+	for i, err := range errs {
+		if err != nil {
+			fs[i], errs[i] = nil, serviceErr(as[i].c, err)
+		}
+	}
+	return fs, errs
+}
+
+// callErr reports why a call cannot be evaluated, or nil.
+func (s *System) callErr(c Call) error {
+	switch {
+	case s.funcs[c.Node.Name].svc == nil:
+		return fmt.Errorf("core: call to undefined service %q", c.Node.Name)
+	case s.docs[c.Doc] == nil:
+		return fmt.Errorf("core: call in unknown document %q", c.Doc)
+	case c.Parent == nil:
 		// Function roots are excluded by Definition 2.1(ii); documents
 		// added through AddDocument never reach this. Guard anyway.
-		return nil, fmt.Errorf("core: call %q is a document root", c.Node.Name)
+		return fmt.Errorf("core: call %q is a document root", c.Node.Name)
 	}
-	forest, err := svc.Invoke(ctx, s.bindingOf(c, since))
-	if err != nil {
-		return nil, serviceErr(c, err)
-	}
-	return forest, nil
+	return nil
 }
 
 // serviceErr names the call's service on an error its evaluation returned.
@@ -142,11 +166,11 @@ func serviceErr(c Call, err error) error {
 	return fmt.Errorf("core: service %q: %w", c.Node.Name, err)
 }
 
-// bindingOf builds a valid call's binding, with since as its delta
-// baseline (fireBatch's calls come from Calls, so are valid). Bindings
-// alias the live trees: services read them (pattern matching never
-// mutates, and head instantiation copies every bound subtree), and
-// copying the context would cost O(document) per invocation.
+// bindingOf builds a valid call's binding (callErr), with since as its
+// delta baseline. Bindings alias the live trees: services read them
+// (pattern matching never mutates, and head instantiation copies every
+// bound subtree), and copying the context would cost O(document) per
+// invocation.
 func (s *System) bindingOf(c Call, since map[string]uint64) Binding {
 	return Binding{
 		Input:   &tree.Node{Kind: tree.Label, Name: tree.Input, Children: c.Node.Children},
@@ -247,13 +271,6 @@ func (s *System) Append(doc string, parent *tree.Node, forest tree.Forest) (chan
 	return len(fresh) > 0, nil
 }
 
-// declarative resolves the named service to its innermost QueryService,
-// unwrapping middleware decorations; it returns nil for black boxes.
-func (s *System) declarative(name string) *QueryService {
-	qs, _ := Innermost(s.funcs[name]).(*QueryService)
-	return qs
-}
-
 // relevantDocs returns the names of the documents whose content can
 // influence the call's next answer, deduplicated, in a deterministic
 // order (query first-occurrence order for positive services, system
@@ -261,7 +278,7 @@ func (s *System) declarative(name string) *QueryService {
 // their defining query reads (input and context both live inside the
 // call's own document); for black boxes, every document.
 func (s *System) relevantDocs(c Call) []string {
-	if qs := s.declarative(c.Node.Name); qs != nil {
+	if qs := s.Declarative(c.Node.Name); qs != nil {
 		var out []string
 		seenOwn := false
 		for _, d := range qs.Query.DocNames() {
@@ -308,7 +325,7 @@ func (s *System) gateOf(c Call, tok string) (g gate, lasts bool) {
 		g.context, g.token = c.Parent.Digest(), tok
 		return g, true
 	}
-	return g, s.declarative(c.Node.Name) != nil
+	return g, s.Declarative(c.Node.Name) != nil
 }
 
 // sinceFor converts the version vector recorded at the call's previous
@@ -322,7 +339,7 @@ func (s *System) sinceFor(c Call, prev []uint64) map[string]uint64 {
 	if prev == nil {
 		return nil
 	}
-	qs := s.declarative(c.Node.Name)
+	qs := s.Declarative(c.Node.Name)
 	if qs == nil {
 		return nil
 	}
@@ -546,8 +563,9 @@ type RunStats struct {
 	// documents (from the second evaluation of a call on; never for
 	// black boxes).
 	DeltaEvals int
-	// Batches counts a sweeping run's batches (its calls to one
-	// BatchService, answered by one InvokeBatch); CallsBatched, their calls.
+	// Batches counts a sweeping run's groups of two or more calls to one
+	// batching stack, each answered by one InvokeBatch; CallsBatched,
+	// their calls.
 	Batches      int
 	CallsBatched int
 	// Enqueues and EnqueuesCoalesced count, for a worklist run, the
@@ -567,7 +585,7 @@ type RunStats struct {
 	IndexMisses uint64
 	IndexBuilds uint64
 	// Eval is the service-evaluation latency histogram (ns): one sample
-	// per single call's evaluation and one per batch.
+	// per group's evaluation.
 	Eval obs.HistSnapshot
 	// MergeWait is the time each successful evaluation waited at the
 	// version funnel before its merge ran (ns).

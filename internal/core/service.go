@@ -89,30 +89,48 @@ type Service interface {
 
 // BatchService is optionally implemented by a service that answers
 // several bindings in one exchange: one forest or error per binding, in
-// order, each under Invoke's contract. A sweep fires its calls to a
-// service whose every layer implements it as one batch (fireBatch).
+// order, each under Invoke's contract, so a batch of one is an Invoke. A
+// sweep fires its calls to a stack whose every layer implements it as one
+// group, answered by one InvokeBatch (engine.fireGroup).
 type BatchService interface {
 	Service
 	InvokeBatch(ctx context.Context, bs []Binding) ([]tree.Forest, []error)
 }
 
-// batchable reports whether every layer of svc's middleware stack
-// implements BatchService.
-func batchable(svc Service) bool {
+// stack is what AddService resolves, once, about a registered service
+// (resolve): every capability read — is the service declarative, does it
+// carry a token, does it batch — reads this record, so a middleware layer
+// never hides the service underneath. A stack is fixed once registered.
+type stack struct {
+	svc   Service       // the outermost layer: what an invocation calls
+	query *QueryService // the innermost layer when it is a query; nil for a black box
+	token Versioned     // the innermost layer when it is Versioned
+	batch bool          // every layer implements BatchService
+}
+
+// resolve follows svc's Unwrap links to the innermost layer of its
+// middleware stack and records what it finds.
+func resolve(svc Service) stack {
+	st := stack{svc: svc, batch: true}
 	for {
 		if _, ok := svc.(BatchService); !ok {
-			return false
+			st.batch = false
 		}
 		w, ok := svc.(Wrapper)
 		if !ok || w.Unwrap() == nil {
-			return true
+			break
 		}
 		svc = w.Unwrap()
 	}
+	st.query, _ = svc.(*QueryService)
+	st.token, _ = svc.(Versioned)
+	return st
 }
 
 // invokeBatch answers bs through svc's InvokeBatch, or by one Invoke per
-// binding when svc cannot batch.
+// binding when svc cannot batch. It is how a middleware layer, which has
+// no record, calls the layer it wraps, and how the engine calls a stack:
+// a stack that does not batch is only ever handed one binding.
 func invokeBatch(ctx context.Context, svc Service, bs []Binding) ([]tree.Forest, []error) {
 	if b, ok := svc.(BatchService); ok {
 		return b.InvokeBatch(ctx, bs)

@@ -11,8 +11,8 @@ import (
 func (s *System) Source() (string, error) {
 	var b strings.Builder
 	for _, name := range s.funcNames {
-		qs, ok := s.funcs[name].(*QueryService)
-		if !ok {
+		qs := s.funcs[name].query
+		if qs == nil {
 			return "", fmt.Errorf("core: service %q is a black box and cannot be serialized", name)
 		}
 		fmt.Fprintf(&b, "func %s = %s\n", name, qs.Query)

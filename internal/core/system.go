@@ -22,7 +22,7 @@ type System struct {
 	docNames  []string
 	docs      map[string]*tree.Document
 	funcNames []string
-	funcs     map[string]Service
+	funcs     map[string]stack // resolved once, at AddService
 	// docVersion counts the strictly-growing invocations applied to each
 	// document. Services are deterministic monotone functions of the
 	// documents they read, so a call whose relevant versions are
@@ -93,7 +93,7 @@ func (s *System) Update(fn func()) {
 func NewSystem() *System {
 	return &System{
 		docs:       make(map[string]*tree.Document),
-		funcs:      make(map[string]Service),
+		funcs:      make(map[string]stack),
 		docVersion: make(map[string]uint64),
 		indexes:    make(map[string]*pattern.Index),
 		gate:       make(map[*tree.Node]gate),
@@ -172,7 +172,8 @@ func (s *System) IndexBuilds() uint64 {
 	return n
 }
 
-// AddService registers a service under its function name.
+// AddService registers a service under its function name and resolves its
+// middleware stack once (see Wrapper): the stack is fixed from here on.
 func (s *System) AddService(svc Service) error {
 	if svc == nil {
 		return fmt.Errorf("core: nil service")
@@ -185,7 +186,7 @@ func (s *System) AddService(svc Service) error {
 		return fmt.Errorf("core: duplicate service %q", name)
 	}
 	s.funcNames = append(s.funcNames, name)
-	s.funcs[name] = svc
+	s.funcs[name] = resolve(svc)
 	return nil
 }
 
@@ -246,7 +247,14 @@ func (s *System) FuncNames() []string { return append([]string(nil), s.funcNames
 func (s *System) Document(name string) *tree.Document { return s.docs[name] }
 
 // Service returns the named service, or nil.
-func (s *System) Service(name string) Service { return s.funcs[name] }
+func (s *System) Service(name string) Service { return s.funcs[name].svc }
+
+// Declarative returns the query that defines the named service — the
+// innermost layer of its middleware stack — or nil for a black box or an
+// unknown name. It is the one answer to "is this service positive?"
+// (Section 3.2): a fault-tolerance layer around a query does not change
+// what the service is.
+func (s *System) Declarative(name string) *QueryService { return s.funcs[name].query }
 
 // Docs returns the current document binding (live trees; do not modify).
 func (s *System) Docs() query.Docs {
@@ -428,9 +436,10 @@ func (s *System) CountCalls() int {
 	return n
 }
 
-// Copy deep-copies the documents; services are shared (they are stateless
-// by contract). The mutation hook and the committed gate do not carry
-// over — they belong to one concrete system's nodes, not its forks.
+// Copy deep-copies the documents; services and their resolved stacks are
+// shared (they are stateless by contract). The mutation hook and the
+// committed gate do not carry over — they belong to one concrete system's
+// nodes, not its forks.
 func (s *System) Copy() *System {
 	c := NewSystem()
 	for _, name := range s.docNames {
@@ -484,8 +493,8 @@ func (s *System) Validate() error {
 		}
 	}
 	for _, fname := range s.funcNames {
-		qs, ok := s.funcs[fname].(*QueryService)
-		if !ok {
+		qs := s.funcs[fname].query
+		if qs == nil {
 			continue
 		}
 		for _, docName := range qs.Query.DocNames() {
@@ -505,11 +514,11 @@ func (s *System) Validate() error {
 	return nil
 }
 
-// IsPositive reports whether every service is a QueryService (a positive
+// IsPositive reports whether every service is declarative (a positive
 // system, Section 3.2).
 func (s *System) IsPositive() bool {
 	for _, name := range s.funcNames {
-		if _, ok := s.funcs[name].(*QueryService); !ok {
+		if s.funcs[name].query == nil {
 			return false
 		}
 	}
@@ -520,8 +529,7 @@ func (s *System) IsPositive() bool {
 // is simple (a simple positive system).
 func (s *System) IsSimple() bool {
 	for _, name := range s.funcNames {
-		qs, ok := s.funcs[name].(*QueryService)
-		if !ok || !qs.IsSimple() {
+		if qs := s.funcs[name].query; qs == nil || !qs.IsSimple() {
 			return false
 		}
 	}

@@ -102,7 +102,7 @@ func TestFaultServiceDelegatesWhenHealthy(t *testing.T) {
 	if err != nil || len(forest) != 1 || forest[0].Name != "ok" {
 		t.Fatalf("forest=%v err=%v", forest, err)
 	}
-	if core.Innermost(f).ServiceName() != "svc" {
+	if f.Unwrap().ServiceName() != "svc" {
 		t.Fatal("Unwrap broken")
 	}
 }

@@ -102,9 +102,8 @@ func Analyze(s *core.System, q *query.Query) (*Analysis, error) {
 			a.relevantSet[c.Node] = true
 			a.Relevant = append(a.Relevant, c)
 			progressed = true
-			svc := s.Service(c.Node.Name)
-			qs, ok := svc.(*core.QueryService)
-			if !ok {
+			qs := s.Declarative(c.Node.Name)
+			if qs == nil {
 				// Black box: its answer is treated as independent of the
 				// rest of the system, per the paper's weak notions.
 				continue

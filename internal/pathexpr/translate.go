@@ -99,7 +99,7 @@ func Translate(s *core.System, rq *RQuery) (*Translation, error) {
 	}
 	// Original services: heads injected so produced data is annotated.
 	for _, fname := range s.FuncNames() {
-		qs := s.Service(fname).(*core.QueryService)
+		qs := s.Declarative(fname)
 		orig := qs.Query
 		inj := &query.Query{
 			Name:  orig.Name,
@@ -298,7 +298,7 @@ func activeAlphabet(s *core.System, rq *RQuery) []string {
 		}
 	}
 	for _, fname := range s.FuncNames() {
-		if qs, ok := s.Service(fname).(*core.QueryService); ok {
+		if qs := s.Declarative(fname); qs != nil {
 			walkP(qs.Query.Head)
 			for _, a := range qs.Query.Body {
 				walkP(a.Pattern)

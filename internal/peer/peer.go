@@ -456,7 +456,7 @@ func (p *Peer) serve(ctx context.Context, env Envelope) (forest tree.Forest, rea
 			Docs:    docs,
 			Indexes: ixs,
 		})
-		if qs, ok := core.Innermost(svc).(*core.QueryService); ok {
+		if qs := p.system.Declarative(env.Service); qs != nil {
 			reads, declarative = readsOf(qs.Query), true
 		}
 	})

@@ -176,8 +176,8 @@ func (g *Graph) reachableCallEdges() []callEdge {
 func (g *Graph) saturateOnce(s *core.System) (bool, error) {
 	changed := false
 	for _, e := range g.reachableCallEdges() {
-		svc, ok := s.Service(e.fn.Name).(*core.QueryService)
-		if !ok {
+		svc := s.Declarative(e.fn.Name)
+		if svc == nil {
 			return false, fmt.Errorf("regular: call to unknown or non-positive service %q", e.fn.Name)
 		}
 		ev, rows, err := g.evalBody(svc.Query, e)

@@ -13,8 +13,9 @@
 # graft record encoded twice, a tree in the delta anchor cache, an
 # index built outside its one constructor site, a document encoded
 # outside the served-bytes memo, a second load driver beside the
-# benchmark's fleet-serve workload, a second replication dialect, and a
-# merge outside the engine's one merge step.
+# benchmark's fleet-serve workload, a second replication dialect, a
+# merge outside the engine's one merge step, and a service capability
+# read outside the stack AddService resolves.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -446,11 +447,11 @@ if [ -n "$badreplication" ]; then
     echo "$badreplication" >&2
     exit 1
 fi
-# A batch only supplies answers: every answer the engine merges goes
-# through its one merge step (engine.commit: the stop and detachment
-# checks, the committed gate, the step accounting), whether it came from
-# a single evaluation or from a batch, and System.Invoke is the one
-# merge outside a run. A second .merge( call site in non-test
+# A group's evaluation only supplies answers: every answer the engine
+# merges goes through its one merge step (engine.commit: the stop and
+# detachment checks, the committed gate, the step accounting), whatever
+# the size of the group it came from (engine.fireGroup), and System.Invoke
+# is the one merge outside a run. A second .merge( call site in non-test
 # internal/core is a firing path that skips those.
 badfire=$(find internal/core -name '*.go' ! -name '*_test.go' -exec awk '
     /^func / { fn = $0 }
@@ -459,8 +460,27 @@ badfire=$(find internal/core -name '*.go' ! -name '*_test.go' -exec awk '
     ' {} +)
 
 if [ -n "$badfire" ]; then
-    echo "vet-obs: a merge outside engine.commit and System.Invoke in internal/core (a batch supplies answers; commit merges them):" >&2
+    echo "vet-obs: a merge outside engine.commit and System.Invoke in internal/core (a group's evaluation supplies answers; commit merges them):" >&2
     echo "$badfire" >&2
+    exit 1
+fi
+# A service's capabilities are resolved once, when AddService registers
+# its stack (core's resolve): the innermost query, the token source and
+# whether every layer batches. System.Declarative answers "what query
+# defines this service?", and invokeBatch is the one place a middleware
+# layer, which has no record, asks the layer it wraps. A type assertion
+# to *QueryService, Versioned or BatchService, or an Innermost walk,
+# anywhere else in non-test Go is the second capability read that let a
+# wrapper make a query a black box to some analyses and not others.
+badcapability=$( { find internal cmd -name '*.go' ! -name '*_test.go'; ls *.go | grep -v '_test\.go$'; } | xargs awk '
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    (/\.\(\*?(core\.)?(QueryService|Versioned|BatchService)\)/ || /(^|[^A-Za-z0-9_])[Ii]nnermost\(/) && !(FILENAME ~ /internal\/core\/service\.go$/ && fn ~ /^func (resolve|invokeBatch)\(/) { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    ')
+
+if [ -n "$badcapability" ]; then
+    echo "vet-obs: a service capability read outside the resolver (read the stack AddService resolved: System.Declarative, or core's resolve / invokeBatch):" >&2
+    echo "$badcapability" >&2
     exit 1
 fi
 echo "vet-obs: ok"
