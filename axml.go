@@ -226,8 +226,6 @@ var (
 
 // Lazy query evaluation (Section 4).
 type (
-	// LazyOptions bounds a lazy evaluation.
-	LazyOptions = lazy.Options
 	// LazyResult reports a lazy evaluation.
 	LazyResult = lazy.Result
 	// LazyAnalysis is the weak (PTIME) relevance analysis.

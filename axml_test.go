@@ -1,6 +1,7 @@
 package axml_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestFacadeRegularAndLazy(t *testing.T) {
 	if ok || !g.HasCycle() {
 		t.Fatal("loop not detected")
 	}
-	lres, err := axml.LazyEval(sys, axml.MustParseQuery(`hit :- d/a{a{a}}`), axml.LazyOptions{MaxSteps: 10})
+	lres, err := axml.LazyEval(context.Background(), sys, axml.MustParseQuery(`hit :- d/a{a{a}}`), axml.RunOptions{MaxSteps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

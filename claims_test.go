@@ -391,7 +391,7 @@ func TestClaimSec4Lazy(t *testing.T) {
 	for _, cds := range []int{8, 32, 64} {
 		cfg := workload.JazzConfig{CDs: cds, MaterializedRatio: 0.3, IrrelevantBranches: 3}
 		start := time.Now()
-		lres, err := lazy.Eval(workload.JazzSystem(rand.New(rand.NewSource(claimSeed)), cfg), workload.RatingQuery(), lazy.Options{MaxSteps: 100000})
+		lres, err := lazy.Eval(context.Background(), workload.JazzSystem(rand.New(rand.NewSource(claimSeed)), cfg), workload.RatingQuery(), core.RunOptions{MaxSteps: 100000})
 		el := time.Since(start)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package axml_test
 
 import (
+	"context"
 	"fmt"
 
 	"axml"
@@ -80,7 +81,7 @@ doc portal = p{data{v{"42"}},noise{!Feed}}
 func Feed = n{!Feed} :-
 `)
 	q := axml.MustParseQuery(`out{$x} :- portal/p{data{v{$x}}}`)
-	res, _ := axml.LazyEval(sys, q, axml.LazyOptions{})
+	res, _ := axml.LazyEval(context.Background(), sys, q, axml.RunOptions{})
 	fmt.Println("stable:", res.Stable, "invocations:", res.Invocations)
 	fmt.Println(res.Answer.CanonicalString())
 	// Output:

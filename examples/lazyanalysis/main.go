@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 	fmt.Println("materialized forest is a possible answer:", ok)
 
 	// 4. Lazy evaluation: answer without touching the video feed.
-	lres, err := axml.LazyEval(sys.Copy(), q, axml.LazyOptions{})
+	lres, err := axml.LazyEval(context.Background(), sys.Copy(), q, axml.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

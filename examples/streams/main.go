@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func More = batch{!More} :-
 	// 3. A headline query needs none of the feed: lazy evaluation
 	// answers it with zero invocations and proves stability.
 	q := axml.MustParseQuery(`head{$t} :- portal/portal{headlines{item{$t}}}`)
-	lres, err := axml.LazyEval(sys, q, axml.LazyOptions{})
+	lres, err := axml.LazyEval(context.Background(), sys, q, axml.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

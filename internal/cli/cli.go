@@ -4,6 +4,7 @@
 package cli
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -44,6 +45,7 @@ func Run(out io.Writer, opts Options, cmd string, args ...string) error {
 	if opts.ReadFile == nil {
 		opts.ReadFile = os.ReadFile
 	}
+	ro := runOptions(opts)
 	switch cmd {
 	case "parse":
 		if len(args) != 1 {
@@ -84,28 +86,17 @@ func Run(out io.Writer, opts Options, cmd string, args ...string) error {
 		if err != nil {
 			return err
 		}
-		var tracer *obs.Tracer
-		if opts.Trace != nil {
-			tracer = obs.NewTracer(opts.Trace)
-		}
-		res := s.Run(core.RunOptions{
-			MaxSteps: opts.MaxSteps, Parallelism: opts.Parallelism, Tracer: tracer,
-		})
+		res := s.Run(ro)
 		if res.Err != nil {
 			return res.Err
 		}
 		fmt.Fprintf(out, "# steps=%d attempts=%d sweeps=%d terminated=%v\n",
 			res.Steps, res.Attempts, res.Sweeps, res.Terminated)
-		if opts.Stats {
-			printStats(out, res.Stats)
+		if err := report(out, ro); err != nil {
+			return err
 		}
 		for _, name := range s.DocNames() {
 			fmt.Fprintf(out, "%s/%s\n", name, s.Document(name).Root)
-		}
-		if tracer != nil {
-			if err := tracer.Err(); err != nil {
-				return fmt.Errorf("trace: %w", err)
-			}
 		}
 		return nil
 	case "snapshot", "query", "lazy":
@@ -135,12 +126,15 @@ func Run(out io.Writer, opts Options, cmd string, args ...string) error {
 			fmt.Fprintf(out, "# exact=%v steps=%d\n", res.Exact, res.Run.Steps)
 			fmt.Fprintln(out, res.Answer.String())
 		case "lazy":
-			res, err := lazy.Eval(s, q, lazy.Options{MaxSteps: opts.MaxSteps})
+			res, err := lazy.Eval(context.Background(), s, q, ro)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "# stable=%v invocations=%d rounds=%d\n",
 				res.Stable, res.Invocations, res.Rounds)
+			if err := report(out, ro); err != nil {
+				return err
+			}
 			fmt.Fprintln(out, res.Answer.String())
 		}
 		return nil
@@ -241,23 +235,39 @@ func Run(out io.Writer, opts Options, cmd string, args ...string) error {
 	}
 }
 
-// printStats renders a run's RunStats as # comment lines, matching the
-// run subcommand's existing header style so pipelines that skip comments
-// skip these too.
-func printStats(out io.Writer, st core.RunStats) {
-	fmt.Fprintf(out, "# stats fired=%d sterile=%d delta_evals=%d enqueues=%d coalesced=%d reader_waits=%d writer_waits=%d\n",
-		st.CallsFired, st.CallsSterile, st.DeltaEvals, st.Enqueues,
-		st.EnqueuesCoalesced, st.ReaderWaits, st.WriterWaits)
-	printHist(out, "eval_ns", st.Eval)
-	printHist(out, "merge_wait_ns", st.MergeWait)
+// runOptions builds the RunOptions of the subcommands that drive the
+// engine (run, lazy); under -stats their runs fold into one registry.
+func runOptions(opts Options) core.RunOptions {
+	ro := core.RunOptions{MaxSteps: opts.MaxSteps, Parallelism: opts.Parallelism}
+	if opts.Trace != nil {
+		ro.Tracer = obs.NewTracer(opts.Trace)
+	}
+	if opts.Stats {
+		ro.Metrics = obs.NewRegistry()
+	}
+	return ro
 }
 
-func printHist(out io.Writer, name string, h obs.HistSnapshot) {
-	if h.Count == 0 {
-		return
+// report prints the -stats lines from the runs' registry, if any, as #
+// comment lines like the header, so pipelines that skip comments skip
+// them too, and returns a failed -trace-out write.
+func report(out io.Writer, ro core.RunOptions) error {
+	if reg := ro.Metrics; reg != nil {
+		n := func(name string) int64 { return reg.Counter("engine." + name).Value() }
+		fmt.Fprintf(out, "# stats fired=%d sterile=%d delta_evals=%d enqueues=%d coalesced=%d reader_waits=%d writer_waits=%d\n",
+			n("calls.fired"), n("calls.sterile"), n("delta_evals"), n("enqueues"),
+			n("enqueues.coalesced"), n("lock.reader_waits"), n("lock.writer_waits"))
+		for _, name := range []string{"eval_ns", "merge_wait_ns"} {
+			if h := reg.Histogram("engine." + name).Snapshot(); h.Count > 0 {
+				fmt.Fprintf(out, "# %s count=%d mean=%d p50=%d p90=%d p99=%d max=%d\n",
+					name, h.Count, h.Sum/h.Count, h.P50, h.P90, h.P99, h.Max)
+			}
+		}
 	}
-	fmt.Fprintf(out, "# %s count=%d mean=%d p50=%d p90=%d p99=%d max=%d\n",
-		name, h.Count, h.Sum/h.Count, h.P50, h.P90, h.P99, h.Max)
+	if err := ro.Tracer.Err(); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
 }
 
 // parseGoal reads a goal atom like tc(a,Y) — uppercase arguments are

@@ -182,3 +182,21 @@ tc(X, Y) :- tc(X, Z), tc(Z, Y).
 		t.Fatal("bad goal accepted")
 	}
 }
+
+// lazy builds the same RunOptions as run: -parallel, -trace-out and
+// -stats apply to its rounds.
+func TestLazyTakesRunOptions(t *testing.T) {
+	var buf, trace bytes.Buffer
+	opts := Options{ReadFile: memFS(map[string]string{"tc.axml": tcFile}), Stats: true, Parallelism: 1, Trace: &trace}
+	if err := Run(&buf, opts, "lazy", "tc.axml", `pair{$x,$y} :- d1/r{t{a{$x},b{$y}}}`); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "stable=true") || !strings.Contains(out, "# stats fired=") || strings.Contains(out, "fired=0 ") {
+		t.Fatalf("lazy -stats output: %q", out)
+	}
+	// Parallelism 1 sweeps: sweep spans, no worklist drain.
+	if spans := trace.String(); !strings.Contains(spans, `"kind":"sweep"`) || strings.Contains(spans, `"kind":"drain"`) {
+		t.Fatalf("lazy -trace-out spans: %q", spans)
+	}
+}

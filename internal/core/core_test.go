@@ -224,14 +224,17 @@ func TestInvokeInputBinding(t *testing.T) {
 func TestInvokeNoChangeOnRepeat(t *testing.T) {
 	s := MustParseSystem(tcSystem)
 	s.Run(RunOptions{})
-	// All calls exhausted: another explicit invocation changes nothing.
-	for _, c := range s.Calls() {
-		changed, err := s.Invoke(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
+	// All calls exhausted: invoking any one of them again changes
+	// nothing. A copy has no committed gate, so each call is evaluated.
+	for i, c := range s.Calls() {
+		cp := s.Copy()
+		node := cp.Calls()[i].Node
+		res := cp.Run(RunOptions{MaxSweeps: 1, Relevant: func(d Call) bool { return d.Node == node }})
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		if changed {
-			t.Fatalf("call %s changed a terminated system", c.Node.Name)
+		if res.Attempts != 1 || res.Steps != 0 {
+			t.Fatalf("call %s on a terminated system: %+v", c.Node.Name, res)
 		}
 	}
 }
@@ -241,12 +244,8 @@ func TestInvokeErrors(t *testing.T) {
 	if err := s.AddDocument(tree.NewDocument("d", syntax.MustParseDocument(`a{!f}`))); err != nil {
 		t.Fatal(err)
 	}
-	occ := s.Document("d").Root.FuncNodes()[0]
-	if _, err := s.Invoke(context.Background(), Call{Doc: "d", Node: occ.Node, Parent: occ.Parent}); err == nil {
-		t.Fatal("undefined service accepted")
-	}
-	if _, err := s.Invoke(context.Background(), Call{Doc: "zzz", Node: occ.Node, Parent: occ.Parent}); err == nil {
-		t.Fatal("unknown document accepted")
+	if res := s.Run(RunOptions{Parallelism: 1}); res.Err == nil || res.Failures != 1 {
+		t.Fatalf("undefined service accepted: %+v", res)
 	}
 }
 
@@ -556,8 +555,8 @@ func inner = w{$v} :- d0/r{v{$v}}
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Invocations != 2 {
-		t.Fatalf("invocations = %d, want 2", res.Invocations)
+	if res.Attempts != 2 {
+		t.Fatalf("invocations = %d, want 2", res.Attempts)
 	}
 	want := syntax.MustParseDocument(`top{!outer,got{!inner,w{"1"}}}`)
 	if !tree.Isomorphic(s.Document("d").Root, want) {

@@ -29,6 +29,10 @@ import (
 //     index; a call is attempted, as a group of one, only when something
 //     it reads moved.
 //
+// Which calls may fire at all is the run's input, not another loop:
+// admit consults RunOptions.Relevant, which is how lazy evaluation, the
+// fire-once semantics and ShortestRun's edges run through this one path.
+//
 // Concurrency model. The paper defines a run as a set of independent
 // monotone call firings whose results merge by least upper bound, and
 // Theorem 2.1 proves the reachable fixpoint is independent of the firing
@@ -417,17 +421,21 @@ func (e *engine) publishLocked(res RunResult) {
 }
 
 // admitted is a call the gate let through, with its gate, whether that
-// outlives the run, and its delta baseline.
+// outlives the run and its delta baseline; the group's evaluation fills in
+// its answer or error.
 type admitted struct {
-	c     Call
-	g     gate
-	lasts bool
-	since map[string]uint64
+	c      Call
+	g      gate
+	lasts  bool
+	since  map[string]uint64
+	forest tree.Forest
+	err    error
 }
 
 // admit is the firing path's gate: it reports false, having counted or
-// forgotten the call, when the run stopped, reduction pruned the call
-// node or the call is sterile; otherwise it counts the attempt.
+// forgotten the call, when the run stopped, the run's Relevant predicate
+// rejects the call, reduction pruned the call node or the call is
+// sterile; otherwise it counts the attempt.
 //
 // The gate's version read and its seen-map update are not atomic with
 // respect to racing merges; the race is benign and one-sided — a merge
@@ -447,7 +455,7 @@ func (e *engine) admit(ctx context.Context, c Call) (admitted, bool) {
 	s.engineMu.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stop {
+	if e.stop || e.opts.Relevant != nil && !e.opts.Relevant(c) {
 		return admitted{}, false
 	}
 	if !att {
@@ -477,21 +485,32 @@ func (e *engine) admit(ctx context.Context, c Call) (admitted, bool) {
 	if since != nil {
 		e.deltaEvals++
 	}
-	return admitted{c, g, lasts, since}, true
+	return admitted{c: c, g: g, lasts: lasts, since: since}, true
 }
 
 // fireGroup is the one firing path, run without engine.mu held, for a
 // group: the calls named name among calls, in scheduler order. Each goes
 // through the sterile-call gate (admit), the admitted ones are evaluated
-// together under one read lock (System.evaluate: one exchange with the
-// stack, any number of evaluations at a time), and each answer is merged
-// under the write lock in scheduler order (commit, the version funnel).
+// together under one read lock (System.evaluate: one exchange with a
+// batching stack, member by member with any other; any number of
+// evaluations at a time), and each answer is merged under the write lock
+// in scheduler order (commit, the version funnel).
 // Theorem 2.1 licenses the grouping (DESIGN.md, "Batches"). A group of
 // one is a call span, two or more a batch span, the parent's child (the
 // enclosing sweep's or drain's); the evaluation context carries it, so a
 // remote service invocation continues the trace on the other peer.
 func (e *engine) fireGroup(ctx context.Context, parent obs.SpanContext, name string, calls []Call) {
-	var as []admitted
+	var one [1]admitted // a group of one, the common case, stays on the stack
+	as := one[:0]
+	if len(calls) > 1 {
+		n := 0
+		for _, c := range calls {
+			if c.Node.Name == name {
+				n++
+			}
+		}
+		as = make([]admitted, 0, n)
+	}
 	for _, c := range calls {
 		if c.Node.Name != name {
 			continue
@@ -510,7 +529,7 @@ func (e *engine) fireGroup(ctx context.Context, parent obs.SpanContext, name str
 	}
 	ts, start := e.tracer.Now(), time.Now()
 	e.rlock()
-	forests, errs := e.s.evaluate(ctx, as)
+	e.s.evaluate(ctx, as)
 	e.s.engineMu.RUnlock()
 	dur := time.Since(start)
 	e.evalH.Observe(int64(dur))
@@ -524,19 +543,19 @@ func (e *engine) fireGroup(ctx context.Context, parent obs.SpanContext, name str
 		span := obs.Span{Kind: "call", Name: name, TSUs: ts, DurUs: int64(dur / time.Microsecond)}
 		if len(as) > 1 {
 			failed := 0
-			for _, err := range errs {
-				if err != nil {
+			for _, a := range as {
+				if a.err != nil {
 					failed++
 				}
 			}
 			span.Kind, span.Attrs = "batch", map[string]int64{"calls": int64(len(as)), "failed": int64(failed)}
-		} else if errs[0] != nil {
-			span.Err = errs[0].Error()
+		} else if as[0].err != nil {
+			span.Err = as[0].err.Error()
 		}
 		e.tracer.Emit(span.WithContext(sc, parent))
 	}
-	for i, a := range as {
-		e.commit(ctx, sc, a, forests[i], errs[i])
+	for i := range as {
+		e.commit(ctx, sc, &as[i])
 	}
 }
 
@@ -544,10 +563,10 @@ func (e *engine) fireGroup(ctx context.Context, parent obs.SpanContext, name str
 // System.merge: an error goes to the error policy, an answer is merged
 // and its gate committed. parent (the group's call or batch span) parents
 // the merge span.
-func (e *engine) commit(ctx context.Context, parent obs.SpanContext, a admitted, forest tree.Forest, err error) {
+func (e *engine) commit(ctx context.Context, parent obs.SpanContext, a *admitted) {
 	s, c := e.s, a.c
-	if err != nil {
-		e.recordFailure(ctx, c, err)
+	if a.err != nil {
+		e.recordFailure(ctx, c, a.err)
 		return
 	}
 	mergeTS := e.tracer.Now()
@@ -573,7 +592,7 @@ func (e *engine) commit(ctx context.Context, parent obs.SpanContext, a admitted,
 		e.mu.Unlock()
 		return
 	}
-	fresh, detached, path := s.merge(c, forest)
+	fresh, detached, path := s.merge(c, a.forest)
 	if a.lasts {
 		// The merge ran: commit the gate the answer was computed under,
 		// whether or not the answer grew the document.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"axml/internal/obs"
 	"axml/internal/syntax"
 	"axml/internal/tree"
 )
@@ -227,5 +228,35 @@ func TestFixpointInvariantWithoutIndexes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A group of one allocates no more than its parts: the gate read, the
+// call's binding, one Service.Invoke and the merge. A stack that does not
+// batch (here a QueryService) is asked member by member, so the group
+// path charges it no binding, forest or error slice of its own.
+func TestGroupOfOneAllocatesOnlyItsParts(t *testing.T) {
+	s := MustParseSystem("doc d = a{!f}\nfunc f = b :- ")
+	s.Run(RunOptions{Parallelism: 1}) // a{!f,b}: every later answer merges nothing
+	c, svc, ctx := s.Calls()[0], s.Service("f"), context.Background()
+	parts := testing.AllocsPerRun(200, func() {
+		s.gateOf(c, "")
+		forest, _ := svc.Invoke(ctx, s.bindingOf(c, nil))
+		s.merge(c, forest)
+	})
+	e := newEngine(s, RunOptions{Parallelism: 1})
+	e.rlock = s.engineMu.RLock
+	group := []Call{c}
+	fired := testing.AllocsPerRun(200, func() {
+		// Forget both gates, so the call is evaluated in full each time.
+		delete(e.seen, c.Node)
+		delete(s.gate, c.Node)
+		e.fireGroup(ctx, obs.SpanContext{}, "f", group)
+	})
+	if res := e.result(); res.Attempts < 200 || res.Steps != 0 {
+		t.Fatalf("the group did not fire as measured: %+v", res)
+	}
+	if fired > parts {
+		t.Fatalf("a group of one allocates %.0f objects, its parts %.0f", fired, parts)
 	}
 }

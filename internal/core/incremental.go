@@ -201,7 +201,7 @@ func (e *engine) runWorklist(ctx context.Context) RunResult {
 	// tend to be in place before downstream calls first fire; the
 	// configured scheduler breaks the remaining ties.
 	e.sched.Order(initial)
-	sortCallsBy(initial, seedOrder)
+	byPriority(seedOrder).Order(initial)
 	e.mu.Lock()
 	for _, c := range initial {
 		ev.registerLocked(c)

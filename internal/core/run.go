@@ -16,15 +16,16 @@ import (
 
 // Call locates one invocable function node: the document it lives in, the
 // node itself, its parent (the attachment point for results) and the
-// ancestor chain, which the localized reduction in Invoke walks upward.
+// ancestor chain, which a merge's localized reduction walks upward.
 type Call struct {
 	Doc    string
 	Node   *tree.Node
 	Parent *tree.Node
 	// path links Parent back to the document root. Paths of sibling
 	// calls share their common prefix, so enumerating all calls costs
-	// O(document), not O(document · depth). It may be nil for calls
-	// constructed by hand; Invoke then recomputes the chain.
+	// O(document), not O(document · depth). It is nil for calls
+	// constructed by hand, which the engine never fires; Attached then
+	// searches the document.
 	path *pathLink
 }
 
@@ -92,73 +93,45 @@ func (w *callWalk) link(i int) *pathLink {
 	return w.links[i]
 }
 
-// Invoke performs the invocation of Section 2.2 on the given call: it
-// builds the input and context documents, evaluates the service under the
-// given context, appends the result forest as siblings of the call node
-// and reduces the document. It reports whether the system strictly grew
-// (I ≢ I', i.e. whether this was a rewriting step in the sense of
-// Definition 2.4). Cancellation of ctx aborts the service evaluation (for
-// services that honor it) but never leaves the document half-mutated: the
-// merge is all-or-nothing after the evaluation returned.
-func (s *System) Invoke(ctx context.Context, c Call) (changed bool, err error) {
-	if err := s.callErr(c); err != nil {
-		return false, err
-	}
-	forests, errs := s.evaluate(ctx, []admitted{{c: c}})
-	if errs[0] != nil {
-		return false, errs[0]
-	}
-	fresh, _, _ := s.merge(c, forests[0])
-	return len(fresh) > 0, nil
-}
-
-// evaluate is the read-only half of a firing, for a group of calls to one
-// service: Invoke's group of one, or an engine group (engine.fireGroup).
-// It builds each call's binding (bindingOf, with the call's delta
-// baseline) and answers them all in one exchange with the stack
-// (invokeBatch), one forest or error per call, in order. The calls lie in
-// known documents below a parent: the engine's come from the live
-// documents, and Invoke checks its own (callErr). The engine runs it
+// evaluate is the read-only half of a firing (Section 2.2's invocation
+// up to the merge), for an engine group (engine.fireGroup): calls to one
+// service, each with its delta baseline, lying in live documents below a
+// parent. It builds each call's binding (bindingOf) and leaves each
+// answer or error in its record. A stack that batches answers the group
+// in one exchange (invokeBatch); any other is asked member by member, so
+// a group of one costs what one Service.Invoke costs. The engine runs it
 // under the system's read lock, so any number of evaluations proceed
 // concurrently. A non-nil baseline (per-document versions, keyed by the
 // names the service's query uses, including "input"/"context") requests
 // a semi-naive delta evaluation: declarative services return only
 // results with a witness in the data appended after it.
-func (s *System) evaluate(ctx context.Context, as []admitted) ([]tree.Forest, []error) {
-	svc := s.funcs[as[0].c.Node.Name].svc
-	if svc == nil {
-		errs := make([]error, len(as))
-		for i, a := range as {
-			errs[i] = s.callErr(a.c)
-		}
-		return make([]tree.Forest, len(as)), errs
-	}
-	bs := make([]Binding, len(as))
-	for i, a := range as {
-		bs[i] = s.bindingOf(a.c, a.since)
-	}
-	fs, errs := invokeBatch(ctx, svc, bs)
-	for i, err := range errs {
-		if err != nil {
-			fs[i], errs[i] = nil, serviceErr(as[i].c, err)
-		}
-	}
-	return fs, errs
-}
-
-// callErr reports why a call cannot be evaluated, or nil.
-func (s *System) callErr(c Call) error {
+func (s *System) evaluate(ctx context.Context, as []admitted) {
+	st := s.funcs[as[0].c.Node.Name]
 	switch {
-	case s.funcs[c.Node.Name].svc == nil:
-		return fmt.Errorf("core: call to undefined service %q", c.Node.Name)
-	case s.docs[c.Doc] == nil:
-		return fmt.Errorf("core: call in unknown document %q", c.Doc)
-	case c.Parent == nil:
-		// Function roots are excluded by Definition 2.1(ii); documents
-		// added through AddDocument never reach this. Guard anyway.
-		return fmt.Errorf("core: call %q is a document root", c.Node.Name)
+	case st.svc == nil:
+		for i := range as {
+			as[i].err = fmt.Errorf("core: call to undefined service %q", as[i].c.Node.Name)
+		}
+		return
+	case st.batch:
+		bs := make([]Binding, len(as))
+		for i, a := range as {
+			bs[i] = s.bindingOf(a.c, a.since)
+		}
+		fs, errs := invokeBatch(ctx, st.svc, bs)
+		for i := range as {
+			as[i].forest, as[i].err = fs[i], errs[i]
+		}
+	default:
+		for i := range as {
+			as[i].forest, as[i].err = st.svc.Invoke(ctx, s.bindingOf(as[i].c, as[i].since))
+		}
 	}
-	return nil
+	for i := range as {
+		if as[i].err != nil {
+			as[i].forest, as[i].err = nil, serviceErr(as[i].c, as[i].err)
+		}
+	}
 }
 
 // serviceErr names the call's service on an error its evaluation returned.
@@ -166,8 +139,8 @@ func serviceErr(c Call, err error) error {
 	return fmt.Errorf("core: service %q: %w", c.Node.Name, err)
 }
 
-// bindingOf builds a valid call's binding (callErr), with since as its
-// delta baseline. Bindings alias the live trees: services read them
+// bindingOf builds a live call's binding, with since as its delta
+// baseline. Bindings alias the live trees: services read them
 // (pattern matching never mutates, and head instantiation copies every
 // bound subtree), and copying the context would cost O(document) per
 // invocation.
@@ -196,9 +169,11 @@ func (s *System) bindingIndexes(c Call) query.Indexes {
 	return ixs
 }
 
-// merge is the mutating half of Invoke: it appends the result forest as
-// siblings of the call node (appendAt). The engine serializes merges
-// under the system's write lock — the "version funnel" through which
+// merge is the mutating half of a firing: it appends the result forest as
+// siblings of the call node (appendAt), below the ancestor chain the call
+// was enumerated with (Calls, or the worklist's discovery in an appended
+// forest; every call the engine fires has one). The engine serializes
+// merges under the system's write lock — the "version funnel" through which
 // every result lands. Merging is a least upper bound, so the order in
 // which racing results arrive does not affect the reachable fixpoint
 // (Theorem 2.1). Besides appendAt's results it returns the ancestor path
@@ -206,9 +181,6 @@ func (s *System) bindingIndexes(c Call) query.Indexes {
 // calls, forget detached ones and scope its re-enqueues.
 func (s *System) merge(c Call, forest tree.Forest) (fresh tree.Forest, detached, path []*tree.Node) {
 	path = c.Ancestors()
-	if len(path) == 0 || path[len(path)-1] != c.Parent {
-		path = s.findPath(s.docs[c.Doc].Root, c.Parent)
-	}
 	fresh, detached = s.appendAt(c.Doc, path, forest)
 	return fresh, detached, path
 }
@@ -366,8 +338,9 @@ func (s *System) sinceFor(c Call, prev []uint64) map[string]uint64 {
 	return since
 }
 
-// findPath recomputes the ancestor chain root..target for calls built
-// without a Path. It returns nil when target is not in the tree.
+// findPath computes the ancestor chain root..target: Append's parent, or
+// a hand-built call's node for Attached. It returns nil when target is
+// not in the tree.
 func (s *System) findPath(root, target *tree.Node) []*tree.Node {
 	var path []*tree.Node
 	var found []*tree.Node
@@ -462,6 +435,14 @@ const (
 type RunOptions struct {
 	// Scheduler orders call attempts within a sweep; nil means RoundRobin.
 	Scheduler Scheduler
+	// Relevant, when non-nil, restricts the run to the calls it admits:
+	// a call it rejects is neither attempted nor counted as sterile, and
+	// the run terminates at a fixpoint of the admitted calls. It is how
+	// lazy evaluation (the weakly relevant calls), the fire-once semantics
+	// (each call node once) and ShortestRun (one call) choose what fires.
+	// The engine consults it under its own mutex, one call at a time, so
+	// a stateful predicate needs no lock; it must not re-enter the engine.
+	Relevant func(Call) bool
 	// Parallelism selects the schedule and its width: 0 means GOMAXPROCS;
 	// 1 is the deterministic sweep (one goroutine, exact step/attempt
 	// accounting, strict scheduler order); n > 1 is the event-driven
@@ -661,19 +642,6 @@ func (s *System) purgeGate(live []Call) {
 	s.gateMu.Lock()
 	purgeSeen(s.gate, live)
 	s.gateMu.Unlock()
-}
-
-// pendingCalls lists current calls not in the fired set. Nodes removed by
-// reduction disappear from the enumeration automatically.
-func (s *System) pendingCalls(fired map[*tree.Node]bool) []Call {
-	all := s.Calls()
-	pending := all[:0]
-	for _, c := range all {
-		if !fired[c.Node] {
-			pending = append(pending, c)
-		}
-	}
-	return pending
 }
 
 // Attached reports whether the call's node is still part of its document,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"axml/internal/syntax"
@@ -47,14 +46,6 @@ func f = hit :-
 	}
 	if !s.Attached(hand) {
 		t.Fatal("fallback findPath search failed")
-	}
-	// Invoking a hand-built call works through findPath.
-	changed, err := s.Invoke(context.Background(), hand)
-	if err != nil || !changed {
-		t.Fatalf("invoke: changed=%v err=%v", changed, err)
-	}
-	if !tree.Isomorphic(s.Document("d").Root, syntax.MustParseDocument(`a{!f,hit}`)) {
-		t.Fatalf("doc = %s", s.Document("d").Root)
 	}
 }
 

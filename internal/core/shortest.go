@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // ShortestRun searches for a minimal-length rewriting reaching a state
 // that satisfies target, by breadth-first search over the (memoized)
@@ -39,18 +36,16 @@ func (s *System) ShortestRun(target func(*System) bool, opts ShortestOptions) (s
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, c := range cur.sys.Calls() {
+		for i, c := range cur.sys.Calls() {
+			// One edge: fire the i-th call in a copy, whose documents are
+			// copied structurally, so its calls correspond by position.
 			next := cur.sys.Copy()
-			// Find the corresponding call in the copy by position.
-			nc, found := matchCall(next, cur.sys, c)
-			if !found {
-				continue
+			node := next.Calls()[i].Node
+			r := next.Run(RunOptions{MaxSweeps: 1, Relevant: func(d Call) bool { return d.Node == node }})
+			if r.Err != nil {
+				return 0, nil, false, r.Err
 			}
-			changed, err := next.Invoke(context.Background(), nc)
-			if err != nil {
-				return 0, nil, false, err
-			}
-			if !changed {
+			if r.Steps == 0 {
 				continue
 			}
 			key := next.CanonicalString()
@@ -82,25 +77,3 @@ type ShortestOptions struct {
 
 // DefaultMaxStates bounds ShortestRun searches by default.
 const DefaultMaxStates = 20000
-
-// matchCall finds, in the copied system, the call at the same position as
-// c in the original (documents are copied structurally, so positions
-// correspond by preorder index).
-func matchCall(copySys, origSys *System, c Call) (Call, bool) {
-	origCalls := origSys.Calls()
-	idx := -1
-	for i, oc := range origCalls {
-		if oc.Node == c.Node {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return Call{}, false
-	}
-	copyCalls := copySys.Calls()
-	if idx >= len(copyCalls) {
-		return Call{}, false
-	}
-	return copyCalls[idx], true
-}

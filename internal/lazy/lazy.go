@@ -216,27 +216,30 @@ type Result struct {
 	// Stable is true when the run ended weakly q-stable (no relevant
 	// call can change anything), which implies the answer is complete.
 	Stable bool
-	// Invocations counts service invocations performed lazily.
+	// Invocations counts service invocations performed lazily (the
+	// rounds' RunResult.Attempts).
 	Invocations int
 	// Steps counts the strictly-growing invocations.
 	Steps int
-	// Rounds counts analyze-and-sweep rounds.
+	// Rounds counts analyze-and-run rounds.
 	Rounds int
 }
 
-// Options bounds a lazy evaluation.
-type Options struct {
-	// MaxSteps caps strictly-growing invocations; 0 means
-	// core.DefaultMaxSteps.
-	MaxSteps int
-}
-
-// Eval evaluates [q](I) lazily, in place: it repeatedly re-analyzes weak
-// relevance and invokes only relevant calls, until weak stability or
-// budget exhaustion. The invariant driving correctness: calls outside the
-// relevant set cannot affect q's matches now or after any future
-// invocation, so skipping them never changes the answer.
-func Eval(s *core.System, q *query.Query, opts Options) (Result, error) {
+// Eval evaluates [q](I) lazily, in place: each round re-analyzes weak
+// relevance and runs the engine (core.System.RunContext) with opts and
+// the round's relevant calls as its Relevant predicate, within what is
+// left of the step budget, until the analysis is weakly stable, a round
+// grows nothing or a budget stops a round. The invariant driving
+// correctness: calls outside the relevant set cannot affect q's matches
+// now or after any future invocation, so skipping them never changes the
+// answer. The engine's sterile-call gate, batching, error policy,
+// cancellation, spans and metrics apply as in any run; opts.Relevant must
+// be nil, since the analysis sets it. A run error (a service failure
+// under FailFast, a cancelled ctx) ends the evaluation with it.
+func Eval(ctx context.Context, s *core.System, q *query.Query, opts core.RunOptions) (Result, error) {
+	if opts.Relevant != nil {
+		return Result{}, fmt.Errorf("lazy: RunOptions.Relevant is set by the relevance analysis")
+	}
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = core.DefaultMaxSteps
@@ -252,42 +255,28 @@ func Eval(s *core.System, q *query.Query, opts Options) (Result, error) {
 			res.Stable = true
 			break
 		}
-		changedInRound := false
-		for _, c := range an.Relevant {
-			if !s.Attached(c) {
-				continue
-			}
-			res.Invocations++
-			changed, err := s.Invoke(context.Background(), c)
-			if err != nil {
-				return res, err
-			}
-			if changed {
-				changedInRound = true
-				res.Steps++
-				if res.Steps >= maxSteps {
-					ans, err := s.SnapshotQuery(q)
-					if err != nil {
-						return res, err
-					}
-					res.Answer = ans
-					return res, nil
-				}
-			}
+		round := opts
+		round.MaxSteps = maxSteps - res.Steps
+		round.Relevant = func(c core.Call) bool { return an.IsRelevant(c.Node) }
+		r := s.RunContext(ctx, round)
+		res.Invocations += r.Attempts
+		res.Steps += r.Steps
+		if r.Err != nil {
+			return res, r.Err
 		}
-		if !changedInRound {
+		if r.Steps == 0 {
 			// All relevant calls are exhausted: the system is q-stable
 			// even though calls remain syntactically relevant.
 			res.Stable = true
 			break
 		}
+		if !r.Terminated {
+			break // a budget (steps, sweeps or nodes) stopped the round
+		}
 	}
 	ans, err := s.SnapshotQuery(q)
-	if err != nil {
-		return res, err
-	}
 	res.Answer = ans
-	return res, nil
+	return res, err
 }
 
 // QUnneededExact decides, for a simple positive system and a simple query

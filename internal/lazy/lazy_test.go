@@ -1,6 +1,7 @@
 package lazy
 
 import (
+	"context"
 	"testing"
 
 	"axml/internal/core"
@@ -54,7 +55,7 @@ func TestAnalyzeMarksOnlyNeededCalls(t *testing.T) {
 func TestEvalLazySkipsInfiniteIrrelevantBranch(t *testing.T) {
 	s := core.MustParseSystem(portalSystem)
 	q := syntax.MustParseQuery(ratingQuery())
-	res, err := Eval(s, q, Options{MaxSteps: 100})
+	res, err := Eval(context.Background(), s, q, core.RunOptions{MaxSteps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func f = t{a{$x},b{$y}} :- d1/r{t{a{$x},b{$z}}}, d1/r{t{a{$z},b{$y}}}
 `
 	q := syntax.MustParseQuery(`pair{$x,$y} :- d1/r{t{a{$x},b{$y}}}`)
 	lazySys := core.MustParseSystem(tc)
-	lres, err := Eval(lazySys, q, Options{})
+	lres, err := Eval(context.Background(), lazySys, q, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestWeaklyStableImmediately(t *testing.T) {
 	// Query over a document without calls: stable with zero invocations.
 	s := core.MustParseSystem(portalSystem)
 	q := syntax.MustParseQuery(`out{$s} :- ratings/db{entry{stars{$s}}}`)
-	res, err := Eval(s, q, Options{})
+	res, err := Eval(context.Background(), s, q, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func h = got{$x} :- aux/k{v{$x}}
 	if !names["f"] || !names["h"] {
 		t.Fatalf("context conservatism missed a sibling: %v", names)
 	}
-	res, err := Eval(s, q, Options{})
+	res, err := Eval(context.Background(), s, q, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ doc d = a{!f}
 func f = b{!f} :-
 `)
 	q := syntax.MustParseQuery(`out :- d/a{b{b{b{b{b{b{b{b{c}}}}}}}}}`)
-	res, err := Eval(s, q, Options{MaxSteps: 3})
+	res, err := Eval(context.Background(), s, q, core.RunOptions{MaxSteps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestJazzSystemRunsAndAnswers(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := lazy.Eval(s, RatingQuery(), lazy.Options{MaxSteps: 1000})
+	res, err := lazy.Eval(context.Background(), s, RatingQuery(), core.RunOptions{MaxSteps: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -447,20 +447,22 @@ if [ -n "$badreplication" ]; then
     echo "$badreplication" >&2
     exit 1
 fi
-# A group's evaluation only supplies answers: every answer the engine
-# merges goes through its one merge step (engine.commit: the stop and
-# detachment checks, the committed gate, the step accounting), whatever
-# the size of the group it came from (engine.fireGroup), and System.Invoke
-# is the one merge outside a run. A second .merge( call site in non-test
-# internal/core is a firing path that skips those.
+# One firing path: every call the engine fires is evaluated by its
+# group's one evaluation (engine.fireGroup), and every answer is merged by
+# its one merge step (engine.commit: the stop and detachment checks, the
+# committed gate, the step accounting), whatever the semantics that chose
+# the call — a fair run, lazy evaluation, fire-once or ShortestRun pick
+# calls through RunOptions.Relevant. A second .evaluate( or .merge( call
+# site in non-test internal/core is a firing path that skips those.
 badfire=$(find internal/core -name '*.go' ! -name '*_test.go' -exec awk '
     /^func / { fn = $0 }
     /^[[:space:]]*\/\// { next }
-    /\.merge\(/ && fn !~ /^func \(e \*engine\) commit\(|^func \(s \*System\) Invoke\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    /\.merge\(/ && fn !~ /^func \(e \*engine\) commit\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    /\.evaluate\(/ && fn !~ /^func \(e \*engine\) fireGroup\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
     ' {} +)
 
 if [ -n "$badfire" ]; then
-    echo "vet-obs: a merge outside engine.commit and System.Invoke in internal/core (a group's evaluation supplies answers; commit merges them):" >&2
+    echo "vet-obs: a call evaluated outside engine.fireGroup or merged outside engine.commit in internal/core (choose calls with RunOptions.Relevant and run the engine):" >&2
     echo "$badfire" >&2
     exit 1
 fi
