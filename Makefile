@@ -58,8 +58,9 @@ race:
 	$(GO) test -race -cpu 1,4 ./internal/core ./internal/pattern ./internal/peer -run 'Restore|Adopt|Lazy|Index|Recover|Snapshot|Subscriber|Publisher|Memo|AddDocument|Batch' -count=1
 
 # Short-budget coverage-guided fuzzing of the wire parsers serving and
-# recovery depend on (each checked against the encoding/xml oracle; the
-# batch target reads both a batch request and its answers), of
+# recovery depend on (each XML one checked against the encoding/xml
+# oracle; the batch target reads both a batch request and its answers,
+# the delta target a 226 answer's framed graft records), of
 # graft-record replay itself, the digest cache
 # stability target, the keyed join against the nested-loop join,
 # pathexpr's snapshot against the query evaluator on path-free queries, and

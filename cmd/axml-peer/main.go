@@ -21,8 +21,8 @@
 // re-deriving anything lost in the torn tail by re-sweeping.
 //
 // Replication: -mirror DOC=URL keeps a local replica of a remote peer's
-// document current through digest-anchored deltas (only the origin's
-// graft records since the replica's state travel; see /axml/delta), and
+// document current through conditional reads of /axml/doc (only the
+// origin's graft records since the replica's state travel, as a 226), and
 // -anti-entropy-every runs a periodic repair pass that re-syncs any
 // replica whose digest drifted.
 //

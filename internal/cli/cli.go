@@ -119,11 +119,14 @@ func Run(out io.Writer, opts Options, cmd string, args ...string) error {
 			}
 			fmt.Fprintln(out, ans.String())
 		case "query":
-			res, err := s.EvalQuery(q, core.RunOptions{MaxSteps: opts.MaxSteps})
+			res, err := s.EvalQuery(q, ro)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "# exact=%v steps=%d\n", res.Exact, res.Run.Steps)
+			if err := report(out, ro); err != nil {
+				return err
+			}
 			fmt.Fprintln(out, res.Answer.String())
 		case "lazy":
 			res, err := lazy.Eval(context.Background(), s, q, ro)
@@ -236,7 +239,8 @@ func Run(out io.Writer, opts Options, cmd string, args ...string) error {
 }
 
 // runOptions builds the RunOptions of the subcommands that drive the
-// engine (run, lazy); under -stats their runs fold into one registry.
+// engine (run, query, lazy); under -stats their runs fold into one
+// registry.
 func runOptions(opts Options) core.RunOptions {
 	ro := core.RunOptions{MaxSteps: opts.MaxSteps, Parallelism: opts.Parallelism}
 	if opts.Trace != nil {

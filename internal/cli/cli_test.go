@@ -183,20 +183,22 @@ tc(X, Y) :- tc(X, Z), tc(Z, Y).
 	}
 }
 
-// lazy builds the same RunOptions as run: -parallel, -trace-out and
-// -stats apply to its rounds.
+// query and lazy build the same RunOptions as run: -parallel, -trace-out
+// and -stats apply to their runs.
 func TestLazyTakesRunOptions(t *testing.T) {
-	var buf, trace bytes.Buffer
-	opts := Options{ReadFile: memFS(map[string]string{"tc.axml": tcFile}), Stats: true, Parallelism: 1, Trace: &trace}
-	if err := Run(&buf, opts, "lazy", "tc.axml", `pair{$x,$y} :- d1/r{t{a{$x},b{$y}}}`); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "stable=true") || !strings.Contains(out, "# stats fired=") || strings.Contains(out, "fired=0 ") {
-		t.Fatalf("lazy -stats output: %q", out)
-	}
-	// Parallelism 1 sweeps: sweep spans, no worklist drain.
-	if spans := trace.String(); !strings.Contains(spans, `"kind":"sweep"`) || strings.Contains(spans, `"kind":"drain"`) {
-		t.Fatalf("lazy -trace-out spans: %q", spans)
+	for cmd, head := range map[string]string{"lazy": "stable=true", "query": "exact=true"} {
+		var buf, trace bytes.Buffer
+		opts := Options{ReadFile: memFS(map[string]string{"tc.axml": tcFile}), Stats: true, Parallelism: 1, Trace: &trace}
+		if err := Run(&buf, opts, cmd, "tc.axml", `pair{$x,$y} :- d1/r{t{a{$x},b{$y}}}`); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.Contains(out, head) || !strings.Contains(out, "# stats fired=") || strings.Contains(out, "fired=0 ") {
+			t.Fatalf("%s -stats output: %q", cmd, out)
+		}
+		// Parallelism 1 sweeps: sweep spans, no worklist drain.
+		if spans := trace.String(); !strings.Contains(spans, `"kind":"sweep"`) || strings.Contains(spans, `"kind":"drain"`) {
+			t.Fatalf("%s -trace-out spans: %q", cmd, spans)
+		}
 	}
 }

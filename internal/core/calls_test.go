@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"axml/internal/tree"
@@ -109,5 +110,33 @@ func TestCallsAllocatesPerCallNotPerNode(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { s.Calls() }); allocs > 24 {
 		t.Fatalf("Calls over %d nodes with 4 calls: %v allocations", s.Size(), allocs)
+	}
+}
+
+// TestRejectedCallsCostNothing: admit asks the run's Relevant predicate
+// before the service token, the gate read and the read lock, so a sweep
+// whose predicate rejects every call allocates nothing per call beyond
+// System.Calls' own enumeration of them.
+func TestRejectedCallsCostNothing(t *testing.T) {
+	extra := func(n int) float64 {
+		var b strings.Builder
+		b.WriteString("doc d0 = r{t{a{1}}}\ndoc d = r{")
+		for i := range n {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "s{n{%d},!g}", i)
+		}
+		b.WriteString("}\nfunc g = t{a{$x}} :- d0/r{t{a{$x}}}\n")
+		s := MustParseSystem(b.String())
+		opts := RunOptions{MaxSweeps: 1, Relevant: func(Call) bool { return false }}
+		if res := s.Run(opts); res.Attempts != 0 || !res.Terminated {
+			t.Fatalf("%d calls, all rejected: %d attempts, terminated %v", n, res.Attempts, res.Terminated)
+		}
+		run := testing.AllocsPerRun(20, func() { s.Run(opts) })
+		return run - testing.AllocsPerRun(20, func() { s.Calls() })
+	}
+	if small, large := extra(10), extra(100); large > small {
+		t.Fatalf("a sweep rejecting every call allocates %v beyond Calls at 10 calls, %v at 100", small, large)
 	}
 }

@@ -435,7 +435,8 @@ type admitted struct {
 // admit is the firing path's gate: it reports false, having counted or
 // forgotten the call, when the run stopped, the run's Relevant predicate
 // rejects the call, reduction pruned the call node or the call is
-// sterile; otherwise it counts the attempt.
+// sterile; otherwise it counts the attempt. Relevant is asked first, so a
+// rejected call costs no token, gate read or read lock.
 //
 // The gate's version read and its seen-map update are not atomic with
 // respect to racing merges; the race is benign and one-sided — a merge
@@ -448,6 +449,14 @@ type admitted struct {
 // so it is never newer than the state that evaluation saw.
 func (e *engine) admit(ctx context.Context, c Call) (admitted, bool) {
 	s := e.s
+	if e.opts.Relevant != nil {
+		e.mu.Lock()
+		rejected := e.stop || !e.opts.Relevant(c)
+		e.mu.Unlock()
+		if rejected {
+			return admitted{}, false
+		}
+	}
 	tok := e.token(ctx, c.Node.Name)
 	e.rlock()
 	g, lasts := s.gateOf(c, tok)
@@ -455,7 +464,7 @@ func (e *engine) admit(ctx context.Context, c Call) (admitted, bool) {
 	s.engineMu.RUnlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stop || e.opts.Relevant != nil && !e.opts.Relevant(c) {
+	if e.stop {
 		return admitted{}, false
 	}
 	if !att {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -90,12 +89,14 @@ func (e *statusError) Error() string {
 
 // call is the one way out to a peer endpoint: it sends method path (under
 // BaseURL) with an optional body and hdr (key, value pairs) and returns
-// the 200 answer's body and header. Every failure is wrapped as
-// "peer: <what>: …": a transport error that was really a context
-// cancellation is mapped back to the context's error so callers can match
-// it, any other status is a *statusError, and a body over the wire cap is
-// ErrResponseTooLarge.
-func (c *Client) call(ctx context.Context, what, method, path, contentType string, body []byte, hdr ...string) (_ []byte, _ http.Header, err error) {
+// the answer's body and response, its body read and closed. An answer is
+// a 200, or to a request that sent If-None-Match (the conditional read,
+// Client.Delta) a 304, or a 226 when it also sent A-IM. Every failure is
+// wrapped as "peer: <what>: …": a transport error that was really a
+// context cancellation is mapped back to the context's error so callers
+// can match it, any other status is a *statusError, and a body over the
+// wire cap is ErrResponseTooLarge.
+func (c *Client) call(ctx context.Context, what, method, path, contentType string, body []byte, hdr ...string) (_ []byte, _ *http.Response, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("peer: %s: %w", what, err)
@@ -126,12 +127,16 @@ func (c *Client) call(ctx context.Context, what, method, path, contentType strin
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	cond := req.Header.Get(headerIfNoneMatch) != ""
+	switch code := resp.StatusCode; {
+	case code == http.StatusOK, code == http.StatusNotModified && cond,
+		code == http.StatusIMUsed && cond && req.Header.Get(headerAIM) != "":
+	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, nil, &statusError{resp.StatusCode, resp.Status, strings.TrimSpace(string(msg))}
+		return nil, nil, &statusError{code, resp.Status, strings.TrimSpace(string(msg))}
 	}
 	data, err := readAllLimited(resp.Body, resp.ContentLength, c.MaxWire)
-	return data, resp.Header, err
+	return data, resp, err
 }
 
 // Doc pulls a document's current state. Cancel via ctx.
@@ -143,23 +148,40 @@ func (c *Client) Doc(ctx context.Context, name string) (*tree.Node, error) {
 	return UnmarshalTree(body)
 }
 
-// Delta asks the peer what changed in a document since the anchor digest
-// from (empty means no anchor — expect a full answer). The answer is
-// DeltaSame, DeltaLog (the graft records since from) or DeltaFull (the
-// whole tree); any other mode fails to decode. An answer about another
-// document is an error: a receiver never grafts it.
-func (c *Client) Delta(ctx context.Context, name, from string) (Delta, error) {
-	path := PathDelta + name
+// Delta asks the peer what changed in a document since the state digest
+// from, as a conditional read of PathDoc that accepts the graft log
+// (A-IM: axml-log, and If-None-Match naming from unless from is empty).
+// A 304 is DeltaSame, a 226 DeltaLog (the graft records since from) and a
+// 200 DeltaFull (the whole tree). To is the answer's ETag; an answer
+// without one is an error.
+func (c *Client) Delta(ctx context.Context, name, from string) (d Delta, err error) {
+	hdr := []string{headerAIM, imLog}
 	if from != "" {
-		path += "?from=" + url.QueryEscape(from)
+		hdr = append(hdr, headerIfNoneMatch, `"`+from+`"`)
 	}
-	body, _, err := c.call(ctx, "delta "+name, http.MethodGet, path, "", nil)
+	body, resp, err := c.call(ctx, "delta "+name, http.MethodGet, PathDoc+name, "", nil, hdr...)
 	if err != nil {
-		return Delta{}, err
+		return d, err
 	}
-	d, err := UnmarshalDelta(body)
-	if err == nil && d.Doc != name {
-		err = fmt.Errorf("peer: delta %s: answer is about document %q", name, d.Doc)
+	d = Delta{Doc: name, To: etagDigest(resp.Header.Get(headerETag))}
+	if d.To == "" {
+		return d, fmt.Errorf("peer: delta %s: answer without an ETag", name)
+	}
+	switch resp.StatusCode {
+	case http.StatusNotModified:
+		d.Mode = DeltaSame
+		if d.To != from {
+			err = fmt.Errorf("not modified since %s, yet at %s", from, d.To)
+		}
+	case http.StatusIMUsed:
+		d.Mode, d.From = DeltaLog, from
+		d.Log, err = unmarshalFrames(body, name)
+	default:
+		d.Mode = DeltaFull
+		d.Full, err = UnmarshalTree(body)
+	}
+	if err != nil {
+		err = fmt.Errorf("peer: delta %s: %w", name, err)
 	}
 	return d, err
 }
@@ -200,12 +222,12 @@ func (c *Client) Invoke(ctx context.Context, env Envelope) (tree.Forest, error) 
 // invokeEnvelope sends one encoded envelope and decodes its answer; the
 // answer's header carries headerReads when the service is declarative.
 func (c *Client) invokeEnvelope(ctx context.Context, what string, data []byte) (tree.Forest, http.Header, error) {
-	body, hdr, err := c.call(ctx, what, http.MethodPost, PathInvoke, "application/xml", data)
+	body, resp, err := c.call(ctx, what, http.MethodPost, PathInvoke, "application/xml", data)
 	if err != nil {
 		return nil, nil, err
 	}
 	forest, err := UnmarshalForest(body)
-	return forest, hdr, err
+	return forest, resp.Header, err
 }
 
 // maxBatchBytes bounds one ax:batch request.
@@ -236,7 +258,7 @@ func (c *Client) invokeBatch(ctx context.Context, envs []Envelope) (fs []tree.Fo
 			}
 			return
 		}
-		data, h, err := c.call(ctx, what, http.MethodPost, PathInvoke, "application/xml", batchBody(bodies))
+		data, resp, err := c.call(ctx, what, http.MethodPost, PathInvoke, "application/xml", batchBody(bodies))
 		var se *statusError
 		if errors.Is(err, ErrResponseTooLarge) || errors.As(err, &se) && se.code == http.StatusRequestEntityTooLarge {
 			half := len(idx) / 2
@@ -257,7 +279,7 @@ func (c *Client) invokeBatch(ctx context.Context, envs []Envelope) (fs []tree.Fo
 			case answers[k].Err != nil:
 				errs[i] = fmt.Errorf("peer: %s: %w", what, answers[k].Err)
 			default:
-				fs[i], hdr = answers[k].Forest, h
+				fs[i], hdr = answers[k].Forest, resp.Header
 			}
 		}
 	}

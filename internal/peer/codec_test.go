@@ -12,7 +12,6 @@ import (
 
 	"axml/internal/core"
 	"axml/internal/journal"
-	"axml/internal/subsume"
 	"axml/internal/tree"
 	"axml/internal/workload"
 )
@@ -65,7 +64,6 @@ func sameEnvelope(a, b Envelope) bool {
 	return a.Service == b.Service && isoHash(a.Input, b.Input) && isoHash(a.Context, b.Context)
 }
 
-// sameDelta compares two decoded deltas by the oracle's rendering.
 func sameEnvelopes(a, b []Envelope) bool {
 	if len(a) != len(b) {
 		return false
@@ -134,12 +132,6 @@ func marshalAnswers(answers []Answer) ([]byte, error) {
 	}
 	e.close(elemAnswers)
 	return e.bytes()
-}
-
-func sameDelta(a, b Delta) bool {
-	wa, errA := xmlMarshalDelta(a)
-	wb, errB := xmlMarshalDelta(b)
-	return errA == nil && errB == nil && string(wa) == string(wb)
 }
 
 // docRecord adapts a doc-record decoder to one value.
@@ -233,20 +225,6 @@ func TestCodecBytesMatchOracle(t *testing.T) {
 		if i%4 == 0 {
 			// An error text may hold what XML cannot carry: both write U+FFFD.
 			answers = append(answers, Answer{Err: errors.New(wireTexts[i%len(wireTexts)] + "\x01\xff")})
-		}
-
-		if n.Kind == tree.Label {
-			anchor := subsume.ReduceInPlace(n.Copy())
-			grown := tree.NewLabel(n.Name, randomWireTree(rng, 3))
-			cur := subsume.Union(anchor, grown)
-			for _, d := range []Delta{
-				{Doc: "doc", Mode: DeltaSame, To: digestHex(cur)},
-				{Doc: "doc", Mode: DeltaFull, To: digestHex(cur), Full: cur},
-			} {
-				got, err = encodeDelta(d)
-				want, oerr = xmlMarshalDelta(d)
-				same("delta "+d.Mode, got, err, want, oerr)
-			}
 		}
 	}
 	got, err := MarshalSnapshot(docs)
@@ -424,9 +402,6 @@ func TestWireRejectsTrailingContentAndRepeatedParts(t *testing.T) {
 	snapDec := decode{elemSnapshot,
 		func(b []byte) error { _, err := UnmarshalSnapshot(b); return err },
 		func(b []byte) error { _, err := xmlUnmarshalSnapshot(b); return err }}
-	deltaDec := decode{elemDelta,
-		func(b []byte) error { _, err := UnmarshalDelta(b); return err },
-		func(b []byte) error { _, err := xmlUnmarshalDelta(b); return err }}
 	batchDec := decode{elemBatch,
 		func(b []byte) error { _, err := unmarshalBatch(b); return err },
 		func(b []byte) error { _, err := xmlUnmarshalBatch(b); return err }}
@@ -452,10 +427,6 @@ func TestWireRejectsTrailingContentAndRepeatedParts(t *testing.T) {
 		{"two trees in a part", envDec, inv + `<ax:input><a/><b/></ax:input></ax:invoke></ax:envelope>`},
 		{"unknown part", envDec, inv + `<ax:extra/></ax:invoke></ax:envelope>`},
 		{"part after envelope", envDec, inv + `</ax:invoke></ax:envelope><ax:input><b/></ax:input>`},
-		{"full delta, two trees", deltaDec, `<ax:delta name="d" mode="full" to="x"><a/><b/></ax:delta>`},
-		{"same delta with a tree", deltaDec, `<ax:delta name="d" mode="same" to="x"><a/></ax:delta>`},
-		{"unclosed delta", deltaDec, `<ax:delta name="d" mode="full" to="x"><a/>`},
-		{"delta then text", deltaDec, `<ax:delta name="d" mode="same" to="x"></ax:delta>junk`},
 		{"batch then text", batchDec, `<ax:batch></ax:batch>junk`},
 		{"text in batch", batchDec, `<ax:batch>junk</ax:batch>`},
 		{"envelope then text in batch", batchDec, `<ax:batch>` + inv + `</ax:invoke></ax:envelope>junk</ax:batch>`},

@@ -20,37 +20,30 @@ import (
 // the post-state exactly (Prop 2.1, Thm 2.1). So the server keeps, per
 // document, the states it served (the anchors: digest → growth count)
 // and the records written since the oldest of them (the log). A receiver
-// asks "give me what changed since digest D"; when D is an anchor the log
-// still covers, the answer is the records since it, which the receiver
-// replays through System.Append, and otherwise (no anchor, evicted, a
-// by-hand edit reset the log) the full tree. A record whose path does not
+// asks "what changed since digest D?" as a conditional read of the
+// document (If-None-Match: "D", A-IM: axml-log). When D is current the
+// answer is 304; when D is an anchor the log still covers, it is 226 and
+// the records since it, which the receiver replays through System.Append;
+// otherwise (no anchor, evicted, a by-hand edit reset the log) it is 200
+// and the full tree. A record whose path does not
 // resolve at the receiver (local-only growth on its path) stops the
 // replay, and the receiver falls back to a full pull: the records already
 // applied were exact origin growths. Every fallback is safe: the delta
 // path is an optimization over the same LUB merge, never a different
 // semantics.
 
-// Delta wire element name and attributes (reserved: AXML labels cannot
-// contain ':').
+// Delta response modes: the answers of a conditional read (handleDoc).
 const (
-	elemDelta = "ax:delta"
-	attrMode  = "mode"
-	attrFrom  = "from"
-	attrTo    = "to"
-)
-
-// Delta response modes.
-const (
-	// DeltaSame: the receiver's anchor is the current state; no payload.
+	// DeltaSame (304): the receiver's anchor is the current state.
 	DeltaSame = "same"
-	// DeltaLog: the payload is the graft records since the anchor state.
+	// DeltaLog (226): the payload is the graft records since the anchor.
 	DeltaLog = "log"
-	// DeltaFull: the payload is the full tree (anchor unknown or unusable).
+	// DeltaFull (200): the payload is the full tree.
 	DeltaFull = "full"
 )
 
-// Delta is one delta-replication wire record: the answer to "what
-// changed in document Doc since state From".
+// Delta is one decoded conditional read (Client.Delta): the answer to
+// "what changed in document Doc since state From".
 type Delta struct {
 	// Doc is the document name.
 	Doc string
@@ -59,8 +52,8 @@ type Delta struct {
 	// From is the anchor digest the records start from (DeltaLog only;
 	// empty otherwise).
 	From string
-	// To is the digest of the document state this record brings the
-	// receiver up to — the receiver's next anchor.
+	// To is the digest of the document state this answer brings the
+	// receiver up to (its ETag) — the receiver's next anchor.
 	To string
 	// Full carries the whole tree in DeltaFull mode.
 	Full *tree.Node
@@ -71,8 +64,8 @@ type Delta struct {
 
 // digestHex is the one wire name of a tree's state: the memoized
 // structural digest, truncated to 8 bytes (16 hex characters) — what
-// PathHash and PathStatus advertise per document, what anchors a delta
-// and what names a push subscription's view. tree.CanonicalHash renders the same bytes
+// PathHash and PathStatus advertise per document, what a document
+// answer's ETag carries and what names a push subscription's view. tree.CanonicalHash renders the same bytes
 // without the memo; it is the reference tests compare against.
 func digestHex(n *tree.Node) string {
 	h := n.Digest()
@@ -211,87 +204,16 @@ func (da *deltaAnchors) size(doc string) (records, bytes int64) {
 }
 
 // ---------------------------------------------------------------------
-// Wire codec.
-
-// marshalDelta renders a delta record:
-//
-//	<ax:delta name="doc" mode="same|full|log" [from="hex"] to="hex">
-//	  full mode:  one tree
-//	</ax:delta>
-//	log mode: the empty element, then per record its uvarint length and
-//	          its bytes as marshalGraftRecord writes them
-//
-// with the payload already encoded: a log answer's framed records (the
-// server's log keeps them encoded), or a full answer's tree when d.Full
-// is nil (the peer's memo keeps it).
-func marshalDelta(d Delta, payload []byte) ([]byte, error) {
-	e := encoder{b: make([]byte, 0, len(payload)+256)}
-	if d.From != "" {
-		e.open(elemDelta, attrName, d.Doc, attrMode, d.Mode, attrFrom, d.From, attrTo, d.To)
-	} else {
-		e.open(elemDelta, attrName, d.Doc, attrMode, d.Mode, attrTo, d.To)
-	}
-	switch d.Mode {
-	case DeltaSame:
-	case DeltaFull:
-		if d.Full == nil && len(payload) == 0 {
-			return nil, fmt.Errorf("peer: full delta without tree")
-		}
-		if d.Full != nil {
-			e.node(d.Full)
-		} else {
-			e.b = append(e.b, payload...)
-		}
-	case DeltaLog:
-		if d.From == "" || len(payload) == 0 {
-			return nil, fmt.Errorf("peer: log delta without anchor or records")
-		}
-		e.close(elemDelta)
-		e.b = append(e.b, payload...)
-		return e.bytes()
-	default:
-		return nil, fmt.Errorf("peer: unknown delta mode %q", d.Mode)
-	}
-	e.close(elemDelta)
-	return e.bytes()
-}
+// Log body: a 226 answer is its records, each as its uvarint length and
+// its bytes as marshalGraftRecord writes them.
 
 // appendFrame appends one record of a log answer: its length, then it.
 func appendFrame(b, rec []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(rec))), rec...)
 }
 
-// UnmarshalDelta parses a delta record.
-func UnmarshalDelta(data []byte) (Delta, error) {
-	return decodeRoot(data, elemDelta, func(s *scanner) (d Delta, err error) {
-		d = Delta{Doc: s.attr(attrName), Mode: s.attr(attrMode), From: s.attr(attrFrom), To: s.attr(attrTo)}
-		if d.Doc == "" {
-			return d, errors.New("delta without document name")
-		}
-		switch d.Mode {
-		case DeltaSame:
-			err = s.elements(func() error { return fmt.Errorf("a %s delta carries no <%s>", DeltaSame, s.name) })
-		case DeltaFull:
-			if d.Full, err = s.one(); err == nil && d.Full == nil {
-				err = errors.New("full delta without tree")
-			}
-		case DeltaLog:
-			if err = s.elements(func() error { return fmt.Errorf("a %s delta carries no <%s>", DeltaLog, s.name) }); err == nil {
-				d.Log, err = unmarshalFrames(s.data[s.pos:], d.Doc)
-				s.pos = len(s.data) // the frames are the rest of the input
-			}
-			if err == nil && d.From == "" {
-				err = errors.New("log delta without anchor")
-			}
-		default:
-			err = fmt.Errorf("unknown delta mode %q", d.Mode)
-		}
-		return d, err
-	})
-}
-
 // unmarshalFrames decodes a log answer's records: at least one (an
-// empty log answers same), each of document doc.
+// empty log answers 304), each of document doc.
 func unmarshalFrames(data []byte, doc string) (recs []GraftRecord, err error) {
 	for len(data) > 0 {
 		n, k := binary.Uvarint(data)
@@ -309,7 +231,7 @@ func unmarshalFrames(data []byte, doc string) (recs []GraftRecord, err error) {
 		recs, data = append(recs, r), data[k+int(n):]
 	}
 	if len(recs) == 0 {
-		return nil, errors.New("log delta without records")
+		return nil, errors.New("log answer without records")
 	}
 	return recs, nil
 }

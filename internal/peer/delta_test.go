@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strings"
 	"testing"
 
 	"axml/internal/core"
@@ -129,13 +128,18 @@ func TestApplyPatchMismatch(t *testing.T) {
 // brand-new sibling. No peer decodes it.
 const goldenPatch = "testdata/delta_patch.xml"
 
-// goldenLog is the log answer testdata/delta_log.bin holds: two records
-// after the anchor, one at the root and one below sec.
-const goldenLog = "testdata/delta_log.bin"
+// goldenLog is the 226 body testdata/delta_log.bin holds: two framed
+// records after the anchor goldenFrom, one at the root and one below
+// sec, reaching goldenTo.
+const (
+	goldenLog  = "testdata/delta_log.bin"
+	goldenFrom = "1d69be66e26ba327"
+	goldenTo   = "437d0dbd6c09c193"
+)
 
-// encodeDelta renders a decoded delta the way a server answers it: a log
-// answer's records re-encoded and framed, a full answer's tree.
-func encodeDelta(d Delta) ([]byte, error) {
+// encodeFrames renders a log answer's records the way a server answers
+// them: each re-encoded and framed (a 226 body).
+func encodeFrames(d Delta) ([]byte, error) {
 	var frames []byte
 	for _, r := range d.Log {
 		rec, err := marshalGraftRecord(r.Doc, r.Path, r.Fresh)
@@ -144,38 +148,58 @@ func encodeDelta(d Delta) ([]byte, error) {
 		}
 		frames = appendFrame(frames, rec)
 	}
-	return marshalDelta(d, frames)
+	return frames, nil
 }
 
-// TestDeltaWireGolden pins a served log answer's bytes — the header, the
-// frames and the records exactly as the journal would write them —
-// checks the codec reproduces them, and replays the recorded records onto
-// the anchor state.
+// readDoc serves one read of a document: conditional on the state from
+// when it is not empty, accepting the graft log when log is set.
+func readDoc(h http.Handler, name, from string, log bool) *httptest.ResponseRecorder {
+	r := httptest.NewRequest(http.MethodGet, PathDoc+name, nil)
+	if from != "" {
+		r.Header.Set(headerIfNoneMatch, `"`+from+`"`)
+	}
+	if log {
+		r.Header.Set(headerAIM, imLog)
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	return w
+}
+
+// TestDeltaWireGolden pins a served log answer's bytes — the frames and
+// the records exactly as the journal would write them — and its
+// headers, checks the codec reproduces them, and replays the recorded
+// records onto the anchor state.
 func TestDeltaWireGolden(t *testing.T) {
 	want, err := os.ReadFile(goldenLog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	origin := mustOpen("origin", core.MustParseSystem(`doc log = log{sec{x{"1"}},other{q}}`))
-	get := func(from string) []byte {
-		w := httptest.NewRecorder()
-		origin.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, PathDelta+"log?from="+from, nil))
-		return w.Body.Bytes()
-	}
-	full, err := UnmarshalDelta(get(""))
+	w := readDoc(origin.Handler(), "log", "", true)
+	root, err := UnmarshalTree(w.Body.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if w.Code != http.StatusOK || w.Header().Get(headerETag) != `"`+goldenFrom+`"` {
+		t.Fatalf("anchorless read: %d, ETag %s", w.Code, w.Header().Get(headerETag))
+	}
+	full := Delta{Doc: "log", Mode: DeltaFull, To: goldenFrom, Full: root}
 	growDoc(origin, "log", `new{!Get{a}}`)
 	growIn(origin, "log", "sec", `y{"2 < 3 & z"}`)
-	if got := get(full.To); string(got) != string(want) {
+	w = readDoc(origin.Handler(), "log", goldenFrom, true)
+	if w.Code != http.StatusIMUsed || w.Header().Get(headerIM) != imLog || w.Header().Get(headerETag) != `"`+goldenTo+`"` {
+		t.Fatalf("log read: %d, IM %q, ETag %s", w.Code, w.Header().Get(headerIM), w.Header().Get(headerETag))
+	}
+	if got := w.Body.Bytes(); string(got) != string(want) {
 		t.Fatalf("log wire bytes changed:\ngot  %q\nwant %q", got, want)
 	}
-	d, err := UnmarshalDelta(want)
+	recs, err := unmarshalFrames(want, "log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := encodeDelta(d); err != nil || string(again) != string(want) {
+	d := Delta{Doc: "log", Mode: DeltaLog, From: goldenFrom, To: goldenTo, Log: recs}
+	if again, err := encodeFrames(d); err != nil || string(again) != string(want) {
 		t.Fatalf("codec does not reproduce the served bytes: %v\n%q", err, again)
 	}
 	replica := mustOpen("replica", core.MustParseSystem(`doc log = log`))
@@ -191,56 +215,64 @@ func TestDeltaWireGolden(t *testing.T) {
 	}
 }
 
-func TestDeltaCodecRoundTrip(t *testing.T) {
-	anchor := reduced(t, `log{sec{x{"1"}},other{q}}`)
-	cur := subsume.Union(anchor, reduced(t, `log{sec{y{"2 < 3 & z"}},new{!Get{a}}}`))
-	cases := []Delta{
-		{Doc: "log", Mode: DeltaSame, To: digestHex(cur)},
-		{Doc: "log", Mode: DeltaFull, To: digestHex(cur), Full: cur},
-	}
-	for _, d := range cases {
-		data, err := encodeDelta(d)
-		if err != nil {
-			t.Fatalf("marshal %s: %v", d.Mode, err)
-		}
-		back, err := UnmarshalDelta(data)
-		if err != nil {
-			t.Fatalf("unmarshal %s (%s): %v", d.Mode, data, err)
-		}
-		if back.Doc != d.Doc || back.Mode != d.Mode || back.From != d.From || back.To != d.To {
-			t.Fatalf("header round trip: %+v vs %+v", back, d)
-		}
-		if d.Mode == DeltaFull && !tree.Isomorphic(back.Full, d.Full) {
-			t.Fatalf("full round trip: %s", data)
-		}
-	}
-}
-
-// TestDeltaCodecErrors: malformed records are refused, and so is every
-// delta in the retired patch mode (mode="delta", ax:patch), the recorded
-// one included.
+// TestDeltaCodecErrors: a 200 body must be a tree, so the recorded
+// delta in the retired patch mode and an ax:delta envelope of the
+// retired delta endpoint are refused; a 226 body must be well-formed
+// frames of the document read; and every answer names its state.
 func TestDeltaCodecErrors(t *testing.T) {
 	patch, err := os.ReadFile(goldenPatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalDelta(patch); err == nil || !strings.Contains(err.Error(), `unknown delta mode "delta"`) {
-		t.Fatalf("the recorded patch delta: %v, want an unknown mode", err)
+	const old = `<ax:delta name="log" mode="full" to="00112233aabbccdd"><log/></ax:delta>`
+	rec := mustGraftRecord(t, "log")
+	type answer struct {
+		code       int
+		etag, body string
 	}
-	bad := [][]byte{
-		[]byte(``),
-		[]byte(`<wrong/>`),
-		[]byte(`<ax:delta mode="full" to="x"></ax:delta>`),           // no name
-		[]byte(`<ax:delta name="d" mode="weird" to="x"></ax:delta>`), // bad mode
-		[]byte(`<ax:delta name="d" mode="full" to="x"></ax:delta>`),  // full without tree
-		[]byte(`<ax:delta name="d" mode="delta" to="x"></ax:delta>`), // patch mode
-		[]byte(`<ax:delta name="d" mode="delta" from="y" to="x"><ax:patch kind="label" name="d" base="y"></ax:patch></ax:delta>`),
-	}
-	for _, data := range bad {
-		if _, err := UnmarshalDelta(data); err == nil {
-			t.Errorf("accepted %s", data)
+	var serve answer
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if serve.etag != "" {
+			w.Header().Set(headerETag, serve.etag)
+		}
+		w.WriteHeader(serve.code)
+		w.Write([]byte(serve.body))
+	}))
+	defer srv.Close()
+	const tag = `"00112233aabbccdd"`
+	frame := string(appendFrame(nil, rec))
+	for what, a := range map[string]answer{
+		"the recorded patch delta": {http.StatusOK, tag, string(patch)},
+		"an ax:delta envelope":     {http.StatusOK, tag, old},
+		"an empty 200":             {http.StatusOK, tag, ""},
+		"a 200 without an ETag":    {http.StatusOK, "", "<log/>"},
+		"a weak ETag":              {http.StatusOK, `W/` + tag, "<log/>"},
+		"a 226 without records":    {http.StatusIMUsed, tag, ""},
+		"a frame past the body":    {http.StatusIMUsed, tag, frame[:len(frame)-2]},
+		"a length past the body":   {http.StatusIMUsed, tag, "\x7f" + string(rec)},
+		"a record of another doc":  {http.StatusIMUsed, tag, frame + string(appendFrame(nil, mustGraftRecord(t, "other")))},
+		"an envelope as a 226":     {http.StatusIMUsed, tag, old},
+		"a 304 naming another":     {http.StatusNotModified, `"feedfeedfeedfeed"`, ""},
+	} {
+		serve = a
+		if d, err := NewClient(srv.URL, nil).Delta(context.Background(), "log", "deadbeefdeadbeef"); err == nil {
+			t.Errorf("%s: accepted as %+v", what, d)
 		}
 	}
+	serve = answer{http.StatusIMUsed, tag, frame}
+	if d, err := NewClient(srv.URL, nil).Delta(context.Background(), "log", "deadbeefdeadbeef"); err != nil || d.Mode != DeltaLog || len(d.Log) != 1 {
+		t.Fatalf("a well-formed 226: %+v, %v", d, err)
+	}
+}
+
+// mustGraftRecord encodes a one-tree growth at doc's root.
+func mustGraftRecord(t *testing.T, doc string) []byte {
+	t.Helper()
+	rec, err := marshalGraftRecord(doc, nil, tree.Forest{tree.NewLabel("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // growDoc appends a parsed subtree under the named document's root the
@@ -260,56 +292,74 @@ func docHash(p *Peer, doc string) string {
 	return h
 }
 
-// TestDeltaEndpointModes drives PathDelta through its three answers.
+// TestDeltaEndpointModes drives the one read through its three
+// answers — 304, 226 and 200 — and the reads that fall back to 200 or
+// fail, each naming the served state in its ETag, then the client's
+// mapping of the three onto DeltaSame, DeltaLog and DeltaFull.
 func TestDeltaEndpointModes(t *testing.T) {
 	remote := mustOpen("store", core.MustParseSystem(`doc log = log{sec{x}}`))
-	srv := httptest.NewServer(remote.Handler())
-	defer srv.Close()
-	ctx := context.Background()
-
-	// No anchor: full.
-	d, err := NewClient(srv.URL, nil).Delta(ctx, "log", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Mode != DeltaFull || d.Full == nil {
-		t.Fatalf("anchorless fetch: %+v", d)
-	}
-	anchor := d.To
-
-	// Same anchor, unchanged document: same.
-	d, err = NewClient(srv.URL, nil).Delta(ctx, "log", anchor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Mode != DeltaSame {
-		t.Fatalf("current fetch answered %q", d.Mode)
+	remote.anchors.max = 2
+	h := remote.Handler()
+	check := func(what string, w *httptest.ResponseRecorder, code int, im string) {
+		t.Helper()
+		tag := `"` + remote.localDigest("log") + `"`
+		if w.Code != code || w.Header().Get(headerETag) != tag || w.Header().Get(headerIM) != im {
+			t.Fatalf("%s: %d, ETag %s, IM %q; want %d, ETag %s, IM %q",
+				what, w.Code, w.Header().Get(headerETag), w.Header().Get(headerIM), code, tag, im)
+		}
+		if code == http.StatusNotModified && w.Body.Len() != 0 {
+			t.Fatalf("%s: a 304 with a body: %q", what, w.Body.Bytes())
+		}
 	}
 
-	// Document grew: log, carrying only the growth.
+	check("a plain read", readDoc(h, "log", "", false), http.StatusOK, "")
+	anchor := remote.localDigest("log")
+	check("a read of the current state", readDoc(h, "log", anchor, false), http.StatusNotModified, "")
+	check("a log read of the current state", readDoc(h, "log", anchor, true), http.StatusNotModified, "")
+
+	// The document grew: the log since the anchor, only when accepted.
 	growDoc(remote, "log", `sec{y}`)
-	d, err = NewClient(srv.URL, nil).Delta(ctx, "log", anchor)
-	if err != nil {
-		t.Fatal(err)
+	check("a conditional read without A-IM", readDoc(h, "log", anchor, false), http.StatusOK, "")
+	w := readDoc(h, "log", anchor, true)
+	check("a log read after growth", w, http.StatusIMUsed, imLog)
+	if recs, err := unmarshalFrames(w.Body.Bytes(), "log"); err != nil || len(recs) != 1 {
+		t.Fatalf("the log since the anchor: %d records, %v", len(recs), err)
 	}
-	if d.Mode != DeltaLog || len(d.Log) != 1 {
-		t.Fatalf("anchored fetch after growth: %+v", d)
+	check("an unknown anchor", readDoc(h, "log", "feedfeedfeedfeed", true), http.StatusOK, "")
+	for _, tag := range []string{anchor, `W/"` + anchor + `"`, `"` + anchor, "*", `"` + anchor + `", "x"`} {
+		r := httptest.NewRequest(http.MethodGet, PathDoc+"log", nil)
+		r.Header.Set(headerIfNoneMatch, tag)
+		r.Header.Set(headerAIM, imLog)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		check("If-None-Match: "+tag, w, http.StatusOK, "")
 	}
-	if d.From != anchor {
-		t.Fatalf("log anchored at %q, asked %q", d.From, anchor)
+	// Two more states served rotate the anchor out of a two-slot cache.
+	growDoc(remote, "log", `s1`)
+	readDoc(h, "log", "", false)
+	growDoc(remote, "log", `s2`)
+	readDoc(h, "log", "", false)
+	check("an evicted anchor", readDoc(h, "log", anchor, true), http.StatusOK, "")
+	if w := readDoc(h, "nope", "", true); w.Code != http.StatusNotFound {
+		t.Fatalf("a missing document: %d", w.Code)
 	}
 
-	// Unknown anchor: full fallback.
-	d, err = NewClient(srv.URL, nil).Delta(ctx, "log", "feedfeedfeedfeed")
-	if err != nil {
-		t.Fatal(err)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	c, ctx := NewClient(srv.URL, nil), context.Background()
+	full, err := c.Delta(ctx, "log", "")
+	if err != nil || full.Mode != DeltaFull || full.Full == nil || full.To != remote.localDigest("log") {
+		t.Fatalf("an anchorless read: %+v, %v", full, err)
 	}
-	if d.Mode != DeltaFull {
-		t.Fatalf("unknown anchor answered %q", d.Mode)
+	if d, err := c.Delta(ctx, "log", full.To); err != nil || d.Mode != DeltaSame || d.To != full.To {
+		t.Fatalf("a current read: %+v, %v", d, err)
 	}
-
-	// Unknown document: 404.
-	if _, err := NewClient(srv.URL, nil).Delta(ctx, "nope", ""); err == nil {
+	growDoc(remote, "log", `sec{z}`)
+	d, err := c.Delta(ctx, "log", full.To)
+	if err != nil || d.Mode != DeltaLog || len(d.Log) != 1 || d.From != full.To || d.To != remote.localDigest("log") {
+		t.Fatalf("an anchored read after growth: %+v, %v", d, err)
+	}
+	if _, err := c.Delta(ctx, "nope", ""); err == nil {
 		t.Fatal("missing document served")
 	}
 }

@@ -383,52 +383,50 @@ func TestMirrorSyncMatchesAckUnderGrowth(t *testing.T) {
 	}
 }
 
-// TestClientDeltaRejectsBadLog: a log answer without an anchor or
-// records, with a frame past the body, or with a record of another
-// document is refused by Client.Delta, and a mirror fed one grafts
-// nothing, into its own document or any other.
+// TestClientDeltaRejectsBadLog: a 226 to an anchorless read, one
+// without records or an ETag, with a frame past the body, or with a
+// record of another document is refused by Client.Delta, and a mirror
+// fed one grafts nothing, into its own document or any other.
 func TestClientDeltaRejectsBadLog(t *testing.T) {
-	rec := func(doc string) []byte {
-		b, err := marshalGraftRecord(doc, nil, tree.Forest{tree.NewLabel("x")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	head := func(doc, from string) string {
-		if from == "" {
-			return `<ax:delta name="` + doc + `" mode="log" to="00112233aabbccdd"></ax:delta>`
-		}
-		return `<ax:delta name="` + doc + `" mode="log" from="` + from + `" to="00112233aabbccdd"></ax:delta>`
-	}
+	rec := func(doc string) []byte { return mustGraftRecord(t, doc) }
 	const from = "deadbeefdeadbeef"
-	var body string
+	var body, etag string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if etag != "" {
+			w.Header().Set(headerETag, etag)
+		}
+		w.Header().Set(headerIM, imLog)
+		w.WriteHeader(http.StatusIMUsed)
 		w.Write([]byte(body))
 	}))
 	defer srv.Close()
-	good := head("log", from) + string(appendFrame(nil, rec("log")))
-	bad := map[string]string{
-		"no from":          head("log", "") + string(appendFrame(nil, rec("log"))),
-		"no records":       head("log", from),
-		"frame past body":  head("log", from) + string(appendFrame(nil, rec("log"))[:8]),
-		"length past body": head("log", from) + "\x7f" + string(rec("log")),
-		"other document":   head("log", from) + string(appendFrame(appendFrame(nil, rec("log")), rec("other"))),
-		"answer for other": head("other", from) + string(appendFrame(nil, rec("other"))),
+	const tag = `"00112233aabbccdd"`
+	good := string(appendFrame(nil, rec("log")))
+	bad := map[string][2]string{
+		"no from":          {"", good},
+		"no ETag":          {from, good},
+		"no records":       {from, ""},
+		"frame past body":  {from, string(appendFrame(nil, rec("log"))[:8])},
+		"length past body": {from, "\x7f" + string(rec("log"))},
+		"other document":   {from, string(appendFrame(appendFrame(nil, rec("log")), rec("other")))},
 	}
 	ctx := context.Background()
-	body = good
+	body, etag = good, tag
 	if d, err := NewClient(srv.URL, nil).Delta(ctx, "log", from); err != nil || len(d.Log) != 1 {
 		t.Fatalf("well-formed log answer: %+v, %v", d, err)
 	}
 	local := mustOpen("local", core.MustParseSystem("doc log = log\ndoc other = log"))
 	before := local.Hash()
-	for what, b := range bad {
-		body = b
-		if _, err := NewClient(srv.URL, nil).Delta(ctx, "log", from); err == nil {
+	for what, c := range bad {
+		anchor := c[0]
+		body, etag = c[1], tag
+		if what == "no ETag" {
+			etag = ""
+		}
+		if _, err := NewClient(srv.URL, nil).Delta(ctx, "log", anchor); err == nil {
 			t.Errorf("%s: accepted", what)
 		}
-		m := &Mirror{Remote: srv.URL, RemoteDoc: "log", LocalDoc: "log", lastRemote: from}
+		m := &Mirror{Remote: srv.URL, RemoteDoc: "log", LocalDoc: "log", lastRemote: anchor}
 		if _, err := m.Sync(ctx, local); err == nil {
 			t.Errorf("%s: mirror synced", what)
 		}

@@ -239,11 +239,11 @@ func TestRemoteGateEmptyReadSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, hdr, err := NewClient(srv.URL, nil).call(context.Background(), "invoke", http.MethodPost, PathInvoke, "application/xml", data)
+		_, resp, err := NewClient(srv.URL, nil).call(context.Background(), "invoke", http.MethodPost, PathInvoke, "application/xml", data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := hdr.Values(headerReads); len(got) != len(want) || (len(want) > 0 && got[0] != want[0]) {
+		if got := resp.Header.Values(headerReads); len(got) != len(want) || (len(want) > 0 && got[0] != want[0]) {
 			t.Fatalf("%s: %s = %q, want %q", svc, headerReads, got, want)
 		}
 	}

@@ -20,9 +20,9 @@ import (
 // the system's write side, and every change (appendAt, Touch, Restore's
 // adoptions, AddDocument) reaches the mutation hook there, which drops the
 // document's state and every answer that read it before the write side is
-// released. A state is filled under the read side (/axml/doc, a full
-// /axml/delta) or the write side (the snapshot writer), so no change runs
-// between its encoding and its store. An answer is encoded after its View
+// released. A state is filled under the read side (a 200 of /axml/doc)
+// or the write side (the snapshot writer), so no change runs between its
+// encoding and its store. An answer is encoded after its View
 // ends, so its fill is discarded when any drop happened since the lookup
 // that preceded its evaluation.
 type memo struct {

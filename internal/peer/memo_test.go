@@ -99,32 +99,41 @@ func invokeRaw(t testing.TB, url string, env Envelope) ([]byte, http.Header) {
 	return rawCall(t, http.MethodPost, url+PathInvoke, invokeBody(t, env))
 }
 
-// servedEqualsFresh checks every document p serves at /axml/doc and as a
-// full /axml/delta, and every envelope's /axml/invoke answer, lone and in
-// batches, against a fresh encoding of the live state. The batches are
-// the first half of envs, then all of envs: a batch whose first half was
-// kept by the first one, and whose second half is evaluated.
+// servedEqualsFresh checks every document p serves at /axml/doc, and
+// every envelope's /axml/invoke answer, lone and in batches, against a
+// fresh encoding of the live state. A document's 200 names the digest
+// /axml/hash advertises in its ETag, and a conditional read of that ETag
+// answers 304 with no body. The batches are the first half of envs, then
+// all of envs: a batch whose first half was kept by the first one, and
+// whose second half is evaluated.
 func servedEqualsFresh(t *testing.T, p *Peer, url string, envs []Envelope, step string) {
 	t.Helper()
-	docs, fulls := map[string][]byte{}, map[string][]byte{}
+	docs := map[string][]byte{}
 	p.system.View(func() {
 		for _, name := range p.system.DocNames() {
-			root := p.system.Document(name).Root
 			var err error
-			if docs[name], err = MarshalTree(root); err == nil {
-				fulls[name], err = marshalDelta(Delta{Doc: name, Mode: DeltaFull, To: digestHex(root), Full: root}, nil)
-			}
-			if err != nil {
+			if docs[name], err = MarshalTree(p.system.Document(name).Root); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
+	hashes, err := NewClient(url, nil).Hashes(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, want := range docs {
-		if got, _ := rawCall(t, http.MethodGet, url+PathDoc+name, nil); !bytes.Equal(got, want) {
+		got, hdr := rawCall(t, http.MethodGet, url+PathDoc+name, nil)
+		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: /axml/doc/%s served\n%s\nfresh\n%s", step, name, got, want)
 		}
-		if got, _ := rawCall(t, http.MethodGet, url+PathDelta+name, nil); !bytes.Equal(got, fulls[name]) {
-			t.Fatalf("%s: full delta of %s served\n%s\nfresh\n%s", step, name, got, fulls[name])
+		tag := `"` + hashes[name] + `"`
+		if hdr.Get(headerETag) != tag {
+			t.Fatalf("%s: /axml/doc/%s ETag %s, /axml/hash %s", step, name, hdr.Get(headerETag), tag)
+		}
+		if w := readDoc(p.Handler(), name, hashes[name], true); w.Code != http.StatusNotModified ||
+			w.Body.Len() != 0 || w.Header().Get(headerETag) != tag {
+			t.Fatalf("%s: a read of %s's current state: %d, ETag %s, %d body bytes",
+				step, name, w.Code, w.Header().Get(headerETag), w.Body.Len())
 		}
 	}
 	fresh := func(env Envelope) []byte {
@@ -176,6 +185,7 @@ func TestMemoServedBytesMatchFreshEncoding(t *testing.T) {
 		mirror := &Mirror{Remote: osrv.URL, RemoteDoc: "src", LocalDoc: "replica"}
 		rng := rand.New(rand.NewSource(seed))
 		added := false
+		held, logs := map[string]*tree.Node{}, 0 // the last state read of each document
 		for step := 0; step < 40; step++ {
 			var err error
 			switch op := rng.Intn(7); {
@@ -209,7 +219,12 @@ func TestMemoServedBytesMatchFreshEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			servedEqualsFresh(t, p, srv.URL, memoEnvelopes, fmt.Sprintf("seed %d step %d", seed, step))
+			what := fmt.Sprintf("seed %d step %d", seed, step)
+			servedEqualsFresh(t, p, srv.URL, memoEnvelopes, what)
+			logs += logReadsReplay(t, p, held, what)
+		}
+		if logs == 0 {
+			t.Fatalf("seed %d: no read was answered with the log", seed)
 		}
 		st := p.Status()
 		if st.MemoDocHits == 0 || st.MemoDocMisses == 0 || st.MemoAnswerHits == 0 || st.MemoAnswerMisses == 0 || st.MemoBytes == 0 {
@@ -221,6 +236,63 @@ func TestMemoServedBytesMatchFreshEncoding(t *testing.T) {
 		srv.Close()
 		osrv.Close()
 	}
+}
+
+// logReadsReplay reads every document of p conditionally on the state
+// held from the last step, accepting the log, and checks the answer
+// against the live state its ETag must name: a 304 names the held state,
+// a 226's records replayed onto the held state reach the live one, and a
+// 200 is the live state's fresh encoding. held moves to the live states;
+// it returns the number of 226 answers.
+func logReadsReplay(t *testing.T, p *Peer, held map[string]*tree.Node, step string) (logs int) {
+	t.Helper()
+	live := map[string]*tree.Node{}
+	p.system.View(func() {
+		for _, name := range p.system.DocNames() {
+			live[name] = p.system.Document(name).Root.Copy()
+		}
+	})
+	for name, cur := range live {
+		from := ""
+		if held[name] != nil {
+			from = digestHex(held[name])
+		}
+		w := readDoc(p.Handler(), name, from, true)
+		if w.Header().Get(headerETag) != `"`+digestHex(cur)+`"` {
+			t.Fatalf("%s: a read of %s: ETag %s, live %s", step, name, w.Header().Get(headerETag), digestHex(cur))
+		}
+		switch w.Code {
+		case http.StatusNotModified:
+			if from != digestHex(cur) {
+				t.Fatalf("%s: %s not modified since %s, live %s", step, name, from, digestHex(cur))
+			}
+		case http.StatusIMUsed:
+			logs++
+			recs, err := unmarshalFrames(w.Body.Bytes(), name)
+			if err != nil {
+				t.Fatalf("%s: the log of %s: %v", step, name, err)
+			}
+			s := core.NewSystem()
+			if err := s.AddDocument(tree.NewDocument(name, held[name].Copy())); err != nil {
+				t.Fatal(err)
+			}
+			replica := mustOpen("held", s)
+			if _, err := (&Mirror{LocalDoc: name}).merge(replica, Delta{Mode: DeltaLog, Log: recs}); err != nil {
+				t.Fatalf("%s: the log of %s does not replay: %v", step, name, err)
+			}
+			if got := replica.localDigest(name); got != digestHex(cur) {
+				t.Fatalf("%s: the log of %s replays to %s, live %s", step, name, got, digestHex(cur))
+			}
+		case http.StatusOK:
+			if want, err := MarshalTree(cur); err != nil || !bytes.Equal(w.Body.Bytes(), want) {
+				t.Fatalf("%s: /axml/doc/%s served\n%s\nfresh\n%s (%v)", step, name, w.Body.Bytes(), want, err)
+			}
+		default:
+			t.Fatalf("%s: a read of %s answered %d", step, name, w.Code)
+		}
+		held[name] = cur
+	}
+	return logs
 }
 
 func memoCounts(p *Peer) (hits, misses int64) {
@@ -468,7 +540,7 @@ func TestMemoConcurrentReadersInvokesPushes(t *testing.T) {
 				case 0:
 					_, _, err = fetch(http.MethodGet, srv.URL+PathDoc+"inbox", nil)
 				case 1:
-					_, _, err = fetch(http.MethodGet, srv.URL+PathDelta+"store", nil)
+					_, err = NewClient(srv.URL, nil).Delta(context.Background(), "store", p.localDigest("store"))
 				case 2:
 					_, _, err = fetch(http.MethodPost, srv.URL+PathInvoke, bodies[i%len(bodies)])
 				default:

@@ -17,15 +17,15 @@ import (
 // replication flavor of AXML distribution (the paper's follow-up work on
 // dynamic XML documents with distribution and replication, cited in
 // Section 1, made concrete on this substrate). Each Sync asks the remote
-// for the growth since the last acknowledged digest (PathDelta) and
-// merges it into the local copy with the least upper bound ∪ of Section
-// 2.1, so syncs are monotone and idempotent: replaying, duplicating or
-// interleaving them can only add information, never lose it. When the
-// remote cannot serve a delta (anchor evicted, first sync) or the local
-// replica diverged from the anchor (a record's path misses), Sync falls
-// back to merging the full tree — the delta path is an optimization over
-// the same merge, never a different semantics. One Mirror's syncs run one
-// at a time.
+// for the growth since the last acknowledged digest (a conditional read
+// of PathDoc, Client.Delta) and merges it into the local copy with the
+// least upper bound ∪ of Section 2.1, so syncs are monotone and
+// idempotent: replaying, duplicating or interleaving them can only add
+// information, never lose it. When the remote cannot serve a delta
+// (anchor evicted, first sync) or the local replica diverged from the
+// anchor (a record's path misses), Sync falls back to merging the full
+// tree — the delta path is an optimization over the same merge, never a
+// different semantics. One Mirror's syncs run one at a time.
 type Mirror struct {
 	// Remote is the remote peer's base URL.
 	Remote string
@@ -46,7 +46,7 @@ type Mirror struct {
 	// replica already holds.
 	mu sync.Mutex
 	// lastRemote is the digest of the remote tree as of the last sync —
-	// the delta anchor sent with the next PathDelta request, and what the
+	// the anchor the next sync's read names in If-None-Match, and what the
 	// anti-entropy pass compares against the remote's advertised hash to
 	// skip documents that have not moved. Empty until the first sync (and
 	// after a restart: the field is not persisted, so a recovered peer's
@@ -88,34 +88,22 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 		return false, err
 	}
 
-	switch d.Mode {
-	case DeltaSame:
-		// Already current: nothing to merge.
-	case DeltaLog:
+	if d.Mode != DeltaSame { // same: already current, nothing to merge
 		changed, err = m.merge(p, d)
-		if errors.Is(err, errDiverged) {
-			// The replica diverged from the anchor the records start from
-			// (local-only growth, a missed delivery, a restart): repair
-			// with a full pull. Records applied before the miss were exact
-			// origin growths.
-			p.metrics.Counter("peer.mirror.delta_fallbacks").Inc()
-			if d, err = remote.Delta(ctx, m.RemoteDoc, ""); err == nil {
-				if d.Mode != DeltaFull {
-					err = fmt.Errorf("peer: mirror %s: anchorless delta answered mode %q",
-						m.LocalDoc, d.Mode)
-				} else {
-					var grew bool
-					grew, err = m.merge(p, d)
-					changed = changed || grew
-				}
-			}
-		} else if err == nil {
-			p.metrics.Counter("peer.mirror.deltas").Inc()
+	}
+	if errors.Is(err, errDiverged) {
+		// The replica diverged from the anchor the records start from
+		// (local-only growth, a missed delivery, a restart): repair with
+		// a full pull — an anchorless read answers only 200. Records
+		// applied before the miss were exact origin growths.
+		p.metrics.Counter("peer.mirror.delta_fallbacks").Inc()
+		if d, err = remote.Delta(ctx, m.RemoteDoc, ""); err == nil {
+			var grew bool
+			grew, err = m.merge(p, d)
+			changed = changed || grew
 		}
-	case DeltaFull:
-		changed, err = m.merge(p, d)
-	default:
-		err = fmt.Errorf("peer: mirror %s: unknown delta mode %q", m.LocalDoc, d.Mode)
+	} else if err == nil && d.Mode == DeltaLog {
+		p.metrics.Counter("peer.mirror.deltas").Inc()
 	}
 	if err != nil {
 		p.metrics.Counter("peer.mirror.errors").Inc()
@@ -130,8 +118,9 @@ func (m *Mirror) Sync(ctx context.Context, p *Peer) (changed bool, err error) {
 	if changed {
 		p.metrics.Counter("peer.mirror.changed").Inc()
 	}
-	// Convergence watermark: the negotiated Delta.To is the origin digest
-	// this sync observed; compare it with the local digest it left behind.
+	// Convergence watermark: Delta.To, the answer's ETag, is the origin
+	// digest this sync observed; compare it with the local digest it left
+	// behind.
 	p.converge.observe(p.metrics, m.LocalDoc, d.To, p.localDigest(m.LocalDoc), changed)
 	if tr := p.tracer; tr.Enabled() {
 		var grew int64

@@ -11,9 +11,9 @@ import (
 
 // The in-memory patch: a digest-diff of two reduced trees, PruneSince on
 // the sending side and ApplyPatch on the receiving one. It has no wire
-// form — /axml/delta answers same, log or full — and no caller in the
-// peer: it stays as the benchmark's in-memory peer.delta.* kernels until
-// they move to the graft log.
+// form — a read of /axml/doc answers 304, the graft log (226) or the
+// tree (200) — and no caller in the peer: it stays as the benchmark's
+// in-memory peer.delta.* kernels until they move to the graft log.
 
 // Patch is one node of a recursive digest-diff: the spine from the
 // document root down to the subtrees that changed since the anchor

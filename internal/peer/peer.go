@@ -28,7 +28,6 @@ const (
 	PathDoc    = "/axml/doc/"
 	PathSweep  = "/axml/sweep"
 	PathHash   = "/axml/hash"
-	PathDelta  = "/axml/delta/"
 	PathStatus = "/axml/status"
 )
 
@@ -38,6 +37,18 @@ const (
 // then determined by the envelope plus those documents, which is what lets
 // RemoteService.Version gate the call. A black box's answer carries none.
 const headerReads = "X-Axml-Reads"
+
+// The read's headers, HTTP's own (RFC 7232, RFC 3229): every document
+// answer names its state in ETag, If-None-Match names the state the
+// reader holds, and A-IM: axml-log accepts the graft records since it
+// (226 IM Used, IM: axml-log) in place of the tree.
+const (
+	headerETag        = "ETag"
+	headerIfNoneMatch = "If-None-Match"
+	headerAIM         = "A-IM"
+	headerIM          = "IM"
+	imLog             = "axml-log"
+)
 
 // MaxWireBytes caps every wire-format body read — remote invocation
 // responses, fetched documents, and the server side of incoming requests
@@ -134,7 +145,7 @@ type Peer struct {
 	tracer  *obs.Tracer
 	logger  *slog.Logger
 
-	// anchors remembers the states PathDelta served and the graft records
+	// anchors remembers the states PathDoc served and the graft records
 	// since, so it can answer with the records instead of the full tree.
 	// It locks itself.
 	anchors *deltaAnchors
@@ -295,7 +306,6 @@ func (p *Peer) Handler() http.Handler {
 	mux.HandleFunc(PathDoc, p.instrument("doc", http.MethodGet, p.handleDoc))
 	mux.HandleFunc(PathSweep, p.instrument("sweep", http.MethodPost, p.handleSweep))
 	mux.HandleFunc(PathHash, p.instrument("hash", http.MethodGet, p.handleHash))
-	mux.HandleFunc(PathDelta, p.instrument("delta", http.MethodGet, p.handleDelta))
 	mux.HandleFunc(PathStatus, p.instrument("status", http.MethodGet, p.handleStatus))
 	return mux
 }
@@ -487,22 +497,43 @@ func readsOf(q *query.Query) string {
 	return b.String()
 }
 
+// handleDoc answers GET /axml/doc/<name>, the peer's one read: 304 with
+// no body when If-None-Match names the current state; 226 and the framed
+// graft records since the state it names when the request accepts the
+// log (A-IM) and the log covers that anchor; else 200 and the memo's
+// bytes. Every answer's ETag is the served state, which becomes the
+// reader's next anchor at the growth count it is served at. A read that
+// accepts the log is a replica's sync, counted by answer.
 func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Path[len(PathDoc):]
-	var doc *tree.Document
-	var data []byte
+	from := etagDigest(r.Header.Get(headerIfNoneMatch))
+	logOK := r.Header.Get(headerAIM) == imLog
+	var to, mode string
+	var data []byte // the log's framed records, or the full tree
 	var err error
 	p.system.View(func() {
-		if doc = p.system.Document(name); doc == nil {
+		doc := p.system.Document(name)
+		if doc == nil {
 			return
 		}
-		if data, err = p.memo.doc(name, doc.Root); err == nil {
-			// The receiver now holds this exact state: remember it as a
-			// delta anchor so its next PathDelta request gets the log.
-			p.anchors.remember(name, digestHex(doc.Root))
+		to = digestHex(doc.Root)
+		switch {
+		case from == to:
+			mode = DeltaSame
+		case from != "" && logOK:
+			if data = p.anchors.since(name, from); data != nil {
+				mode = DeltaLog
+			}
+		}
+		if mode == "" {
+			mode = DeltaFull
+			data, err = p.memo.doc(name, doc.Root)
+		}
+		if err == nil {
+			p.anchors.remember(name, to)
 		}
 	})
-	if doc == nil {
+	if to == "" {
 		http.NotFound(w, r)
 		return
 	}
@@ -510,7 +541,30 @@ func (p *Peer) handleDoc(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeXML(w, data)
+	if logOK {
+		p.metrics.Counter("peer.delta.served." + mode).Inc()
+	}
+	w.Header().Set(headerETag, `"`+to+`"`)
+	switch mode {
+	case DeltaSame:
+		w.WriteHeader(http.StatusNotModified)
+	case DeltaLog:
+		w.Header().Set(headerIM, imLog)
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+		w.WriteHeader(http.StatusIMUsed)
+		w.Write(data)
+	default:
+		writeXML(w, data)
+	}
+}
+
+// etagDigest is the digest a strong entity tag names, "" for any other
+// value (a weak tag, a list, *): the read is then unconditional.
+func etagDigest(tag string) string {
+	if len(tag) < 2 || tag[0] != '"' || strings.IndexByte(tag[1:], '"') != len(tag)-2 {
+		return ""
+	}
+	return tag[1 : len(tag)-1]
 }
 
 // Sweep performs one fair local sweep (each current call attempted once)
@@ -596,55 +650,6 @@ func (p *Peer) localDigest(name string) (digest string) {
 
 func (p *Peer) handleHash(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, p.Hash())
-}
-
-// handleDelta answers GET /axml/delta/<name>?from=<digest> with the
-// document's growth since the state the caller last acknowledged. Three
-// modes: "same" (the caller is current — no payload), "log" (the graft
-// records since the anchor — requires from to be an anchor the log still
-// covers) and "full" (anything else: no anchor given, evicted or
-// stranded, or a by-hand edit reset the log). The served state becomes
-// the caller's next anchor, at the growth count it is served at.
-func (p *Peer) handleDelta(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Path[len(PathDelta):]
-	from := r.URL.Query().Get("from")
-	var d Delta
-	var data []byte
-	var err error
-	p.system.View(func() {
-		doc := p.system.Document(name)
-		if doc == nil {
-			return
-		}
-		d = Delta{Doc: name, To: digestHex(doc.Root)}
-		var payload []byte // the log's framed records, or the full tree
-		switch {
-		case from == d.To:
-			d.Mode = DeltaSame
-		case from != "":
-			if payload = p.anchors.since(name, from); payload != nil {
-				d.Mode, d.From = DeltaLog, from
-			}
-		}
-		if d.Mode == "" { // the full tree goes out as the memo's bytes
-			d.Mode = DeltaFull
-			payload, err = p.memo.doc(name, doc.Root)
-		}
-		p.anchors.remember(name, d.To)
-		if err == nil {
-			data, err = marshalDelta(d, payload)
-		}
-	})
-	if d.Doc == "" {
-		http.NotFound(w, r)
-		return
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	p.metrics.Counter("peer.delta.served." + d.Mode).Inc()
-	writeXML(w, data)
 }
 
 // RemoteService is a core.Service whose implementation lives on another

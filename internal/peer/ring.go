@@ -121,8 +121,8 @@ func (r *Ring) Primary(doc string) string {
 // served locally.
 const headerForwarded = "X-Axml-Forwarded"
 
-// Router fronts one peer of a sharded fleet: document-keyed requests
-// (PathDoc, PathDelta) for documents this peer owns are served locally,
+// Router fronts one peer of a sharded fleet: document reads (PathDoc)
+// for documents this peer owns are served locally,
 // everything else is forwarded to the document's owners in ring order —
 // so clients may ask any peer for any document. Non-document endpoints
 // (invoke, sweep, hash, push) pass straight through to the local peer.
@@ -173,14 +173,8 @@ func (rt *Router) rf() int {
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	doc := ""
-	switch {
-	case strings.HasPrefix(r.URL.Path, PathDoc):
-		doc = r.URL.Path[len(PathDoc):]
-	case strings.HasPrefix(r.URL.Path, PathDelta):
-		doc = r.URL.Path[len(PathDelta):]
-	}
-	if doc == "" || rt.Owns(doc) || r.Header.Get(headerForwarded) != "" {
+	doc, read := strings.CutPrefix(r.URL.Path, PathDoc)
+	if !read || doc == "" || rt.Owns(doc) || r.Header.Get(headerForwarded) != "" {
 		rt.local.ServeHTTP(w, r)
 		return
 	}
@@ -218,8 +212,11 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, doc string) {
 			continue
 		}
 		rt.peer.metrics.Counter("peer.route.forwarded").Inc()
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
+		// The read's ETag and IM name what the body is.
+		for _, k := range [...]string{"Content-Type", headerETag, headerIM} {
+			if v := resp.Header.Get(k); v != "" {
+				w.Header().Set(k, v)
+			}
 		}
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, io.LimitReader(resp.Body, rt.peer.wireLimit()+1))

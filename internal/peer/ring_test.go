@@ -204,6 +204,33 @@ func TestRouterDeltaForwarding(t *testing.T) {
 	if d2.Mode != DeltaLog {
 		t.Fatalf("anchored forwarded delta answered %q", d2.Mode)
 	}
+	// The relay keeps what names the body: the ETag on each answer, IM on
+	// a 226, and a 304 stays bodiless.
+	growDoc(peers[owner], doc, `item{"z"}`)
+	tag := `"` + peers[owner].localDigest(doc) + `"`
+	for _, c := range []struct {
+		from string
+		code int
+		im   string
+	}{{`"` + d2.To + `"`, http.StatusIMUsed, imLog}, {tag, http.StatusNotModified, ""}} {
+		req, err := http.NewRequest(http.MethodGet, urls[outsider]+PathDoc+doc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(headerAIM, imLog)
+		req.Header.Set(headerIfNoneMatch, c.from)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || resp.Header.Get(headerETag) != tag || resp.Header.Get(headerIM) != c.im ||
+			c.code == http.StatusNotModified && len(body) != 0 {
+			t.Fatalf("forwarded read: %d, ETag %s, IM %q, %d body bytes; want %d, ETag %s, IM %q",
+				resp.StatusCode, resp.Header.Get(headerETag), resp.Header.Get(headerIM), len(body), c.code, tag, c.im)
+		}
+	}
 }
 
 func TestRouterOwnerFailover(t *testing.T) {

@@ -1,7 +1,6 @@
 package peer
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -86,30 +85,27 @@ func FuzzUnmarshalTree(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalDelta: replicas feed whatever a remote peer sends
-// straight into UnmarshalDelta and then mutate local state from it, so
-// the parser must reject garbage without panicking, and every accepted
-// record must re-marshal to a stable wire form (one decode/encode round
-// canonicalizes and the second must be a fixpoint). A log answer's
-// decoded records must re-encode through marshalGraftRecord to exactly
-// the bytes of their frames in that stable form. The patch-mode seeds
-// (mode="delta", ax:patch, the recorded patch delta) are inputs the
-// parser must refuse.
+// FuzzUnmarshalDelta: a replica feeds whatever body a remote peer sends
+// with a 226 straight into unmarshalFrames and then mutates local state
+// from the records, so the decoder must reject garbage without
+// panicking, and every accepted record must re-encode to a stable frame
+// (one decode/encode round canonicalizes and the second must be a
+// fixpoint). The ax:delta envelopes of the retired delta endpoint and
+// the recorded patch delta are bodies it must refuse.
 func FuzzUnmarshalDelta(f *testing.F) {
-	seeds := []string{
+	for _, s := range []string{
 		``,
-		`<ax:delta name="d" mode="same" to="00112233aabbccdd"></ax:delta>`,
-		`<ax:delta name="d" mode="full" to="00112233aabbccdd"><d><x>1</x></d></ax:delta>`,
-		`<ax:delta name="d" mode="delta" from="deadbeefdeadbeef" to="00112233aabbccdd">` +
-			`<ax:patch kind="label" name="d" base=""><ax:patch kind="label" name="sec" base="0102030405060708"><y/></ax:patch><z/></ax:patch></ax:delta>`,
-		`<ax:delta name="d" mode="delta" to="x"><ax:patch kind="func" name="f" base="b"/></ax:delta>`,
-		`<ax:delta name="d" mode="nonsense" to="x"></ax:delta>`,
+		`<ax:delta name="log" mode="same" to="00112233aabbccdd"></ax:delta>`,
+		`<ax:delta name="log" mode="full" to="00112233aabbccdd"><log><x>1</x></log></ax:delta>`,
+		`<ax:delta name="log" mode="delta" from="deadbeefdeadbeef" to="00112233aabbccdd">` +
+			`<ax:patch kind="label" name="log" base=""><ax:patch kind="label" name="sec" base="0102030405060708"><y/></ax:patch><z/></ax:patch></ax:delta>`,
+		`<ax:delta name="log" mode="delta" to="x"><ax:patch kind="func" name="f" base="b"/></ax:delta>`,
+		`<ax:delta name="log" mode="nonsense" to="x"></ax:delta>`,
 		`<ax:delta mode="full"><unclosed></ax:delta>`,
 		`<ax:patch kind="label" name="orphan" base=""/>`,
-		`<ax:delta name="d" mode="full" to="x"><a/><b/></ax:delta>`,
-		`<ax:delta name="d" mode="delta" to="x"><ax:patch kind="label" name="p:q" base=""/></ax:delta>`,
-	}
-	for _, s := range seeds {
+		`<ax:delta name="log" mode="full" to="x"><a/><b/></ax:delta>`,
+		`<ax:delta name="log" mode="log" from="deadbeefdeadbeef" to="x"></ax:delta>`,
+	} {
 		f.Add([]byte(s))
 	}
 	for _, path := range []string{goldenPatch, goldenLog} {
@@ -119,49 +115,42 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		}
 		f.Add(golden)
 	}
-	rec, err := marshalGraftRecord("d", []core.GraftStep{{Kind: tree.Label, Name: "sec"}}, tree.Forest{tree.NewLabel("x")})
+	rec, err := marshalGraftRecord("log", []core.GraftStep{{Kind: tree.Label, Name: "sec"}}, tree.Forest{tree.NewLabel("x")})
 	if err != nil {
 		f.Fatal(err)
 	}
-	head := `<ax:delta name="d" mode="log" from="deadbeefdeadbeef" to="00112233aabbccdd"></ax:delta>`
-	for _, s := range []string{
-		head + string(appendFrame(nil, rec)),
-		`<ax:delta name="d" mode="log" to="00112233aabbccdd"></ax:delta>` + string(appendFrame(nil, rec)), // no from
-		head, // no records
-		head + string(appendFrame(nil, rec)[:10]),                                                        // frame past the body
-		`<ax:delta name="e" mode="log" from="deadbeefdeadbeef" to="x"/>` + string(appendFrame(nil, rec)), // another document
+	other, err := marshalGraftRecord("e", nil, tree.Forest{tree.NewLabel("x")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame := appendFrame(nil, rec)
+	for _, b := range [][]byte{
+		frame,
+		appendFrame(frame, rec),
+		frame[:10],                   // frame past the body
+		append([]byte{0x7f}, rec...), // length past the body
+		appendFrame(nil, other),      // another document
 	} {
-		f.Add([]byte(s))
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzMaxInput {
 			return
 		}
-		agreeWithOracle(t, data, elemDelta, UnmarshalDelta, xmlUnmarshalDelta, sameDelta)
-		d, err := UnmarshalDelta(data)
+		recs, err := unmarshalFrames(data, "log")
 		if err != nil {
 			return // malformed input rejected: fine, as long as no panic
 		}
-		if d.Mode != DeltaSame && d.Mode != DeltaFull && d.Mode != DeltaLog {
-			t.Fatalf("accepted a delta in mode %q (input %q)", d.Mode, data)
-		}
-		out, err := encodeDelta(d)
+		out, err := encodeFrames(Delta{Log: recs})
 		if err != nil {
-			t.Fatalf("parsed delta does not re-marshal: %v (input %q)", err, data)
+			t.Fatalf("decoded records do not re-encode: %v (input %q)", err, data)
 		}
-		back, err := UnmarshalDelta(out)
+		back, err := unmarshalFrames(out, "log")
 		if err != nil {
-			t.Fatalf("marshaled delta does not re-parse: %v (wire %q)", err, out)
+			t.Fatalf("re-encoded records do not decode: %v (wire %q)", err, out)
 		}
-		again, err := encodeDelta(back)
-		if err != nil {
-			t.Fatalf("re-parsed delta does not re-marshal: %v (wire %q)", err, out)
-		}
-		if string(out) != string(again) {
-			t.Fatalf("delta wire form not a fixpoint:\nfirst  %q\nsecond %q", out, again)
-		}
-		frames := out[bytes.Index(out, []byte("</"+elemDelta+">"))+len(elemDelta)+3:]
-		for _, r := range back.Log {
+		frames := out
+		for _, r := range back {
 			n, k := binary.Uvarint(frames)
 			rec, err := marshalGraftRecord(r.Doc, r.Path, r.Fresh)
 			if err != nil || string(rec) != string(frames[k:k+int(n)]) {

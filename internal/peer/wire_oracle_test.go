@@ -618,88 +618,6 @@ func xmlUnmarshalAnswers(data []byte) ([]Answer, error) {
 	}
 }
 
-// xmlMarshalDelta renders a delta record in same or full mode:
-//
-//	<ax:delta name="doc" mode="same|full" [from="hex"] to="hex">
-//	  full mode:  one tree
-//	</ax:delta>
-func xmlMarshalDelta(d Delta) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := xml.NewEncoder(&buf)
-	attrs := []xml.Attr{
-		{Name: xml.Name{Local: attrName}, Value: d.Doc},
-		{Name: xml.Name{Local: attrMode}, Value: d.Mode},
-	}
-	if d.From != "" {
-		attrs = append(attrs, xml.Attr{Name: xml.Name{Local: attrFrom}, Value: d.From})
-	}
-	attrs = append(attrs, xml.Attr{Name: xml.Name{Local: attrTo}, Value: d.To})
-	start := xml.StartElement{Name: xml.Name{Local: elemDelta}, Attr: attrs}
-	if err := enc.EncodeToken(start); err != nil {
-		return nil, err
-	}
-	switch d.Mode {
-	case DeltaSame:
-	case DeltaFull:
-		if d.Full == nil {
-			return nil, fmt.Errorf("peer: full delta without tree")
-		}
-		if err := encodeNode(enc, d.Full); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("peer: unknown delta mode %q", d.Mode)
-	}
-	if err := enc.EncodeToken(start.End()); err != nil {
-		return nil, err
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// xmlUnmarshalDelta parses a delta record.
-func xmlUnmarshalDelta(data []byte) (Delta, error) {
-	var d Delta
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	start, err := firstStart(dec)
-	if err != nil || wireName(start.Name) != elemDelta {
-		return d, fmt.Errorf("peer: bad delta: %v", err)
-	}
-	for _, a := range start.Attr {
-		switch a.Name.Local {
-		case attrName:
-			d.Doc = a.Value
-		case attrMode:
-			d.Mode = a.Value
-		case attrFrom:
-			d.From = a.Value
-		case attrTo:
-			d.To = a.Value
-		}
-	}
-	if d.Doc == "" {
-		return d, fmt.Errorf("peer: delta without document name")
-	}
-	switch d.Mode {
-	case DeltaSame:
-		return d, nil
-	case DeltaFull:
-		n, err := decodeNext(dec)
-		if err != nil {
-			return d, err
-		}
-		if n == nil {
-			return d, fmt.Errorf("peer: full delta without tree")
-		}
-		d.Full = n
-		return d, nil
-	default:
-		return d, fmt.Errorf("peer: unknown delta mode %q", d.Mode)
-	}
-}
-
 // Rejection classes: the inputs the oracle accepts and the codec may
 // reject (DESIGN.md, "Wire codec"). Anything else the oracle accepts, the
 // codec must accept as the same value.
@@ -720,7 +638,6 @@ func rejectionClass(data []byte, root string) string {
 		elem  string // the open element's wire name
 		n     int    // child elements seen
 		parts map[string]bool
-		mode  string // an ax:delta's mode
 	}
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	stack := []*frame{{}} // the root's virtual parent
@@ -748,14 +665,6 @@ func rejectionClass(data []byte, root string) string {
 					return classPrefix
 				}
 			}
-			attr := func(local string) (v string) {
-				for _, a := range t.Attr {
-					if a.Name.Local == local {
-						v = a.Value
-					}
-				}
-				return v
-			}
 			name := wireName(t.Name)
 			isTree := t.Name.Space == "" || name == elemValue || name == elemCall
 			if t.Name.Space != "" && t.Name.Space != "ax" {
@@ -782,8 +691,6 @@ func rejectionClass(data []byte, root string) string {
 				ok = name == elemEnvelope
 			case parent.elem == elemAnswers:
 				ok = name == elemForest || name == elemError
-			case parent.elem == elemDelta:
-				ok = parent.n == 1 && parent.mode == DeltaFull && isTree
 			case !isTree: // a tree position: ax:forest, ax:doc, a part, a label or a call
 				return classPrefix
 			default:
@@ -796,7 +703,7 @@ func rejectionClass(data []byte, root string) string {
 			case t.Name.Space == "" && !validLabel(name):
 				return classLabel
 			}
-			stack = append(stack, &frame{elem: name, mode: attr(attrMode), parts: map[string]bool{}})
+			stack = append(stack, &frame{elem: name, parts: map[string]bool{}})
 		}
 	}
 }

@@ -14,8 +14,8 @@
 # index built outside its one constructor site, a document encoded
 # outside the served-bytes memo, a second load driver beside the
 # benchmark's fleet-serve workload, a second replication dialect, a
-# merge outside the engine's one merge step, and a service capability
-# read outside the stack AddService resolves.
+# second read endpoint, a merge outside the engine's one merge step, and
+# a service capability read outside the stack AddService resolves.
 #
 # Library layers must log through the *slog.Logger they are handed (see
 # internal/obs): a bare log.Printf or fmt.Println in internal/ writes to
@@ -357,11 +357,11 @@ if [ -n "$badgraftenc" ]; then
     echo "$badgraftenc" >&2
     exit 1
 fi
-# Delta answers replay the origin's graft log: the anchor cache maps a
-# digest to a growth count and holds no tree, and handleDelta neither
+# Log answers replay the origin's graft log: the anchor cache maps a
+# digest to a growth count and holds no tree, and handleDoc neither
 # checks an anchor tree against the live one nor diffs them. A tree in
 # the cache's types, a Copy in its methods, or Subsumed / PruneSince in
-# handleDelta is the deep-copied anchor growing back.
+# handleDoc is the deep-copied anchor growing back.
 badanchor=$( {
     awk '
         /^type (deltaAnchors|docLog|anchor) struct/ { intype = 1 }
@@ -374,12 +374,12 @@ badanchor=$( {
     awk '
         /^func / { fn = $0 }
         /^[[:space:]]*\/\// { next }
-        fn ~ /^func \(p \*Peer\) handleDelta\(/ && /Subsumed\(|PruneSince\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        fn ~ /^func \(p \*Peer\) handleDoc\(/ && /Subsumed\(|PruneSince\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
         ' internal/peer/peer.go
     } )
 
 if [ -n "$badanchor" ]; then
-    echo "vet-obs: a tree in the delta anchor cache, or an anchor check / diff in handleDelta (anchors are digest -> growth count; answers replay the graft log):" >&2
+    echo "vet-obs: a tree in the delta anchor cache, or an anchor check / diff in handleDoc (anchors are digest -> growth count; answers replay the graft log):" >&2
     echo "$badanchor" >&2
     exit 1
 fi
@@ -401,7 +401,7 @@ if [ -n "$badindexbuild" ]; then
     exit 1
 fi
 # A document state is encoded once per state: the peer's memo fills it
-# (memo.doc for /axml/doc and full /axml/delta answers, memo.snapshot for
+# (memo.doc for /axml/doc's 200 answers, memo.snapshot for
 # the snapshot writer) and the mutation hook drops it. A MarshalTree or
 # encoder.doc call elsewhere in non-test internal/peer re-encodes an
 # unchanged document per read; MarshalDocRecord, the journal's
@@ -432,8 +432,9 @@ if [ -n "$badloadgen" ]; then
     echo "$badloadgen" >&2
     exit 1
 fi
-# One replication dialect: /axml/delta answers same, log or full, and a
-# push is anchored at the digest of its subscription's view. The patch
+# One replication dialect: a read of /axml/doc answers 304, 226 (the
+# log) or 200, and a push is anchored at the digest of its subscription's
+# view. The patch
 # mode on the wire (mode "delta", ax:patch), the push hash chain and its
 # mode header, and the anchor-cache knob that could switch delta serving
 # off are gone; none may grow back in non-test Go.
@@ -443,8 +444,32 @@ badreplication=$(grep -rn --include='*.go' -E 'chainDigest|X-Axml-Push-Mode|ax:p
     || true)
 
 if [ -n "$badreplication" ]; then
-    echo "vet-obs: a second replication dialect (the patch wire mode, the push hash chain or the delta-anchor knob; deltas answer same | log | full, pushes anchor by view digest):" >&2
+    echo "vet-obs: a second replication dialect (the patch wire mode, the push hash chain or the delta-anchor knob; reads answer 304 | 226 | 200, pushes anchor by view digest):" >&2
     echo "$badreplication" >&2
+    exit 1
+fi
+# One read exchange: GET /axml/doc (handleDoc) answers a plain read 200,
+# a read conditional on the current state 304, and one that accepts the
+# log 226 with the graft records since its anchor. The retired delta
+# endpoint, its ax:delta envelope and their codec may not grow back in
+# non-test Go, and the memo's document bytes and the anchor cache's log
+# are read in handleDoc alone: another handler reading them is a second
+# read endpoint.
+badread=$( {
+    grep -rn --include='*.go' -E 'PathDelta|/axml/delta|ax:delta|handleDelta|UnmarshalDelta' internal/ cmd/ \
+        | grep -v '_test\.go:' \
+        | grep -vE ':[0-9]+:[[:space:]]*//' \
+        || true
+    find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
+        /^func / { fn = $0 }
+        /^[[:space:]]*\/\// { next }
+        /\.memo\.doc\(|\.anchors\.(since|remember)\(/ && fn !~ /^func \(p \*Peer\) handleDoc\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+        ' {} +
+    } )
+
+if [ -n "$badread" ]; then
+    echo "vet-obs: a second read endpoint (GET /axml/doc answers 304 | 226 | 200 in handleDoc; the delta endpoint and its ax:delta envelope are gone):" >&2
+    echo "$badread" >&2
     exit 1
 fi
 # One firing path: every call the engine fires is evaluated by its
