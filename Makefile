@@ -78,8 +78,8 @@ fuzz-smoke:
 	$(GO) test ./internal/pathexpr -run='^$$' -fuzz='^FuzzRSnapshotMatchesQuery$$' -fuzztime=5s
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzDeltaRowsMatchFiltered$$' -fuzztime=5s
 
-# The sharded-fleet chaos acceptance: ten durable peers, consistent-hash
-# routing, delta replication under injected message loss, crash-restarts,
+# The fleet chaos acceptance: ten durable peers, each document held by
+# two, delta replication under injected message loss, crash-restarts,
 # stale anchors and duplicated deliveries must converge every owner to
 # the single-peer fixpoint digest (with non-zero peer.converge.lag_ns
 # samples and a rendering fleet status table), one increment's delta must
@@ -112,8 +112,8 @@ bench-check:
 
 # Tier-1 verify: build + tests, extended with gofmt, go vet (test files
 # of the test-less cmd packages included), the logging lint, the race
-# detector, the fuzz smoke run and the sharded-fleet chaos acceptance. A
-# served fleet under load is covered by the tests: benchmark's TestSmoke
-# runs fleet-serve untraced and traced at quick counts, and chaos runs the
-# ten-peer sharded fleet.
+# detector, the fuzz smoke run and the fleet chaos acceptance. A served
+# fleet under load is covered by the tests: benchmark's TestSmoke runs
+# fleet-serve untraced and traced at quick counts, and chaos runs the
+# ten-peer replicated fleet.
 verify: build fmt vet vet-cmd vet-obs test race fuzz-smoke chaos

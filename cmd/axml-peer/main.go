@@ -26,14 +26,6 @@
 // -anti-entropy-every runs a periodic repair pass that re-syncs any
 // replica whose digest drifted.
 //
-// Sharding: -shard-self NAME plus repeated -shard-peer NAME=URL front
-// the peer with a consistent-hash router — each document belongs to
-// -replicas owners on the ring, and requests for documents this peer
-// does not own are forwarded to an owner:
-//
-//	axml-peer -listen :8080 -system store.axml -shard-self a \
-//	    -shard-peer b=http://b.example:8080 -shard-peer c=http://c.example:8080
-//
 // Observability: -debug-addr starts a second listener serving
 // expvar-compatible metrics at /debug/vars (the peer's counters under
 // the "axml" key: engine.*, mw.*, peer.*, journal.*) and the live pprof
@@ -65,7 +57,7 @@ func main() {
 	name := flag.String("name", "peer", "peer name for logs")
 	retries := flag.Int("retries", 3, "attempts per remote invocation (1 disables retry)")
 	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubles per retry, jittered)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline for remote invocations, mirror syncs and router forwards (0 disables)")
+	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline for remote invocations, mirror syncs and push deliveries (0 disables)")
 	breakerFailures := flag.Int("breaker-failures", 5, "consecutive failures opening the circuit breaker (0 disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second, "open period before the breaker half-opens")
 	degrade := flag.Bool("degrade", false, "quarantine failing calls during sweeps instead of aborting")
@@ -77,12 +69,8 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "keep one call span in every n (sweep/merge spans are never sampled)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	antiEntropyEvery := flag.Duration("anti-entropy-every", 0, "run an anti-entropy repair pass over the registered mirrors at this interval (0 disables)")
-	shardSelf := flag.String("shard-self", "", "this peer's name on the consistent-hash ring (empty = unsharded)")
-	replicas := flag.Int("replicas", 2, "owners per document on the ring (sharded mode)")
 	var remotes remoteFlags
 	flag.Var(&remotes, "remote", "remote service binding NAME=URL (repeatable)")
-	var shardPeers remoteFlags
-	flag.Var(&shardPeers, "shard-peer", "fleet member NAME=URL (repeatable; sharded mode)")
 	var mirrors mirrorFlags
 	flag.Var(&mirrors, "mirror", "replicate document DOC=URL from the peer at URL (repeatable)")
 	flag.Parse()
@@ -135,8 +123,8 @@ func main() {
 	}
 	// The per-attempt deadline lives in the one HTTP client the remotes
 	// and everything the peer itself sends (peer.WithClient: mirror syncs,
-	// anti-entropy probes, router forwards, push deliveries) share. Clients
-	// share http.DefaultTransport, so the keep-alive pool is shared too.
+	// anti-entropy probes, push deliveries) share. Clients share
+	// http.DefaultTransport, so the keep-alive pool is shared too.
 	var client *http.Client
 	if *timeout > 0 {
 		client = &http.Client{Timeout: *timeout}
@@ -211,46 +199,13 @@ func main() {
 	// peer's own counters in the registry (and thus /debug/vars).
 	stopRuntime := obs.StartRuntimeStats(metrics, 10*time.Second)
 	defer stopRuntime()
-	// Sharded mode: front the peer with a consistent-hash router. The
-	// fleet is the self name plus every -shard-peer binding; documents
-	// this peer does not own are forwarded to their owners.
-	var handler http.Handler = p.Handler()
-	checks := p.ReadyChecks()
-	if *shardSelf != "" {
-		names := []string{*shardSelf}
-		urls := make(map[string]string, len(shardPeers)+1)
-		for _, sp := range shardPeers {
-			// A -shard-peer binding for self is allowed (it lets every
-			// fleet member share one flag list) but must not duplicate
-			// the ring entry.
-			if sp.name != *shardSelf {
-				names = append(names, sp.name)
-			}
-			urls[sp.name] = sp.url
-		}
-		ring := peer.NewRing(names, 0)
-		handler = peer.NewRouter(p, *shardSelf, ring,
-			func(name string) string { return urls[name] }, *replicas)
-		// Readiness: every ring member this router could forward to must
-		// resolve to a URL, or owned documents silently lose replicas.
-		checks = append(checks, obs.Check{Name: "ring", Probe: func() error {
-			for _, n := range names {
-				if n != *shardSelf && urls[n] == "" {
-					return fmt.Errorf("ring member %q has no URL", n)
-				}
-			}
-			return nil
-		}})
-		logger.Info("sharded",
-			"peer", *shardSelf, "fleet", fmt.Sprint(names), "replicas", *replicas)
-	}
 	if *debugAddr != "" {
 		// The debug server gets its own listener on purpose: pprof and
 		// the metric dump expose internals that do not belong on the
 		// peer's public port. /healthz and /readyz live here too.
 		go func() {
 			logger.Info("debug server", "peer", *name, "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, obs.DebugMux(metrics, checks...)); err != nil {
+			if err := http.ListenAndServe(*debugAddr, obs.DebugMux(metrics, p.ReadyChecks()...)); err != nil {
 				logger.Error("debug server", "err", err)
 			}
 		}()
@@ -258,7 +213,7 @@ func main() {
 	logger.Info("serving",
 		"peer", *name, "system", *systemFile, "listen", *listen,
 		"docs", fmt.Sprint(sys.DocNames()), "services", fmt.Sprint(sys.FuncNames()))
-	fatal(http.ListenAndServe(*listen, handler))
+	fatal(http.ListenAndServe(*listen, p.Handler()))
 }
 
 type remoteBinding struct{ name, url string }

@@ -40,10 +40,6 @@ type (
 	RecoveryInfo = peer.RecoveryInfo
 	// PeerOption configures a peer at construction (see OpenPeer).
 	PeerOption = peer.Option
-	// Ring is a consistent-hash ring partitioning documents over peers.
-	Ring = peer.Ring
-	// Router fronts a sharded peer, forwarding unowned documents.
-	Router = peer.Router
 	// Delta is one digest-anchored replication record.
 	Delta = peer.Delta
 	// PeerClient is the typed client-side surface of a peer's HTTP API
@@ -74,10 +70,6 @@ var (
 	WithTracer = peer.WithTracer
 	// WithLogger routes a peer's structured logs.
 	WithLogger = peer.WithLogger
-	// NewRing builds a consistent-hash ring over peer names.
-	NewRing = peer.NewRing
-	// NewRouter wraps a peer's handler for fleet routing.
-	NewRouter = peer.NewRouter
 	// NewPublisher wraps a peer for push mode.
 	NewPublisher = peer.NewPublisher
 	// NewSubscriber wraps a peer to receive pushes.

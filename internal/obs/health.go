@@ -11,8 +11,7 @@ import (
 // handler simply never answers, which is the signal orchestrators act
 // on. Readiness (/readyz) answers "should traffic be routed here" and is
 // the conjunction of caller-supplied checks: a durable peer is not ready
-// while its journal is failing writes, a sharded peer is not ready while
-// ring members don't resolve to URLs.
+// while its journal is failing writes.
 
 // Check is one named readiness probe. Probe returns nil when the
 // condition holds; the error message is surfaced verbatim on /readyz.

@@ -47,31 +47,6 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // connections instead of re-dialing per request.
 var defaultClient = &http.Client{Timeout: 10 * time.Second}
 
-// httpc resolves the transport client.
-func (c *Client) httpc() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return defaultClient
-}
-
-// newRequest builds one outbound request, stamping the W3C traceparent
-// header from the span context riding ctx (none attached → no header).
-// Every outbound request funnels through here — trace propagation has
-// exactly one choke point, which is why scripts/lint-obs.sh bans bare
-// http.Get/http.Post in internal/ code and http.NewRequest anywhere else
-// in this package.
-func newRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return nil, err
-	}
-	if tp := obs.SpanFromContext(ctx).Traceparent(); tp != "" {
-		req.Header.Set(obs.TraceparentHeader, tp)
-	}
-	return req, nil
-}
-
 // statusError is a non-200 answer: the status and a bounded prefix of the
 // body (error bodies carry a short message).
 type statusError struct {
@@ -89,13 +64,18 @@ func (e *statusError) Error() string {
 
 // call is the one way out to a peer endpoint: it sends method path (under
 // BaseURL) with an optional body and hdr (key, value pairs) and returns
-// the answer's body and response, its body read and closed. An answer is
-// a 200, or to a request that sent If-None-Match (the conditional read,
-// Client.Delta) a 304, or a 226 when it also sent A-IM. Every failure is
-// wrapped as "peer: <what>: …": a transport error that was really a
-// context cancellation is mapped back to the context's error so callers
-// can match it, any other status is a *statusError, and a body over the
-// wire cap is ErrResponseTooLarge.
+// the answer's body and response, its body read and closed. It stamps
+// the W3C traceparent header from the span context riding ctx (none
+// attached → no header): every outbound request in this package is built
+// and sent here, so trace propagation has exactly one choke point, which
+// is why scripts/lint-obs.sh bans bare http.Get/http.Post in internal/
+// code and http.NewRequest or .Do( anywhere else in this package. An
+// answer is a 200, or to a request that sent If-None-Match (the
+// conditional read, Client.Delta) a 304, or a 226 when it also sent
+// A-IM. Every failure is wrapped as "peer: <what>: …": a transport error
+// that was really a context cancellation is mapped back to the context's
+// error so callers can match it, any other status is a *statusError, and
+// a body over the wire cap is ErrResponseTooLarge.
 func (c *Client) call(ctx context.Context, what, method, path, contentType string, body []byte, hdr ...string) (_ []byte, _ *http.Response, err error) {
 	defer func() {
 		if err != nil {
@@ -106,9 +86,12 @@ func (c *Client) call(ctx context.Context, what, method, path, contentType strin
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := newRequest(ctx, method, c.BaseURL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
 		return nil, nil, err
+	}
+	if tp := obs.SpanFromContext(ctx).Traceparent(); tp != "" {
+		req.Header.Set(obs.TraceparentHeader, tp)
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -119,7 +102,11 @@ func (c *Client) call(ctx context.Context, what, method, path, contentType strin
 	for i := 0; i < len(hdr); i += 2 {
 		req.Header.Set(hdr[i], hdr[i+1])
 	}
-	resp, err := c.httpc().Do(req)
+	hc := c.HTTP
+	if hc == nil {
+		hc = defaultClient
+	}
+	resp, err := hc.Do(req)
 	if err != nil {
 		if cause := ctx.Err(); cause != nil && !errors.Is(err, cause) {
 			err = fmt.Errorf("%w (%v)", cause, err)

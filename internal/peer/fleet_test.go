@@ -19,8 +19,8 @@ import (
 	"axml/internal/tree"
 )
 
-// The fleet acceptance test: ten durable peers partitioned by a
-// consistent-hash ring (rf=2), every document's owners cross-mirroring
+// The fleet acceptance test: ten durable peers, each document owned by
+// two of them (fleetOwners), every document's owners cross-mirroring
 // each other through digest-anchored deltas, while the chaos loop
 // injects message loss (flaky HTTP handlers), crash-restarts
 // (journal-backed recovery behind a stable URL), stale delta anchors,
@@ -32,6 +32,26 @@ import (
 // join of all growths is order-independent).
 
 const fleetFlakyEvery = 5 // every 5th HTTP request answers 502
+
+func fleetNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("peer%02d", i)
+	}
+	return names
+}
+
+// fleetOwners is each document's owner set, primary first. The table is
+// fixed so the chaos schedule below — which owner grows, which requests
+// the flaky handlers fail, what the rng draws — replays byte for byte.
+var fleetOwners = map[string][]string{
+	"doc0": {"peer06", "peer05"},
+	"doc1": {"peer08", "peer05"},
+	"doc2": {"peer03", "peer04"},
+	"doc3": {"peer09", "peer08"},
+	"doc4": {"peer08", "peer01"},
+	"doc5": {"peer09", "peer03"},
+}
 
 // fleetSlot is one stable network identity: the URL outlives its peer,
 // whose incarnations come and go behind the swappable handler.
@@ -49,21 +69,17 @@ func (s *fleetSlot) down() bool { return s.peer == nil }
 type fleet struct {
 	t     *testing.T
 	reg   *obs.Registry
-	ring  *Ring
-	rf    int
 	docs  []string
 	slots map[string]*fleetSlot
 	urls  map[string]string
 }
 
 // newFleet starts n slots and boots a durable peer into each.
-func newFleet(t *testing.T, n, rf int, docs []string) *fleet {
+func newFleet(t *testing.T, n int, docs []string) *fleet {
 	t.Helper()
 	f := &fleet{
 		t:     t,
 		reg:   obs.NewRegistry(),
-		ring:  NewRing(fleetNames(n), 0),
-		rf:    rf,
 		docs:  docs,
 		slots: make(map[string]*fleetSlot, n),
 		urls:  make(map[string]string, n),
@@ -93,9 +109,10 @@ func newFleet(t *testing.T, n, rf int, docs []string) *fleet {
 
 // boot builds a fresh incarnation of the slot's peer — first boot and
 // crash-restart are the same code path; recovery comes from the journal
-// in the slot's directory. Ownership and mirrors are re-derived from the
-// ring; mirror anchors start empty, so a recovered replica's first sync
-// is a full pull (exactly the degradation the protocol promises).
+// in the slot's directory. Ownership and mirrors are re-derived from
+// fleetOwners; mirror anchors start empty, so a recovered replica's
+// first sync is a full pull (exactly the degradation the protocol
+// promises).
 func (f *fleet) boot(slot *fleetSlot) {
 	f.t.Helper()
 	sys := core.NewSystem()
@@ -118,7 +135,7 @@ func (f *fleet) boot(slot *fleetSlot) {
 		if !f.owns(slot.name, doc) {
 			continue
 		}
-		for _, other := range f.ring.Owners(doc, f.rf) {
+		for _, other := range fleetOwners[doc] {
 			if other == slot.name {
 				continue
 			}
@@ -129,13 +146,7 @@ func (f *fleet) boot(slot *fleetSlot) {
 			slot.mirrors = append(slot.mirrors, m)
 		}
 	}
-	rt := NewRouter(p, slot.name, f.ring, func(name string) string {
-		if f.slots[name].down() {
-			return ""
-		}
-		return f.urls[name]
-	}, f.rf)
-	slot.handler.Store(faults.FlakyHandler(rt, fleetFlakyEvery))
+	slot.handler.Store(faults.FlakyHandler(p.Handler(), fleetFlakyEvery))
 }
 
 // crash closes the slot's peer (journal flushed — the suffix a real
@@ -154,7 +165,7 @@ func (f *fleet) crash(slot *fleetSlot) {
 }
 
 func (f *fleet) owns(name, doc string) bool {
-	for _, o := range f.ring.Owners(doc, f.rf) {
+	for _, o := range fleetOwners[doc] {
 		if o == name {
 			return true
 		}
@@ -182,7 +193,7 @@ func TestFleetChaosConvergence(t *testing.T) {
 	for i := range docs {
 		docs[i] = fmt.Sprintf("doc%d", i)
 	}
-	f := newFleet(t, 10, 2, docs)
+	f := newFleet(t, 10, docs)
 	rng := rand.New(rand.NewSource(0xf1ee7))
 	ctx := context.Background()
 
@@ -220,7 +231,7 @@ func TestFleetChaosConvergence(t *testing.T) {
 		// concurrently diverged owners exchange graft records whose paths
 		// miss and force the full-pull fallback.
 		doc := docs[rng.Intn(len(docs))]
-		owners := f.ring.Owners(doc, f.rf)
+		owners := fleetOwners[doc]
 		if slot := f.slots[owners[rng.Intn(len(owners))]]; !slot.down() {
 			switch {
 			case !hasSecChild(slot.peer, doc):
@@ -291,7 +302,7 @@ func TestFleetChaosConvergence(t *testing.T) {
 	for round := 0; round < repairRounds && !converged; round++ {
 		converged = true
 		for _, doc := range docs {
-			for _, owner := range f.ring.Owners(doc, f.rf) {
+			for _, owner := range fleetOwners[doc] {
 				if docHash(f.slots[owner].peer, doc) != refDigest[doc] {
 					converged = false
 				}
@@ -311,7 +322,7 @@ func TestFleetChaosConvergence(t *testing.T) {
 	}
 	if !converged {
 		for _, doc := range docs {
-			for _, owner := range f.ring.Owners(doc, f.rf) {
+			for _, owner := range fleetOwners[doc] {
 				slot := f.slots[owner]
 				var local *tree.Node
 				slot.peer.System(func(s *core.System) { local = s.Document(doc).Root.Copy() })
@@ -369,27 +380,32 @@ func TestFleetChaosConvergence(t *testing.T) {
 		t.Fatalf("fleet status table did not render:\n%s", table)
 	}
 
-	// Every converged doc serves through any fleet member (forwarding),
-	// modulo flaky 502s — retry a few times.
+	// Every owner serves its converged copy of every document it holds,
+	// with the reference digest as the ETag, modulo flaky 502s — retry a
+	// few times.
 	for _, doc := range docs {
-		asker := f.slots[fleetNames(10)[0]]
-		var resp *http.Response
-		var err error
-		for attempt := 0; attempt < 3; attempt++ {
-			resp, err = http.Get(asker.url + PathDoc + doc)
-			if err == nil && resp.StatusCode == http.StatusOK {
-				break
+		for _, owner := range fleetOwners[doc] {
+			var resp *http.Response
+			var err error
+			for attempt := 0; attempt < 3; attempt++ {
+				resp, err = http.Get(f.urls[owner] + PathDoc + doc)
+				if err == nil && resp.StatusCode == http.StatusOK {
+					break
+				}
+				if err == nil {
+					resp.Body.Close()
+				}
 			}
-			if err == nil {
-				resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("doc %s unreachable through the fleet: %d", doc, resp.StatusCode)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("doc %s unreachable at owner %s: %d", doc, owner, resp.StatusCode)
+			}
+			if got, want := resp.Header.Get(headerETag), `"`+refDigest[doc]+`"`; got != want {
+				t.Fatalf("doc %s at owner %s: ETag %s, want %s", doc, owner, got, want)
+			}
 		}
 	}
 }

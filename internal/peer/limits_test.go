@@ -163,7 +163,7 @@ func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestMirrorHonoursPeerClientAndLimits: a Mirror with no client of its
 // own syncs through the peer's WithClient client, under the peer's
 // WithLimits cap — the delta fetch as much as the anti-entropy probe —
-// and so do a router's forward and a publisher's delivery.
+// and so does a publisher's delivery.
 func TestMirrorHonoursPeerClientAndLimits(t *testing.T) {
 	origin := mustOpen("origin", core.MustParseSystem(
 		`doc log = log{`+strings.Repeat(`entry{"0123456789"},`, 30)+`last}`))
@@ -213,16 +213,6 @@ func Entries = got{$v} :- log/log{entry{$v}}`), opts...)
 		t.Errorf("replica %s != origin %s", p.Hash(), origin.Hash())
 	}
 
-	// A document this peer does not own is forwarded to its owner.
-	router := NewRouter(p, "replica", NewRing([]string{"origin"}, 0),
-		func(string) string { return srv.URL }, 1)
-	rec := httptest.NewRecorder()
-	router.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PathDoc+"log", nil))
-	if rec.Code != http.StatusOK || rt.n.Load() != 3 {
-		t.Errorf("forwarded doc fetch: status %d, the peer's client saw %d requests, want 200 and 3",
-			rec.Code, rt.n.Load())
-	}
-
 	sb, subPeer := newPortalSubscriber(t, "s1")
 	subSrv := httptest.NewServer(sb.Handler())
 	defer subSrv.Close()
@@ -231,8 +221,8 @@ func Entries = got{$v} :- log/log{entry{$v}}`), opts...)
 	if pushed, err := pub.Flush(context.Background()); err != nil || pushed == 0 {
 		t.Fatalf("flush through WithClient: pushed=%d err=%v", pushed, err)
 	}
-	if rt.n.Load() != 4 {
-		t.Errorf("the peer's client saw %d requests after the delivery, want 4", rt.n.Load())
+	if rt.n.Load() != 3 {
+		t.Errorf("the peer's client saw %d requests after the delivery, want 3", rt.n.Load())
 	}
 	if got := portalTree(subPeer).CanonicalString(); !strings.Contains(got, "0123456789") {
 		t.Errorf("the delivery did not reach the subscriber: %s", got)

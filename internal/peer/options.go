@@ -33,8 +33,8 @@ func WithDurability(d Durability) Option {
 
 // WithClient sets the HTTP client for everything the peer itself sends
 // (Peer.remote): mirror syncs and anti-entropy probes whose Mirror has no
-// client of its own, push deliveries and router forwards. Nil means
-// Client's shared default. A RemoteService carries its own client.
+// client of its own, and push deliveries. Nil means Client's shared
+// default. A RemoteService carries its own client.
 func WithClient(client *http.Client) Option {
 	return func(c *config) { c.client = client }
 }

@@ -269,8 +269,8 @@ func (p *Peer) wireLimit() int64 {
 // remote is the typed view of another peer's endpoints as this peer
 // reaches them — the only place a peer picks a transport: own when the
 // caller carries one (Mirror.Client), else the peer's (WithClient), under
-// the peer's wire limit (WithLimits). Mirror syncs, anti-entropy probes,
-// push deliveries and router forwards all leave through it.
+// the peer's wire limit (WithLimits). Mirror syncs, anti-entropy probes
+// and push deliveries all leave through it.
 func (p *Peer) remote(baseURL string, own *http.Client) *Client {
 	if own == nil {
 		own = p.client

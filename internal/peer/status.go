@@ -91,8 +91,8 @@ type StatusReport struct {
 
 // ReadyChecks returns the peer's readiness probes for obs.ReadyHandler:
 // currently "journal" (the durability layer has not hit a sticky write
-// error; trivially ready for in-memory peers). Compose with
-// router/ring checks at the embedding site.
+// error; trivially ready for in-memory peers). An embedding site may
+// append probes of its own.
 func (p *Peer) ReadyChecks() []obs.Check {
 	return []obs.Check{{
 		Name: "journal",

@@ -2,6 +2,7 @@
 # lint-obs.sh — ban bare stdlib printing, package-level http helpers,
 # exported global bool switches, hand-rolled document growth in the peer layer, lock hand-offs from
 # library code, requests built or sent past the peer's one wire boundary,
+# a read router in front of a peer,
 # exported mutable globals in the peer layer, package-level tables or
 # locks in library code, product calls of the
 # reference hash, a second benchmark pipeline beside benchmark/, a
@@ -111,21 +112,36 @@ if [ -n "$badhandoff" ]; then
     echo "$badhandoff" >&2
     exit 1
 fi
-# A peer has one way out: newRequest builds every outbound request (the
-# traceparent choke point) and only Client.call and the router's relay
-# send one — on a client Peer.remote picked. A request built or sent
-# anywhere else in non-test internal/peer skips the peer's WithClient /
-# WithLimits and falls out of the trace (PR 25's mirror bug, PR 26's
-# router and publisher bugs). sync.Once has a Do too; none is in use here.
+# A peer serves the documents it holds; nothing in front of it forwards
+# reads for documents it does not. A read proxy over a hash ring
+# partitions no storage (each peer still loads, sweeps and journals every
+# document it is given) and is a second way out beside Client.call;
+# partitioning, if it comes, is a placement that evaluation respects.
+badroute=$( { find internal cmd -name '*.go' ! -name '*_test.go'; ls *.go | grep -v '_test\.go$'; } \
+    | xargs grep -HnF -e NewRing -e NewRouter -e X-Axml-Forwarded -e peer.route. \
+        -e shard-self -e shard-peer -e DefaultVirtualNodes \
+    || true)
+
+if [ -n "$badroute" ]; then
+    echo "vet-obs: a read router or ring in front of a peer (a peer serves the documents it holds; replicate with Mirror):" >&2
+    echo "$badroute" >&2
+    exit 1
+fi
+# A peer has one way out: Client.call builds every outbound request (the
+# traceparent choke point) and sends it, on a client Peer.remote picked.
+# A request built or sent anywhere else in non-test internal/peer skips
+# the peer's WithClient / WithLimits and falls out of the trace (the
+# mirror and publisher bugs of earlier releases). sync.Once has a Do too;
+# none is in use here.
 badwire=$(find internal/peer -name '*.go' ! -name '*_test.go' -exec awk '
+    FNR == 1 { fn = "" }
     /^func / { fn = $0 }
     /^[[:space:]]*\/\// { next }
-    /http\.NewRequest(WithContext)?\(/ && fn !~ /^func newRequest\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
-    /\.Do\(/ && FILENAME !~ /\/(client|ring)\.go$/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+    (/http\.NewRequest(WithContext)?\(/ || /\.Do\(/) && fn !~ /^func \(c \*Client\) call\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
     ' {} +)
 
 if [ -n "$badwire" ]; then
-    echo "vet-obs: outbound request built outside newRequest, or sent outside client.go / ring.go, in internal/peer (use Client.call on Peer.remote):" >&2
+    echo "vet-obs: outbound request built or sent outside Client.call in internal/peer (use Client.call on Peer.remote):" >&2
     echo "$badwire" >&2
     exit 1
 fi
